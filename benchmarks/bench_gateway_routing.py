@@ -88,7 +88,7 @@ def run_experiment():
     registry.register("dosolo", _engine(trainer_b))
     gateway = AnnotationGateway(
         registry,
-        QueueConfig(max_batch=len(tables), max_latency=0.05),
+        QueueConfig(max_batch=len(tables)),
     )
     gateway_results = []
 

@@ -22,7 +22,7 @@ from pathlib import Path
 from repro.core import Doduo, DoduoConfig, DoduoTrainer, save_annotator
 from repro.datasets import generate_wikitable_dataset
 from repro.nn import TransformerConfig
-from repro.serving import AnnotationGateway, ModelRegistry, QueueConfig
+from repro.serving import AnnotationGateway, ModelRegistry
 from repro.text import train_wordpiece
 
 
@@ -57,7 +57,7 @@ def main() -> None:
     registry = ModelRegistry()
     registry.register("stable", stable)   # first registered = default route
     registry.register("canary", canary)
-    with AnnotationGateway(registry, QueueConfig(max_latency=0.01)) as gateway:
+    with AnnotationGateway(registry) as gateway:
         for table in tables[:2]:
             baseline = gateway.annotate(table)                  # default route
             candidate = gateway.annotate(table, model="canary")

@@ -20,7 +20,6 @@ from repro import (
     Doduo,
     DoduoConfig,
     EngineConfig,
-    QueueConfig,
 )
 from repro.core import PipelineConfig, build_knowledge_base, build_pretrained_lm
 from repro.datasets import Column, Table, generate_wikitable_dataset, split_dataset
@@ -84,7 +83,7 @@ def main() -> None:
     # 5. Heavy concurrent traffic: the async queue front-end dedups
     #    content-identical requests onto one forward pass and fans the same
     #    result out to every waiter (see docs/serving.md for the tiers).
-    with AnnotationService(engine, QueueConfig(max_latency=0.05)) as service:
+    with AnnotationService(engine) as service:
         popular = splits.test.tables[0]
         futures = [service.submit(popular) for _ in range(10)]
         answers = [future.result() for future in futures]

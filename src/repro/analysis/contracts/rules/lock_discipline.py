@@ -1,7 +1,7 @@
 """``lock-discipline`` — lock-guarded attributes stay lock-guarded.
 
-Scoped to the three files that multiplex threads over shared state
-(``registry.py``, ``fabric.py``, ``pool.py``).  Within each class, any
+Scoped to the four files that multiplex threads over shared state
+(``registry.py``, ``fabric.py``, ``pool.py``, ``queue.py``).  Within each class, any
 attribute ever *assigned* inside a ``with self._lock:`` block is
 treated as lock-guarded; reading or writing it outside a lock-held
 scope of the same class is a finding (a torn read at best, a
@@ -31,7 +31,7 @@ from ..registry import rule
 
 RULE_ID = "lock-discipline"
 
-_SCOPE_BASENAMES = {"registry.py", "fabric.py", "pool.py"}
+_SCOPE_BASENAMES = {"registry.py", "fabric.py", "pool.py", "queue.py"}
 
 _EXEMPT = {"__init__", "__post_init__", "__del__", "__enter__", "__exit__"}
 

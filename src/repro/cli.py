@@ -1085,7 +1085,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "boundaries, byte-identical to one-at-a-time "
                             "serving")
     serve.add_argument("--max-latency-ms", type=float, default=10.0,
-                       help="how long a batch waits to fill before serving")
+                       help="deprecated and ignored: drains no longer wait "
+                            "for a batch to fill (an idle worker serves at "
+                            "once; batches form while the engine is busy)")
     serve.add_argument("--dtype", choices=("float32", "float64"), default=None,
                        help="compute precision (default float32; float64 "
                             "needs --kernels fast)")

@@ -293,6 +293,7 @@ class ProbePlanner:
         type_probs: Optional[np.ndarray] = None,
         type_compatibility: Optional[FrozenSet[Pair]] = None,
         subject_priors: Optional[Dict[int, float]] = None,
+        fingerprint: Optional[str] = None,
     ) -> ProbePlan:
         """Select the column pairs the relation head should probe.
 
@@ -302,7 +303,8 @@ class ProbePlanner:
         and ``subject_priors`` (:func:`subject_type_priors`) additionally
         ranks candidate subject columns by how often their predicted type
         plays the subject role in training; without them planning is fully
-        model-free.
+        model-free.  ``fingerprint`` is ``table_fingerprint(table)`` when
+        the caller already holds it (the plan cache is keyed by it).
         """
         cacheable = (
             type_probs is None
@@ -314,7 +316,7 @@ class ProbePlanner:
             # Labels matter (gold pairs pin) but are not part of the
             # content fingerprint, so they join the key explicitly.
             key = (
-                table_fingerprint(table),
+                fingerprint or table_fingerprint(table),
                 tuple(sorted(table.relation_labels)),
             )
             cached = self._plan_cache.get(key)

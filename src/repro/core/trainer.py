@@ -32,7 +32,7 @@ import numpy as np
 
 from ..datasets.tables import Table, TableDataset
 from ..encoding import BatchPlanner, EncodingPipeline
-from ..encoding.cache import column_fingerprint
+from ..encoding.cache import column_fingerprint, table_fingerprint
 from ..evaluation.metrics import PRF, multiclass_micro_f1, multilabel_micro_prf
 from ..nn import Adam, LinearDecayScheduler, TransformerConfig
 from ..nn import functional as F
@@ -740,6 +740,7 @@ class DoduoTrainer:
         compute_dtype: str = "float32",
         column_cache: Optional["ColumnStateStore"] = None,
         probe_planner: Optional["ProbePlanner"] = None,
+        fingerprints: Optional[Sequence[str]] = None,
     ) -> List[RawTableAnnotation]:
         """Annotate a batch of tables, one encoder pass per width bucket.
 
@@ -784,6 +785,11 @@ class DoduoTrainer:
         planned probe of pair set S is byte-identical to explicitly
         requesting S — planning changes *which* pairs are paid for, never
         the bytes of a probed pair.
+
+        ``fingerprints`` are the tables' content fingerprints
+        (:func:`~repro.encoding.cache.table_fingerprint`) when the caller
+        already holds them — the serving engine hashes each request once
+        and the pair-sequence cache is keyed by the same digest.
         """
         if encoded is not None and len(encoded) != len(tables):
             raise ValueError(
@@ -844,6 +850,9 @@ class DoduoTrainer:
                 kernels=kernels,
                 compute_dtype=compute_dtype,
                 column_cache=column_cache,
+                fingerprints=(
+                    [fingerprints[i] for i in group] if fingerprints else None
+                ),
             )
             for i, annotation in zip(group, group_results):
                 results[i] = annotation
@@ -858,6 +867,7 @@ class DoduoTrainer:
         kernels: Optional[str] = None,
         compute_dtype: str = "float32",
         column_cache: Optional["ColumnStateStore"] = None,
+        fingerprints: Optional[Sequence[str]] = None,
     ) -> List[RawTableAnnotation]:
         """Annotate one width-homogeneous bucket with one pass (or two in
         single-column mode: columns, then column pairs)."""
@@ -870,6 +880,7 @@ class DoduoTrainer:
                 kernels=kernels,
                 compute_dtype=compute_dtype,
                 column_cache=column_cache,
+                fingerprints=fingerprints,
             )
         flat_pairs = [
             (b, i, j)
@@ -906,6 +917,7 @@ class DoduoTrainer:
         kernels: Optional[str] = None,
         compute_dtype: str = "float32",
         column_cache: Optional["ColumnStateStore"] = None,
+        fingerprints: Optional[Sequence[str]] = None,
     ) -> List[RawTableAnnotation]:
         """Single-column mode: one pass over columns, one over column pairs."""
         flat_columns: List[EncodedTable] = []
@@ -940,12 +952,18 @@ class DoduoTrainer:
             embeddings = out.embeddings
         pair_encoded: List[EncodedTable] = []
         pair_groups: List[List[int]] = []
-        for table, pairs in zip(tables, pairs_per_table):
+        for index, (table, pairs) in enumerate(zip(tables, pairs_per_table)):
+            if not pairs:
+                continue
             start = len(pair_encoded)
-            for i, j in pairs:
-                pair_encoded.append(self.encoding.encode_pair(table, i, j))
-            if len(pair_encoded) > start:
-                pair_groups.append(list(range(start, len(pair_encoded))))
+            # One walk over the cells per table, not one per pair.
+            fingerprint = (
+                fingerprints[index] if fingerprints else table_fingerprint(table)
+            )
+            pair_encoded.extend(
+                self.encoding.encode_pair(table, i, j, fingerprint) for i, j in pairs
+            )
+            pair_groups.append(list(range(start, len(pair_encoded))))
         relation_probs = None
         if pair_encoded:
             pair_out = self.model.forward_full(

@@ -22,7 +22,7 @@ throwaway serializer and bypass the cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from ..datasets.tables import Table
 from .cache import LRUCache, column_fingerprint, table_fingerprint
@@ -150,16 +150,18 @@ class EncodingPipeline:
         """Per-column serialized segments, read through the segment cache."""
         return [self._segment_for(column) for column in table.columns]
 
-    def _encode_table_cached(self, table: Table) -> Tuple[EncodedTable, bool]:
+    def _encode_table_cached(
+        self, table: Table, fingerprint: Optional[str] = None
+    ) -> Tuple[EncodedTable, bool]:
         return self._cached(
-            ("table", table_fingerprint(table)),
+            ("table", fingerprint or table_fingerprint(table)),
             lambda: self.serializer.serialize_table(
                 table, segments=self._column_segments(table)
             ),
         )
 
     def _encode_columns_cached(
-        self, table: Table
+        self, table: Table, fingerprint: Optional[str] = None
     ) -> Tuple[List[EncodedTable], bool]:
         def build() -> List[EncodedTable]:
             segments = self._column_segments(table)
@@ -168,7 +170,9 @@ class EncodingPipeline:
                 for c in range(table.num_columns)
             ]
 
-        return self._cached(("columns", table_fingerprint(table)), build)
+        return self._cached(
+            ("columns", fingerprint or table_fingerprint(table)), build
+        )
 
     def encode_table(self, table: Table) -> EncodedTable:
         """Table-wise serialization ``[CLS] col1 [CLS] col2 ... [SEP]``."""
@@ -182,8 +186,15 @@ class EncodingPipeline:
         """One column's sequence (reads through the per-table column cache)."""
         return self.encode_columns(table)[col_index]
 
-    def encode_pair(self, table: Table, i: int, j: int) -> EncodedTable:
-        """A column-pair sequence ``[CLS] vi [SEP] [CLS] vj [SEP]``."""
+    def encode_pair(
+        self, table: Table, i: int, j: int, fingerprint: Optional[str] = None
+    ) -> EncodedTable:
+        """A column-pair sequence ``[CLS] vi [SEP] [CLS] vj [SEP]``.
+
+        ``fingerprint`` is ``table_fingerprint(table)`` when the caller
+        already holds it (a planned-wide request probes a dozen pairs of
+        one table; hashing its cells once per pair was most of this call).
+        """
 
         def build() -> EncodedTable:
             columns = table.columns
@@ -198,7 +209,8 @@ class EncodingPipeline:
             )
 
         encoded, _ = self._cached(
-            ("pair", table_fingerprint(table), int(i), int(j)), build
+            ("pair", fingerprint or table_fingerprint(table), int(i), int(j)),
+            build,
         )
         return encoded
 
@@ -208,11 +220,17 @@ class EncodingPipeline:
             return self.encode_columns(table)
         return self.encode_table(table)
 
-    def encode_cached(self, table: Table) -> Tuple[EncodedInput, bool]:
-        """Like :meth:`encode` but also reports whether it was a cache hit."""
+    def encode_cached(
+        self, table: Table, fingerprint: Optional[str] = None
+    ) -> Tuple[EncodedInput, bool]:
+        """Like :meth:`encode` but also reports whether it was a cache hit.
+
+        ``fingerprint`` is ``table_fingerprint(table)`` when the caller
+        already holds it.
+        """
         if self.single_column:
-            return self._encode_columns_cached(table)
-        return self._encode_table_cached(table)
+            return self._encode_columns_cached(table, fingerprint)
+        return self._encode_table_cached(table, fingerprint)
 
     # ------------------------------------------------------------------
     # Width signatures (exact-batching keys)

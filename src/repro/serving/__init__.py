@@ -13,10 +13,10 @@ The stack, bottom-up:
   bucket, and an optional persistent result-cache tier
   (:class:`DiskCache`, boundable via ``max_bytes`` and compactable) so
   repeated corpora never re-encode across process restarts.
-* :class:`EngineWorker` — the per-engine bounded request queue whose worker
-  thread drains submissions into batches under a max-batch/max-latency
-  policy and dedups concurrent content-identical requests onto one forward
-  pass.
+* :class:`EngineWorker` — the per-engine bounded request queue: ``submit``
+  dedups content-identical requests single-flight (from submit until the
+  answer exists) onto one forward pass, and the worker thread drains
+  whatever is queued, up to ``max_batch``, without ever waiting for more.
 * :class:`ModelRegistry` — named models (lazy checkpoint loading, routing
   by name *or* model fingerprint, LRU eviction of idle engines above
   ``max_live`` with a pinned floor, per-fingerprint disk-cache
@@ -59,7 +59,7 @@ Quickstart::
     for result in engine.annotate_stream(table_iter):  # unbounded workloads
         print(result.coltypes)
 
-    with AnnotationService(engine, QueueConfig(max_latency=0.005)) as service:
+    with AnnotationService(engine, QueueConfig(max_batch=16)) as service:
         futures = [service.submit(t) for t in tables]  # any thread, any time
         answers = [f.result() for f in futures]
 

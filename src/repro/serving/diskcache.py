@@ -44,7 +44,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -151,20 +151,35 @@ class FileLock:
         self.release()
 
 
-def result_cache_key(model_fingerprint: str, request: AnnotationRequest) -> str:
-    """The composite disk-cache key for one annotation request.
+class RequestIdentity(NamedTuple):
+    """What one request hashes to, computed once and carried with it.
 
-    Hashes the model fingerprint, the table's content fingerprint, and every
-    option that changes the annotation output.  Requests that differ in any
-    of those never share an entry (the invalidation guarantee); requests
-    that differ only in ``table_id``/metadata or object identity do (the
-    dedup guarantee).
+    ``table_digest`` is the table's content fingerprint and ``cache_key``
+    the composite key of :func:`result_cache_key`, valid while the serving
+    model's fingerprint is still ``model_fingerprint``.  The queue computes
+    it at submit and hands it to the engine, which hands the digest on to
+    the encoding pipeline and the probe planner — one walk over the cells
+    per request instead of one per tier.
     """
+
+    model_fingerprint: str
+    table_digest: str
+    cache_key: str
+
+
+def request_identity(
+    model_fingerprint: str,
+    request: AnnotationRequest,
+    table_digest: Optional[str] = None,
+) -> RequestIdentity:
+    """Hash one request (reusing ``table_digest`` when the caller holds it)."""
+    if table_digest is None:
+        table_digest = table_fingerprint(request.table)
     options = request.options
-    return content_digest(
+    cache_key = content_digest(
         (
             model_fingerprint.encode("utf-8"),
-            table_fingerprint(request.table).encode("utf-8"),
+            table_digest.encode("utf-8"),
             repr(
                 (
                     options.with_embeddings,
@@ -176,6 +191,19 @@ def result_cache_key(model_fingerprint: str, request: AnnotationRequest) -> str:
             ).encode("utf-8"),
         )
     )
+    return RequestIdentity(model_fingerprint, table_digest, cache_key)
+
+
+def result_cache_key(model_fingerprint: str, request: AnnotationRequest) -> str:
+    """The composite disk-cache key for one annotation request.
+
+    Hashes the model fingerprint, the table's content fingerprint, and every
+    option that changes the annotation output.  Requests that differ in any
+    of those never share an entry (the invalidation guarantee); requests
+    that differ only in ``table_id``/metadata or object identity do (the
+    dedup guarantee).
+    """
+    return request_identity(model_fingerprint, request).cache_key
 
 
 def encode_annotation(result: AnnotationResult) -> Dict:

@@ -31,7 +31,6 @@ import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -50,10 +49,14 @@ from ..core.trainer import DoduoTrainer, RawTableAnnotation, default_relation_pa
 from ..datasets.tables import Table
 from ..encoding import BatchPlanner, EncodingPipeline
 from .colcache import ColumnCache
+from .diskcache import (
+    DiskCache,
+    RequestIdentity,
+    decode_annotation,
+    encode_annotation,
+    request_identity,
+)
 from .request import AnnotationOptions, AnnotationRequest, AnnotationResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .diskcache import DiskCache
 
 RequestLike = Union[Table, AnnotationRequest]
 
@@ -319,8 +322,6 @@ class AnnotationEngine:
                 cache_size=self.config.cache_size,
             )
         if result_cache is None and self.config.cache_dir is not None:
-            from .diskcache import DiskCache  # deferred: only needed with the tier on
-
             result_cache = DiskCache(self.config.cache_dir)
         self.result_cache = result_cache
         # Column-level content addressing: sound only for single-column
@@ -398,6 +399,7 @@ class AnnotationEngine:
         self,
         items: Sequence[RequestLike],
         options: Optional[AnnotationOptions] = None,
+        identities: Optional[Sequence[RequestIdentity]] = None,
     ) -> List[AnnotationResult]:
         """Annotate many tables, one forward pass per exact width bucket.
 
@@ -412,6 +414,10 @@ class AnnotationEngine:
         rebuilt byte-identically from disk without serializing or encoding
         anything, and only the misses proceed to the forward pass — whose
         results are then persisted for the next process.
+
+        ``identities`` are the requests' hashes when the caller already
+        computed them (the queue does, at submit — see :meth:`identify`);
+        each table's cells are walked once per request either way.
         """
         requests = [self._as_request(item, options) for item in items]
         if not requests:
@@ -425,20 +431,19 @@ class AnnotationEngine:
                     )
         results: List[Optional[AnnotationResult]] = [None] * len(requests)
         pending = list(range(len(requests)))
-        cache_keys: List[Optional[str]] = [None] * len(requests)
+        identities = [
+            self.identify(request, known)
+            for request, known in zip(requests, identities or [None] * len(requests))
+        ]
         # Captured once: the registry may detach the tier concurrently
         # (eviction while a worker drains) — this call then finishes its
         # lookups against the handle it started with, and the put block
         # below re-reads the attribute so detached engines stop persisting.
         result_cache = self.result_cache
         if result_cache is not None:
-            from .diskcache import decode_annotation, result_cache_key
-
             pending = []
-            fingerprint = self.model_fingerprint
             for i, request in enumerate(requests):
-                cache_keys[i] = result_cache_key(fingerprint, request)
-                payload = result_cache.get(cache_keys[i])
+                payload = result_cache.get(identities[i].cache_key)
                 if payload is None:
                     self.stats.disk_misses += 1
                     pending.append(i)
@@ -459,7 +464,7 @@ class AnnotationEngine:
         seg_misses_before = self.encoding.segment_misses
         for i in pending:
             encoded[i], cached_flags[i] = self.encoding.encode_cached(
-                requests[i].table
+                requests[i].table, identities[i].table_digest
             )
         self.stats.cache_hits += self.encoding.cache_hits - hits_before
         self.stats.cache_misses += self.encoding.cache_misses - misses_before
@@ -478,7 +483,9 @@ class AnnotationEngine:
                     and request.options.with_relations
                     and self.trainer.model.relation_head is not None
                 ):
-                    plan = self.probe_planner.plan(request.table)
+                    plan = self.probe_planner.plan(
+                        request.table, fingerprint=identities[i].table_digest
+                    )
                     planned_pairs[i] = plan.pairs
                     self.stats.pairs_planned += plan.planned
                     self.stats.pairs_pruned += plan.pruned
@@ -494,7 +501,13 @@ class AnnotationEngine:
         for bucket in self._planner.plan(signatures):
             chunk = [pending[k] for k in bucket]
             self._run_chunk(
-                chunk, requests, encoded, cached_flags, results, planned_pairs
+                chunk,
+                requests,
+                identities,
+                encoded,
+                cached_flags,
+                results,
+                planned_pairs,
             )
         if pending:
             self._persist_proofs()
@@ -502,11 +515,11 @@ class AnnotationEngine:
         # the tier, this engine stops persisting immediately.
         result_cache = self.result_cache
         if result_cache is not None:
-            from .diskcache import encode_annotation
-
             for i in pending:
-                if results[i] is not None and cache_keys[i] is not None:
-                    result_cache.put(cache_keys[i], encode_annotation(results[i]))
+                if results[i] is not None:
+                    result_cache.put(
+                        identities[i].cache_key, encode_annotation(results[i])
+                    )
         self.stats.requests += len(requests)
         return [result for result in results if result is not None]
 
@@ -582,6 +595,26 @@ class AnnotationEngine:
             waste_budget=self.config.waste_budget,
             precision=self.config.precision,
         )
+
+    def identify(
+        self,
+        request: AnnotationRequest,
+        known: Optional[RequestIdentity] = None,
+    ) -> RequestIdentity:
+        """Hash ``request`` for this engine: table digest + result-cache key.
+
+        ``known`` is an identity computed earlier (the queue's, from submit
+        time): returned as is while the model fingerprint still matches,
+        else re-keyed from its table digest — a weight change between
+        submit and drain costs one small hash, never a second walk over
+        the cells, and never a stale cache key.
+        """
+        fingerprint = self.model_fingerprint
+        if known is None:
+            return request_identity(fingerprint, request)
+        if known.model_fingerprint == fingerprint:
+            return known
+        return request_identity(fingerprint, request, known.table_digest)
 
     # ------------------------------------------------------------------
     # Proof persistence
@@ -693,6 +726,7 @@ class AnnotationEngine:
         self,
         chunk: Sequence[int],
         requests: Sequence[AnnotationRequest],
+        identities: Sequence[RequestIdentity],
         encoded: Dict[int, object],
         cached_flags: Dict[int, bool],
         results: List[Optional[AnnotationResult]],
@@ -739,6 +773,7 @@ class AnnotationEngine:
             kernels=self.config.kernels,
             compute_dtype=self.config.compute_precision,
             column_cache=column_cache,
+            fingerprints=[identities[i].table_digest for i in chunk],
         )
         if column_cache is not None:
             self.stats.column_hits += column_cache.hits - col_hits_before

@@ -527,7 +527,7 @@ class AnnotationGateway:
                 per_model[name] = merged
             for name, worker in self._workers.items():
                 merged = per_model.setdefault(name, ServiceStats())
-                self._merge_stats(merged, worker.stats)
+                self._merge_stats(merged, worker.stats_snapshot())
                 snapshot.engines[name] = replace(worker.engine.stats)
                 tier = worker.engine.result_cache
                 if tier is not None:

@@ -102,7 +102,7 @@ class PoolConfig:
     workers: int = 2
     cache_dir: Optional[str] = None
     batch_size: int = 8
-    max_latency: float = 0.010
+    max_latency: float = 0.010            # deprecated, ignored (see QueueConfig)
     exact: bool = True
     max_live: Optional[int] = None
     with_embeddings: bool = False

@@ -1,82 +1,94 @@
-"""Asynchronous, dedup-aware request queue over one annotation engine.
+"""Asynchronous, single-flight request queue over one annotation engine.
 
 :class:`EngineWorker` is the per-engine drain loop the serving front-ends
 are built from: callers :meth:`~EngineWorker.submit` tables from any thread
 and get back a :class:`concurrent.futures.Future`; a single worker thread
-drains the bounded queue into batches under a max-batch/max-latency policy
-and answers every waiter.  The multi-model
-:class:`~repro.serving.gateway.AnnotationGateway` runs one worker per
-routed model; :class:`AnnotationService` — the historical single-model
-front-end — is now a thin compatibility wrapper over a single-entry
-gateway.
+drains whatever is queued into one engine call and answers every waiter.
+The multi-model :class:`~repro.serving.gateway.AnnotationGateway` runs one
+worker per routed model; :class:`AnnotationService` — the historical
+single-model front-end — is now a thin compatibility wrapper over a
+single-entry gateway.
 
 Request lifecycle
 -----------------
-1. ``submit`` wraps the table in an :class:`~repro.serving.request.AnnotationRequest`,
-   enqueues it (blocking briefly when the queue is full — backpressure, not
-   unbounded memory), and returns a future.
-2. The worker takes the first pending request, then keeps gathering until
-   either ``max_batch`` requests are in hand or ``max_latency`` seconds have
-   passed since the batch opened — the classic throughput/latency dial.
-3. The drained batch is **deduplicated**: requests whose (table content,
-   options, pairs) cache key match share one annotation.  Each group's
-   representative is annotated once and the *same*
-   :class:`~repro.serving.request.AnnotationResult` object is handed to
-   every waiter in the group, so ten users asking about one popular table
-   cost one forward pass (or zero, when the engine's disk tier already
-   holds the answer).
+1. ``submit`` wraps the table in an :class:`~repro.serving.request.AnnotationRequest`
+   and hashes it **once** (table content + options + pairs + model
+   fingerprint — the disk tier's key).  Under the worker lock it looks the
+   key up among the groups that are queued or running:
+
+   * a match **attaches** the future to that group — no queue slot, one
+     ``dedup_hit``, and the answer arrives when the group's does;
+   * a miss opens a group and queues it.
+
+   The dedup window therefore runs from submit until the answer exists:
+   ten users asking about one popular table cost one forward pass (or
+   zero, when the engine's disk tier already holds the answer) however
+   their requests interleave with the worker's drains.  ``submit`` blocks
+   (backpressure, not unbounded memory) while ``max_queue_size`` futures
+   are unanswered, attached waiters included.
+2. The worker is **work-conserving**: a drain takes the groups queued
+   right now, oldest first, up to ``max_batch``, and never waits for more
+   while it holds work.  An idle engine starts a lone request at once;
+   under load requests pile up while the engine is busy and the next drain
+   is a full batch — batches size themselves, there is no linger to tune.
+3. Each group is annotated once; the worker closes the group's window
+   (removes it from the table) and hands the *same*
+   :class:`~repro.serving.request.AnnotationResult` object to every waiter
+   asking about the same table object (content-equal twins get the same
+   products wrapped around their own table).
 4. Futures resolve with the result, or with the exception the engine raised
-   (delivered per-waiter, never swallowed).
+   (delivered per-waiter, never swallowed).  A waiter may cancel its own
+   future at any time; its siblings are still answered.
 
 Exactness and drain planning
 ----------------------------
-Every drain of unique requests is handed to ``engine.annotate_batch``,
-which splits it on serialized-length boundaries into **exact width
-buckets** (:mod:`repro.encoding`): no sequence is ever padded beyond the
-width it would use alone, so queued results are **byte-identical** to
-direct ``engine.annotate`` calls in *both* modes — dedup, batching, and
-the cache tiers change cost, never bytes.  (Historically ``exact`` mode
-bought byte-identity by running one single-table pass per unique request;
-the encoding layer made that trade obsolete.)
+Every drain is handed to ``engine.annotate_batch``, which splits it on
+serialized-length boundaries into **exact width buckets**
+(:mod:`repro.encoding`): no sequence is ever padded beyond the width it
+would use alone, so queued results are **byte-identical** to direct
+``engine.annotate`` calls whatever the drain's composition — dedup,
+batching, and the cache tiers change cost, never bytes.
 
-The ``exact`` flag now selects the *failure-isolation* policy: ``True``
+The ``exact`` flag selects the *failure-isolation* policy: ``True``
 (default) retries a failed drain one request at a time so an invalid
-request poisons only its own dedup group; ``False`` lets the whole drain
-share the exception — marginally cheaper when failures are impossible.
+request poisons only its own group; ``False`` lets the whole drain share
+the exception — marginally cheaper when failures are impossible.
 """
 
 from __future__ import annotations
 
 import queue as _queue
 import threading
-import time
+from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.annotator import AnnotatedTable
-from .diskcache import result_cache_key
+from .diskcache import RequestIdentity
 from .engine import AnnotationEngine, RequestLike
 from .request import AnnotationOptions, AnnotationRequest, AnnotationResult
 
 
 @dataclass(frozen=True)
 class QueueConfig:
-    """Batching policy of one :class:`EngineWorker` (and, by extension, of
+    """Scheduling policy of one :class:`EngineWorker` (and, by extension, of
     every worker an :class:`~repro.serving.gateway.AnnotationGateway` or
     :class:`AnnotationService` spawns).
 
-    ``max_batch`` caps how many requests one drain gathers; ``max_latency``
-    is how long (seconds) the worker waits for the batch to fill before
-    serving what it has — the knob trading per-request latency against
-    batching efficiency; ``max_queue_size`` bounds the pending queue
-    (``submit`` blocks when full, raising ``queue.Full`` after
-    ``submit_timeout`` seconds, so producers feel backpressure instead of
-    exhausting memory); ``exact`` keeps per-request failure isolation (a
-    failed drain is retried request-by-request) — results are
-    byte-identical to direct engine calls either way, because the engine
-    batches drains on exact serialized-length boundaries (see the module
-    docstring).
+    ``max_batch`` caps how many distinct requests one drain hands the
+    engine; ``max_queue_size`` bounds the unanswered futures (``submit``
+    blocks when full, raising ``queue.Full`` after ``submit_timeout``
+    seconds, so producers feel backpressure instead of exhausting memory);
+    ``exact`` keeps per-request failure isolation (a failed drain is retried
+    request-by-request) — results are byte-identical to direct engine calls
+    either way, because the engine batches drains on exact
+    serialized-length boundaries (see the module docstring).
+
+    ``max_latency`` is **deprecated and ignored**: it used to be how long a
+    drain lingered for more requests.  Drains are work-conserving now (they
+    never wait while holding work), so there is nothing left to tune; the
+    field is still accepted and validated so existing callers keep working.
     """
 
     max_batch: int = 8
@@ -99,8 +111,8 @@ class ServiceStats:
     """Counters for one worker's (or single-model service's) lifetime.
 
     ``dedup_hits`` counts requests answered by sharing another request's
-    in-flight annotation (queue-level dedup, before any cache tier);
-    ``unique_annotated`` counts representatives actually handed to the
+    queued or running annotation (queue-level dedup, before any cache
+    tier); ``unique_annotated`` counts groups actually handed to the
     engine; ``batches`` counts worker drains, not engine forward batches.
     """
 
@@ -112,21 +124,20 @@ class ServiceStats:
     unique_annotated: int = 0
 
 
-class _Pending:
-    """One queued request plus the future its submitter holds."""
+class _Group:
+    """One single-flight group: what the request hashes to, plus every
+    (request, future) waiting on that one annotation.  The first waiter's
+    request is the one the engine runs."""
 
-    __slots__ = ("request", "future")
+    __slots__ = ("identity", "waiters")
 
-    def __init__(self, request: AnnotationRequest, future: Future) -> None:
-        self.request = request
-        self.future = future
-
-
-_SHUTDOWN = object()
+    def __init__(self, identity: RequestIdentity) -> None:
+        self.identity = identity
+        self.waiters: List[Tuple[AnnotationRequest, Future]] = []
 
 
 class EngineWorker:
-    """Per-engine drain loop: bounded queue, batching worker thread, dedup.
+    """Per-engine drain loop: single-flight table, worker thread, backpressure.
 
     Typical direct use::
 
@@ -154,11 +165,13 @@ class EngineWorker:
         self.engine = engine
         self.config = config or QueueConfig()
         self.stats = ServiceStats()
-        self._queue: "_queue.Queue" = _queue.Queue(maxsize=self.config.max_queue_size)
+        # One lock guards everything below it; the two conditions share it.
         self._lock = threading.Lock()
-        # Serializes the post-shutdown leftover sweeps (close() and late
-        # blocking submitters): the engine assumes one annotating thread.
-        self._sweep_lock = threading.Lock()
+        self._work = threading.Condition(self._lock)  # the worker waits for groups
+        self._room = threading.Condition(self._lock)  # full-queue submitters wait
+        self._queued: Deque[_Group] = deque()  # not yet started, oldest first
+        self._groups: Dict[str, _Group] = {}  # queued or running, by cache key
+        self._unanswered = 0  # futures handed out whose group is still open
         self._worker: Optional[threading.Thread] = None
         self._closed = False
 
@@ -166,54 +179,38 @@ class EngineWorker:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "EngineWorker":
-        """Spawn the worker thread (idempotent; raises once closed).
+        """Spawn the worker thread (idempotent; raises once closed)."""
+        with self._lock:
+            self._start_locked()
+        return self
 
-        (No lock here: external callers race benignly with the `is None`
-        check, and `submit` calls this while already holding ``_lock``.)
-        """
+    def _start_locked(self) -> None:
         if self._closed:
-            # A post-close thread would park on queue.get forever — nothing
-            # can be enqueued again and close() will not join it twice.
             raise RuntimeError("cannot start a closed worker")
         if self._worker is None:
             self._worker = threading.Thread(
                 target=self._worker_loop, name="annotation-worker", daemon=True
             )
             self._worker.start()
-        return self
 
     def close(self) -> None:
         """Stop accepting submissions, serve everything pending, then join.
 
         Every future obtained before ``close`` resolves; submitting after
-        ``close`` raises ``RuntimeError``.
+        ``close`` raises ``RuntimeError`` (also in submitters that were
+        blocked on a full queue — they hold no future yet).
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-        if self._worker is not None:
-            self._queue.put(_SHUTDOWN)
-            self._worker.join()
-            with self._lock:
-                self._worker = None
-            # Post-join sweep: a blocking submit that only won its race
-            # against the sentinel after the worker's final drain may have
-            # left items behind — serve them here so every future obtained
-            # before (or during) close still resolves.
-            self._sweep_leftovers()
-
-    def _sweep_leftovers(self) -> None:
-        """Serve anything still queued after the worker thread is gone.
-
-        Serialized: several late submitters and close() may all reach
-        here, and the engine must only ever be driven by one thread at a
-        time (the shared encoding LRU and the stats deltas assume it).
-        """
-        with self._sweep_lock:
-            leftovers = self._drain_remaining()
-            if leftovers:
-                self._process(leftovers)
+            worker, self._worker = self._worker, None
+            self._work.notify()
+            self._room.notify_all()
+        if worker is not None:
+            # The loop only exits on an empty queue, and nothing can be
+            # queued behind _closed: nothing is left over after the join.
+            worker.join()
 
     def __enter__(self) -> "EngineWorker":
         return self.start()
@@ -230,46 +227,57 @@ class EngineWorker:
         options: Optional[AnnotationOptions] = None,
         block: bool = True,
     ) -> "Future[AnnotationResult]":
-        """Enqueue one table; returns the future holding its result.
+        """Hand in one table; returns the future holding its result.
 
-        Blocks (up to ``config.submit_timeout``) when the queue is full —
-        backpressure — and raises ``queue.Full`` on timeout.  With
-        ``block=False`` a full queue raises ``queue.Full`` immediately
-        instead of blocking (the gateway's asyncio path polls this way so
-        backpressure never stalls an event loop).  The returned future
-        resolves to the same :class:`AnnotationResult` object for every
-        concurrent submitter of content-identical requests.
+        Blocks (up to ``config.submit_timeout``) while ``max_queue_size``
+        futures are unanswered — backpressure — and raises ``queue.Full``
+        on timeout.  With ``block=False`` a full queue raises
+        ``queue.Full`` immediately instead of blocking (the gateway's
+        asyncio path polls this way so backpressure never stalls an event
+        loop).  The returned future resolves to the same
+        :class:`AnnotationResult` object for every submitter of a
+        content-identical request between now and the moment the answer
+        exists.
         """
         request = self.engine._as_request(item, options)
         future: "Future[AnnotationResult]" = Future()
-        pending = _Pending(request, future)
+        try:
+            identity = self.engine.identify(request)
+        except Exception as error:  # noqa: BLE001 - malformed request
+            # e.g. non-string cell values break the content hash; fail that
+            # request alone, through its future like any engine error.
+            with self._lock:
+                self.stats.submitted += 1
+                self.stats.failed += 1
+            future.set_exception(error)
+            return future
         with self._lock:
+            if not self._has_room_locked():
+                if not block or not self._room.wait_for(
+                    self._has_room_locked, self.config.submit_timeout
+                ):
+                    raise _queue.Full
             if self._closed:
                 raise RuntimeError("cannot submit to a closed worker")
-            if self._worker is None:
+            # Counted in the same critical section that makes the request
+            # visible to the worker: no snapshot sees completed > submitted.
+            self.stats.submitted += 1
+            self._unanswered += 1
+            group = self._groups.get(identity.cache_key)
+            if group is not None:
+                self.stats.dedup_hits += 1
+            else:
+                group = self._groups[identity.cache_key] = _Group(identity)
+                self._queued.append(group)
                 # Auto-start so `worker.submit(...)` works without an
                 # explicit start()/with-block.
-                self.start()
-            if not block:
-                # Non-blocking enqueue completes under the lock: cheap, and
-                # close() can never interleave mid-submission.
-                self._queue.put_nowait(pending)
-                self.stats.submitted += 1
-                return future
-        # The BLOCKING put runs outside the lock — a submitter stuck on a
-        # full queue must not convoy other submitters (or the gateway's
-        # asyncio put_nowait path) behind the state lock for a whole
-        # drain.  The price is a shutdown race: close()'s sentinel can now
-        # overtake us, so if the worker is already gone when our item
-        # lands, we drain and serve the queue ourselves rather than
-        # strand the future (close() runs the same sweep after joining).
-        self._queue.put(pending, timeout=self.config.submit_timeout)
-        with self._lock:
-            self.stats.submitted += 1
-            worker_gone = self._closed and self._worker is None
-        if worker_gone:
-            self._sweep_leftovers()
+                self._start_locked()
+                self._work.notify()
+            group.waiters.append((request, future))
         return future
+
+    def _has_room_locked(self) -> bool:
+        return self._closed or self._unanswered < self.config.max_queue_size
 
     def annotate(
         self,
@@ -284,132 +292,125 @@ class EngineWorker:
         """
         return self.submit(item, options).result()
 
+    def stats_snapshot(self) -> ServiceStats:
+        """A copy of the counters taken under the lock every submit and
+        every answer is counted under, so ``completed + failed <=
+        submitted`` holds in every snapshot."""
+        with self._lock:
+            return replace(self.stats)
+
     # ------------------------------------------------------------------
     # Worker
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
-        shutting_down = False
-        while not shutting_down:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                # Keep draining: submissions enqueued before close() must
-                # still be served (close() flipped _closed first, so no new
-                # work can race in behind the sentinel).
-                shutting_down = True
-                batch = self._drain_remaining()
-            else:
-                batch, shutting_down = self._gather_batch(item)
-            if not batch:
+        while True:
+            with self._lock:
+                while not self._queued and not self._closed:
+                    self._work.wait()
+                if not self._queued:
+                    return  # closed, and everything submitted is answered
+                # Work-conserving: what is queued NOW, never a wait for more.
+                drain: List[_Group] = []
+                while self._queued and len(drain) < self.config.max_batch:
+                    group = self._queued.popleft()
+                    if all(future.cancelled() for _, future in group.waiters):
+                        self._release_locked(group)  # nobody is waiting any more
+                    else:
+                        drain.append(group)
+            if not drain:
                 continue
             try:
-                self._process(batch)
+                self._process(drain)
             except Exception as error:  # noqa: BLE001 - worker must survive
                 # Backstop: nothing outside _process's own guards may kill
                 # the worker — a dead worker strands every future and
                 # deadlocks submitters against the bounded queue.
-                for pending in batch:
-                    if not pending.future.done():
-                        self.stats.failed += 1
-                        pending.future.set_exception(error)
+                for group in drain:
+                    self._resolve(group, error=error)
 
-    def _gather_batch(self, first: _Pending) -> Tuple[List[_Pending], bool]:
-        """Collect up to ``max_batch`` requests within the latency budget."""
-        batch = [first]
-        deadline = time.monotonic() + self.config.max_latency
-        shutting_down = False
-        while len(batch) < self.config.max_batch:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                item = self._queue.get(timeout=remaining)
-            except _queue.Empty:
-                break
-            if item is _SHUTDOWN:
-                shutting_down = True
-                batch.extend(self._drain_remaining())
-                break
-            batch.append(item)
-        return batch, shutting_down
-
-    def _drain_remaining(self) -> List[_Pending]:
-        """Pull every request still queued (used once shutdown is signalled)."""
-        drained: List[_Pending] = []
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except _queue.Empty:
-                return drained
-            if item is not _SHUTDOWN:
-                drained.append(item)
-
-    def _process(self, batch: Sequence[_Pending]) -> None:
-        """Dedup the batch, annotate one representative per group, fan out."""
+    def _process(self, drain: Sequence[_Group]) -> None:
+        """Annotate one drain of distinct requests and answer their groups."""
         self.stats.batches += 1
-        # Claim every future first; submitters may have cancelled while
-        # their request sat in the queue.
-        live = [p for p in batch if p.future.set_running_or_notify_cancel()]
-        if not live:
-            return
-        fingerprint = self.engine.model_fingerprint
-        groups: "dict[str, List[_Pending]]" = {}
-        for pending in live:
-            try:
-                key = result_cache_key(fingerprint, pending.request)
-            except Exception as error:  # noqa: BLE001 - malformed request
-                # e.g. non-string cell values break the content hash; fail
-                # that request alone, not the whole drain.
-                self._fan_out_error([pending], error)
-                continue
-            groups.setdefault(key, []).append(pending)
-        representatives = [members[0] for members in groups.values()]
-        self.stats.dedup_hits += len(live) - len(representatives)
-        self.stats.unique_annotated += len(representatives)
-        # One engine call per drain: the engine plans the unique requests
-        # into exact width buckets, so results are byte-identical to
+        self.stats.unique_annotated += len(drain)
+        # One engine call per drain: the engine plans the requests into
+        # exact width buckets, so results are byte-identical to
         # single-table passes while the drain still batches.
         try:
-            results = self.engine.annotate_batch(
-                [rep.request for rep in representatives]
-            )
+            results = self._annotate(drain)
         except Exception as error:  # noqa: BLE001 - delivered to waiters
             if not self.config.exact:
                 # The drain shares its fate: every waiter sees the error.
-                for members in groups.values():
-                    self._fan_out_error(members, error)
+                for group in drain:
+                    self._resolve(group, error=error)
                 return
             # Exact mode isolates failures: retry request-by-request so a
             # poisoned request fails alone.  Retried requests cost nothing
             # extra beyond their own pass — serializations are cached, and
             # single-request results are byte-identical to batched ones.
-            for members in groups.values():
+            for group in drain:
                 try:
-                    result = self.engine.annotate_batch([members[0].request])[0]
+                    result = self._annotate([group])[0]
                 except Exception as retry_error:  # noqa: BLE001
-                    self._fan_out_error(members, retry_error)
+                    self._resolve(group, error=retry_error)
                 else:
-                    self._fan_out(members, result)
+                    self._resolve(group, result)
             return
-        for result, members in zip(results, groups.values()):
-            self._fan_out(members, result)
+        for group, result in zip(drain, results):
+            self._resolve(group, result)
 
-    def _fan_out(self, members: Sequence[_Pending], result: AnnotationResult) -> None:
-        for pending in members:
+    def _annotate(self, groups: Sequence[_Group]) -> List[AnnotationResult]:
+        return self.engine.annotate_batch(
+            [group.waiters[0][0] for group in groups],
+            identities=[group.identity for group in groups],
+        )
+
+    def _release_locked(self, group: _Group) -> None:
+        """Close ``group``'s dedup window and free its waiters' queue room."""
+        del self._groups[group.identity.cache_key]
+        self._unanswered -= len(group.waiters)
+        self._room.notify_all()
+
+    def _resolve(
+        self,
+        group: _Group,
+        result: Optional[AnnotationResult] = None,
+        error: Optional[Exception] = None,
+    ) -> None:
+        """Close the group's window, then answer everyone attached to it."""
+        with self._lock:
+            if self._groups.get(group.identity.cache_key) is not group:
+                return  # already answered (the backstop sweeps whole drains)
+            # Off the table the waiter list is final: submit only appends
+            # to groups it finds there, under this lock.
+            self._release_locked(group)
+            # Waiters that cancelled drop out here; their siblings are
+            # unaffected.
+            live = [
+                (request, future)
+                for request, future in group.waiters
+                if future.set_running_or_notify_cancel()
+            ]
             # Count BEFORE resolving: the future is the waiter's wake-up
             # call, and a waiter that has its answer may immediately read
             # the stats (the gateway's admin plane serves them over the
             # wire) — the completion must already be visible then.
-            self.stats.completed += 1
-            if pending.request.table is result.request.table:
+            if result is None:
+                self.stats.failed += len(live)
+            else:
+                self.stats.completed += len(live)
+        for request, future in live:
+            if result is None:
+                future.set_exception(error)
+            elif request.table is result.request.table:
                 # Deliberately the same object for every waiter asking about
                 # the same table — the dedup contract tests rely on identity.
-                pending.future.set_result(result)
+                future.set_result(result)
             else:
                 # Content-equal but distinct table objects (e.g. different
                 # table_id): share every annotation product, but wrap them
                 # around the waiter's *own* table so its identity/metadata
                 # survive — same rule the disk tier applies on decode.
-                pending.future.set_result(self._rewrap(pending.request, result))
+                future.set_result(self._rewrap(request, result))
 
     @staticmethod
     def _rewrap(request: AnnotationRequest, result: AnnotationResult) -> AnnotationResult:
@@ -429,11 +430,6 @@ class EngineWorker:
             batch_index=result.batch_index,
             from_disk=result.from_disk,
         )
-
-    def _fan_out_error(self, members: Sequence[_Pending], error: Exception) -> None:
-        for pending in members:
-            self.stats.failed += 1  # counted before the waiter wakes (see _fan_out)
-            pending.future.set_exception(error)
 
 
 class AnnotationService:

@@ -1,12 +1,17 @@
-"""Shared test utilities: numerical gradient checking and tiny fixtures."""
+"""Shared test utilities: numerical gradient checking, tiny fixtures, and
+the gate/stub pair the serving-scheduler tests are built on."""
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core.annotator import AnnotatedTable
 from repro.nn import Tensor
+from repro.serving import AnnotationOptions, AnnotationRequest, AnnotationResult
+from repro.serving.diskcache import request_identity
 
 
 def numerical_gradient(
@@ -52,3 +57,70 @@ def gradcheck(
 
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+class EngineGate:
+    """Hold an engine's ``annotate_batch`` shut until :meth:`open`.
+
+    Scheduling tests use it to pile requests up behind a drain that is
+    provably running — no sleeps and no linger, so timing cannot matter.
+    ``drains`` records the ``table_id``s of every engine call, in order.
+    Once opened the gate stays open.
+    """
+
+    TIMEOUT = 30.0
+
+    def __init__(self, engine) -> None:
+        self.drains = []
+        self._entered = threading.Semaphore(0)
+        self._open = threading.Event()
+        inner = engine.annotate_batch
+
+        def gated(requests, *args, **kwargs):
+            self.drains.append([r.table.table_id for r in requests])
+            self._entered.release()
+            assert self._open.wait(self.TIMEOUT), "gate never opened"
+            return inner(requests, *args, **kwargs)
+
+        engine.annotate_batch = gated
+
+    def wait_entered(self) -> None:
+        """Return once one more engine call has started."""
+        assert self._entered.acquire(timeout=self.TIMEOUT), "no drain started"
+
+    def open(self) -> None:
+        self._open.set()
+
+
+class StubEngine:
+    """The slice of ``AnnotationEngine`` an ``EngineWorker`` touches, with
+    no model behind it: requests hash like real ones and every table
+    "annotates" to a constant, except ``poison`` table ids, which raise."""
+
+    model_fingerprint = "stub-model"
+
+    def __init__(self, poison=()) -> None:
+        self.poison = set(poison)
+
+    def _as_request(self, item, options=None):
+        if isinstance(item, AnnotationRequest):
+            return item
+        return AnnotationRequest(table=item, options=options or AnnotationOptions())
+
+    def identify(self, request):
+        return request_identity(self.model_fingerprint, request)
+
+    def annotate_batch(self, requests, options=None, identities=None):
+        for request in requests:
+            if request.table.table_id in self.poison:
+                raise ValueError(f"poisoned: {request.table.table_id}")
+        return [
+            AnnotationResult(
+                request=request,
+                annotated=AnnotatedTable(
+                    table=request.table,
+                    coltypes=[["stub"]] * request.table.num_columns,
+                ),
+            )
+            for request in requests
+        ]

@@ -279,6 +279,22 @@ class TestCacheDirAndServe:
         assert all(r["columns"] for r in records)
         assert "served 5 tables" in captured.err
 
+    def test_max_latency_flag_is_accepted_but_deprecated(
+        self, bundle_dir, corpus, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--max-latency-ms" in help_text
+        assert "deprecated and ignored" in help_text
+        # Old invocations keep working — even a minute of "linger" serves
+        # at once, because nothing waits on it any more.
+        assert main([
+            "serve", str(bundle_dir), str(corpus), "--max-latency-ms", "60000",
+            "--out", str(tmp_path / "out.jsonl"),
+        ]) == 0
+        assert "served 5 tables" in capsys.readouterr().out
+
     def test_serve_empty_input_errors(self, bundle_dir, capsys, monkeypatch):
         import io
         import sys as _sys

@@ -345,14 +345,14 @@ class TestEngineColumnCache:
 
 class TestGatewayColumnCache:
     def test_cold_vs_warm_through_gateway(self, sc_trainer):
-        from repro.serving import AnnotationGateway, ModelRegistry, QueueConfig
+        from repro.serving import AnnotationGateway, ModelRegistry
 
         t1, t2 = _tables()
         registry = ModelRegistry(
             engine_config=EngineConfig(cache_size=0, column_cache_size=64)
         )
         registry.register("sc", sc_trainer)
-        with AnnotationGateway(registry, QueueConfig(max_latency=0.02)) as gw:
+        with AnnotationGateway(registry) as gw:
             cold = [
                 gw.submit(t, options=OPTIONS).result(timeout=60)
                 for t in (t1, t2)
@@ -368,3 +368,72 @@ class TestGatewayColumnCache:
         assert "column_hit_rate" in engine_stats
         assert engine_stats["column_hits"] >= 1
         assert 0.0 <= engine_stats["column_hit_rate"] <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# One walk over the cells per request
+# ---------------------------------------------------------------------------
+
+
+class TestHashOnce:
+    """The queue hashes a request at submit and the engine, the encoding
+    pipeline, the probe planner and the pair cache reuse that digest.
+
+    Counted at ``repro.encoding.cache.content_digest``: every table or
+    column walk goes through it (composite keys over finished digests do
+    not).  A warm repeat isolates the table walks — no serialization work
+    is left to hide behind.
+    """
+
+    @pytest.fixture()
+    def walks(self, monkeypatch):
+        from repro.encoding import cache
+
+        calls = []
+        inner = cache.content_digest
+
+        def counting(chunks):
+            calls.append(1)
+            return inner(chunks)
+
+        monkeypatch.setattr(cache, "content_digest", counting)
+        return calls
+
+    def test_narrow_path(self, tw_trainer, walks):
+        from repro.serving import EngineWorker
+
+        table = _tables()[0]
+        engine = AnnotationEngine(tw_trainer, EngineConfig(cache_size=16))
+        with EngineWorker(engine) as worker:
+            worker.annotate(table)
+            # Cold: the table once, plus one segment key per column.
+            assert len(walks) == 1 + table.num_columns
+            del walks[:]
+            worker.annotate(table)
+        assert len(walks) == 1
+        del walks[:]
+        engine.annotate(table)  # the queue-less path hashes once too
+        assert len(walks) == 1
+
+    def test_planned_wide_path(self, sc_trainer, walks):
+        from repro.serving import EngineWorker
+
+        wide = Table(
+            columns=[
+                Column(values=[f"v{c}a", f"v{c}b"], header=f"h{c}")
+                for c in range(6)
+            ],
+            table_id="wide",
+        )
+        engine = AnnotationEngine(
+            sc_trainer,
+            EngineConfig(cache_size=64, probe_mode="planned", probe_budget=12),
+        )
+        with EngineWorker(engine) as worker:
+            first = worker.annotate(wide)
+            assert len(first.annotated.requested_pairs) > 1  # pairs were encoded
+            del walks[:]
+            worker.annotate(wide)
+        # The table once (it used to be once per tier and once per planned
+        # pair), plus the column-state cache's per-column content keys.
+        assert len(walks) == 1 + wide.num_columns

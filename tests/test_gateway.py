@@ -23,6 +23,7 @@ import threading
 
 import numpy as np
 import pytest
+from helpers import EngineGate
 
 from repro.core import Doduo, DoduoConfig, DoduoTrainer, save_annotator
 from repro.datasets import generate_wikitable_dataset
@@ -100,7 +101,7 @@ class TestRouting:
         registry = ModelRegistry()
         registry.register("a", trainer_a)
         registry.register("b", trainer_b)
-        with AnnotationGateway(registry, QueueConfig(max_latency=0.05)) as gateway:
+        with AnnotationGateway(registry) as gateway:
             futures = []
             for table in tables:  # interleaved submission order
                 futures.append(("a", gateway.submit(table, model="a")))
@@ -171,15 +172,18 @@ class TestIsolation:
         registry = ModelRegistry()
         registry.register("a", trainer_a)
         registry.register("b", trainer_b)
-        with AnnotationGateway(
-            registry, QueueConfig(max_batch=16, max_latency=0.2)
-        ) as gateway:
+        with AnnotationGateway(registry) as gateway:
+            # No answer can exist before its gate opens, so every twin
+            # lands inside its route's single-flight window.
+            gates = [EngineGate(registry.get(route)) for route in ("a", "b")]
             futures = [
                 gateway.submit(table, model=route)
                 for _ in range(4)
                 for route in ("a", "b")
             ]
-            results = [f.result() for f in futures]
+            for gate in gates:
+                gate.open()
+            results = [f.result(timeout=30) for f in futures]
         stats = gateway.stats
         # 8 submissions collapse to exactly TWO annotations — one per model,
         # never one shared across them.
@@ -204,7 +208,7 @@ class TestIsolation:
             registry = ModelRegistry(cache_dir=cache_root)
             registry.register("a", trainer_a)
             registry.register("b", trainer_b)
-            return AnnotationGateway(registry, QueueConfig(max_latency=0.05))
+            return AnnotationGateway(registry)
 
         with build() as gateway:
             for table in tables:
@@ -252,7 +256,7 @@ class TestIsolation:
         assert engine_x is not engine_y
         assert engine_x.result_cache is engine_y.result_cache
         table = trainer_a.dataset.tables[0]
-        with AnnotationGateway(registry, QueueConfig(max_latency=0.02)) as gateway:
+        with AnnotationGateway(registry) as gateway:
             via_x = gateway.annotate(table, model="x")
             via_y = gateway.annotate(table, model="y")
         _assert_same_annotation(via_y, via_x)
@@ -266,7 +270,7 @@ class TestEviction:
         registry = ModelRegistry(max_live=1)
         registry.register("a", bundles["a"])
         registry.register("b", bundles["b"])
-        with AnnotationGateway(registry, QueueConfig(max_latency=0.02)) as gateway:
+        with AnnotationGateway(registry) as gateway:
             # Load A lazily and capture its answer.
             table_a = trainer_a.dataset.tables[0]
             first = gateway.annotate(table_a, model="a")
@@ -314,7 +318,7 @@ class TestEviction:
     def test_explicit_evict_closes_stale_worker_on_reap(self, bundles, trainer_a):
         registry = ModelRegistry()
         registry.register("a", bundles["a"])
-        with AnnotationGateway(registry, QueueConfig(max_latency=0.02)) as gateway:
+        with AnnotationGateway(registry) as gateway:
             table = trainer_a.dataset.tables[0]
             before = gateway.annotate(table, model="a")
             registry.evict("a")
@@ -343,7 +347,7 @@ class TestHotMutation:
         table = trainer_a.dataset.tables[0]
         want_a = _direct(trainer_a, [table])[0]
         want_b = _direct(trainer_b, [table])[0]
-        with AnnotationGateway(registry, QueueConfig(max_latency=0.02)) as gateway:
+        with AnnotationGateway(registry) as gateway:
             _assert_same_annotation(gateway.annotate(table, model="live"), want_a)
             gateway.repoint("live", bundles["b"])
             _assert_same_annotation(gateway.annotate(table, model="live"), want_b)
@@ -429,7 +433,7 @@ class TestHotMutation:
         registry.register("a", trainer_a)
         registry.register("b", trainer_b)
         table = trainer_a.dataset.tables[0]
-        with AnnotationGateway(registry, QueueConfig(max_latency=0.02)) as gateway:
+        with AnnotationGateway(registry) as gateway:
             assert gateway.annotate(table, model="b").coltypes
             gateway.unregister("b")
             with pytest.raises(KeyError, match="no model registered"):
@@ -466,7 +470,7 @@ class TestAsyncio:
         registry = ModelRegistry()
         registry.register("a", trainer_a)
         registry.register("b", trainer_b)
-        with AnnotationGateway(registry, QueueConfig(max_latency=0.02)) as gateway:
+        with AnnotationGateway(registry) as gateway:
             threaded = {
                 route: [gateway.annotate(t, model=route) for t in tables]
                 for route in ("a", "b")
@@ -495,7 +499,7 @@ class TestAsyncio:
             AnnotationRequest(table=t, model=("a" if i % 2 == 0 else "b"))
             for i, t in enumerate(tables)
         ]
-        with AnnotationGateway(registry, QueueConfig(max_latency=0.02)) as gateway:
+        with AnnotationGateway(registry) as gateway:
 
             async def run():
                 results = []
@@ -520,9 +524,7 @@ class TestAsyncio:
         blocking the loop thread."""
         gateway = AnnotationGateway.for_engine(
             AnnotationEngine(trainer_a),
-            queue_config=QueueConfig(
-                max_queue_size=1, max_latency=0.01, submit_timeout=5.0
-            ),
+            queue_config=QueueConfig(max_queue_size=1, submit_timeout=5.0),
         )
         table = trainer_a.dataset.tables[0]
         ticks = []
@@ -571,9 +573,7 @@ class TestCompatibilityWrappers:
         registry.register("a", trainer_a)
         registry.register("b", trainer_b)
         results = {}
-        with AnnotationGateway(
-            registry, QueueConfig(max_batch=4, max_latency=0.02)
-        ) as gateway:
+        with AnnotationGateway(registry, QueueConfig(max_batch=4)) as gateway:
 
             def client(index):
                 route = "a" if index % 2 == 0 else "b"

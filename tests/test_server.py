@@ -24,6 +24,7 @@ import time
 
 import numpy as np
 import pytest
+from helpers import EngineGate
 
 from repro.core import Doduo, DoduoConfig, DoduoTrainer, save_annotator
 from repro.datasets import generate_wikitable_dataset
@@ -137,7 +138,7 @@ def _two_model_gateway(trainer_a, trainer_b):
     registry = ModelRegistry()
     registry.register("a", trainer_a)
     registry.register("b", trainer_b)
-    return AnnotationGateway(registry, QueueConfig(max_batch=8, max_latency=0.02))
+    return AnnotationGateway(registry)
 
 
 @pytest.mark.smoke
@@ -515,9 +516,10 @@ class TestGracefulStop:
         """Requests accepted before stop() still get their answers."""
         import asyncio
 
+        engine = AnnotationEngine(trainer_a)
+        gate = EngineGate(engine)  # nothing is answered before stop() begins
         gateway = AnnotationGateway.for_engine(
-            AnnotationEngine(trainer_a),
-            queue_config=QueueConfig(max_batch=4, max_latency=0.05),
+            engine, queue_config=QueueConfig(max_batch=4)
         )
         tables = trainer_a.dataset.tables[:4]
 
@@ -532,11 +534,14 @@ class TestGracefulStop:
                     .encode()
                 )
             await writer.drain()
-            # Give the reader a beat to ACCEPT the records, then stop
-            # while annotations are still in flight.
+            # Let the reader ACCEPT the records, then stop while every
+            # annotation is provably still in flight (the gate is shut).
             while server.stats.requests < len(tables):
                 await asyncio.sleep(0.005)
-            await server.stop()
+            stopping = asyncio.ensure_future(server.stop())
+            await asyncio.sleep(0)  # stop() is under way
+            gate.open()
+            await stopping
             lines = []
             while True:
                 line = await reader.readline()
@@ -582,10 +587,7 @@ class TestGracefulStop:
         """A client that pipelines requests and never reads its socket
         fills its TCP buffer; stop() must abort it after shutdown_grace
         instead of hanging on the blocked drain() forever."""
-        gateway = AnnotationGateway.for_engine(
-            AnnotationEngine(trainer_a),
-            queue_config=QueueConfig(max_batch=8, max_latency=0.005),
-        )
+        gateway = AnnotationGateway.for_engine(AnnotationEngine(trainer_a))
         tables = trainer_a.dataset.tables[:2]
         server = ServerThread(gateway, with_embeddings=True, shutdown_grace=0.5)
         with gateway:

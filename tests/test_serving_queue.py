@@ -6,17 +6,25 @@ The load-bearing guarantees:
   direct ``engine.annotate`` call (the ISSUE-2 acceptance criterion);
 * concurrent content-identical requests share one annotation and every
   waiter receives the *same* result object;
-* the worker respects the max-batch/max-latency policy, serves everything
-  pending at close, and delivers engine exceptions to each waiter.
+* drains are work-conserving (what is queued now, up to ``max_batch``, never
+  a wait), dedup is single-flight from submit until the answer exists, the
+  worker serves everything pending at close, and engine exceptions reach
+  each waiter.
+
+Scheduling tests gate the engine with an ``Event`` (``helpers.EngineGate``)
+instead of sleeping or leaning on a linger, so timing cannot matter.
 """
 
 from __future__ import annotations
 
+import math
 import queue as _queue
+import sys
 import threading
 
 import numpy as np
 import pytest
+from helpers import EngineGate, StubEngine
 
 from repro.core import DoduoConfig, DoduoTrainer
 from repro.datasets import Column, Table, generate_wikitable_dataset
@@ -24,8 +32,10 @@ from repro.nn import TransformerConfig
 from repro.serving import (
     AnnotationEngine,
     AnnotationOptions,
+    AnnotationRequest,
     AnnotationService,
     EngineConfig,
+    EngineWorker,
     QueueConfig,
 )
 from repro.text import train_wordpiece
@@ -55,7 +65,18 @@ def _service(trainer, queue_config=None, engine_config=None, result_cache=None):
     engine = AnnotationEngine(
         trainer, engine_config or EngineConfig(), result_cache=result_cache
     )
-    return AnnotationService(engine, queue_config or QueueConfig(max_latency=0.05))
+    return AnnotationService(engine, queue_config)
+
+
+def _distinct(n, prefix="t"):
+    """``n`` cheap content-distinct tables (for the model-free stub engine)."""
+    return [
+        Table(
+            columns=[Column(values=[f"{prefix}{i}"], header="h")],
+            table_id=f"{prefix}{i}",
+        )
+        for i in range(n)
+    ]
 
 
 @pytest.mark.smoke
@@ -96,9 +117,7 @@ class TestQueueEquivalence:
     def test_inexact_mode_still_equivalent_predictions(self, trainer):
         tables = trainer.dataset.tables[:8]
         direct = [AnnotationEngine(trainer).annotate(t) for t in tables]
-        with _service(
-            trainer, QueueConfig(max_batch=8, max_latency=0.2, exact=False)
-        ) as service:
+        with _service(trainer, QueueConfig(exact=False)) as service:
             futures = [service.submit(t) for t in tables]
             results = [f.result() for f in futures]
         for got, want in zip(results, direct):
@@ -109,26 +128,42 @@ class TestQueueEquivalence:
 
 @pytest.mark.smoke
 class TestDedup:
-    def test_waiters_share_one_result_object(self, trainer):
-        table = trainer.dataset.tables[0]
-        with _service(
-            trainer, QueueConfig(max_batch=16, max_latency=0.2)
-        ) as service:
-            futures = [service.submit(table) for _ in range(8)]
-            results = [f.result() for f in futures]
+    @pytest.mark.parametrize("arrive_while", ["queued", "running"])
+    def test_waiters_share_one_result_object(self, trainer, arrive_while):
+        """8 identical submits = 1 annotation, 7 dedup hits, one shared
+        object — whether the group is still queued or already running."""
+        blocker, table = trainer.dataset.tables[:2]
+        engine = AnnotationEngine(trainer, EngineConfig(cache_size=0))
+        gate = EngineGate(engine)
+        with AnnotationService(engine) as service:
+            # The gate holds the first drain: the 8 twins either all queue
+            # behind another table's drain, or 7 attach to their own.
+            head = [service.submit(blocker if arrive_while == "queued" else table)]
+            gate.wait_entered()
+            futures = [service.submit(table) for _ in range(7)]
+            futures += head if arrive_while == "running" else [service.submit(table)]
+            gate.open()
+            results = [f.result(timeout=30) for f in futures]
+            head[0].result(timeout=30)
+        blockers = 1 if arrive_while == "queued" else 0
         assert all(r is results[0] for r in results)
         assert service.stats.dedup_hits == 7
-        assert service.stats.unique_annotated == 1
-        assert service.stats.completed == 8
+        assert service.stats.unique_annotated == 1 + blockers
+        assert service.stats.completed == 8 + blockers
+        assert engine.stats.encoder_passes == 1 + blockers
+        assert gate.drains.count([table.table_id]) == 1
 
     def test_dedup_is_content_based(self, trainer):
         source = trainer.dataset.tables[0]
         twin = Table(columns=source.columns, table_id="different-id")
-        with _service(
-            trainer, QueueConfig(max_batch=8, max_latency=0.2)
-        ) as service:
-            futures = [service.submit(source), service.submit(twin)]
-            a, b = [f.result() for f in futures]
+        engine = AnnotationEngine(trainer)
+        gate = EngineGate(engine)
+        with AnnotationService(engine) as service:
+            first = service.submit(source)
+            gate.wait_entered()
+            second = service.submit(twin)
+            gate.open()
+            a, b = first.result(timeout=30), second.result(timeout=30)
         # Content-identical tables share the annotation work...
         assert service.stats.unique_annotated == 1
         assert a.type_scores == b.type_scores
@@ -140,9 +175,7 @@ class TestDedup:
 
     def test_different_options_not_deduped(self, trainer):
         table = trainer.dataset.tables[0]
-        with _service(
-            trainer, QueueConfig(max_batch=8, max_latency=0.2)
-        ) as service:
+        with _service(trainer) as service:
             full = service.submit(table)
             trimmed = service.submit(table, AnnotationOptions(top_k=1))
             assert len(full.result().type_scores[0]) > 1
@@ -150,34 +183,218 @@ class TestDedup:
         assert service.stats.dedup_hits == 0
         assert service.stats.unique_annotated == 2
 
-    def test_dedup_collapses_encoder_passes(self, trainer):
-        table = trainer.dataset.tables[0]
-        engine = AnnotationEngine(trainer, EngineConfig(cache_size=0))
-        with AnnotationService(
-            engine, QueueConfig(max_batch=16, max_latency=0.2)
-        ) as service:
-            futures = [service.submit(table) for _ in range(10)]
-            [f.result() for f in futures]
-        assert engine.stats.encoder_passes == 1
+    def test_window_closes_when_the_answer_exists(self):
+        """A request submitted after its twin was answered is new work."""
+        (table,) = _distinct(1)
+        with EngineWorker(StubEngine()) as worker:
+            first = worker.annotate(table)
+            second = worker.annotate(table)
+        assert first is not second
+        assert worker.stats.dedup_hits == 0
+        assert worker.stats.unique_annotated == 2
+
+
+@pytest.mark.smoke
+class TestScheduler:
+    """Work-conserving drains + single-flight groups, on a gated stub."""
+
+    @pytest.mark.parametrize("max_latency", [0.0, 0.01, 60.0])
+    def test_backlog_drains_full_fifo_batches(self, max_latency):
+        """N distinct requests queued behind a running drain start in
+        submit order, ``max_batch`` at a time — whatever ``max_latency``
+        says (it is ignored; 0 used to mean drains of one, 60 a minute's
+        linger)."""
+        blocker, *backlog = _distinct(21)
+        engine = StubEngine()
+        gate = EngineGate(engine)
+        config = QueueConfig(max_batch=8, max_latency=max_latency)
+        with EngineWorker(engine, config) as worker:
+            futures = [worker.submit(blocker)]
+            gate.wait_entered()
+            futures += [worker.submit(t) for t in backlog]
+            gate.open()
+            for future in futures:
+                future.result(timeout=30)
+        ids = [t.table_id for t in backlog]
+        assert gate.drains == [
+            [blocker.table_id], ids[:8], ids[8:16], ids[16:]
+        ]
+        assert worker.stats.batches == math.ceil(len(backlog) / 8) + 1
+
+    def test_idle_worker_serves_a_lone_request_at_once(self):
+        """No linger: with a minute of ``max_latency`` a lone request is
+        still answered (the 30 s result timeout is the assertion)."""
+        (table,) = _distinct(1)
+        config = QueueConfig(max_batch=64, max_latency=60.0)
+        with EngineWorker(StubEngine(), config) as worker:
+            assert worker.submit(table).result(timeout=30).coltypes
+        assert worker.stats.batches == 1
+
+    def test_cancelled_waiter_leaves_siblings_answered(self):
+        (table,) = _distinct(1)
+        engine = StubEngine()
+        gate = EngineGate(engine)
+        with EngineWorker(engine) as worker:
+            futures = [worker.submit(table)]
+            gate.wait_entered()
+            futures += [worker.submit(table) for _ in range(3)]
+            assert futures[0].cancel() and futures[2].cancel()
+            gate.open()
+            assert futures[1].result(timeout=30) is futures[3].result(timeout=30)
+        assert worker.stats.completed == 2
+        assert worker.stats.failed == 0
+        assert gate.drains == [[table.table_id]]
+
+    def test_group_abandoned_while_queued_costs_no_engine_call(self):
+        blocker, table = _distinct(2)
+        engine = StubEngine()
+        gate = EngineGate(engine)
+        with EngineWorker(engine) as worker:
+            first = worker.submit(blocker)
+            gate.wait_entered()
+            abandoned = [worker.submit(table) for _ in range(2)]
+            assert all(f.cancel() for f in abandoned)
+            gate.open()
+            first.result(timeout=30)
+            # The window closed with the group: a fresh submit is new work.
+            assert worker.annotate(table).coltypes
+        assert gate.drains == [[blocker.table_id], [table.table_id]]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_engine_error_reaches_every_attached_waiter(self, exact):
+        """A poisoned request fails all ITS waiters; ``exact`` decides
+        whether the rest of its drain is retried alone or shares the
+        error."""
+        blocker, bad, good = _distinct(3)
+        engine = StubEngine(poison={bad.table_id})
+        gate = EngineGate(engine)
+        with EngineWorker(engine, QueueConfig(exact=exact)) as worker:
+            first = worker.submit(blocker)
+            gate.wait_entered()
+            failing = [worker.submit(bad) for _ in range(3)]
+            healthy = [worker.submit(good) for _ in range(2)]
+            gate.open()
+            first.result(timeout=30)
+            for future in failing:
+                with pytest.raises(ValueError, match="poisoned"):
+                    future.result(timeout=30)
+            if exact:
+                assert healthy[0].result(timeout=30) is healthy[1].result(timeout=30)
+            else:
+                for future in healthy:
+                    with pytest.raises(ValueError, match="poisoned"):
+                        future.result(timeout=30)
+            # The worker survived either way.
+            assert worker.annotate(good).coltypes
+        assert worker.stats.failed == (3 if exact else 5)
+        assert worker.stats.completed + worker.stats.failed == worker.stats.submitted
+
+    def test_close_resolves_queued_and_attached_futures(self):
+        blocker, queued = _distinct(2)
+        engine = StubEngine()
+        gate = EngineGate(engine)
+        worker = EngineWorker(engine)
+        futures = [worker.submit(blocker)]
+        gate.wait_entered()
+        futures += [worker.submit(blocker), worker.submit(queued), worker.submit(queued)]
+        closer = threading.Thread(target=worker.close)
+        closer.start()  # blocks until everything pending is served
+        gate.open()
+        closer.join(timeout=30)
+        assert not closer.is_alive()
+        assert all(f.done() and f.result().coltypes for f in futures)
+        with pytest.raises(RuntimeError, match="closed"):
+            worker.submit(queued)
+        worker.close()  # idempotent
+
+    def test_backpressure_bounds_unanswered_futures(self):
+        """``max_queue_size`` bounds every future handed out and not yet
+        answered — running, queued, and attached waiters alike."""
+        running, queued, extra = _distinct(3)
+        engine = StubEngine()
+        gate = EngineGate(engine)
+        config = QueueConfig(max_queue_size=4, submit_timeout=0.01)
+        with EngineWorker(engine, config) as worker:
+            futures = [worker.submit(running)]
+            gate.wait_entered()
+            futures += [
+                worker.submit(running),  # attached to the running group
+                worker.submit(queued),
+                worker.submit(queued),  # attached to the queued group
+            ]
+            for item in (extra, running):  # new group or attach: no room
+                with pytest.raises(_queue.Full):
+                    worker.submit(item, block=False)
+                with pytest.raises(_queue.Full):
+                    worker.submit(item)  # blocks for submit_timeout first
+            assert sum(not f.done() for f in futures) == 4
+            gate.open()
+            for future in futures:
+                future.result(timeout=30)
+            assert worker.submit(extra, block=False).result(timeout=30).coltypes
+
+    def test_blocked_submitter_proceeds_when_room_appears(self):
+        running, waiting = _distinct(2)
+        engine = StubEngine()
+        gate = EngineGate(engine)
+        results = []
+        with EngineWorker(engine, QueueConfig(max_queue_size=1)) as worker:
+            first = worker.submit(running)
+            gate.wait_entered()
+            submitter = threading.Thread(
+                target=lambda: results.append(worker.annotate(waiting))
+            )
+            submitter.start()  # parks on the full queue (no timeout)
+            gate.open()
+            submitter.join(timeout=30)
+            assert not submitter.is_alive()
+            assert first.result(timeout=30).coltypes
+        assert results and results[0].table is waiting
+
+    def test_completed_never_exceeds_submitted_in_any_snapshot(self, trainer):
+        """The blocking-submit ordering bug: ``submitted`` used to be
+        counted after (and outside) the enqueue, so a stats snapshot could
+        show more answers than requests."""
+        tables = trainer.dataset.tables[:10]
+        service = _service(trainer, QueueConfig(max_batch=4))
+        worker = service.gateway.worker()
+        violations = []
+        done = threading.Event()
+
+        def watch():
+            while not done.is_set():
+                for stats in (worker.stats_snapshot(), service.gateway.stats):
+                    if stats.completed + stats.failed > stats.submitted:
+                        violations.append(stats)
+
+        def client(offset):
+            for i in range(30):
+                service.submit(tables[(offset + i) % len(tables)]).result(timeout=30)
+
+        watcher = threading.Thread(target=watch)
+        clients = [threading.Thread(target=client, args=(k,)) for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with service:
+                watcher.start()
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=60)
+                done.set()
+                watcher.join(timeout=30)
+                assert not watcher.is_alive()
+                assert not any(thread.is_alive() for thread in clients)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert violations == []
+        assert service.stats.submitted == service.stats.completed == 6 * 30
 
 
 @pytest.mark.smoke
 class TestQueuePolicy:
-    def test_max_batch_splits_drains(self, trainer):
-        tables = trainer.dataset.tables[:6]
-        with _service(
-            trainer, QueueConfig(max_batch=2, max_latency=0.2)
-        ) as service:
-            futures = [service.submit(t) for t in tables]
-            [f.result() for f in futures]
-        assert service.stats.batches >= 3  # never more than 2 per drain
-
-    def test_zero_latency_serves_immediately(self, trainer):
-        with _service(
-            trainer, QueueConfig(max_batch=64, max_latency=0.0)
-        ) as service:
-            assert service.annotate(trainer.dataset.tables[0]).coltypes
-
     def test_close_serves_pending_then_rejects(self, trainer):
         service = _service(trainer)
         future = service.submit(trainer.dataset.tables[0])
@@ -190,9 +407,7 @@ class TestQueuePolicy:
     def test_submit_from_many_threads(self, trainer):
         tables = trainer.dataset.tables[:10]
         results = {}
-        with _service(
-            trainer, QueueConfig(max_batch=4, max_latency=0.02)
-        ) as service:
+        with _service(trainer, QueueConfig(max_batch=4)) as service:
 
             def client(index):
                 results[index] = service.submit(tables[index]).result(timeout=30)
@@ -209,25 +424,9 @@ class TestQueuePolicy:
         for i, table in enumerate(tables):
             assert results[i].type_scores == reference.annotate(table).type_scores
 
-    def test_backpressure_raises_when_full(self, trainer):
-        # An unstarted worker never drains, so the bounded queue fills.
-        service = AnnotationService(
-            AnnotationEngine(trainer),
-            QueueConfig(max_queue_size=2, submit_timeout=0.01),
-        )
-        # Block the underlying EngineWorker's auto-start.
-        service._worker._worker = threading.Thread(target=lambda: None)
-        table = trainer.dataset.tables[0]
-        service.submit(table)
-        service.submit(table)
-        with pytest.raises(_queue.Full):
-            service.submit(table)
-
     def test_annotate_stream_preserves_order(self, trainer):
         tables = trainer.dataset.tables[:9]
-        with _service(
-            trainer, QueueConfig(max_batch=4, max_latency=0.02)
-        ) as service:
+        with _service(trainer, QueueConfig(max_batch=4)) as service:
             streamed = list(service.annotate_stream(iter(tables), window=3))
         assert [r.table.table_id for r in streamed] == [
             t.table_id for t in tables
@@ -237,18 +436,9 @@ class TestQueuePolicy:
         bad = Table(
             columns=[Column(values=["x"], header="h")] * 2, table_id="bad-pair"
         )
-        with _service(
-            trainer, QueueConfig(max_batch=4, max_latency=0.2)
-        ) as service:
-            futures = [
-                service.submit(
-                    bad, AnnotationOptions(score_threshold=None)
-                )
-                for _ in range(2)
-            ]
+        with _service(trainer, QueueConfig(max_batch=4)) as service:
+            futures = [service.submit(bad) for _ in range(2)]
             # Out-of-range explicit pairs make the engine raise.
-            from repro.serving import AnnotationRequest
-
             broken = AnnotationRequest(table=bad, pairs=((0, 5),))
             failing = [service.submit(broken) for _ in range(2)]
             for future in futures:
@@ -256,7 +446,7 @@ class TestQueuePolicy:
             for future in failing:
                 with pytest.raises(ValueError, match="out of range"):
                     future.result(timeout=10)
-        assert service.stats.failed >= 2
+        assert service.stats.failed == 2
 
     def test_malformed_request_fails_alone_and_worker_survives(self, trainer):
         """A request that breaks the content hash (non-string cells) must
@@ -270,9 +460,7 @@ class TestQueuePolicy:
         # sneaking in post-construction (the hash hits it first).
         poison.columns[0].values[0] = 3.14
         good = trainer.dataset.tables[0]
-        with _service(
-            trainer, QueueConfig(max_batch=4, max_latency=0.1)
-        ) as service:
+        with _service(trainer, QueueConfig(max_batch=4)) as service:
             bad_future = service.submit(poison)
             good_future = service.submit(good)
             assert good_future.result(timeout=10).coltypes
@@ -281,6 +469,7 @@ class TestQueuePolicy:
             # The worker is still alive and serving.
             assert service.annotate(good).coltypes
         assert service.stats.failed == 1
+        assert service.stats.submitted == 3
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError, match="max_batch"):
