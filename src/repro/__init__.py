@@ -35,9 +35,9 @@ full system on a pure-numpy substrate:
   graceful drain), the supervised multi-process ``ServingPool``
   (``repro serve --workers N``: socket sharding, crash restart, merged
   stats, pool-wide drain), the single-model ``AnnotationService``
-  compatibility wrapper, and the persistent ``DiskCache`` result tier
-  (boundable, compactable, partitioned per model fingerprint) with its
-  concurrently-writable cross-process ``FabricCache`` variant
+  compatibility wrapper, and the one persistent result store,
+  ``FabricCache`` (concurrently writable across processes, compactable,
+  partitioned per model fingerprint; ``DiskCache`` is an alias)
 * :mod:`repro.cli` — the ``repro`` command-line toolbox
 
 Quickstart::

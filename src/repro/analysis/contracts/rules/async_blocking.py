@@ -37,8 +37,8 @@ _BLOCKING_PREFIXES = {
     "requests.": "synchronous HTTP in a coroutine",
 }
 
-#: Method names that write the persistent cache tiers (DiskCache /
-#: FabricCache); receivers are matched lexically on cache-ish names.
+#: Method names that write the persistent result store (FabricCache);
+#: receivers are matched lexically on cache-ish names.
 _CACHE_WRITE_METHODS = {"put", "compact"}
 _CACHE_RECEIVER_HINTS = ("cache", "disk", "fabric")
 

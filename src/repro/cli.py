@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import glob
 import json
 import os
 import sys
@@ -489,6 +488,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         EngineConfig,
         ModelRegistry,
         QueueConfig,
+        is_cache_directory,
         protocol,
     )
 
@@ -509,23 +509,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             raise ValueError(f"--workers must be >= 1: {args.workers}")
         return _serve_pool(args, specs)
     batch_size = 8 if args.batch_size is None else args.batch_size
-    # Single-model serving over a cache directory that already holds FLAT
-    # segment files (written by `repro annotate --cache-dir` or a
-    # pre-gateway `repro serve`) keeps using that layout, so existing warm
-    # caches stay warm.  Everything else gets the registry layout: one
-    # subdirectory per model fingerprint, so models never share segment
-    # files.  (Keys embed the fingerprint either way — layouts differ,
-    # correctness does not.)  The flat config is pinned to the initial
-    # registration only — NOT the registry default — so a model
-    # hot-registered later ({"op": "register"}) roots its cache in its
-    # own fingerprint subdirectory instead of opening a second writer on
-    # the flat directory.
-    from .serving.diskcache import SEGMENT_GLOB
-
+    # Single-model serving over a cache directory that already holds a
+    # FLAT cache (written by `repro annotate --cache-dir` or a pre-gateway
+    # `repro serve`; segments, or after `repro cache compact` only a
+    # generation) keeps using that layout, so existing warm caches stay
+    # warm.  Everything else gets the registry layout: one subdirectory
+    # per model fingerprint, so models never share segment files.  (Keys
+    # embed the fingerprint either way — layouts differ, correctness does
+    # not.)  The flat config is pinned to the initial registration only —
+    # NOT the registry default — so a model hot-registered later
+    # ({"op": "register"}) roots its cache in its own fingerprint
+    # subdirectory.
     flat_cache = (
         args.cache_dir is not None
         and len(specs) == 1
-        and bool(glob.glob(os.path.join(args.cache_dir, SEGMENT_GLOB)))
+        and is_cache_directory(args.cache_dir)
     )
     engine_kwargs = _engine_kwargs(args)
     registry = ModelRegistry(
@@ -843,21 +841,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cache_directories(root):
     """The cache directories under ``root``: itself (flat layout — `repro
     annotate --cache-dir`) plus any per-model-fingerprint subdirectory the
-    serving registry created (`repro serve --cache-dir`).  Fabric
-    directories (pool caches) count even when fully compacted — they may
-    hold no ``segment-*`` files at all, just the compacted generation."""
+    serving registry created (`repro serve --cache-dir`)."""
     from pathlib import Path
 
-    from .serving.diskcache import SEGMENT_GLOB
-    from .serving.fabric import is_fabric_directory
-
-    def _is_cache(path):
-        return any(path.glob(SEGMENT_GLOB)) or is_fabric_directory(path)
+    from .serving import is_cache_directory
 
     root = Path(root)
-    found = [root] if _is_cache(root) else []
+    found = [root] if is_cache_directory(root) else []
     found += sorted(
-        child for child in root.iterdir() if child.is_dir() and _is_cache(child)
+        child
+        for child in root.iterdir()
+        if child.is_dir() and is_cache_directory(child)
     )
     return found or [root]
 
@@ -865,15 +859,14 @@ def _cache_directories(root):
 def _cmd_cache_compact(args: argparse.Namespace) -> int:
     """Compact persistent result-cache directories (drop dead space).
 
-    Lock-aware: a directory whose writer is live (a running `repro
-    annotate`/`repro serve`) is skipped with a notice, not corrupted and
-    not a hard failure; fabric directories (serving pools) compact
-    around live writers, merging only quiescent segments.  ``--dry-run``
-    reports what compaction *would* reclaim, byte-for-byte, touching
-    nothing.
+    Lock-aware: a running `repro annotate`/`repro serve` (or a whole
+    pool) may be live on the directory — the compaction joins it as a
+    throwaway writer (its own lock releases on close), merges only
+    quiescent writers' segments and leaves live ones in place.
+    ``--dry-run`` reports what compaction *would* reclaim, byte-for-byte,
+    touching nothing.
     """
-    from .serving import CacheLockedError, DiskCache
-    from .serving.fabric import FabricCache, is_fabric_directory
+    from .serving import CacheLockedError, FabricCache
 
     if not os.path.isdir(args.directory):
         print(f"error: {args.directory} is not a directory", file=sys.stderr)
@@ -881,34 +874,26 @@ def _cmd_cache_compact(args: argparse.Namespace) -> int:
     verb = "would compact" if args.dry_run else "compacted"
     skipped = 0
     for directory in _cache_directories(args.directory):
-        fabric = is_fabric_directory(directory)
         try:
-            if fabric:
-                # A pool may be live: join the fabric as a throwaway
-                # writer (its own lock releases on close) and merge only
-                # quiescent writers' segments.
-                with FabricCache(directory, writer="cli-compact") as cache:
-                    result = cache.compact(dry_run=args.dry_run)
-                notes = []
-                if result.skipped_segments:
-                    notes.append(
-                        f"{result.skipped_segments} live-writer segments "
-                        "left in place"
-                    )
-            else:
-                with DiskCache(directory, max_bytes=args.max_bytes) as cache:
-                    corrupt = cache.stats.corrupt_records
-                    evicted = cache.stats.evicted_records
-                    result = cache.compact(dry_run=args.dry_run)
-                notes = []
-                if corrupt:
-                    notes.append(f"{corrupt} corrupt records dropped")
-                if evicted:
-                    notes.append(f"{evicted} records evicted by --max-bytes")
+            with FabricCache(directory, writer="cli-compact") as cache:
+                result = cache.compact(
+                    dry_run=args.dry_run, max_bytes=args.max_bytes
+                )
         except CacheLockedError as error:
             print(f"skipped {directory}: {error}")
             skipped += 1
             continue
+        notes = []
+        if result.skipped_segments:
+            notes.append(
+                f"{result.skipped_segments} live-writer segments left in place"
+            )
+        if result.corrupt_records:
+            notes.append(f"{result.corrupt_records} corrupt records dropped")
+        if result.evicted_records:
+            notes.append(
+                f"{result.evicted_records} records evicted by --max-bytes"
+            )
         suffix = f" ({', '.join(notes)})" if notes else ""
         print(
             f"{verb} {directory}: {result.records} live records, "
@@ -919,8 +904,7 @@ def _cmd_cache_compact(args: argparse.Namespace) -> int:
     if skipped:
         print(
             f"{skipped} director{'y' if skipped == 1 else 'ies'} skipped "
-            "(writer active; re-run after it exits, or use a fabric cache "
-            "for live compaction)"
+            "(another compaction is running; re-run after it exits)"
         )
     return 0
 
@@ -1171,9 +1155,10 @@ def build_parser() -> argparse.ArgumentParser:
     compact.add_argument("directory", help="result-cache directory (--cache-dir)")
     compact.add_argument(
         "--max-bytes", type=int, default=None,
-        help="evict oldest segments past this size before compacting; "
-             "applies to EACH cache directory found (a multi-model root "
-             "with N fingerprint subdirectories is bounded at N x this)",
+        help="drop the oldest records until the compacted generation "
+             "fits this size; applies to EACH cache directory found (a "
+             "multi-model root with N fingerprint subdirectories is "
+             "bounded at N x this)",
     )
     compact.add_argument(
         "--dry-run", action="store_true",

@@ -10,9 +10,9 @@ The stack, bottom-up:
   :class:`~repro.encoding.EncodingPipeline` (zero cross-request padding,
   batched results byte-identical to sequential ones — or opt-in near-width
   packing via ``EngineConfig.waste_budget``), one encoder forward pass per
-  bucket, and an optional persistent result-cache tier
-  (:class:`DiskCache`, boundable via ``max_bytes`` and compactable) so
-  repeated corpora never re-encode across process restarts.
+  bucket, and an optional persistent result store
+  (:class:`FabricCache`) so repeated corpora never re-encode across
+  process restarts.
 * :class:`EngineWorker` — the per-engine bounded request queue: ``submit``
   dedups content-identical requests single-flight (from submit until the
   answer exists) onto one forward pass, and the worker thread drains
@@ -35,10 +35,11 @@ The stack, bottom-up:
   ordering, backpressure, an admin plane (``stats``/``health``/hot
   ``register``/``repoint``/``unregister``/``shutdown``), and graceful
   drain; :class:`ServerThread` embeds it in synchronous code.
-* :class:`FabricCache` — the concurrently-writable cross-process disk
-  tier (per-writer append segments, shared compacted generations served
-  over ``mmap``) that lets sibling worker processes read each other's
-  cached results.
+* :class:`FabricCache` — the one persistent result store (per-writer
+  append segments, shared compacted generations served over ``mmap``):
+  a single serving process is its one-writer case, and sibling worker
+  processes read each other's cached results through it.
+  ``DiskCache`` is an alias of the same class.
 * :class:`ServingPool` — the multi-process front door behind ``repro
   serve --listen HOST:PORT --workers N``: one parent owning the address,
   N worker processes each running a full gateway + server stack over a
@@ -79,7 +80,8 @@ Every tier preserves the engine's equivalence contract: routing, dedup,
 and caching change what a request *costs* and *which model answers*, never
 what that model returns (see :mod:`repro.serving.gateway`,
 :mod:`repro.serving.queue`, and :mod:`repro.serving.diskcache` for the
-exact byte-identity guarantees).
+exact byte-identity guarantees; :mod:`repro.serving.fabric` for the store's
+on-disk layout).
 """
 
 from ..encoding.cache import LRUCache, table_fingerprint
@@ -89,12 +91,11 @@ from .diskcache import (
     CacheLockedError,
     CompactionResult,
     DiskCache,
-    DiskCacheStats,
     FileLock,
     result_cache_key,
 )
 from .engine import AnnotationEngine, EngineConfig, EngineStats
-from .fabric import FabricCache, FabricStats, is_fabric_directory
+from .fabric import FabricCache, FabricStats, is_cache_directory
 from .gateway import AnnotationGateway, GatewayStats
 from .pool import PoolConfig, ServingPool
 from .queue import AnnotationService, EngineWorker, QueueConfig, ServiceStats
@@ -114,7 +115,6 @@ __all__ = [
     "ColumnCache",
     "CompactionResult",
     "DiskCache",
-    "DiskCacheStats",
     "EngineConfig",
     "EngineStats",
     "EngineWorker",
@@ -132,7 +132,7 @@ __all__ = [
     "ServerThread",
     "ServiceStats",
     "ServingPool",
-    "is_fabric_directory",
+    "is_cache_directory",
     "protocol",
     "result_cache_key",
     "table_fingerprint",

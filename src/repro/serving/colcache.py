@@ -23,8 +23,8 @@ column's state depends on its neighbours — so per-column states are never
 cached there.
 
 The optional ``disk`` tier persists entries through any object with the
-``DiskCache``/``FabricCache`` ``get``/``put`` dict API, so column states
-survive restarts and travel the cache fabric alongside whole-table results.
+``FabricCache`` ``get``/``put`` dict API, so column states survive
+restarts and travel the cache fabric alongside whole-table results.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class ColumnCache:
 
     def _disk_key(self, fingerprint: str, width: int) -> str:
         # Namespaced so column entries can never collide with whole-table
-        # result records sharing the same DiskCache.
+        # result records sharing the same store.
         return "col:" + content_digest(
             (
                 self.model_key.encode("utf-8"),

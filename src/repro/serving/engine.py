@@ -50,12 +50,12 @@ from ..datasets.tables import Table
 from ..encoding import BatchPlanner, EncodingPipeline
 from .colcache import ColumnCache
 from .diskcache import (
-    DiskCache,
     RequestIdentity,
     decode_annotation,
     encode_annotation,
     request_identity,
 )
+from .fabric import FabricCache
 from .request import AnnotationOptions, AnnotationRequest, AnnotationResult
 
 RequestLike = Union[Table, AnnotationRequest]
@@ -75,7 +75,7 @@ class EngineConfig:
     caching).  ``length_bucketing`` orders the exact width buckets by
     ascending width (``False`` keeps first-seen bucket order; composition
     is exact either way).  ``cache_dir`` turns on the persistent
-    result-cache tier (:class:`~repro.serving.diskcache.DiskCache` rooted
+    result-cache tier (:class:`~repro.serving.fabric.FabricCache` rooted
     there) so finished annotations survive process restarts.
     ``waste_budget`` opts into the planner's near-width packing
     (:class:`~repro.encoding.BatchPlanner`): adjacent width buckets merge
@@ -219,7 +219,7 @@ class EngineStats:
     ``cache_hits``/``cache_misses`` mirror this engine's share of the
     serialization-cache traffic; ``disk_hits``/``disk_misses`` count
     persistent result-cache lookups (only when a
-    :class:`~repro.serving.diskcache.DiskCache` is attached — a disk hit
+    :class:`~repro.serving.fabric.FabricCache` is attached — a disk hit
     skips serialization *and* the forward pass entirely).
     ``real_tokens``/``padded_tokens`` account every encoder pass this
     engine ran: with exact width bucketing ``padding_waste`` stays at the
@@ -299,7 +299,7 @@ class AnnotationEngine:
         self,
         trainer: DoduoTrainer,
         config: Optional[EngineConfig] = None,
-        result_cache: Optional["DiskCache"] = None,
+        result_cache: Optional[FabricCache] = None,
     ) -> None:
         # Accept a Doduo annotator as well (duck-typed to avoid a circular
         # import with repro.core.annotator).
@@ -322,7 +322,7 @@ class AnnotationEngine:
                 cache_size=self.config.cache_size,
             )
         if result_cache is None and self.config.cache_dir is not None:
-            result_cache = DiskCache(self.config.cache_dir)
+            result_cache = FabricCache(self.config.cache_dir)
         self.result_cache = result_cache
         # Column-level content addressing: sound only for single-column
         # models (table-wise attention makes a column's state depend on its

@@ -1,17 +1,19 @@
-"""Cross-process cache fabric: many writers, one shared read layer.
+"""The persistent result store: many writers, one shared read layer.
 
-:class:`~repro.serving.diskcache.DiskCache` assumes one writing handle per
-directory — the right contract for one serving process, and exactly the
-wrong one for a multi-process pool (:mod:`repro.serving.pool`), where N
-workers serve the same model and each wants to persist (and *reuse*) the
-same fingerprint-keyed results.  :class:`FabricCache` keeps the append-only
-JSONL discipline but splits the directory three ways:
+Finished annotations (the payloads of
+:func:`~repro.serving.diskcache.encode_annotation`, keyed by
+:func:`~repro.serving.diskcache.result_cache_key`) persist through one
+class, :class:`FabricCache`, whether one process serves a model or a
+multi-process pool (:mod:`repro.serving.pool`) does — single-process
+serving is simply the one-writer case.  A directory splits three ways:
 
-* **Per-writer segments** — ``segment-<writer>-NNNNNN.jsonl``, appended by
-  exactly one handle (the writer id embeds the worker slot and PID, so two
-  writers can never collide on a filename, let alone a file).  Each live
-  writer holds an advisory :class:`~repro.serving.diskcache.FileLock` on
-  ``writer-<writer>.lock`` for the lifetime of its handle.
+* **Per-writer segments** — ``segment-<writer>-NNNNNN.jsonl``, one
+  ``{"key": ..., "payload": ...}`` object per line, appended with
+  per-record flush by exactly one handle (the writer id embeds the PID,
+  and the pool's adds the worker slot, so two writers can never collide on
+  a filename, let alone a file).  Each live writer holds an advisory
+  :class:`~repro.serving.diskcache.FileLock` on ``writer-<writer>.lock``
+  for the lifetime of its handle.
 * **A shared compacted layer** — ``compact-NNNNNN.jsonl``, one immutable
   generation at a time, described by an atomically-replaced
   ``fabric-index.json`` (generation, byte size, content checksum, and the
@@ -21,37 +23,41 @@ JSONL discipline but splits the directory three ways:
   is the serve-from-one-compressed-representation discipline the
   enumeration literature uses for shared immutable structures: writers
   stay private, readers consume a single compacted artifact.
-* **Cross-writer reads** — a miss triggers a throttled :meth:`refresh`
-  that tails every *other* writer's segments from the last scanned offset
-  (consuming only newline-terminated lines, so a torn tail is re-read
-  later, never mis-indexed) and picks up any newer compacted generation.
-  A warm entry written by worker A is therefore a disk hit in worker B
-  without re-encoding — counted in ``stats.remote_hits``.
+* **Cross-writer reads** — opening a handle, and every miss after it
+  (throttled), runs a :meth:`~FabricCache.refresh` that tails every
+  segment from its last scanned offset (consuming only newline-terminated
+  lines, so a torn tail is re-read later, never mis-indexed) and picks up
+  any newer compacted generation.  A warm entry written by worker A is
+  therefore a hit in worker B without re-encoding — counted in
+  ``stats.remote_hits`` — and a writer id reopened after a restart serves
+  everything its earlier incarnation flushed.
 
-Legacy interop: plain ``segment-NNNNNN.jsonl`` files written by a
-single-process :class:`DiskCache` are readable as the segments of a
-``"legacy"`` writer, so a cache warmed by ``repro serve`` stays warm when
-the operator scales out to ``--workers N``.
+Durability: entries are immutable (a key is a content hash of everything
+that determines the value, so there is nothing to update).  Lines that
+fail to parse — a torn write from a crash, manual truncation — are
+counted in ``stats.corrupt_records``, logged, and skipped, never fatal.
+Values stay on disk and are read back on demand, so resident memory is
+one index entry per cached table plus a small hot-payload LRU.
 
 Compaction is lock-aware: only segments whose writer is *not* live (its
-``writer-*.lock`` unheld; ``writer.lock`` for the legacy writer) are
-merged into the next generation and deleted; live writers' segments are
-skipped and reported.  Compactors exclude each other via ``compact.lock``.
-Readers whose segment files vanish under them (deleted by a compactor in
-another process) recover by refreshing: the key reappears in the new
-compacted generation, and the payload bytes are identical — keys are
-content hashes of everything that determines the value.
+``writer-*.lock`` unheld) are merged into the next generation and deleted;
+live writers' segments are skipped and reported.  Compactors exclude each
+other via ``compact.lock``.  Readers whose segment files vanish under them
+(deleted by a compactor in another process) recover by refreshing: the key
+reappears in the new compacted generation, and the payload bytes are
+identical — keys are content hashes of everything that determines the
+value.
 
-The equivalence contract of the disk tier carries over unchanged: the
-payloads stored and returned are exactly those of
-:func:`~repro.serving.diskcache.encode_annotation` /
-:func:`~repro.serving.diskcache.decode_annotation`, so a fabric hit is
-byte-identical to the producing pass regardless of which worker wrote it.
+Migration: plain ``segment-NNNNNN.jsonl`` files written by releases that
+had a separate single-writer store parse as the segments of the empty
+writer id — one nobody can take or hold a lock for — so they are served as
+they are and the next ``repro cache compact`` folds them into a generation.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import mmap
 import os
 import re
@@ -62,27 +68,20 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..encoding.cache import LRUCache, content_digest
-from .diskcache import (
-    CacheLockedError,
-    CompactionResult,
-    FileLock,
-    WRITER_LOCK_NAME,
-    _SEGMENT_PREFIX,
-    _SEGMENT_SUFFIX,
-    SEGMENT_GLOB,
-)
+from .diskcache import CacheLockedError, CompactionResult, FileLock
+
+logger = logging.getLogger(__name__)
 
 PathLike = Union[str, Path]
 
+_SEGMENT_PREFIX = "segment-"
+_SEGMENT_SUFFIX = ".jsonl"
 _COMPACT_PREFIX = "compact-"
 _COMPACT_SUFFIX = ".jsonl"
+SEGMENT_GLOB = f"{_SEGMENT_PREFIX}*{_SEGMENT_SUFFIX}"
+COMPACT_GLOB = f"{_COMPACT_PREFIX}*{_COMPACT_SUFFIX}"
 INDEX_NAME = "fabric-index.json"
 COMPACT_LOCK_NAME = "compact.lock"
-
-#: The pseudo-writer owning plain ``segment-NNNNNN.jsonl`` files written
-#: by a single-process :class:`DiskCache` (its liveness lock is the
-#: directory-level ``writer.lock``).
-LEGACY_WRITER = ""
 
 _WRITER_RE = re.compile(r"[^A-Za-z0-9_.]+")
 
@@ -97,41 +96,43 @@ def sanitize_writer(writer: str) -> str:
 
 def split_segment_name(path: Path) -> Optional[Tuple[str, int]]:
     """``(writer, number)`` for a segment filename, or ``None`` for a file
-    that merely matches the segment glob.  Plain DiskCache segments parse
-    as the :data:`LEGACY_WRITER`."""
+    that merely matches the segment glob.  A plain ``segment-NNNNNN.jsonl``
+    parses as the empty writer id (see the module docstring)."""
     stem = path.name
     if not (
         stem.startswith(_SEGMENT_PREFIX) and stem.endswith(_SEGMENT_SUFFIX)
     ):
         return None
     body = stem[len(_SEGMENT_PREFIX):-len(_SEGMENT_SUFFIX)]
-    writer, dash, number = body.rpartition("-")
+    writer, _, number = body.rpartition("-")
     if not number.isdigit():
         return None
-    return (writer if dash else LEGACY_WRITER), int(number)
+    return writer, int(number)
 
 
-def is_fabric_directory(directory: PathLike) -> bool:
-    """Does ``directory`` hold fabric state (per-writer segments, a
-    compacted generation, or a shared index)?  `repro cache compact` uses
-    this to pick the right compactor for each directory."""
+def is_cache_directory(directory: PathLike) -> bool:
+    """Does ``directory`` hold store state — segments, or (fully
+    compacted) only a generation index?  The CLI's one test for "is there
+    a cache here already"."""
     directory = Path(directory)
-    if (directory / INDEX_NAME).exists():
-        return True
-    if any(directory.glob(f"{_COMPACT_PREFIX}*{_COMPACT_SUFFIX}")):
-        return True
-    return any(
-        (parsed := split_segment_name(path)) is not None
-        and parsed[0] != LEGACY_WRITER
-        for path in directory.glob(SEGMENT_GLOB)
+    return (directory / INDEX_NAME).exists() or any(
+        directory.glob(SEGMENT_GLOB)
     )
 
 
 def writer_lock_path(directory: Path, writer: str) -> Path:
     """The liveness lock guarding ``writer``'s segments."""
-    if writer == LEGACY_WRITER:
-        return directory / WRITER_LOCK_NAME
     return directory / f"writer-{writer}.lock"
+
+
+def _record_key(line: bytes) -> Optional[str]:
+    """The key of one well-formed record line, or ``None`` if corrupt."""
+    try:
+        record = json.loads(line.decode("utf-8"))
+        record["payload"]  # presence check
+        return str(record["key"])
+    except (ValueError, KeyError, TypeError):
+        return None
 
 
 @dataclass
@@ -142,7 +143,9 @@ class FabricStats:
     from the shared compacted layer — the cross-process reuse the fabric
     exists for.  ``refreshes`` counts directory rescans (throttled by
     ``refresh_interval``); ``corrupt_records`` counts unparseable lines
-    skipped while scanning (torn tails re-read later are not counted).
+    skipped while scanning or compacting, plus compacted generations
+    rejected for a size/checksum mismatch (torn tails re-read later are
+    not counted).
     """
 
     hits: int = 0
@@ -157,26 +160,30 @@ class FabricStats:
 
 
 # Index-entry location tags.
-_OWN = "own"        # (tag, path, offset)   — this handle's segment
+_OWN = "own"        # (tag, path, offset)   — this writer id's segment
 _SEGMENT = "seg"    # (tag, path, offset)   — another writer's segment
 _COMPACT = "cmp"    # (tag, offset, length) — the mmap'd compacted layer
 
 
 class FabricCache:
-    """A concurrently-writable, cross-process drop-in for ``DiskCache``.
+    """The concurrently-writable, cross-process result store.
 
-    Same ``get``/``put``/``compact``/``close`` surface and the same
-    first-write-wins immutable-entry semantics; what changes is *who may
-    write*: any number of processes, each with its own ``writer`` id, may
-    hold a handle on one directory at once.  Reads see every writer's
+    ``get``/``put``/``compact``/``close`` over first-write-wins immutable
+    entries.  Any number of processes, each with its own ``writer`` id,
+    may hold a handle on one directory at once; reads see every writer's
     flushed entries (after at most one ``refresh_interval``), plus the
-    shared compacted layer, served via ``mmap``.
+    shared compacted layer, served via ``mmap``.  Keys are opaque strings
+    (the engine uses :func:`~repro.serving.diskcache.result_cache_key`);
+    payloads are any JSON-serializable value.  The handle is safe to share
+    across threads: every public operation runs under an internal lock.
 
     ``writer`` defaults to ``pid<PID>`` — unique per process; a serving
     pool passes ``w<slot>-pid<PID>`` so segment files read as operational
-    telemetry.  ``hot_entries`` bounds a small in-memory LRU of decoded
-    payloads (0 disables) that short-circuits file reads for keys this
-    handle serves repeatedly.
+    telemetry.  A new segment starts every ``max_segment_records`` lines,
+    so a long-lived service produces bounded, individually-scannable files.
+    ``hot_entries`` bounds a small in-memory LRU of decoded payloads (0
+    disables) that short-circuits file reads for keys this handle serves
+    repeatedly.
     """
 
     def __init__(
@@ -214,8 +221,9 @@ class FabricCache:
         self._segment_path: Optional[Path] = None
         self._segment_index = -1
         self._segment_records = 0
-        # Cross-writer read state: how far each foreign segment has been
-        # scanned (only whole, newline-terminated lines are consumed).
+        # Read state: how far each segment has been scanned (only whole,
+        # newline-terminated lines are consumed).  put() advances the own
+        # active segment's mark, so a refresh never re-reads own writes.
         self._scanned: Dict[Path, int] = {}
         self._last_refresh = float("-inf")
         # Compacted read layer.
@@ -281,8 +289,6 @@ class FabricCache:
             self.stats.remote_hits += 1
             return payload
         _, path, offset = location
-        if location[0] == _OWN and self._handle is not None:
-            self._handle.flush()
         try:
             with open(path, "rb") as handle:
                 handle.seek(offset)
@@ -302,16 +308,27 @@ class FabricCache:
         return self._read(key, retried=True)
 
     # ------------------------------------------------------------------
-    # Refresh: see the other writers
+    # Refresh: see the other writers (and, at open, our earlier self)
     # ------------------------------------------------------------------
-    def refresh(self, force: bool = False) -> bool:
-        """Rescan the directory for work by other processes.
+    def _segments_by_writer(self) -> Dict[str, List[Tuple[int, Path]]]:
+        """Every segment in the directory as ``writer -> [(number, path)]``,
+        both levels sorted; files that merely match the glob are left out
+        (never scanned, counted, merged or deleted)."""
+        by_writer: Dict[str, List[Tuple[int, Path]]] = {}
+        for path in self.directory.glob(SEGMENT_GLOB):
+            parsed = split_segment_name(path)
+            if parsed is not None:
+                by_writer.setdefault(parsed[0], []).append((parsed[1], path))
+        return {writer: sorted(by_writer[writer]) for writer in sorted(by_writer)}
 
-        Tails every foreign segment from its last scanned offset and
-        loads a newer compacted generation if one appeared.  Throttled to
-        once per ``refresh_interval`` unless ``force``; returns whether a
-        scan actually ran.  Cheap when nothing changed: one ``glob`` plus
-        one ``stat`` per unfinished foreign segment.
+    def refresh(self, force: bool = False) -> bool:
+        """Rescan the directory for records this handle has not indexed.
+
+        Tails every segment from its last scanned offset and loads a
+        newer compacted generation if one appeared.  Throttled to once per
+        ``refresh_interval`` unless ``force``; returns whether a scan
+        actually ran.  Cheap when nothing changed: one ``glob`` plus one
+        ``stat`` per segment.
         """
         with self._lock:
             now = time.monotonic()
@@ -320,15 +337,21 @@ class FabricCache:
             self._last_refresh = now
             self.stats.refreshes += 1
             self._load_compacted()
-            for path in sorted(self.directory.glob(SEGMENT_GLOB)):
-                parsed = split_segment_name(path)
-                if parsed is None or parsed[0] == self.writer:
-                    continue
-                self._tail_segment(path)
+            corrupt_before = self.stats.corrupt_records
+            for writer, numbered in self._segments_by_writer().items():
+                tag = _OWN if writer == self.writer else _SEGMENT
+                for _, path in numbered:
+                    self._tail_segment(path, tag)
+            corrupt = self.stats.corrupt_records - corrupt_before
+            if corrupt:
+                logger.warning(
+                    "%s: skipped %d corrupt records while scanning segments",
+                    self.directory, corrupt,
+                )
             return True
 
-    def _tail_segment(self, path: Path) -> None:
-        """Index any new complete lines of one foreign segment."""
+    def _tail_segment(self, path: Path, tag: str) -> None:
+        """Index any new complete lines of one segment."""
         offset = self._scanned.get(path, 0)
         try:
             if path.stat().st_size <= offset:
@@ -338,16 +361,13 @@ class FabricCache:
                 for line in handle:
                     if not line.endswith(b"\n"):
                         break  # torn tail: re-read from here next refresh
-                    try:
-                        record = json.loads(line.decode("utf-8"))
-                        key = str(record["key"])
-                        record["payload"]  # presence check
-                    except (ValueError, KeyError, TypeError):
+                    key = _record_key(line)
+                    if key is None:
                         self.stats.corrupt_records += 1
                     else:
                         # First write wins: same-key records are identical
                         # by construction (content-addressed keys).
-                        self._index.setdefault(key, (_SEGMENT, path, offset))
+                        self._index.setdefault(key, (tag, path, offset))
                     offset += len(line)
         except OSError:
             # Deleted by a compactor mid-scan: forget it; its records are
@@ -382,17 +402,31 @@ class FabricCache:
         ) != meta["checksum"]:
             # A torn or tampered generation: serve without it (the keys
             # that only lived there will miss and recompute — correct,
-            # just colder).
+            # just colder), and remember it so it is rejected once.
             mapped.close()
             handle.close()
+            self._generation = meta["generation"]
+            self.stats.corrupt_records += 1
+            logger.warning(
+                "%s: rejected compacted generation %d (%s): size or "
+                "checksum does not match the index",
+                self.directory, meta["generation"], meta["file"],
+            )
             return
         self._close_mmap()
         self._mmap, self._mmap_handle = mapped, handle
         self._generation = meta["generation"]
-        # Stale locations into files the compactor deleted fix themselves
-        # lazily in _read(); compacted entries fill only absent keys.
+        # Offsets are per generation, so the previous generation's
+        # locations go first.  Locations into segments the compactor
+        # merged move here; any left stale fix themselves lazily in
+        # _read().
+        self._index = {
+            key: location
+            for key, location in self._index.items()
+            if location[0] != _COMPACT
+        }
         for key, (offset, length) in meta["entries"].items():
-            self._index.setdefault(key, (_COMPACT, offset, length))
+            self._index[key] = (_COMPACT, offset, length)
 
     def _read_index_file(self) -> Optional[Dict]:
         try:
@@ -424,6 +458,7 @@ class FabricCache:
             self._handle.write(line)
             self._handle.flush()
             self._index[key] = (_OWN, self._segment_path, offset)
+            self._scanned[self._segment_path] = offset + len(line)
             self._segment_records += 1
             self.stats.writes += 1
             if self._hot is not None:
@@ -440,7 +475,11 @@ class FabricCache:
         if self._handle is not None:
             self._handle.close()
         if self._segment_index < 0:
-            self._segment_index = self._next_own_segment_number()
+            # One past the highest existing own segment: a reopened writer
+            # id never appends to a file whose tail may be torn, or that a
+            # compactor may have already decided about.
+            own = self._segments_by_writer().get(self.writer)
+            self._segment_index = own[-1][0] + 1 if own else 0
         else:
             self._segment_index += 1
         self._segment_path = self.directory / (
@@ -450,22 +489,12 @@ class FabricCache:
         self._handle = open(self._segment_path, "ab")
         self._segment_records = 0
 
-    def _next_own_segment_number(self) -> int:
-        """One past the highest existing own segment — a restarted writer
-        that reuses its id (same slot, same PID is impossible, but ids are
-        caller-chosen) must never append to a file a compactor may have
-        already decided about."""
-        highest = -1
-        for path in self.directory.glob(SEGMENT_GLOB):
-            parsed = split_segment_name(path)
-            if parsed is not None and parsed[0] == self.writer:
-                highest = max(highest, parsed[1])
-        return highest + 1
-
     # ------------------------------------------------------------------
     # Compaction
     # ------------------------------------------------------------------
-    def compact(self, dry_run: bool = False) -> CompactionResult:
+    def compact(
+        self, dry_run: bool = False, max_bytes: Optional[int] = None
+    ) -> CompactionResult:
         """Merge every *quiescent* writer's segments (and the previous
         generation) into one fresh immutable generation.
 
@@ -474,12 +503,18 @@ class FabricCache:
         survive untouched; everyone else's are merged, deduplicated
         (first occurrence wins; duplicate keys carry identical payloads by
         construction, so "exactly one valid entry" is also "the entry"),
-        and deleted.  This handle's own segments are sealed first and
-        merged too.  Concurrent compactors exclude each other via
+        stripped of corrupt lines, and deleted.  This handle's own
+        segments are sealed first and merged too.  ``max_bytes`` bounds
+        the new generation: the oldest records (previous generation
+        first, then segments in ``(writer, number)`` order) are dropped
+        until it fits.  Concurrent compactors exclude each other via
         ``compact.lock`` (:class:`CacheLockedError` if contended).
-        ``dry_run=True`` measures without writing, deleting, or locking
-        out other compactors for longer than the measurement.
+        ``dry_run=True`` projects the same numbers without writing,
+        deleting, or locking out other compactors for longer than the
+        measurement.
         """
+        if max_bytes is not None and max_bytes < 0:
+            raise ValueError(f"max_bytes must be >= 0: {max_bytes}")
         with self._lock:
             compact_lock = FileLock(self.directory / COMPACT_LOCK_NAME)
             if not compact_lock.acquire():
@@ -488,7 +523,7 @@ class FabricCache:
                     "is running"
                 )
             try:
-                return self._compact_locked(dry_run)
+                return self._compact_locked(dry_run, max_bytes)
             finally:
                 compact_lock.release()
 
@@ -496,24 +531,17 @@ class FabricCache:
         """``(paths safe to merge, skipped segment count)``.
 
         Own segments are sealed (handle closed; the next put starts a new
-        file) and always mergeable.  Foreign and legacy segments are
-        mergeable only while their writer's lock is free.  A dry run
-        measures without sealing.
+        file) and always mergeable.  Other writers' segments are mergeable
+        only while their writer's lock is free.  A dry run measures
+        without sealing.
         """
         if seal and self._handle is not None:
             self._handle.close()
             self._handle = None
             # Leave _segment_index as-is: _ensure_segment advances past it.
-        by_writer: Dict[str, List[Tuple[int, Path]]] = {}
-        for path in sorted(self.directory.glob(SEGMENT_GLOB)):
-            parsed = split_segment_name(path)
-            if parsed is None:
-                continue  # foreign file that merely matches the glob
-            by_writer.setdefault(parsed[0], []).append((parsed[1], path))
         sources: List[Path] = []
         skipped = 0
-        for writer, numbered in sorted(by_writer.items()):
-            numbered.sort()
+        for writer, numbered in self._segments_by_writer().items():
             if writer != self.writer and FileLock.is_locked(
                 writer_lock_path(self.directory, writer)
             ):
@@ -522,7 +550,9 @@ class FabricCache:
             sources.extend(path for _, path in numbered)
         return sources, skipped
 
-    def _compact_locked(self, dry_run: bool) -> CompactionResult:
+    def _compact_locked(
+        self, dry_run: bool, max_bytes: Optional[int]
+    ) -> CompactionResult:
         sources, skipped = self._mergeable_sources(seal=not dry_run)
         meta = self._read_index_file()
         old_compact: Optional[Path] = None
@@ -530,96 +560,84 @@ class FabricCache:
         if meta is not None:
             old_compact = self.directory / meta["file"]
             generation = meta["generation"] + 1
-        bytes_before = sum(_safe_size(p) for p in sources) + (
-            _safe_size(old_compact) if old_compact is not None else 0
+        # Oldest first: the previous generation (it is already
+        # deduplicated), then segments in deterministic (writer, number)
+        # order.
+        streams = ([old_compact] if old_compact is not None else []) + sources
+        live: Dict[str, bytes] = {}
+        corrupt = 0
+        for path in streams:
+            try:
+                handle = open(path, "rb")
+            except OSError:
+                continue
+            with handle:
+                for line in handle:
+                    if not line.endswith(b"\n"):
+                        line += b"\n"
+                    key = _record_key(line)
+                    if key is None:
+                        corrupt += 1
+                    else:
+                        # Duplicate: identical payload, keep the first.
+                        live.setdefault(key, line)
+        evicted = 0
+        if max_bytes is not None:
+            size = sum(map(len, live.values()))
+            for key in list(live):
+                if size <= max_bytes:
+                    break
+                size -= len(live.pop(key))
+                evicted += 1
+        entries: Dict[str, List[int]] = {}
+        offset = 0
+        for key, line in live.items():
+            entries[key] = [offset, len(line)]
+            offset += len(line)
+        result = CompactionResult(
+            records=len(live),
+            bytes_before=sum(_safe_size(path) for path in streams),
+            bytes_after=offset,
+            dry_run=dry_run,
+            skipped_segments=skipped,
+            corrupt_records=corrupt,
+            evicted_records=evicted,
         )
+        if dry_run:
+            return result
 
-        # Stream: previous generation first (it is already deduplicated),
-        # then segments in deterministic (writer, number) order.
-        seen: Dict[str, Tuple[int, int]] = {}
+        # Publish: data file, then the index that names it — both atomic.
         out_path = self.directory / (
             f"{_COMPACT_PREFIX}{generation:06d}{_COMPACT_SUFFIX}"
         )
-        tmp_path = out_path.with_suffix(out_path.suffix + ".tmp")
-        out = None if dry_run else open(tmp_path, "wb")
-        digest_chunks: List[bytes] = []
-        offset = 0
-        corrupt = 0
-        try:
-            streams: List[Path] = (
-                [old_compact] if old_compact is not None else []
-            ) + sources
-            for path in streams:
-                try:
-                    handle = open(path, "rb")
-                except OSError:
-                    continue
-                with handle:
-                    for line in handle:
-                        if not line.endswith(b"\n"):
-                            line += b"\n"
-                        try:
-                            record = json.loads(line.decode("utf-8"))
-                            key = str(record["key"])
-                            record["payload"]  # presence check
-                        except (ValueError, KeyError, TypeError):
-                            corrupt += 1
-                            continue
-                        if key in seen:
-                            continue  # duplicate: identical payload, drop
-                        seen[key] = (offset, len(line))
-                        if out is not None:
-                            out.write(line)
-                            digest_chunks.append(line)
-                        offset += len(line)
-        finally:
-            if out is not None:
-                out.flush()
-                os.fsync(out.fileno())
-                out.close()
-        if dry_run:
-            return CompactionResult(
-                records=len(seen),
-                bytes_before=bytes_before,
-                bytes_after=offset,
-                dry_run=True,
-                skipped_segments=skipped,
-            )
-
-        # Publish: data file, then the index that names it — both atomic.
-        os.replace(tmp_path, out_path)
-        index_payload = {
-            "generation": generation,
-            "file": out_path.name,
-            "bytes": offset,
-            "checksum": content_digest(iter(digest_chunks)),
-            "entries": {
-                key: [off, length] for key, (off, length) in seen.items()
-            },
-        }
-        index_tmp = self.directory / (INDEX_NAME + ".tmp")
-        with open(index_tmp, "wb") as handle:
-            handle.write(json.dumps(index_payload).encode("utf-8"))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(index_tmp, self.directory / INDEX_NAME)
+        _publish(out_path, live.values())
+        _publish(
+            self.directory / INDEX_NAME,
+            [
+                json.dumps(
+                    {
+                        "generation": generation,
+                        "file": out_path.name,
+                        "bytes": offset,
+                        "checksum": content_digest(live.values()),
+                        "entries": entries,
+                    }
+                ).encode("utf-8")
+            ],
+        )
 
         # Retire the merged inputs.
-        for path in sources:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+        for path in streams:
+            if path != out_path:
+                try:
+                    os.remove(path)
+                except OSError:
+                    pass
             self._scanned.pop(path, None)
-        if old_compact is not None and old_compact != out_path:
-            try:
-                os.remove(old_compact)
-            except OSError:
-                pass
 
-        # Swap our own view to the new generation.  Own/foreign locations
-        # into deleted files must go now — _read would recover them, but
-        # an up-to-date index costs nothing here.
+        # Swap our own view to the new generation.  Locations into deleted
+        # files must go now — _read would recover them, but an up-to-date
+        # index costs nothing here.
         deleted = set(sources)
         for key, location in list(self._index.items()):
             if location[0] != _COMPACT and location[1] in deleted:
@@ -628,12 +646,7 @@ class FabricCache:
         self._close_mmap()
         self._load_compacted()
         self.stats.corrupt_records += corrupt
-        return CompactionResult(
-            records=len(seen),
-            bytes_before=bytes_before,
-            bytes_after=offset,
-            skipped_segments=skipped,
-        )
+        return result
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -642,18 +655,11 @@ class FabricCache:
     def total_bytes(self) -> int:
         """Bytes currently held by the directory's segments and compacted
         layer (a directory scan; informational)."""
-        total = sum(
+        return sum(
             _safe_size(path)
-            for path in self.directory.glob(SEGMENT_GLOB)
-            if split_segment_name(path) is not None
-        )
-        total += sum(
-            _safe_size(path)
-            for path in self.directory.glob(
-                f"{_COMPACT_PREFIX}*{_COMPACT_SUFFIX}"
-            )
-        )
-        return total
+            for numbered in self._segments_by_writer().values()
+            for _, path in numbered
+        ) + sum(_safe_size(path) for path in self.directory.glob(COMPACT_GLOB))
 
     def _close_mmap(self) -> None:
         if self._mmap is not None:
@@ -687,3 +693,14 @@ def _safe_size(path: Path) -> int:
         return path.stat().st_size
     except OSError:
         return 0
+
+
+def _publish(path: Path, chunks) -> None:
+    """Write ``chunks`` to ``path`` atomically: a fsync'd temporary, then
+    ``os.replace`` — a reader sees the old file or the whole new one."""
+    tmp_path = path.with_suffix(path.suffix + ".tmp")
+    with open(tmp_path, "wb") as handle:
+        handle.writelines(chunks)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp_path, path)

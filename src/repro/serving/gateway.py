@@ -9,7 +9,7 @@ fingerprint) and handed to that model's own
 drain batches, dedup windows, and cache tiers of different models never
 mix: dedup keys and disk-cache keys already embed each engine's
 fingerprint, and the registry additionally roots each model's
-:class:`~repro.serving.diskcache.DiskCache` in its own
+:class:`~repro.serving.fabric.FabricCache` in its own
 ``cache_dir/<fingerprint>`` directory.
 
 Two client APIs share the workers:
@@ -97,10 +97,11 @@ class GatewayStats:
     quant_fallbacks: int = 0
     models: Dict[str, ServiceStats] = field(default_factory=dict)
     engines: Dict[str, EngineStats] = field(default_factory=dict)
-    #: Per-engine counters of the persistent disk tier itself (the
-    #: DiskCache/FabricCache attached to each live engine) — notably the
-    #: fabric's ``remote_hits``, which is how an operator sees
-    #: cross-worker cache reuse in ``repro stats`` against a pool.
+    #: Per-engine counters of the persistent store itself — the
+    #: :class:`~repro.serving.fabric.FabricStats` of the handle attached
+    #: to each live engine, as a dict.  Notably ``remote_hits``, which is
+    #: how an operator sees cross-worker cache reuse in ``repro stats``
+    #: against a pool.
     disk_tiers: Dict[str, Dict] = field(default_factory=dict)
 
     def to_dict(self) -> Dict:
@@ -167,8 +168,8 @@ class AnnotationGateway:
         # _lock guards the dicts (cheap, held briefly).  _creation_locks
         # serializes each route's worker retire/create cycle END TO END —
         # a stale worker is fully drained and closed before its
-        # replacement can serve, which is what keeps two DiskCache writers
-        # from ever appending to one per-fingerprint directory at once.
+        # replacement can serve, which is what keeps two engines from ever
+        # appending to one per-fingerprint directory under one writer id.
         # The locks are per route: retiring one model (which drains its
         # queue) never stalls submissions to the hot routes.
         self._lock = threading.Lock()

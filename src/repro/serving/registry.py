@@ -23,11 +23,10 @@ weights, and ablation variants all serve side by side.
   ``pinned=True``, or any in-memory registration, which has no checkpoint
   to reload from — form the capacity floor eviction never digs into.
 * **Cache partitioning**: given a ``cache_dir``, every engine gets its own
-  :class:`~repro.serving.diskcache.DiskCache` rooted at
+  :class:`~repro.serving.fabric.FabricCache` rooted at
   ``cache_dir/<fingerprint>`` — models never share segment files (the
   composite result key already embeds the fingerprint, so partitioning is
-  belt on top of braces, and it keeps the one-writer-per-directory
-  contract of the disk tier).
+  belt on top of braces).
 
 The registry is thread-safe; the gateway calls into it on every submit.
 """
@@ -40,6 +39,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from .engine import AnnotationEngine, EngineConfig
+from .fabric import FabricCache
 
 ModelSource = Union[str, Path, AnnotationEngine, object]
 
@@ -157,20 +157,18 @@ class ModelRegistry:
         self.max_live = max_live
         self.engine_config = engine_config
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        # With a fabric writer id, per-fingerprint directories get the
-        # concurrently-writable FabricCache (one writer id per process —
-        # the serving pool passes "w<slot>-pid<PID>") instead of the
-        # single-writer DiskCache.  Same keys, same payload bytes; what
-        # changes is that sibling processes' entries are readable.
+        # The writer id this process appends under in every
+        # per-fingerprint directory (the serving pool passes
+        # "w<slot>-pid<PID>"); None takes the store's "pid<PID>" default.
         self.fabric_writer = fabric_writer
         self.stats = RegistryStats()
         self._entries: Dict[str, RegisteredModel] = {}
-        # One DiskCache handle per fingerprint, shared by every engine
-        # (and every registration — two names over the same weights) that
-        # resolves to it: the per-directory one-writer contract holds by
-        # construction, and an evict/reload cycle reuses the same handle
-        # instead of racing a fresh one against the old.
-        self._disk_caches: Dict[str, object] = {}
+        # One store handle per fingerprint, shared by every engine (and
+        # every registration — two names over the same weights) that
+        # resolves to it: one writer id never appends through two handles,
+        # and an evict/reload cycle reuses the same handle instead of
+        # racing a fresh one against the old.
+        self._disk_caches: Dict[str, FabricCache] = {}
         self._default_name: Optional[str] = None
         self._clock = 0
         self._lock = threading.RLock()
@@ -345,9 +343,9 @@ class ModelRegistry:
 
         Handles are shared per fingerprint: registering the same weights
         under two names, or evicting and reloading one name, always reuses
-        the one :class:`DiskCache` that owns that directory (its
-        operations are internally locked), so no two writers ever append
-        to the same segment files.
+        the one :class:`~repro.serving.fabric.FabricCache` handle this
+        process holds on that directory (its operations are internally
+        locked).
         """
         if self.cache_dir is None or engine.result_cache is not None:
             return
@@ -355,18 +353,9 @@ class ModelRegistry:
         with self._lock:
             cache = self._disk_caches.get(fingerprint)
             if cache is None:
-                if self.fabric_writer is not None:
-                    from .fabric import FabricCache  # deferred: tier on
-
-                    cache = FabricCache(
-                        self.cache_dir / fingerprint,
-                        writer=self.fabric_writer,
-                    )
-                else:
-                    from .diskcache import DiskCache  # deferred: tier on
-
-                    cache = DiskCache(self.cache_dir / fingerprint)
-                self._disk_caches[fingerprint] = cache
+                cache = self._disk_caches[fingerprint] = FabricCache(
+                    self.cache_dir / fingerprint, writer=self.fabric_writer
+                )
         engine.result_cache = cache
 
     def unregister(self, name: str) -> None:

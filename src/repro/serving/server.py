@@ -51,7 +51,7 @@ SIGINT/SIGTERM in the CLI, or programmatically) closes the listener,
 stops reading new records, drains every accepted answer to its client,
 and closes the connections.  Closing the *gateway* afterwards (the CLI
 does) drains the per-model workers and flushes/closes the persistent
-:class:`~repro.serving.diskcache.DiskCache` tiers — no answer accepted
+:class:`~repro.serving.fabric.FabricCache` stores — no answer accepted
 before the shutdown is lost, and no cache write is torn.
 
 :class:`ServerThread` runs the whole thing on a private event loop in a

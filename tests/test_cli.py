@@ -480,6 +480,60 @@ class TestServeMultiModel:
         out = capsys.readouterr().out
         assert "0 encoder passes" in out and "4 disk hits" in out
 
+    @pytest.mark.parametrize("producer", ["annotate", "serve"])
+    def test_plain_segment_directories_stay_warm(
+        self, producer, bundle_dir, corpus, tmp_path, capsys
+    ):
+        """Directories as the releases with a separate single-writer store
+        left them — plain ``segment-NNNNNN.jsonl`` plus a ``writer.lock``,
+        flat (`annotate`) or per-fingerprint (`serve`) — are served 100 %
+        warm with no operator step."""
+        cache_dir = tmp_path / "old-cache"
+        assert main([
+            producer, str(bundle_dir), str(corpus),
+            "--cache-dir", str(cache_dir), "--out", str(tmp_path / "a.jsonl"),
+        ]) == 0
+        segments = list(cache_dir.rglob("segment-*.jsonl"))
+        assert len(segments) == 1
+        flat = segments[0].parent == cache_dir
+        assert flat == (producer == "annotate")
+        segments[0].rename(segments[0].with_name("segment-000000.jsonl"))
+        for lock in cache_dir.rglob("writer-*.lock"):
+            lock.rename(lock.with_name("writer.lock"))
+        capsys.readouterr()
+        assert main([
+            "serve", str(bundle_dir), str(corpus),
+            "--cache-dir", str(cache_dir), "--out", str(tmp_path / "b.jsonl"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "0 encoder passes" in out and "4 disk hits" in out
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+    def test_compacted_flat_cache_stays_warm_under_serve(
+        self, bundle_dir, corpus, tmp_path, capsys
+    ):
+        """Regression: a flat directory that `repro cache compact` left
+        with only a generation (no ``segment-*`` file) was taken for
+        empty and served cold out of a new fingerprint subdirectory."""
+        cache_dir = tmp_path / "flat-cache"
+        assert main([
+            "annotate", str(bundle_dir), str(corpus),
+            "--cache-dir", str(cache_dir), "--out", str(tmp_path / "a.jsonl"),
+        ]) == 0
+        assert main(["cache", "compact", str(cache_dir)]) == 0
+        assert not list(cache_dir.glob("segment-*.jsonl"))
+        assert (cache_dir / "fabric-index.json").exists()
+        capsys.readouterr()
+        assert main([
+            "serve", str(bundle_dir), str(corpus),
+            "--cache-dir", str(cache_dir), "--out", str(tmp_path / "b.jsonl"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "0 encoder passes" in out and "4 disk hits" in out
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+        # Nothing was served out of (or written to) a fingerprint subdirectory.
+        assert [p.name for p in cache_dir.iterdir() if p.is_dir()] in ([], ["proofs"])
+
     def test_loop_mode_survives_malformed_records(self, bundle_dir, corpus,
                                                   capsys, monkeypatch):
         """Non-JSON lines and invalid tables get error records; the
@@ -986,24 +1040,41 @@ class TestParser:
                        for p in cache_dir.glob("*.jsonl"))
         assert before == after
 
-    def test_cache_compact_skips_live_writer(self, tmp_path, capsys):
+    def test_cache_compact_works_around_live_writer(self, tmp_path, capsys):
         from repro.serving import DiskCache
 
         cache_dir = tmp_path / "cache"
-        live = DiskCache(cache_dir)  # holds the writer lock
+        live = DiskCache(cache_dir)  # holds its writer lock
         try:
             live.put("k", {"v": 1})
             assert main(["cache", "compact", str(cache_dir)]) == 0
             out = capsys.readouterr().out
-            assert "skipped" in out
-            assert "writer active" in out
+            assert "0 live records" in out
+            assert "1 live-writer segments left in place" in out
             # The live writer's data was not touched.
+            assert list(cache_dir.glob("segment-*.jsonl"))
             assert live.get("k") == {"v": 1}
         finally:
             live.close()
-        # Writer gone: the same command now compacts.
+        # Writer gone: the same command now merges its segment.
         assert main(["cache", "compact", str(cache_dir)]) == 0
-        assert "compacted" in capsys.readouterr().out
+        assert "1 live records" in capsys.readouterr().out
+        assert not list(cache_dir.glob("segment-*.jsonl"))
+
+    def test_cache_compact_skips_directory_being_compacted(
+        self, tmp_path, capsys
+    ):
+        from repro.serving import DiskCache, FileLock
+
+        cache_dir = tmp_path / "cache"
+        with DiskCache(cache_dir) as cache:
+            cache.put("k", {"v": 1})
+        with FileLock(cache_dir / "compact.lock"):
+            assert main(["cache", "compact", str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "skipped" in out
+        assert "another compaction is running" in out
+        assert list(cache_dir.glob("segment-*.jsonl"))
 
     def test_cache_compact_fabric_directory(self, tmp_path, capsys):
         from repro.serving import FabricCache

@@ -1,6 +1,7 @@
-"""The persistent result-cache tier: DiskCache + engine integration.
+"""The persistent result-cache tier: what is stored + engine integration.
 
-The load-bearing guarantees:
+(The store itself — segments, reopen, torn writes, compaction — is
+``tests/test_fabric.py``.)  The load-bearing guarantees:
 
 * a disk hit reproduces the producing pass **byte-identically** (floats
   survive the JSON round trip exactly, embeddings keep dtype and shape);
@@ -25,7 +26,6 @@ from repro.serving import (
     AnnotationEngine,
     AnnotationOptions,
     AnnotationRequest,
-    DiskCache,
     EngineConfig,
     result_cache_key,
 )
@@ -60,270 +60,6 @@ def dataset():
 @pytest.fixture(scope="module")
 def trainer(dataset):
     return _train(dataset)
-
-
-@pytest.mark.smoke
-class TestDiskCacheStore:
-    """DiskCache as a plain key/payload store."""
-
-    def test_put_get_roundtrip(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        cache.put("k1", {"value": [1.5, "x"]})
-        assert cache.get("k1") == {"value": [1.5, "x"]}
-        assert cache.get("missing") is None
-        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
-        assert len(cache) == 1 and "k1" in cache
-
-    def test_entries_survive_reopen(self, tmp_path):
-        with DiskCache(tmp_path) as cache:
-            cache.put("k", {"n": 7})
-        reopened = DiskCache(tmp_path)
-        assert reopened.get("k") == {"n": 7}
-        assert len(reopened) == 1
-
-    def test_entries_are_immutable(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        cache.put("k", {"v": 1})
-        cache.put("k", {"v": 2})  # first write wins
-        assert cache.get("k") == {"v": 1}
-        assert cache.stats.writes == 1
-
-    def test_segment_rotation(self, tmp_path):
-        cache = DiskCache(tmp_path, max_segment_records=2)
-        for i in range(5):
-            cache.put(f"k{i}", {"i": i})
-        segments = sorted(tmp_path.glob("segment-*.jsonl"))
-        assert len(segments) == 3  # 2 + 2 + 1
-        reopened = DiskCache(tmp_path, max_segment_records=2)
-        assert {reopened.get(f"k{i}")["i"] for i in range(5)} == set(range(5))
-
-    def test_reopen_continues_partial_segment(self, tmp_path):
-        with DiskCache(tmp_path, max_segment_records=4) as cache:
-            cache.put("a", {})
-        with DiskCache(tmp_path, max_segment_records=4) as cache:
-            cache.put("b", {})
-        assert len(list(tmp_path.glob("segment-*.jsonl"))) == 1
-        assert len(DiskCache(tmp_path)) == 2
-
-    def test_corrupt_lines_skipped_and_counted(self, tmp_path):
-        with DiskCache(tmp_path) as cache:
-            cache.put("good", {"ok": True})
-            cache.put("also-good", {"ok": True})
-        segment = next(tmp_path.glob("segment-*.jsonl"))
-        lines = segment.read_bytes().splitlines(keepends=True)
-        # Torn write in the middle: truncated JSON plus garbage bytes.
-        segment.write_bytes(
-            lines[0] + b'{"key": "torn", "payl\n' + b"\xff\xfe garbage\n" + lines[1]
-        )
-        recovered = DiskCache(tmp_path)
-        assert recovered.stats.corrupt_records == 2
-        assert recovered.get("good") == {"ok": True}
-        assert recovered.get("also-good") == {"ok": True}
-        assert len(recovered) == 2
-        # Recovery keeps the store writable.
-        recovered.put("new", {"ok": 1})
-        assert DiskCache(tmp_path).get("new") == {"ok": 1}
-
-    def test_torn_tail_does_not_swallow_next_record(self, tmp_path):
-        """A crash can leave the newest segment without a trailing newline;
-        the next append must start on a fresh line or its record would be
-        merged into the torn bytes and lost at the following scan."""
-        with DiskCache(tmp_path) as cache:
-            cache.put("survivor", {"ok": True})
-        segment = next(tmp_path.glob("segment-*.jsonl"))
-        with open(segment, "ab") as handle:
-            handle.write(b'{"key": "torn", "payload"')  # no newline
-        reopened = DiskCache(tmp_path)
-        assert reopened.stats.corrupt_records == 1
-        reopened.put("after-crash", {"n": 1})
-        assert reopened.get("after-crash") == {"n": 1}
-        reopened.close()
-        # The record written after recovery survives the *next* restart.
-        final = DiskCache(tmp_path)
-        assert final.get("after-crash") == {"n": 1}
-        assert final.get("survivor") == {"ok": True}
-        assert final.stats.corrupt_records == 1
-
-    def test_clear(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        cache.put("k", {})
-        cache.clear()
-        assert len(cache) == 0
-        assert list(tmp_path.glob("segment-*.jsonl")) == []
-        cache.put("k2", {"v": 2})  # still usable after clear
-        assert cache.get("k2") == {"v": 2}
-
-    def test_invalid_segment_size_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="max_segment_records"):
-            DiskCache(tmp_path, max_segment_records=0)
-
-    def test_invalid_max_bytes_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="max_bytes"):
-            DiskCache(tmp_path, max_bytes=-1)
-
-
-@pytest.mark.smoke
-class TestDiskCacheGrowthControl:
-    """compact() and the max_bytes bound: the tier no longer grows forever."""
-
-    def test_compact_preserves_every_live_record(self, tmp_path):
-        with DiskCache(tmp_path, max_segment_records=3) as cache:
-            for i in range(10):
-                cache.put(f"k{i}", {"i": i})
-            result = cache.compact()
-            assert result.records == 10
-            assert result.bytes_after <= result.bytes_before
-            for i in range(10):
-                assert cache.get(f"k{i}") == {"i": i}
-            # Still writable after the swap, and everything survives reopen.
-            cache.put("post", {"ok": True})
-        reopened = DiskCache(tmp_path, max_segment_records=3)
-        assert len(reopened) == 11
-        assert reopened.get("post") == {"ok": True}
-
-    def test_compact_drops_corrupt_lines(self, tmp_path):
-        with DiskCache(tmp_path) as cache:
-            cache.put("a", {"v": 1})
-            cache.put("b", {"v": 2})
-        segment = next(tmp_path.glob("segment-*.jsonl"))
-        lines = segment.read_bytes().splitlines(keepends=True)
-        segment.write_bytes(lines[0] + b"{torn garbage\n" + lines[1])
-        cache = DiskCache(tmp_path)
-        assert cache.stats.corrupt_records == 1
-        bytes_with_garbage = cache.total_bytes
-        result = cache.compact()
-        assert result.records == 2
-        assert result.bytes_after < bytes_with_garbage
-        assert cache.get("a") == {"v": 1}
-        assert cache.get("b") == {"v": 2}
-        # The rewritten log scans clean.
-        assert DiskCache(tmp_path).stats.corrupt_records == 0
-
-    def test_compact_empty_cache(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        result = cache.compact()
-        assert result.records == 0
-        assert result.reclaimed_bytes == 0
-        cache.put("k", {})  # usable afterwards
-        assert cache.get("k") == {}
-
-    def test_max_bytes_evicts_oldest_segments(self, tmp_path):
-        with DiskCache(tmp_path, max_segment_records=2) as cache:
-            for i in range(8):
-                cache.put(f"k{i}", {"i": i})
-            full_bytes = cache.total_bytes
-        bounded = DiskCache(
-            tmp_path, max_segment_records=2, max_bytes=full_bytes // 2
-        )
-        assert bounded.total_bytes <= full_bytes // 2
-        assert bounded.stats.evicted_records > 0
-        # Oldest entries went first; the newest survive.
-        assert bounded.get("k0") is None
-        assert bounded.get("k7") == {"i": 7}
-
-    def test_max_bytes_enforced_during_writes(self, tmp_path):
-        cache = DiskCache(tmp_path, max_segment_records=2, max_bytes=120)
-        for i in range(20):
-            cache.put(f"k{i}", {"i": i})
-        # The bound may be overshot by at most the active segment.
-        assert cache.total_bytes <= 120 + 2 * 40
-        assert len(cache) < 20
-        assert cache.get("k19") == {"i": 19}  # newest always served
-
-    def test_active_segment_never_evicted(self, tmp_path):
-        cache = DiskCache(tmp_path, max_segment_records=100, max_bytes=1)
-        cache.put("only", {"v": 1})
-        # One active segment holding more than max_bytes: kept anyway.
-        assert cache.get("only") == {"v": 1}
-        assert cache.stats.evicted_records == 0
-
-    def test_foreign_glob_matches_never_deleted(self, tmp_path):
-        """A foreign file matching the segment glob is skipped by the scan;
-        eviction, compaction, and clear must leave it alone too."""
-        foreign = tmp_path / "segment-old.jsonl"
-        foreign.write_text("user data, not ours\n")
-        cache = DiskCache(tmp_path, max_segment_records=2, max_bytes=1)
-        for i in range(6):
-            cache.put(f"k{i}", {"i": i})  # forces eviction of old segments
-        cache.compact()
-        cache.clear()
-        assert foreign.read_text() == "user data, not ours\n"
-        assert cache.total_bytes == 0  # foreign bytes never entered accounting
-
-
-class TestWriterLockAndDryRun:
-    """The advisory writer lock and the non-mutating compaction preview
-    that make `repro cache compact` safe against live processes."""
-
-    def test_writer_lock_held_while_open_released_on_close(self, tmp_path):
-        from repro.serving import FileLock
-        from repro.serving.diskcache import WRITER_LOCK_NAME
-
-        cache = DiskCache(tmp_path)
-        cache.put("k", {"v": 1})
-        assert cache.holds_writer_lock
-        assert FileLock.is_locked(tmp_path / WRITER_LOCK_NAME)
-        cache.close()
-        assert not cache.holds_writer_lock
-        assert not FileLock.is_locked(tmp_path / WRITER_LOCK_NAME)
-
-    def test_second_writer_cannot_compact(self, tmp_path):
-        from repro.serving import CacheLockedError
-
-        first = DiskCache(tmp_path)
-        try:
-            first.put("k", {"v": 1})
-            second = DiskCache(tmp_path)
-            try:
-                # flock is per open file description, so even an
-                # in-process second handle observes the contention.
-                assert not second.holds_writer_lock
-                with pytest.raises(CacheLockedError):
-                    second.compact()
-            finally:
-                second.close()
-            # The holder itself may still compact.
-            assert first.compact().records == 1
-        finally:
-            first.close()
-
-    def test_dry_run_projection_matches_real_compaction(self, tmp_path):
-        with DiskCache(tmp_path, max_segment_records=2) as cache:
-            for i in range(7):
-                cache.put(f"k{i}", {"i": i})
-        # Add dead weight: a corrupt line a real compaction would drop.
-        segment = sorted(tmp_path.glob("segment-*.jsonl"))[0]
-        with open(segment, "ab") as handle:
-            handle.write(b"{torn garbage\n")
-        with DiskCache(tmp_path) as cache:
-            files_before = sorted(
-                (p.name, p.stat().st_size) for p in tmp_path.glob("*.jsonl")
-            )
-            dry = cache.compact(dry_run=True)
-            assert dry.dry_run
-            assert sorted(
-                (p.name, p.stat().st_size) for p in tmp_path.glob("*.jsonl")
-            ) == files_before  # nothing rewritten
-            assert dry.reclaimed_bytes > 0  # the garbage line is dead space
-            real = cache.compact()
-        assert not real.dry_run
-        assert real.records == dry.records == 7
-        assert real.bytes_after == dry.bytes_after
-        assert real.reclaimed_bytes == dry.reclaimed_bytes
-
-    def test_dry_run_works_without_the_writer_lock(self, tmp_path):
-        writer = DiskCache(tmp_path)
-        try:
-            writer.put("k", {"v": 1})
-            observer = DiskCache(tmp_path)
-            try:
-                result = observer.compact(dry_run=True)  # no lock needed
-                assert result.dry_run
-                assert result.records == 1
-            finally:
-                observer.close()
-        finally:
-            writer.close()
 
 
 @pytest.mark.smoke
