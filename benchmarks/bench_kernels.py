@@ -23,7 +23,7 @@ import numpy as np
 
 from common import SMOKE, print_block, print_table
 
-from repro.nn.kernels import Workspace, fused_qkv, gelu_, layer_norm_, softmax_
+from repro.nn.kernels import Workspace, gelu_, layer_norm_, matmul_into, softmax_
 
 REPEATS = 50 if SMOKE else 400
 BATCH, SEQ, DIM = (8, 64, 64) if SMOKE else (16, 128, 128)
@@ -51,9 +51,12 @@ def _bench_fused_qkv():
         return (x @ w[0] + b[0], x @ w[1] + b[1], x @ w[2] + b[2])
 
     ws = Workspace()
-    fused = lambda: fused_qkv(
-        x, w[0], b[0], w[1], b[1], w[2], b[2], w_qkv, b_qkv, ws
-    )
+
+    def fused():
+        qkv = matmul_into(x, w_qkv, ws, "qkv", parts=w)
+        qkv += b_qkv
+        return qkv[..., :DIM], qkv[..., DIM : 2 * DIM], qkv[..., 2 * DIM :]
+
     proof_seconds = _timed(fused, 1)  # includes the first-call proof
     split_seconds = _timed(split, REPEATS)
     fused_seconds = _timed(fused, REPEATS)  # proven steady state

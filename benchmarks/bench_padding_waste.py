@@ -6,14 +6,13 @@ Not a paper table — this benchmarks the unified encoding layer
 
 * **serving drain** — tokens wasted per drain under the PR-1 policy
   (sort by length, chunk, pad each chunk to its own maximum — simulated
-  with :meth:`BatchPlanner.plan_padded`) vs the exact planner actually
-  running in the engine, which the engine's own ``EngineStats`` token
-  odometers confirm;
+  with :meth:`BatchPlanner.plan_padded`) vs exact buckets at plan level
+  and vs what the engine actually runs (padding-free ragged passes on the
+  float fast path), which its own ``EngineStats`` token odometers confirm;
 * **training epoch** — the padding accounting `TrainingHistory` now
   records for a fine-tuning run;
-* **throughput** — batched annotation must be no slower than the PR-1
-  numbers even though exact buckets run more, smaller forward passes
-  (they also run strictly fewer wasted FLOPs, and results are now
+* **throughput** — batched annotation must be no slower than
+  one-table-at-a-time serving (no wasted FLOPs, and results are
   byte-identical to sequential serving).
 
 Emits the usual fixed-width table plus a JSON summary line.
@@ -78,7 +77,7 @@ def run_experiment():
         ("serving drain, exact buckets (plan)", exact_report.batches,
          exact_report.real_tokens, exact_report.padded_tokens,
          exact_report.wasted_tokens, f"{exact_report.waste_ratio:.4f}"),
-        ("serving drain, exact buckets (engine)", engine.stats.batches,
+        ("serving drain, ragged passes (engine)", engine.stats.batches,
          engine.stats.real_tokens, engine.stats.padded_tokens,
          engine.stats.padded_tokens - engine.stats.real_tokens,
          f"{engine.stats.padding_waste:.4f}"),

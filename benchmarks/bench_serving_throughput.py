@@ -10,8 +10,9 @@ WikiTable workload:
 * **sequential engine** — one single-pass engine batch per table, float32
   fast kernels with their byte-identity proof gates.  This is the
   *float32 fast-kernel baseline* every later row is scored against;
-* **batched engine** — length-bucketed padded batches of 8 and 16 tables
-  (still float32, still exact-width buckets — the byte-identity contract
+* **batched engine** — drains of 8 and 16 tables, one padding-free
+  token-major pass each whatever their widths (still float32, every
+  sequence at the width it would have alone — the byte-identity contract
   forbids near-width packing on this path);
 * **int8 serving tier** — ``precision="int8"`` with the optimizations the
   accuracy gate licenses as a package: quantized weights with fused

@@ -69,8 +69,9 @@ def main() -> None:
     print(f"\ncontextualized column embeddings: {annotated.colemb.shape}")
 
     # 4. Serve a workload: the engine serializes each table once (LRU cache),
-    #    length-buckets the batch, and derives types, scores, relations, and
-    #    embeddings from a single padded forward pass per batch.
+    #    runs each batch as one padding-free forward pass whatever the
+    #    tables' widths, and derives types, scores, relations, and
+    #    embeddings from it.
     engine = AnnotationEngine(model, EngineConfig(batch_size=16))
     results = engine.annotate_batch(splits.test.tables)
     stats = engine.stats

@@ -15,9 +15,11 @@ full system on a pure-numpy substrate:
   toolbox API, wide-table splitting, numeric-magnitude embeddings, model
   bundles (save/load)
 * :mod:`repro.encoding` — the unified encoding layer: one serialization
-  pipeline (content-hash cache shared by training, serving, and analysis)
-  and the exact width-bucket batch planner (zero padding waste, batched
-  inference byte-identical to sequential)
+  pipeline (content-hash cache shared by training, serving, and analysis),
+  the width signatures that keep every sequence at the width it would
+  have alone, and the exact width-bucket batch planner for the paths that
+  pad a batch to one width (zero padding waste, batched inference
+  byte-identical to sequential)
 * :mod:`repro.baselines` — Sherlock, Sato (LDA + CRF), TURL visibility model
 * :mod:`repro.matching` — fastText-like embeddings, COMA, DistributionBased,
   k-means (case-study substrate)
@@ -26,7 +28,8 @@ full system on a pure-numpy substrate:
   classification reports, k-fold cross-validation, ASCII figure rendering
 * :mod:`repro.io` — CSV tables and JSONL dataset round-trips
 * :mod:`repro.serving` — the serving stack: the batched ``AnnotationEngine``
-  (single-pass inference, exact width-bucketed batching, streaming), the
+  (single-pass inference, one padding-free pass per drain whatever the
+  widths, streaming), the
   multi-model ``ModelRegistry`` + ``AnnotationGateway`` front door
   (fingerprint-keyed routing, per-model dedup queues, hot
   register/repoint/unregister, thread and asyncio-native client APIs),

@@ -30,13 +30,12 @@ RULE_ID = "fingerprint-fold"
 #: mirrored in docs/checks.md.
 BYTE_NEUTRAL: Dict[str, str] = {
     "batch_size": (
-        "exact width-bucket batching is byte-identical to sequential "
-        "annotation at every batch size (PR 3 contract, tier-1 tested)"
+        "every sequence is encoded at the width it would have alone "
+        "(padding-free ragged passes, or exact width buckets), so batching "
+        "is byte-identical to sequential annotation at every batch size "
+        "(PR 3 contract, tier-1 tested)"
     ),
     "cache_size": "serialization-cache capacity; hits replay identical bytes",
-    "length_bucketing": (
-        "bucket ordering only — batch composition stays exact either way"
-    ),
     "default_options": (
         "per-request options fold into the request-level cache key, not "
         "the model fingerprint"

@@ -9,6 +9,24 @@ the bytes), and the shape-dependent fusions are proof-gated, so a session's
 outputs are bitwise identical to the autograd forward at the same weight
 dtype — ``tests/test_kernel_identity.py`` pins this differentially.
 
+Token-major batching
+--------------------
+DODUO's sequences are short (a whole table in a few dozen tokens), so a
+forward pass over one is mostly the dispatch cost of its ~150 small numpy
+calls, and padding tables of different widths into a rectangle would change
+their bytes.  The float session therefore never builds a rectangle: the
+sequences of a batch are laid end to end in one ``(sum of widths, dim)``
+matrix, each at exactly the width the reference path gives it alone (its
+own length, or — single-column mode, forced column-cache encodes — the
+padded width its table dictates, pad rows and mask bias included).  Every
+token-wise step runs once over that matrix and only attention runs per
+width group, so a drain of eight tables of eight widths is one pass, not
+eight.  What keeps the bytes: row-wise ufuncs and last-axis reductions do
+not see the other rows by construction, and the one thing that could — a
+GEMM choosing its kernel by row count — is proven per (K, N, dtype) and band
+of sequence widths before it is relied on, with per-sequence GEMMs as the
+fallback (:meth:`InferenceSession._project`).
+
 Dtype policy
 ------------
 A session is built for one compute dtype:
@@ -40,25 +58,31 @@ caches (which would otherwise serve stale hits anyway).
 
 The hidden-state array returned by :meth:`encode_batch` aliases workspace
 memory: it is valid until the next call on the same session.  Callers
-gather what they need (``[CLS]`` rows) before re-entering.
+gather what they need (``[CLS]`` rows, :func:`gather_states`) before
+re-entering.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+import logging
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..nn import functional as F
 from ..nn.kernels import (
     Workspace,
-    fused_qkv,
     gelu_,
     layer_norm_,
     matmul_into,
+    prove_row_stable,
+    row_stable_key,
     softmax_,
+    width_band,
 )
 from .serialization import EncodedTable, column_visibility, pad_batch
+
+logger = logging.getLogger(__name__)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .model import DoduoModel
@@ -130,8 +154,32 @@ class _BlockWeights:
     )
 
 
+class _Group:
+    """One run of same-width sequences in a token-major batch: rows
+    ``start:stop`` of the flat matrix, ``members`` indexing the caller's
+    items, ``bias`` the additive attention bias (``None`` = all zeros)."""
+
+    __slots__ = ("start", "stop", "width", "members", "bias")
+
+    def __init__(self, start: int, width: int) -> None:
+        self.start = self.stop = start
+        self.width = width
+        self.members: List[int] = []
+        self.bias: Optional[np.ndarray] = None
+
+
+def gather_states(hidden: np.ndarray, locations: np.ndarray) -> np.ndarray:
+    """Rows ``locations`` of an ``encode_batch`` result, whichever of its
+    two shapes (token-major or one-width rectangle) it came back in."""
+    return hidden.reshape(-1, hidden.shape[-1])[locations]
+
+
 class InferenceSession:
     """One model × one compute dtype, ready for repeated no-tape forwards."""
+
+    #: Sequences of different widths can share one pass (``encode_batch``
+    #: takes a width per item), so callers need not bucket by width.
+    ragged = True
 
     def __init__(self, model: "DoduoModel", dtype: str = "float32") -> None:
         if dtype not in INFERENCE_DTYPES:
@@ -151,6 +199,7 @@ class InferenceSession:
 
         encoder = model.encoder
         self.max_position = encoder.config.max_position
+        self._positions = np.arange(self.max_position)
         self.num_segments = encoder.config.num_segments
         self.tok_w = self._arr(encoder.token_embedding.weight)
         self.pos_w = self._arr(encoder.position_embedding.weight)
@@ -223,63 +272,129 @@ class InferenceSession:
 
     # -- forward -----------------------------------------------------------------
     def encode_batch(
-        self, encoded: Sequence[EncodedTable], width: Optional[int] = None
+        self,
+        encoded: Sequence[EncodedTable],
+        width: Union[None, int, Sequence[int]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """No-tape twin of :meth:`DoduoModel.encode_batch`.
+        """No-tape twin of :meth:`DoduoModel.encode_batch`, padding-free.
 
-        Same preprocessing (padding, segments, visibility, numeric bins),
-        same odometer updates, same bytes — but returns a plain ndarray
-        that aliases workspace memory (valid until the next session call).
-        ``width`` forces the padded width (must be >= the longest item), so
-        the column cache can encode misses at the exact bucket width.
+        ``width`` is the padded width of the sequences: ``None`` pads every
+        one to the longest (what the reference path does with this batch),
+        an int forces one width for all (the column cache encodes misses at
+        the bucket width), and a sequence gives **each item its own** — the
+        width the reference path would give it alone.  Items of different
+        widths then share this one pass without being inflated into a
+        rectangle: see :meth:`_forward`.
+
+        Returns ``(hidden, locations)``.  ``hidden`` is token-major,
+        ``(sum of widths, dim)``, the sequences laid end to end in ascending
+        width order — or, when every sequence has one width, the same
+        buffer's ``(batch, width, dim)`` view, rows in input order.
+        ``locations`` holds the flat row of every column's ``[CLS]`` in item
+        order, so ``hidden.reshape(-1, dim)[locations]`` gathers the column
+        states either way.  ``hidden`` aliases workspace memory (valid until
+        the next session call).  Same odometer updates, same range checks,
+        same bytes as the reference.
         """
         model = self.model
+        lengths = [item.length for item in encoded]
+        if width is None:
+            widths = [max(lengths, default=0)] * len(encoded)
+        elif isinstance(width, (int, np.integer)):
+            widths = [int(width)] * len(encoded)
+        else:
+            widths = [int(w) for w in width]
+            if len(widths) != len(encoded):
+                raise ValueError(
+                    f"{len(widths)} widths for {len(encoded)} sequences"
+                )
+        for length, padded in zip(lengths, widths):
+            if padded < length:
+                raise ValueError(
+                    f"width {padded} cannot hold a sequence of length {length}"
+                )
+        if widths and max(widths) > self.max_position:
+            raise ValueError(
+                f"sequence length {max(widths)} exceeds max_position "
+                f"{self.max_position}"
+            )
         model.encode_calls += 1
-        pad_id = 0  # PAD is always id 0 in our vocabulary
-        token_ids, attention = pad_batch(encoded, pad_id, width=width)
-        padded_width = token_ids.shape[1]
-        model.real_tokens += int(sum(e.length for e in encoded))
-        model.padded_tokens += int(token_ids.size)
-        segments = np.zeros_like(token_ids)
-        if model.use_column_segments:
-            for row, item in enumerate(encoded):
-                segment_row = np.clip(item.column_ids + 1, 0, self.num_segments - 1)
-                segments[row, : item.length] = segment_row
-        visibility = None
-        if model.use_visibility_matrix:
-            visibility = column_visibility(encoded, width=padded_width)
-        numeric = None
-        if self.num_w is not None:
-            numeric = np.zeros_like(token_ids)
-            for row, item in enumerate(encoded):
-                if item.numeric_ids is not None:
-                    numeric[row, : item.length] = item.numeric_ids
-        hidden = self._forward(token_ids, attention, segments, visibility, numeric)
-        locations = []
-        for row, item in enumerate(encoded):
-            for pos in item.cls_positions:
-                locations.append((row, pos))
-        return hidden, np.asarray(locations, dtype=np.int64)
+        model.real_tokens += sum(lengths)
+        model.padded_tokens += sum(widths)
 
-    def _forward(
+        # Lay the sequences end to end, same widths adjacent (stable, so a
+        # one-width batch keeps input order): each width group is then one
+        # contiguous run of rows that attention can view as a rectangle.
+        starts = [0] * len(encoded)
+        groups: List[_Group] = []
+        total = 0
+        for k in sorted(range(len(encoded)), key=widths.__getitem__):
+            if not groups or groups[-1].width != widths[k]:
+                groups.append(_Group(total, widths[k]))
+            groups[-1].members.append(k)
+            starts[k] = total
+            total += widths[k]
+        token_ids = np.zeros(total, dtype=np.int64)  # PAD is always id 0
+        # -1 is "no column" ([SEP] and padding): segment 0 after the shift.
+        column_ids = np.full(total, -1, dtype=np.int64)
+        numeric = None if self.num_w is None else np.zeros(total, dtype=np.int64)
+        for item, start, length in zip(encoded, starts, lengths):
+            stop = start + length
+            token_ids[start:stop] = item.token_ids
+            if model.use_column_segments:
+                column_ids[start:stop] = item.column_ids
+            if numeric is not None and item.numeric_ids is not None:
+                numeric[start:stop] = item.numeric_ids
+        positions = np.empty(total, dtype=np.int64)
+        for group in groups:
+            group.stop = group.start + len(group.members) * group.width
+            positions[group.start : group.stop].reshape(
+                len(group.members), group.width
+            )[:] = self._positions[: group.width]
+            group.bias = self._attention_bias(
+                [encoded[k] for k in group.members], group.width
+            )
+        segments = np.clip(column_ids + 1, 0, self.num_segments - 1)
+        hidden = self._forward(token_ids, positions, segments, numeric, groups)
+        if len(groups) == 1:
+            hidden = hidden.reshape(-1, groups[0].width, hidden.shape[-1])
+        locations = [
+            item.cls_positions + start for item, start in zip(encoded, starts)
+        ]
+        return hidden, (
+            np.concatenate(locations) if locations else np.empty(0, dtype=np.int64)
+        )
+
+    def _attention_bias(
+        self, members: Sequence[EncodedTable], width: int
+    ) -> Optional[np.ndarray]:
+        """The additive score bias of one width group, as the reference
+        builds it — or ``None`` when it would be all zeros (no padding, no
+        visibility matrix): softmax subtracts the row maximum first, so
+        adding zeros cannot change a byte of its output."""
+        visible = self.model.use_visibility_matrix
+        if not visible and all(item.length == width for item in members):
+            return None
+        mask = np.zeros((len(members), width), dtype=bool)
+        for row, item in enumerate(members):
+            mask[row, : item.length] = True
+        bias = F.attention_bias_from_mask(mask)
+        if visible:
+            bias = F.visibility_bias(column_visibility(members, width=width)) + bias
+        return bias
+
+    def _embed(
         self,
         token_ids: np.ndarray,
-        attention_mask: Optional[np.ndarray],
+        positions: np.ndarray,
         segment_ids: np.ndarray,
-        visibility: Optional[np.ndarray],
         numeric_ids: Optional[np.ndarray],
     ) -> np.ndarray:
-        token_ids = np.asarray(token_ids)
-        batch, seq = token_ids.shape
-        if seq > self.max_position:
-            raise ValueError(
-                f"sequence length {seq} exceeds max_position {self.max_position}"
-            )
+        """Embedding sum + layer norm over index arrays of any shape."""
         if token_ids.size and (
             int(token_ids.min()) < 0 or int(token_ids.max()) >= self.tok_w.shape[0]
         ):
             raise IndexError("token id out of range for embedding")
-        positions = np.broadcast_to(np.arange(seq), (batch, seq))
         # (tok + pos) + seg [+ numeric] in the reference's left-to-right
         # order; in-place adds on the fresh gather are bitwise neutral.
         x = self.tok_w[token_ids]
@@ -287,48 +402,134 @@ class InferenceSession:
         np.add(x, self.seg_w[segment_ids], out=x)
         if numeric_ids is not None:
             np.add(x, self.num_w[numeric_ids], out=x)
-        layer_norm_(x, self.emb_gamma, self.emb_beta, self.emb_eps, self.workspace)
-        if visibility is not None:
-            bias = F.visibility_bias(visibility)
-            if attention_mask is not None:
-                bias = bias + F.attention_bias_from_mask(attention_mask)
-        elif attention_mask is not None:
-            bias = F.attention_bias_from_mask(attention_mask)
-        else:
-            bias = None
+        return layer_norm_(
+            x, self.emb_gamma, self.emb_beta, self.emb_eps, self.workspace
+        )
+
+    def _forward(
+        self,
+        token_ids: np.ndarray,
+        positions: np.ndarray,
+        segment_ids: np.ndarray,
+        numeric_ids: Optional[np.ndarray],
+        groups: Sequence[_Group],
+    ) -> np.ndarray:
+        """The one float forward: token-major over a whole ragged batch.
+
+        Every token-wise step — embedding sum, layer norms, the QKV /
+        output / FFN projections, bias adds, GELU, residuals — runs once
+        over the flat ``(sum of widths, dim)`` matrix; only attention, the
+        one step that mixes rows, runs per width group.  Row-wise ufuncs
+        and last-axis reductions give a row the same bytes whatever else
+        is in the array; the projections rely on :meth:`_project`'s gate.
+        A same-width batch is simply the one-group case.
+        """
+        x = self._embed(token_ids, positions, segment_ids, numeric_ids)
         for bw in self.blocks:
-            x = self._block(x, bias, bw)
+            x = self._block(x, groups, bw)
             if self._capture is not None:
                 # Block outputs alias reused workspace buffers; copy.
                 self._capture.append(np.array(x, copy=True))
         return x
 
-    def _block(
-        self, x: np.ndarray, bias: Optional[np.ndarray], bw: _BlockWeights
+    def _project(
+        self,
+        x: np.ndarray,
+        w: np.ndarray,
+        name: str,
+        groups: Sequence[_Group],
+        parts: Optional[Sequence[np.ndarray]] = None,
     ) -> np.ndarray:
-        batch, seq, dim = x.shape
+        """``x @ w`` for the flat ``(rows, K)`` matrix, into buffer ``name``.
+
+        The reference path multiplies each sequence on its own, so one GEMM
+        over all the rows is right only if a GEMM's output rows do not
+        depend on how many other rows share the call.  That is a property
+        of the BLAS build, proven once per (K, N, dtype) and band of
+        sequence widths (:func:`~repro.nn.kernels.prove_row_stable`,
+        :func:`~repro.nn.kernels.width_band`) the first time a pass holds
+        more than one width — never per row count, or every never-seen
+        total would pay a reference recompute.  Until then, for
+        a disproven shape, and always for width-1 sequences (a one-row
+        product is a matrix-vector call), each width group runs as the
+        ``(count, width, K)`` batch the reference path would run, under
+        :func:`~repro.nn.kernels.matmul_into`'s per-shape gate.
+        """
         ws = self.workspace
-        q, k, v = fused_qkv(
-            x, bw.w_q, bw.b_q, bw.w_k, bw.b_k, bw.w_v, bw.b_v, bw.w_qkv, bw.b_qkv, ws
+        rows, inner = x.shape
+        out = ws.take(name, (rows, w.shape[1]), x.dtype)
+        proofs = ws.proofs
+        band = width_band(groups[-1].width if groups else 0, self.max_position)
+        stable = proofs.verdict(row_stable_key(w, band))
+        if stable is None and len(groups) > 1:
+            stable = prove_row_stable(w, band, parts)
+            proofs.record(row_stable_key(w, band), stable)
+            if not stable:
+                logger.warning(
+                    "GEMM rows depend on the row count for K=%d N=%d dtype=%s "
+                    "(sequence widths up to %d): ragged passes run these "
+                    "projections per sequence",
+                    w.shape[0], w.shape[1], w.dtype.name, band,
+                )
+        flat_from = rows
+        if stable:
+            flat_from = groups[0].stop if groups and groups[0].width < 2 else 0
+        for group in groups:
+            if group.start >= flat_from:
+                break
+            shape = (len(group.members), group.width)
+            matmul_into(
+                x[group.start : group.stop].reshape(shape + (inner,)),
+                w,
+                ws,
+                name,
+                out=out[group.start : group.stop].reshape(shape + (w.shape[1],)),
+                parts=parts,
+            )
+        if flat_from == 0:
+            np.matmul(x, w, out=out)
+        elif flat_from < rows:
+            np.matmul(x[flat_from:], w, out=out[flat_from:])
+        return out
+
+    def _block(
+        self, x: np.ndarray, groups: Sequence[_Group], bw: _BlockWeights
+    ) -> np.ndarray:
+        ws = self.workspace
+        rows, dim = x.shape
+        heads, head_dim = bw.heads, bw.head_dim
+        qkv = self._project(
+            x, bw.w_qkv, "qkv", groups, parts=(bw.w_q, bw.w_k, bw.w_v)
         )
-        q = q.reshape(batch, seq, bw.heads, bw.head_dim).transpose(0, 2, 1, 3)
-        k = k.reshape(batch, seq, bw.heads, bw.head_dim).transpose(0, 2, 1, 3)
-        v = v.reshape(batch, seq, bw.heads, bw.head_dim).transpose(0, 2, 1, 3)
-        scores = matmul_into(q, k.swapaxes(-1, -2), ws, "scores")
-        np.multiply(scores, bw.scale32, out=scores)
-        if bias is not None:
-            np.add(scores, bias, out=scores)
-        softmax_(scores)
-        context = matmul_into(scores, v, ws, "context")
-        context = context.transpose(0, 2, 1, 3).reshape(batch, seq, dim)
-        attended = matmul_into(context, bw.w_o, ws, "attn_out")
+        qkv += bw.b_qkv
+        context = ws.take("context_rows", (rows, dim), x.dtype)
+        for group in groups:
+            count, width = len(group.members), group.width
+            q, k, v = (
+                qkv[group.start : group.stop]
+                .reshape(count, width, 3, heads, head_dim)
+                .transpose(2, 0, 3, 1, 4)
+            )
+            scores = matmul_into(q, k.swapaxes(-1, -2), ws, "scores")
+            np.multiply(scores, bw.scale32, out=scores)
+            if group.bias is not None:
+                np.add(scores, group.bias, out=scores)
+            softmax_(scores)
+            attended = matmul_into(scores, v, ws, "context")
+            np.copyto(
+                context[group.start : group.stop].reshape(
+                    count, width, heads, head_dim
+                ),
+                attended.transpose(0, 2, 1, 3),
+            )
+        attended = self._project(context, bw.w_o, "attn_out", groups)
         attended += bw.b_o
         np.add(x, attended, out=attended)
         x = layer_norm_(attended, bw.attn_gamma, bw.attn_beta, bw.attn_eps, ws)
-        hidden = matmul_into(x, bw.w_in, ws, "ffn_h")
+        hidden = self._project(x, bw.w_in, "ffn_h", groups)
         hidden += bw.b_in
         gelu_(hidden, ws)
-        out = matmul_into(hidden, bw.w_out, ws, "ffn_o")
+        out = self._project(hidden, bw.w_out, "ffn_o", groups)
         out += bw.b_out
         np.add(x, out, out=out)
         return layer_norm_(out, bw.ffn_gamma, bw.ffn_beta, bw.ffn_eps, ws)
@@ -387,7 +588,14 @@ class QuantizedInferenceSession(InferenceSession):
     memoized float32 session and bumps ``model.quant_fallbacks`` once
     per delegated call.  A persisted ``GATE_KEY`` verdict (hydrated into
     ``workspace.proofs`` before first use) skips calibration entirely.
+
+    This session still runs the **padded** forward (``(batch, width, dim)``
+    rectangles through :meth:`_padded_block`), so its callers keep exact
+    width buckets; porting it onto the token-major layout is the follow-up
+    that removes the last padded path.
     """
+
+    ragged = False
 
     def __init__(self, model: "DoduoModel") -> None:
         super().__init__(model, "float32")
@@ -455,16 +663,18 @@ class QuantizedInferenceSession(InferenceSession):
         self._calibrated = True
         reference = self._float_session()
         self._capture = []
-        hidden_q, loc_q = super().encode_batch(sample, width=width)
+        hidden_q, loc_q = self._encode_padded(sample, width)
         captured_q, self._capture = self._capture, None
-        cls_q = np.array(hidden_q[(loc_q[:, 0], loc_q[:, 1])], copy=True)
+        cls_q = gather_states(hidden_q, loc_q)
         reference._capture = []
         hidden_f, loc_f = reference.encode_batch(sample, width=width)
         captured_f, reference._capture = reference._capture, None
-        cls_f = np.array(hidden_f[(loc_f[:, 0], loc_f[:, 1])], copy=True)
+        cls_f = gather_states(hidden_f, loc_f)
         ok = True
         for i, (xq, xf) in enumerate(zip(captured_q, captured_f)):
-            drift = quant.max_drift(xq, xf)
+            # One padded width on both sides, so the reference's flat rows
+            # are the rectangle's rows in the same order.
+            drift = quant.max_drift(xq, xf.reshape(xq.shape))
             layer_ok = drift <= quant.HIDDEN_DRIFT_TOLERANCE
             ok = ok and layer_ok
             proofs.record(
@@ -496,14 +706,58 @@ class QuantizedInferenceSession(InferenceSession):
     def encode_batch(
         self, encoded: Sequence[EncodedTable], width: Optional[int] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """One padded pass (``width``: ``None`` = the longest item, or one
+        forced width); same return contract as the float session's."""
         if not self._calibrated:
             self._calibrate(encoded, width)
         if self.fallback:
             self.model.quant_fallbacks += 1
             return self._float_session().encode_batch(encoded, width=width)
-        return super().encode_batch(encoded, width=width)
+        return self._encode_padded(encoded, width)
 
-    def _block(
+    def _encode_padded(
+        self, encoded: Sequence[EncodedTable], width: Optional[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        model = self.model
+        model.encode_calls += 1
+        pad_id = 0  # PAD is always id 0 in our vocabulary
+        token_ids, attention = pad_batch(encoded, pad_id, width=width)
+        batch, seq = token_ids.shape
+        if seq > self.max_position:
+            raise ValueError(
+                f"sequence length {seq} exceeds max_position {self.max_position}"
+            )
+        model.real_tokens += int(sum(e.length for e in encoded))
+        model.padded_tokens += int(token_ids.size)
+        segments = np.zeros_like(token_ids)
+        if model.use_column_segments:
+            for row, item in enumerate(encoded):
+                segment_row = np.clip(item.column_ids + 1, 0, self.num_segments - 1)
+                segments[row, : item.length] = segment_row
+        numeric = None
+        if self.num_w is not None:
+            numeric = np.zeros_like(token_ids)
+            for row, item in enumerate(encoded):
+                if item.numeric_ids is not None:
+                    numeric[row, : item.length] = item.numeric_ids
+        positions = np.broadcast_to(self._positions[:seq], (batch, seq))
+        x = self._embed(token_ids, positions, segments, numeric)
+        bias = F.attention_bias_from_mask(attention)
+        if model.use_visibility_matrix:
+            bias = F.visibility_bias(column_visibility(encoded, width=seq)) + bias
+        for bw in self.blocks:
+            x = self._padded_block(x, bias, bw)
+            if self._capture is not None:
+                # Block outputs alias reused workspace buffers; copy.
+                self._capture.append(np.array(x, copy=True))
+        locations = [
+            item.cls_positions + row * seq for row, item in enumerate(encoded)
+        ]
+        return x, (
+            np.concatenate(locations) if locations else np.empty(0, dtype=np.int64)
+        )
+
+    def _padded_block(
         self, x: np.ndarray, bias: Optional[np.ndarray], bw: _BlockWeights
     ) -> np.ndarray:
         # Same workspace buffer names as the proof-gated base block, but

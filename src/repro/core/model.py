@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .inference import (
     QUANTIZED_DTYPES,
     InferenceSession,
     QuantizedInferenceSession,
+    gather_states,
 )
 from .numeric import NUM_MAGNITUDE_BINS
 from .serialization import EncodedTable, column_visibility, pad_batch
@@ -325,6 +326,7 @@ class DoduoModel(Module):
         head_groups: Optional[Sequence[Sequence[int]]] = None,
         kernels: Optional[str] = None,
         compute_dtype: str = "float32",
+        widths: Optional[Sequence[int]] = None,
     ) -> FullForward:
         """Run the encoder **once** and derive every inference product.
 
@@ -344,8 +346,14 @@ class DoduoModel(Module):
         level even though each row's math is independent.  The trainer
         passes one group per table, making every head GEMM's row count a
         function of that table alone — this is the second half of the
-        batched==sequential byte-identity contract (exact width bucketing
-        in :mod:`repro.encoding` is the first).
+        batched==sequential byte-identity contract; the first is that every
+        sequence is encoded at the width it would have alone.
+
+        ``widths`` gives that width per item, for sessions that can mix
+        widths in one pass (``session.ragged``: the float fast path);
+        ``None`` pads the batch jointly to its longest item, which is all
+        the reference path and the int8 session can do — their callers
+        keep exact width buckets (:mod:`repro.encoding`) instead.
 
         ``kernels`` selects the forward implementation: ``"fast"`` (the
         default) uses the no-tape :class:`InferenceSession` when the model
@@ -358,12 +366,21 @@ class DoduoModel(Module):
         requires it (the Tensor path has no dtype policy).
         """
         session = self._resolve_session(kernels, compute_dtype)
+        width: Union[None, int, Sequence[int]] = widths
+        if widths is not None and not getattr(session, "ragged", False):
+            if len(set(widths)) > 1:
+                raise ValueError(
+                    "this forward path pads a batch to one width; mixed "
+                    f"widths {sorted(set(widths))} need the float fast path"
+                )
+            width = widths[0] if widths else None
         if session is not None:
-            hidden_data, locations = session.encode_batch(encoded)
+            hidden_data, locations = session.encode_batch(encoded, width=width)
         else:
-            hidden, locations = self.encode_batch(encoded)
+            hidden, cls_at = self.encode_batch(encoded, width=width)
             hidden_data = hidden.data
-        column_embeddings = hidden_data[(locations[:, 0], locations[:, 1])]
+            locations = cls_at[:, 0] * hidden_data.shape[1] + cls_at[:, 1]
+        column_embeddings = gather_states(hidden_data, locations)
         counts = [e.num_columns for e in encoded]
         offsets = np.concatenate([[0], np.cumsum(counts)])
         if head_groups is None:
@@ -415,18 +432,19 @@ class DoduoModel(Module):
             relation_logits = np.empty(
                 (len(pairs), num_relations), dtype=hidden_data.dtype
             )
+            for batch_index, i, j in pairs:
+                if not (0 <= i < counts[batch_index] and 0 <= j < counts[batch_index]):
+                    raise IndexError(
+                        f"pair ({i}, {j}) is out of range for item {batch_index} "
+                        f"with {counts[batch_index]} columns"
+                    )
             for positions in positions_by_group.values():
-                rows, pos_i, pos_j = [], [], []
-                for position in positions:
-                    batch_index, i, j = pairs[position]
-                    cls = encoded[batch_index].cls_positions
-                    rows.append(batch_index)
-                    pos_i.append(cls[i])
-                    pos_j.append(cls[j])
-                rows_arr = np.asarray(rows)
-                emb_i = hidden_data[(rows_arr, np.asarray(pos_i))]
-                emb_j = hidden_data[(rows_arr, np.asarray(pos_j))]
-                pair_embedding = np.concatenate([emb_i, emb_j], axis=-1)
+                # A column's state is its row of the gathered [CLS] matrix.
+                rows_i = [offsets[pairs[p][0]] + pairs[p][1] for p in positions]
+                rows_j = [offsets[pairs[p][0]] + pairs[p][2] for p in positions]
+                pair_embedding = np.concatenate(
+                    [column_embeddings[rows_i], column_embeddings[rows_j]], axis=-1
+                )
                 relation_logits[positions] = self.apply_relation_head(
                     pair_embedding, session
                 )

@@ -45,6 +45,7 @@ from typing import (
     FrozenSet,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -294,6 +295,7 @@ class ProbePlanner:
         type_compatibility: Optional[FrozenSet[Pair]] = None,
         subject_priors: Optional[Dict[int, float]] = None,
         fingerprint: Optional[str] = None,
+        column_fingerprints: Optional[Sequence[str]] = None,
     ) -> ProbePlan:
         """Select the column pairs the relation head should probe.
 
@@ -304,7 +306,9 @@ class ProbePlanner:
         ranks candidate subject columns by how often their predicted type
         plays the subject role in training; without them planning is fully
         model-free.  ``fingerprint`` is ``table_fingerprint(table)`` when
-        the caller already holds it (the plan cache is keyed by it).
+        the caller already holds it (the plan cache is keyed by it), and
+        ``column_fingerprints`` its columns' ``column_fingerprint``s (the
+        profile memo is keyed by them).
         """
         cacheable = (
             type_probs is None
@@ -324,7 +328,7 @@ class ProbePlanner:
                 self._count(cached)
                 return cached
         plan = self._plan_uncached(
-            table, type_probs, type_compatibility, subject_priors
+            table, type_probs, type_compatibility, subject_priors, column_fingerprints
         )
         if cacheable and key is not None:
             self._plan_cache.put(key, plan)
@@ -343,6 +347,7 @@ class ProbePlanner:
         type_probs: Optional[np.ndarray],
         type_compatibility: Optional[FrozenSet[Pair]],
         subject_priors: Optional[Dict[int, float]],
+        column_fingerprints: Optional[Sequence[str]] = None,
     ) -> ProbePlan:
         k = table.num_columns
         if k < 2:
@@ -363,7 +368,12 @@ class ProbePlanner:
         ]
         candidates = len(set(universe) | pinned_set)
 
-        profiles = [cached_column_profile(column) for column in table.columns]
+        profiles = [
+            cached_column_profile(column, fingerprint=fingerprint)
+            for column, fingerprint in zip(
+                table.columns, column_fingerprints or [None] * k
+            )
+        ]
         vectors = [_profile_vector(profile) for profile in profiles]
         stats = [_column_stats(column) for column in table.columns]
         subjectness = [

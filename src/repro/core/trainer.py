@@ -37,6 +37,7 @@ from ..evaluation.metrics import PRF, multiclass_micro_f1, multilabel_micro_prf
 from ..nn import Adam, LinearDecayScheduler, TransformerConfig
 from ..nn import functional as F
 from ..text import WordPieceTokenizer
+from .inference import gather_states
 from .model import DoduoModel, activation_probs
 from .serialization import EncodedTable, SerializerConfig, TableSerializer
 
@@ -741,21 +742,26 @@ class DoduoTrainer:
         column_cache: Optional["ColumnStateStore"] = None,
         probe_planner: Optional["ProbePlanner"] = None,
         fingerprints: Optional[Sequence[str]] = None,
+        column_fingerprints: Optional[Sequence[Optional[Sequence[str]]]] = None,
     ) -> List[RawTableAnnotation]:
-        """Annotate a batch of tables, one encoder pass per width bucket.
+        """Annotate a batch of tables with one encoder pass.
 
         Types, per-type probabilities, relation probabilities, and column
-        embeddings are all derived from one padded forward pass per bucket
+        embeddings are all derived from one forward pass
         (:meth:`DoduoModel.forward_full`) — the legacy ``predict_*`` entry
         points re-encode the same tables once per product.  Single-column
         mode needs a second pass for column-pair sequences (they are
         serialized differently from single columns), but both passes remain
-        batched across the bucket's tables.
+        batched across the tables.
 
-        Buckets are exact (:class:`~repro.encoding.BatchPlanner`): tables
-        share a pass only when they dictate identical padded widths, so
-        every result is **byte-identical** to annotating its table alone —
-        batching changes cost, never bytes.
+        Every sequence is encoded at exactly the width its table dictates
+        alone, so every result is **byte-identical** to annotating its table
+        alone — batching changes cost, never bytes.  On the float fast path
+        that costs nothing: the session mixes widths inside one
+        padding-free pass (:mod:`repro.core.inference`).  The reference
+        path and the int8 session can only pad a batch to one width, so
+        for them the tables are first split into exact width buckets
+        (:class:`~repro.encoding.BatchPlanner`), one pass per bucket.
 
         ``encoded`` lets callers (the serving engine's cache) supply
         pre-serialized inputs; ``pair_requests`` overrides the probed column
@@ -790,6 +796,10 @@ class DoduoTrainer:
         (:func:`~repro.encoding.cache.table_fingerprint`) when the caller
         already holds them — the serving engine hashes each request once
         and the pair-sequence cache is keyed by the same digest.
+        ``column_fingerprints`` are, per table, its columns'
+        (:func:`~repro.encoding.cache.column_fingerprint`) under the same
+        arrangement: the column-state cache and every pair encode key on
+        them, and re-hashing a column per use was most of their cost.
         """
         if encoded is not None and len(encoded) != len(tables):
             raise ValueError(
@@ -830,18 +840,32 @@ class DoduoTrainer:
                     pairs_per_table.append(default_relation_pairs(table))
             else:
                 pairs_per_table.append(validate_relation_pairs(table, requested))
-        # Exact width bucketing: only tables whose forward passes would use
-        # identical padded widths share a bucket, so batch results stay
-        # byte-identical to per-table annotation.  Callers that pre-plan
-        # (the serving engine) hand over homogeneous batches, making this a
-        # single-group no-op.
         signatures = [
             self.encoding.annotation_signature(item, pairs)
             for item, pairs in zip(encoded, pairs_per_table)
         ]
-        planner = BatchPlanner(batch_size=len(tables), waste_budget=waste_budget)
+        session = self.model._resolve_session(kernels, compute_dtype)
+        ragged = waste_budget == 0 and getattr(session, "ragged", False)
+        if ragged:
+            # One pass whatever the widths: each table's sequences keep the
+            # width its signature dictates.
+            groups = [list(range(len(tables)))]
+        else:
+            # Exact width buckets: this path pads a batch to one width, so
+            # only tables dictating identical widths may share a pass (a
+            # non-zero ``waste_budget`` merges near widths, trading bytes).
+            # Callers that pre-plan (the serving engine) hand over
+            # homogeneous batches, making this a single-group no-op.
+            groups = BatchPlanner(
+                batch_size=len(tables), waste_budget=waste_budget
+            ).plan(signatures)
+
+        def of(values: Optional[Sequence], group: Sequence[int]):
+            """The group's slice of an optional per-table argument."""
+            return [values[i] for i in group] if values else None
+
         results: List[Optional[RawTableAnnotation]] = [None] * len(tables)
-        for group in planner.plan(signatures):
+        for group in groups:
             group_results = self._annotate_bucket(
                 [tables[i] for i in group],
                 [encoded[i] for i in group],
@@ -850,9 +874,9 @@ class DoduoTrainer:
                 kernels=kernels,
                 compute_dtype=compute_dtype,
                 column_cache=column_cache,
-                fingerprints=(
-                    [fingerprints[i] for i in group] if fingerprints else None
-                ),
+                fingerprints=of(fingerprints, group),
+                column_fingerprints=of(column_fingerprints, group),
+                signatures=of(signatures, group) if ragged else None,
             )
             for i, annotation in zip(group, group_results):
                 results[i] = annotation
@@ -868,9 +892,16 @@ class DoduoTrainer:
         compute_dtype: str = "float32",
         column_cache: Optional["ColumnStateStore"] = None,
         fingerprints: Optional[Sequence[str]] = None,
+        column_fingerprints: Optional[Sequence[Optional[Sequence[str]]]] = None,
+        signatures: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> List[RawTableAnnotation]:
-        """Annotate one width-homogeneous bucket with one pass (or two in
-        single-column mode: columns, then column pairs)."""
+        """Annotate tables that share passes: one pass, or two in
+        single-column mode (columns, then column pairs).
+
+        ``signatures`` are the tables' width signatures when the pass may
+        mix widths (every sequence is then encoded at its own table's
+        width); ``None`` means a width bucket, padded jointly.
+        """
         if self.config.single_column:
             return self._annotate_batch_single_column(
                 tables,
@@ -881,6 +912,8 @@ class DoduoTrainer:
                 compute_dtype=compute_dtype,
                 column_cache=column_cache,
                 fingerprints=fingerprints,
+                column_fingerprints=column_fingerprints,
+                signatures=signatures,
             )
         flat_pairs = [
             (b, i, j)
@@ -897,6 +930,7 @@ class DoduoTrainer:
             head_groups=[[b] for b in range(len(tables))],
             kernels=kernels,
             compute_dtype=compute_dtype,
+            widths=[width for width, _ in signatures] if signatures else None,
         )
         type_probs = activation_probs(out.type_logits, self.config.multi_label)
         relation_probs = (
@@ -918,6 +952,8 @@ class DoduoTrainer:
         compute_dtype: str = "float32",
         column_cache: Optional["ColumnStateStore"] = None,
         fingerprints: Optional[Sequence[str]] = None,
+        column_fingerprints: Optional[Sequence[Optional[Sequence[str]]]] = None,
+        signatures: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> List[RawTableAnnotation]:
         """Single-column mode: one pass over columns, one over column pairs."""
         flat_columns: List[EncodedTable] = []
@@ -926,6 +962,18 @@ class DoduoTrainer:
             start = len(flat_columns)
             flat_columns.extend(item)
             column_groups.append(list(range(start, len(flat_columns))))
+        # A table's column sequences all pad to its widest column, its pair
+        # sequences to its widest pair — the two halves of its signature.
+        column_widths = pair_widths = None
+        if signatures:
+            column_widths = [
+                width for (width, _), item in zip(signatures, encoded) for _ in item
+            ]
+            pair_widths = [
+                width
+                for (_, width), pairs in zip(signatures, pairs_per_table)
+                for _ in pairs
+            ]
         if column_cache is not None and flat_columns:
             type_probs, embeddings = self._annotate_columns_cached(
                 tables,
@@ -934,6 +982,8 @@ class DoduoTrainer:
                 column_cache,
                 kernels,
                 compute_dtype,
+                column_widths,
+                column_fingerprints,
             )
             if not with_embeddings:
                 embeddings = None
@@ -947,6 +997,7 @@ class DoduoTrainer:
                 head_groups=column_groups,
                 kernels=kernels,
                 compute_dtype=compute_dtype,
+                widths=column_widths,
             )
             type_probs = activation_probs(out.type_logits, self.config.multi_label)
             embeddings = out.embeddings
@@ -960,8 +1011,10 @@ class DoduoTrainer:
             fingerprint = (
                 fingerprints[index] if fingerprints else table_fingerprint(table)
             )
+            columns = column_fingerprints[index] if column_fingerprints else None
             pair_encoded.extend(
-                self.encoding.encode_pair(table, i, j, fingerprint) for i, j in pairs
+                self.encoding.encode_pair(table, i, j, fingerprint, columns)
+                for i, j in pairs
             )
             pair_groups.append(list(range(start, len(pair_encoded))))
         relation_probs = None
@@ -974,6 +1027,7 @@ class DoduoTrainer:
                 head_groups=pair_groups,
                 kernels=kernels,
                 compute_dtype=compute_dtype,
+                widths=pair_widths,
             )
             relation_probs = activation_probs(
                 pair_out.relation_logits, self.config.multi_label
@@ -990,6 +1044,8 @@ class DoduoTrainer:
         column_cache: "ColumnStateStore",
         kernels: Optional[str],
         compute_dtype: str,
+        widths: Optional[Sequence[int]] = None,
+        column_fingerprints: Optional[Sequence[Optional[Sequence[str]]]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Column-pass products served through the content-addressed cache.
 
@@ -997,38 +1053,51 @@ class DoduoTrainer:
         itself alone, and batch-composition independence (the pinned
         batched==sequential contract) means a ``[CLS]`` state computed in
         any prior pass *at the same padded width* is bitwise the state this
-        pass would compute.  Misses are deduplicated by content and encoded
-        in one pass forced to the bucket width, so hits and misses share
-        identical geometry; the type head then runs per table over the
-        assembled state matrix — the same per-table GEMM row counts as the
-        uncached path.  Returns ``(type_probs, state_matrix)``; the state
-        matrix is row-aligned with the flattened column order, exactly like
-        ``FullForward.embeddings``.
+        pass would compute.  ``widths`` is that width per column (its
+        table's widest column); ``None`` means one bucket, every column at
+        the bucket's width.  Misses are deduplicated by (content, width)
+        and encoded in one pass at exactly those widths, so hits and misses
+        share identical geometry; the type head then runs per table over
+        the assembled state matrix — the same per-table GEMM row counts as
+        the uncached path.  Returns ``(type_probs, state_matrix)``; the
+        state matrix is row-aligned with the flattened column order,
+        exactly like ``FullForward.embeddings``.
         """
-        width = max(e.length for e in flat_columns)
-        fingerprints = [
-            column_fingerprint(column) for table in tables for column in table.columns
-        ]
+        if widths is None:
+            widths = [max(e.length for e in flat_columns)] * len(flat_columns)
+        fingerprints: List[str] = []
+        for index, table in enumerate(tables):
+            known = column_fingerprints[index] if column_fingerprints else None
+            fingerprints.extend(known or map(column_fingerprint, table.columns))
+        keys = list(zip(fingerprints, widths))
+        session = self.model._resolve_session(kernels, compute_dtype)
         states: List[Optional[np.ndarray]] = [
-            column_cache.lookup(fp, width) for fp in fingerprints
+            column_cache.lookup(*key) for key in keys
         ]
-        missing: Dict[str, List[int]] = {}
+        missing: Dict[Tuple[str, int], List[int]] = {}
         for index, state in enumerate(states):
             if state is None:
-                missing.setdefault(fingerprints[index], []).append(index)
+                missing.setdefault(keys[index], []).append(index)
         if missing:
             firsts = [positions[0] for positions in missing.values()]
-            hidden, locations = self._encode_states(
-                [flat_columns[i] for i in firsts], width, kernels, compute_dtype
-            )
-            gathered = hidden[(locations[:, 0], locations[:, 1])]
+            miss_widths = [widths[i] for i in firsts]
+            if session is not None:
+                hidden, locations = session.encode_batch(
+                    [flat_columns[i] for i in firsts],
+                    width=miss_widths if session.ragged else miss_widths[0],
+                )
+                gathered = gather_states(hidden, locations)
+            else:
+                tensor, cls_at = self.model.encode_batch(
+                    [flat_columns[i] for i in firsts], width=miss_widths[0]
+                )
+                gathered = tensor.data[(cls_at[:, 0], cls_at[:, 1])]
             for row, first in enumerate(firsts):
                 state = gathered[row].copy()
-                column_cache.store(fingerprints[first], width, state)
-                for index in missing[fingerprints[first]]:
+                column_cache.store(*keys[first], state)
+                for index in missing[keys[first]]:
                     states[index] = state
         state_matrix = np.stack(states)
-        session = self.model._resolve_session(kernels, compute_dtype)
         if getattr(session, "merge_head_groups", False):
             # Accuracy-gated sessions (int8) are licensed to run one head
             # GEMM over the whole assembled state matrix instead of one
@@ -1049,20 +1118,6 @@ class DoduoTrainer:
         )
         type_probs = activation_probs(type_logits, self.config.multi_label)
         return type_probs, state_matrix
-
-    def _encode_states(
-        self,
-        encoded_items: Sequence[EncodedTable],
-        width: Optional[int],
-        kernels: Optional[str],
-        compute_dtype: str,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One encoder pass at a forced width, via the selected kernel path."""
-        session = self.model._resolve_session(kernels, compute_dtype)
-        if session is not None:
-            return session.encode_batch(encoded_items, width=width)
-        hidden, locations = self.model.encode_batch(encoded_items, width=width)
-        return hidden.data, locations
 
     @staticmethod
     def _assemble_annotations(

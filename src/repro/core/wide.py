@@ -76,8 +76,11 @@ def profile_cache_stats() -> Dict[str, int]:
     }
 
 
-def cached_column_profile(column: Column, max_values: int = 20) -> Set[str]:
-    """Memoized :func:`column_profile`, keyed by column content.
+def cached_column_profile(
+    column: Column, max_values: int = 20, fingerprint: Optional[str] = None
+) -> Set[str]:
+    """Memoized :func:`column_profile`, keyed by column content
+    (``fingerprint``: its ``column_fingerprint`` when already known).
 
     Grouping used to rebuild both profiles on every
     :func:`column_similarity` call — O(k²) profile builds for a k-column
@@ -87,7 +90,7 @@ def cached_column_profile(column: Column, max_values: int = 20) -> Set[str]:
     """
     if max_values != 20:
         return column_profile(column, max_values)
-    key = column_fingerprint(column)
+    key = fingerprint or column_fingerprint(column)
     cached = PROFILE_CACHE.get(key)
     if cached is not None:
         return cached

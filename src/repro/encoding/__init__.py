@@ -10,11 +10,15 @@ layer re-implements it:
   plus a shared content-hash LRU (:class:`LRUCache` keyed by
   :func:`table_fingerprint`), so training epochs, repeated evaluations, and
   serving requests all reuse each other's serializations.
-* :class:`BatchPlanner` — exact length bucketing: only inputs with equal
-  width signatures share a forward batch, which eliminates cross-request
-  padding (zero waste) and makes batched annotation **byte-identical** to
-  sequential annotation — the jointly-padded ~1e-7 float drift is gone
-  because no sequence is ever padded beyond the width it would use alone.
+* :class:`BatchPlanner` — exact length bucketing, for the forward paths
+  that pad a batch to one width (reference kernels, int8, the evaluation
+  loop): only inputs with equal width signatures share a forward batch,
+  which eliminates cross-request padding (zero waste) and makes batched
+  annotation **byte-identical** to sequential annotation — the
+  jointly-padded ~1e-7 float drift is gone because no sequence is ever
+  padded beyond the width it would use alone.  (The float fast path keeps
+  that rule without bucketing: :mod:`repro.core.inference` mixes widths
+  inside one pass.)
 * :class:`PaddingReport` — token-level accounting (real vs allocated
   slots) surfaced in ``EngineStats`` and ``TrainingHistory``.
 * :func:`pad_batch` / :func:`pad_token_lists` — the single padding

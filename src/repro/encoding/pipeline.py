@@ -8,8 +8,9 @@ only in serving.  :class:`EncodingPipeline` is the single owner of that
 recipe: one :class:`~repro.core.serialization.TableSerializer`, one
 content-hash LRU shared by every consumer (training epochs and repeated
 evaluations stop re-serializing the same tables), and the width bookkeeping
-that :class:`~repro.encoding.planner.BatchPlanner` needs to compose exact,
-zero-padding-waste batches.
+that says how wide each sequence must be encoded — what the ragged float
+pass is told per item, and what :class:`~repro.encoding.planner.BatchPlanner`
+keys its exact, zero-padding-waste buckets on.
 
 Cache keys combine the table's content fingerprint with the encoding kind
 (table-wise sequence / per-column sequences / a specific column pair), so
@@ -135,36 +136,51 @@ class EncodingPipeline:
         self._cache.put(key, value)
         return value, False
 
-    def _segment_for(self, column) -> Tuple[List[int], List[int]]:
-        """One column's serialized segment, read through the segment cache."""
+    def _segment_for(
+        self, column, fingerprint: Optional[str] = None
+    ) -> Tuple[List[int], List[int]]:
+        """One column's serialized segment, read through the segment cache
+        (``fingerprint``: its ``column_fingerprint`` when already known)."""
         if self._segments.capacity == 0:
             return self.serializer.column_segments(column)
-        key = column_fingerprint(column)
+        key = fingerprint or column_fingerprint(column)
         segment = self._segments.get(key)
         if segment is None:
             segment = self.serializer.column_segments(column)
             self._segments.put(key, segment)
         return segment
 
-    def _column_segments(self, table: Table) -> List[Tuple[List[int], List[int]]]:
+    def _column_segments(
+        self, table: Table, column_fingerprints: Optional[Sequence[str]] = None
+    ) -> List[Tuple[List[int], List[int]]]:
         """Per-column serialized segments, read through the segment cache."""
-        return [self._segment_for(column) for column in table.columns]
+        known = column_fingerprints or [None] * table.num_columns
+        return [
+            self._segment_for(column, fingerprint)
+            for column, fingerprint in zip(table.columns, known)
+        ]
 
     def _encode_table_cached(
-        self, table: Table, fingerprint: Optional[str] = None
+        self,
+        table: Table,
+        fingerprint: Optional[str] = None,
+        column_fingerprints: Optional[Sequence[str]] = None,
     ) -> Tuple[EncodedTable, bool]:
         return self._cached(
             ("table", fingerprint or table_fingerprint(table)),
             lambda: self.serializer.serialize_table(
-                table, segments=self._column_segments(table)
+                table, segments=self._column_segments(table, column_fingerprints)
             ),
         )
 
     def _encode_columns_cached(
-        self, table: Table, fingerprint: Optional[str] = None
+        self,
+        table: Table,
+        fingerprint: Optional[str] = None,
+        column_fingerprints: Optional[Sequence[str]] = None,
     ) -> Tuple[List[EncodedTable], bool]:
         def build() -> List[EncodedTable]:
-            segments = self._column_segments(table)
+            segments = self._column_segments(table, column_fingerprints)
             return [
                 self.serializer.serialize_column(table, c, segment=segments[c])
                 for c in range(table.num_columns)
@@ -187,30 +203,38 @@ class EncodingPipeline:
         return self.encode_columns(table)[col_index]
 
     def encode_pair(
-        self, table: Table, i: int, j: int, fingerprint: Optional[str] = None
+        self,
+        table: Table,
+        i: int,
+        j: int,
+        fingerprint: Optional[str] = None,
+        column_fingerprints: Optional[Sequence[str]] = None,
     ) -> EncodedTable:
         """A column-pair sequence ``[CLS] vi [SEP] [CLS] vj [SEP]``.
 
-        ``fingerprint`` is ``table_fingerprint(table)`` when the caller
-        already holds it (a planned-wide request probes a dozen pairs of
-        one table; hashing its cells once per pair was most of this call).
+        ``fingerprint`` is ``table_fingerprint(table)`` and
+        ``column_fingerprints`` its columns' ``column_fingerprint``s when
+        the caller already holds them (a planned-wide request probes a
+        dozen pairs of one table; hashing its cells once per pair, and each
+        column twice more for the segment cache, was most of this call).
         """
+        i, j = int(i), int(j)
 
         def build() -> EncodedTable:
             columns = table.columns
+            known = column_fingerprints or [None] * len(columns)
             return self.serializer.serialize_column_pair(
                 table,
                 i,
                 j,
                 segments=(
-                    self._segment_for(columns[int(i)]),
-                    self._segment_for(columns[int(j)]),
+                    self._segment_for(columns[i], known[i]),
+                    self._segment_for(columns[j], known[j]),
                 ),
             )
 
         encoded, _ = self._cached(
-            ("pair", fingerprint or table_fingerprint(table), int(i), int(j)),
-            build,
+            ("pair", fingerprint or table_fingerprint(table), i, j), build
         )
         return encoded
 
@@ -221,19 +245,23 @@ class EncodingPipeline:
         return self.encode_table(table)
 
     def encode_cached(
-        self, table: Table, fingerprint: Optional[str] = None
+        self,
+        table: Table,
+        fingerprint: Optional[str] = None,
+        column_fingerprints: Optional[Sequence[str]] = None,
     ) -> Tuple[EncodedInput, bool]:
         """Like :meth:`encode` but also reports whether it was a cache hit.
 
-        ``fingerprint`` is ``table_fingerprint(table)`` when the caller
-        already holds it.
+        ``fingerprint`` is ``table_fingerprint(table)``, and
+        ``column_fingerprints`` its columns' ``column_fingerprint``s (the
+        segment cache's keys), when the caller already holds them.
         """
         if self.single_column:
-            return self._encode_columns_cached(table, fingerprint)
-        return self._encode_table_cached(table, fingerprint)
+            return self._encode_columns_cached(table, fingerprint, column_fingerprints)
+        return self._encode_table_cached(table, fingerprint, column_fingerprints)
 
     # ------------------------------------------------------------------
-    # Width signatures (exact-batching keys)
+    # Width signatures (per-item pass widths; exact-batching keys)
     # ------------------------------------------------------------------
     @staticmethod
     def annotation_width(encoded: EncodedInput) -> int:
@@ -247,12 +275,17 @@ class EncodingPipeline:
         encoded: EncodedInput,
         pairs: Sequence[Tuple[int, int]] = (),
     ) -> Tuple[int, int]:
-        """Exact-batching key for one annotation item.
+        """The padded widths one annotation item dictates: ``(column pass,
+        pair pass)``.
 
-        Two items may share a forward batch iff their signatures are equal;
-        then every pass over the batch pads each member to exactly the width
-        it would have used alone, which is what keeps batched annotation
-        byte-identical to sequential annotation.
+        Every sequence of the item must be encoded at exactly these widths
+        — the ones it would have used alone — which is what keeps batched
+        annotation byte-identical to sequential annotation.  The float fast
+        path hands them to a pass that mixes widths
+        (``DoduoModel.forward_full(widths=...)``); the paths that pad a
+        batch to one width use the signature as their exact-batching key
+        (:class:`~repro.encoding.planner.BatchPlanner`): two items may
+        share a forward batch iff their signatures are equal.
 
         * Table-wise items run one pass — the signature is the serialized
           length (pair logits are read from the same hidden states, so

@@ -15,6 +15,17 @@ reductions over the same widths as a single-request pass, which is what
 makes batched and sequential annotation byte-identical (verified per BLAS
 slice by the serving equivalence tests).
 
+Who still needs it: the forward paths that can only pad a batch to **one**
+width — the reference Tensor path (``kernels="reference"``), the int8
+session, the trainer's ``predict_*`` evaluation loop.  The float fast path
+keeps the same every-sequence-at-its-own-width rule without bucketing: its
+session concatenates a whole drain into one token-major matrix and mixes
+widths inside one pass (:mod:`repro.core.inference`), so serving no longer
+pays one pass per distinct width.  The width signatures this planner keys
+on (:meth:`EncodingPipeline.annotation_signature
+<repro.encoding.pipeline.EncodingPipeline.annotation_signature>`) are what
+tell that pass how wide each sequence is.
+
 :class:`PaddingReport` quantifies the win: how many token slots a plan's
 forward passes allocate versus how many carry real tokens.
 

@@ -12,23 +12,28 @@ must reproduce.  This module provides the serving-speed twins:
 * :class:`Workspace` — preallocated scratch buffers reused across batches.
   One workspace lives per inference session (per engine), so steady-state
   serving allocates no large temporaries.
-* :func:`matmul_into` and :func:`fused_qkv` — GEMMs that land in workspace
-  buffers and the one-GEMM-instead-of-three QKV projection.  BLAS kernel
-  selection is shape-dependent and implementation-defined, so neither is
-  *assumed* byte-identical: both ship **dark until proven**.  The first
-  call per (operation, shape, dtype) computes the reference form too,
-  compares bitwise, and records a verdict in the workspace's
-  :class:`ProofCache`; only a proven shape uses the optimized form on
-  later calls, and a failed proof permanently falls back to the reference
-  form for that shape.  This is the ``waste_budget`` discipline applied to
-  kernels: the optimization is free to be unsound on some platform, the
-  gate keeps the bytes contract regardless.
+* :func:`matmul_into` — a GEMM that lands in a workspace buffer, optionally
+  fused over column blocks the reference multiplies separately (the
+  one-GEMM-instead-of-three QKV projection).  BLAS kernel selection is
+  shape-dependent and implementation-defined, so it is not *assumed*
+  byte-identical: it ships **dark until proven**.  The first call per
+  (operation, shape, dtype) computes the reference form too, compares
+  bitwise, and records a verdict in the workspace's :class:`ProofCache`;
+  only a proven shape uses the optimized form on later calls, and a failed
+  proof permanently falls back to the reference form for that shape.  This
+  is the ``waste_budget`` discipline applied to kernels: the optimization
+  is free to be unsound on some platform, the gate keeps the bytes contract
+  regardless.
+* :func:`prove_row_stable` — the gate of token-major (ragged) batching: one
+  verdict per weight shape, dtype and band of sequence widths, never per
+  row count, on whether a GEMM over many concatenated sequences gives each
+  sequence the rows it would get alone.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,8 +46,9 @@ class ProofCache:
     ``verdict(key)`` returns ``True`` (proven identical), ``False``
     (disproven — use the reference form), or ``None`` (not yet tried).
 
-    Two kinds of entries share the cache: bitwise proofs (the matmul /
-    fused-QKV gates) and the int8 **accuracy gate**'s calibration records
+    Two kinds of entries share the cache: bitwise proofs (the per-shape
+    matmul gate, the row-stability gate) and the int8 **accuracy gate**'s
+    calibration records
     (:mod:`repro.nn.quant`), which additionally carry the measured max
     drift in ``drifts`` — a disproof there means "drifted past
     tolerance", not "not bitwise".
@@ -120,11 +126,14 @@ class ProofCache:
 class Workspace:
     """Named scratch buffers reused across forward passes.
 
-    Buffers are keyed by (name, shape, dtype): a request for the same name
-    with a new shape allocates fresh (the old buffer is dropped), so one
-    workspace holds exactly one live buffer per name — sized for the
-    current batch geometry.  Engines process one bucket at a time, so
-    geometry churn is bounded by the bucket plan, not the request stream.
+    One live buffer per name.  A request that differs from the held
+    buffer only by a *smaller or equal leading dimension* gets a leading
+    slice of it — token-major passes ask for ``(rows, dim)`` with a new
+    row count on every drain, and reallocating half a megabyte each time
+    costs page faults and heap churn for nothing.  Any other change of
+    geometry (or dtype) allocates fresh and drops the old buffer, so a
+    name's footprint is its largest request so far: bounded by
+    ``batch_size`` times the widest sequences served.
     """
 
     def __init__(self) -> None:
@@ -133,9 +142,17 @@ class Workspace:
 
     def take(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
         buf = self._buffers.get(name)
-        if buf is None or buf.shape != tuple(shape) or buf.dtype != dtype:
-            buf = np.empty(shape, dtype=dtype)
-            self._buffers[name] = buf
+        if buf is not None and buf.dtype == dtype:
+            if buf.shape == tuple(shape):
+                return buf
+            if (
+                shape
+                and buf.shape[1:] == tuple(shape[1:])
+                and buf.shape[0] > shape[0]
+            ):
+                return buf[: shape[0]]
+        buf = np.empty(shape, dtype=dtype)
+        self._buffers[name] = buf
         return buf
 
     @property
@@ -143,73 +160,135 @@ class Workspace:
         return sum(buf.nbytes for buf in self._buffers.values())
 
 
-def matmul_into(a: np.ndarray, b: np.ndarray, ws: Workspace, name: str) -> np.ndarray:
-    """``a @ b`` into a workspace buffer, proof-gated per shape.
+def _reference_matmul(
+    a: np.ndarray, b: np.ndarray, parts: Optional[Sequence[np.ndarray]]
+) -> np.ndarray:
+    """The allocating form the Tensor path runs: ``a @ b``, or — when the
+    reference multiplies column blocks of ``b`` separately (the unfused
+    Q/K/V projections) — the blocks' products side by side."""
+    if parts is None:
+        return np.matmul(a, b)
+    return np.concatenate([np.matmul(a, part) for part in parts], axis=-1)
 
-    The first call for a given (name, shapes, dtype) computes both
-    ``np.matmul(a, b)`` and ``np.matmul(a, b, out=buffer)``, compares
-    bitwise, and records the verdict; thereafter proven shapes skip the
-    allocating form entirely.  Returns the reference result whenever the
-    ``out=`` form is unproven or disproven, so the caller always gets
-    reference bytes.
+
+def matmul_into(
+    a: np.ndarray,
+    b: np.ndarray,
+    ws: Workspace,
+    name: str,
+    out: Optional[np.ndarray] = None,
+    parts: Optional[Sequence[np.ndarray]] = None,
+) -> np.ndarray:
+    """``a @ b`` into a workspace buffer (or ``out``), proof-gated per shape.
+
+    The first call for a given (name, shapes, dtype) computes both the
+    reference form and ``np.matmul(a, b, out=...)``, compares bitwise, and
+    records the verdict; thereafter proven shapes skip the allocating form
+    entirely.  The caller always gets reference bytes: an unproven or
+    disproven shape returns (or copies into ``out``) the reference result.
+
+    ``parts`` are the column blocks of ``b`` the reference path multiplies
+    one GEMM each (query/key/value): the gate then also proves that fusing
+    them into one GEMM — which changes which BLAS call produces each output
+    column block — is bitwise neutral for this shape.
     """
     key = ("matmul", name, a.shape, b.shape, a.dtype.str)
     verdict = ws.proofs.verdict(key)
-    if verdict is False:
-        return np.matmul(a, b)
-    out_shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (
-        a.shape[-2],
-        b.shape[-1],
-    )
-    out = ws.take(name, out_shape, a.dtype)
+    target = out
+    if target is None and verdict is not False:
+        if b.ndim == 2 or a.shape[:-2] == b.shape[:-2]:
+            batch = a.shape[:-2]  # the common cases, without the helper's cost
+        else:
+            batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        target = ws.take(name, batch + (a.shape[-2], b.shape[-1]), a.dtype)
     if verdict is True:
-        return np.matmul(a, b, out=out)
-    reference = np.matmul(a, b)
-    got = np.matmul(a, b, out=out)
-    ws.proofs.record(key, bool((got == reference).all()))
-    return reference
-
-
-def fused_qkv(
-    x: np.ndarray,
-    w_q: np.ndarray,
-    b_q: np.ndarray,
-    w_k: np.ndarray,
-    b_k: np.ndarray,
-    w_v: np.ndarray,
-    b_v: np.ndarray,
-    w_qkv: np.ndarray,
-    b_qkv: np.ndarray,
-    ws: Workspace,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Query/key/value projections, fused into one GEMM when proven safe.
-
-    The reference path (three separate ``x @ W + b``) defines the bytes.
-    Fusing changes only which BLAS call produces each output column block;
-    whether that is bitwise neutral depends on the BLAS build's blocking
-    strategy, so the first call per input shape runs both and compares.
-    A proven shape runs one GEMM; anything else runs the reference three.
-    """
-    d = w_q.shape[1]
-    key = ("fused_qkv", x.shape, d, x.dtype.str)
-    verdict = ws.proofs.verdict(key)
-    if verdict is True:
-        qkv = np.matmul(x, w_qkv, out=ws.take("qkv", x.shape[:-1] + (3 * d,), x.dtype))
-        qkv += b_qkv
-        return qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
-    q = np.matmul(x, w_q) + b_q
-    k = np.matmul(x, w_k) + b_k
-    v = np.matmul(x, w_v) + b_v
+        return np.matmul(a, b, out=target)
+    reference = _reference_matmul(a, b, parts)
     if verdict is None:
-        qkv = np.matmul(x, w_qkv, out=ws.take("qkv", x.shape[:-1] + (3 * d,), x.dtype))
-        qkv += b_qkv
-        ok = (
-            (qkv[..., :d] == q).all()
-            and (qkv[..., d : 2 * d] == k).all()
-            and (qkv[..., 2 * d :] == v).all()
-        )
-        ws.proofs.record(key, bool(ok))
-    return q, k, v
+        proven = bool((np.matmul(a, b, out=target) == reference).all())
+        ws.proofs.record(key, proven)
+        if proven:
+            return target
+    if out is None:
+        return reference
+    np.copyto(out, reference)
+    return out
+
+
+#: Longest run of rows one proof GEMM covers (scratch: a megabyte or two).
+_PROOF_RUN_ROWS = 1024
+
+#: Proof-cache key prefix of the row-stability verdicts:
+#: ``(ROW_STABLE, K, N, dtype, width band)`` — deliberately no row count.
+ROW_STABLE = "row_stable"
+
+#: Narrowest width band a row-stability proof covers.
+_MIN_BAND = 64
+
+
+def width_band(width: int, max_width: int) -> int:
+    """The band of sequence widths a proof for ``width`` covers: 2 up to
+    the next power of two (at least ``_MIN_BAND``, at most ``max_width``).
+
+    Proving *every* width up to ``max_position`` costs rows quadratic in
+    it — a tenth of a second at 256 — while DODUO's sequences are a few
+    dozen tokens; bands make a narrow workload pay for narrow widths only,
+    and keep the verdict count logarithmic.  Each band is proven on its
+    own, from width 2 up, the first time a mixed-width pass needs it.
+    """
+    return min(max_width, max(_MIN_BAND, 1 << max(0, width - 1).bit_length()))
+
+
+def row_stable_key(w: np.ndarray, band: int) -> Tuple[str, int, int, str, int]:
+    return (ROW_STABLE, w.shape[0], w.shape[1], w.dtype.str, band)
+
+
+def prove_row_stable(
+    w: np.ndarray,
+    max_width: int,
+    parts: Optional[Sequence[np.ndarray]] = None,
+) -> bool:
+    """Do this weight's GEMM output rows ignore how many rows share the call?
+
+    The differential run behind token-major batching: sequences of every
+    width from 2 to ``max_width``, in shuffled order, are laid end to end
+    in runs of a few hundred to a thousand rows; one GEMM (the ``out=``
+    form, fused over ``parts``) runs over each whole run, and each
+    sequence's rows must equal, bitwise, what the reference path computes
+    for that sequence alone — the allocating ``matmul`` over a
+    ``(1, width, K)`` batch, one call per part.  BLAS picks kernels by
+    shape, not by value, so the data is a fixed pseudo-random block: the
+    verdict is a property of the build, of (K, N, dtype) and of the widths
+    covered, which is what :func:`row_stable_key` keys it by (``max_width``
+    being a :func:`width_band`).  Runs are capped so the proof's
+    scratch stays a megabyte or two, not a spike in the process's peak RSS.
+
+    Width 1 is not covered and never assumed: a one-row product is a
+    matrix-vector call with its own summation order.
+    """
+    rng = np.random.default_rng(0)
+    widths = rng.permutation(np.arange(2, max(2, max_width) + 1)).tolist()
+    longest = max(max_width, _PROOF_RUN_ROWS)
+    block = rng.standard_normal((64, w.shape[0])).astype(w.dtype)
+    x = np.resize(block, (longest, w.shape[0]))
+    flat = np.empty((longest, w.shape[1]), dtype=w.dtype)
+    run = 0
+    while widths:
+        # Run lengths cycle 1x, 2x, 4x, ... so the shared call is tried at
+        # several row counts, each well above any single sequence's.
+        capacity = min(longest, max_width << (run % 4))
+        run += 1
+        rows = 0
+        members = []
+        while widths and rows + widths[-1] <= capacity:
+            members.append((rows, rows + widths[-1]))
+            rows += widths.pop()
+        np.matmul(x[:rows], w, out=flat[:rows])
+        for start, stop in members:
+            alone = _reference_matmul(x[None, start:stop], w, parts)[0]
+            if not (flat[start:stop] == alone).all():
+                return False
+    return True
 
 
 def softmax_(x: np.ndarray, axis: int = -1) -> np.ndarray:

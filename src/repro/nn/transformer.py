@@ -94,9 +94,9 @@ class MultiHeadSelfAttention(Module):
 
         Returns a ``(d, 3d)`` weight and a ``(3d,)`` bias whose column
         blocks are ordered query, key, value — the layout
-        :func:`repro.nn.kernels.fused_qkv` slices.  The arrays are fresh
-        copies; callers that cache them (inference sessions) must rebuild
-        when the underlying projections change.
+        :class:`repro.core.inference.InferenceSession` slices.  The arrays
+        are fresh copies; callers that cache them (inference sessions) must
+        rebuild when the underlying projections change.
         """
         weights = [self.query.weight.data, self.key.weight.data, self.value.weight.data]
         biases = [self.query.bias.data, self.key.bias.data, self.value.bias.data]

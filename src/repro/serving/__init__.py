@@ -6,11 +6,13 @@ The stack, bottom-up:
   per-request knobs and an optional ``model`` route;
   :class:`AnnotationResult` wraps the toolbox-compatible payload plus
   serving metadata.
-* :class:`AnnotationEngine` — exact width-bucketed batching over the shared
-  :class:`~repro.encoding.EncodingPipeline` (zero cross-request padding,
-  batched results byte-identical to sequential ones — or opt-in near-width
-  packing via ``EngineConfig.waste_budget``), one encoder forward pass per
-  bucket, and an optional persistent result store
+* :class:`AnnotationEngine` — batching over the shared
+  :class:`~repro.encoding.EncodingPipeline` with every sequence at the
+  width it would have alone (zero cross-request padding, batched results
+  byte-identical to sequential ones): one padding-free encoder pass per
+  drain chunk on the float fast path, one per exact width bucket on the
+  reference and int8 paths (or opt-in near-width packing via
+  ``EngineConfig.waste_budget``), and an optional persistent result store
   (:class:`FabricCache`) so repeated corpora never re-encode across
   process restarts.
 * :class:`EngineWorker` — the per-engine bounded request queue: ``submit``

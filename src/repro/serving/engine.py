@@ -8,15 +8,19 @@ through one padded encoder forward pass per bucket, and types, per-type
 score dictionaries, relation predictions, and column embeddings are all
 derived from those hidden states.
 
-Batching policy: requests are composed into **exact length buckets**
-(:class:`~repro.encoding.BatchPlanner`) — only requests whose forward
-passes would use identical padded widths share a batch.  Identical-width
-batches carry zero cross-request padding (``EngineStats`` reports the
-waste ratio) and, because no sequence is ever padded beyond the width it
-would use alone, batched results are **byte-identical** to sequential
-ones.  The pre-encoding-layer policy padded sorted chunks jointly, which
-perturbed float32 BLAS reductions at the ~1e-7 level; that tolerance is
-gone.  Results always come back in request order.
+Batching policy: every sequence is encoded at exactly the width its table
+dictates alone, so batched results are **byte-identical** to sequential
+ones and no token slot is spent on cross-request padding (``EngineStats``
+reports the waste ratio).  On the float fast path a drain is simply cut
+into chunks of ``batch_size`` in request order — the session mixes widths
+inside one padding-free pass (:mod:`repro.core.inference`), so eight
+tables of eight widths cost one pass, not eight.  The reference path and
+the int8 session can only pad a batch to one width; for them requests are
+composed into **exact width buckets** (:class:`~repro.encoding.BatchPlanner`)
+and only identical widths share a pass.  The pre-encoding-layer policy
+padded sorted chunks jointly, which perturbed float32 BLAS reductions at
+the ~1e-7 level; that tolerance is gone.  Results always come back in
+request order.
 
 Exactness: any batch composition is bitwise identical to the legacy
 multi-pass path (the compatibility wrappers in
@@ -44,10 +48,11 @@ from typing import (
 import numpy as np
 
 from ..core.annotator import AnnotatedTable
+from ..core.inference import INFERENCE_DTYPES
 from ..core.probe import ProbeBudget, ProbePlanner
 from ..core.trainer import DoduoTrainer, RawTableAnnotation, default_relation_pairs
 from ..datasets.tables import Table
-from ..encoding import BatchPlanner, EncodingPipeline
+from ..encoding import BatchPlanner, EncodingPipeline, column_fingerprint
 from .colcache import ColumnCache
 from .diskcache import (
     RequestIdentity,
@@ -72,16 +77,15 @@ class EngineConfig:
     :class:`~repro.encoding.EncodingPipeline` — serving requests, training
     epochs, and evaluations then reuse each other's serializations — while
     an explicit capacity builds a private pipeline of that size (0 disables
-    caching).  ``length_bucketing`` orders the exact width buckets by
-    ascending width (``False`` keeps first-seen bucket order; composition
-    is exact either way).  ``cache_dir`` turns on the persistent
+    caching).  ``cache_dir`` turns on the persistent
     result-cache tier (:class:`~repro.serving.fabric.FabricCache` rooted
     there) so finished annotations survive process restarts.
     ``waste_budget`` opts into the planner's near-width packing
     (:class:`~repro.encoding.BatchPlanner`): adjacent width buckets merge
     while the merged bucket's extra padded tokens stay under the budget —
     fewer forward passes at the cost of the byte-identity contract.  The
-    default 0 keeps exact bucketing.
+    default 0 keeps every sequence at its own width (one padding-free pass
+    per chunk on the float fast path, exact buckets elsewhere).
 
     ``dtype`` is the engine's compute-precision policy: ``"float32"``
     (default — the training dtype, bitwise the legacy serving path) or
@@ -132,7 +136,6 @@ class EngineConfig:
 
     batch_size: int = 8
     cache_size: Optional[int] = None
-    length_bucketing: bool = True
     default_options: AnnotationOptions = field(default_factory=AnnotationOptions)
     cache_dir: Optional[str] = None
     waste_budget: int = 0
@@ -211,6 +214,17 @@ class EngineConfig:
         ``precision`` can express int8 without a second knob."""
         return self.precision or self.dtype
 
+    @property
+    def ragged(self) -> bool:
+        """Whether one encoder pass may mix widths: the float fast path
+        (the reference path and int8 pad a batch to one width), unless
+        ``waste_budget`` asked for jointly padded buckets."""
+        return (
+            self.kernels == "fast"
+            and self.compute_precision in INFERENCE_DTYPES
+            and self.waste_budget == 0
+        )
+
 
 @dataclass
 class EngineStats:
@@ -222,9 +236,10 @@ class EngineStats:
     :class:`~repro.serving.fabric.FabricCache` is attached — a disk hit
     skips serialization *and* the forward pass entirely).
     ``real_tokens``/``padded_tokens`` account every encoder pass this
-    engine ran: with exact width bucketing ``padding_waste`` stays at the
-    intra-table floor (single-column tables pad short columns to their own
-    table's widest), with zero cross-request padding on top.
+    engine ran: every sequence is encoded at its own table's width, so
+    ``padding_waste`` stays at the intra-table floor (single-column tables
+    pad short columns to their own table's widest), with zero
+    cross-request padding on top.
     ``planner_mode`` records the batch-composition policy this engine runs
     (``"exact"``, or ``"packed(waste_budget=N)"`` when
     ``EngineConfig.waste_budget`` opted into near-width packing).
@@ -336,7 +351,6 @@ class AnnotationEngine:
             )
         self._planner = BatchPlanner(
             batch_size=self.config.batch_size,
-            ordered=self.config.length_bucketing,
             waste_budget=self.config.waste_budget,
         )
         # Probe planning: only built in planned mode, so exhaustive engines
@@ -401,11 +415,13 @@ class AnnotationEngine:
         options: Optional[AnnotationOptions] = None,
         identities: Optional[Sequence[RequestIdentity]] = None,
     ) -> List[AnnotationResult]:
-        """Annotate many tables, one forward pass per exact width bucket.
+        """Annotate many tables, one forward pass per chunk of
+        ``batch_size`` (per exact width bucket on the reference and int8
+        paths — see the module docstring).
 
         ``options`` applies to plain :class:`Table` items; explicit
         :class:`AnnotationRequest` items keep their own options.  Results are
-        returned in input order regardless of bucket composition, and each
+        returned in input order regardless of batch composition, and each
         one is byte-identical to what :meth:`annotate` would return alone.
 
         With a persistent result cache attached (``EngineConfig.cache_dir``
@@ -454,6 +470,15 @@ class AnnotationEngine:
                         annotated=decode_annotation(request, payload),
                         from_disk=True,
                     )
+        # Single-column serving keys four tiers on column content (segment
+        # cache, probe profiles, column states, pair encodes): hash every
+        # column once here and hand the digests down, beside the table's.
+        column_digests: Dict[int, List[str]] = {}
+        if self.column_cache is not None:
+            for i in pending:
+                column_digests[i] = [
+                    column_fingerprint(column) for column in requests[i].table.columns
+                ]
         encoded: Dict[int, object] = {}
         cached_flags: Dict[int, bool] = {}
         # The pipeline may be shared (trainer, other engines), so engine
@@ -464,7 +489,7 @@ class AnnotationEngine:
         seg_misses_before = self.encoding.segment_misses
         for i in pending:
             encoded[i], cached_flags[i] = self.encoding.encode_cached(
-                requests[i].table, identities[i].table_digest
+                requests[i].table, identities[i].table_digest, column_digests.get(i)
             )
         self.stats.cache_hits += self.encoding.cache_hits - hits_before
         self.stats.cache_misses += self.encoding.cache_misses - misses_before
@@ -484,22 +509,34 @@ class AnnotationEngine:
                     and self.trainer.model.relation_head is not None
                 ):
                     plan = self.probe_planner.plan(
-                        request.table, fingerprint=identities[i].table_digest
+                        request.table,
+                        fingerprint=identities[i].table_digest,
+                        column_fingerprints=column_digests.get(i),
                     )
                     planned_pairs[i] = plan.pairs
                     self.stats.pairs_planned += plan.planned
                     self.stats.pairs_pruned += plan.pruned
-        # Exact bucket plan: only requests dictating identical padded widths
-        # share a forward batch (the byte-identity contract) — unless
-        # ``waste_budget`` opted into near-width packing.
-        signatures = [
-            self._signature(requests[i], encoded[i], planned_pairs.get(i))
-            for i in pending
-        ]
+        if self.config.ragged:
+            # The session encodes every sequence at its own width inside
+            # one padding-free pass, so a chunk is just the next requests.
+            size = self.config.batch_size
+            chunks = [pending[k:k + size] for k in range(0, len(pending), size)]
+        else:
+            # Exact bucket plan: this path pads a batch to one width, so
+            # only requests dictating identical padded widths share a pass
+            # (the byte-identity contract) — unless ``waste_budget`` opted
+            # into near-width packing.
+            signatures = [
+                self._signature(requests[i], encoded[i], planned_pairs.get(i))
+                for i in pending
+            ]
+            chunks = [
+                [pending[k] for k in bucket]
+                for bucket in self._planner.plan(signatures)
+            ]
         if pending:
             self._hydrate_proofs()
-        for bucket in self._planner.plan(signatures):
-            chunk = [pending[k] for k in bucket]
+        for chunk in chunks:
             self._run_chunk(
                 chunk,
                 requests,
@@ -508,6 +545,7 @@ class AnnotationEngine:
                 cached_flags,
                 results,
                 planned_pairs,
+                column_digests,
             )
         if pending:
             self._persist_proofs()
@@ -731,6 +769,7 @@ class AnnotationEngine:
         cached_flags: Dict[int, bool],
         results: List[Optional[AnnotationResult]],
         planned_pairs: Optional[Dict[int, Tuple[Tuple[int, int], ...]]] = None,
+        column_digests: Optional[Dict[int, List[str]]] = None,
     ) -> None:
         tables = [requests[i].table for i in chunk]
         pair_requests: List[Optional[Sequence[Tuple[int, int]]]] = []
@@ -765,15 +804,17 @@ class AnnotationEngine:
             encoded=[encoded[i] for i in chunk],
             pair_requests=pair_requests,
             with_embeddings=any_embeddings,
-            # Keep the trainer's internal re-plan aligned with this engine's
+            # Keep the trainer's own batching aligned with this engine's
             # policy: with a waste budget the chunk is a packed (possibly
-            # mixed-width) bucket that must stay one batch, not be split
-            # back into exact buckets.
+            # mixed-width) bucket that must stay one jointly padded batch.
             waste_budget=self.config.waste_budget,
             kernels=self.config.kernels,
             compute_dtype=self.config.compute_precision,
             column_cache=column_cache,
             fingerprints=[identities[i].table_digest for i in chunk],
+            column_fingerprints=(
+                [column_digests[i] for i in chunk] if column_digests else None
+            ),
         )
         if column_cache is not None:
             self.stats.column_hits += column_cache.hits - col_hits_before

@@ -42,12 +42,16 @@ Request lifecycle
 
 Exactness and drain planning
 ----------------------------
-Every drain is handed to ``engine.annotate_batch``, which splits it on
-serialized-length boundaries into **exact width buckets**
-(:mod:`repro.encoding`): no sequence is ever padded beyond the width it
-would use alone, so queued results are **byte-identical** to direct
-``engine.annotate`` calls whatever the drain's composition — dedup,
-batching, and the cache tiers change cost, never bytes.
+Every drain is handed to ``engine.annotate_batch`` whole.  On the float
+fast path a drain of up to ``batch_size`` requests is **one** encoder pass
+whatever their widths — the session lays the sequences end to end and
+never pads one to another's width (:mod:`repro.core.inference`); the
+reference and int8 paths, which pad a batch to one width, split it into
+**exact width buckets** instead (:mod:`repro.encoding`).  Either way no
+sequence is ever padded beyond the width it would use alone, so queued
+results are **byte-identical** to direct ``engine.annotate`` calls
+whatever the drain's composition — dedup, batching, and the cache tiers
+change cost, never bytes.
 
 The ``exact`` flag selects the *failure-isolation* policy: ``True``
 (default) retries a failed drain one request at a time so an invalid
@@ -332,8 +336,8 @@ class EngineWorker:
         """Annotate one drain of distinct requests and answer their groups."""
         self.stats.batches += 1
         self.stats.unique_annotated += len(drain)
-        # One engine call per drain: the engine plans the requests into
-        # exact width buckets, so results are byte-identical to
+        # One engine call per drain: the engine encodes every request at
+        # the width it would use alone, so results are byte-identical to
         # single-table passes while the drain still batches.
         try:
             results = self._annotate(drain)

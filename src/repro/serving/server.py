@@ -484,6 +484,10 @@ class AnnotationServer:
             )
         if "error" in answer:
             self.stats.errors += 1
+        elif record.op == "stats" and not handled:
+            # The transport's own counters, under the key the pool's merged
+            # answer uses (a pool handler supplies its own and is ``handled``).
+            answer["server"] = self.stats.to_dict()
         elif record.op == "shutdown" and not handled:
             # Acknowledged; the owner of this server observes the event
             # and calls stop() — the answer is already queued ahead of

@@ -432,8 +432,13 @@ class TestHashOnce:
         with EngineWorker(engine) as worker:
             first = worker.annotate(wide)
             assert len(first.annotated.requested_pairs) > 1  # pairs were encoded
+            # Cold: the table once and each column once — the segment cache,
+            # the planner's profiles, the column-state cache and both sides
+            # of every pair encode all key on that one digest per column
+            # (they used to re-hash: ~5 walks per column plus 2 per pair).
+            assert len(walks) == 1 + wide.num_columns
             del walks[:]
             worker.annotate(wide)
-        # The table once (it used to be once per tier and once per planned
-        # pair), plus the column-state cache's per-column content keys.
+        # Warm: the table once (it used to be once per tier and once per
+        # planned pair), plus the column-state cache's per-column keys.
         assert len(walks) == 1 + wide.num_columns

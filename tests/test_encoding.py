@@ -466,14 +466,19 @@ class TestTrainerIntegration:
 @pytest.mark.smoke
 class TestEnginePacking:
     def test_packed_engine_runs_fewer_passes_and_reports_mode(self, trainer):
+        # On the reference path, which pads a batch to one width: the float
+        # fast path already runs one padding-free pass per drain.
         tables = trainer.dataset.tables[:12]
-        exact = AnnotationEngine(trainer, EngineConfig(batch_size=12))
+        exact = AnnotationEngine(
+            trainer, EngineConfig(batch_size=12, kernels="reference")
+        )
         exact.annotate_batch(tables)
         assert exact.stats.planner_mode == "exact"
         assert exact.stats.padding_waste == 0.0
 
         packed = AnnotationEngine(
-            trainer, EngineConfig(batch_size=12, waste_budget=64)
+            trainer,
+            EngineConfig(batch_size=12, waste_budget=64, kernels="reference"),
         )
         packed.annotate_batch(tables)
         assert packed.stats.planner_mode == "packed(waste_budget=64)"

@@ -8,9 +8,10 @@ reproduce them exactly.  This module is the proof:
 * in-place softmax/layernorm/gelu vs their allocating references on
   randomized shapes and seeds — ``==`` on output bytes, in float64 AND
   float32 (same ufunc sequence, same dtype → same bits);
-* the proof-gated GEMMs (``matmul_into``, ``fused_qkv``) — the gate runs
-  both forms on first call and must return reference bytes regardless of
-  the verdict; a disproven shape must permanently fall back;
+* the proof-gated GEMM (``matmul_into``, plain and fused over ``parts=``)
+  — the gate runs both forms on first call and must return reference
+  bytes regardless of the verdict; a disproven shape must permanently
+  fall back;
 * the full fast forward (``kernels="fast"``) vs the reference Tensor path
   (``kernels="reference"``) through ``DoduoTrainer.annotate_batch`` —
   type scores, relations, and embeddings all ``==`` in the default
@@ -21,21 +22,28 @@ reproduce them exactly.  This module is the proof:
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DoduoConfig, DoduoTrainer
+from repro.core.model import DoduoModel
+from repro.core.serialization import EncodedTable
 from repro.datasets import generate_wikitable_dataset
-from repro.nn import TransformerConfig
+from repro.nn import TransformerConfig, kernels
 from repro.nn import functional as F
 from repro.nn.kernels import (
+    ROW_STABLE,
     ProofCache,
     Workspace,
-    fused_qkv,
     gelu_,
     layer_norm_,
     matmul_into,
     softmax_,
+    width_band,
 )
 from repro.nn.tensor import Tensor
 from repro.text import train_wordpiece
@@ -140,22 +148,20 @@ class TestProofGatedMatmul:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("rows", [1, 3, 8])
     def test_fused_qkv_bitwise(self, rows, dtype):
+        """``parts=``: one GEMM over the packed weight vs the reference's
+        three, landing in a caller-supplied ``out``."""
         rng = np.random.default_rng(rows)
         d = 16
         x = _rand(rng, (2, rows, d), dtype)
         w = [_rand(rng, (d, d), dtype) for _ in range(3)]
-        b = [_rand(rng, (d,), dtype) for _ in range(3)]
         w_qkv = np.concatenate(w, axis=1)
-        b_qkv = np.concatenate(b)
-        expected = [x @ w[i] + b[i] for i in range(3)]
+        expected = np.concatenate([x @ part for part in w], axis=-1)
         ws = Workspace()
+        out = np.empty((2, rows, 3 * d), dtype=dtype)
         for _ in range(2):  # proof pass, then verdict pass
-            q, k, v = fused_qkv(
-                x, w[0], b[0], w[1], b[1], w[2], b[2], w_qkv, b_qkv, ws
-            )
-            assert (q == expected[0]).all()
-            assert (k == expected[1]).all()
-            assert (v == expected[2]).all()
+            got = matmul_into(x, w_qkv, ws, "qkv", out=out, parts=w)
+            assert got is out
+            assert (got == expected).all()
         assert ws.proofs.proofs_run == 1
 
     def test_fused_qkv_disproven_falls_back(self):
@@ -163,17 +169,13 @@ class TestProofGatedMatmul:
         d = 8
         x = _rand(rng, (1, 4, d), np.float32)
         w = [_rand(rng, (d, d), np.float32) for _ in range(3)]
-        b = [_rand(rng, (d,), np.float32) for _ in range(3)]
         w_qkv = np.concatenate(w, axis=1)
-        b_qkv = np.concatenate(b)
         ws = Workspace()
-        ws.proofs.record(("fused_qkv", x.shape, d, x.dtype.str), False)
-        q, k, v = fused_qkv(
-            x, w[0], b[0], w[1], b[1], w[2], b[2], w_qkv, b_qkv, ws
-        )
-        assert (q == x @ w[0] + b[0]).all()
-        assert (k == x @ w[1] + b[1]).all()
-        assert (v == x @ w[2] + b[2]).all()
+        ws.proofs.record(("matmul", "qkv", x.shape, w_qkv.shape, x.dtype.str), False)
+        out = np.zeros((1, 4, 3 * d), dtype=np.float32)
+        got = matmul_into(x, w_qkv, ws, "qkv", out=out, parts=w)
+        assert got is out  # reference bytes, copied where the caller reads
+        assert (got == np.concatenate([x @ part for part in w], axis=-1)).all()
         assert ws.proofs.proofs_failed == 1  # the injected verdict, no retry
 
     def test_proof_cache_counters(self):
@@ -192,10 +194,15 @@ class TestWorkspace:
         ws = Workspace()
         a = ws.take("x", (4, 8), np.float32)
         assert ws.take("x", (4, 8), np.float32) is a  # steady state: reuse
-        b = ws.take("x", (2, 8), np.float32)  # geometry change: realloc
-        assert b is not a
-        c = ws.take("x", (2, 8), np.float64)  # dtype change: realloc
-        assert c is not b
+        b = ws.take("x", (2, 8), np.float32)  # fewer rows: a leading slice
+        assert b.base is a and b.shape == (2, 8) and b.flags.c_contiguous
+        assert ws.take("x", (4, 8), np.float32) is a  # and back, no realloc
+        grown = ws.take("x", (6, 8), np.float32)  # more rows: realloc
+        assert grown.base is None and grown.shape == (6, 8)
+        other = ws.take("x", (6, 4), np.float32)  # trailing geometry: realloc
+        assert other.base is None and other is not grown
+        c = ws.take("x", (2, 4), np.float64)  # dtype change: realloc
+        assert c.base is None
         assert ws.allocated_bytes == c.nbytes  # one live buffer per name
 
 
@@ -316,3 +323,325 @@ class TestFullForwardIdentity:
         for (ft, _, fe), (rt, _, re) in zip(fast, reference):
             assert (ft == rt).all()
             assert (fe == re).all()
+
+
+# ---------------------------------------------------------------------------
+# Token-major (ragged) batching: one pass whatever the widths, same bytes
+# ---------------------------------------------------------------------------
+#
+# Model-level, on synthetic sequences: a *drain* is a list of tables, a table
+# a list of sequences padded jointly to the table's longest (one sequence
+# table-wise, one per column in single-column mode).  The reference answer
+# for a table is what the path that pads a batch to one width gives that
+# table alone; the ragged pass encodes every table of the drain at once.
+
+CLS_ID, SEP_ID = 2, 3
+MAX_POSITION = 48
+
+
+def _model(visibility: bool, numeric: bool, hidden: int = 16, ffn: int = 32,
+           heads: int = 2, max_position: int = MAX_POSITION) -> DoduoModel:
+    config = TransformerConfig(
+        vocab_size=60, hidden_dim=hidden, num_layers=2, num_heads=heads,
+        ffn_dim=ffn, max_position=max_position, num_segments=4, dropout=0.0,
+    )
+    model = DoduoModel(
+        config, num_types=5, num_relations=3, rng=np.random.default_rng(17),
+        use_visibility_matrix=visibility, use_numeric_embeddings=numeric,
+    )
+    model.eval()
+    return model
+
+
+_MODELS: dict = {}
+
+
+def _shared_model(visibility: bool, numeric: bool) -> DoduoModel:
+    """One model per flag pair for the whole module: hypothesis examples
+    then also exercise a session whose verdicts already exist."""
+    key = (visibility, numeric)
+    if key not in _MODELS:
+        _MODELS[key] = _model(visibility, numeric)
+    return _MODELS[key]
+
+
+def _sequence(rng: np.random.Generator, column_lengths) -> EncodedTable:
+    """``[CLS] v.. [CLS] v.. [SEP]`` with random value tokens and bins; a
+    lone ``[0]`` makes the one-token sequence ``[CLS]`` (width 1)."""
+    tokens, columns, cls = [], [], []
+    for index, length in enumerate(column_lengths):
+        cls.append(len(tokens))
+        tokens += [CLS_ID] + rng.integers(5, 60, size=length).tolist()
+        columns += [index] * (length + 1)
+    if len(tokens) > 1:
+        tokens.append(SEP_ID)
+        columns.append(-1)
+    return EncodedTable(
+        token_ids=np.asarray(tokens, dtype=np.int64),
+        cls_positions=np.asarray(cls, dtype=np.int64),
+        column_ids=np.asarray(columns, dtype=np.int64),
+        numeric_ids=rng.integers(0, 16, size=len(tokens)),
+    )
+
+
+def _pairs(tables):
+    """(item, 0, 1) for every sequence with two columns or more."""
+    flat = [sequence for table in tables for sequence in table]
+    return [(k, 0, 1) for k, s in enumerate(flat) if s.num_columns >= 2]
+
+
+def _products(out):
+    return (out.type_logits, out.relation_logits, out.embeddings)
+
+
+def _ragged(model, tables, dtype="float32"):
+    """Every table of the drain in ONE pass, each at its own width."""
+    flat, groups, widths = [], [], []
+    for table in tables:
+        groups.append(list(range(len(flat), len(flat) + len(table))))
+        widths += [max(s.length for s in table)] * len(table)
+        flat += table
+    before = model.encode_calls
+    out = model.forward_full(
+        flat, pairs=_pairs(tables) or None, head_groups=groups,
+        kernels="fast", compute_dtype=dtype, widths=widths,
+    )
+    assert model.encode_calls - before == 1
+    return out
+
+
+def _alone(model, tables, kernels, dtype="float32"):
+    """Per table, what the pad-to-one-width path gives it alone."""
+    return [
+        model.forward_full(
+            table, pairs=_pairs([table]) or None, kernels=kernels,
+            compute_dtype=dtype,
+        )
+        for table in tables
+    ]
+
+
+def _assert_ragged_equals_alone(ragged, alone):
+    columns = pairs = 0
+    for out in alone:
+        n = out.type_logits.shape[0]
+        assert (ragged.type_logits[columns:columns + n] == out.type_logits).all()
+        assert (ragged.embeddings[columns:columns + n] == out.embeddings).all()
+        columns += n
+        if out.relation_logits is not None:
+            m = out.relation_logits.shape[0]
+            assert (
+                ragged.relation_logits[pairs:pairs + m] == out.relation_logits
+            ).all()
+            pairs += m
+    assert columns == ragged.type_logits.shape[0]
+
+
+#: A table: 1-3 sequences of 1-3 columns, each column 0-5 value tokens.
+_TABLES = st.lists(
+    st.lists(
+        st.lists(st.integers(0, 5), min_size=1, max_size=3),
+        min_size=1, max_size=3,
+    ),
+    min_size=2, max_size=6,
+)
+
+
+class TestRaggedBatching:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shape=_TABLES,
+        single_column=st.booleans(),
+        visibility=st.booleans(),
+        numeric=st.booleans(),
+        dtype=st.sampled_from(["float32", "float64"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_flat_pass_equals_reference_per_table(
+        self, shape, single_column, visibility, numeric, dtype, seed
+    ):
+        rng = np.random.default_rng(seed)
+        if not single_column:
+            shape = [table[:1] for table in shape]  # one sequence per table
+        tables = [[_sequence(rng, columns) for columns in table] for table in shape]
+        model = _shared_model(visibility, numeric)
+        # The Tensor path is float32 only; float64's oracle is the float64
+        # session one table at a time — one width per pass, so every GEMM
+        # is the (count, width, K) batch the reference would run.
+        kernels = "reference" if dtype == "float32" else "fast"
+        _assert_ragged_equals_alone(
+            _ragged(model, tables, dtype), _alone(model, tables, kernels, dtype)
+        )
+
+    def _mixed_drain(self, seed=5):
+        rng = np.random.default_rng(seed)
+        return [
+            [_sequence(rng, [3, 2])],
+            [_sequence(rng, [5])],
+            [_sequence(rng, [1, 1, 4])],
+            [_sequence(rng, [3, 2])],
+        ]
+
+    def test_forced_disproof_serves_the_same_bytes_per_sequence(self, monkeypatch):
+        model = _model(visibility=False, numeric=True)
+        tables = self._mixed_drain()
+        session = model.inference_session("float32")
+        shapes = {
+            w.shape
+            for bw in session.blocks
+            for w in (bw.w_qkv, bw.w_o, bw.w_in, bw.w_out)
+        }
+        for shape in shapes:
+            session.workspace.proofs.record(
+                (ROW_STABLE, shape[0], shape[1], "<f4", MAX_POSITION), False
+            )
+
+        def no_proof(*args, **kwargs):
+            raise AssertionError("a recorded verdict must not be re-proven")
+
+        monkeypatch.setattr("repro.core.inference.prove_row_stable", no_proof)
+        flat_calls = []
+        real_matmul = np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            if a.ndim == 2 and b.ndim == 2 and "out" in kwargs:
+                flat_calls.append(a.shape)
+            return real_matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        _assert_ragged_equals_alone(
+            _ragged(model, tables), _alone(model, tables, "reference")
+        )
+        assert flat_calls == []  # every projection ran per width group
+
+    def test_width_one_sequence_in_a_drain(self):
+        """A one-row product is a matrix-vector call: that sequence's
+        projections run alone, the rest of the drain stays flat."""
+        rng = np.random.default_rng(9)
+        for single_column in (False, True):
+            tables = self._mixed_drain() + [[_sequence(rng, [0])]]
+            if single_column:
+                tables[1] = [_sequence(rng, [2]), _sequence(rng, [4])]
+                tables.append([_sequence(rng, [0]), _sequence(rng, [0])])
+            assert min(s.length for t in tables for s in t) == 1
+            for dtype, kernels in (("float32", "reference"), ("float64", "fast")):
+                model = _shared_model(False, False)
+                _assert_ragged_equals_alone(
+                    _ragged(model, tables, dtype),
+                    _alone(model, tables, kernels, dtype),
+                )
+
+    def test_never_seen_total_pays_no_reference_recompute(self, monkeypatch):
+        """Verdicts are per (K, N, dtype), never per row count: once they
+        exist — and the attention shapes of the width groups have been
+        seen — a drain of a new total width computes nothing twice."""
+        model = _model(visibility=False, numeric=False)
+        rng = np.random.default_rng(3)
+        a, b, c = ([_sequence(rng, [n])] for n in (3, 7, 10))
+        _ragged(model, [a, b])  # proves; sees the groups of widths 5 and 9
+        _ragged(model, [a, c])  # sees the group of width 12
+        proofs = model.inference_session("float32").workspace.proofs
+        assert proofs.proofs_failed == 0
+        run_before = proofs.proofs_run
+        recomputed = []
+        monkeypatch.setattr(
+            "repro.core.inference.prove_row_stable",
+            lambda *args, **kwargs: recomputed.append("proof") or True,
+        )
+        reference_form = kernels._reference_matmul
+        monkeypatch.setattr(
+            kernels, "_reference_matmul",
+            lambda *args: recomputed.append("matmul") or reference_form(*args),
+        )
+        _ragged(model, [b, c])  # 9 + 12: a total no pass has had
+        assert recomputed == []
+        assert proofs.proofs_run == run_before
+
+    def test_a_proof_covers_a_band_of_widths(self, monkeypatch):
+        """Proving every width up to ``max_position`` costs rows quadratic
+        in it, so a verdict covers a power-of-two band: narrow drains pay
+        for narrow widths only, and a wider sequence proves its band the
+        first time a mixed-width pass holds one — once."""
+        assert [width_band(w, 256) for w in (0, 2, 64, 65, 128, 200, 999)] == [
+            64, 64, 64, 128, 128, 256, 256,
+        ]
+        assert width_band(10, 48) == 48  # never past max_position
+
+        proven = []
+        real = kernels.prove_row_stable
+
+        def counting(w, band, parts=None):
+            proven.append(band)
+            return real(w, band, parts)
+
+        monkeypatch.setattr("repro.core.inference.prove_row_stable", counting)
+        rng = np.random.default_rng(4)
+        narrow = [[_sequence(rng, [3])], [_sequence(rng, [6, 2])]]
+        wide = narrow + [[_sequence(rng, [40, 33])]]  # 76 tokens: band 128
+        model = _model(False, False, max_position=200)
+        for tables in (narrow, wide, narrow, wide):
+            _assert_ragged_equals_alone(
+                _ragged(model, tables), _alone(model, tables, "reference")
+            )
+        assert proven == [64] * 4 + [128] * 4  # four weight shapes per band
+
+    def test_disproof_is_logged_once_per_shape(self, monkeypatch, caplog):
+        model = _model(visibility=False, numeric=False)
+        monkeypatch.setattr(
+            "repro.core.inference.prove_row_stable", lambda *args, **kwargs: False
+        )
+        tables = self._mixed_drain()
+        with caplog.at_level(logging.WARNING, logger="repro.core.inference"):
+            _assert_ragged_equals_alone(
+                _ragged(model, tables), _alone(model, tables, "reference")
+            )
+            _ragged(model, tables)  # verdicts stand: nothing is logged twice
+        messages = [r.getMessage() for r in caplog.records]
+        # hidden 16, ffn 32: QKV, output, FFN-in, FFN-out — one line each.
+        assert len(messages) == 4
+        for k, n in ((16, 48), (16, 16), (16, 32), (32, 16)):
+            assert sum(f"K={k} N={n} dtype=float32" in m for m in messages) == 1
+
+    def test_unstable_shape_is_found_and_bytes_hold(self, caplog):
+        """float64 x (96, 25) — the FFN-out shape of this model — is the
+        one weight shape measured row-count *dependent* on the reference
+        host's BLAS.  Wherever the proof lands, bytes hold; where it fails,
+        the fallback and its warning are what kept them."""
+        model = _model(visibility=False, numeric=False, hidden=25, ffn=96, heads=5)
+        tables = self._mixed_drain()
+        with caplog.at_level(logging.WARNING, logger="repro.core.inference"):
+            ragged = _ragged(model, tables, "float64")
+        _assert_ragged_equals_alone(ragged, _alone(model, tables, "fast", "float64"))
+        proofs = model.inference_session("float64").workspace.proofs
+        verdict = proofs.verdict((ROW_STABLE, 96, 25, "<f8", MAX_POSITION))
+        assert verdict is not None  # decided at the first mixed-width pass
+        logged = any("K=96 N=25 dtype=float64" in r.getMessage() for r in caplog.records)
+        assert logged == (verdict is False)
+
+    def test_restart_loads_verdicts_and_skips_the_proof(
+        self, trainer, tmp_path, monkeypatch
+    ):
+        from repro.serving import AnnotationEngine, EngineConfig
+
+        config = EngineConfig(cache_dir=str(tmp_path / "cache"))
+        tables = trainer.dataset.tables
+        assert len({trainer.encoding.encode_table(t).length for t in tables[:4]}) > 1
+        trainer.model.invalidate_sessions()
+        AnnotationEngine(trainer, config).annotate_batch(tables[:4])
+        proven = trainer.model.inference_session("float32").workspace.proofs
+        stable = [k for k in proven.to_payload()["verdicts"] if ROW_STABLE in k]
+        assert len(stable) == 4
+        # "Restart": a fresh session (empty proof cache) over the same
+        # directory; tables it has not answered, so the passes really run.
+        trainer.model.invalidate_sessions()
+
+        def no_proof(*args, **kwargs):
+            raise AssertionError("verdicts were persisted; nothing to prove")
+
+        monkeypatch.setattr("repro.core.inference.prove_row_stable", no_proof)
+        engine = AnnotationEngine(trainer, config)
+        results = engine.annotate_batch(tables[4:10])
+        assert engine.stats.encoder_passes == 1
+        for table, result in zip(tables[4:10], results):
+            alone = AnnotationEngine(trainer, EngineConfig(kernels="reference"))
+            assert result.type_scores == alone.annotate(table).type_scores

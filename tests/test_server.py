@@ -310,6 +310,26 @@ class TestAdminPlaneLive:
                 assert "not allowed" in refused["error"]
                 assert client.ask(table_to_dict(table))["columns"]
 
+    def test_stats_answer_carries_the_server_section(self, trainer_a):
+        """Same key and fields as the pool's merged answer, so one reader
+        serves both: ``ServerStats.to_dict()`` under ``"server"``."""
+        gateway = AnnotationGateway.for_engine(AnnotationEngine(trainer_a))
+        table = trainer_a.dataset.tables[0]
+        with gateway, ServerThread(gateway) as address, Client(address) as client:
+            assert client.ask(table_to_dict(table))["columns"]
+            assert "error" in client.ask({"columns": "not a table"})
+            stats = client.ask({"op": "stats", "id": "s"})
+        assert stats["id"] == "s"
+        assert set(stats["server"]) == {
+            "connections", "requests", "admin_ops", "errors", "ready", "answered",
+        }
+        server = stats["server"]
+        assert server["connections"] == 1
+        assert server["requests"] == 1  # accepted table records
+        assert server["errors"] == 1    # the malformed line's answer
+        assert server["admin_ops"] == 1  # this very op, counted at accept
+        assert server["answered"] == 2  # written before the stats answer is
+
     def test_shutdown_op_drains_and_stops(self, trainer_a):
         gateway = AnnotationGateway.for_engine(AnnotationEngine(trainer_a))
         table = trainer_a.dataset.tables[0]

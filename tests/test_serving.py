@@ -15,6 +15,8 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -228,8 +230,8 @@ class TestLegacyParity:
 @pytest.mark.smoke
 class TestBatchedEquivalence:
     """annotate_batch is BYTE-IDENTICAL to sequential annotate across modes
-    and label regimes: exact width bucketing means no sequence is ever
-    padded beyond the width it would use alone, so there is no tolerance."""
+    and label regimes: no sequence is ever padded beyond the width it would
+    use alone, so there is no tolerance."""
 
     @pytest.mark.parametrize("trainer_fixture", ALL_TRAINERS)
     def test_batched_vs_sequential_byte_identical(self, trainer_fixture, request):
@@ -248,28 +250,31 @@ class TestBatchedEquivalence:
             assert result.type_scores == sequential.type_scores  # exact floats
             assert np.array_equal(result.colemb, sequential.colemb)
 
-    def test_one_pass_per_width_bucket(self, wikitable_trainer):
-        engine = AnnotationEngine(wikitable_trainer, EngineConfig(batch_size=8))
-        tables = wikitable_trainer.dataset.tables[:8]
-        widths = {
-            wikitable_trainer.serializer.serialize_table(t).length for t in tables
-        }
-        before = wikitable_trainer.model.encode_calls
-        engine.annotate_batch(tables)
-        # One forward pass per distinct serialized width — and with exact
-        # buckets, zero cross-table padding: every allocated slot is real.
-        assert wikitable_trainer.model.encode_calls - before == len(widths)
-        assert engine.stats.batches == len(widths)
-        assert engine.stats.padded_tokens == engine.stats.real_tokens
-        assert engine.stats.padding_waste == 0.0
-
-    def test_length_bucketing_preserves_order(self, wikitable_trainer):
+    @pytest.mark.parametrize("kernels", ["fast", "reference"])
+    def test_passes_per_drain(self, wikitable_trainer, kernels):
+        """The fast path runs one padding-free pass per chunk of
+        ``batch_size`` whatever the widths; the reference path, which pads a
+        batch to one width, runs one per exact width bucket.  Either way
+        results come back in request order and no slot is padding."""
         engine = AnnotationEngine(
-            wikitable_trainer, EngineConfig(batch_size=3, length_bucketing=True)
+            wikitable_trainer, EngineConfig(batch_size=3, kernels=kernels)
         )
-        tables = wikitable_trainer.dataset.tables[:9]
+        tables = wikitable_trainer.dataset.tables[:8]
+        widths = Counter(
+            wikitable_trainer.serializer.serialize_table(t).length for t in tables
+        )
+        assert len(widths) > 1  # a width-diverse drain, or this pins nothing
+        if kernels == "fast":
+            expected = -(-len(tables) // 3)
+        else:
+            expected = sum(-(-count // 3) for count in widths.values())
+        before = wikitable_trainer.model.encode_calls
         results = engine.annotate_batch(tables)
         assert [r.table.table_id for r in results] == [t.table_id for t in tables]
+        assert wikitable_trainer.model.encode_calls - before == expected
+        assert engine.stats.batches == expected
+        assert engine.stats.padded_tokens == engine.stats.real_tokens
+        assert engine.stats.padding_waste == 0.0
 
     def test_empty_batch(self, wikitable_trainer):
         assert AnnotationEngine(wikitable_trainer).annotate_batch([]) == []
@@ -466,13 +471,10 @@ class TestStreaming:
         tables = viznet_trainer.dataset.tables[:5]
         results = list(engine.annotate_stream(tables))
         assert len(results) == 5
-        # Two drains (4 + 1 tables), each planned into one exact width
-        # bucket per distinct serialized length.
-        lengths = [
-            viznet_trainer.serializer.serialize_table(t).length for t in tables
-        ]
-        expected = len(set(lengths[:4])) + len(set(lengths[4:]))
-        assert engine.stats.batches == expected
+        # Two drains (4 + 1 tables), one padding-free pass each whatever
+        # the serialized lengths.
+        assert engine.stats.batches == 2
+        assert engine.stats.encoder_passes == 2
         assert engine.stats.padding_waste == 0.0
 
 
