@@ -894,6 +894,11 @@ def _cmd_cache_compact(args: argparse.Namespace) -> int:
             notes.append(
                 f"{result.evicted_records} records evicted by --max-bytes"
             )
+        if result.reaped_locks:
+            notes.append(
+                f"{result.reaped_locks} dead writer locks "
+                f"{'reapable' if args.dry_run else 'reaped'}"
+            )
         suffix = f" ({', '.join(notes)})" if notes else ""
         print(
             f"{verb} {directory}: {result.records} live records, "

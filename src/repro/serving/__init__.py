@@ -36,7 +36,9 @@ The stack, bottom-up:
   protocol over the gateway's native ``asubmit()``, with per-connection
   ordering, backpressure, an admin plane (``stats``/``health``/hot
   ``register``/``repoint``/``unregister``/``shutdown``), and graceful
-  drain; :class:`ServerThread` embeds it in synchronous code.
+  drain; a request the result store already answers is rendered from the
+  stored payload where its frame is decoded and never reaches a worker.
+  :class:`ServerThread` embeds it in synchronous code.
 * :class:`FabricCache` — the one persistent result store (per-writer
   append segments, shared compacted generations served over ``mmap``):
   a single serving process is its one-writer case, and sibling worker

@@ -35,6 +35,7 @@ alias of :class:`~repro.serving.fabric.FabricCache`.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, NamedTuple, Optional, Union
@@ -85,19 +86,31 @@ class FileLock:
         """Try to take the lock; ``True`` on success (idempotent)."""
         if self._handle is not None:
             return True
-        handle = open(self.path, "ab")
-        if _fcntl is not None:
+        while True:
+            handle = open(self.path, "ab")
+            if _fcntl is None:
+                break
             try:
                 _fcntl.flock(handle.fileno(), _fcntl.LOCK_EX | _fcntl.LOCK_NB)
             except OSError:
                 handle.close()
                 return False
+            # A compactor reaping dead writers' lock files may have unlinked
+            # this one between the open and the flock; a lock on an unlinked
+            # inode excludes nobody, so go round and lock the path's new file.
+            try:
+                if os.fstat(handle.fileno()).st_ino == os.stat(self.path).st_ino:
+                    break
+            except OSError:
+                pass
+            handle.close()
         self._handle = handle
         return True
 
     def release(self) -> None:
         """Drop the lock (idempotent).  The lock file stays on disk — it
-        is an inode to flock, not a pidfile; a stale one is harmless."""
+        is an inode to flock, not a pidfile; a stale one is harmless, and
+        the store's compaction reaps those of writers that are gone."""
         handle, self._handle = self._handle, None
         if handle is None:
             return
@@ -247,7 +260,9 @@ class CompactionResult:
     space a real run would drop.  ``skipped_segments`` counts segments
     left alone because a live writer owns them; ``corrupt_records`` the
     unparseable lines dropped from the merged inputs; ``evicted_records``
-    the oldest live records dropped to fit ``max_bytes``.
+    the oldest live records dropped to fit ``max_bytes``; ``reaped_locks``
+    the ``writer-<id>.lock`` files of writers that are gone (lock free, no
+    segment left) that were removed — or, dry, would be.
     """
 
     records: int
@@ -257,6 +272,7 @@ class CompactionResult:
     skipped_segments: int = 0
     corrupt_records: int = 0
     evicted_records: int = 0
+    reaped_locks: int = 0
 
     @property
     def reclaimed_bytes(self) -> int:

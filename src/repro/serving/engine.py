@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
@@ -234,7 +235,10 @@ class EngineStats:
     serialization-cache traffic; ``disk_hits``/``disk_misses`` count
     persistent result-cache lookups (only when a
     :class:`~repro.serving.fabric.FabricCache` is attached — a disk hit
-    skips serialization *and* the forward pass entirely).
+    skips serialization *and* the forward pass entirely), wherever the
+    hit was answered: in :meth:`AnnotationEngine.annotate_batch`, or by a
+    front-end that rendered the stored payload itself
+    (:meth:`AnnotationEngine.count_stored_hit`).
     ``real_tokens``/``padded_tokens`` account every encoder pass this
     engine ran: every sequence is encoded at its own table's width, so
     ``padding_waste`` stays at the intra-table floor (single-column tables
@@ -362,6 +366,9 @@ class AnnotationEngine:
                 ProbeBudget(max_pairs=self.config.probe_budget)
             )
         self.stats = EngineStats(planner_mode=self._planner.mode)
+        # ``requests``/``disk_hits``/``disk_misses`` have two writers — the
+        # thread inside annotate_batch and count_stored_hit's caller.
+        self._count_lock = threading.Lock()
         # The proof-cache object we last hydrated from disk; identity-
         # tracked so a rebuilt session (weight swap, invalidation) gets
         # re-hydrated instead of silently starting cold.
@@ -461,15 +468,16 @@ class AnnotationEngine:
             for i, request in enumerate(requests):
                 payload = result_cache.get(identities[i].cache_key)
                 if payload is None:
-                    self.stats.disk_misses += 1
                     pending.append(i)
                 else:
-                    self.stats.disk_hits += 1
                     results[i] = AnnotationResult(
                         request=request,
                         annotated=decode_annotation(request, payload),
                         from_disk=True,
                     )
+            with self._count_lock:
+                self.stats.disk_misses += len(pending)
+                self.stats.disk_hits += len(requests) - len(pending)
         # Single-column serving keys four tiers on column content (segment
         # cache, probe profiles, column states, pair encodes): hash every
         # column once here and hand the digests down, beside the table's.
@@ -558,8 +566,18 @@ class AnnotationEngine:
                     result_cache.put(
                         identities[i].cache_key, encode_annotation(results[i])
                     )
-        self.stats.requests += len(requests)
+        with self._count_lock:
+            self.stats.requests += len(requests)
         return [result for result in results if result is not None]
+
+    def count_stored_hit(self) -> None:
+        """Count one request a caller answered from :attr:`result_cache`
+        itself, without :meth:`annotate_batch` — the socket server renders a
+        stored payload where the frame is decoded.  Moves what the lookup
+        above would have: ``requests`` and ``disk_hits``."""
+        with self._count_lock:
+            self.stats.requests += 1
+            self.stats.disk_hits += 1
 
     def annotate_stream(
         self,

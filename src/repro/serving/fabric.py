@@ -41,12 +41,13 @@ one index entry per cached table plus a small hot-payload LRU.
 
 Compaction is lock-aware: only segments whose writer is *not* live (its
 ``writer-*.lock`` unheld) are merged into the next generation and deleted;
-live writers' segments are skipped and reported.  Compactors exclude each
-other via ``compact.lock``.  Readers whose segment files vanish under them
-(deleted by a compactor in another process) recover by refreshing: the key
-reappears in the new compacted generation, and the payload bytes are
-identical — keys are content hashes of everything that determines the
-value.
+live writers' segments are skipped and reported, and the lock files of
+writers that are gone (lock free, no segment left) are removed with them.
+Compactors exclude each other via ``compact.lock``.  Readers whose segment
+files vanish under them (deleted by a compactor in another process) recover
+by refreshing: the key reappears in the new compacted generation, and the
+payload bytes are identical — keys are content hashes of everything that
+determines the value.
 
 Migration: plain ``segment-NNNNNN.jsonl`` files written by releases that
 had a separate single-writer store parse as the segments of the empty
@@ -63,9 +64,9 @@ import os
 import re
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..encoding.cache import LRUCache, content_digest
 from .diskcache import CacheLockedError, CompactionResult, FileLock
@@ -251,30 +252,48 @@ class FabricCache:
         compacted generation — then retries, so a warm entry written by a
         sibling worker is a hit here without re-encoding.
         """
+        return self._lookup(key, scan=True)
+
+    def peek(self, key: str) -> Optional[Dict]:
+        """:meth:`get` for a caller that must not scan the directory.
+
+        A hot-LRU or index lookup plus at most one positioned read: never a
+        :meth:`refresh`, never a recovery rescan.  A hit counts like any
+        other; ``None`` counts nothing and only means *not answerable from
+        here* — an entry a sibling writer flushed since the last refresh, or
+        one whose file a compactor just deleted, is still found by
+        :meth:`get`, which the caller falls back to.  The socket server
+        probes with this from its event loop, so directory scans stay on the
+        engine's worker thread.
+        """
+        return self._lookup(key, scan=False)
+
+    def _lookup(self, key: str, scan: bool) -> Optional[Dict]:
         with self._lock:
-            if self._hot is not None:
-                payload = self._hot.get(key)
-                if payload is not None:
-                    self.stats.hits += 1
-                    return payload
-            payload = self._read(key)
-            if payload is None and self.refresh():
-                payload = self._read(key)
+            payload = self._hot.get(key) if self._hot is not None else None
             if payload is None:
-                self.stats.misses += 1
-                return None
+                payload = self._read(key, recover=scan)
+                if payload is None and scan and self.refresh():
+                    payload = self._read(key)
+                if payload is None:
+                    if scan:
+                        self.stats.misses += 1
+                    return None
+                if self._hot is not None:
+                    self._hot.put(key, payload)
             self.stats.hits += 1
-            if self._hot is not None:
-                self._hot.put(key, payload)
             return payload
 
-    def _read(self, key: str, retried: bool = False) -> Optional[Dict]:
+    def _read(
+        self, key: str, retried: bool = False, recover: bool = True
+    ) -> Optional[Dict]:
         """Resolve ``key`` through the index (caller holds the lock).
 
         A location whose backing file vanished (a compactor in another
         process merged and deleted it) is dropped and the lookup retried
         once after a forced refresh — the entry reappears in the compacted
-        layer with identical payload bytes.
+        layer with identical payload bytes.  With ``recover=False`` such a
+        location just reads as ``None`` and stays for :meth:`get` to repair.
         """
         location = self._index.get(key)
         if location is None:
@@ -285,7 +304,7 @@ class FabricCache:
                 line = self._mmap[offset:offset + length]
                 payload = json.loads(line)["payload"]
             except (TypeError, ValueError, KeyError, IndexError):
-                return self._recover(key, retried)
+                return self._recover(key, retried) if recover else None
             self.stats.remote_hits += 1
             return payload
         _, path, offset = location
@@ -294,7 +313,7 @@ class FabricCache:
                 handle.seek(offset)
                 record = json.loads(handle.readline().decode("utf-8"))
         except (OSError, ValueError, KeyError):
-            return self._recover(key, retried)
+            return self._recover(key, retried) if recover else None
         if location[0] != _OWN:
             self.stats.remote_hits += 1
         return record["payload"]
@@ -527,8 +546,8 @@ class FabricCache:
             finally:
                 compact_lock.release()
 
-    def _mergeable_sources(self, seal: bool) -> Tuple[List[Path], int]:
-        """``(paths safe to merge, skipped segment count)``.
+    def _mergeable_sources(self, seal: bool) -> Tuple[List[Path], int, Set[str]]:
+        """``(paths safe to merge, skipped segment count, live writers)``.
 
         Own segments are sealed (handle closed; the next put starts a new
         file) and always mergeable.  Other writers' segments are mergeable
@@ -541,19 +560,52 @@ class FabricCache:
             # Leave _segment_index as-is: _ensure_segment advances past it.
         sources: List[Path] = []
         skipped = 0
+        live: Set[str] = set()
         for writer, numbered in self._segments_by_writer().items():
             if writer != self.writer and FileLock.is_locked(
                 writer_lock_path(self.directory, writer)
             ):
                 skipped += len(numbered)
+                live.add(writer)
                 continue
             sources.extend(path for _, path in numbered)
-        return sources, skipped
+        return sources, skipped, live
+
+    def _reap_writer_locks(self, keep: Set[str], dry_run: bool) -> int:
+        """Remove the lock files of writers that are gone; returns how many.
+
+        A ``writer-<id>.lock`` goes when its writer has no segment (``keep``
+        names the writers that still do) and nobody holds it — every handle
+        ever opened leaves one behind, so a long-lived directory otherwise
+        collects one per process that ever served it.  The file is unlinked
+        *while this compactor holds its lock*: a writer racing us either
+        finds it held, or notices the unlink and locks a new file
+        (:meth:`FileLock.acquire <repro.serving.diskcache.FileLock.acquire>`).
+        A held lock is never touched, segments or not.
+        """
+        prefix, suffix = "writer-", ".lock"
+        reaped = 0
+        for path in sorted(self.directory.glob(f"{prefix}*{suffix}")):
+            writer = path.name[len(prefix):-len(suffix)]
+            if writer == self.writer or writer in keep:
+                continue
+            lock = FileLock(path)
+            if not lock.acquire():
+                continue  # held: a writer that has not opened a segment yet
+            try:
+                if not dry_run:
+                    os.remove(path)
+                reaped += 1
+            except OSError:
+                pass
+            finally:
+                lock.release()
+        return reaped
 
     def _compact_locked(
         self, dry_run: bool, max_bytes: Optional[int]
     ) -> CompactionResult:
-        sources, skipped = self._mergeable_sources(seal=not dry_run)
+        sources, skipped, live = self._mergeable_sources(seal=not dry_run)
         meta = self._read_index_file()
         old_compact: Optional[Path] = None
         generation = 0
@@ -604,7 +656,11 @@ class FabricCache:
             evicted_records=evicted,
         )
         if dry_run:
-            return result
+            # Every writer whose lock is free had its segments projected
+            # merged: only the live ones would keep any.
+            return replace(
+                result, reaped_locks=self._reap_writer_locks(live, dry_run=True)
+            )
 
         # Publish: data file, then the index that names it — both atomic.
         out_path = self.directory / (
@@ -646,7 +702,12 @@ class FabricCache:
         self._close_mmap()
         self._load_compacted()
         self.stats.corrupt_records += corrupt
-        return result
+        return replace(
+            result,
+            reaped_locks=self._reap_writer_locks(
+                set(self._segments_by_writer()), dry_run=False
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle

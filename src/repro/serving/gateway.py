@@ -27,6 +27,12 @@ Two client APIs share the workers:
   ``await asyncio.sleep`` backoff instead of blocking the event loop
   (thread-based ``submit`` blocks, which would stall every coroutine).
 
+A front-end that renders stored payloads itself (the socket server) asks
+:meth:`~AnnotationGateway.answer_stored` first: a non-blocking probe of the
+route's live worker and its engine's result store that answers a hit on the
+caller's thread, and on a miss hands back the request's hash for
+``asubmit(identity=...)``.
+
 Equivalence: routing adds nothing to the math.  A gateway answer is the
 routed engine's answer — byte-identical to calling that engine's
 ``annotate`` directly, from both the thread and the asyncio path (the
@@ -53,15 +59,19 @@ from dataclasses import (
     replace,
 )
 from typing import (
+    Any,
     AsyncIterator,
+    Callable,
     Dict,
     Iterable,
     Iterator,
     List,
     Optional,
+    Tuple,
     Union,
 )
 
+from .diskcache import RequestIdentity
 from .engine import AnnotationEngine, EngineStats, RequestLike
 from .queue import EngineWorker, QueueConfig, ServiceStats
 from .registry import ModelRegistry, ModelSource
@@ -300,21 +310,55 @@ class AnnotationGateway:
                     self._workers[name] = worker
                 return worker
 
-    def _has_live_worker(self, route: Optional[str]) -> bool:
-        """Cheap peek: does this route already have a worker bound to the
-        registry's live engine?  No loads, no retires, no LRU touch — the
-        asyncio path uses it to decide whether :meth:`worker` can run
-        inline (fast) or must go to an executor (cold load / drain)."""
+    def _live_worker(self, route: Optional[str]) -> Optional[EngineWorker]:
+        """Cheap peek: the worker this route already has bound to the
+        registry's live engine, if any.  No loads, no retires, no LRU
+        touch — the asyncio path uses it to decide whether :meth:`worker`
+        can run inline (fast) or must go to an executor (cold load /
+        drain), and :meth:`answer_stored` to stay off cold routes."""
         try:
             name = self.registry.resolve(route)
         except KeyError:
-            return False
+            return None
         engine = self.registry.live_engine(name)
         if engine is None:
-            return False
+            return None
         with self._lock:
             worker = self._workers.get(name)
-        return worker is not None and worker.engine is engine
+        if worker is None or worker.engine is not engine:
+            return None
+        return worker
+
+    def answer_stored(
+        self,
+        request: AnnotationRequest,
+        render: Callable[[Dict], Optional[Any]],
+    ) -> Tuple[Optional[Any], Optional[RequestIdentity]]:
+        """Answer ``request`` from its route's result store without
+        queueing it, or say why not: ``(answer, identity)``.
+
+        Never blocks on a model: only a route that already has a live
+        worker is probed (a cold, evicted, re-pointed or unknown route, or
+        a closed gateway, is ``(None, None)`` — :meth:`asubmit` loads,
+        retires and reports errors as it always has), and the probe itself
+        is :meth:`EngineWorker.answer_stored
+        <repro.serving.queue.EngineWorker.answer_stored>`: one hash, one
+        store peek, ``render(payload)``.  A hit touches the registry's LRU
+        recency and ``routed`` count like any routed request.  On a miss
+        pass ``identity`` on to ``asubmit(identity=...)``.
+        """
+        if self._closed:
+            return None, None
+        worker = self._live_worker(request.model)
+        if worker is None:
+            return None, None
+        answer, identity = worker.answer_stored(request, render)
+        if answer is not None:
+            try:
+                self.registry.acquire(request.model, load=False)
+            except KeyError:
+                pass  # unregistered since the probe: the answer stands
+        return answer, identity
 
     def _retire(self, name: str, worker: EngineWorker) -> None:
         """Drain-close ``worker`` and fold its counters (and its engine's)
@@ -417,6 +461,7 @@ class AnnotationGateway:
         item: RequestLike,
         options: Optional[AnnotationOptions],
         model: Optional[str],
+        identity: Optional[RequestIdentity] = None,
     ) -> "asyncio.Future[AnnotationResult]":
         """Enqueue without ever blocking the event loop.
 
@@ -438,12 +483,14 @@ class AnnotationGateway:
             # both blocking work that must not stall the event loop.  (The
             # peek is best-effort: an eviction landing between peek and
             # resolve can still cost one inline load — rare by design.)
-            if self._has_live_worker(route):
+            if self._live_worker(route) is not None:
                 worker = self.worker(route)
             else:
                 worker = await loop.run_in_executor(None, self.worker, route)
             try:
-                future = worker.submit(item, options, block=False)
+                future = worker.submit(
+                    item, options, block=False, identity=identity
+                )
                 break
             except _queue.Full:
                 if deadline is not None and loop.time() >= deadline:
@@ -461,6 +508,7 @@ class AnnotationGateway:
         item: RequestLike,
         options: Optional[AnnotationOptions] = None,
         model: Optional[str] = None,
+        identity: Optional[RequestIdentity] = None,
     ) -> AnnotationResult:
         """Asyncio-native :meth:`annotate`: awaits the routed annotation.
 
@@ -470,8 +518,10 @@ class AnnotationGateway:
         thousands of concurrent ``asubmit`` calls cost one worker thread
         per *model*, not one per request.  Byte-identical to
         :meth:`submit` — same workers, same engines, same bytes.
+        ``identity`` is the request's hash when :meth:`answer_stored`
+        already computed it (a store miss is still hashed once).
         """
-        future = await self._enqueue(item, options, model)
+        future = await self._enqueue(item, options, model, identity)
         return await future
 
     async def astream(

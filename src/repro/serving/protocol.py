@@ -42,8 +42,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Union
 
+from ..datasets.tables import Table
 from ..io import table_from_dict
-from .request import AnnotationOptions, AnnotationRequest, AnnotationResult
+from .request import (
+    AnnotationOptions,
+    AnnotationRequest,
+    AnnotationResult,
+    wire_record,
+)
 
 #: Admin operations the protocol understands, in wire-name order.
 ADMIN_OPS = ("health", "register", "repoint", "shutdown", "stats", "unregister")
@@ -221,6 +227,35 @@ def encode_result(
 ) -> Dict:
     """The answer record for one annotation result (id echoed last)."""
     return result.to_dict(with_embeddings=with_embeddings, record_id=record_id)
+
+
+def encode_stored(
+    payload: Dict, table: Table, record_id: Optional[Any] = None
+) -> Optional[Dict]:
+    """The answer record for a result-store payload, from its stored form.
+
+    Equal, key for key, to ``encode_result`` of the
+    :class:`~repro.serving.request.AnnotationResult` that
+    :func:`~repro.serving.diskcache.decode_annotation` would rebuild for
+    ``table`` — both end in :func:`~repro.serving.request.wire_record` —
+    without building that result: the socket server answers store hits
+    with it.  ``table`` is the asker's own (its ``table_id`` and headers
+    are echoed; the store's key covers neither ``table_id`` nor the
+    difference between a missing and an empty header).  Returns ``None``
+    for a payload carrying embeddings, which only the decoded path renders.
+    """
+    if payload["colemb"] is not None:
+        return None
+    relations = {
+        (int(i), int(j)): labels for i, j, labels in payload["colrels"]
+    }
+    return wire_record(
+        table,
+        payload["coltypes"],
+        payload["type_scores"],
+        sorted(relations.items()),
+        record_id=record_id,
+    )
 
 
 def encode_line(record: Dict) -> str:

@@ -40,6 +40,12 @@ Request lifecycle
    (delivered per-waiter, never swallowed).  A waiter may cancel its own
    future at any time; its siblings are still answered.
 
+A front-end that can render a stored payload itself skips all four for a
+request the engine's result store already answers:
+:meth:`EngineWorker.answer_stored` hashes, peeks the store and counts the
+hit on the caller's thread — the socket server's event loop — and hands the
+hash back on a miss, for ``submit(identity=...)``.
+
 Exactness and drain planning
 ----------------------------
 Every drain is handed to ``engine.annotate_batch`` whole.  On the float
@@ -66,7 +72,18 @@ import threading
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, replace
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.annotator import AnnotatedTable
 from .diskcache import RequestIdentity
@@ -114,10 +131,15 @@ class QueueConfig:
 class ServiceStats:
     """Counters for one worker's (or single-model service's) lifetime.
 
-    ``dedup_hits`` counts requests answered by sharing another request's
-    queued or running annotation (queue-level dedup, before any cache
-    tier); ``unique_annotated`` counts groups actually handed to the
-    engine; ``batches`` counts worker drains, not engine forward batches.
+    ``submitted``/``completed`` count every request this worker answered
+    for — queued ones, and those :meth:`EngineWorker.answer_stored` served
+    from the result store on the caller's thread, which never became a
+    group or joined a drain (so ``submitted / batches`` over-reads the mean
+    drain size by exactly those).  ``dedup_hits`` counts requests answered
+    by sharing another request's queued or running annotation (queue-level
+    dedup, before any cache tier); ``unique_annotated`` counts groups
+    actually handed to the engine; ``batches`` counts worker drains, not
+    engine forward batches.
     """
 
     submitted: int = 0
@@ -230,6 +252,7 @@ class EngineWorker:
         item: RequestLike,
         options: Optional[AnnotationOptions] = None,
         block: bool = True,
+        identity: Optional[RequestIdentity] = None,
     ) -> "Future[AnnotationResult]":
         """Hand in one table; returns the future holding its result.
 
@@ -241,12 +264,14 @@ class EngineWorker:
         loop).  The returned future resolves to the same
         :class:`AnnotationResult` object for every submitter of a
         content-identical request between now and the moment the answer
-        exists.
+        exists.  ``identity`` is the request's hash when the caller holds
+        it already (:meth:`answer_stored` returns it with a miss), so the
+        cells are still walked once.
         """
         request = self.engine._as_request(item, options)
         future: "Future[AnnotationResult]" = Future()
         try:
-            identity = self.engine.identify(request)
+            identity = self.engine.identify(request, identity)
         except Exception as error:  # noqa: BLE001 - malformed request
             # e.g. non-string cell values break the content hash; fail that
             # request alone, through its future like any engine error.
@@ -279,6 +304,46 @@ class EngineWorker:
                 self._work.notify()
             group.waiters.append((request, future))
         return future
+
+    def answer_stored(
+        self,
+        request: AnnotationRequest,
+        render: Callable[[Dict], Optional[Any]],
+    ) -> Tuple[Optional[Any], Optional[RequestIdentity]]:
+        """Answer ``request`` from the engine's result store on the
+        caller's thread, or say why not: ``(answer, identity)``.
+
+        The hit path of a front-end that renders stored payloads itself
+        (the socket server, from its event loop): the request is hashed,
+        the store *peeked* (:meth:`FabricCache.peek
+        <repro.serving.fabric.FabricCache.peek>` — no directory scan), and
+        ``render(payload)`` is the answer.  A hit never enters the queue:
+        no future, no group, no wake of the worker thread; it counts as
+        one ``submitted`` and one ``completed`` in one critical section,
+        and as the engine's ``requests``/``disk_hits``.
+
+        ``answer`` is ``None`` when the caller must :meth:`submit` instead
+        — the engine has no store (``identity`` is ``None`` too: nothing
+        was hashed), the store cannot answer from its index, ``render``
+        declined the payload, or the worker is closed.  Nothing is counted
+        then; ``identity`` goes to ``submit(identity=...)``.  Whatever
+        ``identify`` or ``render`` raises propagates with nothing counted.
+        """
+        store = self.engine.result_cache
+        if store is None:
+            return None, None
+        identity = self.engine.identify(request)
+        payload = store.peek(identity.cache_key)
+        answer = None if payload is None else render(payload)
+        if answer is None:
+            return None, identity
+        with self._lock:
+            if self._closed:
+                return None, identity
+            self.stats.submitted += 1
+            self.stats.completed += 1
+        self.engine.count_stored_hit()
+        return answer, identity
 
     def _has_room_locked(self) -> bool:
         return self._closed or self._unanswered < self.config.max_queue_size

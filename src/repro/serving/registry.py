@@ -487,10 +487,12 @@ class ModelRegistry:
         return self.acquire(route)[1]
 
     def acquire(
-        self, route: Optional[str] = None
-    ) -> Tuple[str, AnnotationEngine]:
+        self, route: Optional[str] = None, load: bool = True
+    ) -> Tuple[str, Optional[AnnotationEngine]]:
         """``(canonical name, live engine)`` for ``route`` in one registry
-        pass — the gateway's per-submission entry point.
+        pass — the gateway's per-submission entry point.  ``load=False``
+        never loads: a route that is not live comes back with ``None`` for
+        the engine, untouched (callers on an event loop).
 
         Touches the entry's LRU recency and enforces ``max_live`` (the
         just-routed engine is never the one evicted).  Checkpoint loads
@@ -507,6 +509,8 @@ class ModelRegistry:
                     self.stats.routed += 1
                     self._enforce_max_live(keep=entry)
                     return entry.name, entry.engine
+                if not load:
+                    return entry.name, None
             with entry.load_lock:
                 if entry.engine is None:
                     self._load(entry)

@@ -10,7 +10,7 @@ produced for it plus serving metadata (cache hit, batch id).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.annotator import AnnotatedTable
 from ..datasets.tables import Table
@@ -149,35 +149,63 @@ class AnnotationResult:
         clients can match out-of-order answers.  ``None`` (no token)
         leaves the record byte-identical to the historical shape.
         """
-        payload: Dict = {
-            "table_id": self.table.table_id,
-            "columns": [
-                {
-                    "header": col.header,
-                    "predicted_types": self.coltypes[c],
-                }
-                for c, col in enumerate(self.table.columns)
-            ],
-            "relations": [
-                {"columns": list(pair), "predicted_relations": labels}
-                for pair, labels in sorted(self.colrels.items())
-            ],
+        return wire_record(
+            self.table,
+            self.coltypes,
+            self.type_scores if with_scores else None,
+            sorted(self.colrels.items()),
+            colemb=self.colemb,
+            with_embeddings=with_embeddings,
+            record_id=record_id,
+        )
+
+
+def wire_record(
+    table: Table,
+    coltypes: Sequence[Sequence[str]],
+    type_scores: Optional[Sequence[Mapping[str, float]]],
+    relations: Iterable[Tuple[Sequence[int], Sequence[str]]],
+    colemb=None,
+    with_embeddings: bool = False,
+    record_id: Optional[object] = None,
+) -> Dict:
+    """The one renderer of an annotation's wire record.
+
+    Takes the annotation products as plain sequences, so the two sources
+    of an answer share it and cannot drift: :meth:`AnnotationResult.to_dict`
+    passes an :class:`~repro.core.annotator.AnnotatedTable`'s fields, and
+    :func:`repro.serving.protocol.encode_stored` passes a result-store
+    payload's lists as they were read — no object graph in between.
+    ``table`` supplies ``table_id`` and the headers (the asker's own, which
+    the store does not key on); ``relations`` are ``(pair, labels)`` in
+    emission order; ``type_scores=None`` leaves scores out.
+    """
+    columns: List[Dict] = []
+    for c, col in enumerate(table.columns):
+        column_payload: Dict = {
+            "header": col.header,
+            "predicted_types": coltypes[c],
         }
-        if with_scores:
-            for c, column_payload in enumerate(payload["columns"]):
-                ranked = sorted(
-                    self.type_scores[c].items(), key=lambda item: (-item[1], item[0])
-                )
-                column_payload["type_scores"] = {
-                    name: round(float(score), 6) for name, score in ranked
-                }
-        if self.colemb is not None:
-            payload["embedding_dim"] = int(self.colemb.shape[1])
-            if with_embeddings:
-                for c, column_payload in enumerate(payload["columns"]):
-                    column_payload["embedding"] = [
-                        round(float(v), 6) for v in self.colemb[c]
-                    ]
-        if record_id is not None:
-            payload["id"] = record_id
-        return payload
+        if type_scores is not None:
+            ranked = sorted(
+                type_scores[c].items(), key=lambda item: (-item[1], item[0])
+            )
+            column_payload["type_scores"] = {
+                name: round(float(score), 6) for name, score in ranked
+            }
+        if colemb is not None and with_embeddings:
+            column_payload["embedding"] = [round(float(v), 6) for v in colemb[c]]
+        columns.append(column_payload)
+    payload: Dict = {
+        "table_id": table.table_id,
+        "columns": columns,
+        "relations": [
+            {"columns": list(pair), "predicted_relations": labels}
+            for pair, labels in relations
+        ],
+    }
+    if colemb is not None:
+        payload["embedding_dim"] = int(colemb.shape[1])
+    if record_id is not None:
+        payload["id"] = record_id
+    return payload

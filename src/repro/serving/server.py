@@ -17,9 +17,20 @@ per *model*, not per request or per connection.
 
 * **Per-connection ordering** — answers on one connection come back in
   the order its records arrived.  Each connection keeps a FIFO of pending
-  answers; a writer coroutine awaits and emits them in order, so results
-  stream out as each completes, with at most one window of head-of-line
-  wait — never buffered behind the slowest batch of another connection.
+  answers; a writer coroutine emits them in order — everything already
+  resolved at the head of the FIFO in one write — so results stream out
+  as each completes, with at most one window of head-of-line wait — never
+  buffered behind the slowest batch of another connection.
+* **Stored results are answered where the frame is decoded** — a table
+  record whose route has a live engine with a result store is hashed once
+  and looked up by the connection's reader; a hit is rendered straight
+  from the stored payload and queued as an already-resolved answer.  No
+  task, no future, no hop to the worker thread, no
+  :class:`~repro.serving.request.AnnotationResult`; a miss takes the
+  path below with its hash in hand.  For this the loop may wait on the
+  store handle's lock (an index lookup, an append, at worst the worker's
+  throttled directory scan) and on one read of a cached page — never on a
+  model load, a drain, or a scan of its own.
 * **Backpressure, never blocking** — each connection bounds its in-flight
   window (default ``4 * max_batch``); a full window suspends that
   connection's reader (TCP pushes back to the client), and a full gateway
@@ -64,9 +75,10 @@ from __future__ import annotations
 import asyncio
 import threading
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 
 from . import protocol
+from .diskcache import RequestIdentity
 from .gateway import AnnotationGateway
 from .request import AnnotationOptions
 
@@ -131,8 +143,8 @@ class ServerStats:
 
 
 class _Connection:
-    """Per-connection state: the answer FIFO, the cancellable reader, and
-    the drain telemetry — ``retired`` counts answers taken off the FIFO
+    """Per-connection state: the answer FIFO and the window that bounds
+    it (``room``), the cancellable reader, and the drain telemetry — ``retired`` counts answers taken off the FIFO
     (written or dropped on a broken transport), ``writing`` is True
     exactly while the writer coroutine sits inside ``write``/``drain``.
     ``writing`` with ``retired`` not moving for a whole grace window is
@@ -140,11 +152,19 @@ class _Connection:
     awaiting a still-computing answer has ``writing`` False, however
     long it waits)."""
 
-    __slots__ = ("writer", "answers", "reader_task", "retired", "writing")
+    __slots__ = (
+        "writer", "answers", "room", "reader_task", "retired", "writing"
+    )
 
     def __init__(self, writer: asyncio.StreamWriter, window: int) -> None:
         self.writer = writer
-        self.answers: "asyncio.Queue" = asyncio.Queue(maxsize=window)
+        # The FIFO itself is unbounded; ``room`` is the in-flight window.
+        # The reader takes one unit *before* it dispatches a record and the
+        # writer gives it back when the answer is retired, so filling the
+        # FIFO never waits — nothing can be cancelled between accepting a
+        # record and queueing its answer.
+        self.answers: "asyncio.Queue" = asyncio.Queue()
+        self.room = asyncio.Semaphore(window)
         self.reader_task: Optional["asyncio.Task"] = None
         self.retired = 0
         self.writing = False
@@ -366,7 +386,7 @@ class AnnotationServer:
             # Always drain: without the sentinel the writer task would
             # block on the queue forever and accepted answers would be
             # dropped.
-            await connection.answers.put(_DONE)
+            connection.answers.put_nowait(_DONE)
             await writer_task
             self._connections.discard(connection)
             if task is not None:
@@ -382,23 +402,30 @@ class AnnotationServer:
     ) -> None:
         """Accept records until EOF (or a cancel from :meth:`stop`).
 
-        Every accepted record takes one slot in the connection's answer
-        FIFO *here*, in arrival order — that single await is both the
-        ordering guarantee and the per-connection backpressure (a full
-        window suspends this coroutine, and TCP suspends the client).
-        The slot is reserved *before* the answer task is spawned, so a
-        shutdown cancel landing in the (possibly blocking) reservation
-        leaves nothing accepted: a record either never dispatched, or
-        holds a FIFO slot whose answer the drain will write.
+        Every record that will be answered first takes one unit of the
+        connection's window — that await is the per-connection backpressure
+        (a full window suspends this coroutine, and TCP suspends the
+        client) and, with ``readline``, the only place a shutdown cancel
+        can land: a record either never got its unit, or its answer is in
+        the FIFO (resolved, or a slot whose task is running) and the drain
+        will write it.  Answers enter the FIFO here, in arrival order,
+        which is the ordering guarantee.
+
+        A table record is first offered to the result store
+        (:meth:`_answer_stored`): a hit is rendered and queued right here,
+        already resolved — no task, no future, no worker wake — behind
+        whatever is still computing ahead of it.
         """
         loop = asyncio.get_running_loop()
+        answers = connection.answers
         while True:
             try:
                 line = await reader.readline()
             except (ValueError, ConnectionError):
                 # Overlong line (stream limit) or a reset mid-line: the
                 # framing is unrecoverable, close this connection.
-                await connection.answers.put(
+                await connection.room.acquire()
+                answers.put_nowait(
                     protocol.error_answer(
                         f"line exceeds {self.max_line_bytes} bytes or the "
                         "connection broke mid-line"
@@ -414,35 +441,76 @@ class AnnotationServer:
                     line, self.options, admin=self.admin
                 )
             except protocol.ProtocolError as error:
+                await connection.room.acquire()
+                answers.put_nowait(error.answer())
                 self.stats.errors += 1
-                await connection.answers.put(error.answer())
                 self.stats.ready += 1
                 continue
             if record is None:
                 continue  # blank line or dataset header
-            is_admin = isinstance(record, protocol.AdminRecord)
-            answer_coro = (
-                self._admin(record) if is_admin else self._annotate(record)
-            )
-            slot: "asyncio.Future" = loop.create_future()
-            try:
-                await connection.answers.put(slot)
-            except asyncio.CancelledError:
-                answer_coro.close()  # never dispatched, never accepted
-                raise
-            if is_admin:
+            await connection.room.acquire()
+            # No await from here to the end of the iteration: the record is
+            # accepted, and its answer (or its running task) is queued.
+            if isinstance(record, protocol.AdminRecord):
                 self.stats.admin_ops += 1
+                answer_coro = self._admin(record)
             else:
                 self.stats.requests += 1
-            # No await between the reservation above and this spawn, so
-            # an accepted record always has its answer task running.
+                stored, identity = self._answer_stored(record)
+                if stored is not None:
+                    answers.put_nowait(stored)
+                    self.stats.ready += 1
+                    continue
+                answer_coro = self._annotate(record, identity)
+            slot: "asyncio.Future" = loop.create_future()
+            answers.put_nowait(slot)
             task = asyncio.ensure_future(answer_coro)
             task.add_done_callback(_transfer_to(slot, self.stats))
 
-    async def _annotate(self, record: protocol.RequestRecord) -> Dict:
+    def _answer_stored(
+        self, record: protocol.RequestRecord
+    ) -> Tuple[Optional[bytes], Optional[RequestIdentity]]:
+        """``(answer line, identity)`` for a table record the result store
+        can answer right now, else ``(None, identity or None)``.
+
+        Runs on the event loop, so it may wait only for what
+        :meth:`AnnotationGateway.answer_stored
+        <repro.serving.gateway.AnnotationGateway.answer_stored>` waits
+        for: short locks and one read of a cached page — never a model
+        load, a drain or a directory scan.  The line is rendered from the
+        stored payload (:func:`protocol.encode_stored`) and is byte for
+        byte what :meth:`_annotate` would produce.  Anything else — no
+        store, a cold route, a payload with embeddings, any exception —
+        returns no answer and :meth:`_annotate` serves (and reports) the
+        record as before, reusing ``identity`` so the table is hashed once.
+        """
+        request = record.request
+        if request.options.with_embeddings:
+            return None, None  # such payloads carry vectors: decoded path
+
+        def render(payload: Dict) -> Optional[bytes]:
+            answer = protocol.encode_stored(
+                payload, request.table, record.record_id
+            )
+            if answer is None:
+                return None
+            return protocol.encode_line(answer).encode("utf-8")
+
+        try:
+            return self.gateway.answer_stored(request, render)
+        except Exception:  # noqa: BLE001 - _annotate reports it
+            return None, None
+
+    async def _annotate(
+        self,
+        record: protocol.RequestRecord,
+        identity: Optional[RequestIdentity] = None,
+    ) -> Dict:
         """One table record's answer (result or error, never a raise)."""
         try:
-            result = await self.gateway.asubmit(record.request, self.options)
+            result = await self.gateway.asubmit(
+                record.request, self.options, identity=identity
+            )
             return protocol.encode_result(
                 result,
                 with_embeddings=self.with_embeddings,
@@ -497,34 +565,53 @@ class AnnotationServer:
         return answer
 
     async def _write_answers(self, connection: _Connection) -> None:
-        """Emit one connection's answers in FIFO order as they resolve."""
+        """Emit one connection's answers in FIFO order as they resolve.
+
+        Every answer already resolved at the head of the FIFO — store hits,
+        error answers, slots whose task finished — goes out in **one**
+        ``write`` and one ``drain``; the writer then waits for the first
+        unresolved slot and gathers again.  The bytes are those of one
+        write per answer, in the same order.
+        """
+        answers = connection.answers
         broken = False
+        item = await answers.get()
         while True:
-            item = await connection.answers.get()
+            lines: List[bytes] = []
+            while item is not _DONE:
+                if isinstance(item, asyncio.Future):
+                    if not item.done():
+                        break
+                    item = item.result()  # answer coroutines never raise
+                if isinstance(item, dict):
+                    item = protocol.encode_line(item).encode("utf-8")
+                lines.append(item)
+                if answers.empty():
+                    item = None
+                    break
+                item = answers.get_nowait()
+            if lines:
+                if not broken:
+                    connection.writing = True
+                    try:
+                        connection.writer.write(b"".join(lines))
+                        await connection.writer.drain()
+                        self.stats.answered += len(lines)
+                    except (ConnectionError, OSError):
+                        # Keep consuming so pending futures resolve; the
+                        # rest is dropped, but comes off the backlog.
+                        broken = True
+                    finally:
+                        connection.writing = False
+                connection.retired += len(lines)
+                for _ in lines:
+                    connection.room.release()
             if item is _DONE:
                 return
-            record: Union[Dict, Any]
-            if isinstance(item, dict):
-                record = item
+            if item is None:
+                item = await answers.get()
             else:
-                record = await item  # answer coroutines never raise
-            if broken:
-                connection.retired += 1  # dropped, but off the backlog
-                continue  # keep consuming so pending futures resolve
-            connection.writing = True
-            try:
-                connection.writer.write(
-                    protocol.encode_line(record).encode("utf-8")
-                )
-                await connection.writer.drain()
-            except (ConnectionError, OSError):
-                broken = True
-                connection.retired += 1
-                continue
-            finally:
-                connection.writing = False
-            connection.retired += 1
-            self.stats.answered += 1
+                await item  # the unresolved head; gathered on the next turn
 
 
 class ServerThread:

@@ -8,6 +8,24 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 
+@pytest.fixture()
+def walks(monkeypatch):
+    """Counts calls of ``repro.encoding.cache.content_digest``: every table
+    or column walk goes through it (composite keys over finished digests
+    do not).  Clear with ``del walks[:]``."""
+    from repro.encoding import cache
+
+    calls = []
+    inner = cache.content_digest
+
+    def counting(chunks):
+        calls.append(1)
+        return inner(chunks)
+
+    monkeypatch.setattr(cache, "content_digest", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def shared_tiny_annotator():
     """A Doduo annotator fine-tuned for a few epochs on a tiny WikiTable.

@@ -98,6 +98,7 @@ class StubEngine:
     "annotates" to a constant, except ``poison`` table ids, which raise."""
 
     model_fingerprint = "stub-model"
+    result_cache = None
 
     def __init__(self, poison=()) -> None:
         self.poison = set(poison)
@@ -107,8 +108,8 @@ class StubEngine:
             return item
         return AnnotationRequest(table=item, options=options or AnnotationOptions())
 
-    def identify(self, request):
-        return request_identity(self.model_fingerprint, request)
+    def identify(self, request, known=None):
+        return known or request_identity(self.model_fingerprint, request)
 
     def annotate_batch(self, requests, options=None, identities=None):
         for request in requests:

@@ -379,25 +379,10 @@ class TestHashOnce:
     """The queue hashes a request at submit and the engine, the encoding
     pipeline, the probe planner and the pair cache reuse that digest.
 
-    Counted at ``repro.encoding.cache.content_digest``: every table or
-    column walk goes through it (composite keys over finished digests do
-    not).  A warm repeat isolates the table walks — no serialization work
-    is left to hide behind.
+    Counted at ``repro.encoding.cache.content_digest`` (the ``walks``
+    fixture of ``conftest.py``).  A warm repeat isolates the table walks —
+    no serialization work is left to hide behind.
     """
-
-    @pytest.fixture()
-    def walks(self, monkeypatch):
-        from repro.encoding import cache
-
-        calls = []
-        inner = cache.content_digest
-
-        def counting(chunks):
-            calls.append(1)
-            return inner(chunks)
-
-        monkeypatch.setattr(cache, "content_digest", counting)
-        return calls
 
     def test_narrow_path(self, tw_trainer, walks):
         from repro.serving import EngineWorker

@@ -23,7 +23,12 @@ The load-bearing guarantees:
   grammar of the releases that had a separate single-writer store are
   served warm and fold into the next generation;
 * readers recover when a compaction deletes segment files out from
-  under their in-memory index, and degradations are logged, not silent.
+  under their in-memory index, and degradations are logged, not silent;
+* ``peek`` — the event loop's probe — is an index lookup plus one read:
+  it never scans the directory, counts hits only, and leaves what it
+  cannot answer (a sibling's fresh entry, a vanished file) to ``get``;
+* compaction reaps the lock files of writers that are gone, never a held
+  one, and a writer racing the unlink ends up holding the path's new file.
 """
 
 from __future__ import annotations
@@ -272,6 +277,55 @@ class TestCrossWriterReads:
         finally:
             b.close()
 
+    def test_peek_never_scans_and_leaves_the_rest_to_get(
+        self, tmp_path, monkeypatch
+    ):
+        a = FabricCache(tmp_path, writer="wa", refresh_interval=0.0)
+        b = FabricCache(tmp_path, writer="wb", refresh_interval=0.0, hot_entries=0)
+        try:
+            a.put("own", _payload("a", 0))
+            a.put("fresh", _payload("a", 1))  # b has not refreshed since
+            scans = []
+            monkeypatch.setattr(
+                FabricCache, "refresh",
+                lambda self, force=False: scans.append("refresh"),
+            )
+            monkeypatch.setattr(
+                FabricCache, "_segments_by_writer",
+                lambda self: scans.append("glob") or {},
+            )
+            assert a.peek("own") == _payload("a", 0)  # own write: index hit
+            assert b.peek("fresh") is None  # a sibling's entry needs a scan
+            assert b.peek("never-written") is None
+            assert scans == []
+            assert (a.stats.hits, a.stats.misses) == (1, 0)
+            assert (b.stats.hits, b.stats.misses) == (0, 0)  # nothing counted
+            monkeypatch.undo()
+            assert b.get("fresh") == _payload("a", 1)  # get's refresh finds it
+            assert b.peek("fresh") == _payload("a", 1)  # ...and now so does peek
+            assert (b.stats.hits, b.stats.remote_hits, b.stats.misses) == (2, 2, 0)
+        finally:
+            a.close()
+            b.close()
+
+    def test_peek_leaves_a_vanished_file_for_get_to_recover(self, tmp_path):
+        a = FabricCache(tmp_path, writer="wa", refresh_interval=0.0)
+        b = FabricCache(tmp_path, writer="wb", refresh_interval=0.0, hot_entries=0)
+        try:
+            a.put("k", _payload("a", 0))
+            assert b.get("k") is not None  # b's index points at a's segment
+            a.close()
+            with FabricCache(tmp_path, writer="wc") as c:
+                c.compact()  # a's segment file is gone
+            refreshes = b.stats.refreshes
+            assert b.peek("k") is None
+            assert b.stats.refreshes == refreshes  # no recovery rescan
+            assert "k" in b  # the stale location stays for get to repair
+            assert b.get("k") == _payload("a", 0)
+            assert b.peek("k") == _payload("a", 0)  # from the generation now
+        finally:
+            b.close()
+
     def test_reader_follows_a_generation_whose_offsets_moved(self, tmp_path):
         """Eviction shifts the survivors' offsets in the next generation;
         a reader holding the previous one must re-index, not read the
@@ -430,6 +484,80 @@ class TestCompaction:
                 assert reader.get("done-k") == _payload("done", 0)
         finally:
             live.close()
+
+    def test_dead_writer_locks_are_reaped_never_a_held_one(self, tmp_path):
+        def locks():
+            return sorted(p.name for p in tmp_path.glob("writer-*.lock"))
+
+        live = FabricCache(tmp_path, writer="live")
+        idle = FileLock(writer_lock_path(tmp_path, "idle"))  # held, no segment
+        try:
+            live.put("live-k", _payload("live", 0))
+            assert idle.acquire()
+            with FabricCache(tmp_path, writer="done") as done:
+                done.put("done-k", _payload("done", 0))
+            with FabricCache(tmp_path, writer="gone") as gone:
+                gone.put("gone-k", _payload("gone", 0))
+            before = locks()
+            assert before == [
+                "writer-done.lock", "writer-gone.lock",
+                "writer-idle.lock", "writer-live.lock",
+            ]
+            with FabricCache(tmp_path, writer="compactor") as compactor:
+                # Dry: the two finished writers' segments would merge, so
+                # their locks would go; nothing is deleted.
+                assert compactor.compact(dry_run=True).reaped_locks == 2
+                assert locks() == before
+                assert compactor.compact().reaped_locks == 2
+                assert locks() == ["writer-idle.lock", "writer-live.lock"]
+                # Nothing left to reap; held locks survive every run.
+                assert compactor.compact().reaped_locks == 0
+            assert locks() == ["writer-idle.lock", "writer-live.lock"]
+            assert idle.held and FileLock.is_locked(idle.path)
+            with FabricCache(tmp_path, writer="reader") as reader:
+                for tag in ("live", "done", "gone"):
+                    assert reader.get(f"{tag}-k") == _payload(tag, 0)
+        finally:
+            idle.release()
+            live.close()
+
+    def test_a_free_lock_with_unmerged_segments_is_kept(self, tmp_path):
+        """A writer that was live when the merge set was chosen and let go
+        before the reap still has its segments: its lock stays with them."""
+        with FabricCache(tmp_path, writer="late") as late:
+            late.put("k", _payload("late", 0))
+        with FabricCache(tmp_path, writer="compactor") as compactor:
+            assert compactor._reap_writer_locks({"late"}, dry_run=False) == 0
+        assert writer_lock_path(tmp_path, "late").exists()
+
+    def test_acquire_racing_a_reap_locks_the_new_file(self, tmp_path, monkeypatch):
+        """The compactor unlinks a lock file between a writer's open and its
+        flock: the writer must not settle for a lock on the dead inode."""
+        import os
+
+        from repro.serving import diskcache
+
+        path = writer_lock_path(tmp_path, "racer")
+        path.write_bytes(b"")
+        real_flock = diskcache._fcntl.flock
+        calls = []
+
+        def flock(fd, operation):
+            calls.append(operation)
+            if len(calls) == 1:
+                os.remove(path)  # the reaper wins the race, once
+            return real_flock(fd, operation)
+
+        monkeypatch.setattr(diskcache._fcntl, "flock", flock)
+        lock = FileLock(path)
+        assert lock.acquire()
+        monkeypatch.undo()
+        try:
+            assert len(calls) == 2  # went round once
+            assert path.exists()
+            assert FileLock.is_locked(path)  # the path's file is the held one
+        finally:
+            lock.release()
 
     def test_concurrent_compactors_mutually_exclude(self, tmp_path):
         with FabricCache(tmp_path, writer="wa") as a:

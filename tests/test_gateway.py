@@ -336,6 +336,84 @@ class TestEviction:
 
 
 @pytest.mark.smoke
+class TestAnswerStored:
+    """``answer_stored``: the non-blocking store probe a front-end that
+    renders payloads itself (the socket server) asks before ``asubmit``."""
+
+    @staticmethod
+    def _render(payload):
+        return payload["coltypes"]
+
+    def test_hit_miss_and_what_each_counts(self, bundles, trainer_a, tmp_path):
+        registry = ModelRegistry(cache_dir=tmp_path / "cache")
+        registry.register("a", bundles["a"])
+        table, other = trainer_a.dataset.tables[:2]
+        with AnnotationGateway(registry) as gateway:
+            request = AnnotationRequest(table=table, model="a")
+            # Cold route: nothing is loaded, hashed or counted.
+            assert gateway.answer_stored(request, self._render) == (None, None)
+            assert registry.stats.loads == 0
+            want = gateway.annotate(request)  # loads, computes, stores
+            routed = registry.stats.routed
+            answer, identity = gateway.answer_stored(request, self._render)
+            assert answer == want.coltypes
+            assert identity.cache_key == gateway.worker("a").engine.identify(
+                request
+            ).cache_key
+            stats = gateway.stats
+            assert (stats.submitted, stats.completed, stats.batches) == (2, 2, 1)
+            assert (stats.disk_hits, stats.disk_misses) == (1, 1)
+            assert stats.engines["a"].requests == 2
+            assert registry.stats.routed == routed + 1 + 1  # the hit; .worker()
+            # A miss hands back the identity and counts nothing...
+            miss = AnnotationRequest(table=other, model="a")
+            answer, identity = gateway.answer_stored(miss, self._render)
+            assert answer is None and identity is not None
+            # ...and so does a payload the renderer declines, or chokes on.
+            assert gateway.answer_stored(request, lambda payload: None)[0] is None
+            with pytest.raises(ZeroDivisionError):
+                gateway.answer_stored(request, lambda payload: 1 // 0)
+            after = gateway.stats
+            assert (after.submitted, after.completed) == (2, 2)
+            assert (after.disk_hits, after.disk_misses) == (1, 1)
+            # Unknown routes are asubmit's to report.
+            ghost = AnnotationRequest(table=table, model="ghost")
+            assert gateway.answer_stored(ghost, self._render) == (None, None)
+        assert gateway.answer_stored(request, self._render) == (None, None)
+
+    def test_no_store_means_no_hashing(self, trainer_a, walks):
+        with AnnotationGateway.for_engine(AnnotationEngine(trainer_a)) as gateway:
+            table = trainer_a.dataset.tables[0]
+            gateway.annotate(table)
+            del walks[:]
+            request = AnnotationRequest(table=table)
+            assert gateway.answer_stored(request, self._render) == (None, None)
+            assert walks == []
+
+    def test_hits_keep_a_route_recent(self, bundles, trainer_a, tmp_path):
+        """A route that only ever hits must not look idle to the LRU."""
+        registry = ModelRegistry(max_live=2, cache_dir=tmp_path / "cache")
+        for name in ("a", "b"):
+            registry.register(name, bundles[name])
+        registry.register("c", bundles["a"])
+        table = trainer_a.dataset.tables[0]
+        with AnnotationGateway(registry) as gateway:
+            gateway.annotate(table, model="a")
+            gateway.annotate(table, model="b")
+            request = AnnotationRequest(table=table, model="a")
+            assert gateway.answer_stored(request, self._render)[0] is not None
+            gateway.annotate(table, model="c")  # one of a, b has to go
+            assert sorted(registry.live_names()) == ["a", "c"]
+
+    def test_acquire_without_load_leaves_a_cold_route_cold(self, bundles):
+        registry = ModelRegistry()
+        registry.register("a", bundles["a"])
+        assert registry.acquire("a", load=False) == ("a", None)
+        assert (registry.stats.loads, registry.stats.routed) == (0, 0)
+        engine = registry.get("a")
+        assert registry.acquire("a", load=False) == ("a", engine)
+
+
 class TestHotMutation:
     """PR-5 registry mutation: repoint/unregister on a live gateway."""
 

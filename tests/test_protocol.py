@@ -9,15 +9,23 @@ gateway.
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.annotator import AnnotatedTable
+from repro.datasets.tables import Column, Table
 from repro.io import table_to_dict
 from repro.serving import (
     AnnotationEngine,
     AnnotationGateway,
     AnnotationOptions,
+    AnnotationRequest,
+    AnnotationResult,
     protocol,
 )
+from repro.serving.diskcache import decode_annotation, encode_annotation
 
 
 def _table_record(table, **extra):
@@ -137,6 +145,110 @@ class TestEncode:
         line = protocol.encode_line({"a": 1})
         assert line.endswith("\n")
         assert json.loads(line) == {"a": 1}
+
+
+# ---------------------------------------------------------------------------
+# Stored payload -> wire record, without the object graph
+# ---------------------------------------------------------------------------
+
+_LABELS = ["city", "country", "née", "a b", "zz"]
+# Few distinct values, so ties in the ranking are the common case; some are
+# float32 widened to float64, which is what a model's scores look like.
+_SCORES = [
+    0.0, 0.25, 0.5, 1.0, 1e-7, 0.9999995, 0.123456789,
+    float(np.float32(0.3)), float(np.float32(0.7)),
+]
+_label_lists = st.lists(st.sampled_from(_LABELS), max_size=3, unique=True)
+
+
+@st.composite
+def _annotations(draw):
+    """``(annotated table, the asker's table, record id)``: any products a
+    model could emit, and a content-compatible table under another name."""
+    width = draw(st.integers(1, 4))
+    headers = st.one_of(st.none(), st.just(""), st.text(max_size=6))
+
+    def table():
+        return Table(
+            columns=[
+                Column(values=["x"], header=draw(headers)) for _ in range(width)
+            ],
+            table_id=draw(st.text(max_size=8)),
+        )
+
+    full = draw(st.booleans())  # top_k=None: the whole vocabulary, in order
+    type_scores = []
+    for _ in range(width):
+        names = _LABELS if full else draw(
+            st.lists(st.sampled_from(_LABELS), max_size=3, unique=True)
+        )
+        type_scores.append({n: draw(st.sampled_from(_SCORES)) for n in names})
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, width - 1), st.integers(0, width - 1)),
+            max_size=4,
+            unique=True,
+        )
+    )
+    annotated = AnnotatedTable(
+        table=table(),
+        coltypes=[draw(_label_lists) for _ in range(width)],
+        colrels={pair: draw(_label_lists) for pair in pairs},
+        type_scores=type_scores,
+        requested_pairs=list(pairs),
+    )
+    record_id = draw(
+        st.one_of(st.none(), st.integers(), st.text(max_size=4),
+                  st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+    )
+    return annotated, table(), record_id
+
+
+def _stored(annotated):
+    """The payload as the store hands it back: encoded, written, re-read."""
+    result = AnnotationResult(
+        request=AnnotationRequest(table=annotated.table), annotated=annotated
+    )
+    return json.loads(json.dumps(encode_annotation(result), ensure_ascii=False))
+
+
+@pytest.mark.smoke
+class TestEncodeStored:
+    @settings(max_examples=150, deadline=None)
+    @given(_annotations())
+    def test_line_equals_the_decoded_path(self, drawn):
+        """Byte for byte the line of ``decode_annotation`` -> result ->
+        ``encode_result``, under the asker's own table id and headers."""
+        annotated, asker, record_id = drawn
+        payload = _stored(annotated)
+        request = AnnotationRequest(table=asker)
+        decoded = AnnotationResult(
+            request=request,
+            annotated=decode_annotation(request, payload),
+            from_disk=True,
+        )
+        want = protocol.encode_line(
+            protocol.encode_result(decoded, record_id=record_id)
+        )
+        got = protocol.encode_line(
+            protocol.encode_stored(payload, asker, record_id)
+        )
+        assert got == want
+        answer = json.loads(got)
+        assert answer["table_id"] == asker.table_id
+        assert [c["header"] for c in answer["columns"]] == [
+            c.header for c in asker.columns
+        ]
+
+    def test_a_payload_with_embeddings_is_declined(self):
+        table = Table(columns=[Column(values=["x"])], table_id="t")
+        annotated = AnnotatedTable(
+            table=table,
+            coltypes=[["city"]],
+            colemb=np.ones((1, 4), dtype=np.float32),
+            type_scores=[{"city": 0.5}],
+        )
+        assert protocol.encode_stored(_stored(annotated), table) is None
 
 
 @pytest.mark.smoke

@@ -21,22 +21,33 @@ import json
 import socket
 import threading
 import time
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from helpers import EngineGate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Doduo, DoduoConfig, DoduoTrainer, save_annotator
 from repro.datasets import generate_wikitable_dataset
+from repro.datasets.tables import Column, Table
+from repro.encoding.cache import table_fingerprint
 from repro.io import table_to_dict
 from repro.nn import TransformerConfig
 from repro.serving import (
     AnnotationEngine,
     AnnotationGateway,
     AnnotationOptions,
+    AnnotationRequest,
+    AnnotationService,
+    FabricCache,
     ModelRegistry,
     QueueConfig,
+    protocol,
 )
+from repro.serving.diskcache import encode_annotation, request_identity
 from repro.serving.server import AnnotationServer, ServerThread
 from repro.text import train_wordpiece
 
@@ -105,14 +116,22 @@ class Client:
             self.stream.write(json.dumps(record) + "\n")
         self.stream.flush()
 
-    def recv(self):
+    def recv_line(self) -> str:
         line = self.stream.readline()
         assert line, "server closed the connection unexpectedly"
-        return json.loads(line)
+        return line
+
+    def recv(self):
+        return json.loads(self.recv_line())
 
     def ask(self, record):
         self.send(record)
         return self.recv()
+
+    def ask_line(self, table, record_id=None) -> str:
+        """Send one table; the answer as the line it came as."""
+        self.send(_routed_record(table, record_id=record_id))
+        return self.recv_line()
 
     def close(self) -> None:
         self.stream.close()
@@ -653,3 +672,585 @@ class TestGracefulStop:
         ]
         got = [c["embedding"] for c in answer["columns"]]
         assert np.array_equal(np.asarray(got), np.asarray(want))
+
+
+# ---------------------------------------------------------------------------
+# Stored results answered where the frame is decoded
+# ---------------------------------------------------------------------------
+#
+# A table record whose route has a live worker and a result store is hashed,
+# probed and — on a hit — rendered and queued by the connection's reader:
+# no task, no future, no worker wake.  Everything below drives that through
+# the real socket.
+
+#: What `repro serve` runs with by default; the loop-side path engages only
+#: for requests that ask for no embeddings.
+STORE_OPTIONS = AnnotationOptions(with_embeddings=False, top_k=3)
+
+
+def _variant(table, tag):
+    """``table`` with other content (a never-seen request) and name."""
+    columns = [
+        Column(values=[f"{value} {tag}" for value in column.values],
+               header=column.header)
+        for column in table.columns
+    ]
+    return Table(columns=columns, table_id=f"{table.table_id}/{tag}")
+
+
+_REFERENCE_LINES = {}
+
+
+def _reference_line(trainer, table, record_id=None, options=STORE_OPTIONS) -> str:
+    """The wire line of the computing path for ``table`` (a store-less
+    engine, ``encode_result``, ``encode_line``) — what any tier must send."""
+    key = (id(trainer), table_fingerprint(table), table.table_id,
+           tuple(c.header for c in table.columns), json.dumps(record_id), options)
+    if key not in _REFERENCE_LINES:
+        request = AnnotationRequest(table=table, options=options)
+        result = AnnotationEngine(trainer).annotate_batch([request])[0]
+        _REFERENCE_LINES[key] = protocol.encode_line(
+            protocol.encode_result(result, record_id=record_id)
+        )
+    return _REFERENCE_LINES[key]
+
+
+def _stored_entry(trainer, table, options=STORE_OPTIONS):
+    """``(key, payload)`` under which a serving engine stores ``table``."""
+    engine = AnnotationEngine(trainer)
+    request = AnnotationRequest(table=table, options=options)
+    result = engine.annotate_batch([request])[0]
+    key = request_identity(engine.model_fingerprint, request).cache_key
+    return key, encode_annotation(result)
+
+
+@pytest.fixture()
+def stored(trainer_a, tmp_path):
+    """A one-model server over an engine with a result store attached; the
+    (open) gate only records which requests reached the worker thread."""
+    store = FabricCache(tmp_path / "store", refresh_interval=0.0)
+    engine = AnnotationEngine(trainer_a, result_cache=store)
+    gate = EngineGate(engine)
+    gate.open()
+    gateway = AnnotationGateway.for_engine(
+        engine, queue_config=QueueConfig(max_batch=4)
+    )
+    thread = ServerThread(gateway, STORE_OPTIONS)
+    with gateway:
+        address = thread.start()
+        try:
+            with Client(address) as client:
+                # The loop only answers for a route that already has a live
+                # worker: the first request ever creates it.
+                client.ask_line(_variant(trainer_a.dataset.tables[0], "prime"))
+                del gate.drains[:]
+                yield SimpleNamespace(
+                    client=client, engine=engine, gate=gate, store=store,
+                    gateway=gateway, address=address, directory=store.directory,
+                )
+        finally:
+            thread.stop()
+    store.close()
+
+
+@pytest.mark.smoke
+class TestStoredHits:
+    def test_a_hit_is_the_computed_line_and_never_reaches_the_worker(
+        self, stored, trainer_a
+    ):
+        table = trainer_a.dataset.tables[1]
+        assert stored.client.ask_line(table, 1) == _reference_line(trainer_a, table, 1)
+        assert stored.gate.drains == [[table.table_id]]  # the miss
+        for record_id in (2, "again", None):
+            assert stored.client.ask_line(table, record_id) == _reference_line(
+                trainer_a, table, record_id
+            )
+        assert stored.gate.drains == [[table.table_id]]  # ...and nothing since
+
+    def test_equal_content_under_another_name_gets_its_own_name_back(
+        self, stored, trainer_a
+    ):
+        table = trainer_a.dataset.tables[2]
+        twin = Table(columns=table.columns, table_id="the-twin")
+        stored.client.ask_line(table)
+        answer = stored.client.ask_line(twin, 9)
+        assert answer == _reference_line(trainer_a, twin, 9)
+        assert json.loads(answer)["table_id"] == "the-twin"
+        assert len(stored.gate.drains) == 1  # the twin was a loop-side hit
+
+    def test_missing_and_empty_headers_share_a_key_not_an_answer(
+        self, stored, trainer_a
+    ):
+        """``table_fingerprint`` hashes ``header or ""``: one stored entry
+        serves both, and each asker reads its own header back."""
+        base = trainer_a.dataset.tables[3]
+        bare = Table(
+            columns=[Column(values=c.values, header=None) for c in base.columns],
+            table_id="bare",
+        )
+        empty = Table(
+            columns=[Column(values=c.values, header="") for c in base.columns],
+            table_id="empty",
+        )
+        assert table_fingerprint(bare) == table_fingerprint(empty)
+        first = json.loads(stored.client.ask_line(bare))
+        second = stored.client.ask_line(empty)
+        assert len(stored.gate.drains) == 1
+        assert second == _reference_line(trainer_a, empty)
+        assert [c["header"] for c in first["columns"]] == [None] * base.num_columns
+        assert [c["header"] for c in json.loads(second)["columns"]] == (
+            [""] * base.num_columns
+        )
+
+    def test_embedding_requests_take_the_decoded_path(self, trainer_a, tmp_path):
+        """Their payloads carry vectors, which only the decoded path renders."""
+        options = AnnotationOptions(with_embeddings=True, top_k=3)
+        store = FabricCache(tmp_path / "store", refresh_interval=0.0)
+        engine = AnnotationEngine(trainer_a, result_cache=store)
+        gate = EngineGate(engine)
+        gate.open()
+        gateway = AnnotationGateway.for_engine(engine)
+        table = trainer_a.dataset.tables[1]
+        with gateway, ServerThread(gateway, options) as address:
+            with Client(address) as client:
+                first = client.ask_line(table)
+                second = client.ask_line(table)
+        store.close()
+        assert first == second == _reference_line(trainer_a, table, options=options)
+        assert "embedding_dim" in json.loads(second)
+        assert len(gate.drains) == 2  # the hit went through the worker
+        assert (engine.stats.disk_hits, store.stats.hits) == (1, 1)
+
+
+@pytest.mark.smoke
+class TestStoredHitCounts:
+    """Call-count pins through the socket (see ``TestHashOnce`` for the
+    in-process ones): what a hit and a miss are allowed to cost."""
+
+    @pytest.fixture()
+    def decodes(self, monkeypatch):
+        from repro.serving import engine as engine_module
+
+        calls = []
+        inner = engine_module.decode_annotation
+
+        def counting(request, payload):
+            calls.append(request.table.table_id)
+            return inner(request, payload)
+
+        monkeypatch.setattr(engine_module, "decode_annotation", counting)
+        return calls
+
+    def test_a_hit_is_one_walk_no_object_graph_no_drain(
+        self, stored, trainer_a, walks, decodes
+    ):
+        table = trainer_a.dataset.tables[1]
+        stored.client.ask_line(table)
+        del walks[:], stored.gate.drains[:]
+        stored.client.ask_line(table, 5)
+        assert len(walks) == 1
+        assert decodes == []
+        assert stored.gate.drains == []
+
+    def test_a_miss_is_walked_once_and_counted_once(
+        self, stored, trainer_a, walks, decodes
+    ):
+        table = trainer_a.dataset.tables[1]
+        # Serialize it beforehand (store detached, so nothing is stored):
+        # what is left of a miss is the hashing.
+        store, stored.engine.result_cache = stored.engine.result_cache, None
+        stored.engine.annotate(table)
+        stored.engine.result_cache = store
+        want = _reference_line(trainer_a, table)
+        del walks[:], stored.gate.drains[:]
+        misses = (stored.engine.stats.disk_misses, store.stats.misses)
+        assert stored.client.ask_line(table) == want
+        # The reader's hash rode into submit and on into the engine.
+        assert len(walks) == 1
+        assert stored.gate.drains == [[table.table_id]]
+        assert (stored.engine.stats.disk_misses, store.stats.misses) == (
+            misses[0] + 1, misses[1] + 1
+        )
+        assert decodes == []
+
+    def test_a_siblings_entry_goes_through_the_worker_once(
+        self, stored, trainer_a, decodes
+    ):
+        """The loop never scans: the worker's refresh finds the entry, and
+        from then on it is in this handle's index."""
+        table = trainer_a.dataset.tables[4]
+        key, payload = _stored_entry(trainer_a, table)
+        with FabricCache(stored.directory, writer="sibling") as sibling:
+            sibling.put(key, payload)
+        assert stored.client.ask_line(table, 1) == _reference_line(trainer_a, table, 1)
+        assert (stored.gate.drains, decodes) == ([[table.table_id]], [table.table_id])
+        assert stored.client.ask_line(table, 2) == _reference_line(trainer_a, table, 2)
+        assert (stored.gate.drains, decodes) == ([[table.table_id]], [table.table_id])
+        assert stored.engine.stats.encoder_passes == 1  # the priming request's
+
+    def test_the_loop_never_scans_the_directory(self, stored, trainer_a, monkeypatch):
+        scans = []
+        for name in ("refresh", "_segments_by_writer"):
+            inner = getattr(FabricCache, name)
+
+            def spy(self, *args, _inner=inner, **kwargs):
+                scans.append(threading.current_thread().name)
+                return _inner(self, *args, **kwargs)
+
+            monkeypatch.setattr(FabricCache, name, spy)
+        tables = trainer_a.dataset.tables[1:6]
+        for table in tables:  # misses: each refreshes
+            stored.client.ask_line(table)
+        for table in tables:  # hits
+            stored.client.ask_line(table)
+        stored.client.ask_line(_variant(tables[0], "unseen"))
+        assert scans and set(scans) == {"annotation-worker"}
+
+    def test_every_counter_a_hit_moved_still_moves_once(self, stored, trainer_a):
+        before = stored.client.ask({"op": "stats"})
+        tables = trainer_a.dataset.tables[1:5]
+        for table in tables:
+            stored.client.ask_line(table)  # 4 misses
+        for _ in range(3):
+            for table in tables:
+                stored.client.ask_line(table)  # 12 hits
+        after = stored.client.ask({"op": "stats"})
+
+        def moved(*path):
+            a, b = after, before
+            for key in path:
+                a, b = a[key], b[key]
+            return a - b
+
+        name = AnnotationService.MODEL_NAME
+        assert moved("server", "requests") == 16
+        assert moved("server", "ready") == 16 + 1  # + the first stats answer
+        assert moved("server", "answered") == 16 + 1
+        assert moved("gateway", "submitted") == 16
+        assert moved("gateway", "completed") == 16
+        assert moved("gateway", "batches") == 4  # hits are not drains
+        assert moved("gateway", "engines", name, "requests") == 16
+        assert moved("gateway", "disk_hits") == 12
+        assert moved("gateway", "disk_misses") == 4
+        assert moved("gateway", "disk_tiers", name, "hits") == 12
+        assert moved("gateway", "disk_tiers", name, "misses") == 4
+        assert moved("registry", "routed") == 16
+        assert after["gateway"]["failed"] == after["server"]["errors"] == 0
+
+    def test_counters_stay_consistent_under_concurrent_hits_and_misses(
+        self, stored, trainer_a
+    ):
+        """More client threads than cores, a shortened switch interval, and
+        a poller: no snapshot may show an answer before its submission, and
+        no increment may be lost between the loop and the worker thread."""
+        import sys
+
+        hot = trainer_a.dataset.tables[1:4]
+        for table in hot:
+            stored.client.ask_line(table)
+        clients, per_client = 4, 30
+        # Planned and answered by the reference path up front: the trainer
+        # behind it is the serving worker's too, and is not to be shared.
+        plans = [
+            [
+                _variant(hot[0], f"c{slot}-{n}") if n % 3 == 2  # a miss
+                else hot[(slot + n) % len(hot)]
+                for n in range(per_client)
+            ]
+            for slot in range(clients)
+        ]
+        wanted = [
+            [_reference_line(trainer_a, table, n) for n, table in enumerate(plan)]
+            for plan in plans
+        ]
+        worker = stored.gateway.worker()
+        base = worker.stats_snapshot()
+        engine_base = replace(stored.engine.stats)
+        store_base = replace(stored.store.stats)
+        violations, stop = [], threading.Event()
+
+        def poll():
+            last = base
+            while not stop.is_set():
+                snap = worker.stats_snapshot()
+                if snap.completed + snap.failed > snap.submitted:
+                    violations.append(("ahead", snap))
+                if snap.submitted < last.submitted or snap.completed < last.completed:
+                    violations.append(("backwards", snap))
+                last = snap
+
+        def drive(slot):
+            with Client(stored.address) as client:
+                for n, table in enumerate(plans[slot]):
+                    if client.ask_line(table, n) != wanted[slot][n]:
+                        violations.append(("bytes", slot, n))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            poller = threading.Thread(target=poll)
+            drivers = [
+                threading.Thread(target=drive, args=(slot,))
+                for slot in range(clients)
+            ]
+            poller.start()
+            for thread in drivers:
+                thread.start()
+            for thread in drivers:
+                thread.join(timeout=120)
+            stop.set()
+            poller.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not poller.is_alive() and not any(t.is_alive() for t in drivers)
+        assert violations == []
+        total, misses = clients * per_client, clients * (per_client // 3)
+        final = worker.stats_snapshot()
+        assert final.submitted - base.submitted == total
+        assert final.completed - base.completed == total
+        assert final.failed == base.failed
+        engine_stats = stored.engine.stats
+        assert engine_stats.requests - engine_base.requests == total
+        assert engine_stats.disk_hits - engine_base.disk_hits == total - misses
+        assert engine_stats.disk_misses - engine_base.disk_misses == misses
+        assert stored.store.stats.hits - store_base.hits == total - misses
+        assert stored.store.stats.misses - store_base.misses == misses
+
+
+class _RecordingWriter:
+    """The slice of ``StreamWriter`` ``_write_answers`` uses."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data) -> None:
+        self.writes.append(bytes(data))
+
+    async def drain(self) -> None:
+        pass
+
+
+@pytest.mark.smoke
+class TestCoalescedWrites:
+    def test_the_resolved_head_of_the_fifo_is_one_write(self, trainer_a):
+        """Same bytes, same order as one write per answer — fewer writes."""
+        import asyncio
+
+        from repro.serving.server import _DONE, _Connection
+
+        gateway = AnnotationGateway.for_engine(AnnotationEngine(trainer_a))
+        hit = b'{"table_id": "hit"}\n'
+        error = protocol.error_answer("broken", record_id=3)
+        computed = {"table_id": "computed", "id": 4}
+        late = {"table_id": "late", "id": 5}
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            server = AnnotationServer(gateway)
+            writer = _RecordingWriter()
+            connection = _Connection(writer, window=8)
+            done, pending = loop.create_future(), loop.create_future()
+            done.set_result(computed)
+            for item in (hit, error, done, pending, hit, error):
+                await connection.room.acquire()
+                connection.answers.put_nowait(item)
+            task = asyncio.ensure_future(server._write_answers(connection))
+            for _ in range(3):
+                await asyncio.sleep(0)
+            first = list(writer.writes)
+            pending.set_result(late)
+            connection.answers.put_nowait(_DONE)
+            await task
+            return first, writer.writes, connection, server
+
+        with gateway:
+            first, writes, connection, server = asyncio.run(run())
+        encode = lambda record: protocol.encode_line(record).encode("utf-8")
+        assert first == [hit + encode(error) + encode(computed)]
+        assert writes[1:] == [encode(late) + hit + encode(error)]
+        assert (connection.retired, server.stats.answered) == (6, 6)
+        assert not connection.room.locked()  # the whole window is back
+
+
+# -- the property ----------------------------------------------------------
+
+_HITS, _MISSES = 3, 3
+_KINDS = ("hit", "hit", "hit", "miss", "bad", "stats", "health")
+_BAD_LINES = (
+    b"this is not json\n",
+    b'{"kind": "table", "table_id": "hollow", "columns": [], "id": 7}\n',
+)
+
+
+@st.composite
+def _traffic(draw):
+    """``(connections, ops, cut)``: each op is ``(connection, kind, which
+    table, record id)`` — ids and tables repeat on purpose — and ``cut`` is
+    where ``stop()`` lands (``None``: the run ends normally)."""
+    connections = draw(st.integers(1, 3))
+    ops = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, connections - 1),
+                st.sampled_from(_KINDS),
+                st.integers(0, 2),
+                st.integers(0, 2),
+            ),
+            min_size=1,
+            max_size=18,
+        )
+    )
+    cut = draw(st.one_of(st.none(), st.integers(0, len(ops))))
+    return connections, ops, cut
+
+
+class TestInterleavings:
+    """Random interleavings of store hits, misses held on a gate, malformed
+    lines, admin ops and repeated ids over one to three connections."""
+
+    @pytest.fixture(scope="class")
+    def hot_entries(self, trainer_a):
+        tables = trainer_a.dataset.tables[:_HITS]
+        return [(table, *_stored_entry(trainer_a, table)) for table in tables]
+
+    def _line_and_answer(self, trainer, hot_entries, kind, which, record_id, run):
+        """``(request line, expected answer)``; the answer of an admin op
+        depends on the moment, so only its shape is known: a dict."""
+        if kind == "bad":
+            line = _BAD_LINES[which % len(_BAD_LINES)]
+            with pytest.raises(protocol.ProtocolError) as info:
+                protocol.decode_record(line, STORE_OPTIONS, admin=True)
+            return line, protocol.encode_line(info.value.answer()).encode("utf-8")
+        if kind in ("stats", "health"):
+            line = json.dumps({"op": kind, "id": record_id}) + "\n"
+            return line.encode("utf-8"), {"ok": True, "op": kind, "id": record_id}
+        if kind == "hit":
+            table = hot_entries[which][0]
+        else:
+            # Never seen by this run's (fresh) store; the same one may come
+            # twice, and then joins the first one's flight.
+            table = _variant(trainer.dataset.tables[5 + which], f"run{run}")
+        line = json.dumps(_routed_record(table, record_id=record_id)) + "\n"
+        want = _reference_line(trainer, table, record_id)
+        return line.encode("utf-8"), want.encode("utf-8")
+
+    _runs = 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(_traffic())
+    def test_one_answer_per_accepted_record_in_arrival_order(
+        self, trainer_a, hot_entries, traffic
+    ):
+        import asyncio
+        import tempfile
+
+        connections, ops, cut = traffic
+        type(self)._runs += 1
+        scripts = [[] for _ in range(connections)]  # per connection, in order
+        for conn, kind, which, record_id in ops:
+            line, want = self._line_and_answer(
+                trainer_a, hot_entries, kind, which, record_id, self._runs
+            )
+            scripts[conn].append((kind, line, want))
+        first = ops if cut is None else ops[:cut]
+        # Per connection: how many records precede its first held miss.
+        sent = [0] * connections
+        flushable = [None] * connections
+        for conn, kind, _, _ in first:
+            if kind == "miss" and flushable[conn] is None:
+                flushable[conn] = sent[conn]
+            sent[conn] += 1
+        flushable = [
+            sent[c] if flushable[c] is None else flushable[c]
+            for c in range(connections)
+        ]
+
+        async def run(engine, gateway, gate):
+            server = AnnotationServer(gateway, STORE_OPTIONS, shutdown_grace=5.0)
+            await server.start()
+            streams = [
+                await asyncio.open_connection(*server.address)
+                for _ in range(connections)
+            ]
+            cursor = [0] * connections
+
+            def send(batch):
+                for conn, _, _, _ in batch:
+                    streams[conn][1].write(scripts[conn][cursor[conn]][1])
+                    cursor[conn] += 1
+
+            async def until(condition):
+                for _ in range(20000):
+                    if condition():
+                        return
+                    await asyncio.sleep(0.001)
+                raise AssertionError("the server never got there")
+
+            stats = server.stats
+            send(first)
+            await until(
+                lambda: stats.requests + stats.admin_ops + stats.errors == len(first)
+            )
+            # Everything ahead of a connection's first held miss goes out;
+            # nothing behind it does, hit or not.
+            await until(lambda: stats.answered >= sum(flushable))
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert stats.answered == sum(flushable)
+            received = [b""] * connections
+            if cut is None:
+                gate.open()
+                for conn, (reader, _) in enumerate(streams):
+                    for _ in scripts[conn]:
+                        received[conn] += await reader.readline()
+                await server.stop()
+            else:
+                # The rest is in flight when stop() cancels the readers.
+                send(ops[cut:])
+                stopping = asyncio.ensure_future(server.stop())
+                await asyncio.sleep(0)
+                gate.open()
+                await stopping
+            for conn, (reader, writer) in enumerate(streams):
+                received[conn] += await reader.read()  # to EOF
+                writer.close()
+            return received, server.stats
+
+        with tempfile.TemporaryDirectory() as directory:
+            store = FabricCache(directory, refresh_interval=0.0)
+            for _, key, payload in hot_entries:
+                store.put(key, payload)
+            engine = AnnotationEngine(trainer_a, result_cache=store)
+            gate = EngineGate(engine)
+            gateway = AnnotationGateway.for_engine(
+                engine, queue_config=QueueConfig(max_batch=4)
+            )
+            with gateway:
+                worker = gateway.worker()  # a live route, before any traffic
+                received, stats = asyncio.run(run(engine, gateway, gate))
+                snapshot = worker.stats_snapshot()
+            store.close()
+
+        answered = 0
+        for conn, script in enumerate(scripts):
+            lines = received[conn].splitlines(keepends=True)
+            answered += len(lines)
+            # Accepted before the cut: answered.  After it: maybe; but what
+            # came back is a prefix of what was sent, in order.
+            assert sent[conn] <= len(lines) <= len(script)
+            for line, (kind, _, want) in zip(lines, script):
+                if isinstance(want, bytes):
+                    assert line == want  # coalesced or not, the same bytes
+                else:
+                    answer = json.loads(line)
+                    assert {k: answer[k] for k in want} == want
+        # Every accepted record was answered exactly once, stop() or not.
+        assert answered == stats.answered == stats.ready
+        assert stats.ready == stats.requests + stats.admin_ops + sum(
+            kind == "bad"
+            for conn, script in enumerate(scripts)
+            for kind, _, _ in script[: len(received[conn].splitlines())]
+        )
+        assert snapshot.submitted == stats.requests
+        assert snapshot.completed + snapshot.failed == snapshot.submitted
+        assert snapshot.failed == 0
