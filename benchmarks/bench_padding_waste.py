@@ -6,7 +6,7 @@ Not a paper table — this benchmarks the unified encoding layer
 
 * **serving drain** — tokens wasted per drain under the PR-1 policy
   (sort by length, chunk, pad each chunk to its own maximum — simulated
-  with :meth:`BatchPlanner.plan_padded`) vs exact buckets at plan level
+  here) vs exact buckets at plan level
   and vs what the engine actually runs (padding-free ragged passes on the
   float fast path), which its own ``EngineStats`` token odometers confirm;
 * **training epoch** — the padding accounting `TrainingHistory` now
@@ -53,7 +53,10 @@ def run_experiment():
     planner = BatchPlanner(batch_size=BATCH_SIZE)
 
     # Plan-level accounting: the PR-1 policy vs exact buckets over one drain.
-    padded_plan = planner.plan_padded(lengths)
+    by_length = sorted(range(len(lengths)), key=lengths.__getitem__)
+    padded_plan = [
+        by_length[k:k + BATCH_SIZE] for k in range(0, len(by_length), BATCH_SIZE)
+    ]
     padded_report = BatchPlanner.report(lengths, padded_plan)
     exact_plan = planner.plan([(length,) for length in lengths])
     exact_report = BatchPlanner.report(lengths, exact_plan)

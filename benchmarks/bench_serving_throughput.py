@@ -12,12 +12,11 @@ WikiTable workload:
   *float32 fast-kernel baseline* every later row is scored against;
 * **batched engine** — drains of 8 and 16 tables, one padding-free
   token-major pass each whatever their widths (still float32, every
-  sequence at the width it would have alone — the byte-identity contract
-  forbids near-width packing on this path);
-* **int8 serving tier** — ``precision="int8"`` with the optimizations the
-  accuracy gate licenses as a package: quantized weights with fused
-  elementwise kernels, no per-shape proof machinery, merged head groups,
-  and near-width packed batches (``waste_budget``).
+  sequence at the width it would have alone — the byte-identity contract);
+* **int8 serving tier** — ``precision="int8"`` on the same token-major
+  pass, with the optimizations the accuracy gate licenses as a package:
+  quantized weights with fused elementwise kernels, no per-shape proof
+  machinery, merged head groups.
 
 Every engine cell is measured **cold** (``cache_size=0``, sessions
 invalidated first): the timed region includes session build, and with it
@@ -51,12 +50,8 @@ from repro.evaluation.metrics import multilabel_micro_prf
 
 WORKLOAD_SIZE = 50
 
-#: The int8 tier's serving configuration.  ``waste_budget`` opts into
-#: near-width packed batches — licensed by the accuracy gate, forbidden
-#: to the byte-identical float path — and the wider batch lets packing
-#: actually merge neighbouring width buckets.
+#: The int8 tier's drain size (the wider of the two float rows).
 INT8_BATCH_SIZE = 16
-INT8_WASTE_BUDGET = 256
 
 RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_serving.json"
 
@@ -170,7 +165,6 @@ def run_experiment(json_path=None):
         batch_size=INT8_BATCH_SIZE,
         cache_size=0,
         precision="int8",
-        waste_budget=INT8_WASTE_BUDGET,
     )
     int8_seconds, int8_results = _timed(
         lambda: int8_engine.annotate_batch(tables)
@@ -199,7 +193,7 @@ def run_experiment(json_path=None):
             f"{legacy_seconds / stats['seconds']:.2f}",
         ))
     rows.append((
-        f"int8 tier (bs={INT8_BATCH_SIZE}, packed)", int8_passes,
+        f"int8 tier (bs={INT8_BATCH_SIZE})", int8_passes,
         f"{int8_seconds:.3f}", f"{tps(int8_seconds):.1f}",
         f"{legacy_seconds / int8_seconds:.2f}",
     ))
@@ -233,8 +227,8 @@ def run_experiment(json_path=None):
         ),
         # The before/after ratio for the quantized tier: everything the
         # accuracy gate buys (int8 fused kernels, no proof machinery,
-        # merged heads, packed batches) against the proof-gated float32
-        # fast-kernel baseline, both starting cold.
+        # merged heads) against the proof-gated float32 fast-kernel
+        # baseline, both starting cold.
         "int8_vs_float32_baseline": round(sequential_seconds / int8_seconds, 2),
         "int8_vs_batched_engine": round(
             best_batch["seconds"] / int8_seconds, 2
@@ -270,6 +264,8 @@ def test_serving_throughput(benchmark):
     # accuracy gate must actually have passed (a failed gate silently
     # serves float32, which would make the speedup a lie).
     assert summary["quant_fallbacks"] == 0
+    # Same layout, same passes per drain — plus calibration's two.
+    assert summary["int8_passes"] <= summary["batched_passes"] + 2
     assert summary["int8_vs_float32_baseline"] >= 1.4
     assert summary["type_f1_drift"] <= 0.005
     assert summary["relation_f1_drift"] <= 0.005

@@ -17,9 +17,9 @@ full system on a pure-numpy substrate:
 * :mod:`repro.encoding` — the unified encoding layer: one serialization
   pipeline (content-hash cache shared by training, serving, and analysis),
   the width signatures that keep every sequence at the width it would
-  have alone, and the exact width-bucket batch planner for the paths that
-  pad a batch to one width (zero padding waste, batched inference
-  byte-identical to sequential)
+  have alone, and the exact width-bucket batch planner for the Tensor
+  path, which pads a batch to one width (zero padding waste, batched
+  inference byte-identical to sequential)
 * :mod:`repro.baselines` — Sherlock, Sato (LDA + CRF), TURL visibility model
 * :mod:`repro.matching` — fastText-like embeddings, COMA, DistributionBased,
   k-means (case-study substrate)
@@ -58,8 +58,8 @@ Quickstart::
     # One table (types, relations, embeddings from one encoder pass):
     annotated = model.annotate(splits.test.tables[0])
 
-    # Many tables: the engine batches whole tables into padded forward
-    # passes and streams results for unbounded workloads.
+    # Many tables: the engine batches whole tables into padding-free
+    # forward passes and streams results for unbounded workloads.
     engine = AnnotationEngine(model)
     results = engine.annotate_batch(splits.test.tables)
     for result in engine.annotate_stream(table_generator()):

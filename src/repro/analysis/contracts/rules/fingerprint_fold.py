@@ -3,7 +3,7 @@
 The model fingerprint is the cache key and the routing key: any config
 knob that can change annotation *bytes* must fold into
 ``model_fingerprint``, or two engines with different outputs share
-cached entries (the cache-poisoning failure mode ``dtype`` and
+cached entries (the cache-poisoning failure mode ``precision`` and
 ``probe_mode`` each had to dodge manually when they landed).  The rule
 forces an explicit decision for every field: either the fingerprint
 property references it — directly (``self.config.X``) or through one
@@ -66,9 +66,7 @@ BYTE_NEUTRAL: Dict[str, str] = {
 #: byte-neutral (``precision="int8"`` sharing a float32 cache partition
 #: is exactly the poisoning this audit exists to prevent).
 BYTE_AFFECTING: Tuple[str, ...] = (
-    "dtype",
     "precision",
-    "waste_budget",
     "probe_mode",
     "probe_budget",
 )
@@ -219,7 +217,7 @@ def check(project: Project) -> Iterator[Finding]:
                     node,
                     f"EngineConfig.{name} is neither folded into "
                     "model_fingerprint nor allowlisted as byte-neutral — "
-                    "classify it or caches may mix outputs (the dtype/"
+                    "classify it or caches may mix outputs (the precision/"
                     "probe_mode cache-poisoning hazard)",
                 )
         # Staleness only makes sense against the canonical definition —

@@ -50,6 +50,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from .core import Doduo, DoduoConfig, DoduoTrainer, ProbeBudget, ProbePlanner
@@ -170,7 +171,6 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
             ("--threshold", args.threshold is not None),
             ("--embeddings", args.embeddings),
             ("--cache-dir", args.cache_dir is not None),
-            ("--dtype", args.dtype is not None),
             ("--kernels", args.kernels is not None),
             ("--precision", args.precision is not None),
             ("--column-cache", args.column_cache is not None),
@@ -234,28 +234,58 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    """The engine flags ``annotate`` (.jsonl mode) and ``serve`` share;
+    :func:`_engine_kwargs` turns them into EngineConfig overrides."""
+    parser.add_argument("--batch-size", type=int, default=None,
+                        help="max tables per forward pass (default 8); a "
+                             "chunk of any widths is one padding-free pass, "
+                             "byte-identical to one-at-a-time serving")
+    parser.add_argument("--precision", "--dtype",
+                        choices=("float32", "float64", "int8"), default=None,
+                        help="serving precision (default float32): float64 "
+                             "computes in double precision, int8 serves "
+                             "per-channel quantized weights behind the "
+                             "accuracy gate; both require fast kernels")
+    parser.add_argument("--kernels", choices=("fast", "reference"),
+                        default=None,
+                        help="forward implementation: proof-gated fast "
+                             "kernels (default) or the reference Tensor path")
+    parser.add_argument("--column-cache", type=int, default=None, metavar="N",
+                        help="column-state cache capacity in entries "
+                             "(0 disables; single-column models only)")
+    parser.add_argument("--column-cache-persist", action="store_true",
+                        help="also persist column states to --cache-dir")
+    parser.add_argument("--probe-mode", choices=("exhaustive", "planned"),
+                        default=None,
+                        help="relation probing policy: exhaustive default "
+                             "pairs (byte-identical legacy behavior) or "
+                             "planner-pruned, budgeted pairs")
+    parser.add_argument("--probe-budget", type=int, default=None, metavar="N",
+                        help="max planned relation pairs per table "
+                             "(requires --probe-mode planned)")
+
+
 def _engine_kwargs(args: argparse.Namespace) -> dict:
-    """EngineConfig keyword overrides from the shared serving flags
-    (``--dtype``/``--kernels``/``--precision``/``--weight-arena``/
-    ``--column-cache``/``--column-cache-persist``/``--probe-mode``/
-    ``--probe-budget``); omitted flags fall through to the EngineConfig
-    defaults."""
+    """EngineConfig keyword overrides from :func:`_add_engine_flags` (and
+    ``serve``'s ``--weight-arena``); omitted flags fall through to the
+    EngineConfig defaults."""
     kwargs = {}
-    if getattr(args, "dtype", None) is not None:
-        kwargs["dtype"] = args.dtype
-    if getattr(args, "kernels", None) is not None:
+    if args.batch_size is not None:
+        kwargs["batch_size"] = args.batch_size
+    if args.kernels is not None:
         kwargs["kernels"] = args.kernels
-    if getattr(args, "precision", None) is not None:
+    if args.precision is not None:
         kwargs["precision"] = args.precision
     if getattr(args, "weight_arena", False):
         kwargs["weight_arena"] = True
-    if getattr(args, "column_cache", None) is not None:
+    if args.column_cache is not None:
         kwargs["column_cache_size"] = args.column_cache
-    if getattr(args, "column_cache_persist", False):
+    if args.column_cache_persist:
         kwargs["column_cache_persist"] = True
-    if getattr(args, "probe_mode", None) is not None:
+    if args.probe_mode is not None:
         kwargs["probe_mode"] = args.probe_mode
-    if getattr(args, "probe_budget", None) is not None:
+    if args.probe_budget is not None:
         kwargs["probe_budget"] = args.probe_budget
     return kwargs
 
@@ -280,11 +310,7 @@ def _annotate_jsonl_batch(annotator: Doduo, args: argparse.Namespace) -> int:
 
     engine = AnnotationEngine(
         annotator.trainer,
-        EngineConfig(
-            batch_size=8 if args.batch_size is None else args.batch_size,
-            cache_dir=args.cache_dir,
-            **_engine_kwargs(args),
-        ),
+        EngineConfig(cache_dir=args.cache_dir, **_engine_kwargs(args)),
     )
     options = AnnotationOptions(
         with_embeddings=args.embeddings,
@@ -508,7 +534,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.workers < 1:
             raise ValueError(f"--workers must be >= 1: {args.workers}")
         return _serve_pool(args, specs)
-    batch_size = 8 if args.batch_size is None else args.batch_size
     # Single-model serving over a cache directory that already holds a
     # FLAT cache (written by `repro annotate --cache-dir` or a pre-gateway
     # `repro serve`; segments, or after `repro cache compact` only a
@@ -525,28 +550,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         and len(specs) == 1
         and is_cache_directory(args.cache_dir)
     )
-    engine_kwargs = _engine_kwargs(args)
+    engine_config = EngineConfig(**_engine_kwargs(args))
     registry = ModelRegistry(
         max_live=args.max_live,
-        engine_config=EngineConfig(batch_size=batch_size, **engine_kwargs),
+        engine_config=engine_config,
         cache_dir=args.cache_dir,
     )
     flat_config = (
-        EngineConfig(
-            batch_size=batch_size, cache_dir=args.cache_dir, **engine_kwargs
-        )
-        if flat_cache
-        else None
+        replace(engine_config, cache_dir=args.cache_dir) if flat_cache else None
     )
     for name, path in specs:
         registry.register(name, path, engine_config=flat_config)
     gateway = AnnotationGateway(
         registry,
-        QueueConfig(
-            max_batch=batch_size,
-            max_latency=args.max_latency_ms / 1000.0,
-            exact=not args.no_exact,
-        ),
+        QueueConfig(max_batch=engine_config.batch_size, exact=not args.no_exact),
     )
     options = AnnotationOptions(
         with_embeddings=args.embeddings,
@@ -749,6 +766,7 @@ def _serve_pool(args: argparse.Namespace, specs) -> int:
     supervises until SIGINT/SIGTERM or a client's ``{"op": "shutdown"}``
     — then every worker drains its accepted requests before exiting.
     """
+    from .serving import EngineConfig
     from .serving.pool import PoolConfig, ServingPool
 
     host, port = _parse_listen(args.listen)
@@ -758,15 +776,13 @@ def _serve_pool(args: argparse.Namespace, specs) -> int:
         port=port,
         workers=args.workers,
         cache_dir=args.cache_dir,
-        batch_size=8 if args.batch_size is None else args.batch_size,
-        max_latency=args.max_latency_ms / 1000.0,
+        engine=EngineConfig(**_engine_kwargs(args)),
         exact=not args.no_exact,
         max_live=args.max_live,
         with_embeddings=args.embeddings,
         admin=not args.no_admin,
         top_k=3 if args.top_k is None else args.top_k,
         score_threshold=args.threshold,
-        **_engine_kwargs(args),
     )
     pool = ServingPool(config)
     try:
@@ -1006,8 +1022,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="split tables wider than this before annotating")
     annotate.add_argument("--wide-strategy", default=None,
                           choices=("contiguous", "similarity"))
-    annotate.add_argument("--batch-size", type=int, default=None,
-                          help="tables per forward pass (.jsonl mode, default 8)")
     annotate.add_argument("--out", default=None,
                           help="write .jsonl results here instead of stdout")
     annotate.add_argument("--top-k", type=int, default=None,
@@ -1016,34 +1030,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="multi-label decision threshold (.jsonl mode)")
     annotate.add_argument("--embeddings", action="store_true",
                           help="include column embeddings in .jsonl records")
-    annotate.add_argument("--dtype", choices=("float32", "float64"),
-                          default=None,
-                          help="compute precision for .jsonl serving "
-                               "(default float32; float64 needs --kernels fast)")
-    annotate.add_argument("--precision", choices=("float32", "float64", "int8"),
-                          default=None,
-                          help="weight representation for inference: int8 "
-                               "serves per-channel quantized weights behind "
-                               "the accuracy gate (requires fast kernels; "
-                               "default float32)")
-    annotate.add_argument("--kernels", choices=("fast", "reference"),
-                          default=None,
-                          help="forward implementation: proof-gated fast "
-                               "kernels (default) or the reference Tensor path")
-    annotate.add_argument("--column-cache", type=int, default=None, metavar="N",
-                          help="column-state cache capacity in entries "
-                               "(0 disables; single-column models only)")
-    annotate.add_argument("--column-cache-persist", action="store_true",
-                          help="also persist column states to --cache-dir")
-    annotate.add_argument("--probe-mode", choices=("exhaustive", "planned"),
-                          default=None,
-                          help="relation probing policy: exhaustive default "
-                               "pairs (byte-identical legacy behavior) or "
-                               "planner-pruned, budgeted pairs")
-    annotate.add_argument("--probe-budget", type=int, default=None,
-                          metavar="N",
-                          help="max planned relation pairs per table "
-                               "(requires --probe-mode planned)")
+    _add_engine_flags(annotate)  # .jsonl mode
     annotate.add_argument("--cache-dir", default=None,
                           help="persistent result-cache directory (.jsonl mode)")
     annotate.set_defaults(func=_cmd_annotate)
@@ -1068,45 +1055,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-live", type=int, default=None,
                        help="cap concurrently loaded models; idle ones are "
                             "LRU-evicted and transparently reloaded")
-    serve.add_argument("--batch-size", type=int, default=None,
-                       help="max requests per queue drain (default 8); "
-                            "drains are batched on exact serialized-length "
-                            "boundaries, byte-identical to one-at-a-time "
-                            "serving")
-    serve.add_argument("--max-latency-ms", type=float, default=10.0,
-                       help="deprecated and ignored: drains no longer wait "
-                            "for a batch to fill (an idle worker serves at "
-                            "once; batches form while the engine is busy)")
-    serve.add_argument("--dtype", choices=("float32", "float64"), default=None,
-                       help="compute precision (default float32; float64 "
-                            "needs --kernels fast)")
-    serve.add_argument("--precision", choices=("float32", "float64", "int8"),
-                       default=None,
-                       help="weight representation for inference: int8 "
-                            "serves per-channel quantized weights behind "
-                            "the accuracy gate (requires fast kernels; "
-                            "default float32)")
+    _add_engine_flags(serve)
     serve.add_argument("--weight-arena", action="store_true",
                        help="map model weights from a shared mmap arena "
                             "built next to each bundle — pool workers "
                             "share one physical copy of the weights and "
                             "evict/reload becomes a remap")
-    serve.add_argument("--kernels", choices=("fast", "reference"), default=None,
-                       help="forward implementation: proof-gated fast kernels "
-                            "(default) or the reference Tensor path")
-    serve.add_argument("--column-cache", type=int, default=None, metavar="N",
-                       help="column-state cache capacity in entries "
-                            "(0 disables; single-column models only)")
-    serve.add_argument("--column-cache-persist", action="store_true",
-                       help="also persist column states to --cache-dir")
-    serve.add_argument("--probe-mode", choices=("exhaustive", "planned"),
-                       default=None,
-                       help="relation probing policy: exhaustive default "
-                            "pairs (byte-identical legacy behavior) or "
-                            "planner-pruned, budgeted pairs")
-    serve.add_argument("--probe-budget", type=int, default=None, metavar="N",
-                       help="max planned relation pairs per table "
-                            "(requires --probe-mode planned)")
     serve.add_argument("--cache-dir", default=None,
                        help="persistent result-cache root (one subdirectory "
                             "per model fingerprint)")

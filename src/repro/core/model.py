@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -349,11 +349,12 @@ class DoduoModel(Module):
         batched==sequential byte-identity contract; the first is that every
         sequence is encoded at the width it would have alone.
 
-        ``widths`` gives that width per item, for sessions that can mix
-        widths in one pass (``session.ragged``: the float fast path);
-        ``None`` pads the batch jointly to its longest item, which is all
-        the reference path and the int8 session can do — their callers
-        keep exact width buckets (:mod:`repro.encoding`) instead.
+        ``widths`` gives that width per item; a session mixes them inside
+        one pass.  ``None`` pads the batch jointly to its longest item,
+        which is all the Tensor path can do — its caller keeps exact width
+        buckets (:meth:`DoduoTrainer.annotate_batch
+        <repro.core.trainer.DoduoTrainer.annotate_batch>`) and hands it
+        one width per call.
 
         ``kernels`` selects the forward implementation: ``"fast"`` (the
         default) uses the no-tape :class:`InferenceSession` when the model
@@ -366,18 +367,17 @@ class DoduoModel(Module):
         requires it (the Tensor path has no dtype policy).
         """
         session = self._resolve_session(kernels, compute_dtype)
-        width: Union[None, int, Sequence[int]] = widths
-        if widths is not None and not getattr(session, "ragged", False):
-            if len(set(widths)) > 1:
-                raise ValueError(
-                    "this forward path pads a batch to one width; mixed "
-                    f"widths {sorted(set(widths))} need the float fast path"
-                )
-            width = widths[0] if widths else None
         if session is not None:
-            hidden_data, locations = session.encode_batch(encoded, width=width)
+            hidden_data, locations = session.encode_batch(encoded, width=widths)
         else:
-            hidden, cls_at = self.encode_batch(encoded, width=width)
+            if widths is not None and len(set(widths)) > 1:
+                raise ValueError(
+                    "the Tensor path pads a batch to one width; mixed "
+                    f"widths {sorted(set(widths))} need a session"
+                )
+            hidden, cls_at = self.encode_batch(
+                encoded, width=widths[0] if widths else None
+            )
             hidden_data = hidden.data
             locations = cls_at[:, 0] * hidden_data.shape[1] + cls_at[:, 1]
         column_embeddings = gather_states(hidden_data, locations)
@@ -388,7 +388,7 @@ class DoduoModel(Module):
         elif getattr(session, "merge_head_groups", False):
             # Accuracy-gated sessions (int8) trade the per-group row-count
             # contract away behind their drift gate, which licenses one
-            # bucket-wide head GEMM chain instead of a chain per table.
+            # pass-wide head GEMM chain instead of a chain per table.
             # Checked after encode_batch on purpose: the int8 calibration
             # pass runs there, and a failed gate flips this off so the
             # float32 fallback keeps reference per-group behavior.

@@ -44,6 +44,16 @@ from .serialization import EncodedTable, SerializerConfig, TableSerializer
 TYPE_TASK = "type"
 RELATION_TASK = "relation"
 
+#: What each serving precision folds into the annotation fingerprint, as
+#: (before, after) the probe marker.  Spellings and positions are those of
+#: the release that introduced each value (float64 arrived as ``dtype``),
+#: so every persisted cache key stays valid; float32 is marker-free.
+_PRECISION_MARKERS = {
+    "float32": (b"", b""),
+    "float64": (b"|dtype=float64", b""),
+    "int8": (b"", b"|precision=int8"),
+}
+
 
 def default_relation_pairs(table: Table) -> List[Tuple[int, int]]:
     """Column pairs the relation head probes when none are requested.
@@ -245,17 +255,13 @@ class DoduoTrainer:
         self.history = TrainingHistory(
             task_losses={task: [] for task in config.tasks}
         )
-        # Memoized annotation fingerprints (one per compute dtype): hashing
-        # walks every weight, and the serving registry/gateway key routing
-        # and cache partitions on it, so it must not cost a weight walk per
-        # lookup.  Invalidated by train() — external weight mutation must
-        # call invalidate_fingerprint() (or hand the registry a fresh
-        # trainer).
-        # Keyed by (dtype, probe descriptor, waste budget) — see
-        # annotation_fingerprint.
-        self._annotation_fingerprints: Dict[
-            Tuple[str, Optional[str], int], str
-        ] = {}
+        # Memoized annotation fingerprints, keyed by (precision, probe
+        # descriptor): hashing walks every weight, and the serving
+        # registry/gateway key routing and cache partitions on it, so it
+        # must not cost a weight walk per lookup.  Invalidated by train() —
+        # external weight mutation must call invalidate_fingerprint() (or
+        # hand the registry a fresh trainer).
+        self._annotation_fingerprints: Dict[Tuple[str, Optional[str]], str] = {}
 
     @property
     def serializer(self) -> TableSerializer:
@@ -622,11 +628,7 @@ class DoduoTrainer:
         self.model.invalidate_sessions()
 
     def annotation_fingerprint(
-        self,
-        dtype: str = "float32",
-        probe: Optional[str] = None,
-        waste_budget: int = 0,
-        precision: Optional[str] = None,
+        self, precision: str = "float32", probe: Optional[str] = None
     ) -> str:
         """Stable hash of everything that determines an annotation output.
 
@@ -641,12 +643,13 @@ class DoduoTrainer:
         changing any weight, serializer knob, or vocabulary invalidates
         every cached entry and re-keys the route.
 
-        ``dtype`` is the serving compute precision (``EngineConfig.dtype``):
+        ``precision`` is the serving precision (``EngineConfig.precision``):
         a ``float64`` engine produces different bytes than a ``float32``
-        one, so the dtype folds into the digest and caches never mix
-        precisions.  The default ``"float32"`` digest is unchanged from
-        before the dtype policy existed, keeping persisted disk-cache
-        entries valid.
+        one, and ``int8`` serves quantized weights behind an accuracy gate,
+        *deliberately* not byte-identical — so each folds into the digest
+        and no cache partition or route ever mixes precisions.  The default
+        ``"float32"`` digest is marker-free, as it was before the knob
+        existed, keeping persisted disk-cache entries valid.
 
         ``probe`` is the probe-planning descriptor
         (:meth:`~repro.core.probe.ProbePlanner.fingerprint_tag`): a planned
@@ -654,29 +657,18 @@ class DoduoTrainer:
         than an exhaustive one, so the plan policy folds into the digest
         and no cache or route ever mixes plans.  ``None`` — exhaustive
         probing, the default policy — leaves the digest marker-free, same
-        contract as the dtype marker: pre-planner persisted cache keys stay
-        valid.
-
-        ``waste_budget`` is the engine's near-width packing budget
-        (``EngineConfig.waste_budget``): a non-zero budget lets adjacent
-        width buckets merge, which changes padding and therefore output
-        bytes — so it folds into the digest.  The default ``0`` (exact
-        bucketing, the byte-identity contract) stays marker-free like the
-        other defaults, keeping previously persisted cache keys valid.
-
-        ``precision`` is the weight-representation policy
-        (``EngineConfig.precision``): ``"int8"`` serves from quantized
-        weights behind an accuracy gate, which is *deliberately* not
-        byte-identical, so it must never share a cache partition or a
-        registry route with any float path.  ``None`` and ``"float32"``
-        both leave the digest marker-free (float32 weights are the
-        baseline the other markers already describe).
+        contract: pre-planner persisted cache keys stay valid.
 
         Memoized (hashing walks every weight); :meth:`train` invalidates the
         memo, and :meth:`invalidate_fingerprint` does so for out-of-band
         weight mutation.
         """
-        memo_key = (dtype, probe, waste_budget, precision)
+        if precision not in _PRECISION_MARKERS:
+            raise ValueError(
+                f"precision must be one of {sorted(_PRECISION_MARKERS)}: "
+                f"{precision!r}"
+            )
+        memo_key = (precision, probe)
         cached = self._annotation_fingerprints.get(memo_key)
         if cached is not None:
             return cached
@@ -700,23 +692,11 @@ class DoduoTrainer:
             for label in vocab:
                 digest.update(b"\x1f")
                 digest.update(label.encode("utf-8"))
-        if dtype != "float32":
-            # The float32 digest predates the dtype policy; keeping it
-            # marker-free preserves every previously persisted cache key.
-            digest.update(f"|dtype={dtype}".encode("utf-8"))
+        before_probe, after_probe = _PRECISION_MARKERS[precision]
+        digest.update(before_probe)
         if probe is not None:
-            # Same pattern: exhaustive probing (None) predates the planner
-            # and stays marker-free.
             digest.update(f"|probe={probe}".encode("utf-8"))
-        if waste_budget:
-            # Near-width packing merges width buckets, changing padding and
-            # output bytes; exact bucketing (0) stays marker-free.
-            digest.update(f"|waste_budget={waste_budget}".encode("utf-8"))
-        if precision not in (None, "float32"):
-            # Quantized weights (int8) are accuracy-gated, not byte-gated:
-            # they get their own cache partition.  float32 — the baseline
-            # representation — stays marker-free like every other default.
-            digest.update(f"|precision={precision}".encode("utf-8"))
+        digest.update(after_probe)
         value = digest.hexdigest()
         self._annotation_fingerprints[memo_key] = value
         return value
@@ -736,7 +716,6 @@ class DoduoTrainer:
         pair_requests: Optional[Sequence[Optional[Sequence[Tuple[int, int]]]]] = None,
         with_embeddings: bool = True,
         with_relations: bool = True,
-        waste_budget: int = 0,
         kernels: Optional[str] = None,
         compute_dtype: str = "float32",
         column_cache: Optional["ColumnStateStore"] = None,
@@ -756,21 +735,18 @@ class DoduoTrainer:
 
         Every sequence is encoded at exactly the width its table dictates
         alone, so every result is **byte-identical** to annotating its table
-        alone — batching changes cost, never bytes.  On the float fast path
-        that costs nothing: the session mixes widths inside one
-        padding-free pass (:mod:`repro.core.inference`).  The reference
-        path and the int8 session can only pad a batch to one width, so
-        for them the tables are first split into exact width buckets
-        (:class:`~repro.encoding.BatchPlanner`), one pass per bucket.
+        alone — batching changes cost, never bytes.  On a session (the fast
+        path, any precision) that costs nothing: it mixes widths inside one
+        padding-free pass (:mod:`repro.core.inference`).  The Tensor path
+        (``kernels="reference"``, the oracle) can only pad a batch to one
+        width, so for it the tables are first split into exact width
+        buckets (:class:`~repro.encoding.BatchPlanner`), one pass per
+        bucket.
 
         ``encoded`` lets callers (the serving engine's cache) supply
         pre-serialized inputs; ``pair_requests`` overrides the probed column
         pairs per table (``None`` entries fall back to
-        :func:`default_relation_pairs`); ``waste_budget`` forwards the
-        planner's opt-in near-width packing (merged buckets trade the
-        byte-identity contract for fewer passes — see
-        :class:`~repro.encoding.BatchPlanner`; 0, the default, keeps exact
-        buckets).
+        :func:`default_relation_pairs`).
 
         ``kernels``/``compute_dtype`` select the forward implementation and
         precision (see :meth:`DoduoModel.forward_full`).  ``column_cache``
@@ -844,21 +820,14 @@ class DoduoTrainer:
             self.encoding.annotation_signature(item, pairs)
             for item, pairs in zip(encoded, pairs_per_table)
         ]
-        session = self.model._resolve_session(kernels, compute_dtype)
-        ragged = waste_budget == 0 and getattr(session, "ragged", False)
-        if ragged:
+        if self.model._resolve_session(kernels, compute_dtype) is not None:
             # One pass whatever the widths: each table's sequences keep the
             # width its signature dictates.
             groups = [list(range(len(tables)))]
         else:
-            # Exact width buckets: this path pads a batch to one width, so
-            # only tables dictating identical widths may share a pass (a
-            # non-zero ``waste_budget`` merges near widths, trading bytes).
-            # Callers that pre-plan (the serving engine) hand over
-            # homogeneous batches, making this a single-group no-op.
-            groups = BatchPlanner(
-                batch_size=len(tables), waste_budget=waste_budget
-            ).plan(signatures)
+            # The Tensor path pads a batch to one width, so only tables
+            # dictating identical widths may share a pass.
+            groups = BatchPlanner(batch_size=len(tables)).plan(signatures)
 
         def of(values: Optional[Sequence], group: Sequence[int]):
             """The group's slice of an optional per-table argument."""
@@ -870,13 +839,13 @@ class DoduoTrainer:
                 [tables[i] for i in group],
                 [encoded[i] for i in group],
                 [pairs_per_table[i] for i in group],
+                [signatures[i] for i in group],
                 with_embeddings,
                 kernels=kernels,
                 compute_dtype=compute_dtype,
                 column_cache=column_cache,
                 fingerprints=of(fingerprints, group),
                 column_fingerprints=of(column_fingerprints, group),
-                signatures=of(signatures, group) if ragged else None,
             )
             for i, annotation in zip(group, group_results):
                 results[i] = annotation
@@ -887,33 +856,32 @@ class DoduoTrainer:
         tables: Sequence[Table],
         encoded: Sequence[EncodedAnnotationInput],
         pairs_per_table: Sequence[List[Tuple[int, int]]],
+        signatures: Sequence[Tuple[int, int]],
         with_embeddings: bool,
         kernels: Optional[str] = None,
         compute_dtype: str = "float32",
         column_cache: Optional["ColumnStateStore"] = None,
         fingerprints: Optional[Sequence[str]] = None,
         column_fingerprints: Optional[Sequence[Optional[Sequence[str]]]] = None,
-        signatures: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> List[RawTableAnnotation]:
         """Annotate tables that share passes: one pass, or two in
         single-column mode (columns, then column pairs).
 
-        ``signatures`` are the tables' width signatures when the pass may
-        mix widths (every sequence is then encoded at its own table's
-        width); ``None`` means a width bucket, padded jointly.
+        ``signatures`` are the tables' width signatures: every sequence is
+        encoded at its own table's width.
         """
         if self.config.single_column:
             return self._annotate_batch_single_column(
                 tables,
                 encoded,
                 pairs_per_table,
+                signatures,
                 with_embeddings,
                 kernels=kernels,
                 compute_dtype=compute_dtype,
                 column_cache=column_cache,
                 fingerprints=fingerprints,
                 column_fingerprints=column_fingerprints,
-                signatures=signatures,
             )
         flat_pairs = [
             (b, i, j)
@@ -930,7 +898,7 @@ class DoduoTrainer:
             head_groups=[[b] for b in range(len(tables))],
             kernels=kernels,
             compute_dtype=compute_dtype,
-            widths=[width for width, _ in signatures] if signatures else None,
+            widths=[width for width, _ in signatures],
         )
         type_probs = activation_probs(out.type_logits, self.config.multi_label)
         relation_probs = (
@@ -947,13 +915,13 @@ class DoduoTrainer:
         tables: Sequence[Table],
         encoded: Sequence[EncodedAnnotationInput],
         pairs_per_table: Sequence[List[Tuple[int, int]]],
+        signatures: Sequence[Tuple[int, int]],
         with_embeddings: bool,
         kernels: Optional[str] = None,
         compute_dtype: str = "float32",
         column_cache: Optional["ColumnStateStore"] = None,
         fingerprints: Optional[Sequence[str]] = None,
         column_fingerprints: Optional[Sequence[Optional[Sequence[str]]]] = None,
-        signatures: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> List[RawTableAnnotation]:
         """Single-column mode: one pass over columns, one over column pairs."""
         flat_columns: List[EncodedTable] = []
@@ -964,16 +932,14 @@ class DoduoTrainer:
             column_groups.append(list(range(start, len(flat_columns))))
         # A table's column sequences all pad to its widest column, its pair
         # sequences to its widest pair — the two halves of its signature.
-        column_widths = pair_widths = None
-        if signatures:
-            column_widths = [
-                width for (width, _), item in zip(signatures, encoded) for _ in item
-            ]
-            pair_widths = [
-                width
-                for (_, width), pairs in zip(signatures, pairs_per_table)
-                for _ in pairs
-            ]
+        column_widths = [
+            width for (width, _), item in zip(signatures, encoded) for _ in item
+        ]
+        pair_widths = [
+            width
+            for (_, width), pairs in zip(signatures, pairs_per_table)
+            for _ in pairs
+        ]
         if column_cache is not None and flat_columns:
             type_probs, embeddings = self._annotate_columns_cached(
                 tables,
@@ -1044,7 +1010,7 @@ class DoduoTrainer:
         column_cache: "ColumnStateStore",
         kernels: Optional[str],
         compute_dtype: str,
-        widths: Optional[Sequence[int]] = None,
+        widths: Sequence[int],
         column_fingerprints: Optional[Sequence[Optional[Sequence[str]]]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Column-pass products served through the content-addressed cache.
@@ -1054,8 +1020,7 @@ class DoduoTrainer:
         batched==sequential contract) means a ``[CLS]`` state computed in
         any prior pass *at the same padded width* is bitwise the state this
         pass would compute.  ``widths`` is that width per column (its
-        table's widest column); ``None`` means one bucket, every column at
-        the bucket's width.  Misses are deduplicated by (content, width)
+        table's widest column).  Misses are deduplicated by (content, width)
         and encoded in one pass at exactly those widths, so hits and misses
         share identical geometry; the type head then runs per table over
         the assembled state matrix — the same per-table GEMM row counts as
@@ -1063,8 +1028,6 @@ class DoduoTrainer:
         state matrix is row-aligned with the flattened column order,
         exactly like ``FullForward.embeddings``.
         """
-        if widths is None:
-            widths = [max(e.length for e in flat_columns)] * len(flat_columns)
         fingerprints: List[str] = []
         for index, table in enumerate(tables):
             known = column_fingerprints[index] if column_fingerprints else None
@@ -1083,11 +1046,11 @@ class DoduoTrainer:
             miss_widths = [widths[i] for i in firsts]
             if session is not None:
                 hidden, locations = session.encode_batch(
-                    [flat_columns[i] for i in firsts],
-                    width=miss_widths if session.ragged else miss_widths[0],
+                    [flat_columns[i] for i in firsts], width=miss_widths
                 )
                 gathered = gather_states(hidden, locations)
             else:
+                # The Tensor path: one bucket, so one width.
                 tensor, cls_at = self.model.encode_batch(
                     [flat_columns[i] for i in firsts], width=miss_widths[0]
                 )

@@ -10,15 +10,15 @@ layer re-implements it:
   plus a shared content-hash LRU (:class:`LRUCache` keyed by
   :func:`table_fingerprint`), so training epochs, repeated evaluations, and
   serving requests all reuse each other's serializations.
-* :class:`BatchPlanner` — exact length bucketing, for the forward paths
-  that pad a batch to one width (reference kernels, int8, the evaluation
+* :class:`BatchPlanner` — exact length bucketing, for the Tensor path,
+  which pads a batch to one width (reference kernels, the evaluation
   loop): only inputs with equal width signatures share a forward batch,
   which eliminates cross-request padding (zero waste) and makes batched
   annotation **byte-identical** to sequential annotation — the
   jointly-padded ~1e-7 float drift is gone because no sequence is ever
-  padded beyond the width it would use alone.  (The float fast path keeps
-  that rule without bucketing: :mod:`repro.core.inference` mixes widths
-  inside one pass.)
+  padded beyond the width it would use alone.  (Serving keeps that rule
+  without bucketing, at every precision: :mod:`repro.core.inference`
+  mixes widths inside one pass.)
 * :class:`PaddingReport` — token-level accounting (real vs allocated
   slots) surfaced in ``EngineStats`` and ``TrainingHistory``.
 * :func:`pad_batch` / :func:`pad_token_lists` — the single padding
@@ -27,8 +27,8 @@ layer re-implements it:
 
 Consumers: :class:`repro.core.trainer.DoduoTrainer` (example preparation,
 ``annotate_batch``, ``predict_*``), :class:`repro.serving.AnnotationEngine`
-(chunk planning), :class:`repro.serving.AnnotationService` (drain
-splitting), :mod:`repro.pretrain.mlm`, and :mod:`repro.analysis`.
+(serialization cache), :mod:`repro.pretrain.mlm`, and
+:mod:`repro.analysis`.
 """
 
 from .cache import LRUCache, column_fingerprint, table_fingerprint

@@ -20,10 +20,9 @@ must reproduce.  This module provides the serving-speed twins:
   (operation, shape, dtype) computes the reference form too, compares
   bitwise, and records a verdict in the workspace's :class:`ProofCache`;
   only a proven shape uses the optimized form on later calls, and a failed
-  proof permanently falls back to the reference form for that shape.  This
-  is the ``waste_budget`` discipline applied to kernels: the optimization
-  is free to be unsound on some platform, the gate keeps the bytes contract
-  regardless.
+  proof permanently falls back to the reference form for that shape: the
+  optimization is free to be unsound on some platform, the gate keeps the
+  bytes contract regardless.
 * :func:`prove_row_stable` — the gate of token-major (ragged) batching: one
   verdict per weight shape, dtype and band of sequence widths, never per
   row count, on whether a GEMM over many concatenated sequences gives each

@@ -10,9 +10,8 @@ The stack, bottom-up:
   :class:`~repro.encoding.EncodingPipeline` with every sequence at the
   width it would have alone (zero cross-request padding, batched results
   byte-identical to sequential ones): one padding-free encoder pass per
-  drain chunk on the float fast path, one per exact width bucket on the
-  reference and int8 paths (or opt-in near-width packing via
-  ``EngineConfig.waste_budget``), and an optional persistent result store
+  drain chunk at every precision (``kernels="reference"``, the oracle,
+  runs one per exact width bucket), and an optional persistent result store
   (:class:`FabricCache`) so repeated corpora never re-encode across
   process restarts.
 * :class:`EngineWorker` — the per-engine bounded request queue: ``submit``

@@ -4,23 +4,22 @@
 ``predict_types`` → ``predict_type_probs`` → relation probe →
 ``column_embeddings`` cascade: a whole batch of tables is serialized once
 (through the shared :class:`~repro.encoding.EncodingPipeline` cache), run
-through one padded encoder forward pass per bucket, and types, per-type
+through one padding-free encoder forward pass per chunk, and types, per-type
 score dictionaries, relation predictions, and column embeddings are all
 derived from those hidden states.
 
 Batching policy: every sequence is encoded at exactly the width its table
 dictates alone, so batched results are **byte-identical** to sequential
 ones and no token slot is spent on cross-request padding (``EngineStats``
-reports the waste ratio).  On the float fast path a drain is simply cut
-into chunks of ``batch_size`` in request order — the session mixes widths
+reports the waste ratio).  A drain is simply cut into chunks of
+``batch_size`` in request order — the inference session mixes widths
 inside one padding-free pass (:mod:`repro.core.inference`), so eight
-tables of eight widths cost one pass, not eight.  The reference path and
-the int8 session can only pad a batch to one width; for them requests are
-composed into **exact width buckets** (:class:`~repro.encoding.BatchPlanner`)
-and only identical widths share a pass.  The pre-encoding-layer policy
-padded sorted chunks jointly, which perturbed float32 BLAS reductions at
-the ~1e-7 level; that tolerance is gone.  Results always come back in
-request order.
+tables of eight widths cost one pass, not eight, at every precision.
+(``kernels="reference"``, the Tensor-path oracle, can only pad a batch to
+one width: the trainer splits each chunk into exact width buckets for it.)
+The pre-encoding-layer policy padded sorted chunks jointly, which
+perturbed float32 BLAS reductions at the ~1e-7 level; that tolerance is
+gone.  Results always come back in request order.
 
 Exactness: any batch composition is bitwise identical to the legacy
 multi-pass path (the compatibility wrappers in
@@ -49,11 +48,11 @@ from typing import (
 import numpy as np
 
 from ..core.annotator import AnnotatedTable
-from ..core.inference import INFERENCE_DTYPES
+from ..core.inference import INFERENCE_DTYPES, QUANTIZED_DTYPES
 from ..core.probe import ProbeBudget, ProbePlanner
-from ..core.trainer import DoduoTrainer, RawTableAnnotation, default_relation_pairs
+from ..core.trainer import DoduoTrainer, RawTableAnnotation
 from ..datasets.tables import Table
-from ..encoding import BatchPlanner, EncodingPipeline, column_fingerprint
+from ..encoding import EncodingPipeline, column_fingerprint
 from .colcache import ColumnCache
 from .diskcache import (
     RequestIdentity,
@@ -81,22 +80,19 @@ class EngineConfig:
     caching).  ``cache_dir`` turns on the persistent
     result-cache tier (:class:`~repro.serving.fabric.FabricCache` rooted
     there) so finished annotations survive process restarts.
-    ``waste_budget`` opts into the planner's near-width packing
-    (:class:`~repro.encoding.BatchPlanner`): adjacent width buckets merge
-    while the merged bucket's extra padded tokens stay under the budget —
-    fewer forward passes at the cost of the byte-identity contract.  The
-    default 0 keeps every sequence at its own width (one padding-free pass
-    per chunk on the float fast path, exact buckets elsewhere).
 
-    ``dtype`` is the engine's compute-precision policy: ``"float32"``
-    (default — the training dtype, bitwise the legacy serving path) or
-    ``"float64"`` (double-precision inference for numeric studies).  The
-    dtype is folded into the model fingerprint, so the result cache, the
-    column cache, and gateway routing never mix precisions.  ``kernels``
-    selects the forward implementation: ``"fast"`` (default) runs the
-    proof-gated :class:`~repro.core.inference.InferenceSession` — fused
-    QKV, preallocated workspaces, in-place softmax/layernorm, each kernel
-    dark until proven bitwise against the reference — while
+    ``precision`` is the one precision knob: ``"float32"`` (default — the
+    training dtype, bitwise the legacy serving path), ``"float64"``
+    (double-precision weights and activations for numeric studies), or
+    ``"int8"`` — per-channel symmetric weight quantization, float32
+    accumulate, served through the accuracy-gated
+    :class:`~repro.core.inference.QuantizedInferenceSession`.  The
+    precision is folded into the model fingerprint, so the result cache,
+    the column cache, and gateway routing never mix precisions.
+    ``kernels`` selects the forward implementation: ``"fast"`` (default)
+    runs the proof-gated :class:`~repro.core.inference.InferenceSession` —
+    fused QKV, preallocated workspaces, in-place softmax/layernorm, each
+    kernel dark until proven bitwise against the reference — while
     ``"reference"`` forces the original Tensor path (float32 only).
 
     ``column_cache_size`` bounds the column-level content-addressed state
@@ -106,20 +102,11 @@ class EngineConfig:
     entries to the engine's persistent tier (requires ``cache_dir`` or an
     attached result cache) so column states survive restarts.
 
-    ``precision`` is the weight-representation policy, orthogonal to
-    ``dtype`` (the activation compute dtype): ``None`` (default — the
-    plain float32 weights, byte-identical to a default engine),
-    ``"float32"`` (explicit alias of the default, same digest, same
-    bytes), ``"float64"``, or ``"int8"`` — per-channel symmetric weight
-    quantization served through the accuracy-gated
-    :class:`~repro.core.inference.QuantizedInferenceSession`.  Non-default
-    precisions fold into the model fingerprint, so int8 never shares a
-    cache partition or a route with any float path.  ``weight_arena``
-    opts the loading tier (registry / pool) into serving this model from
-    a shared mmap-ed arena file (:mod:`repro.nn.arena`); it is
-    byte-neutral — a float32 arena stores each parameter's exact bytes —
-    and the engine itself ignores it, which is why it lives here: it
-    rides the same ``engine_config`` plumbing the registry already
+    ``weight_arena`` opts the loading tier (registry / pool) into serving
+    this model from a shared mmap-ed arena file (:mod:`repro.nn.arena`);
+    it is byte-neutral — a float32 arena stores each parameter's exact
+    bytes — and the engine itself ignores it, which is why it lives here:
+    it rides the same ``engine_config`` plumbing the registry already
     forwards per model.
 
     ``probe_mode`` is the relation-probing policy for requests that leave
@@ -139,14 +126,12 @@ class EngineConfig:
     cache_size: Optional[int] = None
     default_options: AnnotationOptions = field(default_factory=AnnotationOptions)
     cache_dir: Optional[str] = None
-    waste_budget: int = 0
-    dtype: str = "float32"
     kernels: str = "fast"
     column_cache_size: int = 1024
     column_cache_persist: bool = False
     probe_mode: str = "exhaustive"
     probe_budget: Optional[int] = None
-    precision: Optional[str] = None
+    precision: str = "float32"
     weight_arena: bool = False
 
     def __post_init__(self) -> None:
@@ -154,20 +139,19 @@ class EngineConfig:
             raise ValueError(f"batch_size must be >= 1: {self.batch_size}")
         if self.cache_size is not None and self.cache_size < 0:
             raise ValueError(f"cache_size must be >= 0: {self.cache_size}")
-        if self.waste_budget < 0:
-            raise ValueError(f"waste_budget must be >= 0: {self.waste_budget}")
-        if self.dtype not in ("float32", "float64"):
+        if self.precision not in INFERENCE_DTYPES + QUANTIZED_DTYPES:
             raise ValueError(
-                f"dtype must be 'float32' or 'float64': {self.dtype!r}"
+                "precision must be 'float32', 'float64', or 'int8': "
+                f"{self.precision!r}"
             )
         if self.kernels not in ("fast", "reference"):
             raise ValueError(
                 f"kernels must be 'fast' or 'reference': {self.kernels!r}"
             )
-        if self.dtype == "float64" and self.kernels != "fast":
+        if self.precision != "float32" and self.kernels != "fast":
             raise ValueError(
-                "dtype='float64' requires kernels='fast' (the reference "
-                "Tensor path is float32-only)"
+                f"precision={self.precision!r} requires kernels='fast' (the "
+                "reference Tensor path is float32-only)"
             )
         if self.column_cache_size < 0:
             raise ValueError(
@@ -188,43 +172,6 @@ class EngineConfig:
                     "probe_budget requires probe_mode='planned' (exhaustive "
                     "probing has no budget to apply)"
                 )
-        if self.precision not in (None, "float32", "float64", "int8"):
-            raise ValueError(
-                "precision must be None, 'float32', 'float64', or 'int8': "
-                f"{self.precision!r}"
-            )
-        if self.precision in ("float64", "int8") and self.kernels != "fast":
-            raise ValueError(
-                f"precision={self.precision!r} requires kernels='fast' (the "
-                "reference Tensor path is float32-only)"
-            )
-        if (
-            self.precision is not None
-            and self.dtype != "float32"
-            and self.precision != self.dtype
-        ):
-            raise ValueError(
-                f"precision={self.precision!r} and dtype={self.dtype!r} "
-                "disagree; set one (precision wins the compute path)"
-            )
-
-    @property
-    def compute_precision(self) -> str:
-        """The dtype handed to the forward path: ``precision`` when set,
-        else ``dtype`` — so legacy dtype-only configs keep working and
-        ``precision`` can express int8 without a second knob."""
-        return self.precision or self.dtype
-
-    @property
-    def ragged(self) -> bool:
-        """Whether one encoder pass may mix widths: the float fast path
-        (the reference path and int8 pad a batch to one width), unless
-        ``waste_budget`` asked for jointly padded buckets."""
-        return (
-            self.kernels == "fast"
-            and self.compute_precision in INFERENCE_DTYPES
-            and self.waste_budget == 0
-        )
 
 
 @dataclass
@@ -244,9 +191,6 @@ class EngineStats:
     ``padding_waste`` stays at the intra-table floor (single-column tables
     pad short columns to their own table's widest), with zero
     cross-request padding on top.
-    ``planner_mode`` records the batch-composition policy this engine runs
-    (``"exact"``, or ``"packed(waste_budget=N)"`` when
-    ``EngineConfig.waste_budget`` opted into near-width packing).
 
     ``column_hits``/``column_misses`` count column-level state-cache
     lookups (single-column engines only — a hit skips that column's entire
@@ -265,7 +209,7 @@ class EngineStats:
     fallback after the accuracy gate disproved quantization
     (``precision="int8"`` only; always 0 on float engines) — nonzero
     means this host serves float32 bytes at int8 cache keys, at float32
-    speed.
+    speed (same passes per drain, since the fallback is ragged too).
     """
 
     requests: int = 0
@@ -285,7 +229,6 @@ class EngineStats:
     pairs_pruned: int = 0
     pairs_probed: int = 0
     quant_fallbacks: int = 0
-    planner_mode: str = "exact"
 
     @property
     def padding_waste(self) -> float:
@@ -353,10 +296,6 @@ class AnnotationEngine:
                 disk=self.result_cache,
                 persist=self.config.column_cache_persist,
             )
-        self._planner = BatchPlanner(
-            batch_size=self.config.batch_size,
-            waste_budget=self.config.waste_budget,
-        )
         # Probe planning: only built in planned mode, so exhaustive engines
         # carry zero planner state and behave byte-identically to before
         # the policy existed.
@@ -365,7 +304,7 @@ class AnnotationEngine:
             self.probe_planner = ProbePlanner(
                 ProbeBudget(max_pairs=self.config.probe_budget)
             )
-        self.stats = EngineStats(planner_mode=self._planner.mode)
+        self.stats = EngineStats()
         # ``requests``/``disk_hits``/``disk_misses`` have two writers — the
         # thread inside annotate_batch and count_stored_hit's caller.
         self._count_lock = threading.Lock()
@@ -423,8 +362,7 @@ class AnnotationEngine:
         identities: Optional[Sequence[RequestIdentity]] = None,
     ) -> List[AnnotationResult]:
         """Annotate many tables, one forward pass per chunk of
-        ``batch_size`` (per exact width bucket on the reference and int8
-        paths — see the module docstring).
+        ``batch_size`` (see the module docstring).
 
         ``options`` applies to plain :class:`Table` items; explicit
         :class:`AnnotationRequest` items keep their own options.  Results are
@@ -504,9 +442,9 @@ class AnnotationEngine:
         self.stats.segment_hits += self.encoding.segment_hits - seg_hits_before
         self.stats.segment_misses += self.encoding.segment_misses - seg_misses_before
         # Probe planning: pairs=None requests in planned mode get their
-        # pair set decided here, ONCE, so the batching signature and the
-        # probes the trainer runs always agree.  Explicit pairs and
-        # relation-less requests bypass the planner entirely.
+        # pair set decided here, once per request, and handed to the trainer
+        # as explicit pairs.  Explicit pairs and relation-less requests
+        # bypass the planner entirely.
         planned_pairs: Dict[int, Tuple[Tuple[int, int], ...]] = {}
         if self.probe_planner is not None:
             for i in pending:
@@ -524,24 +462,10 @@ class AnnotationEngine:
                     planned_pairs[i] = plan.pairs
                     self.stats.pairs_planned += plan.planned
                     self.stats.pairs_pruned += plan.pruned
-        if self.config.ragged:
-            # The session encodes every sequence at its own width inside
-            # one padding-free pass, so a chunk is just the next requests.
-            size = self.config.batch_size
-            chunks = [pending[k:k + size] for k in range(0, len(pending), size)]
-        else:
-            # Exact bucket plan: this path pads a batch to one width, so
-            # only requests dictating identical padded widths share a pass
-            # (the byte-identity contract) — unless ``waste_budget`` opted
-            # into near-width packing.
-            signatures = [
-                self._signature(requests[i], encoded[i], planned_pairs.get(i))
-                for i in pending
-            ]
-            chunks = [
-                [pending[k] for k in bucket]
-                for bucket in self._planner.plan(signatures)
-            ]
+        # The session encodes every sequence at its own width inside one
+        # padding-free pass, so a chunk is just the next requests.
+        size = self.config.batch_size
+        chunks = [pending[k:k + size] for k in range(0, len(pending), size)]
         if pending:
             self._hydrate_proofs()
         for chunk in chunks:
@@ -588,7 +512,7 @@ class AnnotationEngine:
         """Lazily annotate an unbounded iterable of tables.
 
         Pulls up to ``batch_size`` tables at a time (engine default when
-        omitted), annotates each chunk with one padded pass, and yields
+        omitted), annotates each chunk with one padding-free pass, and yields
         results in input order — memory stays bounded by the chunk size, so
         this works over generators and files that never fit in RAM.
         """
@@ -629,16 +553,12 @@ class AnnotationEngine:
         cached annotations onto new weights.  The memo makes repeated
         access cheap (no weight walk).
 
-        The engine's compute dtype is folded in (``EngineConfig.dtype``),
-        so a float64 engine and a float32 engine over the same weights
-        never share cached bytes.  So is the probe policy
+        The engine's precision is folded in (``EngineConfig.precision``),
+        so a float64 or int8 engine and a float32 engine over the same
+        weights never share cached bytes.  So is the probe policy
         (``EngineConfig.probe_mode``/``probe_budget``): a planned engine
         probes a different pair set for the same ``pairs=None`` request,
         and its cache entries and routes must never alias exhaustive ones.
-        And so is ``EngineConfig.waste_budget``: near-width packing trades
-        the byte-identity contract for fewer passes, so a packed engine's
-        bytes must never alias an exact-bucketing engine's cache entries
-        (the default 0 stays marker-free, preserving persisted keys).
         """
         probe = (
             self.probe_planner.fingerprint_tag()
@@ -646,10 +566,7 @@ class AnnotationEngine:
             else None
         )
         return self.trainer.annotation_fingerprint(
-            dtype=self.config.dtype,
-            probe=probe,
-            waste_budget=self.config.waste_budget,
-            precision=self.config.precision,
+            precision=self.config.precision, probe=probe
         )
 
     def identify(
@@ -681,8 +598,8 @@ class AnnotationEngine:
     # dark-launch double-compute (and the calibration pass) again.  With
     # a persistent tier attached, verdicts are written as a JSON sidecar
     # keyed by the model fingerprint: any proof is invalidated the moment
-    # weights, dtype, precision, or probe policy change, because the key
-    # changes with them.  No persistent tier → both helpers no-op.
+    # weights, precision, or probe policy change, because the key changes
+    # with them.  No persistent tier → both helpers no-op.
 
     def _proofs_path(self) -> Optional[Path]:
         root = getattr(self.result_cache, "directory", None) or self.config.cache_dir
@@ -693,7 +610,7 @@ class AnnotationEngine:
     def _session_proofs(self):
         """The live session's proof cache, or None on the Tensor path."""
         session = self.trainer.model._resolve_session(
-            self.config.kernels, self.config.compute_precision
+            self.config.kernels, self.config.precision
         )
         if session is None:
             return None
@@ -741,43 +658,6 @@ class AnnotationEngine:
             )
         raise TypeError(f"expected a Table or AnnotationRequest, got {type(item)!r}")
 
-    def _signature(
-        self,
-        request: AnnotationRequest,
-        encoded: object,
-        planned: Optional[Tuple[Tuple[int, int], ...]] = None,
-    ) -> Tuple[int, int]:
-        """Exact-batching key of one request (see
-        :meth:`~repro.encoding.EncodingPipeline.annotation_signature`).
-
-        ``planned`` is the probe planner's pair set for this request (only
-        in planned mode, only for ``pairs=None`` relation requests) — the
-        signature must reflect the pairs that will actually be probed.
-
-        Out-of-range explicit pairs are skipped here — the trainer validates
-        them with a proper error message; a slightly loose signature only
-        affects which requests *could* have shared a batch, never bytes.
-        """
-        if not isinstance(encoded, list):
-            return (encoded.length, 0)  # type: ignore[attr-defined]
-        num_columns = len(encoded)
-        if (
-            not request.options.with_relations
-            or self.trainer.model.relation_head is None
-        ):
-            pairs: Sequence[Tuple[int, int]] = ()
-        elif request.pairs is not None:
-            pairs = [
-                (i, j)
-                for i, j in request.pairs
-                if 0 <= i < num_columns and 0 <= j < num_columns
-            ]
-        elif planned is not None:
-            pairs = planned
-        else:
-            pairs = default_relation_pairs(request.table)
-        return self.encoding.annotation_signature(encoded, pairs)
-
     def _run_chunk(
         self,
         chunk: Sequence[int],
@@ -796,9 +676,8 @@ class AnnotationEngine:
             if not request.options.with_relations:
                 pair_requests.append(())  # probe nothing
             elif planned_pairs is not None and i in planned_pairs:
-                # The planner already decided this request's probes (and
-                # the batch signature was computed from them); handing them
-                # over as explicit pairs keeps plan and probe in lockstep.
+                # The planner already decided this request's probes;
+                # handing them over as explicit pairs means it runs once.
                 pair_requests.append(planned_pairs[i])
             else:
                 pair_requests.append(request.pairs)
@@ -822,12 +701,8 @@ class AnnotationEngine:
             encoded=[encoded[i] for i in chunk],
             pair_requests=pair_requests,
             with_embeddings=any_embeddings,
-            # Keep the trainer's own batching aligned with this engine's
-            # policy: with a waste budget the chunk is a packed (possibly
-            # mixed-width) bucket that must stay one jointly padded batch.
-            waste_budget=self.config.waste_budget,
             kernels=self.config.kernels,
-            compute_dtype=self.config.compute_precision,
+            compute_dtype=self.config.precision,
             column_cache=column_cache,
             fingerprints=[identities[i].table_digest for i in chunk],
             column_fingerprints=(

@@ -63,6 +63,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from .engine import EngineConfig
+
 __all__ = [
     "PoolConfig",
     "ServingPool",
@@ -91,9 +93,12 @@ def resolve_sharding(mode: str) -> str:
 class PoolConfig:
     """Everything a worker needs to rebuild the serving stack.
 
-    Picklable by construction (primitives and tuples only) so it crosses
-    the ``multiprocessing`` boundary under any start method.  The fields
-    mirror the ``repro serve`` flags they come from.
+    Picklable by construction (primitives, tuples and the frozen
+    ``engine`` config) so it crosses the ``multiprocessing`` boundary under
+    any start method.  The fields mirror the ``repro serve`` flags they
+    come from; the engine's knobs live in ``engine`` (its ``batch_size``
+    is also the queue's ``max_batch``; the registry roots each model's
+    store under the pool's ``cache_dir``, not the engine's).
     """
 
     specs: List[Tuple[str, str]]          # (name, bundle dir) routes
@@ -101,22 +106,13 @@ class PoolConfig:
     port: int = 0
     workers: int = 2
     cache_dir: Optional[str] = None
-    batch_size: int = 8
-    max_latency: float = 0.010            # deprecated, ignored (see QueueConfig)
+    engine: EngineConfig = field(default_factory=EngineConfig)
     exact: bool = True
     max_live: Optional[int] = None
     with_embeddings: bool = False
     admin: bool = True
     top_k: Optional[int] = None   # AnnotationOptions default (CLI passes 3)
     score_threshold: Optional[float] = None
-    dtype: str = "float32"                # engine compute precision
-    kernels: str = "fast"                 # fast (proof-gated) | reference
-    column_cache_size: int = 1024         # column-state cache entries
-    column_cache_persist: bool = False    # spill column states to the fabric
-    probe_mode: str = "exhaustive"        # relation probing: exhaustive | planned
-    probe_budget: Optional[int] = None    # planned pairs cap per table
-    precision: Optional[str] = None       # weight representation (int8 quantized)
-    weight_arena: bool = False            # serve weights from a shared mmap arena
     # name → arena file, filled by the parent before spawning (see
     # ServingPool.start): workers then map the SAME pre-built file, which
     # is the whole point — one physical weight copy pool-wide.
@@ -135,30 +131,14 @@ class PoolConfig:
         if self.max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0: {self.max_restarts}")
         resolve_sharding(self.sharding)  # validate early, in the parent
-        # Probe knobs fail in the parent too, not in a spawned worker.
-        if self.probe_mode not in ("exhaustive", "planned"):
-            raise ValueError(
-                f"probe_mode must be 'exhaustive' or 'planned': "
-                f"{self.probe_mode!r}"
-            )
-        if self.probe_budget is not None and self.probe_mode != "planned":
-            raise ValueError(
-                "probe_budget requires probe_mode='planned' (exhaustive "
-                "probing has no budget to apply)"
-            )
-        if self.precision not in (None, "float32", "float64", "int8"):
-            raise ValueError(
-                f"precision must be one of None, 'float32', 'float64', "
-                f"'int8': {self.precision!r}"
-            )
 
 
 def merge_counters(base: Dict, extra: Dict) -> Dict:
     """Merge one worker's stats dict into ``base``, in place.
 
     Numeric leaves add; nested dicts recurse; booleans and strings keep
-    the first worker's value (they are modes/names — ``planner_mode``,
-    fingerprints — identical across a healthy pool).  Derived ratios
+    the first worker's value (they are names — fingerprints, writer ids —
+    or identical across a healthy pool).  Derived ratios
     would be wrong if summed; :func:`_fix_ratios` recomputes them from
     the merged raw counters afterwards.
     """
@@ -218,7 +198,6 @@ def _worker_main(
     import asyncio
     import signal
 
-    from .engine import EngineConfig
     from .gateway import AnnotationGateway
     from .queue import QueueConfig
     from .registry import ModelRegistry
@@ -246,17 +225,7 @@ def _worker_main(
 
     registry = ModelRegistry(
         max_live=config.max_live,
-        engine_config=EngineConfig(
-            batch_size=config.batch_size,
-            dtype=config.dtype,
-            kernels=config.kernels,
-            column_cache_size=config.column_cache_size,
-            column_cache_persist=config.column_cache_persist,
-            probe_mode=config.probe_mode,
-            probe_budget=config.probe_budget,
-            precision=config.precision,
-            weight_arena=config.weight_arena,
-        ),
+        engine_config=config.engine,
         cache_dir=config.cache_dir,
         fabric_writer=f"w{slot}-pid{os.getpid()}"
         if config.cache_dir is not None
@@ -269,11 +238,7 @@ def _worker_main(
         registry.register(name, path, arena=config.arena_paths.get(name))
     gateway = AnnotationGateway(
         registry,
-        QueueConfig(
-            max_batch=config.batch_size,
-            max_latency=config.max_latency,
-            exact=config.exact,
-        ),
+        QueueConfig(max_batch=config.engine.batch_size, exact=config.exact),
     )
     options = AnnotationOptions(
         with_embeddings=config.with_embeddings,
@@ -565,7 +530,7 @@ class ServingPool:
                     f"model {name!r}: {path} is not a bundle directory "
                     "(no bundle.json)"
                 )
-        if self.config.weight_arena:
+        if self.config.engine.weight_arena:
             # Serialize each model's weights ONCE, in the parent, before
             # any worker exists: workers (and crash restarts) then map
             # the same file, so the page cache backs one physical copy
@@ -574,7 +539,7 @@ class ServingPool:
             from ..core.persistence import ensure_model_arena
 
             arena_precision = (
-                "int8" if self.config.precision == "int8" else "float32"
+                "int8" if self.config.engine.precision == "int8" else "float32"
             )
             for name, path in self.config.specs:
                 self.config.arena_paths[name] = str(

@@ -48,12 +48,12 @@ hash back on a miss, for ``submit(identity=...)``.
 
 Exactness and drain planning
 ----------------------------
-Every drain is handed to ``engine.annotate_batch`` whole.  On the float
-fast path a drain of up to ``batch_size`` requests is **one** encoder pass
-whatever their widths — the session lays the sequences end to end and
-never pads one to another's width (:mod:`repro.core.inference`); the
-reference and int8 paths, which pad a batch to one width, split it into
-**exact width buckets** instead (:mod:`repro.encoding`).  Either way no
+Every drain is handed to ``engine.annotate_batch`` whole.  A drain of up
+to ``batch_size`` requests is **one** encoder pass whatever their widths
+and whatever the precision — the session lays the sequences end to end and
+never pads one to another's width (:mod:`repro.core.inference`); only the
+``kernels="reference"`` oracle, which pads a batch to one width, splits it
+into **exact width buckets** instead (:mod:`repro.encoding`).  Either way no
 sequence is ever padded beyond the width it would use alone, so queued
 results are **byte-identical** to direct ``engine.annotate`` calls
 whatever the drain's composition — dedup, batching, and the cache tiers
@@ -103,8 +103,8 @@ class QueueConfig:
     seconds, so producers feel backpressure instead of exhausting memory);
     ``exact`` keeps per-request failure isolation (a failed drain is retried
     request-by-request) — results are byte-identical to direct engine calls
-    either way, because the engine batches drains on exact
-    serialized-length boundaries (see the module docstring).
+    either way, because the engine encodes every sequence at the width it
+    would have alone (see the module docstring).
 
     ``max_latency`` is **deprecated and ignored**: it used to be how long a
     drain lingered for more requests.  Drains are work-conserving now (they
@@ -113,6 +113,7 @@ class QueueConfig:
     """
 
     max_batch: int = 8
+    # Still passed by benchmarks/harness/ladder.py:518; goes with that call.
     max_latency: float = 0.01
     max_queue_size: int = 1024
     submit_timeout: Optional[float] = None

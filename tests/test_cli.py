@@ -279,21 +279,37 @@ class TestCacheDirAndServe:
         assert all(r["columns"] for r in records)
         assert "served 5 tables" in captured.err
 
-    def test_max_latency_flag_is_accepted_but_deprecated(
+    def test_dtype_is_a_second_spelling_of_precision(
         self, bundle_dir, corpus, tmp_path, capsys
     ):
-        with pytest.raises(SystemExit):
-            main(["serve", "--help"])
-        help_text = " ".join(capsys.readouterr().out.split())
-        assert "--max-latency-ms" in help_text
-        assert "deprecated and ignored" in help_text
-        # Old invocations keep working — even a minute of "linger" serves
-        # at once, because nothing waits on it any more.
-        assert main([
-            "serve", str(bundle_dir), str(corpus), "--max-latency-ms", "60000",
-            "--out", str(tmp_path / "out.jsonl"),
-        ]) == 0
-        assert "served 5 tables" in capsys.readouterr().out
+        """One float64 engine, one cache partition, however it is spelled
+        — and never float32's or int8's."""
+        from repro.core import load_annotator
+        from repro.serving import AnnotationEngine, EngineConfig
+
+        cache_dir = tmp_path / "cache"
+
+        def run(*flags):
+            assert main([
+                "annotate", str(bundle_dir), str(corpus),
+                "--cache-dir", str(cache_dir),
+                "--out", str(tmp_path / "out.jsonl"), *flags,
+            ]) == 0
+            return capsys.readouterr().out
+
+        assert "0 disk hits" in run("--dtype", "float64")
+        warm = run("--precision", "float64")
+        assert "0 encoder passes" in warm and "5 disk hits" in warm
+        assert "0 disk hits" in run("--precision", "int8")
+        assert "0 disk hits" in run()
+        # The proof sidecars are named by model fingerprint: three in all.
+        written = {path.stem for path in (cache_dir / "proofs").glob("*.json")}
+        trainer = load_annotator(bundle_dir).trainer
+        assert written == {
+            AnnotationEngine(trainer, EngineConfig(precision=p)).model_fingerprint
+            for p in ("float32", "float64", "int8")
+        }
+        assert len(written) == 3
 
     def test_serve_empty_input_errors(self, bundle_dir, capsys, monkeypatch):
         import io

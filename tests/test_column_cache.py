@@ -283,7 +283,7 @@ class TestEngineColumnCache:
         )
         e64 = AnnotationEngine(
             sc_trainer,
-            EngineConfig(cache_size=0, column_cache_size=64, dtype="float64"),
+            EngineConfig(cache_size=0, column_cache_size=64, precision="float64"),
         )
         assert e32.model_fingerprint != e64.model_fingerprint
         r32 = e32.annotate_batch([t1], OPTIONS)[0]
@@ -329,11 +329,11 @@ class TestEngineColumnCache:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            EngineConfig(dtype="float16")
+            EngineConfig(precision="float16")
         with pytest.raises(ValueError):
             EngineConfig(kernels="blas")
         with pytest.raises(ValueError):
-            EngineConfig(dtype="float64", kernels="reference")
+            EngineConfig(precision="float64", kernels="reference")
         with pytest.raises(ValueError):
             EngineConfig(column_cache_size=-1)
 

@@ -1,12 +1,10 @@
 """Regression tests for the true positives ``repro check`` surfaced.
 
-The checker's first run over the real tree found three latent bugs —
-each gets a behavioral pin here, independent of the static rule that
-caught it:
+The checker's first run over the real tree found three latent bugs; the
+two whose code still exists get a behavioral pin here, independent of the
+static rule that caught them (the third was ``EngineConfig.waste_budget``
+not folding into the model fingerprint — the knob is gone):
 
-* ``EngineConfig.waste_budget`` changed output bytes (near-width
-  packing) without folding into the model fingerprint, so a packed
-  engine shared cache entries and routes with an exact one.
 * ``ModelRegistry.default_name`` read ``_default_name`` without the
   registry lock (torn read against register/set_default/unregister).
 * ``ServingPool.stop`` read ``_started`` outside the pool lock while
@@ -19,41 +17,12 @@ import threading
 
 import pytest
 
-from repro.serving import AnnotationEngine, EngineConfig
 from repro.serving.pool import PoolConfig, ServingPool
 
 
 @pytest.fixture(scope="module")
 def trainer(shared_tiny_annotator):
     return shared_tiny_annotator.trainer
-
-
-class TestWasteBudgetFingerprint:
-    def test_packed_engine_rekeys_fingerprint(self, trainer):
-        exact = AnnotationEngine(trainer)
-        packed = AnnotationEngine(trainer, EngineConfig(waste_budget=64))
-        assert exact.model_fingerprint != packed.model_fingerprint
-
-    def test_default_stays_marker_free(self, trainer):
-        # Persisted cache keys from before the fold must stay valid:
-        # waste_budget=0 produces the legacy digest.
-        legacy = trainer.annotation_fingerprint()
-        assert trainer.annotation_fingerprint(waste_budget=0) == legacy
-        exact = AnnotationEngine(trainer, EngineConfig(waste_budget=0))
-        assert exact.model_fingerprint == legacy
-
-    def test_budget_folds_by_value(self, trainer):
-        a = trainer.annotation_fingerprint(waste_budget=32)
-        b = trainer.annotation_fingerprint(waste_budget=64)
-        assert a != b
-        assert a != trainer.annotation_fingerprint()
-        # Memoized per (dtype, probe, waste_budget).
-        assert trainer.annotation_fingerprint(waste_budget=32) == a
-
-    def test_budget_and_dtype_markers_compose(self, trainer):
-        both = trainer.annotation_fingerprint(dtype="float64", waste_budget=32)
-        assert both != trainer.annotation_fingerprint(dtype="float64")
-        assert both != trainer.annotation_fingerprint(waste_budget=32)
 
 
 class _RecordingLock:

@@ -117,9 +117,7 @@ class TestBatchPlanner:
 
     def test_padded_plan_reports_waste(self):
         lengths = [4, 16]
-        planner = BatchPlanner(batch_size=2)
-        padded = planner.plan_padded(lengths)
-        report = BatchPlanner.report(lengths, padded)
+        report = BatchPlanner.report(lengths, [[0, 1]])  # padded jointly
         assert report.padded_tokens == 32  # both rows padded to 16
         assert report.wasted_tokens == 12
         assert report.waste_ratio == pytest.approx(12 / 32)
@@ -135,44 +133,6 @@ class TestBatchPlanner:
     def test_width_signature(self):
         assert width_signature([3, 9, 5]) == (9,)
         assert width_signature([]) == (0,)
-
-    def test_zero_waste_budget_is_byte_identical_exact_plan(self):
-        signatures = [(10,), (12,), (10,), (7,), (12,), (10,)]
-        exact = BatchPlanner(batch_size=4).plan(signatures)
-        defaulted = BatchPlanner(batch_size=4, waste_budget=0).plan(signatures)
-        assert exact == defaulted  # default 0 keeps the exact contract
-
-    def test_waste_budget_merges_adjacent_buckets(self):
-        lengths = [10, 12, 10, 7, 12, 10]
-        signatures = [(length,) for length in lengths]
-        # Greedy from the narrow end: the 7 joins the three 10s (3 padded
-        # slots); pulling the 12s in as well would cost 5 + 3*2 = 11 > 8,
-        # so they stay their own batch.
-        planner = BatchPlanner(batch_size=8, waste_budget=8)
-        batches = planner.plan(signatures)
-        merged = {tuple(sorted(batch)) for batch in batches}
-        assert merged == {(0, 2, 3, 5), (1, 4)}
-        report = BatchPlanner.report(lengths, batches)
-        assert report.wasted_tokens == 3  # within budget, not zero
-        assert planner.mode == "packed(waste_budget=8)"
-        assert BatchPlanner(batch_size=8).mode == "exact"
-
-    def test_waste_budget_respects_batch_size(self):
-        planner = BatchPlanner(batch_size=2, waste_budget=100)
-        batches = planner.plan([(5,), (6,), (7,)])
-        assert all(len(batch) <= 2 for batch in batches)
-        assert sorted(i for batch in batches for i in batch) == [0, 1, 2]
-
-    def test_waste_budget_handles_multi_component_signatures(self):
-        # Engine signatures are (column_width, pair_width): both components
-        # count toward the budget.
-        signatures = [(10, 4), (12, 8)]
-        assert len(BatchPlanner(batch_size=8, waste_budget=6).plan(signatures)) == 1
-        assert len(BatchPlanner(batch_size=8, waste_budget=5).plan(signatures)) == 2
-
-    def test_negative_waste_budget_rejected(self):
-        with pytest.raises(ValueError, match="waste_budget"):
-            BatchPlanner(waste_budget=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -457,59 +417,3 @@ class TestTrainerIntegration:
         trainer.train()  # further fine-tuning re-keys the fingerprint
         assert trainer.annotation_fingerprint() != first
         assert engine.model_fingerprint == trainer.annotation_fingerprint()
-
-
-# ---------------------------------------------------------------------------
-# Engine-level near-width packing (EngineConfig.waste_budget)
-# ---------------------------------------------------------------------------
-
-@pytest.mark.smoke
-class TestEnginePacking:
-    def test_packed_engine_runs_fewer_passes_and_reports_mode(self, trainer):
-        # On the reference path, which pads a batch to one width: the float
-        # fast path already runs one padding-free pass per drain.
-        tables = trainer.dataset.tables[:12]
-        exact = AnnotationEngine(
-            trainer, EngineConfig(batch_size=12, kernels="reference")
-        )
-        exact.annotate_batch(tables)
-        assert exact.stats.planner_mode == "exact"
-        assert exact.stats.padding_waste == 0.0
-
-        packed = AnnotationEngine(
-            trainer,
-            EngineConfig(batch_size=12, waste_budget=64, kernels="reference"),
-        )
-        packed.annotate_batch(tables)
-        assert packed.stats.planner_mode == "packed(waste_budget=64)"
-        assert packed.stats.encoder_passes <= exact.stats.encoder_passes
-        # The whole point of the budget: strictly fewer passes on a
-        # width-diverse workload (the 12-table wikitable slice is diverse).
-        if exact.stats.encoder_passes > 1:
-            assert packed.stats.encoder_passes < exact.stats.encoder_passes
-            assert packed.stats.padding_waste > 0.0
-
-    def test_packed_predictions_stay_close(self, trainer):
-        """Packing surrenders byte-identity (that is the documented trade),
-        but predictions must stay numerically equivalent — the pre-PR-3
-        jointly-padded tolerance."""
-        tables = trainer.dataset.tables[:8]
-        exact_results = AnnotationEngine(trainer).annotate_batch(tables)
-        packed = AnnotationEngine(
-            trainer, EngineConfig(batch_size=8, waste_budget=256)
-        )
-        for got, want in zip(packed.annotate_batch(tables), exact_results):
-            assert got.coltypes == want.coltypes
-            assert got.colrels == want.colrels
-            np.testing.assert_allclose(got.colemb, want.colemb, atol=1e-5)
-            for got_scores, want_scores in zip(got.type_scores, want.type_scores):
-                assert got_scores.keys() == want_scores.keys()
-                np.testing.assert_allclose(
-                    list(got_scores.values()),
-                    list(want_scores.values()),
-                    atol=1e-5,
-                )
-
-    def test_waste_budget_rejected_when_negative(self):
-        with pytest.raises(ValueError, match="waste_budget"):
-            EngineConfig(waste_budget=-1)

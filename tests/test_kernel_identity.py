@@ -211,8 +211,7 @@ class TestWorkspace:
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def trainer():
+def _trainer(single_column: bool = False):
     dataset = generate_wikitable_dataset(num_tables=20, seed=11, max_rows=4)
     tokenizer = train_wordpiece(dataset.all_cell_text(), vocab_size=600)
     encoder = TransformerConfig(
@@ -225,10 +224,23 @@ def trainer():
         num_segments=8,
         dropout=0.0,
     )
-    config = DoduoConfig(epochs=1, batch_size=8, keep_best_checkpoint=False)
+    config = DoduoConfig(
+        epochs=1, batch_size=8, keep_best_checkpoint=False,
+        single_column=single_column,
+    )
     t = DoduoTrainer(dataset, tokenizer, encoder, config)
     t.train()
     return t
+
+
+@pytest.fixture(scope="module")
+def trainer():
+    return _trainer()
+
+
+@pytest.fixture(scope="module")
+def single_column_trainer():
+    return _trainer(single_column=True)
 
 
 def _annotation_bytes(trainer, tables, **kwargs):
@@ -289,9 +301,9 @@ class TestFullForwardIdentity:
 
     def test_dtype_folds_into_fingerprint(self, trainer):
         f32 = trainer.annotation_fingerprint()
-        f64 = trainer.annotation_fingerprint(dtype="float64")
+        f64 = trainer.annotation_fingerprint(precision="float64")
         assert f32 != f64
-        assert trainer.annotation_fingerprint(dtype="float32") == f32
+        assert trainer.annotation_fingerprint(precision="float32") == f32
 
     def test_reference_path_rejects_float64(self, trainer):
         with pytest.raises(ValueError):
@@ -472,6 +484,52 @@ class TestRaggedBatching:
         _assert_ragged_equals_alone(
             _ragged(model, tables, dtype), _alone(model, tables, kernels, dtype)
         )
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        picks=st.lists(st.integers(0, 19), min_size=2, max_size=8),
+        single_column=st.booleans(),
+        column_cache=st.booleans(),
+    )
+    def test_int8_drain_matches_one_table_at_a_time(
+        self, trainer, single_column_trainer, picks, single_column, column_cache
+    ):
+        """The accuracy-gated tier rides the same layout.  Its contract is
+        not bytes — flat GEMMs and merged head groups see other row counts
+        — but whatever shares the pass, a table keeps its labels and its
+        scores to float32 rounding, and the gate holds."""
+        from repro.nn import quant
+        from repro.serving import AnnotationEngine, EngineConfig
+
+        t = single_column_trainer if single_column else trainer
+        tables = [t.dataset.tables[i] for i in picks]
+        engine = AnnotationEngine(
+            t,
+            EngineConfig(
+                precision="int8", column_cache_size=64 if column_cache else 0
+            ),
+        )
+        alone = AnnotationEngine(
+            t, EngineConfig(precision="int8", column_cache_size=0)
+        )
+        for table, got in zip(tables, engine.annotate_batch(tables)):
+            want = alone.annotate(table)
+            assert got.coltypes == want.coltypes
+            assert got.colrels == want.colrels
+            for got_scores, want_scores in zip(got.type_scores, want.type_scores):
+                assert got_scores.keys() == want_scores.keys()
+                np.testing.assert_allclose(
+                    list(got_scores.values()),
+                    list(want_scores.values()),
+                    atol=1e-5,
+                )
+            np.testing.assert_allclose(got.colemb, want.colemb, atol=1e-5)
+        # One chunk: one pass (single-column: columns, then pairs), plus
+        # calibration's two the first time this model serves int8.
+        assert engine.stats.encoder_passes <= (2 if single_column else 1) + 2
+        assert engine.stats.quant_fallbacks == 0
+        proofs = t.model.inference_session("int8").workspace.proofs
+        assert proofs.verdict(quant.GATE_KEY) is True
 
     def _mixed_drain(self, seed=5):
         rng = np.random.default_rng(seed)

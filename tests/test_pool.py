@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import re
 import signal
 import socket
@@ -36,6 +37,7 @@ from repro.serving import (
     AnnotationEngine,
     AnnotationOptions,
     AnnotationRequest,
+    EngineConfig,
 )
 from repro.serving.pool import PoolConfig, ServingPool, merge_counters
 
@@ -459,30 +461,30 @@ class TestMergeCounters:
         assert engine["pairs_probed"] == 22
 
     def test_pool_config_carries_probe_knobs(self, bundle):
-        config = _config(bundle, probe_mode="planned", probe_budget=6)
-        assert config.probe_mode == "planned"
-        assert config.probe_budget == 6
+        engine = EngineConfig(probe_mode="planned", probe_budget=6)
+        config = pickle.loads(pickle.dumps(_config(bundle, engine=engine)))
+        assert config.engine.probe_mode == "planned"
+        assert config.engine.probe_budget == 6
 
     def test_pool_config_rejects_budget_without_planned_mode(self, bundle):
         """Validation must happen parent-side, not in a dead worker."""
         with pytest.raises(ValueError):
-            _config(bundle, probe_budget=6)
+            _config(bundle, engine=EngineConfig(probe_budget=6))
         with pytest.raises(ValueError):
-            _config(bundle, probe_mode="greedy")
+            _config(bundle, engine=EngineConfig(probe_mode="greedy"))
 
     def test_pool_config_carries_engine_precision_knobs(self, bundle):
-        """The worker rebuilds its EngineConfig from PoolConfig, so the
-        dtype/kernels/column-cache knobs must survive the pickle."""
-        config = _config(
-            bundle,
-            dtype="float64",
-            kernels="fast",
+        """The worker gets its EngineConfig inside PoolConfig, so every
+        engine knob must survive the pickle."""
+        engine = EngineConfig(
+            batch_size=4,
+            precision="float64",
             column_cache_size=32,
             column_cache_persist=True,
+            weight_arena=True,
         )
-        assert config.dtype == "float64"
-        assert config.column_cache_size == 32
-        assert config.column_cache_persist is True
+        config = pickle.loads(pickle.dumps(_config(bundle, engine=engine)))
+        assert config.engine == engine
 
 
 @pytest.mark.smoke

@@ -298,14 +298,13 @@ class TestDeferredInit:
 class TestPrecisionFingerprint:
     def test_float_defaults_share_a_digest(self, trainer):
         base = trainer.annotation_fingerprint()
-        assert trainer.annotation_fingerprint(precision=None) == base
         assert trainer.annotation_fingerprint(precision="float32") == base
 
     def test_int8_never_shares_a_partition(self, trainer):
         base = trainer.annotation_fingerprint()
         int8 = trainer.annotation_fingerprint(precision="int8")
         assert int8 != base
-        assert int8 != trainer.annotation_fingerprint(dtype="float64")
+        assert int8 != trainer.annotation_fingerprint(precision="float64")
 
     def test_engine_folds_precision(self, trainer):
         default = AnnotationEngine(trainer).model_fingerprint
@@ -350,8 +349,26 @@ class TestAccuracyGate:
         for key in drift_keys:
             assert proofs.drifts[key] <= tolerance
 
+    def test_first_mixed_width_drain_proves_nothing(self, trainer, monkeypatch):
+        """Calibration pads its sample to one width on both sessions, and
+        the quantized pass is ungated: an int8 cold start never pays the
+        float session's row-stability proof."""
+        tables = trainer.dataset.tables[:6]
+        assert len({trainer.encoding.encode_table(t).length for t in tables}) > 1
+
+        def no_proof(*args, **kwargs):
+            raise AssertionError("an int8 drain ran a row-stability proof")
+
+        monkeypatch.setattr("repro.core.inference.prove_row_stable", no_proof)
+        trainer.model.invalidate_sessions()
+        engine = AnnotationEngine(trainer, EngineConfig(precision="int8"))
+        engine.annotate_batch(tables)
+        assert engine.stats.encoder_passes == 3  # calibration's two + the drain
+        assert engine.stats.quant_fallbacks == 0
+
     def test_disproven_gate_falls_back_to_float_bytes(self, trainer):
-        tables = trainer.dataset.tables[:3]
+        tables = trainer.dataset.tables[:7]
+        assert len({trainer.encoding.encode_table(t).length for t in tables}) > 1
         reference = [
             r.annotated for r in AnnotationEngine(trainer).annotate_batch(tables)
         ]
@@ -362,13 +379,19 @@ class TestAccuracyGate:
         session = trainer.model.inference_session("int8")
         session.workspace.proofs.record(quant.GATE_KEY, False)
         before = trainer.model.quant_fallbacks
-        engine = AnnotationEngine(trainer, EngineConfig(precision="int8"))
+        engine = AnnotationEngine(
+            trainer, EngineConfig(precision="int8", batch_size=3)
+        )
         results = engine.annotate_batch(tables)
         assert trainer.model.quant_fallbacks > before
         assert engine.stats.quant_fallbacks == trainer.model.quant_fallbacks - before
+        # The fallback is the float session's ragged pass: one per chunk,
+        # not one per width bucket.
+        assert engine.stats.encoder_passes == 3
         for got, want in zip(results, reference):
-            for g, w in zip(got.annotated.type_scores, want.type_scores):
-                assert g == w  # fallback serves the float32 bytes
+            assert got.annotated.type_scores == want.type_scores
+            assert got.annotated.colrels == want.colrels
+            assert np.array_equal(got.annotated.colemb, want.colemb)
         trainer.model.invalidate_sessions()  # drop the poisoned session
 
     def test_explicit_float32_precision_is_byte_identical(self, trainer):
@@ -395,7 +418,7 @@ class TestMergedCounters:
                 "padded_tokens": padded,
                 "real_tokens": real,
                 "padding_waste": (padded - real) / padded,
-                "planner_mode": "exact",
+                "writer": "w0",
             },
             "registry": {"arena_remaps": remaps},
         }
@@ -407,7 +430,7 @@ class TestMergedCounters:
         assert merged["registry"]["arena_remaps"] == 2
         # Ratios recompute from merged raw counters, not sum of ratios.
         assert merged["engine"]["padding_waste"] == pytest.approx(200 / 400)
-        assert merged["engine"]["planner_mode"] == "exact"
+        assert merged["engine"]["writer"] == "w0"  # strings keep the first
 
 
 # ---------------------------------------------------------------------------
