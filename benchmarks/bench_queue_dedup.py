@@ -53,13 +53,9 @@ def run_experiment():
     direct_seconds = _timed(lambda: direct_engine.annotate_batch(tables))
     direct_passes = direct_engine.stats.encoder_passes
 
-    # Queue dedup: concurrent duplicates share one annotation.  Throughput
-    # mode (exact=False) lets the unique survivors share padded batches;
-    # byte-identical exact mode is regression-tested in tests/.
+    # Queue dedup: concurrent duplicates share one annotation.
     dedup_engine = annotation_engine(trainer, cache_size=0)
-    service = AnnotationService(
-        dedup_engine, QueueConfig(max_batch=len(tables), exact=False)
-    )
+    service = AnnotationService(dedup_engine, QueueConfig(max_batch=len(tables)))
     # Dedup is single-flight from submit until the answer exists, and the
     # worker starts the first request the moment it arrives: hold the
     # engine until the whole workload is in flight, so the hit count below

@@ -4,8 +4,9 @@ The checker's unit of work is a :class:`Project` — a set of
 :class:`SourceFile` objects, each holding the raw text, the parsed
 ``ast`` tree, and the inline suppressions found in that file.  Rules
 receive the whole project (several contracts are cross-file: the
-stats-merge rule relates dataclasses in ``engine.py`` to the merge
-helpers in ``pool.py``) and return :class:`Finding` objects.
+fingerprint-fold rule relates ``EngineConfig``'s fields to the
+``model_fingerprint`` property wherever each is defined) and return
+:class:`Finding` objects.
 
 Suppression syntax::
 
@@ -164,11 +165,6 @@ class SourceFile:
             return iter(())
         return (n for n in ast.walk(self.tree) if isinstance(n, ast.ClassDef))
 
-    def functions(self) -> Iterator[ast.FunctionDef]:
-        if self.tree is None:
-            return iter(())
-        return (n for n in ast.walk(self.tree) if isinstance(n, ast.FunctionDef))
-
 
 class Project:
     """The file set one ``repro check`` invocation analyzes."""
@@ -188,11 +184,3 @@ class Project:
                     out.append((src, node))
         return out
 
-    def find_functions(self, name: str) -> List[Tuple[SourceFile, ast.FunctionDef]]:
-        """Every (possibly nested) function named ``name``."""
-        out = []
-        for src in self.files:
-            for node in src.functions():
-                if node.name == name:
-                    out.append((src, node))
-        return out

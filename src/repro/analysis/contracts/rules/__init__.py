@@ -5,7 +5,6 @@ order rules run and the order ``repro check --list`` prints.
 """
 
 from . import (  # noqa: F401 - imports register the rules
-    stats_merge,
     fingerprint_fold,
     async_blocking,
     lock_discipline,
@@ -19,5 +18,4 @@ __all__ = [
     "fingerprint_fold",
     "imports",
     "lock_discipline",
-    "stats_merge",
 ]

@@ -3,15 +3,9 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set
+from typing import List, Optional
 
-__all__ = [
-    "dotted_name",
-    "is_property",
-    "self_attr",
-    "self_attr_loads",
-    "string_constants",
-]
+__all__ = ["dotted_name"]
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -24,39 +18,3 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def self_attr(node: ast.AST) -> Optional[str]:
-    """``X`` when ``node`` is exactly ``self.X``, else ``None``."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
-def self_attr_loads(node: ast.AST) -> Set[str]:
-    """Every ``X`` from ``self.X`` attribute reads under ``node``."""
-    out: Set[str] = set()
-    for child in ast.walk(node):
-        attr = self_attr(child)
-        if attr is not None:
-            out.add(attr)
-    return out
-
-
-def string_constants(node: ast.AST) -> Iterator[str]:
-    """Every string literal under ``node``."""
-    for child in ast.walk(node):
-        if isinstance(child, ast.Constant) and isinstance(child.value, str):
-            yield child.value
-
-
-def is_property(fn: ast.FunctionDef) -> bool:
-    for deco in fn.decorator_list:
-        name = dotted_name(deco)
-        if name in ("property", "cached_property", "functools.cached_property"):
-            return True
-    return False

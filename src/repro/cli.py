@@ -337,14 +337,14 @@ def _annotate_jsonl_batch(annotator: Doduo, args: argparse.Namespace) -> int:
     if count == 0:
         print("error: corpus contains no tables", file=sys.stderr)
         return 1
-    stats = engine.stats
+    stats = engine.stats.to_dict()
     disk = (
-        f", {stats.disk_hits} disk hits" if args.cache_dir is not None else ""
+        f", {stats['disk_hits']} disk hits" if args.cache_dir is not None else ""
     )
     print(
-        f"annotated {count} tables in {stats.batches} batches "
-        f"({stats.encoder_passes} encoder passes, "
-        f"{stats.cache_hits} cache hits{disk})"
+        f"annotated {count} tables in {stats['batches']} batches "
+        f"({stats['encoder_passes']} encoder passes, "
+        f"{stats['cache_hits']} cache hits{disk})"
         + (f" -> {args.out}" if args.out else ""),
         file=sys.stderr if not args.out else sys.stdout,
     )
@@ -563,7 +563,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         registry.register(name, path, engine_config=flat_config)
     gateway = AnnotationGateway(
         registry,
-        QueueConfig(max_batch=engine_config.batch_size, exact=not args.no_exact),
+        QueueConfig(max_batch=engine_config.batch_size),
     )
     options = AnnotationOptions(
         with_embeddings=args.embeddings,
@@ -670,7 +670,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("error: no tables were served", file=sys.stderr)
         return 1
     note = "interrupted: drained in-flight requests; " if interrupted else ""
-    _print_serve_summary(gateway.stats, count, specs, args, note=note)
+    _print_serve_summary(gateway.stats.to_dict(), count, specs, args, note=note)
     if interrupted and not loop_mode:
         # Corpus (batch) mode: partial output must not look like success
         # to a pipeline gating on the exit status.  (The interactive
@@ -679,15 +679,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_serve_summary(stats, count, specs, args, note="") -> None:
-    """The `repro serve` stats epilogue, shared by every transport."""
+def _print_serve_summary(stats, count, specs, args, note="", workers=None) -> None:
+    """The `repro serve` stats epilogue, shared by every transport and
+    topology; ``stats`` is the rendered ``"gateway"`` section of the
+    stats answer (one process's, or a pool's merged one)."""
     out = getattr(args, "out", None)
-    disk = f", {stats.disk_hits} disk hits" if args.cache_dir is not None else ""
+    disk = f", {stats['disk_hits']} disk hits" if args.cache_dir is not None else ""
     models = f" across {len(specs)} models" if len(specs) > 1 else ""
+    over = f" over {workers} workers" if workers is not None else ""
     print(
-        f"{note}served {count} tables in {stats.batches} queue batches "
-        f"({stats.dedup_hits} dedup hits, "
-        f"{stats.encoder_passes} encoder passes{disk}){models}"
+        f"{note}served {count} tables in {stats['batches']} queue batches{over} "
+        f"({stats['dedup_hits']} dedup hits, "
+        f"{stats['encoder_passes']} encoder passes{disk}){models}"
         + (f" -> {out}" if out else ""),
         file=sys.stderr if not out else sys.stdout,
     )
@@ -754,8 +757,8 @@ def _serve_listen(args, gateway, options, specs) -> int:
         pass
     finally:
         gateway.close()  # drain workers, flush/close disk caches
-    stats = gateway.stats
-    _print_serve_summary(stats, stats.completed, specs, args)
+    stats = gateway.stats.to_dict()
+    _print_serve_summary(stats, stats["completed"], specs, args)
     return 0
 
 
@@ -766,7 +769,7 @@ def _serve_pool(args: argparse.Namespace, specs) -> int:
     supervises until SIGINT/SIGTERM or a client's ``{"op": "shutdown"}``
     — then every worker drains its accepted requests before exiting.
     """
-    from .serving import EngineConfig
+    from .serving import EngineConfig, GatewayStats
     from .serving.pool import PoolConfig, ServingPool
 
     host, port = _parse_listen(args.listen)
@@ -777,7 +780,6 @@ def _serve_pool(args: argparse.Namespace, specs) -> int:
         workers=args.workers,
         cache_dir=args.cache_dir,
         engine=EngineConfig(**_engine_kwargs(args)),
-        exact=not args.no_exact,
         max_live=args.max_live,
         with_embeddings=args.embeddings,
         admin=not args.no_admin,
@@ -803,21 +805,10 @@ def _serve_pool(args: argparse.Namespace, specs) -> int:
         pass
     finally:
         pool.stop()
-    stats = pool.final_stats or {}
-    gateway = stats.get("gateway", {})
-    completed = gateway.get("completed", 0)
-    disk = (
-        f", {gateway.get('disk_hits', 0)} disk hits"
-        if args.cache_dir is not None
-        else ""
-    )
-    models = f" across {len(specs)} models" if len(specs) > 1 else ""
-    print(
-        f"served {completed} tables in {gateway.get('batches', 0)} queue "
-        f"batches over {args.workers} workers "
-        f"({gateway.get('dedup_hits', 0)} dedup hits, "
-        f"{gateway.get('encoder_passes', 0)} encoder passes{disk}){models}",
-        file=sys.stderr,
+    # final_stats is None only when the post-drain collection itself failed.
+    stats = (pool.final_stats or {}).get("gateway") or GatewayStats().to_dict()
+    _print_serve_summary(
+        stats, stats["completed"], specs, args, workers=args.workers
     )
     return 0
 
@@ -1072,11 +1063,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="multi-label decision threshold")
     serve.add_argument("--embeddings", action="store_true",
                        help="include column embeddings in records")
-    serve.add_argument("--no-exact", action="store_true",
-                       help="on a failed drain, share the exception across "
-                            "the whole drain instead of isolating the "
-                            "failing request (results are byte-identical "
-                            "either way)")
     serve.add_argument("--listen", default=None, metavar="HOST:PORT",
                        help="serve the same protocol over TCP instead of "
                             "a corpus/stdin (port 0 binds an ephemeral "

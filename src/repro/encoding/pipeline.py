@@ -22,10 +22,10 @@ throwaway serializer and bypass the cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from ..datasets.tables import Table
+from ..telemetry import declare
 from .cache import LRUCache, column_fingerprint, table_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a core<->encoding
@@ -39,18 +39,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a core<->encoding
 DEFAULT_CACHE_SIZE = 512
 
 
-@dataclass(frozen=True)
-class EncodingStats:
-    """Snapshot of one pipeline's counters.
-
-    ``hits``/``misses`` mirror the content-hash LRU; ``serializations``
-    counts actual serializer invocations, so ``hits / (hits + misses)`` is
-    the fraction of encode requests answered without re-tokenizing anything.
-    """
-
-    serializations: int = 0
-    hits: int = 0
-    misses: int = 0
+EncodingStats = declare(
+    "EncodingStats",
+    """Snapshot of one pipeline's counters: ``hits / (hits + misses)`` is
+    the fraction of encode requests answered without re-tokenizing
+    anything.""",
+    {
+        "serializations": "actual serializer invocations",
+        "hits": "content-hash LRU hits",
+        "misses": "content-hash LRU misses",
+    },
+)
 
 
 class EncodingPipeline:

@@ -50,6 +50,15 @@ The stack, bottom-up:
   bounded restart, coordinated drain, and a pool-wide merged admin
   plane.
 
+Every layer counts through one mechanism, :mod:`repro.telemetry`: its
+``*Stats`` name (:class:`EngineStats`, :class:`ServiceStats`,
+:class:`GatewayStats`, :class:`RegistryStats`, :class:`ServerStats`,
+:class:`FabricStats`) is a *declaration* — counter names, their meanings,
+ratios as formulas over named counters — whose instances are bumped as
+plain attributes, added with one ``merge`` (gateway history and pool
+workers alike) and rendered with one ``to_dict``, the only place a ratio
+exists.
+
 Quickstart::
 
     from repro.serving import (

@@ -53,6 +53,7 @@ from ..core.probe import ProbeBudget, ProbePlanner
 from ..core.trainer import DoduoTrainer, RawTableAnnotation
 from ..datasets.tables import Table
 from ..encoding import EncodingPipeline, column_fingerprint
+from ..telemetry import Ratio, declare
 from .colcache import ColumnCache
 from .diskcache import (
     RequestIdentity,
@@ -174,84 +175,63 @@ class EngineConfig:
                 )
 
 
-@dataclass
-class EngineStats:
+EngineStats = declare(
+    "EngineStats",
     """Counters for one engine's lifetime.
 
-    ``cache_hits``/``cache_misses`` mirror this engine's share of the
-    serialization-cache traffic; ``disk_hits``/``disk_misses`` count
-    persistent result-cache lookups (only when a
-    :class:`~repro.serving.fabric.FabricCache` is attached — a disk hit
-    skips serialization *and* the forward pass entirely), wherever the
-    hit was answered: in :meth:`AnnotationEngine.annotate_batch`, or by a
-    front-end that rendered the stored payload itself
-    (:meth:`AnnotationEngine.count_stored_hit`).
-    ``real_tokens``/``padded_tokens`` account every encoder pass this
-    engine ran: every sequence is encoded at its own table's width, so
+    Every sequence is encoded at its own table's width, so
     ``padding_waste`` stays at the intra-table floor (single-column tables
-    pad short columns to their own table's widest), with zero
-    cross-request padding on top.
-
-    ``column_hits``/``column_misses`` count column-level state-cache
-    lookups (single-column engines only — a hit skips that column's entire
-    encoder pass); ``segment_hits``/``segment_misses`` count the
-    serialization-tier sibling (a hit skips re-tokenizing one column even
-    when the table-level cache misses).
-
-    ``pairs_planned``/``pairs_pruned`` account the probe planner's work on
-    ``pairs=None`` requests (``probe_mode="planned"`` only): how many
-    relation pairs the plans kept vs discarded from the candidate
-    cross-product.  ``pairs_probed`` counts pairs the relation head
-    actually encoded in every mode — planned, exhaustive, and explicit
-    requests alike (disk-cache hits probe nothing).
-
-    ``quant_fallbacks`` counts int8-engine calls answered by the float32
-    fallback after the accuracy gate disproved quantization
-    (``precision="int8"`` only; always 0 on float engines) — nonzero
-    means this host serves float32 bytes at int8 cache keys, at float32
-    speed (same passes per drain, since the fallback is ragged too).
-    """
-
-    requests: int = 0
-    batches: int = 0
-    encoder_passes: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    disk_hits: int = 0
-    disk_misses: int = 0
-    column_hits: int = 0
-    column_misses: int = 0
-    segment_hits: int = 0
-    segment_misses: int = 0
-    real_tokens: int = 0
-    padded_tokens: int = 0
-    pairs_planned: int = 0
-    pairs_pruned: int = 0
-    pairs_probed: int = 0
-    quant_fallbacks: int = 0
-
-    @property
-    def padding_waste(self) -> float:
-        """Fraction of allocated token slots that carried padding."""
-        if self.padded_tokens == 0:
-            return 0.0
-        return (self.padded_tokens - self.real_tokens) / self.padded_tokens
-
-    @property
-    def column_hit_rate(self) -> float:
-        """Fraction of column-state lookups answered from the cache."""
-        total = self.column_hits + self.column_misses
-        if total == 0:
-            return 0.0
-        return self.column_hits / total
-
-    @property
-    def probe_prune_rate(self) -> float:
-        """Fraction of candidate relation pairs the planner pruned away."""
-        total = self.pairs_planned + self.pairs_pruned
-        if total == 0:
-            return 0.0
-        return self.pairs_pruned / total
+    pad short columns to their own table's widest) with zero cross-request
+    padding on top.  ``column_hits``/``column_misses`` only move on
+    single-column engines, ``pairs_planned``/``pairs_pruned`` only under
+    ``probe_mode="planned"``, ``quant_fallbacks`` only under
+    ``precision="int8"``.
+    """,
+    {
+        "requests": "requests answered, from the store or by an encoder pass",
+        "batches": "engine forward batches run (chunks of ``batch_size``)",
+        "encoder_passes": "encoder forward passes run",
+        "cache_hits": "this engine's serialization-cache hits (table level)",
+        "cache_misses": "this engine's serialization-cache misses",
+        "disk_hits": "persistent result-store hits — each skips serialization "
+        "and the forward pass — answered in ``annotate_batch`` or by a "
+        "front-end rendering the stored payload (``count_stored_hit``)",
+        "disk_misses": "persistent result-store lookups that fell through",
+        "column_hits": "column-state cache hits (each skips that column's "
+        "whole encoder pass)",
+        "column_misses": "column-state cache misses",
+        "segment_hits": "serialized-segment cache hits (each skips "
+        "re-tokenizing one column when the table-level cache missed)",
+        "segment_misses": "serialized-segment cache misses",
+        "real_tokens": "token slots of every encoder pass that carried a token",
+        "padded_tokens": "token slots of every encoder pass, padding included",
+        "pairs_planned": "relation pairs the probe planner kept "
+        "(``pairs=None`` requests)",
+        "pairs_pruned": "candidate relation pairs the probe planner discarded",
+        "pairs_probed": "pairs the relation head encoded, in every probe "
+        "mode (store hits probe nothing)",
+        "quant_fallbacks": "int8-engine calls answered by the float32 "
+        "fallback after the accuracy gate disproved quantization — nonzero "
+        "means float32 bytes at int8 cache keys, at float32 speed",
+    },
+    ratios={
+        "padding_waste": Ratio(
+            "fraction of allocated token slots that carried padding",
+            ("padded_tokens", "-real_tokens"),
+            ("padded_tokens",),
+        ),
+        "column_hit_rate": Ratio(
+            "fraction of column-state lookups answered from the cache",
+            ("column_hits",),
+            ("column_hits", "column_misses"),
+        ),
+        "probe_prune_rate": Ratio(
+            "fraction of candidate relation pairs the planner pruned away",
+            ("pairs_pruned",),
+            ("pairs_planned", "pairs_pruned"),
+        ),
+    },
+)
 
 
 class AnnotationEngine:

@@ -64,11 +64,12 @@ import os
 import re
 import threading
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..encoding.cache import LRUCache, content_digest
+from ..telemetry import declare
 from .diskcache import CacheLockedError, CompactionResult, FileLock
 
 logger = logging.getLogger(__name__)
@@ -136,28 +137,22 @@ def _record_key(line: bytes) -> Optional[str]:
         return None
 
 
-@dataclass
-class FabricStats:
-    """Counters for one :class:`FabricCache` handle's lifetime.
-
-    ``remote_hits`` counts hits served from another writer's segments or
-    from the shared compacted layer — the cross-process reuse the fabric
-    exists for.  ``refreshes`` counts directory rescans (throttled by
-    ``refresh_interval``); ``corrupt_records`` counts unparseable lines
-    skipped while scanning or compacting, plus compacted generations
-    rejected for a size/checksum mismatch (torn tails re-read later are
-    not counted).
-    """
-
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-    remote_hits: int = 0
-    refreshes: int = 0
-    corrupt_records: int = 0
-
-    def to_dict(self) -> Dict:
-        return asdict(self)
+FabricStats = declare(
+    "FabricStats",
+    "Counters for one :class:`FabricCache` handle's lifetime.",
+    {
+        "hits": "lookups answered from the store",
+        "misses": "lookups the store could not answer",
+        "writes": "entries appended by this handle",
+        "remote_hits": "hits served from another writer's segments or from "
+        "the shared compacted layer — the cross-process reuse the fabric "
+        "exists for",
+        "refreshes": "directory rescans (throttled by ``refresh_interval``)",
+        "corrupt_records": "unparseable lines skipped while scanning or "
+        "compacting, plus compacted generations rejected for a size/checksum "
+        "mismatch (torn tails re-read later are not counted)",
+    },
+)
 
 
 # Index-entry location tags.

@@ -38,6 +38,14 @@ routed engine's answer — byte-identical to calling that engine's
 ``annotate`` directly, from both the thread and the asyncio path (the
 routing tests pin this).
 
+Stats: :attr:`AnnotationGateway.stats` is a :class:`GatewayStats` — declared
+counters (:mod:`repro.telemetry`) whose scalar totals are *composed* from
+the workers' :class:`~repro.serving.queue.ServiceStats` and four of the
+engines' :class:`~repro.serving.engine.EngineStats` counters, and folded
+with the one ``merge``: a retired worker's counters, a retired engine's,
+and the live ones all add the same way, so totals never regress across
+evict / reload / unregister.
+
 Eviction interplay: the registry may evict an idle engine while its worker
 still holds queued requests — in-flight work completes against the old
 engine object (workers keep a strong reference); the *next* submission to
@@ -51,13 +59,6 @@ import asyncio
 import queue as _queue
 import threading
 from concurrent.futures import Future
-from dataclasses import (
-    asdict,
-    dataclass,
-    field,
-    fields as _dataclass_fields,
-    replace,
-)
 from typing import (
     Any,
     AsyncIterator,
@@ -71,69 +72,38 @@ from typing import (
     Union,
 )
 
+from ..telemetry import declare
 from .diskcache import RequestIdentity
 from .engine import AnnotationEngine, EngineStats, RequestLike
+from .fabric import FabricStats
 from .queue import EngineWorker, QueueConfig, ServiceStats
 from .registry import ModelRegistry, ModelSource
 from .request import AnnotationOptions, AnnotationRequest, AnnotationResult
 
 
-@dataclass
-class GatewayStats:
-    """Aggregated snapshot across every model the gateway has served.
+GatewayStats = declare(
+    "GatewayStats",
+    """Aggregated snapshot across every model the gateway has served —
+    rendered by ``to_dict``, it is the ``"gateway"`` section of the
+    ``{"op": "stats"}`` answer and of ``repro stats``.
 
-    ``models`` maps each registered name to its worker's
-    :class:`~repro.serving.queue.ServiceStats` (summed over retired
-    workers too, when eviction re-created one); ``engines`` maps names to
-    the live engine's :class:`~repro.serving.engine.EngineStats`.  The
-    scalar fields are totals over ``models``/``engines`` — plus the
-    folded history of *unregistered* routes, which leave the per-name
-    maps (so admin register/unregister churn over unique names cannot
-    grow this snapshot without bound) but never deflate the totals.
-    """
-
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    batches: int = 0
-    dedup_hits: int = 0
-    unique_annotated: int = 0
-    encoder_passes: int = 0
-    disk_hits: int = 0
-    disk_misses: int = 0
-    #: Calls served by the float32 fallback because a model's int8
-    #: accuracy gate failed — nonzero means quantized serving silently
-    #: degraded to full precision (correct, but not the fast path).
-    quant_fallbacks: int = 0
-    models: Dict[str, ServiceStats] = field(default_factory=dict)
-    engines: Dict[str, EngineStats] = field(default_factory=dict)
-    #: Per-engine counters of the persistent store itself — the
-    #: :class:`~repro.serving.fabric.FabricStats` of the handle attached
-    #: to each live engine, as a dict.  Notably ``remote_hits``, which is
-    #: how an operator sees cross-worker cache reuse in ``repro stats``
-    #: against a pool.
-    disk_tiers: Dict[str, Dict] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict:
-        """JSON-serializable snapshot — the wire shape served by the
-        ``{"op": "stats"}`` admin answer and ``repro stats``.  Nested
-        per-model/per-engine counters serialize recursively; each engine
-        additionally reports its derived ``padding_waste`` fraction,
-        ``column_hit_rate`` (column-state cache efficiency), and
-        ``probe_prune_rate`` (share of candidate relation pairs the probe
-        planner discarded)."""
-        payload = asdict(self)
-        for name, engine_stats in self.engines.items():
-            payload["engines"][name]["padding_waste"] = round(
-                engine_stats.padding_waste, 6
-            )
-            payload["engines"][name]["column_hit_rate"] = round(
-                engine_stats.column_hit_rate, 6
-            )
-            payload["engines"][name]["probe_prune_rate"] = round(
-                engine_stats.probe_prune_rate, 6
-            )
-        return payload
+    The scalar counters are totals over ``models`` and ``engines`` plus the
+    folded history of retired engines and *unregistered* routes, which
+    leave the per-name maps (so admin register/unregister churn over unique
+    names cannot grow this snapshot without bound) but never deflate the
+    totals.  ``models`` maps each registered name to its worker's counters
+    (summed over retired workers too, when eviction re-created one);
+    ``engines`` to the live engine's; ``disk_tiers`` to those of the
+    persistent-store handle attached to that engine — notably
+    ``remote_hits``, which is how an operator sees cross-worker cache reuse
+    in ``repro stats`` against a pool.
+    """,
+    parts={
+        ServiceStats: None,
+        EngineStats: ("encoder_passes", "disk_hits", "disk_misses", "quant_fallbacks"),
+    },
+    groups={"models": ServiceStats, "engines": EngineStats, "disk_tiers": FabricStats},
+)
 
 
 class AnnotationGateway:
@@ -165,16 +135,14 @@ class AnnotationGateway:
         self.registry = registry or ModelRegistry()
         self.queue_config = queue_config or QueueConfig()
         self._workers: Dict[str, EngineWorker] = {}
-        # Stats of workers (and their engines) retired by eviction/reload,
-        # so gateway totals never go backwards.  Unregistering a name
-        # folds its per-name entries into the two aggregate buckets below
-        # — totals stay monotone while the per-name maps (and the admin
-        # stats payload) stay bounded by the *registered* roster, not by
-        # every name ever deployed.
+        # Counters of workers retired by eviction/reload, by name, so
+        # gateway totals never go backwards.  Retired engines, and the
+        # retired workers of a name once it is unregistered, fold into
+        # ``_history``'s totals — monotone still, while the per-name maps
+        # (and the admin stats payload) stay bounded by the *registered*
+        # roster, not by every name ever deployed.
         self._retired: Dict[str, ServiceStats] = {}
-        self._retired_engines: Dict[str, EngineStats] = {}
-        self._unregistered = ServiceStats()
-        self._unregistered_engine = EngineStats()
+        self._history = GatewayStats()
         # _lock guards the dicts (cheap, held briefly).  _creation_locks
         # serializes each route's worker retire/create cycle END TO END —
         # a stale worker is fully drained and closed before its
@@ -232,16 +200,7 @@ class AnnotationGateway:
         with self._lock:
             retired = self._retired.pop(name, None)
             if retired is not None:
-                self._merge_stats(self._unregistered, retired)
-            retired_engine = self._retired_engines.pop(name, None)
-            if retired_engine is not None:
-                for counter in self._ENGINE_TOTALS:
-                    setattr(
-                        self._unregistered_engine,
-                        counter,
-                        getattr(self._unregistered_engine, counter)
-                        + getattr(retired_engine, counter),
-                    )
+                self._history.merge(retired)
 
     # ------------------------------------------------------------------
     # Routing
@@ -367,16 +326,8 @@ class AnnotationGateway:
             self._workers.pop(name, None)
         worker.close()  # drains pending requests; may take annotation passes
         with self._lock:
-            retired = self._retired.setdefault(name, ServiceStats())
-            self._merge_stats(retired, worker.stats)
-            retired_engine = self._retired_engines.setdefault(name, EngineStats())
-            for counter in self._ENGINE_TOTALS:
-                setattr(
-                    retired_engine,
-                    counter,
-                    getattr(retired_engine, counter)
-                    + getattr(worker.engine.stats, counter),
-                )
+            self._retired.setdefault(name, ServiceStats()).merge(worker.stats)
+            self._history.merge(worker.engine.stats)
 
     # ------------------------------------------------------------------
     # Thread-based API
@@ -548,62 +499,27 @@ class AnnotationGateway:
     # ------------------------------------------------------------------
     # Stats and lifecycle
     # ------------------------------------------------------------------
-    # Derived from the dataclass so a counter added to ServiceStats can
-    # never be silently dropped from retired merges or gateway totals.
-    _SERVICE_COUNTERS = tuple(f.name for f in _dataclass_fields(ServiceStats))
-    _ENGINE_TOTALS = (
-        "encoder_passes",
-        "disk_hits",
-        "disk_misses",
-        "quant_fallbacks",
-    )
-
-    @classmethod
-    def _merge_stats(cls, into: ServiceStats, source: ServiceStats) -> None:
-        for name in cls._SERVICE_COUNTERS:
-            setattr(into, name, getattr(into, name) + getattr(source, name))
-
     @property
     def stats(self) -> GatewayStats:
         """Aggregated counters (see :class:`GatewayStats`).  A snapshot —
-        every nested stats object is a copy, safe to hold and diff across
+        every nested counter set is a copy, safe to hold and diff across
         further traffic."""
-        snapshot = GatewayStats()
-        retired_engine_totals: List[EngineStats] = []
         with self._lock:
-            per_model: Dict[str, ServiceStats] = {}
+            snapshot = self._history.copy()
             for name, retired in self._retired.items():
-                merged = ServiceStats()
-                self._merge_stats(merged, retired)
-                per_model[name] = merged
+                snapshot.models[name] = retired.copy()
             for name, worker in self._workers.items():
-                merged = per_model.setdefault(name, ServiceStats())
-                self._merge_stats(merged, worker.stats_snapshot())
-                snapshot.engines[name] = replace(worker.engine.stats)
+                snapshot.models.setdefault(name, ServiceStats()).merge(
+                    worker.stats_snapshot()
+                )
+                snapshot.engines[name] = worker.engine.stats.copy()
                 tier = worker.engine.result_cache
                 if tier is not None:
-                    snapshot.disk_tiers[name] = asdict(tier.stats)
-            retired_engine_totals = [
-                replace(stats) for stats in self._retired_engines.values()
-            ]
-            # Unregistered routes' folded history: in the scalar totals,
-            # absent from the per-name maps (see the class docstring).
-            unregistered = ServiceStats()
-            self._merge_stats(unregistered, self._unregistered)
-            retired_engine_totals.append(replace(self._unregistered_engine))
-        snapshot.models = per_model
-        for model_stats in list(per_model.values()) + [unregistered]:
-            for name in self._SERVICE_COUNTERS:
-                setattr(
-                    snapshot, name, getattr(snapshot, name) + getattr(model_stats, name)
-                )
-        # ``engines`` shows the live engines; the scalar totals also fold
-        # in engines retired by eviction/reload, so totals never regress.
-        for engine_stats in list(snapshot.engines.values()) + retired_engine_totals:
-            for name in self._ENGINE_TOTALS:
-                setattr(
-                    snapshot, name, getattr(snapshot, name) + getattr(engine_stats, name)
-                )
+                    snapshot.disk_tiers[name] = tier.stats.copy()
+        # ``engines`` shows the live engines; retired ones are already in
+        # the history's totals, so totals never regress.
+        for counters in (*snapshot.models.values(), *snapshot.engines.values()):
+            snapshot.merge(counters)
         return snapshot
 
     def reap(self) -> int:

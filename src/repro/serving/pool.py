@@ -31,9 +31,10 @@ with the bound port, ``stats``/``shutdown`` relayed from a client's
 admin record).  A client's ``{"op": "stats"}`` on ANY connection
 therefore answers with the pool-wide merged view: the worker forwards
 the request up the event pipe, the parent fans ``collect`` out to every
-live worker, merges the numeric counters, and the original worker
-answers the client.  ``{"op": "shutdown"}`` acknowledges the client,
-then asks the parent to drain the whole pool.
+live worker, merges their raw counters (:func:`merge_sections` — the
+declared-counter ``merge`` of :mod:`repro.telemetry`), renders the sums
+once, and the original worker answers the client.  ``{"op": "shutdown"}``
+acknowledges the client, then asks the parent to drain the whole pool.
 
 Supervision
 -----------
@@ -61,14 +62,20 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..telemetry import Counters
 from .engine import EngineConfig
+from .gateway import AnnotationGateway, GatewayStats
+from .queue import QueueConfig
+from .registry import ModelRegistry, RegistryStats
+from .request import AnnotationOptions
+from .server import AnnotationServer, ServerStats
 
 __all__ = [
     "PoolConfig",
     "ServingPool",
-    "merge_counters",
+    "merge_sections",
     "resolve_sharding",
 ]
 
@@ -107,7 +114,6 @@ class PoolConfig:
     workers: int = 2
     cache_dir: Optional[str] = None
     engine: EngineConfig = field(default_factory=EngineConfig)
-    exact: bool = True
     max_live: Optional[int] = None
     with_embeddings: bool = False
     admin: bool = True
@@ -133,50 +139,25 @@ class PoolConfig:
         resolve_sharding(self.sharding)  # validate early, in the parent
 
 
-def merge_counters(base: Dict, extra: Dict) -> Dict:
-    """Merge one worker's stats dict into ``base``, in place.
+def merge_sections(snapshots: Iterable[Dict]) -> Dict[str, Counters]:
+    """Sum the counter sections of the workers' snapshots.
 
-    Numeric leaves add; nested dicts recurse; booleans and strings keep
-    the first worker's value (they are names — fingerprints, writer ids —
-    or identical across a healthy pool).  Derived ratios
-    would be wrong if summed; :func:`_fix_ratios` recomputes them from
-    the merged raw counters afterwards.
+    Each snapshot carries its worker's *raw* counters (the objects, not
+    their rendering), so this is the same ``merge`` the gateway folds its
+    history with: per-name maps merge name by name, and a ratio — which
+    exists only in ``to_dict()`` output — is derived once, from the summed
+    counters, by whoever renders the result.  Whatever else a snapshot
+    names (``worker``, ``pid``) identifies it and is never added.
     """
-    for key, value in extra.items():
-        if isinstance(value, dict):
-            current = base.get(key)
-            if not isinstance(current, dict):
-                current = {}
-                base[key] = current
-            merge_counters(current, value)
-        elif isinstance(value, bool):
-            base.setdefault(key, value)
-        elif isinstance(value, (int, float)):
-            current = base.get(key, 0)
-            base[key] = (current if isinstance(current, (int, float)) else 0) + value
-        else:
-            base.setdefault(key, value)
-    return base
-
-
-def _fix_ratios(node: Dict) -> None:
-    """Recompute derived ratios from merged raw counters (a mean of
-    per-worker ratios would weight idle workers equally with busy ones)."""
-    for value in node.values():
-        if isinstance(value, dict):
-            _fix_ratios(value)
-    if "padding_waste" in node and "padded_tokens" in node:
-        padded = node.get("padded_tokens") or 0
-        real = node.get("real_tokens") or 0
-        node["padding_waste"] = ((padded - real) / padded) if padded else 0.0
-    if "column_hit_rate" in node and "column_hits" in node:
-        hits = node.get("column_hits") or 0
-        total = hits + (node.get("column_misses") or 0)
-        node["column_hit_rate"] = (hits / total) if total else 0.0
-    if "probe_prune_rate" in node and "pairs_pruned" in node:
-        pruned = node.get("pairs_pruned") or 0
-        total = pruned + (node.get("pairs_planned") or 0)
-        node["probe_prune_rate"] = (pruned / total) if total else 0.0
+    merged = {
+        "server": ServerStats(),
+        "gateway": GatewayStats(),
+        "registry": RegistryStats(),
+    }
+    for snapshot in snapshots:
+        for section, total in merged.items():
+            total.merge(snapshot[section])
+    return merged
 
 
 # ----------------------------------------------------------------------
@@ -197,12 +178,6 @@ def _worker_main(
     readiness on the event pipe, then serves until told to stop."""
     import asyncio
     import signal
-
-    from .gateway import AnnotationGateway
-    from .queue import QueueConfig
-    from .registry import ModelRegistry
-    from .request import AnnotationOptions
-    from .server import AnnotationServer
 
     # Under fork, this process inherited the PARENT-side ends of every
     # control pipe alive at fork time — its own and its siblings'.
@@ -238,7 +213,7 @@ def _worker_main(
         registry.register(name, path, arena=config.arena_paths.get(name))
     gateway = AnnotationGateway(
         registry,
-        QueueConfig(max_batch=config.engine.batch_size, exact=config.exact),
+        QueueConfig(max_batch=config.engine.batch_size),
     )
     options = AnnotationOptions(
         with_embeddings=config.with_embeddings,
@@ -281,13 +256,14 @@ def _worker_main(
         return None
 
     def local_stats() -> Dict:
-        snapshot = gateway.stats
+        # Raw counters, not their rendering: pickling them up the pipe is
+        # the snapshot, and the parent renders once, after merging.
         return {
             "worker": slot,
             "pid": os.getpid(),
-            "server": server.stats.to_dict(),
-            "gateway": snapshot.to_dict(),
-            "registry": registry.stats.to_dict(),
+            "server": server.stats,
+            "gateway": gateway.stats,
+            "registry": registry.stats,
         }
 
     server = AnnotationServer(
@@ -631,11 +607,10 @@ class ServingPool:
         snapshots = [s for s in map(self._collect, self._slots) if s is not None]
         with self._lock:
             retired = list(self._retired_stats)
-        merged: Dict[str, Dict] = {"server": {}, "gateway": {}, "registry": {}}
-        for snapshot in retired + snapshots:
-            for section in ("server", "gateway", "registry"):
-                merge_counters(merged[section], snapshot.get(section, {}))
-        _fix_ratios(merged["gateway"])
+        merged: Dict[str, Dict] = {
+            section: counters.to_dict()
+            for section, counters in merge_sections(retired + snapshots).items()
+        }
         with self._lock:
             live = sum(
                 1
@@ -651,11 +626,11 @@ class ServingPool:
             "sharding": self.sharding,
             "per_worker": [
                 {
-                    "worker": s.get("worker"),
-                    "pid": s.get("pid"),
-                    "connections": s.get("server", {}).get("connections", 0),
-                    "requests": s.get("server", {}).get("requests", 0),
-                    "completed": s.get("gateway", {}).get("completed", 0),
+                    "worker": s["worker"],
+                    "pid": s["pid"],
+                    "connections": s["server"].connections,
+                    "requests": s["server"].requests,
+                    "completed": s["gateway"].completed,
                 }
                 for s in snapshots
             ],

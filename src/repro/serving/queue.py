@@ -57,12 +57,8 @@ into **exact width buckets** instead (:mod:`repro.encoding`).  Either way no
 sequence is ever padded beyond the width it would use alone, so queued
 results are **byte-identical** to direct ``engine.annotate`` calls
 whatever the drain's composition — dedup, batching, and the cache tiers
-change cost, never bytes.
-
-The ``exact`` flag selects the *failure-isolation* policy: ``True``
-(default) retries a failed drain one request at a time so an invalid
-request poisons only its own group; ``False`` lets the whole drain share
-the exception — marginally cheaper when failures are impossible.
+change cost, never bytes.  A failed drain is retried one request at a
+time, so an invalid request poisons only its own group.
 """
 
 from __future__ import annotations
@@ -71,7 +67,7 @@ import queue as _queue
 import threading
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -86,6 +82,7 @@ from typing import (
 )
 
 from ..core.annotator import AnnotatedTable
+from ..telemetry import declare
 from .diskcache import RequestIdentity
 from .engine import AnnotationEngine, RequestLike
 from .request import AnnotationOptions, AnnotationRequest, AnnotationResult
@@ -100,11 +97,7 @@ class QueueConfig:
     ``max_batch`` caps how many distinct requests one drain hands the
     engine; ``max_queue_size`` bounds the unanswered futures (``submit``
     blocks when full, raising ``queue.Full`` after ``submit_timeout``
-    seconds, so producers feel backpressure instead of exhausting memory);
-    ``exact`` keeps per-request failure isolation (a failed drain is retried
-    request-by-request) — results are byte-identical to direct engine calls
-    either way, because the engine encodes every sequence at the width it
-    would have alone (see the module docstring).
+    seconds, so producers feel backpressure instead of exhausting memory).
 
     ``max_latency`` is **deprecated and ignored**: it used to be how long a
     drain lingered for more requests.  Drains are work-conserving now (they
@@ -117,7 +110,6 @@ class QueueConfig:
     max_latency: float = 0.01
     max_queue_size: int = 1024
     submit_timeout: Optional[float] = None
-    exact: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -128,27 +120,27 @@ class QueueConfig:
             raise ValueError(f"max_queue_size must be >= 1: {self.max_queue_size}")
 
 
-@dataclass
-class ServiceStats:
+ServiceStats = declare(
+    "ServiceStats",
     """Counters for one worker's (or single-model service's) lifetime.
 
-    ``submitted``/``completed`` count every request this worker answered
-    for — queued ones, and those :meth:`EngineWorker.answer_stored` served
-    from the result store on the caller's thread, which never became a
-    group or joined a drain (so ``submitted / batches`` over-reads the mean
-    drain size by exactly those).  ``dedup_hits`` counts requests answered
-    by sharing another request's queued or running annotation (queue-level
-    dedup, before any cache tier); ``unique_annotated`` counts groups
-    actually handed to the engine; ``batches`` counts worker drains, not
-    engine forward batches.
-    """
-
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    batches: int = 0
-    dedup_hits: int = 0
-    unique_annotated: int = 0
+    ``completed + failed <= submitted`` in every
+    :meth:`EngineWorker.stats_snapshot`.  Requests answered by
+    :meth:`EngineWorker.answer_stored` never became a group or joined a
+    drain, so ``submitted / batches`` over-reads the mean drain size by
+    exactly those.
+    """,
+    {
+        "submitted": "requests handed in — queued ones and those "
+        "``answer_stored`` served from the result store on the caller's thread",
+        "completed": "requests answered with a result",
+        "failed": "requests answered with an exception",
+        "batches": "worker drains (not engine forward batches)",
+        "dedup_hits": "requests answered by sharing another request's queued "
+        "or running annotation (queue-level dedup, before any cache tier)",
+        "unique_annotated": "groups actually handed to the engine",
+    },
+)
 
 
 class _Group:
@@ -367,7 +359,7 @@ class EngineWorker:
         every answer is counted under, so ``completed + failed <=
         submitted`` holds in every snapshot."""
         with self._lock:
-            return replace(self.stats)
+            return self.stats.copy()
 
     # ------------------------------------------------------------------
     # Worker
@@ -407,14 +399,9 @@ class EngineWorker:
         # single-table passes while the drain still batches.
         try:
             results = self._annotate(drain)
-        except Exception as error:  # noqa: BLE001 - delivered to waiters
-            if not self.config.exact:
-                # The drain shares its fate: every waiter sees the error.
-                for group in drain:
-                    self._resolve(group, error=error)
-                return
-            # Exact mode isolates failures: retry request-by-request so a
-            # poisoned request fails alone.  Retried requests cost nothing
+        except Exception:  # noqa: BLE001 - delivered to waiters, below
+            # Isolate the failure: retry request-by-request so a poisoned
+            # request fails alone.  Retried requests cost nothing
             # extra beyond their own pass — serializations are cached, and
             # single-request results are byte-identical to batched ones.
             for group in drain:

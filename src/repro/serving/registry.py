@@ -34,42 +34,33 @@ The registry is thread-safe; the gateway calls into it on every submit.
 from __future__ import annotations
 
 import threading
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..telemetry import declare
 from .engine import AnnotationEngine, EngineConfig
 from .fabric import FabricCache
 
 ModelSource = Union[str, Path, AnnotationEngine, object]
 
 
-@dataclass
-class RegistryStats:
-    """Counters for one registry's lifetime.
-
-    ``loads`` counts checkpoint loads (first-touch lazy loads and
-    re-loads after eviction — the latter also counted in ``reloads``);
-    ``evictions`` counts live engines dropped by the ``max_live`` policy
-    or :meth:`ModelRegistry.evict`; ``routed`` counts successful route
-    resolutions (the gateway's submit traffic); ``repoints`` counts
-    in-place rebinds of a name to new weights.  ``arena_remaps`` counts
-    loads served by mapping a weight arena instead of deserializing
-    ``weights.npz`` — on an arena-backed registry every load (including
-    every evict→reload cycle) should land here.
-    """
-
-    registered: int = 0
-    loads: int = 0
-    reloads: int = 0
-    evictions: int = 0
-    routed: int = 0
-    repoints: int = 0
-    arena_remaps: int = 0
-
-    def to_dict(self) -> dict:
-        """JSON-serializable counters (the ``{"op": "stats"}`` wire shape)."""
-        return asdict(self)
+RegistryStats = declare(
+    "RegistryStats",
+    "Counters for one registry's lifetime.",
+    {
+        "registered": "names registered (initial and hot)",
+        "loads": "checkpoint loads: first-touch lazy loads and re-loads "
+        "after eviction",
+        "reloads": "the loads that re-loaded an evicted model",
+        "evictions": "live engines dropped by the ``max_live`` policy or "
+        ":meth:`ModelRegistry.evict`",
+        "routed": "successful route resolutions (the gateway's submit traffic)",
+        "repoints": "in-place rebinds of a name to new weights",
+        "arena_remaps": "loads served by mapping a weight arena instead of "
+        "deserializing ``weights.npz`` — on an arena-backed registry every "
+        "load (including every evict→reload cycle) should land here",
+    },
+)
 
 
 class RegisteredModel:

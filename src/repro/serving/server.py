@@ -74,9 +74,9 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..telemetry import declare
 from . import protocol
 from .diskcache import RequestIdentity
 from .gateway import AnnotationGateway
@@ -116,30 +116,26 @@ def _transfer_to(slot: "asyncio.Future", stats: "ServerStats"):
     return transfer
 
 
-@dataclass
-class ServerStats:
+ServerStats = declare(
+    "ServerStats",
     """Counters for one server's lifetime.
 
-    ``requests`` counts accepted table records; ``admin_ops`` counts
-    accepted admin records; ``errors`` counts error answers emitted
-    (including per-request annotation failures); ``ready`` counts
-    answers produced and queued for their connection (annotation done or
-    error built — written or not yet); ``answered`` counts every answer
-    line actually written.  ``ready - answered`` approximates the
-    write-blocked backlog (answers retired unwritten on a torn
-    connection also leave the gap; the graceful stop's stall detection
-    therefore tracks progress per connection, not from these totals).
-    """
-
-    connections: int = 0
-    requests: int = 0
-    admin_ops: int = 0
-    errors: int = 0
-    ready: int = 0
-    answered: int = 0
-
-    def to_dict(self) -> Dict:
-        return asdict(self)
+    ``ready - answered`` approximates the write-blocked backlog (answers
+    retired unwritten on a torn connection also leave the gap; the
+    graceful stop's stall detection therefore tracks progress per
+    connection, not from these totals).
+    """,
+    {
+        "connections": "client connections accepted",
+        "requests": "table records accepted",
+        "admin_ops": "admin records accepted",
+        "errors": "error answers emitted (per-request annotation failures "
+        "included)",
+        "ready": "answers produced and queued for their connection "
+        "(annotation done or error built — written or not yet)",
+        "answered": "answer lines actually written",
+    },
+)
 
 
 class _Connection:

@@ -38,126 +38,6 @@ def rule_ids(result):
 
 
 # ----------------------------------------------------------------------
-# stats-merge
-# ----------------------------------------------------------------------
-
-STATS_COMMON = """
-    class EngineStats:
-        column_hits: int = 0
-        column_misses: int = 0
-
-        @property
-        def column_hit_rate(self) -> float:
-            total = self.column_hits + self.column_misses
-            return self.column_hits / total if total else 0.0
-
-    def merge_counters(base, extra):
-        for key, value in extra.items():
-            base[key] = base.get(key, 0) + value
-        return base
-"""
-
-
-class TestStatsMergeRule:
-    def test_missing_recompute_flags(self, tmp_path):
-        result = run_snippets(
-            tmp_path,
-            {"stats.py": STATS_COMMON + "\n    def _fix_ratios(node):\n        pass\n"},
-            rules=["stats-merge"],
-        )
-        assert rule_ids(result) == ["stats-merge"]
-        assert "column_hit_rate" in result.findings[0].message
-
-    def test_missing_raw_input_flags(self, tmp_path):
-        fixer = """
-    def _fix_ratios(node):
-        if "column_hit_rate" in node:
-            hits = node.get("column_hits") or 0
-            node["column_hit_rate"] = hits
-"""
-        result = run_snippets(
-            tmp_path, {"stats.py": STATS_COMMON + fixer}, rules=["stats-merge"]
-        )
-        assert rule_ids(result) == ["stats-merge"]
-        assert "column_misses" in result.findings[0].message
-
-    def test_clean_recompute_passes(self, tmp_path):
-        fixer = """
-    def _fix_ratios(node):
-        if "column_hit_rate" in node:
-            hits = node.get("column_hits") or 0
-            total = hits + (node.get("column_misses") or 0)
-            node["column_hit_rate"] = hits / total if total else 0.0
-"""
-        result = run_snippets(
-            tmp_path, {"stats.py": STATS_COMMON + fixer}, rules=["stats-merge"]
-        )
-        assert result.findings == []
-
-    def test_summed_ratio_flags(self, tmp_path):
-        source = """
-    def merge_stats(base, extra):
-        base["column_hit_rate"] = base["column_hit_rate"] + extra["column_hit_rate"]
-        return base
-"""
-        result = run_snippets(tmp_path, {"m.py": source}, rules=["stats-merge"])
-        assert rule_ids(result) == ["stats-merge"]
-        assert "never be" in result.findings[0].message or "sum" in result.findings[0].message
-
-    def test_gateway_drops_ratio_flags(self, tmp_path):
-        source = """
-    class EngineStats:
-        padded_tokens: int = 0
-        real_tokens: int = 0
-
-        @property
-        def padding_waste(self) -> float:
-            return 0.0
-
-    class GatewayStats:
-        def to_dict(self):
-            return {}
-"""
-        result = run_snippets(tmp_path, {"g.py": source}, rules=["stats-merge"])
-        assert any("padding_waste" in f.message for f in result.findings)
-
-    def test_service_counter_without_gateway_total_flags(self, tmp_path):
-        source = """
-    class ServiceStats:
-        submitted: int = 0
-        brand_new_counter: int = 0
-
-    class GatewayStats:
-        submitted: int = 0
-
-        def to_dict(self):
-            return {}
-"""
-        result = run_snippets(tmp_path, {"g.py": source}, rules=["stats-merge"])
-        assert any("brand_new_counter" in f.message for f in result.findings)
-
-    def test_suppression_requires_reason(self, tmp_path):
-        bad = STATS_COMMON.replace(
-            "def column_hit_rate(self) -> float:",
-            "def column_hit_rate(self) -> float:  # repro: allow[stats-merge]",
-        ) + "\n    def _fix_ratios(node):\n        pass\n"
-        result = run_snippets(tmp_path, {"stats.py": bad}, rules=["stats-merge"])
-        # Reason-less marker: the original finding survives AND the
-        # malformed suppression is itself a finding.
-        assert sorted(rule_ids(result)) == ["stats-merge", "suppression-syntax"]
-
-    def test_suppression_with_reason_suppresses(self, tmp_path):
-        ok = STATS_COMMON.replace(
-            "def column_hit_rate(self) -> float:",
-            "def column_hit_rate(self) -> float:  "
-            "# repro: allow[stats-merge] -- fixture exercises suppression",
-        ) + "\n    def _fix_ratios(node):\n        pass\n"
-        result = run_snippets(tmp_path, {"stats.py": ok}, rules=["stats-merge"])
-        assert result.findings == []
-        assert [f.rule_id for f in result.suppressed] == ["stats-merge"]
-
-
-# ----------------------------------------------------------------------
 # fingerprint-fold
 # ----------------------------------------------------------------------
 
@@ -587,13 +467,21 @@ class TestFramework:
     def test_every_rule_registered(self):
         ids = {r.rule_id for r in all_rules()}
         assert {
-            "stats-merge",
             "fingerprint-fold",
             "async-blocking",
             "lock-discipline",
             "determinism-hygiene",
             "unused-import",
         } <= ids
+
+    def test_suppression_requires_reason(self, tmp_path):
+        source = """
+    import os  # repro: allow[unused-import]
+"""
+        result = run_snippets(tmp_path, {"m.py": source}, rules=["unused-import"])
+        # Reason-less marker: the original finding survives AND the
+        # malformed suppression is itself a finding.
+        assert sorted(rule_ids(result)) == ["suppression-syntax", "unused-import"]
 
     def test_unknown_suppression_rule_id_flags(self, tmp_path):
         source = """

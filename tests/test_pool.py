@@ -38,8 +38,13 @@ from repro.serving import (
     AnnotationOptions,
     AnnotationRequest,
     EngineConfig,
+    EngineStats,
+    GatewayStats,
+    RegistryStats,
+    ServerStats,
+    ServiceStats,
 )
-from repro.serving.pool import PoolConfig, ServingPool, merge_counters
+from repro.serving.pool import PoolConfig, ServingPool, merge_sections
 
 
 @pytest.fixture(scope="module")
@@ -386,20 +391,55 @@ class TestPoolSupervision:
             process.wait(timeout=30)
 
 
+def _worker_snapshot(slot, engine=None, **sections):
+    """What pool worker ``slot`` sends the parent: its raw counters, with
+    ``engine`` as the live engine of a model ``"m"``."""
+    snapshot = {
+        "worker": slot,
+        "pid": 1000 + slot,
+        "server": ServerStats(),
+        "gateway": GatewayStats(),
+        "registry": RegistryStats(),
+    }
+    snapshot.update(sections)
+    if engine is not None:
+        snapshot["gateway"].engines["m"] = engine
+    return snapshot
+
+
 class TestMergeCounters:
     def test_numeric_leaves_add_and_dicts_recurse(self):
-        base = {}
-        merge_counters(base, {"a": 1, "nested": {"x": 2.5}, "name": "w0"})
-        merge_counters(base, {"a": 2, "nested": {"x": 1.5, "y": 1}, "name": "w1"})
-        assert base["a"] == 3
-        assert base["nested"] == {"x": 4.0, "y": 1}
-        assert base["name"] == "w0"  # strings keep the first value
+        first = _worker_snapshot(
+            0, server=ServerStats(requests=1), gateway=GatewayStats(submitted=1)
+        )
+        first["gateway"].models["m"] = ServiceStats(submitted=1)
+        second = _worker_snapshot(
+            1, server=ServerStats(requests=2), gateway=GatewayStats(submitted=3)
+        )
+        second["gateway"].models["m"] = ServiceStats(submitted=2)
+        second["gateway"].models["n"] = ServiceStats(submitted=1, failed=1)
+        merged = merge_sections([first, second])
+        assert merged["server"].requests == 3
+        assert merged["gateway"].submitted == 4
+        models = merged["gateway"].to_dict()["models"]
+        assert models["m"]["submitted"] == 3  # a name both workers serve adds
+        assert (models["n"]["submitted"], models["n"]["failed"]) == (1, 1)
+        # The merge copied: the workers' own snapshots are untouched.
+        assert first["gateway"].models["m"].submitted == 1
 
     def test_booleans_do_not_sum(self):
-        base = {}
-        merge_counters(base, {"exact": True})
-        merge_counters(base, {"exact": True})
-        assert base["exact"] is True
+        """The generic dict merge had to special-case booleans and strings
+        (keep the first).  The declared merge reads declared counters and
+        nothing else: a snapshot's identity fields stay out of the sums,
+        and counters of two declarations are never added, whatever names
+        they share."""
+        first = _worker_snapshot(0)
+        first.update(writer="w0", admin=True)
+        merged = merge_sections([first, _worker_snapshot(1)])
+        assert set(merged) == {"server", "gateway", "registry"}
+        assert "requests" in ServerStats.COUNTERS and "requests" in EngineStats.COUNTERS
+        with pytest.raises(TypeError, match="EngineStats"):
+            ServerStats().merge(EngineStats(requests=1))
 
     def test_column_hit_rate_recomputed_from_merged_counters(self):
         """Regression: derived ratios must come from the merged raw
@@ -407,28 +447,21 @@ class TestMergeCounters:
         Worker A: 4/4 hits (rate 1.0); worker B: 0/12 (rate 0.0).  The
         merged truth is 4 hits in 16 lookups = 0.25 — the naive sum says
         1.0 and the naive mean says 0.5."""
-        from repro.serving.pool import _fix_ratios
-
-        base = {}
-        for hits, misses, rate in ((4, 0, 1.0), (0, 12, 0.0)):
-            merge_counters(
-                base,
-                {
-                    "engines": {
-                        "m": {
-                            "column_hits": hits,
-                            "column_misses": misses,
-                            "column_hit_rate": rate,
-                            "real_tokens": 10,
-                            "padded_tokens": 10,
-                            "padding_waste": 0.0,
-                        }
-                    }
-                },
+        workers = [
+            _worker_snapshot(
+                slot,
+                engine=EngineStats(
+                    column_hits=hits,
+                    column_misses=misses,
+                    real_tokens=10,
+                    padded_tokens=10,
+                ),
             )
-        engine = base["engines"]["m"]
-        assert engine["column_hit_rate"] == 1.0  # the broken summed value
-        _fix_ratios(base)
+            for slot, (hits, misses) in enumerate(((4, 0), (0, 12)))
+        ]
+        rates = [w["gateway"].engines["m"].column_hit_rate for w in workers]
+        assert rates == [1.0, 0.0]
+        engine = merge_sections(workers)["gateway"].to_dict()["engines"]["m"]
         assert engine["column_hit_rate"] == 0.25
         assert engine["padding_waste"] == 0.0
 
@@ -437,28 +470,31 @@ class TestMergeCounters:
         6 / pruned 18 (rate 0.75); worker B planned 16 / pruned 0 (rate
         0.0).  Merged truth is 18 pruned of 40 considered = 0.45 — the
         naive sum says 0.75 and the naive mean says 0.375."""
-        from repro.serving.pool import _fix_ratios
-
-        base = {}
-        for planned, pruned, rate in ((6, 18, 0.75), (16, 0, 0.0)):
-            merge_counters(
-                base,
-                {
-                    "engines": {
-                        "m": {
-                            "pairs_planned": planned,
-                            "pairs_pruned": pruned,
-                            "pairs_probed": planned,
-                            "probe_prune_rate": rate,
-                        }
-                    }
-                },
+        workers = [
+            _worker_snapshot(
+                slot,
+                engine=EngineStats(
+                    pairs_planned=planned, pairs_pruned=pruned, pairs_probed=planned
+                ),
             )
-        engine = base["engines"]["m"]
-        assert engine["probe_prune_rate"] == 0.75  # the broken summed value
-        _fix_ratios(base)
+            for slot, (planned, pruned) in enumerate(((6, 18), (16, 0)))
+        ]
+        rates = [w["gateway"].engines["m"].probe_prune_rate for w in workers]
+        assert rates == [0.75, 0.0]
+        engine = merge_sections(workers)["gateway"].to_dict()["engines"]["m"]
         assert engine["probe_prune_rate"] == 0.45
         assert engine["pairs_probed"] == 22
+
+    def test_pooled_ratio_is_rendered_like_a_single_process_one(self):
+        """One hit on worker A, two misses on worker B: the pool answers
+        the six places one process answers, not the bare quotient."""
+        workers = [
+            _worker_snapshot(0, engine=EngineStats(column_hits=1)),
+            _worker_snapshot(1, engine=EngineStats(column_misses=2)),
+        ]
+        engine = merge_sections(workers)["gateway"].to_dict()["engines"]["m"]
+        assert engine["column_hit_rate"] == 0.333333
+        assert engine == EngineStats(column_hits=1, column_misses=2).to_dict()
 
     def test_pool_config_carries_probe_knobs(self, bundle):
         engine = EngineConfig(probe_mode="planned", probe_budget=6)

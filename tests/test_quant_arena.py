@@ -37,8 +37,9 @@ from repro.nn.arena import (
     write_arena,
     write_model_arena,
 )
-from repro.serving.engine import AnnotationEngine, EngineConfig
-from repro.serving.pool import _fix_ratios, merge_counters
+from repro.serving import GatewayStats, RegistryStats, ServerStats
+from repro.serving.engine import AnnotationEngine, EngineConfig, EngineStats
+from repro.serving.pool import merge_sections
 from repro.text import train_wordpiece
 
 
@@ -412,25 +413,28 @@ class TestAccuracyGate:
 
 class TestMergedCounters:
     def test_quant_and_arena_counters_sum(self):
-        worker = lambda fallbacks, remaps, padded, real: {
-            "engine": {
-                "quant_fallbacks": fallbacks,
-                "padded_tokens": padded,
-                "real_tokens": real,
-                "padding_waste": (padded - real) / padded,
-                "writer": "w0",
-            },
-            "registry": {"arena_remaps": remaps},
-        }
-        merged = {}
-        merge_counters(merged, worker(2, 1, 100, 80))
-        merge_counters(merged, worker(3, 1, 300, 120))
-        _fix_ratios(merged)
-        assert merged["engine"]["quant_fallbacks"] == 5
-        assert merged["registry"]["arena_remaps"] == 2
-        # Ratios recompute from merged raw counters, not sum of ratios.
-        assert merged["engine"]["padding_waste"] == pytest.approx(200 / 400)
-        assert merged["engine"]["writer"] == "w0"  # strings keep the first
+        def worker(fallbacks, remaps, padded, real):
+            engine = EngineStats(
+                quant_fallbacks=fallbacks, padded_tokens=padded, real_tokens=real
+            )
+            # What a live worker reports: its totals fold its engine's.
+            gateway = GatewayStats().merge(engine)
+            gateway.engines["m"] = engine
+            return {
+                "worker": 0,
+                "server": ServerStats(),
+                "gateway": gateway,
+                "registry": RegistryStats(arena_remaps=remaps),
+            }
+
+        merged = merge_sections([worker(2, 1, 100, 80), worker(3, 1, 300, 120)])
+        gateway = merged["gateway"].to_dict()
+        assert gateway["quant_fallbacks"] == 5
+        assert gateway["engines"]["m"]["quant_fallbacks"] == 5
+        assert merged["registry"].arena_remaps == 2
+        # Ratios derive from merged raw counters, not from the workers'
+        # ratios (0.2 and 0.6: their sum is 0.8, their mean 0.4).
+        assert gateway["engines"]["m"]["padding_waste"] == pytest.approx(200 / 400)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ import json
 import socket
 import threading
 import time
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -965,8 +964,8 @@ class TestStoredHitCounts:
         ]
         worker = stored.gateway.worker()
         base = worker.stats_snapshot()
-        engine_base = replace(stored.engine.stats)
-        store_base = replace(stored.store.stats)
+        engine_base = stored.engine.stats.copy()
+        store_base = stored.store.stats.copy()
         violations, stop = [], threading.Event()
 
         def poll():

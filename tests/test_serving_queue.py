@@ -114,17 +114,6 @@ class TestQueueEquivalence:
                 assert np.array_equal(got.colemb, want.colemb)
         assert all(r.from_disk for r in from_disk)
 
-    def test_inexact_mode_still_equivalent_predictions(self, trainer):
-        tables = trainer.dataset.tables[:8]
-        direct = [AnnotationEngine(trainer).annotate(t) for t in tables]
-        with _service(trainer, QueueConfig(exact=False)) as service:
-            futures = [service.submit(t) for t in tables]
-            results = [f.result() for f in futures]
-        for got, want in zip(results, direct):
-            assert got.coltypes == want.coltypes
-            assert got.colrels == want.colrels
-            np.testing.assert_allclose(got.colemb, want.colemb, atol=1e-5)
-
 
 @pytest.mark.smoke
 class TestDedup:
@@ -260,15 +249,13 @@ class TestScheduler:
             assert worker.annotate(table).coltypes
         assert gate.drains == [[blocker.table_id], [table.table_id]]
 
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_engine_error_reaches_every_attached_waiter(self, exact):
-        """A poisoned request fails all ITS waiters; ``exact`` decides
-        whether the rest of its drain is retried alone or shares the
-        error."""
+    def test_engine_error_reaches_every_attached_waiter(self):
+        """A poisoned request fails all ITS waiters; the rest of its
+        drain is retried alone and answered."""
         blocker, bad, good = _distinct(3)
         engine = StubEngine(poison={bad.table_id})
         gate = EngineGate(engine)
-        with EngineWorker(engine, QueueConfig(exact=exact)) as worker:
+        with EngineWorker(engine) as worker:
             first = worker.submit(blocker)
             gate.wait_entered()
             failing = [worker.submit(bad) for _ in range(3)]
@@ -278,15 +265,10 @@ class TestScheduler:
             for future in failing:
                 with pytest.raises(ValueError, match="poisoned"):
                     future.result(timeout=30)
-            if exact:
-                assert healthy[0].result(timeout=30) is healthy[1].result(timeout=30)
-            else:
-                for future in healthy:
-                    with pytest.raises(ValueError, match="poisoned"):
-                        future.result(timeout=30)
-            # The worker survived either way.
+            assert healthy[0].result(timeout=30) is healthy[1].result(timeout=30)
+            # The worker survived.
             assert worker.annotate(good).coltypes
-        assert worker.stats.failed == (3 if exact else 5)
+        assert worker.stats.failed == 3
         assert worker.stats.completed + worker.stats.failed == worker.stats.submitted
 
     def test_close_resolves_queued_and_attached_futures(self):
