@@ -47,6 +47,7 @@ from repro.core.probe import (
 )
 from repro.datasets import Column, Table
 from repro.datasets.wikitable import SCHEMAS, generate_table
+from repro.serving import AnnotationEngine, EngineConfig
 
 from common import (
     SMOKE,
@@ -191,19 +192,22 @@ def run_experiment():
             )
         )
 
-    # Byte-identity spot check: a planned probe of pair set S must match an
-    # explicit request for S exactly (same floats, not just same argmax).
-    planner = ProbePlanner(ProbeBudget(max_pairs=12))
-    spot_pairs = planner.plan_pairs(tables[0])
-    planned_raw = trainer.annotate_batch([tables[0]], probe_planner=planner)[0]
-    explicit_raw = trainer.annotate_batch(
-        [tables[0]], pair_requests=[spot_pairs]
-    )[0]
-    assert planned_raw.probed_pairs == explicit_raw.probed_pairs == spot_pairs
-    byte_identical = all(
-        np.array_equal(planned_raw.relation_probs[p], explicit_raw.relation_probs[p])
-        for p in spot_pairs
-    ) and np.array_equal(planned_raw.type_probs, explicit_raw.type_probs)
+    # Byte-identity spot check: what a planned engine answers a pairs=None
+    # request with must match an explicit request for the planned pair set
+    # exactly (same floats, not just same argmax).
+    planned = AnnotationEngine(
+        trainer, EngineConfig(probe_mode="planned", probe_budget=12)
+    ).annotate(tables[0]).annotated
+    spot_pairs = ProbePlanner(ProbeBudget(max_pairs=12)).plan_pairs(tables[0])
+    explicit = AnnotationEngine(trainer).annotate(
+        tables[0], pairs=spot_pairs
+    ).annotated
+    assert planned.requested_pairs == explicit.requested_pairs == spot_pairs
+    byte_identical = (
+        planned.colrels == explicit.colrels
+        and planned.type_scores == explicit.type_scores
+        and np.array_equal(planned.colemb, explicit.colemb)
+    )
     assert byte_identical
 
     rows = []

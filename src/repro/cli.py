@@ -306,12 +306,22 @@ def _annotate_jsonl_batch(annotator: Doduo, args: argparse.Namespace) -> int:
     Tables are streamed lazily from the file (one chunk in memory at a
     time), so arbitrarily large corpora can be served.
     """
-    from .serving import AnnotationEngine, AnnotationOptions, EngineConfig
-
-    engine = AnnotationEngine(
-        annotator.trainer,
-        EngineConfig(cache_dir=args.cache_dir, **_engine_kwargs(args)),
+    from .serving import (
+        AnnotationEngine,
+        AnnotationOptions,
+        EngineConfig,
+        store_directory,
     )
+
+    config = EngineConfig(**_engine_kwargs(args))
+    if args.cache_dir is not None:
+        # Answers `repro serve` stored here are found where it put them
+        # (its registry's per-fingerprint sub-directory); a new directory
+        # gets this command's flat layout, which `serve` honours in turn.
+        fingerprint = AnnotationEngine(annotator.trainer, config).model_fingerprint
+        directory = store_directory(args.cache_dir, fingerprint) or args.cache_dir
+        config = replace(config, cache_dir=str(directory))
+    engine = AnnotationEngine(annotator.trainer, config)
     options = AnnotationOptions(
         with_embeddings=args.embeddings,
         top_k=3 if args.top_k is None else args.top_k,
@@ -514,8 +524,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         EngineConfig,
         ModelRegistry,
         QueueConfig,
-        is_cache_directory,
         protocol,
+        store_directory,
     )
 
     probe_error = _probe_args_error(args)
@@ -548,7 +558,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     flat_cache = (
         args.cache_dir is not None
         and len(specs) == 1
-        and is_cache_directory(args.cache_dir)
+        and store_directory(args.cache_dir) is not None
     )
     engine_config = EngineConfig(**_engine_kwargs(args))
     registry = ModelRegistry(

@@ -169,9 +169,10 @@ class Doduo:
     ) -> List[AnnotatedTable]:
         """Annotate several tables as one engine batch.
 
-        The engine composes exact width buckets (:mod:`repro.encoding`), so
+        Every sequence keeps the width it would have alone inside one
+        padding-free pass per chunk (:mod:`repro.core.inference`), so
         batched outputs are bitwise identical to per-table :meth:`annotate`
-        calls while same-width tables share forward passes.
+        calls while tables of any widths share forward passes.
         """
         from ..serving import AnnotationOptions  # deferred: serving imports core
 

@@ -190,6 +190,8 @@ class InferenceSession:
         self.model = model
         self.dtype = dtype
         self._np_dtype = np.dtype(dtype)
+        # DoduoModel.inference_session swaps the model's kept bitwise
+        # verdicts in for this workspace's fresh proof cache.
         self.workspace = Workspace()
         self._sources: List[Tuple[object, np.ndarray]] = []
         # When set to a list, _forward appends a copy of every block's

@@ -9,11 +9,11 @@ the same encoder — the hard parameter sharing of the multi-task setup.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..encoding.planner import BatchPlanner
 from ..nn import (
     Embedding,
     Linear,
@@ -24,6 +24,7 @@ from ..nn import (
     concatenate,
 )
 from ..nn import functional as F
+from ..nn.kernels import ProofCache
 from .inference import (
     QUANTIZED_DTYPES,
     InferenceSession,
@@ -62,31 +63,14 @@ def activation_probs(logits: np.ndarray, multi_label: bool) -> np.ndarray:
     """Turn raw logits into probabilities: sigmoid scores in multi-label
     mode, a softmax distribution otherwise.
 
-    Shared by every inference entry point so that single-pass and legacy
-    multi-pass paths produce bitwise-identical probabilities from the same
-    logits.
+    Shared by every inference entry point, so the same logits give
+    bitwise-identical probabilities wherever they are read.
     """
     if multi_label:
         return 1.0 / (1.0 + np.exp(-logits))
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
-
-
-@dataclass
-class FullForward:
-    """Everything one encoder pass yields for a batch of encoded inputs.
-
-    ``type_logits`` and ``embeddings`` are row-aligned with the flattened
-    column order (item 0 col 0, item 0 col 1, ..., item 1 col 0, ...);
-    ``relation_logits`` is row-aligned with the ``pairs`` argument of
-    :meth:`DoduoModel.forward_full`.
-    """
-
-    type_logits: Optional[np.ndarray]
-    relation_logits: Optional[np.ndarray]
-    embeddings: Optional[np.ndarray]
-    columns_per_item: Tuple[int, ...]
 
 
 class DoduoModel(Module):
@@ -143,6 +127,13 @@ class DoduoModel(Module):
         # dtype.  The leading underscore keeps ``named_parameters`` and the
         # mode walker from descending into them.
         self._sessions: Dict[str, InferenceSession] = {}
+        # Bitwise proof verdicts of the float sessions, per compute dtype.
+        # They are a property of the BLAS build and the shapes, not of the
+        # weights (see repro.nn.kernels), so they outlive a session rebuild:
+        # per-epoch validation would otherwise re-prove the same keys every
+        # epoch.  The int8 gate's records *are* weight-dependent and stay
+        # in, and die with, their session's own cache.
+        self._proofs: Dict[str, ProofCache] = {}
 
     # -- identity ----------------------------------------------------------------
     def fingerprint(self) -> str:
@@ -195,7 +186,9 @@ class DoduoModel(Module):
         packed-QKV or float64 weight copy.  In-place mutation outside the
         training loop must call :meth:`invalidate_sessions` — the same
         contract ``Trainer.invalidate_fingerprint`` imposes for the result
-        caches.
+        caches.  A rebuilt float session inherits the model's bitwise proof
+        verdicts (shape properties); an int8 session starts its accuracy
+        gate (a weight property) from scratch.
         """
         session = self._sessions.get(dtype)
         if session is None or session.stale():
@@ -203,6 +196,9 @@ class DoduoModel(Module):
                 session = QuantizedInferenceSession(self)
             else:
                 session = InferenceSession(self, dtype)
+                session.workspace.proofs = self._proofs.setdefault(
+                    dtype, session.workspace.proofs
+                )
             self._sessions[dtype] = session
         return session
 
@@ -317,145 +313,64 @@ class DoduoModel(Module):
         return self.relation_head(pair_embedding)
 
     # -- single-pass inference ---------------------------------------------------
-    def forward_full(
+    def encode_states(
         self,
         encoded: Sequence[EncodedTable],
-        pairs: Optional[Sequence[Tuple[int, int, int]]] = None,
-        with_types: bool = True,
-        with_embeddings: bool = True,
-        head_groups: Optional[Sequence[Sequence[int]]] = None,
+        widths: Sequence[int],
         kernels: Optional[str] = None,
         compute_dtype: str = "float32",
-        widths: Optional[Sequence[int]] = None,
-    ) -> FullForward:
-        """Run the encoder **once** and derive every inference product.
+    ) -> Tuple[np.ndarray, Optional[InferenceSession]]:
+        """Encode ``encoded`` — sequence ``k`` at exactly ``widths[k]`` — and
+        return ``(cls_states, session)``.
 
-        The legacy ``predict_types`` → ``predict_type_probs`` → relation probe
-        → ``column_embeddings`` path re-encodes the same serialized tables up
-        to four times; this method reads type logits, relation logits for
-        ``pairs`` (``(batch_index, col_i, col_j)`` triples), and the ``[CLS]``
-        column embeddings from one set of hidden states.  Each product is
-        computed with exactly the same operations as its dedicated entry
-        point, so the outputs are bitwise identical to the multi-pass path
-        for the same batch composition.
+        ``cls_states`` is ``(total columns, dim)``: every sequence's
+        ``[CLS]`` states in item order, a fresh array.  Each sequence gets
+        the width it would have alone, which is the first half of the
+        batched==sequential byte-identity contract (the second — one head
+        GEMM chain per table — is the caller's,
+        :meth:`DoduoTrainer.annotate_batch
+        <repro.core.trainer.DoduoTrainer.annotate_batch>`).
 
-        ``head_groups`` partitions the items into head-application units
-        (default: one unit spanning the whole batch).  BLAS kernels select
-        differently blocked code paths by matrix row count, so the *number
-        of rows* fed to a head GEMM perturbs float32 results at the ulp
-        level even though each row's math is independent.  The trainer
-        passes one group per table, making every head GEMM's row count a
-        function of that table alone — this is the second half of the
-        batched==sequential byte-identity contract; the first is that every
-        sequence is encoded at the width it would have alone.
+        This is the one place a (``kernels``, ``compute_dtype``) request
+        becomes a forward implementation.  ``"fast"`` (the default, model in
+        eval mode) is an :class:`InferenceSession`, which mixes the widths
+        inside **one** padding-free pass; ``"reference"`` is the autograd
+        Tensor path, which can only pad a batch to one width, so it runs one
+        padded pass per distinct width (exact buckets,
+        :class:`~repro.encoding.planner.BatchPlanner`) and scatters the
+        states back to item order.  Both produce identical bytes — the
+        session replays the reference operation sequence and proof-gates
+        every shape-dependent fusion — so the choice is purely a speed knob;
+        ``tests/test_kernel_identity`` enforces the equality.
+        ``compute_dtype`` is the precision of the fast path; anything other
+        than ``"float32"`` requires it (the Tensor path has no dtype
+        policy).
 
-        ``widths`` gives that width per item; a session mixes them inside
-        one pass.  ``None`` pads the batch jointly to its longest item,
-        which is all the Tensor path can do — its caller keeps exact width
-        buckets (:meth:`DoduoTrainer.annotate_batch
-        <repro.core.trainer.DoduoTrainer.annotate_batch>`) and hands it
-        one width per call.
-
-        ``kernels`` selects the forward implementation: ``"fast"`` (the
-        default) uses the no-tape :class:`InferenceSession` when the model
-        is in eval mode, ``"reference"`` forces the autograd Tensor path.
-        Both produce identical bytes — the session replays the reference
-        operation sequence and proof-gates every shape-dependent fusion —
-        so the choice is purely a speed knob; ``tests/test_kernel_identity``
-        enforces the equality.  ``compute_dtype`` is the activation/weight
-        precision of the fast path; anything other than ``"float32"``
-        requires it (the Tensor path has no dtype policy).
+        ``session`` (``None`` on the Tensor path) is what the heads must be
+        applied through (:meth:`apply_type_head` /
+        :meth:`apply_relation_head`); read its ``merge_head_groups`` only
+        *after* this call — the int8 calibration pass runs inside it, and a
+        failed gate flips the flag off.  No sequences, no pass.
         """
         session = self._resolve_session(kernels, compute_dtype)
+        if not encoded:
+            dtype = np.float64 if compute_dtype == "float64" else np.float32
+            return np.empty((0, self.config.hidden_dim), dtype=dtype), session
         if session is not None:
-            hidden_data, locations = session.encode_batch(encoded, width=widths)
-        else:
-            if widths is not None and len(set(widths)) > 1:
-                raise ValueError(
-                    "the Tensor path pads a batch to one width; mixed "
-                    f"widths {sorted(set(widths))} need a session"
-                )
+            hidden, locations = session.encode_batch(encoded, width=widths)
+            return gather_states(hidden, locations), session
+        starts = np.concatenate([[0], np.cumsum([e.num_columns for e in encoded])])
+        parts, rows = [], []
+        for bucket in BatchPlanner(batch_size=len(encoded)).plan(widths):
             hidden, cls_at = self.encode_batch(
-                encoded, width=widths[0] if widths else None
+                [encoded[k] for k in bucket], width=widths[bucket[0]]
             )
-            hidden_data = hidden.data
-            locations = cls_at[:, 0] * hidden_data.shape[1] + cls_at[:, 1]
-        column_embeddings = gather_states(hidden_data, locations)
-        counts = [e.num_columns for e in encoded]
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        if head_groups is None:
-            head_groups = [list(range(len(encoded)))]
-        elif getattr(session, "merge_head_groups", False):
-            # Accuracy-gated sessions (int8) trade the per-group row-count
-            # contract away behind their drift gate, which licenses one
-            # pass-wide head GEMM chain instead of a chain per table.
-            # Checked after encode_batch on purpose: the int8 calibration
-            # pass runs there, and a failed gate flips this off so the
-            # float32 fallback keeps reference per-group behavior.
-            head_groups = [[i for group in head_groups for i in group]]
-        type_logits: Optional[np.ndarray] = None
-        if with_types:
-            embeddings_data = column_embeddings
-            parts: list = [None] * len(head_groups)
-            row_sets: list = [None] * len(head_groups)
-            for g, group in enumerate(head_groups):
-                rows = np.concatenate(
-                    [np.arange(offsets[i], offsets[i] + counts[i]) for i in group]
-                ) if group else np.empty(0, dtype=np.int64)
-                row_sets[g] = rows
-                parts[g] = (
-                    self.apply_type_head(embeddings_data[rows], session)
-                    if len(rows)
-                    else None
-                )
-            num_types = self.type_head.out.out_features
-            type_logits = np.empty(
-                (int(offsets[-1]), num_types), dtype=embeddings_data.dtype
-            )
-            for rows, part in zip(row_sets, parts):
-                if part is not None:
-                    type_logits[rows] = part
-        relation_logits: Optional[np.ndarray] = None
-        if pairs:
-            if self.relation_head is None:
-                raise RuntimeError("model was built without a relation head")
-            item_to_group = {}
-            for g, group in enumerate(head_groups):
-                for i in group:
-                    item_to_group[i] = g
-            positions_by_group: Dict[int, list] = {}
-            for position, (batch_index, _i, _j) in enumerate(pairs):
-                positions_by_group.setdefault(
-                    item_to_group[batch_index], []
-                ).append(position)
-            num_relations = self.relation_head.out.out_features
-            relation_logits = np.empty(
-                (len(pairs), num_relations), dtype=hidden_data.dtype
-            )
-            for batch_index, i, j in pairs:
-                if not (0 <= i < counts[batch_index] and 0 <= j < counts[batch_index]):
-                    raise IndexError(
-                        f"pair ({i}, {j}) is out of range for item {batch_index} "
-                        f"with {counts[batch_index]} columns"
-                    )
-            for positions in positions_by_group.values():
-                # A column's state is its row of the gathered [CLS] matrix.
-                rows_i = [offsets[pairs[p][0]] + pairs[p][1] for p in positions]
-                rows_j = [offsets[pairs[p][0]] + pairs[p][2] for p in positions]
-                pair_embedding = np.concatenate(
-                    [column_embeddings[rows_i], column_embeddings[rows_j]], axis=-1
-                )
-                relation_logits[positions] = self.apply_relation_head(
-                    pair_embedding, session
-                )
-        return FullForward(
-            type_logits=type_logits,
-            relation_logits=relation_logits,
-            # Fancy indexing already allocated a fresh array; the per-table
-            # slices are copied by the consumer, so no copy is needed here.
-            embeddings=column_embeddings if with_embeddings else None,
-            columns_per_item=tuple(counts),
-        )
+            parts.append(hidden.data[(cls_at[:, 0], cls_at[:, 1])])
+            rows.extend(np.arange(starts[k], starts[k + 1]) for k in bucket)
+        gathered = np.concatenate(parts)
+        states = np.empty_like(gathered)
+        states[np.concatenate(rows)] = gathered
+        return states, None
 
     def _resolve_session(
         self, kernels: Optional[str], compute_dtype: str

@@ -26,18 +26,17 @@ from __future__ import annotations
 import copy
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..datasets.tables import Table, TableDataset
-from ..encoding import BatchPlanner, EncodingPipeline
+from ..encoding import EncodingPipeline
 from ..encoding.cache import column_fingerprint, table_fingerprint
 from ..evaluation.metrics import PRF, multiclass_micro_f1, multilabel_micro_prf
 from ..nn import Adam, LinearDecayScheduler, TransformerConfig
 from ..nn import functional as F
 from ..text import WordPieceTokenizer
-from .inference import gather_states
 from .model import DoduoModel, activation_probs
 from .serialization import EncodedTable, SerializerConfig, TableSerializer
 
@@ -111,6 +110,33 @@ def validate_relation_pairs(
         seen.add(key)
         checked.append(key)
     return checked
+
+
+def decide_labels(
+    probs: np.ndarray, multi_label: bool, threshold: float = 0.5
+) -> np.ndarray:
+    """The decision rule over ``(rows, labels)`` probabilities.
+
+    Multi-label: a boolean indicator matrix — every label at or above
+    ``threshold``, and always the top-scoring one.  Single-label: the argmax
+    label id per row.  Evaluation and serving both decide here.
+    """
+    top = probs.argmax(axis=-1)
+    if not multi_label:
+        return top
+    predictions = probs >= threshold
+    predictions[np.arange(len(probs)), top] = True
+    return predictions
+
+
+def _row_groups(counts: Iterable[int]) -> List[List[int]]:
+    """Consecutive row-index lists of the given lengths, from row 0."""
+    groups: List[List[int]] = []
+    start = 0
+    for count in counts:
+        groups.append(list(range(start, start + count)))
+        start += count
+    return groups
 
 
 @dataclass
@@ -223,9 +249,9 @@ class DoduoTrainer:
         self.dataset = dataset
         self.tokenizer = tokenizer
         # The unified encoding layer: one serializer + one content-hash
-        # cache shared by example preparation, evaluation, the ``predict_*``
-        # entry points, serving (the engine reuses this pipeline by
-        # default), and the analysis modules.
+        # cache shared by example preparation, ``annotate_batch`` (so
+        # evaluation and serving — the engine reuses this pipeline by
+        # default) and the analysis modules.
         self.encoding = EncodingPipeline(
             TableSerializer(
                 tokenizer,
@@ -457,159 +483,67 @@ class DoduoTrainer:
     # ------------------------------------------------------------------
     # Prediction and evaluation
     # ------------------------------------------------------------------
-    def _predict_multilabel(self, probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-        predictions = probs >= threshold
-        # Guarantee at least the top-scoring label per sample.
-        top = probs.argmax(axis=-1)
-        predictions[np.arange(len(probs)), top] = True
-        return predictions
+    def _annotate_gold(
+        self, tables: Sequence[Table], with_relations: bool = True
+    ) -> List[RawTableAnnotation]:
+        """:meth:`annotate_batch` over chunks of ``config.batch_size``,
+        probing exactly each table's gold pairs — never the
+        :func:`default_relation_pairs` fallback, which would pay for pairs
+        no metric reads.  Evaluation is this view of the serving pass, so
+        the paper's numbers and a served answer come from the same lines.
+        """
+        size = max(1, self.config.batch_size)
+        raw: List[RawTableAnnotation] = []
+        for start in range(0, len(tables), size):
+            chunk = tables[start:start + size]
+            raw.extend(
+                self.annotate_batch(
+                    chunk,
+                    pair_requests=[sorted(t.relation_labels) for t in chunk],
+                    with_embeddings=False,
+                    with_relations=with_relations,
+                )
+            )
+        return raw
+
+    def _decide_relations(
+        self, raw: RawTableAnnotation
+    ) -> Dict[Tuple[int, int], np.ndarray]:
+        multi_label = self.config.multi_label
+        return {
+            pair: np.asarray(decide_labels(probs[None], multi_label)[0])
+            for pair, probs in raw.relation_probs.items()
+        }
 
     def predict_types(self, tables: Sequence[Table]) -> List[np.ndarray]:
         """Per-table type predictions.
 
         Multi-label mode returns boolean indicator matrices
         ``(num_cols, num_types)``; single-label mode returns int arrays.
-
-        Batches are composed on exact serialized-width boundaries (see
-        :class:`~repro.encoding.BatchPlanner`): tables only share a forward
-        pass when they dictate the same padded width, so batch predictions
-        are byte-identical to per-table calls and no token slot is wasted
-        on cross-table padding.
+        Batch predictions are byte-identical to per-table calls
+        (:meth:`annotate_batch`'s contract).
         """
-        self.model.eval()
-        items = [self.encoding.encode(t) for t in tables]
-        planner = BatchPlanner(batch_size=max(1, self.config.batch_size))
-        signatures = [(self.encoding.annotation_width(item),) for item in items]
-        results: List[Optional[np.ndarray]] = [None] * len(tables)
-        for group in planner.plan(signatures):
-            if self.config.single_column:
-                encoded: List[EncodedTable] = []
-                head_groups: List[List[int]] = []
-                for i in group:
-                    start = len(encoded)
-                    encoded.extend(items[i])
-                    head_groups.append(list(range(start, len(encoded))))
-            else:
-                encoded = [items[i] for i in group]
-                head_groups = [[k] for k in range(len(group))]
-            out = self.model.forward_full(
-                encoded, with_embeddings=False, head_groups=head_groups
-            )
-            probs = activation_probs(out.type_logits, self.config.multi_label)
-            offset = 0
-            for i in group:
-                num_cols = tables[i].num_columns
-                rows = probs[offset:offset + num_cols]
-                offset += num_cols
-                if self.config.multi_label:
-                    results[i] = self._predict_multilabel(rows)
-                else:
-                    results[i] = rows.argmax(axis=-1)
-        return results  # type: ignore[return-value]
+        return [
+            decide_labels(raw.type_probs, self.config.multi_label)
+            for raw in self._annotate_gold(tables, with_relations=False)
+        ]
 
     def predict_relations(
-        self,
-        tables: Sequence[Table],
-        probe_planner: Optional["ProbePlanner"] = None,
+        self, tables: Sequence[Table]
     ) -> List[Dict[Tuple[int, int], np.ndarray]]:
-        """Per-table relation predictions for each annotated column pair.
+        """Per-table relation predictions for each annotated column pair
+        (``{}`` for a table without gold pairs, which costs no encoding).
 
-        Batched like :meth:`predict_types`: tables are composed into exact
-        width buckets (:class:`~repro.encoding.BatchPlanner`) and run
-        through :meth:`DoduoModel.forward_full` with one head group per
-        table, so same-width tables share encoder passes while every
-        prediction stays byte-identical to a per-table call — the
-        evaluation path carries the same batched-vs-sequential stability
-        contract as serving.
-
-        ``probe_planner`` (a :class:`~repro.core.probe.ProbePlanner`)
-        switches from probing each table's gold pairs to probing the
-        planner's budgeted pair set — evaluation under a probe budget.
-        Gold pairs are pinned by the planner, so labeled tables keep every
-        annotated pair in the probe set.
+        To evaluate under a probe budget instead, hand
+        :meth:`annotate_batch` ``pair_requests=[planner.plan_pairs(t)]``:
+        the planner pins gold pairs, so labeled tables keep every annotated
+        pair in the probe set.
         """
-        self.model.eval()
-        results: List[Dict[Tuple[int, int], np.ndarray]] = [
-            {} for _ in tables
+        raw = iter(self._annotate_gold([t for t in tables if t.relation_labels]))
+        return [
+            self._decide_relations(next(raw)) if t.relation_labels else {}
+            for t in tables
         ]
-        if probe_planner is None:
-            pairs_per_table = [sorted(t.relation_labels) for t in tables]
-        else:
-            pairs_per_table = [probe_planner.plan_pairs(t) for t in tables]
-        active = [i for i, pairs in enumerate(pairs_per_table) if pairs]
-        if not active:
-            return results
-        planner = BatchPlanner(batch_size=max(1, self.config.batch_size))
-        if self.config.single_column:
-            encoded_pairs = {
-                i: [
-                    self.encoding.encode_pair(tables[i], a, b)
-                    for a, b in pairs_per_table[i]
-                ]
-                for i in active
-            }
-            # The pass over one table's pair sequences pads to that table's
-            # widest pair — the width its solo pass would use.
-            signatures = [
-                (max(e.length for e in encoded_pairs[i]),) for i in active
-            ]
-            for group in planner.plan(signatures):
-                chunk = [active[k] for k in group]
-                flat: List[EncodedTable] = []
-                head_groups: List[List[int]] = []
-                for i in chunk:
-                    start = len(flat)
-                    flat.extend(encoded_pairs[i])
-                    head_groups.append(list(range(start, len(flat))))
-                out = self.model.forward_full(
-                    flat,
-                    pairs=[(k, 0, 1) for k in range(len(flat))],
-                    with_types=False,
-                    with_embeddings=False,
-                    head_groups=head_groups,
-                )
-                probs = activation_probs(
-                    out.relation_logits, self.config.multi_label
-                )
-                offset = 0
-                for i in chunk:
-                    for pair in pairs_per_table[i]:
-                        results[i][pair] = self._decide_relation(probs[offset])
-                        offset += 1
-        else:
-            encoded = {i: self.encoding.encode_table(tables[i]) for i in active}
-            signatures = [(encoded[i].length,) for i in active]
-            for group in planner.plan(signatures):
-                chunk = [active[k] for k in group]
-                flat_pairs = [
-                    (b, col_i, col_j)
-                    for b, i in enumerate(chunk)
-                    for (col_i, col_j) in pairs_per_table[i]
-                ]
-                out = self.model.forward_full(
-                    [encoded[i] for i in chunk],
-                    pairs=flat_pairs,
-                    with_types=False,
-                    with_embeddings=False,
-                    # One head group per table: relation-head GEMM row
-                    # counts depend on that table alone (byte identity).
-                    head_groups=[[b] for b in range(len(chunk))],
-                )
-                probs = activation_probs(
-                    out.relation_logits, self.config.multi_label
-                )
-                offset = 0
-                for i in chunk:
-                    for pair in pairs_per_table[i]:
-                        results[i][pair] = self._decide_relation(probs[offset])
-                        offset += 1
-        return results
-
-    def _decide_relation(self, probs_row: np.ndarray) -> np.ndarray:
-        """The per-pair decision rule (threshold-or-argmax vs argmax)."""
-        if self.config.multi_label:
-            return self._predict_multilabel(probs_row[None])[0]
-        return np.asarray(probs_row.argmax())
 
     # ------------------------------------------------------------------
     # Single-pass batched annotation (the serving path)
@@ -701,14 +635,6 @@ class DoduoTrainer:
         self._annotation_fingerprints[memo_key] = value
         return value
 
-    def encode_for_annotation(self, table: Table) -> EncodedAnnotationInput:
-        """Serialize ``table`` the way :meth:`annotate_batch` consumes it.
-
-        Reads through the shared encoding pipeline, so repeated annotation
-        of the same content never re-serializes.
-        """
-        return self.encoding.encode(table)
-
     def annotate_batch(
         self,
         tables: Sequence[Table],
@@ -719,37 +645,42 @@ class DoduoTrainer:
         kernels: Optional[str] = None,
         compute_dtype: str = "float32",
         column_cache: Optional["ColumnStateStore"] = None,
-        probe_planner: Optional["ProbePlanner"] = None,
         fingerprints: Optional[Sequence[str]] = None,
         column_fingerprints: Optional[Sequence[Optional[Sequence[str]]]] = None,
     ) -> List[RawTableAnnotation]:
         """Annotate a batch of tables with one encoder pass.
 
-        Types, per-type probabilities, relation probabilities, and column
-        embeddings are all derived from one forward pass
-        (:meth:`DoduoModel.forward_full`) — the legacy ``predict_*`` entry
-        points re-encode the same tables once per product.  Single-column
-        mode needs a second pass for column-pair sequences (they are
-        serialized differently from single columns), but both passes remain
-        batched across the tables.
+        The only place tables become model outputs: serving (the engine,
+        ``Doduo.annotate*``, ``annotate_wide``) and evaluation
+        (:meth:`predict_types`, :meth:`predict_relations`,
+        :meth:`evaluate`, and through it :meth:`train`'s checkpoint
+        selection) all run these lines.  Types, per-type probabilities,
+        relation probabilities, and column embeddings are all read from one
+        matrix of ``[CLS]`` states (:meth:`DoduoModel.encode_states`).
+        Single-column mode needs a second pass for column-pair sequences
+        (they are serialized differently from single columns), but both
+        passes remain batched across the tables.
 
         Every sequence is encoded at exactly the width its table dictates
-        alone, so every result is **byte-identical** to annotating its table
-        alone — batching changes cost, never bytes.  On a session (the fast
-        path, any precision) that costs nothing: it mixes widths inside one
+        alone (:meth:`EncodingPipeline.annotation_signature
+        <repro.encoding.pipeline.EncodingPipeline.annotation_signature>`),
+        and every head GEMM chain runs over one table's rows, so every
+        result is **byte-identical** to annotating its table alone —
+        batching changes cost, never bytes.  On a session (the fast path,
+        any precision) that costs nothing: it mixes widths inside one
         padding-free pass (:mod:`repro.core.inference`).  The Tensor path
         (``kernels="reference"``, the oracle) can only pad a batch to one
-        width, so for it the tables are first split into exact width
-        buckets (:class:`~repro.encoding.BatchPlanner`), one pass per
-        bucket.
+        width, so there ``encode_states`` runs one pass per distinct width.
 
         ``encoded`` lets callers (the serving engine's cache) supply
         pre-serialized inputs; ``pair_requests`` overrides the probed column
         pairs per table (``None`` entries fall back to
-        :func:`default_relation_pairs`).
+        :func:`default_relation_pairs`).  A probe planner plugs in here:
+        ``pair_requests=[planner.plan_pairs(table)]`` — planning changes
+        *which* pairs are paid for, never the bytes of a probed pair.
 
         ``kernels``/``compute_dtype`` select the forward implementation and
-        precision (see :meth:`DoduoModel.forward_full`).  ``column_cache``
+        precision (see :meth:`DoduoModel.encode_states`).  ``column_cache``
         enables column-level content addressing in single-column mode: an
         object with ``lookup(fingerprint, width)`` / ``store(fingerprint,
         width, state)`` (the serving :class:`~repro.serving.ColumnCache`)
@@ -757,16 +688,6 @@ class DoduoTrainer:
         same padded width — in any prior table; it is ignored in table-wise
         mode, where cross-column attention makes per-column states
         context-dependent and therefore unsound to share.
-
-        ``probe_planner`` (a :class:`~repro.core.probe.ProbePlanner`, or
-        anything with ``plan_pairs(table)``) replaces the
-        :func:`default_relation_pairs` policy for tables whose
-        ``pair_requests`` entry is ``None``: the planner's budgeted,
-        prefilter-pruned pair set is probed instead of the exhaustive
-        default.  Explicit pair requests always bypass the planner, and a
-        planned probe of pair set S is byte-identical to explicitly
-        requesting S — planning changes *which* pairs are paid for, never
-        the bytes of a probed pair.
 
         ``fingerprints`` are the tables' content fingerprints
         (:func:`~repro.encoding.cache.table_fingerprint`) when the caller
@@ -788,10 +709,11 @@ class DoduoTrainer:
             )
         if not tables:
             return []
-        self.model.eval()
+        model = self.model
+        model.eval()
         if encoded is None:
-            encoded = [self.encode_for_annotation(t) for t in tables]
-        can_relate = with_relations and self.model.relation_head is not None
+            encoded = [self.encoding.encode(t) for t in tables]
+        can_relate = with_relations and model.relation_head is not None
         pairs_per_table: List[List[Tuple[int, int]]] = []
         for index, table in enumerate(tables):
             requested = pair_requests[index] if pair_requests else None
@@ -806,214 +728,135 @@ class DoduoTrainer:
                     )
                 pairs_per_table.append([])
             elif requested is None:
-                if probe_planner is not None:
-                    pairs_per_table.append(
-                        validate_relation_pairs(
-                            table, probe_planner.plan_pairs(table)
-                        )
-                    )
-                else:
-                    pairs_per_table.append(default_relation_pairs(table))
+                pairs_per_table.append(default_relation_pairs(table))
             else:
                 pairs_per_table.append(validate_relation_pairs(table, requested))
         signatures = [
             self.encoding.annotation_signature(item, pairs)
             for item, pairs in zip(encoded, pairs_per_table)
         ]
-        if self.model._resolve_session(kernels, compute_dtype) is not None:
-            # One pass whatever the widths: each table's sequences keep the
-            # width its signature dictates.
-            groups = [list(range(len(tables)))]
+
+        # Column states: one row per column, the tables end to end.  A
+        # table-wise sequence yields all of its table's rows; a single-column
+        # table's sequences (a row each) all pad to its widest column.
+        single_column = self.config.single_column
+        if single_column:
+            sequences = [sequence for item in encoded for sequence in item]
+            widths = [w for (w, _), item in zip(signatures, encoded) for _ in item]
         else:
-            # The Tensor path pads a batch to one width, so only tables
-            # dictating identical widths may share a pass.
-            groups = BatchPlanner(batch_size=len(tables)).plan(signatures)
-
-        def of(values: Optional[Sequence], group: Sequence[int]):
-            """The group's slice of an optional per-table argument."""
-            return [values[i] for i in group] if values else None
-
-        results: List[Optional[RawTableAnnotation]] = [None] * len(tables)
-        for group in groups:
-            group_results = self._annotate_bucket(
-                [tables[i] for i in group],
-                [encoded[i] for i in group],
-                [pairs_per_table[i] for i in group],
-                [signatures[i] for i in group],
-                with_embeddings,
-                kernels=kernels,
-                compute_dtype=compute_dtype,
-                column_cache=column_cache,
-                fingerprints=of(fingerprints, group),
-                column_fingerprints=of(column_fingerprints, group),
+            sequences = list(encoded)
+            widths = [w for w, _ in signatures]
+        if single_column and column_cache is not None and sequences:
+            states, session = self._column_states(
+                tables, sequences, widths, column_cache, column_fingerprints,
+                kernels, compute_dtype,
             )
-            for i, annotation in zip(group, group_results):
-                results[i] = annotation
-        return results  # type: ignore[return-value]
-
-    def _annotate_bucket(
-        self,
-        tables: Sequence[Table],
-        encoded: Sequence[EncodedAnnotationInput],
-        pairs_per_table: Sequence[List[Tuple[int, int]]],
-        signatures: Sequence[Tuple[int, int]],
-        with_embeddings: bool,
-        kernels: Optional[str] = None,
-        compute_dtype: str = "float32",
-        column_cache: Optional["ColumnStateStore"] = None,
-        fingerprints: Optional[Sequence[str]] = None,
-        column_fingerprints: Optional[Sequence[Optional[Sequence[str]]]] = None,
-    ) -> List[RawTableAnnotation]:
-        """Annotate tables that share passes: one pass, or two in
-        single-column mode (columns, then column pairs).
-
-        ``signatures`` are the tables' width signatures: every sequence is
-        encoded at its own table's width.
-        """
-        if self.config.single_column:
-            return self._annotate_batch_single_column(
-                tables,
-                encoded,
-                pairs_per_table,
-                signatures,
-                with_embeddings,
-                kernels=kernels,
-                compute_dtype=compute_dtype,
-                column_cache=column_cache,
-                fingerprints=fingerprints,
-                column_fingerprints=column_fingerprints,
-            )
-        flat_pairs = [
-            (b, i, j)
-            for b, pairs in enumerate(pairs_per_table)
-            for (i, j) in pairs
-        ]
-        out = self.model.forward_full(
-            list(encoded),
-            pairs=flat_pairs or None,
-            with_embeddings=with_embeddings,
-            # One head group per table: every head GEMM's row count depends
-            # on that table alone, keeping batched outputs byte-identical
-            # to single-table passes (see DoduoModel.forward_full).
-            head_groups=[[b] for b in range(len(tables))],
-            kernels=kernels,
-            compute_dtype=compute_dtype,
-            widths=[width for width, _ in signatures],
-        )
-        type_probs = activation_probs(out.type_logits, self.config.multi_label)
-        relation_probs = (
-            activation_probs(out.relation_logits, self.config.multi_label)
-            if out.relation_logits is not None
-            else None
-        )
-        return self._assemble_annotations(
-            tables, pairs_per_table, type_probs, relation_probs, out.embeddings
-        )
-
-    def _annotate_batch_single_column(
-        self,
-        tables: Sequence[Table],
-        encoded: Sequence[EncodedAnnotationInput],
-        pairs_per_table: Sequence[List[Tuple[int, int]]],
-        signatures: Sequence[Tuple[int, int]],
-        with_embeddings: bool,
-        kernels: Optional[str] = None,
-        compute_dtype: str = "float32",
-        column_cache: Optional["ColumnStateStore"] = None,
-        fingerprints: Optional[Sequence[str]] = None,
-        column_fingerprints: Optional[Sequence[Optional[Sequence[str]]]] = None,
-    ) -> List[RawTableAnnotation]:
-        """Single-column mode: one pass over columns, one over column pairs."""
-        flat_columns: List[EncodedTable] = []
-        column_groups: List[List[int]] = []
-        for item in encoded:
-            start = len(flat_columns)
-            flat_columns.extend(item)
-            column_groups.append(list(range(start, len(flat_columns))))
-        # A table's column sequences all pad to its widest column, its pair
-        # sequences to its widest pair — the two halves of its signature.
-        column_widths = [
-            width for (width, _), item in zip(signatures, encoded) for _ in item
-        ]
-        pair_widths = [
-            width
-            for (_, width), pairs in zip(signatures, pairs_per_table)
-            for _ in pairs
-        ]
-        if column_cache is not None and flat_columns:
-            type_probs, embeddings = self._annotate_columns_cached(
-                tables,
-                flat_columns,
-                column_groups,
-                column_cache,
-                kernels,
-                compute_dtype,
-                column_widths,
-                column_fingerprints,
-            )
-            if not with_embeddings:
-                embeddings = None
         else:
-            out = self.model.forward_full(
-                flat_columns,
-                with_embeddings=with_embeddings,
-                # Heads run per table (its columns / its pairs), so their
-                # GEMM row counts — and therefore their bytes — never
-                # depend on which other tables share the batch.
-                head_groups=column_groups,
-                kernels=kernels,
-                compute_dtype=compute_dtype,
-                widths=column_widths,
+            states, session = model.encode_states(
+                sequences, widths, kernels, compute_dtype
             )
-            type_probs = activation_probs(out.type_logits, self.config.multi_label)
-            embeddings = out.embeddings
-        pair_encoded: List[EncodedTable] = []
-        pair_groups: List[List[int]] = []
-        for index, (table, pairs) in enumerate(zip(tables, pairs_per_table)):
-            if not pairs:
-                continue
-            start = len(pair_encoded)
-            # One walk over the cells per table, not one per pair.
-            fingerprint = (
-                fingerprints[index] if fingerprints else table_fingerprint(table)
+        column_rows = _row_groups(table.num_columns for table in tables)
+
+        # Relation inputs: per probed pair, the two state rows the head
+        # concatenates.  Table-wise they are rows of the column states (pair
+        # logits cost no encoding).  A single-column pair is its own
+        # two-column sequence, padded to its table's widest pair and encoded
+        # in a second pass: rows 2k and 2k + 1 of that pass's states.
+        pair_rows = _row_groups(len(pairs) for pairs in pairs_per_table)
+        pair_states = states
+        if single_column:
+            pair_sequences: List[EncodedTable] = []
+            pair_widths: List[int] = []
+            for index, (table, pairs) in enumerate(zip(tables, pairs_per_table)):
+                if not pairs:
+                    continue
+                # One walk over the cells per table, not one per pair.
+                fingerprint = (
+                    fingerprints[index] if fingerprints else table_fingerprint(table)
+                )
+                columns = column_fingerprints[index] if column_fingerprints else None
+                pair_sequences.extend(
+                    self.encoding.encode_pair(table, i, j, fingerprint, columns)
+                    for i, j in pairs
+                )
+                pair_widths.extend([signatures[index][1]] * len(pairs))
+            if pair_sequences:
+                pair_states, session = model.encode_states(
+                    pair_sequences, pair_widths, kernels, compute_dtype
+                )
+            left = np.arange(0, 2 * len(pair_sequences), 2)
+            right = left + 1
+        else:
+            left, right = np.asarray(
+                [
+                    (rows[i], rows[j])
+                    for rows, pairs in zip(column_rows, pairs_per_table)
+                    for i, j in pairs
+                ],
+                dtype=np.int64,
+            ).reshape(-1, 2).T
+
+        # Heads run once per table, over its columns / its pairs: BLAS picks
+        # differently blocked kernels by row count, so only a row count that
+        # depends on that table alone gives it the bytes it gets alone — the
+        # second half of the batched==sequential contract.  An
+        # accuracy-gated session (int8) trades it away behind its drift
+        # gate for one pass-wide chain per head; read only now, after the
+        # encodes, because a failed gate flips it off.
+        merge = getattr(session, "merge_head_groups", False)
+
+        def probabilities(apply, inputs, groups, out_features) -> np.ndarray:
+            if merge:
+                groups = [[row for group in groups for row in group]]
+            logits = np.empty(
+                (sum(map(len, groups)), out_features), dtype=states.dtype
             )
-            columns = column_fingerprints[index] if column_fingerprints else None
-            pair_encoded.extend(
-                self.encoding.encode_pair(table, i, j, fingerprint, columns)
-                for i, j in pairs
-            )
-            pair_groups.append(list(range(start, len(pair_encoded))))
+            for rows in groups:
+                if rows:
+                    logits[rows] = apply(inputs(rows), session)
+            return activation_probs(logits, self.config.multi_label)
+
+        type_probs = probabilities(
+            model.apply_type_head,
+            lambda rows: states[rows],
+            column_rows,
+            model.type_head.out.out_features,
+        )
         relation_probs = None
-        if pair_encoded:
-            pair_out = self.model.forward_full(
-                pair_encoded,
-                pairs=[(k, 0, 1) for k in range(len(pair_encoded))],
-                with_types=False,
-                with_embeddings=False,
-                head_groups=pair_groups,
-                kernels=kernels,
-                compute_dtype=compute_dtype,
-                widths=pair_widths,
+        if len(left):
+            relation_probs = probabilities(
+                model.apply_relation_head,
+                lambda rows: np.concatenate(
+                    [pair_states[left[rows]], pair_states[right[rows]]], axis=-1
+                ),
+                pair_rows,
+                model.relation_head.out.out_features,
             )
-            relation_probs = activation_probs(
-                pair_out.relation_logits, self.config.multi_label
+        return [
+            RawTableAnnotation(
+                type_probs=type_probs[rows],
+                relation_probs={
+                    pair: relation_probs[row] for pair, row in zip(pairs, positions)
+                },
+                probed_pairs=list(pairs),
+                embeddings=states[rows] if with_embeddings else None,
             )
-        return self._assemble_annotations(
-            tables, pairs_per_table, type_probs, relation_probs, embeddings
-        )
+            for rows, pairs, positions in zip(
+                column_rows, pairs_per_table, pair_rows
+            )
+        ]
 
-    def _annotate_columns_cached(
+    def _column_states(
         self,
         tables: Sequence[Table],
-        flat_columns: Sequence[EncodedTable],
-        column_groups: Sequence[List[int]],
+        sequences: Sequence[EncodedTable],
+        widths: Sequence[int],
         column_cache: "ColumnStateStore",
+        column_fingerprints: Optional[Sequence[Optional[Sequence[str]]]],
         kernels: Optional[str],
         compute_dtype: str,
-        widths: Sequence[int],
-        column_fingerprints: Optional[Sequence[Optional[Sequence[str]]]] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Column-pass products served through the content-addressed cache.
+    ) -> Tuple[np.ndarray, Optional["InferenceSession"]]:
+        """:meth:`DoduoModel.encode_states` read through the column store.
 
         Sound only in single-column mode: each column's sequence attends to
         itself alone, and batch-composition independence (the pinned
@@ -1022,18 +865,14 @@ class DoduoTrainer:
         pass would compute.  ``widths`` is that width per column (its
         table's widest column).  Misses are deduplicated by (content, width)
         and encoded in one pass at exactly those widths, so hits and misses
-        share identical geometry; the type head then runs per table over
-        the assembled state matrix — the same per-table GEMM row counts as
-        the uncached path.  Returns ``(type_probs, state_matrix)``; the
-        state matrix is row-aligned with the flattened column order,
-        exactly like ``FullForward.embeddings``.
+        share identical geometry, and the rows come back in the flattened
+        column order of the uncached path.
         """
-        fingerprints: List[str] = []
+        digests: List[str] = []
         for index, table in enumerate(tables):
             known = column_fingerprints[index] if column_fingerprints else None
-            fingerprints.extend(known or map(column_fingerprint, table.columns))
-        keys = list(zip(fingerprints, widths))
-        session = self.model._resolve_session(kernels, compute_dtype)
+            digests.extend(known or map(column_fingerprint, table.columns))
+        keys = list(zip(digests, widths))
         states: List[Optional[np.ndarray]] = [
             column_cache.lookup(*key) for key in keys
         ]
@@ -1041,87 +880,39 @@ class DoduoTrainer:
         for index, state in enumerate(states):
             if state is None:
                 missing.setdefault(keys[index], []).append(index)
-        if missing:
-            firsts = [positions[0] for positions in missing.values()]
-            miss_widths = [widths[i] for i in firsts]
-            if session is not None:
-                hidden, locations = session.encode_batch(
-                    [flat_columns[i] for i in firsts], width=miss_widths
-                )
-                gathered = gather_states(hidden, locations)
-            else:
-                # The Tensor path: one bucket, so one width.
-                tensor, cls_at = self.model.encode_batch(
-                    [flat_columns[i] for i in firsts], width=miss_widths[0]
-                )
-                gathered = tensor.data[(cls_at[:, 0], cls_at[:, 1])]
-            for row, first in enumerate(firsts):
-                state = gathered[row].copy()
-                column_cache.store(*keys[first], state)
-                for index in missing[keys[first]]:
-                    states[index] = state
-        state_matrix = np.stack(states)
-        if getattr(session, "merge_head_groups", False):
-            # Accuracy-gated sessions (int8) are licensed to run one head
-            # GEMM over the whole assembled state matrix instead of one
-            # per table — groups are contiguous ranges in flat order, so
-            # concatenating them preserves row alignment.
-            column_groups = [[i for group in column_groups for i in group]]
-        parts = []
-        for group in column_groups:
-            if group:
-                parts.append(
-                    self.model.apply_type_head(state_matrix[group], session)
-                )
-        num_types = self.model.type_head.out.out_features
-        type_logits = (
-            np.concatenate(parts, axis=0)
-            if parts
-            else np.empty((0, num_types), dtype=state_matrix.dtype)
+        firsts = [positions[0] for positions in missing.values()]
+        fresh, session = self.model.encode_states(
+            [sequences[i] for i in firsts],
+            [widths[i] for i in firsts],
+            kernels,
+            compute_dtype,
         )
-        type_probs = activation_probs(type_logits, self.config.multi_label)
-        return type_probs, state_matrix
-
-    @staticmethod
-    def _assemble_annotations(
-        tables: Sequence[Table],
-        pairs_per_table: Sequence[List[Tuple[int, int]]],
-        type_probs: np.ndarray,
-        relation_probs: Optional[np.ndarray],
-        embeddings: Optional[np.ndarray],
-    ) -> List[RawTableAnnotation]:
-        """Split flat batch outputs back into per-table annotations."""
-        results: List[RawTableAnnotation] = []
-        col_offset = pair_offset = 0
-        for table, pairs in zip(tables, pairs_per_table):
-            num_cols = table.num_columns
-            table_relations: Dict[Tuple[int, int], np.ndarray] = {}
-            for pair in pairs:
-                table_relations[pair] = relation_probs[pair_offset]
-                pair_offset += 1
-            results.append(
-                RawTableAnnotation(
-                    type_probs=type_probs[col_offset:col_offset + num_cols],
-                    relation_probs=table_relations,
-                    probed_pairs=list(pairs),
-                    embeddings=(
-                        embeddings[col_offset:col_offset + num_cols].copy()
-                        if embeddings is not None
-                        else None
-                    ),
-                )
-            )
-            col_offset += num_cols
-        return results
+        for (key, positions), state in zip(missing.items(), fresh):
+            state = state.copy()
+            column_cache.store(*key, state)
+            for index in positions:
+                states[index] = state
+        return np.stack(states), session
 
     def evaluate(self, dataset: TableDataset) -> Dict[str, PRF]:
-        """Micro PRF per task on ``dataset``."""
+        """Micro PRF per task on ``dataset``, every task scored from one
+        sweep of :meth:`annotate_batch` (a table is encoded once, not once
+        per task)."""
+        multi_label = self.config.multi_label
+        score_types = TYPE_TASK in self.config.tasks
+        score_relations = (
+            RELATION_TASK in self.config.tasks and dataset.num_relations > 0
+        )
+        tables = [t for t in dataset.tables if score_types or t.relation_labels]
+        annotations = self._annotate_gold(tables, with_relations=score_relations)
         scores: Dict[str, PRF] = {}
-        if TYPE_TASK in self.config.tasks:
-            predictions = self.predict_types(dataset.tables)
-            if self.config.multi_label:
+        if score_types:
+            predictions = [
+                decide_labels(raw.type_probs, multi_label) for raw in annotations
+            ]
+            if multi_label:
                 y_true = np.concatenate(
-                    [self._indicator_for(table, dataset) for table in dataset.tables], axis=0
+                    [self._indicator_for(table, dataset) for table in tables], axis=0
                 )
                 y_pred = np.concatenate(predictions, axis=0)
                 scores[TYPE_TASK] = multilabel_micro_prf(y_true, y_pred)
@@ -1129,21 +920,21 @@ class DoduoTrainer:
                 y_true = np.concatenate(
                     [
                         [dataset.type_id(col.type_labels[0]) for col in table.columns]
-                        for table in dataset.tables
+                        for table in tables
                     ]
                 )
                 y_pred = np.concatenate(predictions)
                 scores[TYPE_TASK] = multiclass_micro_f1(y_true, y_pred)
-        if RELATION_TASK in self.config.tasks and dataset.num_relations > 0:
-            predictions = self.predict_relations(dataset.tables)
+        if score_relations:
             true_rows, pred_rows = [], []
-            for table, table_pred in zip(dataset.tables, predictions):
+            for table, raw in zip(tables, annotations):
+                table_pred = self._decide_relations(raw)
                 for pair in sorted(table.relation_labels):
                     row = np.zeros(dataset.num_relations, dtype=bool)
                     for name in table.relation_labels[pair]:
                         row[dataset.relation_id(name)] = True
                     true_rows.append(row)
-                    if self.config.multi_label:
+                    if multi_label:
                         pred_rows.append(table_pred[pair])
                     else:
                         one_hot = np.zeros(dataset.num_relations, dtype=bool)

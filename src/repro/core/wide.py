@@ -249,9 +249,10 @@ def annotate_wide(
     original column order.  Relations are predicted within groups only — the
     deliberate trade-off of the paper's splitting recipe.
 
-    All groups go to the annotator's engine as **one** batch, so same-width
-    groups share encoder passes (exact width buckets — bitwise identical to
-    the historical per-group calls).  ``probe_planner`` (a
+    All groups go to the annotator's engine as **one** batch, so groups of
+    any widths share padding-free encoder passes (each at the width it
+    would have alone — bitwise identical to the historical per-group
+    calls).  ``probe_planner`` (a
     :class:`~repro.core.probe.ProbePlanner`) replaces each group's
     exhaustive relation probing with a planned, budgeted pair set; without
     one, every group probes its

@@ -11,14 +11,14 @@ layer re-implements it:
   :func:`table_fingerprint`), so training epochs, repeated evaluations, and
   serving requests all reuse each other's serializations.
 * :class:`BatchPlanner` — exact length bucketing, for the Tensor path,
-  which pads a batch to one width (reference kernels, the evaluation
-  loop): only inputs with equal width signatures share a forward batch,
+  which pads a batch to one width (the reference-kernel oracle): only
+  inputs with equal width signatures share a forward batch,
   which eliminates cross-request padding (zero waste) and makes batched
   annotation **byte-identical** to sequential annotation — the
   jointly-padded ~1e-7 float drift is gone because no sequence is ever
-  padded beyond the width it would use alone.  (Serving keeps that rule
-  without bucketing, at every precision: :mod:`repro.core.inference`
-  mixes widths inside one pass.)
+  padded beyond the width it would use alone.  (Serving and evaluation
+  keep that rule without bucketing, at every precision:
+  :mod:`repro.core.inference` mixes widths inside one pass.)
 * :class:`PaddingReport` — token-level accounting (real vs allocated
   slots) surfaced in ``EngineStats`` and ``TrainingHistory``.
 * :func:`pad_batch` / :func:`pad_token_lists` — the single padding
@@ -26,7 +26,7 @@ layer re-implements it:
   without re-measuring.
 
 Consumers: :class:`repro.core.trainer.DoduoTrainer` (example preparation,
-``annotate_batch``, ``predict_*``), :class:`repro.serving.AnnotationEngine`
+``annotate_batch``), :class:`repro.serving.AnnotationEngine`
 (serialization cache), :mod:`repro.pretrain.mlm`, and
 :mod:`repro.analysis`.
 """

@@ -1,8 +1,8 @@
 """The shared encoding pipeline: serialize → cache → width signatures.
 
 Before this layer existed, the serialize→tokenize→pad→forward recipe was
-re-implemented independently by the trainer (example preparation and the
-``predict_*`` entry points), the serving engine (``_encode_cached``), the
+re-implemented independently by the trainer (example preparation and
+evaluation), the serving engine (``_encode_cached``), the
 pre-trainer, and the analysis modules — with the serialization cache living
 only in serving.  :class:`EncodingPipeline` is the single owner of that
 recipe: one :class:`~repro.core.serialization.TableSerializer`, one
@@ -279,12 +279,12 @@ class EncodingPipeline:
 
         Every sequence of the item must be encoded at exactly these widths
         — the ones it would have used alone — which is what keeps batched
-        annotation byte-identical to sequential annotation.  The float fast
-        path hands them to a pass that mixes widths
-        (``DoduoModel.forward_full(widths=...)``); the paths that pad a
-        batch to one width use the signature as their exact-batching key
-        (:class:`~repro.encoding.planner.BatchPlanner`): two items may
-        share a forward batch iff their signatures are equal.
+        annotation byte-identical to sequential annotation.
+        :meth:`DoduoModel.encode_states
+        <repro.core.model.DoduoModel.encode_states>` is handed them per
+        sequence: a session mixes the widths inside one pass, the Tensor
+        path buckets on them (:class:`~repro.encoding.planner.BatchPlanner`)
+        — two sequences share a padded batch iff their widths are equal.
 
         * Table-wise items run one pass — the signature is the serialized
           length (pair logits are read from the same hidden states, so

@@ -16,13 +16,14 @@ makes batched and sequential annotation byte-identical (verified per BLAS
 slice by the serving equivalence tests).
 
 Who still needs it: the forward path that can only pad a batch to **one**
-width — the autograd Tensor path, i.e. ``kernels="reference"`` (the oracle
-the fast path is tested against) and the trainer's ``predict_*``
-evaluation loop.  Serving keeps the same every-sequence-at-its-own-width
-rule without bucketing, at every precision: an inference session
-concatenates a whole drain into one token-major matrix and mixes widths
-inside one pass (:mod:`repro.core.inference`).  The width signatures this
-planner keys on (:meth:`EncodingPipeline.annotation_signature
+width — the autograd Tensor path, i.e. ``kernels="reference"``, the oracle
+the fast path is tested against (:meth:`DoduoModel.encode_states
+<repro.core.model.DoduoModel.encode_states>` is its one caller).  Serving
+and evaluation keep the same every-sequence-at-its-own-width rule without
+bucketing, at every precision: an inference session concatenates a whole
+drain into one token-major matrix and mixes widths inside one pass
+(:mod:`repro.core.inference`).  The widths this planner keys on
+(:meth:`EncodingPipeline.annotation_signature
 <repro.encoding.pipeline.EncodingPipeline.annotation_signature>`) are what
 tell that pass how wide each sequence is.
 

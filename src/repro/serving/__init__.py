@@ -107,7 +107,7 @@ from .diskcache import (
     result_cache_key,
 )
 from .engine import AnnotationEngine, EngineConfig, EngineStats
-from .fabric import FabricCache, FabricStats, is_cache_directory
+from .fabric import FabricCache, FabricStats, is_cache_directory, store_directory
 from .gateway import AnnotationGateway, GatewayStats
 from .pool import PoolConfig, ServingPool
 from .queue import AnnotationService, EngineWorker, QueueConfig, ServiceStats
@@ -147,5 +147,6 @@ __all__ = [
     "is_cache_directory",
     "protocol",
     "result_cache_key",
+    "store_directory",
     "table_fingerprint",
 ]

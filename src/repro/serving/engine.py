@@ -16,7 +16,8 @@ reports the waste ratio).  A drain is simply cut into chunks of
 inside one padding-free pass (:mod:`repro.core.inference`), so eight
 tables of eight widths cost one pass, not eight, at every precision.
 (``kernels="reference"``, the Tensor-path oracle, can only pad a batch to
-one width: the trainer splits each chunk into exact width buckets for it.)
+one width: ``DoduoModel.encode_states`` runs one pass per distinct width
+of a chunk for it.)
 The pre-encoding-layer policy padded sorted chunks jointly, which
 perturbed float32 BLAS reductions at the ~1e-7 level; that tolerance is
 gone.  Results always come back in request order.
@@ -50,7 +51,7 @@ import numpy as np
 from ..core.annotator import AnnotatedTable
 from ..core.inference import INFERENCE_DTYPES, QUANTIZED_DTYPES
 from ..core.probe import ProbeBudget, ProbePlanner
-from ..core.trainer import DoduoTrainer, RawTableAnnotation
+from ..core.trainer import DoduoTrainer, RawTableAnnotation, decide_labels
 from ..datasets.tables import Table
 from ..encoding import EncodingPipeline, column_fingerprint
 from ..telemetry import Ratio, declare
@@ -720,31 +721,29 @@ class AnnotationEngine:
             if options.score_threshold is not None
             else DEFAULT_DECISION_THRESHOLD
         )
-        coltypes: List[List[str]] = []
-        if multi_label:
-            # The trainer owns the multi-label decision rule
-            # (threshold-or-argmax); reusing it keeps the legacy-parity
-            # guarantee in one place.
-            mask = self.trainer._predict_multilabel(raw.type_probs, threshold)
-            for row in mask:
-                coltypes.append([dataset.type_vocab[k] for k in np.flatnonzero(row)])
-        else:
-            coltypes = [
-                [dataset.type_vocab[int(row.argmax())]] for row in raw.type_probs
-            ]
+
+        def names(decided: np.ndarray, vocab: Sequence[str]) -> List[str]:
+            """Label names of one decision row (a mask, or an argmax id)."""
+            chosen = np.flatnonzero(decided) if multi_label else [int(decided)]
+            return [vocab[k] for k in chosen]
+
+        # The trainer module owns the decision rule (threshold-or-argmax):
+        # evaluation decides with the same function.
+        coltypes = [
+            names(row, dataset.type_vocab)
+            for row in decide_labels(raw.type_probs, multi_label, threshold)
+        ]
         type_scores = [
             self._score_dict(raw.type_probs[c], dataset.type_vocab, options.top_k)
             for c in range(len(raw.type_probs))
         ]
-        colrels: Dict[Tuple[int, int], List[str]] = {}
-        for pair, probs in raw.relation_probs.items():
-            if multi_label:
-                rel_mask = self.trainer._predict_multilabel(probs[None], threshold)[0]
-                colrels[pair] = [
-                    dataset.relation_vocab[k] for k in np.flatnonzero(rel_mask)
-                ]
-            else:
-                colrels[pair] = [dataset.relation_vocab[int(probs.argmax())]]
+        colrels = {
+            pair: names(
+                decide_labels(probs[None], multi_label, threshold)[0],
+                dataset.relation_vocab,
+            )
+            for pair, probs in raw.relation_probs.items()
+        }
         embeddings = raw.embeddings if options.with_embeddings else None
         annotated = AnnotatedTable(
             table=request.table,

@@ -114,12 +114,38 @@ def split_segment_name(path: Path) -> Optional[Tuple[str, int]]:
 
 def is_cache_directory(directory: PathLike) -> bool:
     """Does ``directory`` hold store state — segments, or (fully
-    compacted) only a generation index?  The CLI's one test for "is there
-    a cache here already"."""
+    compacted) only a generation index?  The one test for "is there a
+    cache here already" (see :func:`store_directory`)."""
     directory = Path(directory)
     return (directory / INDEX_NAME).exists() or any(
         directory.glob(SEGMENT_GLOB)
     )
+
+
+def store_directory(
+    cache_dir: PathLike, fingerprint: Optional[str] = None
+) -> Optional[Path]:
+    """Which directory under ``cache_dir`` already holds the result store
+    of the model ``fingerprint`` — the one lookup `repro annotate` and
+    `repro serve` share, so one ``--cache-dir`` never grows two copies of
+    an answer.
+
+    ``cache_dir`` itself when it holds store state: the *flat* layout —
+    what ``annotate``, which serves one model without a registry, writes
+    into a new directory, and what a pre-gateway ``serve`` wrote.  It wins,
+    so a warm flat cache stays warm under both commands.  Else
+    ``cache_dir/<fingerprint>`` when that holds state: the registry's
+    layout, one sub-directory per model so that models never share segment
+    files.  Else ``None``: nothing is stored yet and the caller's own
+    layout applies.  Without a ``fingerprint`` only the flat layout is
+    looked for (``serve`` decides before it loads a model).
+    """
+    cache_dir = Path(cache_dir)
+    if is_cache_directory(cache_dir):
+        return cache_dir
+    if fingerprint is not None and is_cache_directory(cache_dir / fingerprint):
+        return cache_dir / fingerprint
+    return None
 
 
 def writer_lock_path(directory: Path, writer: str) -> Path:

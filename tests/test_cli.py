@@ -496,6 +496,29 @@ class TestServeMultiModel:
         out = capsys.readouterr().out
         assert "0 encoder passes" in out and "4 disk hits" in out
 
+    def test_serve_filled_directory_stays_warm_under_annotate(
+        self, bundle_dir, corpus, tmp_path, capsys
+    ):
+        """The other direction: `repro serve` roots a new directory's store
+        in its registry's per-fingerprint sub-directory, and `repro
+        annotate` must find it there — not recompute everything into a
+        second, flat copy that the next `serve` would then prefer."""
+        cache_dir = tmp_path / "served-cache"
+        assert main([
+            "serve", str(bundle_dir), str(corpus),
+            "--cache-dir", str(cache_dir), "--out", str(tmp_path / "a.jsonl"),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "annotate", str(bundle_dir), str(corpus),
+            "--cache-dir", str(cache_dir), "--out", str(tmp_path / "b.jsonl"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "0 encoder passes" in out and "4 disk hits" in out
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+        holders = {path.parent for path in cache_dir.rglob("segment-*")}
+        assert len(holders) == 1 and holders != {cache_dir}
+
     @pytest.mark.parametrize("producer", ["annotate", "serve"])
     def test_plain_segment_directories_stay_warm(
         self, producer, bundle_dir, corpus, tmp_path, capsys

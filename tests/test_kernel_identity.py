@@ -23,6 +23,7 @@ reproduce them exactly.  This module is the proof:
 from __future__ import annotations
 
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -396,14 +397,27 @@ def _sequence(rng: np.random.Generator, column_lengths) -> EncodedTable:
     )
 
 
-def _pairs(tables):
-    """(item, 0, 1) for every sequence with two columns or more."""
-    flat = [sequence for table in tables for sequence in table]
-    return [(k, 0, 1) for k, s in enumerate(flat) if s.num_columns >= 2]
-
-
-def _products(out):
-    return (out.type_logits, out.relation_logits, out.embeddings)
+def _forward(model, flat, widths, groups, kernels, dtype):
+    """``flat`` encoded at ``widths``; both heads once per group of items
+    (a table), probing columns (0, 1) of every sequence that has two — the
+    products in flat order."""
+    states, session = model.encode_states(flat, widths, kernels, dtype)
+    starts = np.cumsum([0] + [s.num_columns for s in flat]).tolist()
+    type_logits, relation_logits = [], []
+    for group in groups:
+        rows = [row for k in group for row in range(starts[k], starts[k + 1])]
+        type_logits.append(model.apply_type_head(states[rows], session))
+        firsts = [starts[k] for k in group if flat[k].num_columns >= 2]
+        if firsts:
+            pair_states = np.concatenate(
+                [states[firsts], states[[row + 1 for row in firsts]]], axis=-1
+            )
+            relation_logits.append(model.apply_relation_head(pair_states, session))
+    return SimpleNamespace(
+        type_logits=np.concatenate(type_logits),
+        relation_logits=np.concatenate(relation_logits) if relation_logits else None,
+        embeddings=states,
+    )
 
 
 def _ragged(model, tables, dtype="float32"):
@@ -414,10 +428,7 @@ def _ragged(model, tables, dtype="float32"):
         widths += [max(s.length for s in table)] * len(table)
         flat += table
     before = model.encode_calls
-    out = model.forward_full(
-        flat, pairs=_pairs(tables) or None, head_groups=groups,
-        kernels="fast", compute_dtype=dtype, widths=widths,
-    )
+    out = _forward(model, flat, widths, groups, "fast", dtype)
     assert model.encode_calls - before == 1
     return out
 
@@ -425,9 +436,9 @@ def _ragged(model, tables, dtype="float32"):
 def _alone(model, tables, kernels, dtype="float32"):
     """Per table, what the pad-to-one-width path gives it alone."""
     return [
-        model.forward_full(
-            table, pairs=_pairs([table]) or None, kernels=kernels,
-            compute_dtype=dtype,
+        _forward(
+            model, table, [max(s.length for s in table)] * len(table),
+            [range(len(table))], kernels, dtype,
         )
         for table in tables
     ]
@@ -676,6 +687,13 @@ class TestRaggedBatching:
         logged = any("K=96 N=25 dtype=float64" in r.getMessage() for r in caplog.records)
         assert logged == (verdict is False)
 
+    @staticmethod
+    def _forget_proofs(model):
+        """What only a new process does: a rebuilt session alone keeps the
+        model's verdicts (they are about shapes, not weights)."""
+        model.invalidate_sessions()
+        model._proofs.clear()
+
     def test_restart_loads_verdicts_and_skips_the_proof(
         self, trainer, tmp_path, monkeypatch
     ):
@@ -684,14 +702,14 @@ class TestRaggedBatching:
         config = EngineConfig(cache_dir=str(tmp_path / "cache"))
         tables = trainer.dataset.tables
         assert len({trainer.encoding.encode_table(t).length for t in tables[:4]}) > 1
-        trainer.model.invalidate_sessions()
+        self._forget_proofs(trainer.model)
         AnnotationEngine(trainer, config).annotate_batch(tables[:4])
         proven = trainer.model.inference_session("float32").workspace.proofs
         stable = [k for k in proven.to_payload()["verdicts"] if ROW_STABLE in k]
         assert len(stable) == 4
         # "Restart": a fresh session (empty proof cache) over the same
         # directory; tables it has not answered, so the passes really run.
-        trainer.model.invalidate_sessions()
+        self._forget_proofs(trainer.model)
 
         def no_proof(*args, **kwargs):
             raise AssertionError("verdicts were persisted; nothing to prove")

@@ -297,32 +297,6 @@ def unlabeled_table():
 
 
 class TestTrainerIntegration:
-    def test_planned_equals_explicit_request_bytes(self, trainer, unlabeled_table):
-        planner = ProbePlanner(ProbeBudget(max_pairs=3))
-        pairs = planner.plan_pairs(unlabeled_table)
-        planned = trainer.annotate_batch(
-            [unlabeled_table], probe_planner=planner
-        )[0]
-        explicit = trainer.annotate_batch(
-            [unlabeled_table], pair_requests=[pairs]
-        )[0]
-        assert planned.probed_pairs == explicit.probed_pairs == pairs
-        assert np.array_equal(planned.type_probs, explicit.type_probs)
-        for pair in pairs:
-            assert np.array_equal(
-                planned.relation_probs[pair], explicit.relation_probs[pair]
-            )
-
-    def test_explicit_pairs_bypass_planner(self, trainer, unlabeled_table):
-        planner = ProbePlanner(ProbeBudget(max_pairs=1))
-        raw = trainer.annotate_batch(
-            [unlabeled_table],
-            pair_requests=[[(0, 4), (2, 3)]],
-            probe_planner=planner,
-        )[0]
-        assert raw.probed_pairs == [(0, 4), (2, 3)]
-        assert planner.tables_planned == 0
-
     def test_reversed_gold_probed_once(self, trainer):
         table = Table(
             columns=[entity_column(0, num_rows=4), entity_column(3, num_rows=4)],
@@ -331,19 +305,6 @@ class TestTrainerIntegration:
         )
         raw = trainer.annotate_batch([table])[0]
         assert raw.probed_pairs == [(0, 1)]
-
-    def test_predict_relations_under_planner_pins_gold(self, trainer):
-        table = Table(
-            columns=[entity_column(2 * c, num_rows=4) for c in range(4)],
-            table_id="eval",
-            relation_labels={(0, 1): ["a"], (0, 3): ["b"]},
-        )
-        planner = ProbePlanner(ProbeBudget(max_pairs=3))
-        results = trainer.predict_relations([table], probe_planner=planner)[0]
-        assert {(0, 1), (0, 3)} <= set(results)
-        baseline = trainer.predict_relations([table])[0]
-        for pair, decided in baseline.items():
-            assert np.array_equal(results[pair], decided)
 
     def test_fingerprint_probe_marker(self, trainer):
         legacy = trainer.annotation_fingerprint()
