@@ -9,7 +9,11 @@ Not a paper table — this pins the PR-7 optimization layer:
   workspace buffers vs the allocating reference forms;
 * **column cache** — a single-column engine over a workload with realistic
   column repetition: cold pass vs warm pass, with the hit-rate and
-  encoder-token counters that :class:`~repro.serving.EngineStats` exports.
+  encoder-token counters that :class:`~repro.serving.EngineStats` exports;
+* **last block** — the encoder pass whose last block computes only the
+  ``[CLS]`` rows the heads read vs the pass that computes every row, on a
+  single-column pair batch and a table-wise drain: states ``==``, and the
+  ratio the two pruning verdicts paid for.
 
 Every optimized path here is proof-gated or content-addressed — the
 correctness side lives in ``tests/test_kernel_identity.py`` and
@@ -23,7 +27,15 @@ import numpy as np
 
 from common import SMOKE, print_block, print_table
 
-from repro.nn.kernels import Workspace, gelu_, layer_norm_, matmul_into, softmax_
+from repro.nn.kernels import (
+    Workspace,
+    gelu_,
+    layer_norm_,
+    matmul_into,
+    proof_rows,
+    query_stable_key,
+    softmax_,
+)
 
 REPEATS = 50 if SMOKE else 400
 BATCH, SEQ, DIM = (8, 64, 64) if SMOKE else (16, 128, 128)
@@ -141,10 +153,90 @@ def _bench_column_cache():
     }
 
 
+def _bench_last_block():
+    """Pruned vs whole last block, same weights, on serving-shaped passes:
+    96 two-column pair sequences of width 35 (a ``wide_planned`` pair
+    pass) and a drain of 8 table-wise tables of 2-4 columns."""
+    from repro.core.model import DoduoModel
+    from repro.core.serialization import EncodedTable
+    from repro.nn import TransformerConfig
+
+    config = TransformerConfig(
+        vocab_size=512, hidden_dim=96, num_layers=3, num_heads=4, ffn_dim=192,
+        max_position=256, num_segments=12, dropout=0.0,
+    )
+
+    def model(prunes: bool) -> DoduoModel:
+        built = DoduoModel(
+            config, num_types=8, num_relations=4, rng=np.random.default_rng(3)
+        )
+        built.eval()
+        if not prunes:  # a hydrated disproof: every block runs whole
+            proofs = built.inference_session("float32").workspace.proofs
+            for band in (64, 128, 256):
+                key = query_stable_key(
+                    config.hidden_dim // config.num_heads, np.float32, band
+                )
+                proofs.record(key, False)
+        return built
+
+    def sequence(rng, columns) -> EncodedTable:
+        tokens, ids, cls = [], [], []
+        for index, length in enumerate(columns):
+            cls.append(len(tokens))
+            tokens += [2] + rng.integers(5, 512, size=length).tolist()
+            ids += [index] * (length + 1)
+        return EncodedTable(
+            token_ids=np.asarray(tokens + [3]), cls_positions=np.asarray(cls),
+            column_ids=np.asarray(ids + [-1]),
+        )
+
+    rng = np.random.default_rng(4)
+    # The mixed-width drain first: it makes both models prove row
+    # stability, so the pair pass's projections are flat on both sides and
+    # the ratio is the last block's alone.
+    batches = {
+        "tables": [
+            sequence(rng, rng.integers(3, 15, size=rng.integers(2, 5)).tolist())
+            for _ in range(8)
+        ],
+        "pairs": [sequence(rng, [16, 16]) for _ in range(96)],
+    }
+    pruning, whole = model(True), model(False)
+
+    def last_block_rows(built, batch, widths):
+        before = built.last_block_rows
+        states = built.encode_states(batch, widths)[0]
+        return states, built.last_block_rows - before
+
+    results = {}
+    for name, batch in batches.items():
+        widths = [item.length for item in batch]
+        results[f"{name}_rows"] = rows = sum(widths)
+        # The gate is deferred until the rows it would have saved exceed
+        # the proofs' own: pass until it has decided.
+        for _ in range(1 + proof_rows(256) // rows):
+            if last_block_rows(pruning, batch, widths)[1] < rows:
+                break
+        pruned, results[f"{name}_pruned_rows"] = last_block_rows(
+            pruning, batch, widths
+        )
+        unpruned, whole_rows = last_block_rows(whole, batch, widths)
+        assert (pruned == unpruned).all() and whole_rows == rows
+        for label, built in (("pruned", pruning), ("whole", whole)):
+            results[f"{name}_{label}_us"] = 1e6 * _timed(
+                lambda: built.encode_states(batch, widths), max(2, REPEATS // 20)
+            )
+    proofs = pruning.inference_session("float32").workspace.proofs
+    results["proven"] = proofs.proofs_failed == 0
+    return results
+
+
 def run_experiment():
     qkv = _bench_fused_qkv()
     chain = _bench_inplace_chain()
     colcache = _bench_column_cache()
+    last = _bench_last_block()
 
     print_table(
         f"Fused QKV GEMM ({BATCH}x{SEQ}x{DIM} float32)",
@@ -175,6 +267,23 @@ def run_experiment():
              f"{colcache['hit_rate']:.2f}"),
         ],
     )
+    print_table(
+        "Last encoder block: only the [CLS] rows (3 blocks, dim 96, float32)"
+        + ("" if last["proven"] else " - pruning DISPROVEN on this BLAS"),
+        ["Pass", "Rows", "Last-block rows", "Whole us", "Pruned us", "Ratio"],
+        [
+            (
+                label, last[f"{name}_rows"], last[f"{name}_pruned_rows"],
+                f"{last[f'{name}_whole_us']:.0f}",
+                f"{last[f'{name}_pruned_us']:.0f}",
+                f"{last[f'{name}_pruned_us'] / last[f'{name}_whole_us']:.2f}",
+            )
+            for name, label in (
+                ("pairs", "96 pair sequences, width 35"),
+                ("tables", "8 table-wise tables"),
+            )
+        ],
+    )
     summary = {
         "fused_qkv_speedup": round(qkv["speedup"], 2),
         "fused_qkv_proven": qkv["proven"],
@@ -183,6 +292,13 @@ def run_experiment():
         ),
         "column_cache_hit_rate": round(colcache["hit_rate"], 3),
         "column_cache_warm_speedup": round(colcache["warm_speedup"], 2),
+        "last_block_pruning_proven": last["proven"],
+        "last_block_pairs_ratio": round(
+            last["pairs_pruned_us"] / last["pairs_whole_us"], 2
+        ),
+        "last_block_tables_ratio": round(
+            last["tables_pruned_us"] / last["tables_whole_us"], 2
+        ),
     }
     print_block("kernels-json: " + json.dumps(summary))
     return summary

@@ -27,6 +27,19 @@ GEMM choosing its kernel by row count — is proven per (K, N, dtype) and band
 of sequence widths before it is relied on, with per-sequence GEMMs as the
 fallback (:meth:`InferenceSession._project`).
 
+The last block computes only what is read
+-----------------------------------------
+Both heads read one thing from the encoder: the last block's state at each
+column's ``[CLS]`` — a few rows in a hundred.  So the last block still
+projects Q, K and V for every row (every row is attended *to*), but attends
+*from* the ``[CLS]`` rows only and runs its output projection, layer norms,
+FFN and GELU over those rows alone (:meth:`InferenceSession._block`,
+``prune``).  It is the same block with fewer rows, licensed by two bitwise
+verdicts — GEMM rows that ignore the row count, attention rows that ignore
+the query count (:meth:`InferenceSession._may_prune`) — which are proven
+only once enough skippable rows have gone by to pay for the proof, never
+inside a first request.  Unlicensed, the block runs whole.
+
 Dtype policy
 ------------
 A session is built for one compute dtype:
@@ -72,12 +85,17 @@ import numpy as np
 from ..nn import functional as F
 from ..nn.kernels import (
     Workspace,
+    attend,
     gelu_,
     layer_norm_,
     matmul_into,
+    proof_rows,
+    prove_query_stable,
     prove_row_stable,
+    query_stable_key,
     row_stable_key,
     softmax_,
+    split_heads,
     width_band,
 )
 from .serialization import EncodedTable, column_visibility
@@ -157,15 +175,19 @@ class _BlockWeights:
 class _Group:
     """One run of same-width sequences in a token-major batch: rows
     ``start:stop`` of the flat matrix, ``members`` indexing the caller's
-    items, ``bias`` the additive attention bias (``None`` = all zeros)."""
+    items, ``bias`` the additive attention bias (``None`` = all zeros),
+    ``queries`` the ``(count, c)`` flat rows the caller reads — ``c >= 2``
+    per sequence, because one query row would make attention a
+    matrix-vector product, which sums in another order."""
 
-    __slots__ = ("start", "stop", "width", "members", "bias")
+    __slots__ = ("start", "stop", "width", "members", "bias", "queries")
 
     def __init__(self, start: int, width: int) -> None:
         self.start = self.stop = start
         self.width = width
         self.members: List[int] = []
         self.bias: Optional[np.ndarray] = None
+        self.queries: Optional[np.ndarray] = None
 
 
 def gather_states(hidden: np.ndarray, locations: np.ndarray) -> np.ndarray:
@@ -199,6 +221,10 @@ class InferenceSession:
         # the reference session this way).  None in steady state: the
         # check is a no-op branch, so serving bytes are untouched.
         self._capture: Optional[List[np.ndarray]] = None
+        # Rows the last block computed for lack of a verdict that would
+        # have let it skip them: what a deferred proof is weighed against
+        # (see _may_prune).
+        self._banked_rows = 0
 
         encoder = model.encoder
         self.max_position = encoder.config.max_position
@@ -295,9 +321,11 @@ class InferenceSession:
         buffer's ``(batch, width, dim)`` view, rows in input order.
         ``locations`` holds the flat row of every column's ``[CLS]`` in item
         order, so ``hidden.reshape(-1, dim)[locations]`` gathers the column
-        states either way.  ``hidden`` aliases workspace memory (valid until
-        the next session call).  Same odometer updates, same range checks,
-        same bytes as the reference.
+        states either way.  Only those rows are promised to be the encoder's
+        output: when the last block runs pruned (:meth:`_forward`), every
+        other row of ``hidden`` holds the block before's.  ``hidden``
+        aliases workspace memory (valid until the next session call).  Same
+        odometer updates, same range checks, same bytes as the reference.
         """
         model = self.model
         lengths = [item.length for item in encoded]
@@ -350,13 +378,13 @@ class InferenceSession:
                 numeric[start:stop] = item.numeric_ids
         positions = np.empty(total, dtype=np.int64)
         for group in groups:
-            group.stop = group.start + len(group.members) * group.width
+            members = [encoded[k] for k in group.members]
+            group.stop = group.start + len(members) * group.width
             positions[group.start : group.stop].reshape(
-                len(group.members), group.width
+                len(members), group.width
             )[:] = self._positions[: group.width]
-            group.bias = self._attention_bias(
-                [encoded[k] for k in group.members], group.width
-            )
+            group.bias = self._attention_bias(members, group.width)
+            group.queries = self._query_rows(members, group)
         segments = np.clip(column_ids + 1, 0, self.num_segments - 1)
         hidden = self._forward(token_ids, positions, segments, numeric, groups)
         if len(groups) == 1:
@@ -367,6 +395,20 @@ class InferenceSession:
         return hidden, (
             np.concatenate(locations) if locations else np.empty(0, dtype=np.int64)
         )
+
+    @staticmethod
+    def _query_rows(members: Sequence[EncodedTable], group: _Group) -> np.ndarray:
+        """The flat rows of one width group its caller reads, ``(count,
+        c)``: every member's ``[CLS]`` rows, brought to one count ``c >= 2``
+        by repeating its last (a sequence without columns offers row 0)."""
+        most = max(2, max(item.num_columns for item in members))
+        rows = np.empty((len(members), most), dtype=np.int64)
+        for row, item in zip(rows, members):
+            columns = item.num_columns
+            row[:columns] = item.cls_positions
+            row[columns:] = item.cls_positions[-1] if columns else 0
+        rows += group.start + group.width * np.arange(len(members))[:, None]
+        return rows
 
     def _attention_bias(
         self, members: Sequence[EncodedTable], width: int
@@ -426,14 +468,112 @@ class InferenceSession:
         and last-axis reductions give a row the same bytes whatever else
         is in the array; the projections rely on :meth:`_project`'s gate.
         A same-width batch is simply the one-group case.
+
+        The last block answers only the rows the caller reads (the groups'
+        ``queries``) when :meth:`_may_prune` licenses it; its other rows
+        then keep the block before's output.
         """
         x = self._embed(token_ids, positions, segment_ids, numeric_ids)
+        rows = kept = x.shape[0]
+        # Not under calibration (it compares whole block outputs), and not
+        # beside a width-1 sequence: its projections are matrix-vector
+        # calls that run alone (groups ascend by width).
+        if (
+            self._capture is None
+            and self.blocks
+            and groups
+            and groups[0].width > 1
+        ):
+            kept = sum(group.queries.size for group in groups)
+            band = width_band(groups[-1].width, self.max_position)
+            if not (kept < rows and self._may_prune(band, rows - kept)):
+                kept = rows
+        self.model.last_block_rows += kept
+        last = self.blocks[-1] if kept < rows else None
         for bw in self.blocks:
-            x = self._block(x, groups, bw)
+            x = self._block(x, groups, bw, prune=bw is last)
             if self._capture is not None:
                 # Block outputs alias reused workspace buffers; copy.
                 self._capture.append(np.array(x, copy=True))
         return x
+
+    def _row_stable(
+        self,
+        w: np.ndarray,
+        band: int,
+        parts: Optional[Sequence[np.ndarray]],
+        prove: bool,
+    ) -> Optional[bool]:
+        """The row-stability verdict of ``w`` for ``band``, proven now if
+        it is missing and ``prove`` says this is the time; a disproof is
+        logged once, when it is found."""
+        proofs = self.workspace.proofs
+        key = row_stable_key(w, band)
+        stable = proofs.verdict(key)
+        if stable is None and prove:
+            stable = prove_row_stable(w, band, parts)
+            proofs.record(key, stable)
+            if not stable:
+                logger.warning(
+                    "GEMM rows depend on the row count for K=%d N=%d dtype=%s "
+                    "(sequence widths up to %d): ragged passes run these "
+                    "projections per sequence, and the last block runs whole",
+                    w.shape[0], w.shape[1], w.dtype.name, band,
+                )
+        return stable
+
+    def _may_prune(self, band: int, skipped: int) -> bool:
+        """May the last block of this pass — widest sequence in ``band``,
+        ``skipped`` rows to save — run over the kept rows only?
+
+        Two bitwise verdicts license it.  The kept rows' output and FFN
+        products are flat GEMMs at a row count of their own, which is
+        :func:`~repro.nn.kernels.prove_row_stable`'s question for every
+        weight shape of the block; attention from a few query rows is
+        :func:`~repro.nn.kernels.prove_query_stable`'s.  A ``False`` on
+        any of them means the full block, for good.
+
+        No pass proves on arrival — a first request, a one-shot CLI run
+        and a cold benchmark would pay milliseconds to save microseconds.
+        An unlicensed pass runs the full block and banks the rows it would
+        have skipped; the missing proofs run once the bank exceeds their
+        own row count (:func:`~repro.nn.kernels.proof_rows`).
+        """
+        proofs = self.workspace.proofs
+        bw = self.blocks[-1]
+        gemms = (
+            (bw.w_qkv, (bw.w_q, bw.w_k, bw.w_v)),
+            (bw.w_o, None),
+            (bw.w_in, None),
+            (bw.w_out, None),
+        )
+        query_key = query_stable_key(bw.head_dim, self._np_dtype, band)
+        verdicts = [self._row_stable(w, band, None, False) for w, _ in gemms]
+        verdicts.append(proofs.verdict(query_key))
+        if False in verdicts:
+            return False
+        if None not in verdicts:
+            return True
+        self._banked_rows += skipped
+        if self._banked_rows <= proof_rows(band):
+            return False
+        self._banked_rows = 0
+        if not all(self._row_stable(w, band, parts, True) for w, parts in gemms):
+            return False
+        stable = proofs.verdict(query_key)
+        if stable is None:
+            stable = prove_query_stable(
+                bw.heads, bw.head_dim, self._np_dtype, band, bw.scale32
+            )
+            proofs.record(query_key, stable)
+            if not stable:
+                logger.warning(
+                    "attention rows depend on the query count for head_dim=%d "
+                    "dtype=%s (sequence widths up to %d): the last block runs "
+                    "whole",
+                    bw.head_dim, self.dtype, band,
+                )
+        return stable
 
     def _project(
         self,
@@ -451,29 +591,23 @@ class InferenceSession:
         of the BLAS build, proven once per (K, N, dtype) and band of
         sequence widths (:func:`~repro.nn.kernels.prove_row_stable`,
         :func:`~repro.nn.kernels.width_band`) the first time a pass holds
-        more than one width — never per row count, or every never-seen
+        more than one width (or once :meth:`_may_prune` has banked the
+        proof's worth of rows) — never per row count, or every never-seen
         total would pay a reference recompute.  Until then, for
         a disproven shape, and always for width-1 sequences (a one-row
         product is a matrix-vector call), each width group runs as the
         ``(count, width, K)`` batch the reference path would run, under
         :func:`~repro.nn.kernels.matmul_into`'s per-shape gate.
+
+        ``x`` may hold fewer rows than the groups span — the last block's
+        kept rows, which only come here with a ``True`` verdict and no
+        width-1 group, so they are one flat GEMM.
         """
         ws = self.workspace
         rows, inner = x.shape
         out = ws.take(name, (rows, w.shape[1]), x.dtype)
-        proofs = ws.proofs
         band = width_band(groups[-1].width if groups else 0, self.max_position)
-        stable = proofs.verdict(row_stable_key(w, band))
-        if stable is None and len(groups) > 1:
-            stable = prove_row_stable(w, band, parts)
-            proofs.record(row_stable_key(w, band), stable)
-            if not stable:
-                logger.warning(
-                    "GEMM rows depend on the row count for K=%d N=%d dtype=%s "
-                    "(sequence widths up to %d): ragged passes run these "
-                    "projections per sequence",
-                    w.shape[0], w.shape[1], w.dtype.name, band,
-                )
+        stable = self._row_stable(w, band, parts, prove=len(groups) > 1)
         flat_from = rows
         if stable:
             flat_from = groups[0].stop if groups and groups[0].width < 2 else 0
@@ -504,51 +638,72 @@ class InferenceSession:
         scale: np.ndarray,
     ) -> np.ndarray:
         """``softmax(q kᵀ · scale + bias) v`` over one width group's
-        ``(count, heads, width, head_dim)`` operands."""
-        ws = self.workspace
-        scores = matmul_into(q, k.swapaxes(-1, -2), ws, "scores")
-        np.multiply(scores, scale, out=scores)
-        if bias is not None:
-            np.add(scores, bias, out=scores)
-        softmax_(scores)
-        return matmul_into(scores, v, ws, "context")
+        ``(count, heads, width, head_dim)`` keys and values, from all of
+        its rows or from a few query rows per sequence."""
+        return attend(q, k, v, bias, scale, self.workspace)
 
     def _block(
-        self, x: np.ndarray, groups: Sequence[_Group], bw: _BlockWeights
+        self,
+        x: np.ndarray,
+        groups: Sequence[_Group],
+        bw: _BlockWeights,
+        prune: bool = False,
     ) -> np.ndarray:
+        """One encoder block over the flat matrix ``x``.
+
+        ``prune`` is the last block's form: every row is still projected
+        to Q, K and V (all of them are attended *to*), but attention runs
+        *from* the groups' ``queries`` only, and the output projection,
+        both layer norms, the FFN and GELU over those kept rows alone.
+        The result is written over ``x``'s kept rows and ``x`` returned, so
+        the shape callers see does not change.
+        """
         ws = self.workspace
-        rows, dim = x.shape
         heads, head_dim = bw.heads, bw.head_dim
         qkv = self._project(
             x, bw.w_qkv, "qkv", groups, parts=(bw.w_q, bw.w_k, bw.w_v)
         )
         qkv += bw.b_qkv
-        context = ws.take("context_rows", (rows, dim), x.dtype)
+        kept, residual = None, x
+        if prune:
+            kept = np.concatenate([group.queries.ravel() for group in groups])
+            residual = x[kept]
+        context = ws.take("context_rows", residual.shape, x.dtype)
+        done = 0  # the groups tile the rows, whole or kept, in order
         for group in groups:
-            count, width = len(group.members), group.width
-            q, k, v = (
-                qkv[group.start : group.stop]
-                .reshape(count, width, 3, heads, head_dim)
-                .transpose(2, 0, 3, 1, 4)
-            )
-            attended = self._attend(q, k, v, group.bias, bw.scale32)
+            count = len(group.members)
+            queries, bias = None, group.bias
+            if prune:
+                queries = group.queries - group.start
+                if self.model.use_visibility_matrix:
+                    # (count, 1, width, width): the kept queries' rows.
+                    at = queries % group.width
+                    bias = bias[np.arange(count)[:, None], 0, at][:, None]
+            q, k, v = split_heads(qkv[group.start : group.stop], count, heads, queries)
+            attended = self._attend(q, k, v, bias, bw.scale32)
+            rows = count * attended.shape[2]
             np.copyto(
-                context[group.start : group.stop].reshape(
-                    count, width, heads, head_dim
-                ),
+                context[done : done + rows].reshape(count, -1, heads, head_dim),
                 attended.transpose(0, 2, 1, 3),
             )
+            done += rows
         attended = self._project(context, bw.w_o, "attn_out", groups)
         attended += bw.b_o
-        np.add(x, attended, out=attended)
-        x = self._layer_norm(attended, bw.attn_gamma, bw.attn_beta, bw.attn_eps, ws)
-        hidden = self._project(x, bw.w_in, "ffn_h", groups)
+        np.add(residual, attended, out=attended)
+        mid = self._layer_norm(attended, bw.attn_gamma, bw.attn_beta, bw.attn_eps, ws)
+        hidden = self._project(mid, bw.w_in, "ffn_h", groups)
         hidden += bw.b_in
         self._gelu(hidden, ws)
-        out = self._project(hidden, bw.w_out, "ffn_o", groups)
+        # The kept rows get a buffer of their own: "ffn_o" holds ``x``,
+        # the block before's output, which they are written back into.
+        out = self._project(hidden, bw.w_out, "kept_o" if prune else "ffn_o", groups)
         out += bw.b_out
-        np.add(x, out, out=out)
-        return self._layer_norm(out, bw.ffn_gamma, bw.ffn_beta, bw.ffn_eps, ws)
+        np.add(mid, out, out=out)
+        out = self._layer_norm(out, bw.ffn_gamma, bw.ffn_beta, bw.ffn_eps, ws)
+        if not prune:
+            return out
+        x[kept] = out
+        return x
 
     # -- heads -------------------------------------------------------------------
     def type_head(self, states: np.ndarray) -> np.ndarray:
@@ -734,6 +889,10 @@ class QuantizedInferenceSession(InferenceSession):
             return self._float_session().encode_batch(encoded, width=width)
         return super().encode_batch(encoded, width=width)
 
+    def _may_prune(self, band: int, skipped: int) -> bool:
+        """Always: the licence is the accuracy gate, not a bitwise proof."""
+        return True
+
     def _project(
         self,
         x: np.ndarray,
@@ -756,15 +915,18 @@ class QuantizedInferenceSession(InferenceSession):
     ) -> np.ndarray:
         """Ungated, and ``scale`` is already folded into ``q``'s weights."""
         ws = self.workspace
+        few = "" if q.shape[-2] == k.shape[-2] else "_few"  # as in ``attend``
         scores = np.matmul(
             q,
             k.swapaxes(-1, -2),
-            out=ws.take("scores", q.shape[:-1] + (k.shape[-2],), q.dtype),
+            out=ws.take("scores" + few, q.shape[:-1] + (k.shape[-2],), q.dtype),
         )
         if bias is not None:
             np.add(scores, bias, out=scores)
         softmax_(scores)
-        return np.matmul(scores, v, out=ws.take("context", q.shape, q.dtype))
+        return np.matmul(
+            scores, v, out=ws.take("context" + few, q.shape, q.dtype)
+        )
 
     # -- heads -------------------------------------------------------------------
     def type_head(self, states: np.ndarray) -> np.ndarray:

@@ -114,10 +114,14 @@ class DoduoModel(Module):
         # ``encode_calls``, and the token counters record how many sequence
         # slots the pass allocated (``padded_tokens``) versus how many held
         # real tokens (``real_tokens``) — the padding-waste accounting that
-        # ``EngineStats`` and ``TrainingHistory`` surface.
+        # ``EngineStats`` and ``TrainingHistory`` surface.  ``last_block_rows``
+        # counts the slots the last encoder block computed: all of them here
+        # on the Tensor path, only the rows the heads read once an inference
+        # session's pruning gate is proven.
         self.encode_calls = 0
         self.real_tokens = 0
         self.padded_tokens = 0
+        self.last_block_rows = 0
         # Serving calls answered by the float32 fallback after the int8
         # accuracy gate disproved quantization (see
         # QuantizedInferenceSession); the engine diffs this into
@@ -236,6 +240,7 @@ class DoduoModel(Module):
         width = token_ids.shape[1]
         self.real_tokens += int(sum(e.length for e in encoded))
         self.padded_tokens += int(token_ids.size)
+        self.last_block_rows += int(token_ids.size)
         segments = np.zeros_like(token_ids)
         if self.use_column_segments:
             for row, item in enumerate(encoded):

@@ -26,9 +26,8 @@ stages:
    the probe set.
 3. **Batching** is *not* this module's job: the selected pairs flow into
    :meth:`~repro.core.trainer.DoduoTrainer.annotate_batch` as explicit pair
-   requests, where the existing exact-bucket
-   :class:`~repro.encoding.BatchPlanner` batches the probes across tables
-   like everything else.
+   requests, where the probes of a whole drain share one token-major
+   encoder pass (:mod:`repro.core.inference`) like everything else.
 
 Contract: the planner only changes *which* pairs are paid for.  A planned
 probe of pair set S is byte-identical to explicitly requesting S, and gold
@@ -38,6 +37,7 @@ known questions, never budget casualties.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import (
@@ -88,6 +88,10 @@ DUPLICATE_SIMILARITY = 0.9
 PROFILE_VALUES = 20
 
 _HASH_DIM = 64  # hashed character-3-gram embedding dimensionality
+#: Distinct 3-grams whose hash bucket a planner remembers before it starts
+#: over (about a megabyte; the 6 912 columns of the wide benchmark corpus
+#: hold 1 034).
+_GRAM_MEMO_SIZE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -177,18 +181,36 @@ def _column_stats(column: Column) -> Tuple[float, float]:
     return numeric / len(values), distinct / len(values)
 
 
-def _profile_vector(grams: Set[str]) -> np.ndarray:
+def _profile_vector(grams: Set[str], buckets: Dict[str, int]) -> np.ndarray:
     """Unit-norm hashed count embedding of a char-3-gram profile.
 
     crc32, not ``hash()``: the builtin is salted per process, and planner
     decisions must be stable across processes (they fold into cache keys
-    via the annotation fingerprint).
+    via the annotation fingerprint).  ``buckets`` memoises gram → bucket
+    (the same thousand or so grams fill every column of a corpus), bounded
+    by starting over.
     """
-    vector = np.zeros(_HASH_DIM, dtype=np.float64)
-    for gram in grams:
-        vector[zlib.crc32(gram.encode("utf-8")) % _HASH_DIM] += 1.0
-    norm = float(np.linalg.norm(vector))
+    try:
+        index = [buckets[gram] for gram in grams]
+    except KeyError:
+        if len(buckets) > _GRAM_MEMO_SIZE:
+            buckets.clear()
+        for gram in grams:
+            if gram not in buckets:
+                buckets[gram] = zlib.crc32(gram.encode("utf-8")) % _HASH_DIM
+        index = [buckets[gram] for gram in grams]
+    vector = np.bincount(index, minlength=_HASH_DIM).astype(np.float64)
+    # What np.linalg.norm computes for a real vector, without its dispatch.
+    norm = math.sqrt(vector.dot(vector))
     return vector / norm if norm else vector
+
+
+def _sizes_allow_duplicates(a: int, b: int) -> bool:
+    """Can two profiles of ``a`` and ``b`` grams reach
+    :data:`DUPLICATE_SIMILARITY`?  Jaccard never exceeds ``min / max`` of
+    the sizes, so ``10 * min >= 9 * max`` — exact, in integers — is
+    necessary, and most pairs fail it before any set arithmetic."""
+    return 10 * min(a, b) >= 9 * max(a, b)
 
 
 def relation_type_compatibility(dataset: TableDataset) -> FrozenSet[Pair]:
@@ -265,6 +287,7 @@ class ProbePlanner:
         self.pairs_planned = 0
         self.pairs_pruned = 0
         self._plan_cache: LRUCache[ProbePlan] = LRUCache(plan_cache_size)
+        self._gram_buckets: Dict[str, int] = {}
 
     def fingerprint_tag(self) -> str:
         """The probe descriptor folded into
@@ -374,7 +397,10 @@ class ProbePlanner:
                 table.columns, column_fingerprints or [None] * k
             )
         ]
-        vectors = [_profile_vector(profile) for profile in profiles]
+        vectors = [
+            _profile_vector(profile, self._gram_buckets) for profile in profiles
+        ]
+        sizes = [len(profile) for profile in profiles]
         stats = [_column_stats(column) for column in table.columns]
         subjectness = [
             (1.0 - numeric) * (0.2 + 0.8 * distinct)
@@ -405,7 +431,11 @@ class ProbePlanner:
                 and stats[j][0] >= NUMERIC_FRACTION_CUTOFF
             ):
                 continue
-            if profile_similarity(profiles[i], profiles[j]) >= DUPLICATE_SIMILARITY:
+            if (
+                _sizes_allow_duplicates(sizes[i], sizes[j])
+                and profile_similarity(profiles[i], profiles[j])
+                >= DUPLICATE_SIMILARITY
+            ):
                 continue
             if budget.min_similarity > 0.0 and cosine < budget.min_similarity:
                 continue

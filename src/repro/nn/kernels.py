@@ -27,6 +27,9 @@ must reproduce.  This module provides the serving-speed twins:
   verdict per weight shape, dtype and band of sequence widths, never per
   row count, on whether a GEMM over many concatenated sequences gives each
   sequence the rows it would get alone.
+* :func:`prove_query_stable` — the second gate of the pruned last encoder
+  block: one verdict per head size, dtype and band, on whether attention
+  over a few selected query rows gives them the rows of the full product.
 """
 
 from __future__ import annotations
@@ -255,7 +258,11 @@ def prove_row_stable(
     form, fused over ``parts``) runs over each whole run, and each
     sequence's rows must equal, bitwise, what the reference path computes
     for that sequence alone — the allocating ``matmul`` over a
-    ``(1, width, K)`` batch, one call per part.  BLAS picks kernels by
+    ``(1, width, K)`` batch, one call per part.  The same GEMM over the
+    sequence's rows only must give them too: the last encoder block
+    multiplies just the rows its callers read (two to a few hundred), so
+    the shared call is tried at every row count from 2 up, not only at
+    the long runs'.  BLAS picks kernels by
     shape, not by value, so the data is a fixed pseudo-random block: the
     verdict is a property of the build, of (K, N, dtype) and of the widths
     covered, which is what :func:`row_stable_key` keys it by (``max_width``
@@ -271,6 +278,7 @@ def prove_row_stable(
     block = rng.standard_normal((64, w.shape[0])).astype(w.dtype)
     x = np.resize(block, (longest, w.shape[0]))
     flat = np.empty((longest, w.shape[1]), dtype=w.dtype)
+    short = np.empty((max(2, max_width), w.shape[1]), dtype=w.dtype)
     run = 0
     while widths:
         # Run lengths cycle 1x, 2x, 4x, ... so the shared call is tried at
@@ -285,7 +293,116 @@ def prove_row_stable(
         np.matmul(x[:rows], w, out=flat[:rows])
         for start, stop in members:
             alone = _reference_matmul(x[None, start:stop], w, parts)[0]
-            if not (flat[start:stop] == alone).all():
+            few = np.matmul(x[start:stop], w, out=short[: stop - start])
+            if not ((flat[start:stop] == alone).all() and (few == alone).all()):
+                return False
+    return True
+
+
+def proof_rows(band: int) -> int:
+    """About how many rows a band's proof multiplies per weight: every
+    width from 2 to ``band`` — ``band² / 2`` rows — in a long shared call
+    and in a short one, then alone.
+
+    What deferring a proof is weighed against: a pass that could not use
+    an unproven form banks the rows it would have saved, and the proof
+    runs once they exceed its own."""
+    return band * band
+
+
+#: Proof-cache key prefix of the query-stability verdicts:
+#: ``(QUERY_STABLE, head_dim, dtype, width band)``.
+QUERY_STABLE = "query_stable"
+
+#: Query rows per sequence the proof selects.  2, 3 and 4 rows exercise
+#: every remainder block (1, 2, 4 rows) a GEMM micro-kernel handles
+#: outside its full-height tiles, against the full product's full tiles.
+_QUERY_COUNTS = (2, 3, 4)
+
+
+def query_stable_key(head_dim: int, dtype, band: int) -> Tuple[str, int, str, int]:
+    return (QUERY_STABLE, head_dim, np.dtype(dtype).str, band)
+
+
+def split_heads(
+    qkv: np.ndarray, count: int, heads: int, queries: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(q, k, v)`` of ``count`` same-width sequences laid end to end in
+    the packed ``(count * width, 3 * dim)`` projection ``qkv``: strided
+    ``(count, heads, width, head_dim)`` views, no copy.
+
+    ``queries`` — a ``(count, c)`` array of rows of ``qkv``, ``c`` per
+    sequence — narrows ``q`` to those rows: a gathered ``(count, heads, c,
+    head_dim)`` operand against the unchanged ``k`` and ``v``.
+    """
+    dim = qkv.shape[1] // 3
+    head_dim = dim // heads
+    q, k, v = qkv.reshape(count, -1, 3, heads, head_dim).transpose(2, 0, 3, 1, 4)
+    if queries is not None:
+        q = qkv[queries, :dim].reshape(count, -1, heads, head_dim)
+        q = q.transpose(0, 2, 1, 3)
+    return q, k, v
+
+
+def attend(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    bias: Optional[np.ndarray],
+    scale: np.ndarray,
+    ws: Workspace,
+) -> np.ndarray:
+    """``softmax(q kᵀ · scale + bias) v`` over one width group's
+    ``(count, heads, rows, head_dim)`` operands, both products landing in
+    workspace buffers behind :func:`matmul_into`'s per-shape gate."""
+    # A selection of query rows lands in buffers of its own: under one
+    # name the whole blocks' geometry and the last block's would evict
+    # each other on every pass.
+    few = "" if q.shape[-2] == k.shape[-2] else "_few"
+    scores = matmul_into(q, k.swapaxes(-1, -2), ws, "scores" + few)
+    np.multiply(scores, scale, out=scores)
+    if bias is not None:
+        np.add(scores, bias, out=scores)
+    softmax_(scores)
+    return matmul_into(scores, v, ws, "context" + few)
+
+
+def prove_query_stable(
+    heads: int, head_dim: int, dtype, max_width: int, scale: np.ndarray
+) -> bool:
+    """Does attention give a query row the same bytes whatever other query
+    rows share the call?
+
+    The differential run behind the pruned last encoder block, which
+    attends from the rows its callers read only: for every width from 2 to
+    ``max_width`` (a :func:`width_band`), on the strided views
+    :func:`split_heads` makes of a packed projection, :func:`attend` over
+    2, 3 and 4 selected query rows per sequence must equal, bitwise, those
+    rows of the full product — scores rows and context rows are GEMM rows
+    whose row count shrinks from ``width`` to the selection's, and the
+    row-wise steps between them cannot see the difference.  As in
+    :func:`prove_row_stable` the data is a fixed pseudo-random block and the
+    verdict a property of the BLAS build, keyed by
+    :func:`query_stable_key`.  One query row is not covered and never
+    passed: a one-row product is a matrix-vector call.
+    """
+    rng = np.random.default_rng(0)
+    longest = max(2, max_width)
+    packed = rng.standard_normal((longest, 3 * heads * head_dim)).astype(dtype)
+    ws = Workspace()
+    for width in range(2, longest + 1):
+        qkv = packed[:width]  # one sequence: BLAS sees one at a time anyway
+        # Copied: a selection as long as the sequence lands in its buffer.
+        full = np.array(attend(*split_heads(qkv, 1, heads), None, scale, ws))
+        for c in _QUERY_COUNTS:
+            # Row 0 ([CLS] opens a sequence), the last row, evenly between;
+            # a sequence shorter than the selection repeats rows, as the
+            # block does to bring a width group to one count.
+            picks = np.arange(c) * (width - 1) // (c - 1)
+            few = attend(
+                *split_heads(qkv, 1, heads, picks[None]), None, scale, ws
+            )
+            if not (few == full[:, :, picks]).all():
                 return False
     return True
 

@@ -206,6 +206,9 @@ EngineStats = declare(
         "segment_misses": "serialized-segment cache misses",
         "real_tokens": "token slots of every encoder pass that carried a token",
         "padded_tokens": "token slots of every encoder pass, padding included",
+        "last_block_rows": "token slots the last encoder block computed: "
+        "all of them until the pruning gate is proven (and for good where "
+        "it is disproven), then only the ``[CLS]`` rows the heads read",
         "pairs_planned": "relation pairs the probe planner kept "
         "(``pairs=None`` requests)",
         "pairs_pruned": "candidate relation pairs the probe planner discarded",
@@ -219,6 +222,11 @@ EngineStats = declare(
         "padding_waste": Ratio(
             "fraction of allocated token slots that carried padding",
             ("padded_tokens", "-real_tokens"),
+            ("padded_tokens",),
+        ),
+        "last_block_share": Ratio(
+            "fraction of allocated token slots the last encoder block computed",
+            ("last_block_rows",),
             ("padded_tokens",),
         ),
         "column_hit_rate": Ratio(
@@ -667,6 +675,7 @@ class AnnotationEngine:
         passes_before = model.encode_calls
         real_before = model.real_tokens
         padded_before = model.padded_tokens
+        last_block_before = model.last_block_rows
         fallbacks_before = model.quant_fallbacks
         batch_index = self.stats.batches
         column_cache = self.column_cache
@@ -700,6 +709,7 @@ class AnnotationEngine:
         self.stats.encoder_passes += model.encode_calls - passes_before
         self.stats.real_tokens += model.real_tokens - real_before
         self.stats.padded_tokens += model.padded_tokens - padded_before
+        self.stats.last_block_rows += model.last_block_rows - last_block_before
         self.stats.quant_fallbacks += model.quant_fallbacks - fallbacks_before
         for i, raw_item in zip(chunk, raw):
             results[i] = self._build_result(

@@ -1,5 +1,6 @@
-"""Shared test utilities: numerical gradient checking, tiny fixtures, and
-the gate/stub pair the serving-scheduler tests are built on."""
+"""Shared test utilities: numerical gradient checking, tiny fixtures, the
+gate/stub pair the serving-scheduler tests are built on, and the two
+handles on the last encoder block's pruning gate."""
 
 from __future__ import annotations
 
@@ -53,6 +54,27 @@ def gradcheck(
     analytic = x.grad.astype(np.float64)
     numeric = numerical_gradient(scalar_fn, x_data.astype(np.float64).copy())
     np.testing.assert_allclose(analytic, numeric, atol=atol, rtol=rtol)
+
+
+def decide_pruning_now(session) -> None:
+    """Skip the deferral of the last block's pruning proofs: the session's
+    next prunable pass proves whatever verdict is missing."""
+    from repro.nn.kernels import proof_rows
+
+    session._banked_rows = proof_rows(session.max_position)
+
+
+def pruning_proven(proofs) -> bool:
+    """Did this host's BLAS pass every pruning proof this cache has seen —
+    row stability and, behind it, query stability?"""
+    from repro.nn.kernels import QUERY_STABLE, ROW_STABLE
+
+    verdicts = {
+        key: ok
+        for key, ok in proofs.to_payload()["verdicts"].items()
+        if ROW_STABLE in key or QUERY_STABLE in key
+    }
+    return all(verdicts.values()) and any(QUERY_STABLE in key for key in verdicts)
 
 
 def rng(seed: int = 0) -> np.random.Generator:

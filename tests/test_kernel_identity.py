@@ -17,7 +17,10 @@ reproduce them exactly.  This module is the proof:
   type scores, relations, and embeddings all ``==`` in the default
   float32 policy (this is the CI gate for the whole optimization layer);
 * the float64 policy — bounded drift vs float32, never byte-mixed
-  (distinct fingerprints).
+  (distinct fingerprints);
+* the pruned last block — the rows the heads read ``==`` those rows of the
+  whole block ``==`` the reference, whatever its two verdicts say here
+  (run this file under ``OPENBLAS_CORETYPE=Nehalem`` for the other side).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from helpers import decide_pruning_now, pruning_proven
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,12 +41,14 @@ from repro.datasets import generate_wikitable_dataset
 from repro.nn import TransformerConfig, kernels
 from repro.nn import functional as F
 from repro.nn.kernels import (
+    QUERY_STABLE,
     ROW_STABLE,
     ProofCache,
     Workspace,
     gelu_,
     layer_norm_,
     matmul_into,
+    proof_rows,
     softmax_,
     width_band,
 )
@@ -369,13 +375,40 @@ def _model(visibility: bool, numeric: bool, hidden: int = 16, ffn: int = 32,
 _MODELS: dict = {}
 
 
-def _shared_model(visibility: bool, numeric: bool) -> DoduoModel:
+def _shared_model(visibility: bool, numeric: bool, whole: bool = False) -> DoduoModel:
     """One model per flag pair for the whole module: hypothesis examples
-    then also exercise a session whose verdicts already exist."""
-    key = (visibility, numeric)
+    then also exercise a session whose verdicts already exist.
+
+    The model decides its last block's pruning gate at its first prunable
+    pass, by the real proofs; its ``whole`` twin (same seed, same weights)
+    carries a hydrated disproof and runs every block over every row."""
+    key = (visibility, numeric, whole)
     if key not in _MODELS:
-        _MODELS[key] = _model(visibility, numeric)
+        model = _MODELS[key] = _model(visibility, numeric)
+        for dtype in ("float32", "float64"):
+            session = model.inference_session(dtype)
+            if whole:
+                _disprove_pruning(model, dtype)
+            else:
+                decide_pruning_now(session)
     return _MODELS[key]
+
+
+def _disprove_pruning(model: DoduoModel, dtype: str) -> None:
+    """Hydrate a ``False`` query-stability verdict for every band, the way
+    a persisted sidecar from a host that disproved it would arrive."""
+    session = model.inference_session(dtype)
+    head_dim = session.blocks[-1].head_dim
+    band = 0
+    while band < session.max_position:
+        band = width_band(band + 1, session.max_position)
+        session.workspace.proofs.record(
+            (QUERY_STABLE, head_dim, np.dtype(dtype).str, band), False
+        )
+
+
+def _pruning_proven(model: DoduoModel, dtype: str = "float32") -> bool:
+    return pruning_proven(model._proofs[dtype])
 
 
 def _sequence(rng: np.random.Generator, column_lengths) -> EncodedTable:
@@ -420,28 +453,71 @@ def _forward(model, flat, widths, groups, kernels, dtype):
     )
 
 
-def _ragged(model, tables, dtype="float32"):
-    """Every table of the drain in ONE pass, each at its own width."""
+def _ragged(model, tables, dtype="float32", width=None):
+    """Every table of the drain in ONE pass, each at its own width (or all
+    at ``width``); the pass's odometer deltas ride along."""
     flat, groups, widths = [], [], []
     for table in tables:
         groups.append(list(range(len(flat), len(flat) + len(table))))
-        widths += [max(s.length for s in table)] * len(table)
+        widths += [width or max(s.length for s in table)] * len(table)
         flat += table
-    before = model.encode_calls
+    before = model.encode_calls, model.padded_tokens, model.last_block_rows
     out = _forward(model, flat, widths, groups, "fast", dtype)
-    assert model.encode_calls - before == 1
+    assert model.encode_calls - before[0] == 1
+    out.padded_tokens = model.padded_tokens - before[1]
+    out.last_block_rows = model.last_block_rows - before[2]
+    out.kept_rows = _kept_rows(flat, widths)
     return out
 
 
-def _alone(model, tables, kernels, dtype="float32"):
+def _kept_rows(flat, widths) -> int:
+    """Rows the pruned last block computes for this pass: per width group,
+    its largest ``[CLS]`` count (at least 2) for every sequence — or every
+    row, beside a width-1 sequence or when that would be no fewer."""
+    most: dict = {}
+    for sequence, width in zip(flat, widths):
+        count, columns = most.get(width, (0, 2))
+        most[width] = (count + 1, max(columns, sequence.num_columns))
+    kept = sum(count * columns for count, columns in most.values())
+    return kept if min(widths) > 1 and kept < sum(widths) else sum(widths)
+
+
+def _alone(model, tables, kernels, dtype="float32", width=None):
     """Per table, what the pad-to-one-width path gives it alone."""
     return [
         _forward(
-            model, table, [max(s.length for s in table)] * len(table),
+            model, table, [width or max(s.length for s in table)] * len(table),
             [range(len(table))], kernels, dtype,
         )
         for table in tables
     ]
+
+
+def _assert_pruned_equals_whole_equals_reference(
+    tables, visibility=False, numeric=False, dtype="float32", width=None
+):
+    """One drain three ways: through the model whose last block prunes if
+    this host's BLAS lets it, through its twin that never does, and table
+    by table through the oracle.  Bytes agree; the odometer says which
+    block ran."""
+    model = _shared_model(visibility, numeric)
+    whole = _shared_model(visibility, numeric, whole=True)
+    # The Tensor path is float32 only; float64's oracle is the float64
+    # session one table at a time, every block whole — one width per pass,
+    # so every GEMM is the (count, width, K) batch the reference would run.
+    kernels = "reference" if dtype == "float32" else "fast"
+    oracle = _alone(whole, tables, kernels, dtype, width)
+    pruned = _ragged(model, tables, dtype, width)
+    unpruned = _ragged(whole, tables, dtype, width)
+    _assert_ragged_equals_alone(pruned, oracle)
+    _assert_ragged_equals_alone(unpruned, oracle)
+    assert unpruned.last_block_rows == unpruned.padded_tokens
+    assert pruned.padded_tokens == unpruned.padded_tokens
+    if _pruning_proven(model, dtype):
+        assert pruned.last_block_rows == pruned.kept_rows
+    else:
+        assert pruned.last_block_rows == pruned.padded_tokens
+    return pruned
 
 
 def _assert_ragged_equals_alone(ragged, alone):
@@ -487,13 +563,8 @@ class TestRaggedBatching:
         if not single_column:
             shape = [table[:1] for table in shape]  # one sequence per table
         tables = [[_sequence(rng, columns) for columns in table] for table in shape]
-        model = _shared_model(visibility, numeric)
-        # The Tensor path is float32 only; float64's oracle is the float64
-        # session one table at a time — one width per pass, so every GEMM
-        # is the (count, width, K) batch the reference would run.
-        kernels = "reference" if dtype == "float32" else "fast"
-        _assert_ragged_equals_alone(
-            _ragged(model, tables, dtype), _alone(model, tables, kernels, dtype)
+        _assert_pruned_equals_whole_equals_reference(
+            tables, visibility, numeric, dtype
         )
 
     @settings(max_examples=15, deadline=None)
@@ -721,3 +792,212 @@ class TestRaggedBatching:
         for table, result in zip(tables[4:10], results):
             alone = AnnotationEngine(trainer, EngineConfig(kernels="reference"))
             assert result.type_scores == alone.annotate(table).type_scores
+
+
+# ---------------------------------------------------------------------------
+# The pruned last block: only the rows the heads read, same bytes
+# ---------------------------------------------------------------------------
+#
+# Every check holds whichever way this host's BLAS decides the two
+# verdicts: proven, the odometer shows the rows skipped; disproven (run the
+# file under OPENBLAS_CORETYPE=Nehalem), the whole block served the bytes.
+
+
+def _single_column(rng, columns):
+    """A single-column table: one one-``[CLS]`` sequence per column."""
+    return [_sequence(rng, [length]) for length in columns]
+
+
+def _pinned_drains():
+    """name -> (tables, keyword arguments of the three-way comparison)."""
+    rng = np.random.default_rng(21)
+    uneven = [  # one width group (8 tokens), 2 / 3 / 1 [CLS] rows
+        [_sequence(rng, [3, 2])], [_sequence(rng, [1, 1, 2])], [_sequence(rng, [6])],
+    ]
+    columns = [_single_column(rng, [3, 5, 1]), _single_column(rng, [4, 4])]
+    mixed = [
+        [_sequence(rng, [3, 2])], [_sequence(rng, [5])],
+        [_sequence(rng, [1, 1, 4])], [_sequence(rng, [2, 2, 2])],
+    ]
+    return {
+        "uneven [CLS] counts in one width group": (uneven, {}),
+        "single-column drain: a second query row": (columns, {}),
+        "one kept row": ([[_sequence(rng, [4])]], {}),
+        "beside a width-1 sequence": (mixed + [[_sequence(rng, [0])]], {}),
+        "forced width: pad rows and mask bias": (columns, {"width": 12}),
+        "visibility matrix": (mixed + uneven, {"visibility": True}),
+        "float64": (mixed + columns, {"dtype": "float64"}),
+        "float64, visibility, numeric": (
+            uneven + mixed, {"dtype": "float64", "visibility": True, "numeric": True},
+        ),
+    }
+
+
+class TestPrunedLastBlock:
+    @pytest.mark.parametrize("case", list(_pinned_drains()))
+    def test_pinned_drain(self, case):
+        tables, kwargs = _pinned_drains()[case]
+        pruned = _assert_pruned_equals_whole_equals_reference(tables, **kwargs)
+        if case == "beside a width-1 sequence":
+            assert pruned.kept_rows == pruned.padded_tokens
+        else:
+            assert pruned.kept_rows < pruned.padded_tokens
+        if case == "one kept row":
+            assert pruned.kept_rows == 2  # [CLS] and its repeat
+
+    def test_no_proof_inside_a_first_pass(self, monkeypatch):
+        """Proofs are deferred until the rows they would have saved exceed
+        their own: a fresh session banks, computes the whole block, and
+        proves exactly once, at the pass that tips the bank."""
+        calls = []
+        real_rows, real_query = kernels.prove_row_stable, kernels.prove_query_stable
+        monkeypatch.setattr(
+            "repro.core.inference.prove_row_stable",
+            lambda *args: calls.append("rows") or real_rows(*args),
+        )
+        monkeypatch.setattr(
+            "repro.core.inference.prove_query_stable",
+            lambda *args: calls.append("query") or real_query(*args),
+        )
+        model = _model(visibility=False, numeric=False)
+        rng = np.random.default_rng(6)
+        drain = [_single_column(rng, [5, 5, 5])]  # one width: no ragged proof
+        oracle = _alone(model, drain, "reference")
+        skipped_per_pass = 3 * 7 - 3 * 2
+        passes = proof_rows(MAX_POSITION) // skipped_per_pass
+        for _ in range(passes):
+            out = _ragged(model, drain)
+            _assert_ragged_equals_alone(out, oracle)
+            assert out.last_block_rows == out.padded_tokens
+        assert calls == []
+        out = _ragged(model, drain)  # the bank now exceeds the proofs' rows
+        _assert_ragged_equals_alone(out, oracle)
+        assert calls.count("query") <= 1 and 1 <= calls.count("rows") <= 4
+        assert len(calls) == 5 or not _pruning_proven(model)
+        assert out.last_block_rows == (
+            out.kept_rows if _pruning_proven(model) else out.padded_tokens
+        )
+        decided = list(calls)
+        for _ in range(passes + 1):  # verdicts stand, either way
+            _assert_ragged_equals_alone(_ragged(model, drain), oracle)
+        assert calls == decided
+
+    def test_disproof_is_logged_once_and_serves_the_whole_block(
+        self, monkeypatch, caplog
+    ):
+        monkeypatch.setattr(
+            "repro.core.inference.prove_query_stable", lambda *args: False
+        )
+        model = _model(visibility=False, numeric=False)
+        decide_pruning_now(model.inference_session("float32"))
+        tables = TestRaggedBatching()._mixed_drain()
+        with caplog.at_level(logging.WARNING, logger="repro.core.inference"):
+            for _ in range(2):
+                out = _ragged(model, tables)
+                _assert_ragged_equals_alone(out, _alone(model, tables, "reference"))
+                assert out.last_block_rows == out.padded_tokens
+        logged = [r.getMessage() for r in caplog.records if "query count" in r.getMessage()]
+        rows_proven = all(
+            ok for key, ok in
+            model._proofs["float32"].to_payload()["verdicts"].items()
+            if ROW_STABLE in key
+        )
+        # The query proof runs only behind four True row verdicts.
+        assert len(logged) == (1 if rows_proven else 0)
+
+    def test_int8_prunes_ungated_and_calibrates_on_equal_shapes(
+        self, trainer, monkeypatch
+    ):
+        """The accuracy-gated tier inherits the pruned block without the
+        bitwise verdicts; its calibration taps both sessions' whole blocks,
+        so the drift compare never sees (rows, dim) against (kept, dim)."""
+        from repro.nn import quant
+        from repro.serving import AnnotationEngine, EngineConfig
+
+        compared = []
+        real_drift = quant.max_drift
+
+        def same_shapes(a, b):
+            compared.append((a.shape, b.shape))
+            return real_drift(a, b)
+
+        monkeypatch.setattr(quant, "max_drift", same_shapes)
+        tables = trainer.dataset.tables[:8]
+
+        def drain(prunes: bool):
+            from repro.core.inference import QuantizedInferenceSession
+
+            trainer.model.invalidate_sessions()
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    QuantizedInferenceSession, "_may_prune", lambda *args: prunes
+                )
+                engine = AnnotationEngine(trainer, EngineConfig(precision="int8"))
+                return engine, engine.annotate_batch(tables)
+
+        whole_engine, whole = drain(prunes=False)
+        engine, pruned = drain(prunes=True)
+        assert compared and all(a == b for a, b in compared)
+        assert engine.stats.quant_fallbacks == 0
+        # Calibration's two passes ran whole either way; the drain's one
+        # pruned.
+        stats, whole_stats = engine.stats, whole_engine.stats
+        assert whole_stats.last_block_rows == whole_stats.padded_tokens
+        assert stats.padded_tokens == whole_stats.padded_tokens
+        assert 0 < stats.last_block_rows < stats.padded_tokens
+        # Fewer rows per GEMM is float32 rounding, nothing more.
+        for got, want in zip(pruned, whole):
+            assert got.coltypes == want.coltypes
+            assert got.colrels == want.colrels
+            np.testing.assert_allclose(got.colemb, want.colemb, atol=1e-5)
+
+    def test_hydrated_disproof_serves_float_bytes_from_the_whole_block(self, trainer):
+        """As ``test_disproven_gate_falls_back_to_float_bytes`` does for the
+        int8 gate: a ``False`` verdict that arrives before first use is
+        never re-proven, and the counter says every row was computed."""
+        from repro.serving import AnnotationEngine, EngineConfig
+
+        tables = trainer.dataset.tables[:7]
+        reference = AnnotationEngine(trainer, EngineConfig(kernels="reference"))
+        want = [r.annotated for r in reference.annotate_batch(tables)]
+        TestRaggedBatching._forget_proofs(trainer.model)
+        _disprove_pruning(trainer.model, "float32")
+        decide_pruning_now(trainer.model.inference_session("float32"))
+        engine = AnnotationEngine(trainer, EngineConfig(batch_size=3))
+        for got, expected in zip(engine.annotate_batch(tables), want):
+            assert got.annotated.type_scores == expected.type_scores
+            assert got.annotated.colrels == expected.colrels
+        assert engine.stats.last_block_rows == engine.stats.padded_tokens > 0
+        assert engine.stats.to_dict()["last_block_share"] == 1.0
+        TestRaggedBatching._forget_proofs(trainer.model)
+
+    def test_restart_with_a_sidecar_reproves_nothing(
+        self, trainer, tmp_path, monkeypatch
+    ):
+        from repro.serving import AnnotationEngine, EngineConfig
+
+        config = EngineConfig(cache_dir=str(tmp_path / "cache"))
+        tables = trainer.dataset.tables
+        forget = TestRaggedBatching._forget_proofs
+        forget(trainer.model)
+        decide_pruning_now(trainer.model.inference_session("float32"))
+        AnnotationEngine(trainer, config).annotate_batch(tables[:4])
+        proven = _pruning_proven(trainer.model)
+        decided = trainer.model._proofs["float32"].to_payload()["verdicts"]
+        assert any(ROW_STABLE in key for key in decided)
+        forget(trainer.model)  # "restart": an empty proof cache, same directory
+
+        def no_proof(*args, **kwargs):
+            raise AssertionError("verdicts were persisted; nothing to prove")
+
+        monkeypatch.setattr("repro.core.inference.prove_row_stable", no_proof)
+        monkeypatch.setattr("repro.core.inference.prove_query_stable", no_proof)
+        decide_pruning_now(trainer.model.inference_session("float32"))
+        engine = AnnotationEngine(trainer, config)
+        results = engine.annotate_batch(tables[4:10])  # not stored: passes run
+        assert engine.stats.encoder_passes == 1
+        assert (engine.stats.last_block_rows < engine.stats.padded_tokens) == proven
+        alone = AnnotationEngine(trainer, EngineConfig(kernels="reference"))
+        for table, result in zip(tables[4:10], results):
+            assert result.type_scores == alone.annotate(table).type_scores
+        forget(trainer.model)

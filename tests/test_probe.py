@@ -178,6 +178,85 @@ class TestProbePlanner:
         assert a.startswith("planned(")
 
 
+class TestPlannerArithmetic:
+    """The planner's two shortcuts are exact: the bincount vector is the
+    per-gram loop's, byte for byte, and the integer size bound skips a
+    Jaccard only when it could not have reached the threshold."""
+
+    def test_profile_vector_equals_the_per_gram_loop(self):
+        import zlib
+
+        from repro.core import probe
+
+        rng = np.random.default_rng(12)
+        alphabet = list("abcdefghij 0123é")
+        buckets: dict = {}
+        for _ in range(2000):
+            grams = {
+                "".join(rng.choice(alphabet, size=3))
+                for _ in range(int(rng.integers(0, 40)))
+            }
+            loop = np.zeros(probe._HASH_DIM, dtype=np.float64)
+            for gram in grams:
+                loop[zlib.crc32(gram.encode("utf-8")) % probe._HASH_DIM] += 1.0
+            norm = float(np.linalg.norm(loop))
+            loop = loop / norm if norm else loop
+            vector = probe._profile_vector(grams, buckets)
+            assert vector.dtype == loop.dtype
+            assert vector.tobytes() == loop.tobytes()
+        assert 0 < len(buckets) <= len(alphabet) ** 3
+
+    def test_gram_memo_is_bounded(self, monkeypatch):
+        from repro.core import probe
+
+        monkeypatch.setattr(probe, "_GRAM_MEMO_SIZE", 8)
+        buckets: dict = {}
+        for start in range(0, 60, 6):
+            grams = {f"g{n:02d}" for n in range(start, start + 6)}
+            before = probe._profile_vector(grams, {})
+            assert (probe._profile_vector(grams, buckets) == before).all()
+            assert len(buckets) <= 8 + 6
+
+    def test_size_bound_is_necessary_for_the_duplicate_threshold(self):
+        from repro.core.probe import DUPLICATE_SIMILARITY, _sizes_allow_duplicates
+        from repro.core.wide import profile_similarity
+
+        for a in range(0, 41):
+            for b in range(0, 41):
+                # The most two profiles of these sizes can share: one
+                # inside the other.
+                small, large = sorted((a, b))
+                best = profile_similarity(set(range(small)), set(range(large)))
+                assert _sizes_allow_duplicates(a, b) == (
+                    best >= DUPLICATE_SIMILARITY
+                ), (a, b)
+
+    def test_plans_do_not_depend_on_the_shortcuts(self, monkeypatch):
+        from repro.core import probe
+
+        rng = np.random.default_rng(5)
+        words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"]
+        tables = []
+        for t in range(20):
+            columns = []
+            for c in range(7):
+                if c and rng.random() < 0.3:  # a near-copy of its neighbour
+                    values = list(columns[-1].values)
+                    values[0] = values[0] + "x"
+                else:
+                    values = [
+                        f"{rng.choice(words)} {rng.choice(words)} {rng.integers(99)}"
+                        for _ in range(6)
+                    ]
+                columns.append(Column(values=values))
+            tables.append(Table(columns=columns, table_id=f"t{t}"))
+        budget = ProbeBudget(max_pairs=8)
+        fast = [ProbePlanner(budget).plan(table) for table in tables]
+        monkeypatch.setattr(probe, "_sizes_allow_duplicates", lambda a, b: True)
+        slow = [ProbePlanner(budget).plan(table) for table in tables]
+        assert fast == slow
+
+
 class TestTypeCompatibilityPrefilter:
     @pytest.fixture()
     def dataset(self):

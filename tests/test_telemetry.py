@@ -235,10 +235,11 @@ STATS_SHAPE = {
                 "column_hits": "int", "column_misses": "int",
                 "segment_hits": "int", "segment_misses": "int",
                 "real_tokens": "int", "padded_tokens": "int",
+                "last_block_rows": "int",
                 "pairs_planned": "int", "pairs_pruned": "int",
                 "pairs_probed": "int", "quant_fallbacks": "int",
-                "padding_waste": "float", "column_hit_rate": "float",
-                "probe_prune_rate": "float",
+                "padding_waste": "float", "last_block_share": "float",
+                "column_hit_rate": "float", "probe_prune_rate": "float",
             }
         },
         "disk_tiers": {
