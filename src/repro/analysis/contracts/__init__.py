@@ -1,8 +1,8 @@
 """``repro check`` — the AST-based contract checker.
 
-Statically enforces the four invariants the serving stack defends
-(batched==sequential byte-identity, fingerprint folding, raw-counter
-stats merging, non-blocking asyncio paths) plus import hygiene.  See
+Statically enforces the invariants of the serving stack that are
+decidable from source (non-blocking asyncio paths, lock discipline,
+determinism hygiene) plus import hygiene.  See
 ``docs/checks.md`` for the rule catalog and the suppression syntax.
 """
 

@@ -3,10 +3,8 @@
 The checker's unit of work is a :class:`Project` — a set of
 :class:`SourceFile` objects, each holding the raw text, the parsed
 ``ast`` tree, and the inline suppressions found in that file.  Rules
-receive the whole project (several contracts are cross-file: the
-fingerprint-fold rule relates ``EngineConfig``'s fields to the
-``model_fingerprint`` property wherever each is defined) and return
-:class:`Finding` objects.
+receive the whole project (the dead-shim half of ``unused-import`` is
+cross-file) and return :class:`Finding` objects.
 
 Suppression syntax::
 
@@ -174,13 +172,3 @@ class Project:
 
     def __iter__(self) -> Iterator[SourceFile]:
         return iter(self.files)
-
-    def find_classes(self, name: str) -> List[Tuple[SourceFile, ast.ClassDef]]:
-        """Every class definition named ``name`` across the project."""
-        out = []
-        for src in self.files:
-            for node in src.classes():
-                if node.name == name:
-                    out.append((src, node))
-        return out
-

@@ -5,7 +5,6 @@ order rules run and the order ``repro check --list`` prints.
 """
 
 from . import (  # noqa: F401 - imports register the rules
-    fingerprint_fold,
     async_blocking,
     lock_discipline,
     determinism,
@@ -15,7 +14,6 @@ from . import (  # noqa: F401 - imports register the rules
 __all__ = [
     "async_blocking",
     "determinism",
-    "fingerprint_fold",
     "imports",
     "lock_discipline",
 ]

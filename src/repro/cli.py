@@ -50,7 +50,7 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Optional, Sequence
 
 from .core import Doduo, DoduoConfig, DoduoTrainer, ProbeBudget, ProbePlanner
@@ -71,6 +71,17 @@ from .io import (
     save_dataset_jsonl,
 )
 from .nn import TransformerConfig
+from .serving import (
+    AnnotationEngine,
+    AnnotationGateway,
+    AnnotationOptions,
+    EngineConfig,
+    GatewayStats,
+    PoolConfig,
+    ServingPool,
+    protocol,
+    store_directory,
+)
 from .text import train_wordpiece
 
 GENERATORS = {
@@ -138,10 +149,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
-    probe_error = _probe_args_error(args)
-    if probe_error:
-        print(probe_error, file=sys.stderr)
-        return 1
+    config = _engine_config(args)
     annotator = load_annotator(args.model)
     if args.table.endswith(".jsonl"):
         csv_only = [
@@ -161,22 +169,24 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-        return _annotate_jsonl_batch(annotator, args)
+        return _annotate_jsonl_batch(annotator, config, args)
+    # CSV mode builds no engine: of its knobs only the probe policy applies.
     jsonl_only = [
         name
         for name, used in (
             ("--out", args.out is not None),
-            ("--batch-size", args.batch_size is not None),
             ("--top-k", args.top_k is not None),
             ("--threshold", args.threshold is not None),
             ("--embeddings", args.embeddings),
             ("--cache-dir", args.cache_dir is not None),
-            ("--kernels", args.kernels is not None),
-            ("--precision", args.precision is not None),
-            ("--column-cache", args.column_cache is not None),
-            ("--column-cache-persist", args.column_cache_persist),
         )
         if used
+    ] + [
+        knob.metadata["flags"][0]
+        for knob in fields(EngineConfig)
+        if knob.metadata["flags"]
+        and knob.name not in ("probe_mode", "probe_budget")
+        and getattr(args, knob.name, None) is not None
     ]
     if jsonl_only:
         print(
@@ -187,8 +197,8 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         return 1
     table = read_table_csv(args.table, has_header=not args.no_header)
     planner = None
-    if args.probe_mode == "planned":
-        planner = ProbePlanner(ProbeBudget(max_pairs=args.probe_budget))
+    if config.probe_mode == "planned":
+        planner = ProbePlanner(ProbeBudget(max_pairs=config.probe_budget))
     if args.max_columns and table.num_columns > args.max_columns:
         annotated = annotate_wide(
             annotator, table, max_columns=args.max_columns,
@@ -234,86 +244,66 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    """The engine flags ``annotate`` (.jsonl mode) and ``serve`` share;
-    :func:`_engine_kwargs` turns them into EngineConfig overrides."""
-    parser.add_argument("--batch-size", type=int, default=None,
-                        help="max tables per forward pass (default 8); a "
-                             "chunk of any widths is one padding-free pass, "
-                             "byte-identical to one-at-a-time serving")
-    parser.add_argument("--precision", "--dtype",
-                        choices=("float32", "float64", "int8"), default=None,
-                        help="serving precision (default float32): float64 "
-                             "computes in double precision, int8 serves "
-                             "per-channel quantized weights behind the "
-                             "accuracy gate; both require fast kernels")
-    parser.add_argument("--kernels", choices=("fast", "reference"),
-                        default=None,
-                        help="forward implementation: proof-gated fast "
-                             "kernels (default) or the reference Tensor path")
-    parser.add_argument("--column-cache", type=int, default=None, metavar="N",
-                        help="column-state cache capacity in entries "
-                             "(0 disables; single-column models only)")
-    parser.add_argument("--column-cache-persist", action="store_true",
-                        help="also persist column states to --cache-dir")
-    parser.add_argument("--probe-mode", choices=("exhaustive", "planned"),
-                        default=None,
-                        help="relation probing policy: exhaustive default "
-                             "pairs (byte-identical legacy behavior) or "
-                             "planner-pruned, budgeted pairs")
-    parser.add_argument("--probe-budget", type=int, default=None, metavar="N",
-                        help="max planned relation pairs per table "
-                             "(requires --probe-mode planned)")
+def _add_engine_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """The flags :class:`EngineConfig`'s knobs declare for ``command``;
+    :func:`_engine_config` reads them back."""
+    for knob in fields(EngineConfig):
+        meta = knob.metadata
+        if not meta["flags"] or command not in meta["commands"]:
+            continue
+        if isinstance(knob.default, bool):
+            kind = {"action": "store_true"}
+        elif meta["enumerated"]:
+            kind = {"choices": meta["values"]}
+        else:
+            kind = {"type": int, "metavar": "N"}
+        default = f" (default {knob.default})" if knob.default else ""
+        parser.add_argument(
+            *meta["flags"], dest=knob.name, default=None,
+            help=meta["help"] + default, **kind,
+        )
 
 
-def _engine_kwargs(args: argparse.Namespace) -> dict:
-    """EngineConfig keyword overrides from :func:`_add_engine_flags` (and
-    ``serve``'s ``--weight-arena``); omitted flags fall through to the
-    EngineConfig defaults."""
-    kwargs = {}
-    if args.batch_size is not None:
-        kwargs["batch_size"] = args.batch_size
-    if args.kernels is not None:
-        kwargs["kernels"] = args.kernels
-    if args.precision is not None:
-        kwargs["precision"] = args.precision
-    if getattr(args, "weight_arena", False):
-        kwargs["weight_arena"] = True
-    if args.column_cache is not None:
-        kwargs["column_cache_size"] = args.column_cache
-    if args.column_cache_persist:
-        kwargs["column_cache_persist"] = True
-    if args.probe_mode is not None:
-        kwargs["probe_mode"] = args.probe_mode
-    if args.probe_budget is not None:
-        kwargs["probe_budget"] = args.probe_budget
-    return kwargs
+def _engine_config(args: argparse.Namespace) -> EngineConfig:
+    """The :class:`EngineConfig` the given engine flags spell; omitted ones
+    keep their defaults, and a refused combination raises ``ValueError``."""
+    config = EngineConfig(**{
+        knob.name: getattr(args, knob.name)
+        for knob in fields(EngineConfig)
+        if knob.metadata["flags"] and getattr(args, knob.name, None) is not None
+    })
+    if config.column_cache_persist and args.cache_dir is None:
+        raise ValueError("--column-cache-persist requires --cache-dir")
+    return config
 
 
-def _probe_args_error(args: argparse.Namespace) -> Optional[str]:
-    """Validate the probe flag combination (shared by annotate/serve)."""
-    if (
-        getattr(args, "probe_budget", None) is not None
-        and getattr(args, "probe_mode", None) != "planned"
-    ):
-        return "error: --probe-budget requires --probe-mode planned"
-    return None
+def _add_option_flags(parser: argparse.ArgumentParser) -> None:
+    """The per-request options ``annotate`` (.jsonl mode) and ``serve`` fix
+    for every table; :func:`_options` reads them back."""
+    parser.add_argument("--top-k", type=int, default=None,
+                        help="type scores kept per column (default 3)")
+    parser.add_argument("--threshold", type=float, default=None,
+                        help="multi-label decision threshold")
+    parser.add_argument("--embeddings", action="store_true",
+                        help="include column embeddings in records")
 
 
-def _annotate_jsonl_batch(annotator: Doduo, args: argparse.Namespace) -> int:
+def _options(args: argparse.Namespace) -> AnnotationOptions:
+    return AnnotationOptions(
+        with_embeddings=args.embeddings,
+        top_k=3 if args.top_k is None else args.top_k,
+        score_threshold=args.threshold,
+    )
+
+
+def _annotate_jsonl_batch(
+    annotator: Doduo, config: EngineConfig, args: argparse.Namespace
+) -> int:
     """Batch-serve a .jsonl corpus through the AnnotationEngine.
 
     Tables are streamed lazily from the file (one chunk in memory at a
     time), so arbitrarily large corpora can be served.
     """
-    from .serving import (
-        AnnotationEngine,
-        AnnotationOptions,
-        EngineConfig,
-        store_directory,
-    )
-
-    config = EngineConfig(**_engine_kwargs(args))
     if args.cache_dir is not None:
         # Answers `repro serve` stored here are found where it put them
         # (its registry's per-fingerprint sub-directory); a new directory
@@ -322,11 +312,7 @@ def _annotate_jsonl_batch(annotator: Doduo, args: argparse.Namespace) -> int:
         directory = store_directory(args.cache_dir, fingerprint) or args.cache_dir
         config = replace(config, cache_dir=str(directory))
     engine = AnnotationEngine(annotator.trainer, config)
-    options = AnnotationOptions(
-        with_embeddings=args.embeddings,
-        top_k=3 if args.top_k is None else args.top_k,
-        score_threshold=args.threshold,
-    )
+    options = _options(args)
     out_handle = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     count = 0
     try:
@@ -378,8 +364,6 @@ def _iter_stdin_records(options, admin=True):
     loop server must outlive its worst client line (exceptions would end
     the generator for good).
     """
-    from .serving import protocol
-
     for line in sys.stdin:
         try:
             record = protocol.decode_record(line, options, admin=admin)
@@ -398,8 +382,6 @@ def _iter_corpus_records(path, options):
     admin op, which is live traffic, not a corpus row) raises — a static
     corpus with a broken line is an input error, not traffic to survive.
     """
-    from .serving import protocol
-
     with open(path, encoding="utf-8") as handle:
         for line in handle:
             record = protocol.decode_record(line, options, admin=False)
@@ -518,67 +500,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ``--listen HOST:PORT`` swaps the stdin/stdout transport for the
     asyncio TCP server — same protocol, same answers.
     """
-    from .serving import (
-        AnnotationGateway,
-        AnnotationOptions,
-        EngineConfig,
-        ModelRegistry,
-        QueueConfig,
-        protocol,
-        store_directory,
-    )
-
-    probe_error = _probe_args_error(args)
-    if probe_error:
-        print(probe_error, file=sys.stderr)
-        return 1
+    engine_config = _engine_config(args)
+    options = _options(args)
     specs, corpus = _parse_serve_routes(args)
     if args.workers is not None:
-        # Multi-process pool: the parent owns the address, each worker
-        # builds its own registry/gateway/server stack (and, with
-        # --cache-dir, its own writer id on the shared cache fabric) —
-        # nothing below this point applies to the parent process.
+        # Multi-process pool: the parent owns the address and each worker
+        # builds its own stack — nothing below applies to the parent.
         if args.listen is None:
             raise ValueError("--workers requires --listen (the pool serves "
                              "TCP; corpus/stdin serving is single-process)")
         if args.workers < 1:
             raise ValueError(f"--workers must be >= 1: {args.workers}")
-        return _serve_pool(args, specs)
-    # Single-model serving over a cache directory that already holds a
-    # FLAT cache (written by `repro annotate --cache-dir` or a pre-gateway
-    # `repro serve`; segments, or after `repro cache compact` only a
-    # generation) keeps using that layout, so existing warm caches stay
-    # warm.  Everything else gets the registry layout: one subdirectory
-    # per model fingerprint, so models never share segment files.  (Keys
-    # embed the fingerprint either way — layouts differ, correctness does
-    # not.)  The flat config is pinned to the initial registration only —
-    # NOT the registry default — so a model hot-registered later
-    # ({"op": "register"}) roots its cache in its own fingerprint
-    # subdirectory.
-    flat_cache = (
-        args.cache_dir is not None
-        and len(specs) == 1
-        and store_directory(args.cache_dir) is not None
-    )
-    engine_config = EngineConfig(**_engine_kwargs(args))
-    registry = ModelRegistry(
-        max_live=args.max_live,
-        engine_config=engine_config,
-        cache_dir=args.cache_dir,
-    )
-    flat_config = (
-        replace(engine_config, cache_dir=args.cache_dir) if flat_cache else None
-    )
-    for name, path in specs:
-        registry.register(name, path, engine_config=flat_config)
-    gateway = AnnotationGateway(
-        registry,
-        QueueConfig(max_batch=engine_config.batch_size),
-    )
-    options = AnnotationOptions(
-        with_embeddings=args.embeddings,
-        top_k=3 if args.top_k is None else args.top_k,
-        score_threshold=args.threshold,
+        return _serve_pool(args, specs, engine_config, options)
+    gateway = AnnotationGateway.for_bundles(
+        specs, engine_config, cache_dir=args.cache_dir, max_live=args.max_live
     )
     if args.listen is not None:
         return _serve_listen(args, gateway, options, specs)
@@ -772,29 +707,24 @@ def _serve_listen(args, gateway, options, specs) -> int:
     return 0
 
 
-def _serve_pool(args: argparse.Namespace, specs) -> int:
+def _serve_pool(args: argparse.Namespace, specs, engine_config, options) -> int:
     """`repro serve --listen HOST:PORT --workers N`: the process pool.
 
     The parent binds (or reserves) the address, spawns the workers, and
     supervises until SIGINT/SIGTERM or a client's ``{"op": "shutdown"}``
     — then every worker drains its accepted requests before exiting.
     """
-    from .serving import EngineConfig, GatewayStats
-    from .serving.pool import PoolConfig, ServingPool
-
     host, port = _parse_listen(args.listen)
     config = PoolConfig(
-        specs=[(name, str(path)) for name, path in specs],
+        specs=specs,
         host=host,
         port=port,
         workers=args.workers,
         cache_dir=args.cache_dir,
-        engine=EngineConfig(**_engine_kwargs(args)),
+        engine=engine_config,
         max_live=args.max_live,
-        with_embeddings=args.embeddings,
+        options=options,
         admin=not args.no_admin,
-        top_k=3 if args.top_k is None else args.top_k,
-        score_threshold=args.threshold,
     )
     pool = ServingPool(config)
     try:
@@ -1025,13 +955,8 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("contiguous", "similarity"))
     annotate.add_argument("--out", default=None,
                           help="write .jsonl results here instead of stdout")
-    annotate.add_argument("--top-k", type=int, default=None,
-                          help="type scores kept per column (.jsonl mode, default 3)")
-    annotate.add_argument("--threshold", type=float, default=None,
-                          help="multi-label decision threshold (.jsonl mode)")
-    annotate.add_argument("--embeddings", action="store_true",
-                          help="include column embeddings in .jsonl records")
-    _add_engine_flags(annotate)  # .jsonl mode
+    _add_option_flags(annotate)  # these and the engine flags: .jsonl mode
+    _add_engine_flags(annotate, "annotate")
     annotate.add_argument("--cache-dir", default=None,
                           help="persistent result-cache directory (.jsonl mode)")
     annotate.set_defaults(func=_cmd_annotate)
@@ -1056,23 +981,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-live", type=int, default=None,
                        help="cap concurrently loaded models; idle ones are "
                             "LRU-evicted and transparently reloaded")
-    _add_engine_flags(serve)
-    serve.add_argument("--weight-arena", action="store_true",
-                       help="map model weights from a shared mmap arena "
-                            "built next to each bundle — pool workers "
-                            "share one physical copy of the weights and "
-                            "evict/reload becomes a remap")
+    _add_engine_flags(serve, "serve")
+    _add_option_flags(serve)
     serve.add_argument("--cache-dir", default=None,
                        help="persistent result-cache root (one subdirectory "
                             "per model fingerprint)")
     serve.add_argument("--out", default=None,
                        help="write .jsonl results here instead of stdout")
-    serve.add_argument("--top-k", type=int, default=None,
-                       help="type scores kept per column (default 3)")
-    serve.add_argument("--threshold", type=float, default=None,
-                       help="multi-label decision threshold")
-    serve.add_argument("--embeddings", action="store_true",
-                       help="include column embeddings in records")
     serve.add_argument("--listen", default=None, metavar="HOST:PORT",
                        help="serve the same protocol over TCP instead of "
                             "a corpus/stdin (port 0 binds an ephemeral "

@@ -43,17 +43,6 @@ from .serialization import EncodedTable, SerializerConfig, TableSerializer
 TYPE_TASK = "type"
 RELATION_TASK = "relation"
 
-#: What each serving precision folds into the annotation fingerprint, as
-#: (before, after) the probe marker.  Spellings and positions are those of
-#: the release that introduced each value (float64 arrived as ``dtype``),
-#: so every persisted cache key stays valid; float32 is marker-free.
-_PRECISION_MARKERS = {
-    "float32": (b"", b""),
-    "float64": (b"|dtype=float64", b""),
-    "int8": (b"", b"|precision=int8"),
-}
-
-
 def default_relation_pairs(table: Table) -> List[Tuple[int, int]]:
     """Column pairs the relation head probes when none are requested.
 
@@ -287,7 +276,7 @@ class DoduoTrainer:
         # must not cost a weight walk per lookup.  Invalidated by train() —
         # external weight mutation must call invalidate_fingerprint() (or
         # hand the registry a fresh trainer).
-        self._annotation_fingerprints: Dict[Tuple[str, Optional[str]], str] = {}
+        self._annotation_fingerprints: Dict[bytes, str] = {}
 
     @property
     def serializer(self) -> TableSerializer:
@@ -561,9 +550,7 @@ class DoduoTrainer:
         self._annotation_fingerprints.clear()
         self.model.invalidate_sessions()
 
-    def annotation_fingerprint(
-        self, precision: str = "float32", probe: Optional[str] = None
-    ) -> str:
+    def annotation_fingerprint(self, fold: bytes = b"") -> str:
         """Stable hash of everything that determines an annotation output.
 
         Combines :meth:`DoduoModel.fingerprint` (architecture + weights) with
@@ -577,33 +564,17 @@ class DoduoTrainer:
         changing any weight, serializer knob, or vocabulary invalidates
         every cached entry and re-keys the route.
 
-        ``precision`` is the serving precision (``EngineConfig.precision``):
-        a ``float64`` engine produces different bytes than a ``float32``
-        one, and ``int8`` serves quantized weights behind an accuracy gate,
-        *deliberately* not byte-identical — so each folds into the digest
-        and no cache partition or route ever mixes precisions.  The default
-        ``"float32"`` digest is marker-free, as it was before the knob
-        existed, keeping persisted disk-cache entries valid.
-
-        ``probe`` is the probe-planning descriptor
-        (:meth:`~repro.core.probe.ProbePlanner.fingerprint_tag`): a planned
-        engine answers ``pairs=None`` requests with a *different pair set*
-        than an exhaustive one, so the plan policy folds into the digest
-        and no cache or route ever mixes plans.  ``None`` — exhaustive
-        probing, the default policy — leaves the digest marker-free, same
-        contract: pre-planner persisted cache keys stay valid.
+        ``fold`` is what the serving configuration appends
+        (:meth:`repro.serving.engine.EngineConfig.fold`: the markers of the
+        knobs that change annotation bytes), opaque here; empty under the
+        default configuration, so keys persisted before any such knob
+        existed stay valid.
 
         Memoized (hashing walks every weight); :meth:`train` invalidates the
         memo, and :meth:`invalidate_fingerprint` does so for out-of-band
         weight mutation.
         """
-        if precision not in _PRECISION_MARKERS:
-            raise ValueError(
-                f"precision must be one of {sorted(_PRECISION_MARKERS)}: "
-                f"{precision!r}"
-            )
-        memo_key = (precision, probe)
-        cached = self._annotation_fingerprints.get(memo_key)
+        cached = self._annotation_fingerprints.get(fold)
         if cached is not None:
             return cached
         digest = hashlib.blake2b(digest_size=16)
@@ -626,13 +597,9 @@ class DoduoTrainer:
             for label in vocab:
                 digest.update(b"\x1f")
                 digest.update(label.encode("utf-8"))
-        before_probe, after_probe = _PRECISION_MARKERS[precision]
-        digest.update(before_probe)
-        if probe is not None:
-            digest.update(f"|probe={probe}".encode("utf-8"))
-        digest.update(after_probe)
+        digest.update(fold)
         value = digest.hexdigest()
-        self._annotation_fingerprints[memo_key] = value
+        self._annotation_fingerprints[fold] = value
         return value
 
     def annotate_batch(

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
 from typing import (
     Dict,
@@ -49,7 +49,6 @@ from typing import (
 import numpy as np
 
 from ..core.annotator import AnnotatedTable
-from ..core.inference import INFERENCE_DTYPES, QUANTIZED_DTYPES
 from ..core.probe import ProbeBudget, ProbePlanner
 from ..core.trainer import DoduoTrainer, RawTableAnnotation, decide_labels
 from ..datasets.tables import Table
@@ -70,110 +69,215 @@ RequestLike = Union[Table, AnnotationRequest]
 DEFAULT_DECISION_THRESHOLD = 0.5  # the paper's multi-label cutoff
 
 
+def _probe_marker(config: "EngineConfig") -> bytes:
+    """The planner's descriptor of ``probe_mode`` and ``probe_budget``."""
+    planner = ProbePlanner(ProbeBudget(max_pairs=config.probe_budget))
+    return f"|probe={planner.fingerprint_tag()}".encode("utf-8")
+
+
+def knob(
+    default, *, bytes: str, why: str, help: str, values=(), choices=(),
+    minimum: Optional[int] = None, flags: Tuple[str, ...] = (),
+    commands: Tuple[str, ...] = ("annotate", "serve"), marker=None,
+):
+    """Declare one :class:`EngineConfig` field, beside its default.
+
+    ``bytes`` is the knob's claim about annotation bytes — ``"same"``
+    (every value serves the same bytes, so it stays out of the model
+    fingerprint and persisted keys survive) or ``"changes"`` (it folds in)
+    — and ``why`` the one sentence that justifies it.  ``values`` are what
+    the configuration lattice (``tests/test_engine_knobs.py``) draws, which
+    turns every ``same`` into an assertion; ``choices`` are values that are
+    also the whole enumeration (validated at construction, offered by the
+    flag).  ``minimum`` bounds an integer knob; ``flags`` are its CLI
+    spellings on ``commands``, and ``help`` says what it does there.
+
+    A ``changes`` knob names the ``marker`` it renders into the
+    fingerprint: ``{value: (order, spelling)}`` — ``spelling`` bytes, or a
+    function of the config — or the name of the knob whose marker spells
+    it too.  ``order`` is the release order the markers were introduced
+    in (a new one appends at the end), so every stored key stays valid;
+    the default value must be marker-free for the same reason.
+    """
+    values = tuple(choices or values)
+    if bytes not in ("same", "changes"):
+        raise TypeError(f"bytes must be 'same' or 'changes': {bytes!r}")
+    if len(values) < 2 or default not in values:
+        raise TypeError(f"needs >= 2 values, the default among them: {values}")
+    if (bytes == "changes") != bool(marker):
+        raise TypeError("a marker is what a 'changes' knob, and only it, declares")
+    if isinstance(marker, dict) and default in marker:
+        raise TypeError(f"the default {default!r} must be marker-free")
+    return field(default=default, metadata=dict(
+        bytes=bytes, why=why, help=help, values=values, enumerated=bool(choices),
+        minimum=minimum, flags=flags, commands=commands, marker=marker,
+    ))
+
+
+def _declared(cls):
+    """Refuse a config class with a field :func:`knob` did not declare —
+    at class creation, so an unclassified knob fails at import."""
+    known = {**getattr(cls, "__dataclass_fields__", {}), **cls.__dict__}
+    for name in cls.__dict__.get("__annotations__", {}):
+        declared = cls.__dict__.get(name)
+        if not isinstance(declared, Field) or "bytes" not in declared.metadata:
+            raise TypeError(f"{cls.__name__}.{name} is not declared through knob()")
+        marker = declared.metadata["marker"]
+        if isinstance(marker, str) and not isinstance(
+            getattr(known.get(marker), "metadata", {}).get("marker"), dict
+        ):
+            raise TypeError(f"{cls.__name__}.{name}: no knob {marker!r} has a marker")
+    return cls
+
+
 @dataclass(frozen=True)
+@_declared
 class EngineConfig:
-    """Engine-level knobs.
-
-    ``batch_size`` caps tables per forward pass.  ``cache_size`` controls
-    the serialization cache: ``None`` (default) shares the trainer's
-    :class:`~repro.encoding.EncodingPipeline` — serving requests, training
-    epochs, and evaluations then reuse each other's serializations — while
-    an explicit capacity builds a private pipeline of that size (0 disables
-    caching).  ``cache_dir`` turns on the persistent
-    result-cache tier (:class:`~repro.serving.fabric.FabricCache` rooted
-    there) so finished annotations survive process restarts.
-
-    ``precision`` is the one precision knob: ``"float32"`` (default — the
-    training dtype, bitwise the legacy serving path), ``"float64"``
-    (double-precision weights and activations for numeric studies), or
-    ``"int8"`` — per-channel symmetric weight quantization, float32
-    accumulate, served through the accuracy-gated
-    :class:`~repro.core.inference.QuantizedInferenceSession`.  The
-    precision is folded into the model fingerprint, so the result cache,
-    the column cache, and gateway routing never mix precisions.
-    ``kernels`` selects the forward implementation: ``"fast"`` (default)
-    runs the proof-gated :class:`~repro.core.inference.InferenceSession` —
-    fused QKV, preallocated workspaces, in-place softmax/layernorm, each
-    kernel dark until proven bitwise against the reference — while
-    ``"reference"`` forces the original Tensor path (float32 only).
-
-    ``column_cache_size`` bounds the column-level content-addressed state
-    cache (entries; 0 disables).  It only engages for single-column
-    models — table-wise attention makes per-column states
-    context-dependent — and ``column_cache_persist`` additionally spills
-    entries to the engine's persistent tier (requires ``cache_dir`` or an
-    attached result cache) so column states survive restarts.
-
-    ``weight_arena`` opts the loading tier (registry / pool) into serving
-    this model from a shared mmap-ed arena file (:mod:`repro.nn.arena`);
-    it is byte-neutral — a float32 arena stores each parameter's exact
-    bytes — and the engine itself ignores it, which is why it lives here:
-    it rides the same ``engine_config`` plumbing the registry already
-    forwards per model.
-
-    ``probe_mode`` is the relation-probing policy for requests that leave
-    ``AnnotationRequest.pairs`` unset: ``"exhaustive"`` (default) probes
-    :func:`~repro.core.trainer.default_relation_pairs` — byte-identical to
-    the pre-planner engine — while ``"planned"`` routes the request
-    through a :class:`~repro.core.probe.ProbePlanner`, which prunes and
-    budgets the k² pair cross-product before any encoder work.
-    ``probe_budget`` caps the planned pairs per table
-    (:class:`~repro.core.probe.ProbeBudget.max_pairs`; ``None`` plans
-    without a cap, prefilters only).  Explicit request pairs always bypass
-    the planner, and the probe policy folds into the model fingerprint so
-    no cache tier or route ever mixes plans.
+    """Engine-level knobs, each declared once through :func:`knob`: the
+    fingerprint fold (:meth:`fold`), the ``repro annotate`` / ``repro
+    serve`` flags, construction-time validation, the configuration lattice
+    and the reference below (also ``docs/serving.md``) read the declaration.
     """
 
-    batch_size: int = 8
-    cache_size: Optional[int] = None
-    default_options: AnnotationOptions = field(default_factory=AnnotationOptions)
-    cache_dir: Optional[str] = None
-    kernels: str = "fast"
-    column_cache_size: int = 1024
-    column_cache_persist: bool = False
-    probe_mode: str = "exhaustive"
-    probe_budget: Optional[int] = None
-    precision: str = "float32"
-    weight_arena: bool = False
+    batch_size: int = knob(
+        8, bytes="same", values=(1, 3, 8), minimum=1, flags=("--batch-size",),
+        why="every sequence is encoded at the width it would have alone, so "
+        "batched answers are byte-identical to sequential ones",
+        help="max tables per forward pass; a chunk of any widths is one "
+        "padding-free pass",
+    )
+    cache_size: Optional[int] = knob(
+        None, bytes="same", values=(None, 0, 2), minimum=0,
+        why="serialization-cache capacity; a hit replays the bytes a miss builds",
+        help="None shares the trainer's encoding cache; an int builds a "
+        "private one of that capacity (0 disables)",
+    )
+    default_options: AnnotationOptions = knob(
+        AnnotationOptions(), bytes="same",
+        values=(AnnotationOptions(), AnnotationOptions(with_embeddings=False, top_k=3)),
+        why="per-request options fold into the request's cache key, not the "
+        "model fingerprint",
+        help="options of plain Table items (requests carry their own)",
+    )
+    cache_dir: Optional[str] = knob(
+        None, bytes="same", values=(None, "anno-cache"),
+        why="where the persistent tier is stored, not what it holds",
+        help="roots the persistent result store there, so finished "
+        "annotations survive restarts (the commands' --cache-dir)",
+    )
+    kernels: str = knob(
+        "fast", bytes="same", choices=("fast", "reference"), flags=("--kernels",),
+        why="a fast kernel serves only after a bitwise proof against the "
+        "reference path",
+        help="forward implementation: proof-gated fast kernels or the "
+        "reference Tensor path (float32 only)",
+    )
+    column_cache_size: int = knob(
+        1024, bytes="same", values=(0, 2, 1024), minimum=0, flags=("--column-cache",),
+        why="column-state cache capacity; a hit is the state a fresh pass at "
+        "that width computes",
+        help="column-state cache capacity in entries (0 disables; "
+        "single-column models only)",
+    )
+    column_cache_persist: bool = knob(
+        False, bytes="same", choices=(False, True), flags=("--column-cache-persist",),
+        why="spill policy of the column cache; entries are content-addressed",
+        help="also persist column states to the result store (requires one)",
+    )
+    probe_mode: str = knob(
+        "exhaustive", bytes="changes", choices=("exhaustive", "planned"),
+        flags=("--probe-mode",), marker={"planned": (1, _probe_marker)},
+        why="a planned engine probes a different pair set for the same "
+        "pairs=None request",
+        help="relation probing of requests without explicit pairs: the "
+        "exhaustive default pairs, or planner-pruned, budgeted pairs",
+    )
+    probe_budget: Optional[int] = knob(
+        None, bytes="changes", values=(None, 2, 12), minimum=1,
+        flags=("--probe-budget",), marker="probe_mode",
+        why="the cap decides which planned pairs are probed",
+        help="max planned relation pairs per table (requires probe_mode "
+        "planned; None plans without a cap)",
+    )
+    precision: str = knob(
+        "float32", bytes="changes", choices=("float32", "float64", "int8"),
+        flags=("--precision", "--dtype"),
+        marker={"float64": (0, b"|dtype=float64"), "int8": (2, b"|precision=int8")},
+        why="float64 computes in other arithmetic; int8 serves quantized "
+        "weights behind an accuracy gate, not a byte gate",
+        help="serving precision: float64 computes in double precision, int8 "
+        "serves per-channel quantized weights; both require fast kernels",
+    )
+    weight_arena: bool = knob(
+        False, bytes="same", choices=(False, True), flags=("--weight-arena",),
+        commands=("serve",),
+        why="a float32 arena stores each parameter's exact bytes; an int8 "
+        "arena changes bytes only through precision, which folds on its own",
+        help="map model weights from a shared mmap arena built next to each "
+        "bundle (read by the registry and pool; the engine ignores it)",
+    )
+
+    def __init_subclass__(cls) -> None:
+        _declared(cls)
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1: {self.batch_size}")
-        if self.cache_size is not None and self.cache_size < 0:
-            raise ValueError(f"cache_size must be >= 0: {self.cache_size}")
-        if self.precision not in INFERENCE_DTYPES + QUANTIZED_DTYPES:
-            raise ValueError(
-                "precision must be 'float32', 'float64', or 'int8': "
-                f"{self.precision!r}"
-            )
-        if self.kernels not in ("fast", "reference"):
-            raise ValueError(
-                f"kernels must be 'fast' or 'reference': {self.kernels!r}"
-            )
+        for spec in fields(self):
+            value, meta = getattr(self, spec.name), spec.metadata
+            if meta["enumerated"] and value not in meta["values"]:
+                raise ValueError(
+                    f"{spec.name} must be one of {meta['values']}: {value!r}"
+                )
+            if None not in (value, meta["minimum"]) and value < meta["minimum"]:
+                raise ValueError(
+                    f"{spec.name} must be >= {meta['minimum']}: {value}"
+                )
         if self.precision != "float32" and self.kernels != "fast":
             raise ValueError(
                 f"precision={self.precision!r} requires kernels='fast' (the "
                 "reference Tensor path is float32-only)"
             )
-        if self.column_cache_size < 0:
+        if self.probe_budget is not None and self.probe_mode != "planned":
             raise ValueError(
-                f"column_cache_size must be >= 0: {self.column_cache_size}"
+                "probe_budget requires probe_mode='planned' (exhaustive "
+                "probing has no budget to apply)"
             )
-        if self.probe_mode not in ("exhaustive", "planned"):
-            raise ValueError(
-                f"probe_mode must be 'exhaustive' or 'planned': "
-                f"{self.probe_mode!r}"
+
+    def fold(self) -> bytes:
+        """What this configuration appends to the annotation fingerprint:
+        the markers of its ``changes`` knobs in the order they were
+        introduced — empty under the defaults."""
+        markers = []
+        for spec in fields(self):
+            marker = spec.metadata["marker"]
+            if isinstance(marker, dict) and getattr(self, spec.name) in marker:
+                markers.append(marker[getattr(self, spec.name)])
+        return b"".join(
+            spelling(self) if callable(spelling) else spelling
+            for _, spelling in sorted(markers, key=lambda marker: marker[0])
+        )
+
+    @classmethod
+    def reference(cls) -> str:
+        """The knob table (here in the docstring, and in ``docs/serving.md``)."""
+        rows = [
+            "| Knob | Flag | Default | Values | Effect | Bytes | Why |",
+            "| --- | --- | --- | --- | --- | --- | --- |",
+        ]
+        for spec in fields(cls):
+            meta = spec.metadata
+            flags = " / ".join(f"`{flag}`" for flag in meta["flags"]) or "—"
+            if meta["flags"] and len(meta["commands"]) == 1:
+                flags += f" ({meta['commands'][0]} only)"
+            values = ", ".join(f"`{value!r}`" for value in meta["values"])
+            rows.append(
+                f"| `{spec.name}` | {flags} | `{spec.default!r}` "
+                f"| {values if meta['enumerated'] else 'e.g. ' + values} "
+                f"| {meta['help']} | {meta['bytes']} | {meta['why']} |"
             )
-        if self.probe_budget is not None:
-            if self.probe_budget < 1:
-                raise ValueError(
-                    f"probe_budget must be >= 1: {self.probe_budget}"
-                )
-            if self.probe_mode != "planned":
-                raise ValueError(
-                    "probe_budget requires probe_mode='planned' (exhaustive "
-                    "probing has no budget to apply)"
-                )
+        return "\n".join(rows) + "\n"
+
+
+EngineConfig.__doc__ += "\n" + EngineConfig.reference()
 
 
 EngineStats = declare(
@@ -280,9 +384,10 @@ class AnnotationEngine:
         # neighbours, so those states are never cached).
         self.column_cache: Optional[ColumnCache] = None
         if trainer.config.single_column and self.config.column_cache_size > 0:
+            # Its persistent tier is ``result_cache``, read per chunk: a
+            # registry attaches (and detaches) the store after construction.
             self.column_cache = ColumnCache(
                 self.config.column_cache_size,
-                disk=self.result_cache,
                 persist=self.config.column_cache_persist,
             )
         # Probe planning: only built in planned mode, so exhaustive engines
@@ -293,6 +398,9 @@ class AnnotationEngine:
             self.probe_planner = ProbePlanner(
                 ProbeBudget(max_pairs=self.config.probe_budget)
             )
+        # The config is frozen, and ``identify`` reads ``model_fingerprint``
+        # per request on the event loop: render its markers once.
+        self._fold = self.config.fold()
         self.stats = EngineStats()
         # ``requests``/``disk_hits``/``disk_misses`` have two writers — the
         # thread inside annotate_batch and count_stored_hit's caller.
@@ -542,21 +650,12 @@ class AnnotationEngine:
         cached annotations onto new weights.  The memo makes repeated
         access cheap (no weight walk).
 
-        The engine's precision is folded in (``EngineConfig.precision``),
-        so a float64 or int8 engine and a float32 engine over the same
-        weights never share cached bytes.  So is the probe policy
-        (``EngineConfig.probe_mode``/``probe_budget``): a planned engine
-        probes a different pair set for the same ``pairs=None`` request,
-        and its cache entries and routes must never alias exhaustive ones.
+        The configuration's ``changes`` knobs are folded in
+        (:meth:`EngineConfig.fold`): engines whose bytes may differ over the
+        same weights — another precision, another probe policy — never
+        share cached bytes or a route.
         """
-        probe = (
-            self.probe_planner.fingerprint_tag()
-            if self.probe_planner is not None
-            else None
-        )
-        return self.trainer.annotation_fingerprint(
-            precision=self.config.precision, probe=probe
-        )
+        return self.trainer.annotation_fingerprint(self._fold)
 
     def identify(
         self,
@@ -684,6 +783,7 @@ class AnnotationEngine:
             # trainer, and re-reading it here means weight surgery between
             # chunks orphans stale states instead of serving them.
             column_cache.model_key = self.model_fingerprint
+            column_cache.disk = self.result_cache
             col_hits_before = column_cache.hits
             col_misses_before = column_cache.misses
         raw = self.trainer.annotate_batch(

@@ -59,6 +59,8 @@ import asyncio
 import queue as _queue
 import threading
 from concurrent.futures import Future
+from dataclasses import replace
+from pathlib import Path
 from typing import (
     Any,
     AsyncIterator,
@@ -67,15 +69,17 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
 
 from ..telemetry import declare
 from .diskcache import RequestIdentity
-from .engine import AnnotationEngine, EngineStats, RequestLike
-from .fabric import FabricStats
+from .engine import AnnotationEngine, EngineConfig, EngineStats, RequestLike
+from .fabric import FabricStats, store_directory
 from .queue import EngineWorker, QueueConfig, ServiceStats
 from .registry import ModelRegistry, ModelSource
 from .request import AnnotationOptions, AnnotationRequest, AnnotationResult
@@ -166,6 +170,42 @@ class AnnotationGateway:
         registry = ModelRegistry()
         registry.register(name, engine)
         return cls(registry, queue_config)
+
+    @classmethod
+    def for_bundles(
+        cls,
+        specs: Sequence[Tuple[str, Union[str, Path]]],
+        engine_config: EngineConfig,
+        cache_dir: Optional[Union[str, Path]] = None,
+        max_live: Optional[int] = None,
+        fabric_writer: Optional[str] = None,
+        arena_paths: Optional[Mapping[str, str]] = None,
+    ) -> "AnnotationGateway":
+        """The stack ``repro serve`` runs, in its one process and in every
+        pool worker: a registry over the ``(name, bundle)`` ``specs`` rooted
+        at ``cache_dir``, and a gateway draining ``batch_size`` deep.
+
+        One model over a ``cache_dir`` that already holds a *flat* store
+        (``repro annotate --cache-dir`` or a pre-gateway ``serve`` wrote it;
+        segments, or after ``repro cache compact`` only a generation) keeps
+        using it, so a warm cache stays warm; everything else gets one
+        sub-directory per model fingerprint.  (Keys embed the fingerprint
+        either way.)  The flat root is pinned to these registrations, never
+        the registry default: a model hot-registered later roots its store
+        in its own sub-directory.
+        """
+        registry = ModelRegistry(
+            max_live=max_live, engine_config=engine_config,
+            cache_dir=cache_dir, fabric_writer=fabric_writer,
+        )
+        flat = len(specs) == 1 and cache_dir is not None and store_directory(cache_dir)
+        flat_config = replace(engine_config, cache_dir=str(cache_dir)) if flat else None
+        for name, path in specs:
+            registry.register(
+                name, path, engine_config=flat_config,
+                arena=(arena_paths or {}).get(name),
+            )
+        return cls(registry, QueueConfig(max_batch=engine_config.batch_size))
 
     # ------------------------------------------------------------------
     # Registration passthrough

@@ -67,8 +67,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..telemetry import Counters
 from .engine import EngineConfig
 from .gateway import AnnotationGateway, GatewayStats
-from .queue import QueueConfig
-from .registry import ModelRegistry, RegistryStats
+from .registry import RegistryStats
 from .request import AnnotationOptions
 from .server import AnnotationServer, ServerStats
 
@@ -103,9 +102,9 @@ class PoolConfig:
     Picklable by construction (primitives, tuples and the frozen
     ``engine`` config) so it crosses the ``multiprocessing`` boundary under
     any start method.  The fields mirror the ``repro serve`` flags they
-    come from; the engine's knobs live in ``engine`` (its ``batch_size``
-    is also the queue's ``max_batch``; the registry roots each model's
-    store under the pool's ``cache_dir``, not the engine's).
+    come from — the engine's knobs in ``engine``, the per-request ones in
+    ``options`` — and :meth:`AnnotationGateway.for_bundles` builds each
+    worker's stack from them.
     """
 
     specs: List[Tuple[str, str]]          # (name, bundle dir) routes
@@ -115,10 +114,10 @@ class PoolConfig:
     cache_dir: Optional[str] = None
     engine: EngineConfig = field(default_factory=EngineConfig)
     max_live: Optional[int] = None
-    with_embeddings: bool = False
+    # What every answer is rendered with (the CLI's --top-k / --threshold /
+    # --embeddings), embeddings on the wire included.
+    options: AnnotationOptions = AnnotationOptions(with_embeddings=False)
     admin: bool = True
-    top_k: Optional[int] = None   # AnnotationOptions default (CLI passes 3)
-    score_threshold: Optional[float] = None
     # name → arena file, filled by the parent before spawning (see
     # ServingPool.start): workers then map the SAME pre-built file, which
     # is the whole point — one physical weight copy pool-wide.
@@ -198,27 +197,18 @@ def _worker_main(
     except (ValueError, OSError):
         pass
 
-    registry = ModelRegistry(
-        max_live=config.max_live,
-        engine_config=config.engine,
+    # The parent pre-built the arenas (ServingPool.start), so every worker
+    # — crash-restarted ones included — maps the same files instead of
+    # re-parsing the bundles.
+    gateway = AnnotationGateway.for_bundles(
+        config.specs,
+        config.engine,
         cache_dir=config.cache_dir,
+        max_live=config.max_live,
         fabric_writer=f"w{slot}-pid{os.getpid()}"
         if config.cache_dir is not None
         else None,
-    )
-    for name, path in config.specs:
-        # The parent pre-built the arena (ServingPool.start), so every
-        # worker — including crash-restarted ones — maps the same file
-        # instead of re-parsing the bundle.
-        registry.register(name, path, arena=config.arena_paths.get(name))
-    gateway = AnnotationGateway(
-        registry,
-        QueueConfig(max_batch=config.engine.batch_size),
-    )
-    options = AnnotationOptions(
-        with_embeddings=config.with_embeddings,
-        top_k=config.top_k,
-        score_threshold=config.score_threshold,
+        arena_paths=config.arena_paths,
     )
 
     # The event pipe is shared by the admin handler (any executor
@@ -263,15 +253,15 @@ def _worker_main(
             "pid": os.getpid(),
             "server": server.stats,
             "gateway": gateway.stats,
-            "registry": registry.stats,
+            "registry": gateway.registry.stats,
         }
 
     server = AnnotationServer(
         gateway,
-        options,
+        config.options,
         host=config.host,
         port=config.port,
-        with_embeddings=config.with_embeddings,
+        with_embeddings=config.options.with_embeddings,
         admin=config.admin,
         shutdown_grace=config.shutdown_grace,
         sock=listen_sock,

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface (repro.cli)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,33 @@ def sample_csv(shared_tiny_annotator, tmp_path):
     path = tmp_path / "sample.csv"
     write_table_csv(table, path)
     return path
+
+
+def _documented_commands():
+    """Every ``repro ...`` line inside a fenced block of the docs."""
+    import shlex
+
+    root = Path(__file__).resolve().parent.parent
+    files = sorted((root / "docs").glob("*.md"))
+    files += [root / "README.md", root / "benchmarks" / "README.md"]
+    for path in files:
+        fenced, pending = False, ""
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if line.lstrip().startswith("```"):
+                fenced = not fenced
+                continue
+            text = pending + line.strip()
+            pending = text[:-1] + " " if text.endswith("\\") else ""
+            if fenced and not pending and text.startswith("repro "):
+                yield pytest.param(
+                    shlex.split(text, comments=True)[1:],
+                    id=f"{path.name}:{number}",
+                )
+
+
+@pytest.mark.parametrize("argv", _documented_commands())
+def test_documented_commands_parse(argv):
+    build_parser().parse_args(argv)  # argparse exits on a line it refuses
 
 
 class TestGenerate:
@@ -180,10 +208,11 @@ class TestAnnotateJsonlBatch:
         code = main([
             "annotate", str(bundle_dir), str(sample_csv),
             "--out", str(tmp_path / "r.jsonl"), "--embeddings",
+            "--kernels", "fast",  # an engine flag, even spelling its default
         ])
         assert code == 1
         err = capsys.readouterr().err
-        assert "--out" in err and "--embeddings" in err
+        assert "--out" in err and "--embeddings" in err and "--kernels" in err
         assert ".jsonl serving mode" in err
 
 

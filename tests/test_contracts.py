@@ -38,86 +38,6 @@ def rule_ids(result):
 
 
 # ----------------------------------------------------------------------
-# fingerprint-fold
-# ----------------------------------------------------------------------
-
-
-class TestFingerprintFoldRule:
-    def test_unclassified_field_flags(self, tmp_path):
-        source = """
-    class EngineConfig:
-        dtype: str = "float32"
-        mystery_knob: int = 0
-
-    class AnnotationEngine:
-        @property
-        def model_fingerprint(self) -> str:
-            return str(self.config.dtype)
-"""
-        result = run_snippets(tmp_path, {"e.py": source}, rules=["fingerprint-fold"])
-        assert rule_ids(result) == ["fingerprint-fold"]
-        assert "mystery_knob" in result.findings[0].message
-
-    def test_direct_fold_passes(self, tmp_path):
-        source = """
-    class EngineConfig:
-        dtype: str = "float32"
-        mystery_knob: int = 0
-
-    class AnnotationEngine:
-        @property
-        def model_fingerprint(self) -> str:
-            return str((self.config.dtype, self.config.mystery_knob))
-"""
-        result = run_snippets(tmp_path, {"e.py": source}, rules=["fingerprint-fold"])
-        assert result.findings == []
-
-    def test_indirect_fold_through_init_passes(self, tmp_path):
-        # The probe_planner pattern: the fingerprint reads self.planner,
-        # which __init__ builds from config fields under a config guard.
-        source = """
-    class EngineConfig:
-        probe_mode: str = "exhaustive"
-        probe_budget: int = 0
-
-    class AnnotationEngine:
-        def __init__(self):
-            self.planner = None
-            if self.config.probe_mode == "planned":
-                self.planner = Planner(self.config.probe_budget)
-
-        @property
-        def model_fingerprint(self) -> str:
-            return str(self.planner)
-"""
-        result = run_snippets(tmp_path, {"e.py": source}, rules=["fingerprint-fold"])
-        assert result.findings == []
-
-    def test_missing_fingerprint_flags(self, tmp_path):
-        source = """
-    class EngineConfig:
-        dtype: str = "float32"
-"""
-        result = run_snippets(tmp_path, {"e.py": source}, rules=["fingerprint-fold"])
-        assert rule_ids(result) == ["fingerprint-fold"]
-
-    def test_suppressed_with_reason(self, tmp_path):
-        source = """
-    class EngineConfig:
-        dtype: str = "float32"
-        mystery_knob: int = 0  # repro: allow[fingerprint-fold] -- proven byte-neutral in fixture
-
-    class AnnotationEngine:
-        @property
-        def model_fingerprint(self) -> str:
-            return str(self.config.dtype)
-"""
-        result = run_snippets(tmp_path, {"e.py": source}, rules=["fingerprint-fold"])
-        assert result.findings == []
-        assert len(result.suppressed) == 1
-
-
-# ----------------------------------------------------------------------
 # async-blocking
 # ----------------------------------------------------------------------
 
@@ -465,14 +385,12 @@ class TestUnusedImportRule:
 
 class TestFramework:
     def test_every_rule_registered(self):
-        ids = {r.rule_id for r in all_rules()}
-        assert {
-            "fingerprint-fold",
+        assert [r.rule_id for r in all_rules()] == [
             "async-blocking",
             "lock-discipline",
             "determinism-hygiene",
             "unused-import",
-        } <= ids
+        ]
 
     def test_suppression_requires_reason(self, tmp_path):
         source = """

@@ -307,10 +307,16 @@ class TestFullForwardIdentity:
             assert np.abs(t32 - t64).max() > 0.0  # genuinely different path
 
     def test_dtype_folds_into_fingerprint(self, trainer):
+        from repro.serving import AnnotationEngine, EngineConfig
+
+        def fingerprint(precision):
+            return AnnotationEngine(
+                trainer, EngineConfig(precision=precision)
+            ).model_fingerprint
+
         f32 = trainer.annotation_fingerprint()
-        f64 = trainer.annotation_fingerprint(precision="float64")
-        assert f32 != f64
-        assert trainer.annotation_fingerprint(precision="float32") == f32
+        assert fingerprint("float64") != f32
+        assert fingerprint("float32") == f32
 
     def test_reference_path_rejects_float64(self, trainer):
         with pytest.raises(ValueError):

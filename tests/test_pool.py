@@ -18,6 +18,7 @@ The ISSUE-6 acceptance surface:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pickle
@@ -530,8 +531,9 @@ class TestPoolCLI:
     connections across multiple workers, every accepted request
     answered)."""
 
-    @pytest.fixture()
-    def pool_process(self, bundle, tmp_path):
+    @staticmethod
+    @contextlib.contextmanager
+    def _launch(bundle, cache_dir):
         env = dict(
             os.environ,
             PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
@@ -541,7 +543,7 @@ class TestPoolCLI:
             [
                 sys.executable, "-m", "repro.cli", "serve", str(bundle),
                 "--listen", "127.0.0.1:0", "--workers", "2",
-                "--cache-dir", str(tmp_path / "cache"),
+                "--cache-dir", str(cache_dir),
             ],
             env=env,
             stdout=subprocess.PIPE,
@@ -561,6 +563,50 @@ class TestPoolCLI:
             if process.poll() is None:
                 process.kill()
             process.wait(timeout=30)
+
+    @pytest.fixture()
+    def pool_process(self, bundle, tmp_path):
+        with self._launch(bundle, tmp_path / "cache") as launched:
+            yield launched
+
+    def test_a_pool_keeps_a_flat_cache_warm(
+        self, shared_tiny_annotator, bundle, tables, expected_cli, tmp_path
+    ):
+        """A directory `repro annotate --cache-dir` filled (the flat
+        layout) is answered from by every worker of a pool, exactly as by
+        single-process `serve` — never recomputed into a second copy under
+        a fingerprint sub-directory."""
+        from repro.cli import main
+        from repro.datasets import TableDataset
+        from repro.io import save_dataset_jsonl
+
+        corpus, cache_dir = tmp_path / "corpus.jsonl", tmp_path / "cache"
+        dataset = shared_tiny_annotator.trainer.dataset
+        save_dataset_jsonl(
+            TableDataset(
+                tables=list(tables),
+                type_vocab=list(dataset.type_vocab),
+                relation_vocab=list(dataset.relation_vocab),
+            ),
+            corpus,
+        )
+        assert main([
+            "annotate", str(bundle), str(corpus),
+            "--cache-dir", str(cache_dir), "--out", str(tmp_path / "a.jsonl"),
+        ]) == 0
+        with self._launch(bundle, cache_dir) as (process, address):
+            # Two connections, so that both workers may be asked.
+            for half in (tables[:3], tables[3:]):
+                with Client(address) as client:
+                    for table in half:
+                        answer = client.ask(table_to_dict(table))
+                        assert answer == expected_cli[table.table_id]
+            stats = _ask_once(address, {"op": "stats"})["gateway"]
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30) == 0
+        assert stats["disk_hits"] == len(tables)
+        assert stats["encoder_passes"] == 0
+        assert {path.parent for path in cache_dir.rglob("segment-*")} == {cache_dir}
 
     def test_sigterm_drains_multiworker_multiconnection(
         self, pool_process, tables, expected_cli

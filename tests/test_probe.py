@@ -386,12 +386,15 @@ class TestTrainerIntegration:
         assert raw.probed_pairs == [(0, 1)]
 
     def test_fingerprint_probe_marker(self, trainer):
+        def fingerprint(**knobs):
+            return AnnotationEngine(trainer, EngineConfig(**knobs)).model_fingerprint
+
         legacy = trainer.annotation_fingerprint()
-        assert trainer.annotation_fingerprint(probe=None) == legacy
-        tagged = trainer.annotation_fingerprint(probe="planned(max_pairs=4)")
-        assert tagged != legacy
-        # Memoized per (dtype, probe) key.
-        assert trainer.annotation_fingerprint(probe="planned(max_pairs=4)") == tagged
+        assert fingerprint(probe_mode="exhaustive") == legacy
+        tagged = fingerprint(probe_mode="planned", probe_budget=4)
+        assert tagged not in (legacy, fingerprint(probe_mode="planned"))
+        # Memoized by the trainer per fold: the same str object comes back.
+        assert fingerprint(probe_mode="planned", probe_budget=4) is tagged
 
 
 class TestEngineIntegration:

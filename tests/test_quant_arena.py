@@ -297,15 +297,20 @@ class TestDeferredInit:
 
 
 class TestPrecisionFingerprint:
+    @staticmethod
+    def _fingerprint(trainer, precision):
+        return AnnotationEngine(
+            trainer, EngineConfig(precision=precision)
+        ).model_fingerprint
+
     def test_float_defaults_share_a_digest(self, trainer):
         base = trainer.annotation_fingerprint()
-        assert trainer.annotation_fingerprint(precision="float32") == base
+        assert self._fingerprint(trainer, "float32") == base
 
     def test_int8_never_shares_a_partition(self, trainer):
-        base = trainer.annotation_fingerprint()
-        int8 = trainer.annotation_fingerprint(precision="int8")
-        assert int8 != base
-        assert int8 != trainer.annotation_fingerprint(precision="float64")
+        int8 = self._fingerprint(trainer, "int8")
+        assert int8 != trainer.annotation_fingerprint()
+        assert int8 != self._fingerprint(trainer, "float64")
 
     def test_engine_folds_precision(self, trainer):
         default = AnnotationEngine(trainer).model_fingerprint
