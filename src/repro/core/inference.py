@@ -762,8 +762,9 @@ class QuantizedInferenceSession(InferenceSession):
     under :data:`~repro.nn.quant.GATE_KEY`.  Drift past tolerance
     disproves the gate: the session permanently delegates to the
     memoized float32 session and bumps ``model.quant_fallbacks`` once
-    per delegated call.  A persisted ``GATE_KEY`` verdict (hydrated into
-    ``workspace.proofs`` before first use) skips calibration entirely.
+    per delegated call.  The gate is a weight property measured on this
+    process's kernels, so every session calibrates once for itself;
+    nothing stores or reloads it.
     """
 
     _layer_norm = staticmethod(_lean_layer_norm_)
@@ -822,11 +823,6 @@ class QuantizedInferenceSession(InferenceSession):
         from ..nn import quant
 
         proofs = self.workspace.proofs
-        persisted = proofs.verdict(quant.GATE_KEY)
-        if persisted is not None:
-            self._calibrated = True
-            self.fallback = not persisted
-            return
         # The batch's narrowest items (what its first width bucket used to
         # be), both passes padded to the longest of them: little padding,
         # and one width, so the reference pass never pays a row-stability

@@ -152,8 +152,9 @@ def ensure_model_arena(
     source signature — size and mtime of ``weights.npz`` at build time —
     still match, so retraining or re-saving the bundle invalidates the
     arena instead of serving stale weights.  Building parses the bundle
-    once (the one deserialization N workers then all skip) and writes
-    atomically, so concurrent builders race benignly to identical bytes.
+    once (the one deserialization N workers then all skip) and publishes
+    through its own temporary, so concurrent builders race benignly: each
+    replace installs a whole arena, and all of them hold identical bytes.
     """
     bundle_dir = Path(bundle_dir)
     weights_path = bundle_dir / "weights.npz"

@@ -14,9 +14,13 @@ identity.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
+import tempfile
 from collections import OrderedDict
-from typing import Generic, Hashable, Iterable, Optional, TypeVar
+from pathlib import Path
+from typing import Generic, Hashable, Iterable, Optional, TypeVar, Union
 
 from ..datasets.tables import Table
 
@@ -39,6 +43,34 @@ def content_digest(chunks: Iterable[bytes]) -> str:
     for chunk in chunks:
         digest.update(chunk)
     return digest.hexdigest()
+
+
+# ``mkstemp`` creates files 0600: publish with the mode ``open`` would give.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
+def publish(path: Union[str, Path], chunks: Iterable[bytes]) -> Path:
+    """Replace ``path`` with ``chunks``, durably and atomically — the one
+    write path of every file the stack replaces whole (weight arenas, the
+    store's generation and index).  A unique temporary beside the target
+    (concurrent writers never share one), fsync, ``os.replace``: readers
+    see the old file or the whole new one, and a failed write leaves no
+    temporary behind."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            os.chmod(tmp, 0o666 & ~_UMASK)
+            handle.writelines(chunks)
+            handle.flush()
+            os.fsync(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    return path
 
 
 def table_fingerprint(table: Table) -> str:

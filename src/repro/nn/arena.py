@@ -26,8 +26,10 @@ File layout (version 1)::
 ``content_hash`` is :func:`repro.encoding.cache.content_digest` — the
 toolbox's single content-hash recipe — over every tensor's name, dtype,
 shape, and raw bytes, so arenas are content-addressed like every other
-persisted tier.  Writes are atomic (temp file + ``os.replace``): a
-crash mid-write never leaves a half-arena that parses.
+persisted tier.  Writes go through :func:`repro.encoding.cache.publish`
+(a unique temporary, fsync, ``os.replace``): a crash mid-write never
+leaves a half-arena that parses, and concurrent builders never share a
+temporary.
 
 Float32 arenas store each parameter's exact live bytes, so an
 arena-backed model is bitwise the in-memory one (pinned by tests).
@@ -41,14 +43,13 @@ of re-dequantizing into private pages.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Union
 
 import numpy as np
 
-from ..encoding.cache import content_digest
+from ..encoding.cache import content_digest, publish
 from .layers import Module
 
 PathLike = Union[str, Path]
@@ -84,7 +85,6 @@ def write_arena(
 
     Atomic: the arena appears complete or not at all.  Returns ``path``.
     """
-    path = Path(path)
     table: List[dict] = []
     offset = 0
     arrays: List[np.ndarray] = []
@@ -109,20 +109,18 @@ def write_arena(
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     data_start = _aligned(_PREAMBLE.size + len(header_bytes))
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(_PREAMBLE.pack(ARENA_MAGIC, ARENA_VERSION, len(header_bytes)))
-        handle.write(header_bytes)
-        handle.write(b"\x00" * (data_start - _PREAMBLE.size - len(header_bytes)))
+
+    def chunks() -> Iterator[bytes]:
+        yield _PREAMBLE.pack(ARENA_MAGIC, ARENA_VERSION, len(header_bytes))
+        yield header_bytes
+        yield b"\x00" * (data_start - _PREAMBLE.size - len(header_bytes))
         written = 0
         for entry, array in zip(table, arrays):
-            handle.write(b"\x00" * (entry["offset"] - written))
-            handle.write(np.ascontiguousarray(array).tobytes())
+            yield b"\x00" * (entry["offset"] - written)
+            yield array.tobytes()
             written = entry["offset"] + entry["nbytes"]
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return path
+
+    return publish(path, chunks())
 
 
 class Arena:

@@ -34,7 +34,6 @@ must reproduce.  This module provides the serving-speed twins:
 
 from __future__ import annotations
 
-import ast
 from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,26 +54,23 @@ class ProofCache:
     drift in ``drifts`` — a disproof there means "drifted past
     tolerance", not "not bitwise".
 
-    Verdicts are serializable (:meth:`to_payload` / :meth:`load_payload`)
-    so the serving tier can persist them per model fingerprint: a pool
-    worker or a crash-restart then skips the dark-launch double-compute
-    (and the int8 calibration pass) for every already-proven key.
-    ``dirty`` flips on every new verdict so callers persist only when
-    something changed.
+    Verdicts live in process memory only: they describe the BLAS kernels
+    this process dispatches to (one OpenBLAS build picks a family per CPU,
+    or per ``OPENBLAS_CORETYPE``), which nothing on disk can name — so
+    every process proves for itself.
     """
 
     def __init__(self) -> None:
-        self._verdicts: Dict[Hashable, bool] = {}
+        self.verdicts: Dict[Hashable, bool] = {}
         self.drifts: Dict[Hashable, float] = {}
         self.proofs_run = 0
         self.proofs_failed = 0
-        self.dirty = False
 
     def __len__(self) -> int:
-        return len(self._verdicts)
+        return len(self.verdicts)
 
     def verdict(self, key: Hashable) -> Optional[bool]:
-        return self._verdicts.get(key)
+        return self.verdicts.get(key)
 
     def record(
         self, key: Hashable, ok: bool, drift: Optional[float] = None
@@ -82,47 +78,9 @@ class ProofCache:
         self.proofs_run += 1
         if not ok:
             self.proofs_failed += 1
-        self._verdicts[key] = bool(ok)
+        self.verdicts[key] = bool(ok)
         if drift is not None:
             self.drifts[key] = float(drift)
-        self.dirty = True
-
-    # -- persistence ---------------------------------------------------------
-    # Keys are tuples of strings/ints/shape-tuples; ``repr`` round-trips
-    # them exactly and ``ast.literal_eval`` parses only literals, so the
-    # payload is JSON-safe without a bespoke key grammar.
-    def to_payload(self) -> dict:
-        """JSON-serializable snapshot of every verdict and drift record."""
-        return {
-            "verdicts": {repr(k): v for k, v in self._verdicts.items()},
-            "drifts": {repr(k): v for k, v in self.drifts.items()},
-        }
-
-    def load_payload(self, payload: dict) -> int:
-        """Merge a :meth:`to_payload` snapshot; returns entries loaded.
-
-        Existing in-memory verdicts win (they were measured on THIS
-        process/platform); malformed keys are skipped, not fatal — a
-        corrupt sidecar degrades to re-proving, never to a crash.
-        Loading does not mark the cache dirty and does not count toward
-        ``proofs_run`` (nothing was proven here).
-        """
-        loaded = 0
-        for encoded, ok in dict(payload.get("verdicts", {})).items():
-            try:
-                key = ast.literal_eval(encoded)
-            except (ValueError, SyntaxError):
-                continue
-            if key not in self._verdicts:
-                self._verdicts[key] = bool(ok)
-                loaded += 1
-        for encoded, drift in dict(payload.get("drifts", {})).items():
-            try:
-                key = ast.literal_eval(encoded)
-            except (ValueError, SyntaxError):
-                continue
-            self.drifts.setdefault(key, float(drift))
-        return loaded
 
 
 class Workspace:

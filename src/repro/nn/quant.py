@@ -13,7 +13,7 @@ session runs one calibration pass — the same encoded inputs through the
 quantized and the float32 reference forward — and records the max
 absolute drift per (layer, shape) in the session's
 :class:`~repro.nn.kernels.ProofCache` (the keys live beside the matmul
-proofs and persist with them).  A drift above the tolerances below is a
+proofs and, like them, only in process memory).  A drift above the tolerances below is a
 *disproof*: the session permanently falls back to the float32 path and
 every fallback is counted (``EngineStats.quant_fallbacks``), so a model
 whose weights do not quantize cleanly degrades loudly, not silently.

@@ -29,34 +29,14 @@ restarts and travel the cache fabric alongside whole-table results.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..encoding.cache import LRUCache, content_digest
+from .diskcache import decode_array, encode_array
 
-__all__ = ["ColumnCache", "decode_column_state", "encode_column_state"]
-
-
-def encode_column_state(state: np.ndarray) -> Dict:
-    """Serialize one ``[CLS]`` state vector to a JSON-safe dict.
-
-    Same layout as the result cache's embedding payloads: dtype + shape +
-    a flat value list.  JSON floats round-trip via shortest-repr, so the
-    decoded array is byte-identical to the encoded one.
-    """
-    return {
-        "dtype": str(state.dtype),
-        "shape": list(state.shape),
-        "data": state.ravel().tolist(),
-    }
-
-
-def decode_column_state(payload: Dict) -> np.ndarray:
-    """Rebuild the array stored by :func:`encode_column_state`."""
-    return np.asarray(payload["data"], dtype=payload["dtype"]).reshape(
-        payload["shape"]
-    )
+__all__ = ["ColumnCache"]
 
 
 class ColumnCache:
@@ -121,7 +101,7 @@ class ColumnCache:
         if self.persist and self.disk is not None:
             payload = self.disk.get(self._disk_key(fingerprint, width))
             if payload is not None:
-                state = decode_column_state(payload)
+                state = decode_array(payload)
                 self._lru.put(self._key(fingerprint, width), state)
                 self.hits += 1
                 self.persisted_hits += 1
@@ -133,7 +113,7 @@ class ColumnCache:
         self._lru.put(self._key(fingerprint, width), state)
         if self.persist and self.disk is not None:
             self.disk.put(
-                self._disk_key(fingerprint, width), encode_column_state(state)
+                self._disk_key(fingerprint, width), encode_array(state)
             )
 
     def clear(self) -> None:

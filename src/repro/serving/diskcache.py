@@ -200,6 +200,23 @@ def result_cache_key(model_fingerprint: str, request: AnnotationRequest) -> str:
     return request_identity(model_fingerprint, request).cache_key
 
 
+def encode_array(array: np.ndarray) -> Dict:
+    """One array as dtype + shape + a flat value list: every array the store
+    holds (embeddings, the column tier's ``[CLS]`` states).  JSON floats
+    round-trip via shortest repr, so :func:`decode_array` is byte-exact."""
+    array = np.asarray(array)
+    return {
+        "dtype": str(array.dtype),
+        "shape": list(array.shape),
+        "data": array.ravel().tolist(),
+    }
+
+
+def decode_array(payload: Dict) -> np.ndarray:
+    """Rebuild the array stored by :func:`encode_array`."""
+    return np.asarray(payload["data"], payload["dtype"]).reshape(payload["shape"])
+
+
 def encode_annotation(result: AnnotationResult) -> Dict:
     """Serialize one result's annotation products to a JSON-safe dict.
 
@@ -209,23 +226,15 @@ def encode_annotation(result: AnnotationResult) -> Dict:
     it describes the producing pass, not the annotation.
     """
     annotated = result.annotated
-    payload: Dict = {
+    return {
         "coltypes": annotated.coltypes,
         "type_scores": annotated.type_scores,
         "colrels": [
             [i, j, labels] for (i, j), labels in sorted(annotated.colrels.items())
         ],
         "requested_pairs": [list(pair) for pair in annotated.requested_pairs],
-        "colemb": None,
+        "colemb": None if annotated.colemb is None else encode_array(annotated.colemb),
     }
-    if annotated.colemb is not None:
-        emb = np.asarray(annotated.colemb)
-        payload["colemb"] = {
-            "dtype": str(emb.dtype),
-            "shape": list(emb.shape),
-            "data": emb.ravel().tolist(),
-        }
-    return payload
 
 
 def decode_annotation(request: AnnotationRequest, payload: Dict) -> AnnotatedTable:
@@ -235,17 +244,14 @@ def decode_annotation(request: AnnotationRequest, payload: Dict) -> AnnotatedTab
     reach the same key, and the caller wants *their* table back, preserving
     its ``table_id``/metadata).
     """
-    colemb = None
-    if payload["colemb"] is not None:
-        emb = payload["colemb"]
-        colemb = np.asarray(emb["data"], dtype=emb["dtype"]).reshape(emb["shape"])
+    colemb = payload["colemb"]
     return AnnotatedTable(
         table=request.table,
         coltypes=[list(names) for names in payload["coltypes"]],
         colrels={
             (int(i), int(j)): list(labels) for i, j, labels in payload["colrels"]
         },
-        colemb=colemb,
+        colemb=None if colemb is None else decode_array(colemb),
         type_scores=[dict(scores) for scores in payload["type_scores"]],
         requested_pairs=[(int(i), int(j)) for i, j in payload["requested_pairs"]],
     )

@@ -30,11 +30,8 @@ the serving equivalence tests pin the batched one).
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from dataclasses import Field, dataclass, field, fields, replace
-from pathlib import Path
 from typing import (
     Dict,
     Iterable,
@@ -256,6 +253,12 @@ class EngineConfig:
             for _, spelling in sorted(markers, key=lambda marker: marker[0])
         )
 
+    @property
+    def arena_precision(self) -> str:
+        """The weight arena this configuration maps: int8 serving maps the
+        int8 arena, every float precision the float32 one."""
+        return "int8" if self.precision == "int8" else "float32"
+
     @classmethod
     def reference(cls) -> str:
         """The knob table (here in the docstring, and in ``docs/serving.md``)."""
@@ -405,10 +408,6 @@ class AnnotationEngine:
         # ``requests``/``disk_hits``/``disk_misses`` have two writers — the
         # thread inside annotate_batch and count_stored_hit's caller.
         self._count_lock = threading.Lock()
-        # The proof-cache object we last hydrated from disk; identity-
-        # tracked so a rebuilt session (weight swap, invalidation) gets
-        # re-hydrated instead of silently starting cold.
-        self._hydrated_proofs: Optional[object] = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -563,8 +562,6 @@ class AnnotationEngine:
         # padding-free pass, so a chunk is just the next requests.
         size = self.config.batch_size
         chunks = [pending[k:k + size] for k in range(0, len(pending), size)]
-        if pending:
-            self._hydrate_proofs()
         for chunk in chunks:
             self._run_chunk(
                 chunk,
@@ -576,8 +573,6 @@ class AnnotationEngine:
                 planned_pairs,
                 column_digests,
             )
-        if pending:
-            self._persist_proofs()
         # Fresh read (NOT the captured handle): once the registry detaches
         # the tier, this engine stops persisting immediately.
         result_cache = self.result_cache
@@ -676,61 +671,6 @@ class AnnotationEngine:
         if known.model_fingerprint == fingerprint:
             return known
         return request_identity(fingerprint, request, known.table_digest)
-
-    # ------------------------------------------------------------------
-    # Proof persistence
-    # ------------------------------------------------------------------
-    # Kernel proofs (bitwise verdicts per shape) and the int8 accuracy
-    # gate live in the session workspace's ProofCache — per process, so
-    # every pool worker and every crash-restart used to pay the full
-    # dark-launch double-compute (and the calibration pass) again.  With
-    # a persistent tier attached, verdicts are written as a JSON sidecar
-    # keyed by the model fingerprint: any proof is invalidated the moment
-    # weights, precision, or probe policy change, because the key changes
-    # with them.  No persistent tier → both helpers no-op.
-
-    def _proofs_path(self) -> Optional[Path]:
-        root = getattr(self.result_cache, "directory", None) or self.config.cache_dir
-        if root is None:
-            return None
-        return Path(root) / "proofs" / f"{self.model_fingerprint}.json"
-
-    def _session_proofs(self):
-        """The live session's proof cache, or None on the Tensor path."""
-        session = self.trainer.model._resolve_session(
-            self.config.kernels, self.config.precision
-        )
-        if session is None:
-            return None
-        return session.workspace.proofs
-
-    def _hydrate_proofs(self) -> None:
-        path = self._proofs_path()
-        if path is None:
-            return
-        proofs = self._session_proofs()
-        if proofs is None or proofs is self._hydrated_proofs:
-            return
-        self._hydrated_proofs = proofs
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            # Missing or corrupt sidecar degrades to re-proving.
-            return
-        proofs.load_payload(payload)
-
-    def _persist_proofs(self) -> None:
-        proofs = self._session_proofs()
-        if proofs is None or not proofs.dirty:
-            return
-        path = self._proofs_path()
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-        tmp.write_text(json.dumps(proofs.to_payload()), encoding="utf-8")
-        os.replace(tmp, path)
-        proofs.dirty = False
 
     # ------------------------------------------------------------------
     # Internals

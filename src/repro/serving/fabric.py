@@ -68,7 +68,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from ..encoding.cache import LRUCache, content_digest
+from ..encoding.cache import LRUCache, content_digest, publish
 from ..telemetry import declare
 from .diskcache import CacheLockedError, CompactionResult, FileLock
 
@@ -687,8 +687,8 @@ class FabricCache:
         out_path = self.directory / (
             f"{_COMPACT_PREFIX}{generation:06d}{_COMPACT_SUFFIX}"
         )
-        _publish(out_path, live.values())
-        _publish(
+        publish(out_path, live.values())
+        publish(
             self.directory / INDEX_NAME,
             [
                 json.dumps(
@@ -775,14 +775,3 @@ def _safe_size(path: Path) -> int:
         return path.stat().st_size
     except OSError:
         return 0
-
-
-def _publish(path: Path, chunks) -> None:
-    """Write ``chunks`` to ``path`` atomically: a fsync'd temporary, then
-    ``os.replace`` — a reader sees the old file or the whole new one."""
-    tmp_path = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp_path, "wb") as handle:
-        handle.writelines(chunks)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)

@@ -504,12 +504,10 @@ class ServingPool:
             # the PoolConfig picklable for spawn-based start methods.
             from ..core.persistence import ensure_model_arena
 
-            arena_precision = (
-                "int8" if self.config.engine.precision == "int8" else "float32"
-            )
+            precision = self.config.engine.arena_precision
             for name, path in self.config.specs:
                 self.config.arena_paths[name] = str(
-                    ensure_model_arena(path, precision=arena_precision)
+                    ensure_model_arena(path, precision=precision)
                 )
         self._bind()
         if self._ctx.get_start_method() == "fork":

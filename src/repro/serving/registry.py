@@ -524,8 +524,7 @@ class ModelRegistry:
             # build or reuse the bundle's own arena, then every reload —
             # evict→reload in particular — is a remap of the same file.
             entry.arena = ensure_model_arena(
-                entry.path,
-                precision="int8" if config.precision == "int8" else "float32",
+                entry.path, precision=config.arena_precision
             )
         annotator = load_annotator(entry.path, weight_arena=entry.arena)
         engine = AnnotationEngine(annotator.trainer, config)

@@ -71,7 +71,7 @@ def pruning_proven(proofs) -> bool:
 
     verdicts = {
         key: ok
-        for key, ok in proofs.to_payload()["verdicts"].items()
+        for key, ok in proofs.verdicts.items()
         if ROW_STABLE in key or QUERY_STABLE in key
     }
     return all(verdicts.values()) and any(QUERY_STABLE in key for key in verdicts)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core import save_annotator
+from repro.core import load_annotator, save_annotator
 from repro.datasets import generate_viznet_dataset
 from repro.io import load_dataset_jsonl, save_dataset_jsonl, write_table_csv
 
@@ -313,9 +313,6 @@ class TestCacheDirAndServe:
     ):
         """One float64 engine, one cache partition, however it is spelled
         — and never float32's or int8's."""
-        from repro.core import load_annotator
-        from repro.serving import AnnotationEngine, EngineConfig
-
         cache_dir = tmp_path / "cache"
 
         def run(*flags):
@@ -331,14 +328,9 @@ class TestCacheDirAndServe:
         assert "0 encoder passes" in warm and "5 disk hits" in warm
         assert "0 disk hits" in run("--precision", "int8")
         assert "0 disk hits" in run()
-        # The proof sidecars are named by model fingerprint: three in all.
-        written = {path.stem for path in (cache_dir / "proofs").glob("*.json")}
-        trainer = load_annotator(bundle_dir).trainer
-        assert written == {
-            AnnotationEngine(trainer, EngineConfig(precision=p)).model_fingerprint
-            for p in ("float32", "float64", "int8")
-        }
-        assert len(written) == 3
+        # Four runs, three partitions, one flat store: a cache directory
+        # holds answers only, never a process's kernel verdicts.
+        assert [p.name for p in cache_dir.iterdir() if p.is_dir()] == []
 
     def test_serve_empty_input_errors(self, bundle_dir, capsys, monkeypatch):
         import io
@@ -600,7 +592,7 @@ class TestServeMultiModel:
         assert "0 encoder passes" in out and "4 disk hits" in out
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
         # Nothing was served out of (or written to) a fingerprint subdirectory.
-        assert [p.name for p in cache_dir.iterdir() if p.is_dir()] in ([], ["proofs"])
+        assert [p.name for p in cache_dir.iterdir() if p.is_dir()] == []
 
     def test_loop_mode_survives_malformed_records(self, bundle_dir, corpus,
                                                   capsys, monkeypatch):
@@ -897,14 +889,10 @@ class TestServeProtocolFeatures:
         records = [json.loads(line) for line in captured.out.splitlines()]
         assert records[0]["ok"] and records[1]["columns"] and records[2]["columns"]
         assert "1 disk hits" in captured.err  # the flat tier stayed warm
-        # The proofs/ sidecar (persisted kernel verdicts) is not a cache
-        # tier — only fingerprint subdirectories count as writer roots.
-        subdirs = [
-            p for p in cache_dir.iterdir()
-            if p.is_dir() and p.name != "proofs"
-        ]
-        assert len(subdirs) == 1
-        assert list(subdirs[0].glob("segment-*.jsonl"))
+        # The only subdirectory is the hot model's fingerprint root.
+        hot = load_annotator(bundle_dir).trainer.annotation_fingerprint()
+        assert [p.name for p in cache_dir.iterdir() if p.is_dir()] == [hot]
+        assert list((cache_dir / hot).glob("segment-*.jsonl"))
 
     def test_interrupt_drains_and_flushes_cache(
         self, bundle_dir, corpus, tmp_path, capsys, monkeypatch

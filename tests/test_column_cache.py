@@ -20,6 +20,8 @@ The contract under test:
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ from repro.serving import (
     DiskCache,
     EngineConfig,
 )
-from repro.serving.colcache import decode_column_state, encode_column_state
+from repro.serving.diskcache import decode_array, encode_array
 from repro.text import train_wordpiece
 
 
@@ -141,15 +143,26 @@ class TestColumnCacheUnit:
 
     @pytest.mark.parametrize("dtype", ("float32", "float64"))
     def test_payload_round_trip_byte_exact(self, dtype):
+        """The store's one array codec (column states here, embeddings in
+        annotation payloads) rebuilds every bit."""
         rng = np.random.default_rng(5)
         state = rng.standard_normal(32).astype(dtype)
-        import json
-
-        decoded = decode_column_state(
-            json.loads(json.dumps(encode_column_state(state)))
-        )
+        decoded = decode_array(json.loads(json.dumps(encode_array(state))))
         assert decoded.dtype == state.dtype
         assert (decoded == state).all()
+
+    def test_array_payload_layout_is_pinned(self):
+        """Stored records must not change a byte, key order included."""
+        f32 = np.array([0.1, -2.5, 1 / 3], dtype=np.float32)
+        f64 = np.array([[0.1, 1e-300], [-0.0, 2 / 3]], dtype=np.float64)
+        assert json.dumps(encode_array(f32)) == (
+            '{"dtype": "float32", "shape": [3], '
+            '"data": [0.10000000149011612, -2.5, 0.3333333432674408]}'
+        )
+        assert json.dumps(encode_array(f64)) == (
+            '{"dtype": "float64", "shape": [2, 2], '
+            '"data": [0.1, 1e-300, -0.0, 0.6666666666666666]}'
+        )
 
     def test_disk_tier_round_trip_and_promotion(self, tmp_path):
         disk = DiskCache(str(tmp_path / "cache"))

@@ -25,7 +25,12 @@ reproduce them exactly.  This module is the proof:
 
 from __future__ import annotations
 
+import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -401,8 +406,9 @@ def _shared_model(visibility: bool, numeric: bool, whole: bool = False) -> Doduo
 
 
 def _disprove_pruning(model: DoduoModel, dtype: str) -> None:
-    """Hydrate a ``False`` query-stability verdict for every band, the way
-    a persisted sidecar from a host that disproved it would arrive."""
+    """Record a ``False`` query-stability verdict for every band before
+    first use — what this process would have decided on a BLAS kernel
+    family that disproves it."""
     session = model.inference_session(dtype)
     head_dim = session.blocks[-1].head_dim
     band = 0
@@ -771,33 +777,37 @@ class TestRaggedBatching:
         model.invalidate_sessions()
         model._proofs.clear()
 
-    def test_restart_loads_verdicts_and_skips_the_proof(
+    def test_restart_reproves_row_stability_for_itself(
         self, trainer, tmp_path, monkeypatch
     ):
+        """A cache directory holds answers, never verdicts: a process whose
+        kernels disprove row stability (another BLAS kernel family) proves
+        for itself over a directory another process filled, and serves the
+        reference bytes."""
         from repro.serving import AnnotationEngine, EngineConfig
 
         config = EngineConfig(cache_dir=str(tmp_path / "cache"))
         tables = trainer.dataset.tables
         assert len({trainer.encoding.encode_table(t).length for t in tables[:4]}) > 1
+        alone = AnnotationEngine(trainer, EngineConfig(kernels="reference"))
+        want = [alone.annotate(table).type_scores for table in tables[4:10]]
         self._forget_proofs(trainer.model)
         AnnotationEngine(trainer, config).annotate_batch(tables[:4])
-        proven = trainer.model.inference_session("float32").workspace.proofs
-        stable = [k for k in proven.to_payload()["verdicts"] if ROW_STABLE in k]
-        assert len(stable) == 4
-        # "Restart": a fresh session (empty proof cache) over the same
-        # directory; tables it has not answered, so the passes really run.
+        proven = trainer.model._proofs["float32"].verdicts
+        assert sum(ROW_STABLE in key for key in proven) == 4
+        # "Restart": a new process over the same directory; tables it has
+        # not answered, so the passes really run.
         self._forget_proofs(trainer.model)
-
-        def no_proof(*args, **kwargs):
-            raise AssertionError("verdicts were persisted; nothing to prove")
-
-        monkeypatch.setattr("repro.core.inference.prove_row_stable", no_proof)
+        ran = []
+        monkeypatch.setattr(
+            "repro.core.inference.prove_row_stable",
+            lambda *args, **kwargs: ran.append(args) or False,
+        )
         engine = AnnotationEngine(trainer, config)
         results = engine.annotate_batch(tables[4:10])
-        assert engine.stats.encoder_passes == 1
-        for table, result in zip(tables[4:10], results):
-            alone = AnnotationEngine(trainer, EngineConfig(kernels="reference"))
-            assert result.type_scores == alone.annotate(table).type_scores
+        assert len(ran) == 4
+        assert [result.type_scores for result in results] == want
+        self._forget_proofs(trainer.model)
 
 
 # ---------------------------------------------------------------------------
@@ -905,7 +915,7 @@ class TestPrunedLastBlock:
         logged = [r.getMessage() for r in caplog.records if "query count" in r.getMessage()]
         rows_proven = all(
             ok for key, ok in
-            model._proofs["float32"].to_payload()["verdicts"].items()
+            model._proofs["float32"].verdicts.items()
             if ROW_STABLE in key
         )
         # The query proof runs only behind four True row verdicts.
@@ -958,9 +968,8 @@ class TestPrunedLastBlock:
             np.testing.assert_allclose(got.colemb, want.colemb, atol=1e-5)
 
     def test_hydrated_disproof_serves_float_bytes_from_the_whole_block(self, trainer):
-        """As ``test_disproven_gate_falls_back_to_float_bytes`` does for the
-        int8 gate: a ``False`` verdict that arrives before first use is
-        never re-proven, and the counter says every row was computed."""
+        """A ``False`` verdict decided before first use is never re-proven,
+        and the counter says every row was computed."""
         from repro.serving import AnnotationEngine, EngineConfig
 
         tables = trainer.dataset.tables[:7]
@@ -977,33 +986,109 @@ class TestPrunedLastBlock:
         assert engine.stats.to_dict()["last_block_share"] == 1.0
         TestRaggedBatching._forget_proofs(trainer.model)
 
-    def test_restart_with_a_sidecar_reproves_nothing(
+    def test_restart_reproves_query_stability_for_itself(
         self, trainer, tmp_path, monkeypatch
     ):
+        """One process proves everything over a cache directory; the next,
+        whose kernels disprove query stability (as another BLAS kernel
+        family does), must prove for itself — nothing on disk may hand it
+        the first one's ``True`` — run the whole last block, and serve the
+        reference bytes."""
         from repro.serving import AnnotationEngine, EngineConfig
 
         config = EngineConfig(cache_dir=str(tmp_path / "cache"))
         tables = trainer.dataset.tables
+        reference = AnnotationEngine(trainer, EngineConfig(kernels="reference"))
+        want = [r.annotated for r in reference.annotate_batch(tables[4:10])]
         forget = TestRaggedBatching._forget_proofs
         forget(trainer.model)
         decide_pruning_now(trainer.model.inference_session("float32"))
         AnnotationEngine(trainer, config).annotate_batch(tables[:4])
-        proven = _pruning_proven(trainer.model)
-        decided = trainer.model._proofs["float32"].to_payload()["verdicts"]
-        assert any(ROW_STABLE in key for key in decided)
-        forget(trainer.model)  # "restart": an empty proof cache, same directory
-
-        def no_proof(*args, **kwargs):
-            raise AssertionError("verdicts were persisted; nothing to prove")
-
-        monkeypatch.setattr("repro.core.inference.prove_row_stable", no_proof)
-        monkeypatch.setattr("repro.core.inference.prove_query_stable", no_proof)
+        decided = trainer.model._proofs["float32"].verdicts
+        rows_proven = all(ok for key, ok in decided.items() if ROW_STABLE in key)
+        assert any(QUERY_STABLE in key for key in decided) or not rows_proven
+        forget(trainer.model)  # "restart": a new process, same directory
+        ran = []
+        monkeypatch.setattr(
+            "repro.core.inference.prove_query_stable",
+            lambda *args: ran.append(args) or False,
+        )
         decide_pruning_now(trainer.model.inference_session("float32"))
         engine = AnnotationEngine(trainer, config)
         results = engine.annotate_batch(tables[4:10])  # not stored: passes run
-        assert engine.stats.encoder_passes == 1
-        assert (engine.stats.last_block_rows < engine.stats.padded_tokens) == proven
-        alone = AnnotationEngine(trainer, EngineConfig(kernels="reference"))
-        for table, result in zip(tables[4:10], results):
-            assert result.type_scores == alone.annotate(table).type_scores
+        # The query proof runs only behind True row verdicts.
+        assert bool(ran) == rows_proven
+        assert engine.stats.last_block_rows == engine.stats.padded_tokens > 0
+        for got, expected in zip(results, want):
+            assert got.annotated.type_scores == expected.type_scores
+            assert got.annotated.colrels == expected.colrels
         forget(trainer.model)
+
+
+# ---------------------------------------------------------------------------
+# Two kernel families, one cache directory
+# ---------------------------------------------------------------------------
+#
+# A verdict describes the kernels one process dispatches to, and nothing on
+# disk can name those.  Two processes of one OpenBLAS build pinned to two
+# kernel families share a cache directory; the second serves tables the
+# first never answered, and must serve its own reference bytes.
+
+_FAMILY_CHILD = r"""
+import json, sys
+from repro.core import load_annotator
+from repro.datasets import generate_wikitable_dataset
+from repro.nn.kernels import proof_rows
+from repro.serving import AnnotationEngine, EngineConfig
+
+bundle, cache_dir, part = sys.argv[1:]
+trainer = load_annotator(bundle).trainer
+tables = generate_wikitable_dataset(num_tables=60, seed=7, max_rows=4).tables
+tables = tables[:30] if part == "writer" else tables[30:]
+oracle = AnnotationEngine(trainer, EngineConfig(kernels="reference"))
+want = [result.type_scores for result in oracle.annotate_batch(tables)]
+session = trainer.model.inference_session("float32")
+session._banked_rows = proof_rows(session.max_position)  # prove at once
+engine = AnnotationEngine(trainer, EngineConfig(cache_dir=cache_dir))
+got = [result.type_scores for result in engine.annotate_batch(tables)]
+print(json.dumps({
+    "differ": sum(g != w for g, w in zip(got, want)),
+    "disk_hits": engine.stats.disk_hits,
+}))
+"""
+
+
+def _numpy_uses_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not _numpy_uses_openblas(), reason="needs numpy on OpenBLAS")
+def test_a_second_kernel_family_serves_its_own_reference_bytes(trainer, tmp_path):
+    """The writer runs OpenBLAS's own kernel choice, the reader the Nehalem
+    kernels (on which float32 query stability is disproven).  Each child
+    sets its own ``OPENBLAS_CORETYPE``, so this holds under any parent
+    environment."""
+    import repro
+    from repro.core import Doduo, save_annotator
+
+    bundle = save_annotator(Doduo(trainer), tmp_path / "bundle")
+    cache_dir = tmp_path / "cache"
+
+    def child(part, **family):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env.update(family, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", _FAMILY_CHILD, str(bundle), str(cache_dir), part],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        return json.loads(out.stdout)
+
+    assert child("writer") == {"differ": 0, "disk_hits": 0}
+    assert child("reader", OPENBLAS_CORETYPE="Nehalem") == {
+        "differ": 0, "disk_hits": 0,
+    }

@@ -25,7 +25,7 @@ from repro.core import Doduo, DoduoConfig, DoduoTrainer, load_annotator, save_an
 from repro.core.persistence import ensure_model_arena
 from repro.core.wide import profile_cache_stats
 from repro.datasets import generate_wikitable_dataset
-from repro.encoding.cache import LRUCache
+from repro.encoding.cache import LRUCache, publish
 from repro.nn import TransformerConfig, deferred_init
 from repro.nn import layers as nn_layers
 from repro.nn import quant
@@ -182,6 +182,31 @@ class TestArenaFile:
         raw[-1] ^= 0xFF  # last tensor byte
         path.write_bytes(bytes(raw))
         assert not Arena(path).verify()
+
+    def test_another_builders_temporary_is_left_alone(self, tmp_path):
+        """Each write publishes through its own temporary: a concurrent
+        builder's half-written file is neither truncated nor renamed into
+        place, and nothing of ours is left beside the arena."""
+        path = tmp_path / "arena-float32.rpwa"
+        other = tmp_path / "arena-float32.rpwa.tmp"
+        other.write_bytes(b"another builder's half-written arena")
+        write_arena(path, self._tensors())
+        assert other.read_bytes() == b"another builder's half-written arena"
+        assert Arena(path).verify()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, other.name]
+
+    def test_a_failed_write_keeps_the_old_file_and_no_temporary(self, tmp_path):
+        path = write_arena(tmp_path / "t.rpwa", self._tensors())
+        before = path.read_bytes()
+
+        def torn():
+            yield b"half an arena"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            publish(path, torn())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 # ---------------------------------------------------------------------------
@@ -372,33 +397,36 @@ class TestAccuracyGate:
         assert engine.stats.encoder_passes == 3  # calibration's two + the drain
         assert engine.stats.quant_fallbacks == 0
 
-    def test_disproven_gate_falls_back_to_float_bytes(self, trainer):
+    def test_disproven_gate_falls_back_to_float_bytes(self, trainer, monkeypatch):
         tables = trainer.dataset.tables[:7]
         assert len({trainer.encoding.encode_table(t).length for t in tables}) > 1
         reference = [
             r.annotated for r in AnnotationEngine(trainer).annotate_batch(tables)
         ]
-        # Hydrate a disproof before first use, exactly as a persisted
-        # verdict would arrive: the session must skip calibration and
-        # permanently delegate to the float32 path, counting each call.
+        # No drift is tolerated, so the session's own calibration disproves
+        # the gate: it must permanently delegate to the float32 path,
+        # counting each call.
+        monkeypatch.setattr(quant, "HIDDEN_DRIFT_TOLERANCE", 0.0)
+        monkeypatch.setattr(quant, "LOGIT_DRIFT_TOLERANCE", 0.0)
         trainer.model.invalidate_sessions()
-        session = trainer.model.inference_session("int8")
-        session.workspace.proofs.record(quant.GATE_KEY, False)
         before = trainer.model.quant_fallbacks
         engine = AnnotationEngine(
             trainer, EngineConfig(precision="int8", batch_size=3)
         )
         results = engine.annotate_batch(tables)
+        proofs = trainer.model.inference_session("int8").workspace.proofs
+        assert proofs.verdict(quant.GATE_KEY) is False
+        assert max(proofs.drifts.values()) > 0.0
         assert trainer.model.quant_fallbacks > before
         assert engine.stats.quant_fallbacks == trainer.model.quant_fallbacks - before
-        # The fallback is the float session's ragged pass: one per chunk,
-        # not one per width bucket.
-        assert engine.stats.encoder_passes == 3
+        # Calibration's two passes, then the float session's ragged pass:
+        # one per chunk, not one per width bucket.
+        assert engine.stats.encoder_passes == 2 + 3
         for got, want in zip(results, reference):
             assert got.annotated.type_scores == want.type_scores
             assert got.annotated.colrels == want.colrels
             assert np.array_equal(got.annotated.colemb, want.colemb)
-        trainer.model.invalidate_sessions()  # drop the poisoned session
+        trainer.model.invalidate_sessions()  # drop the disproven session
 
     def test_explicit_float32_precision_is_byte_identical(self, trainer):
         tables = trainer.dataset.tables[:4]
