@@ -15,13 +15,13 @@ WikiTable workload:
   sequence at the width it would have alone — the byte-identity contract);
 * **int8 serving tier** — ``precision="int8"`` on the same token-major
   pass, with the optimizations the accuracy gate licenses as a package:
-  quantized weights with fused elementwise kernels, no per-shape proof
+  quantized weights with fused elementwise kernels, no bitwise proof
   machinery, merged head groups.
 
 Every engine cell is measured **cold** (``cache_size=0``, sessions
 invalidated first): the timed region includes session build, and with it
-the float path's dark-launch proof runs and the int8 path's calibration
-pass — the costs a fresh serving process actually pays.
+the float path's per-band proofs (when a pass calls for one) and the int8
+path's calibration pass — the costs a fresh serving process actually pays.
 
 The int8 rows come with an accuracy check: type/relation micro-F1 over
 the workload, int8 vs the float32 baseline, must agree within half a
@@ -136,9 +136,10 @@ def run_experiment(json_path=None):
     )
     legacy_passes = trainer.model.encode_calls - passes_before
 
-    # Cold float32 fast-kernel baseline: fresh session, empty proof cache,
-    # so the timed region includes the dark-launch double-computes the
-    # byte-identity machinery runs on every novel kernel shape.
+    # Cold float32 fast-kernel baseline: a fresh session, whose workspace
+    # buffers start empty.  ``invalidate_sessions`` keeps the model's
+    # bitwise verdicts, and a band without one runs the reference form
+    # alone: nothing in the timed region is computed twice.
     trainer.model.invalidate_sessions()
     sequential_engine = annotation_engine(trainer, cache_size=0)
     sequential_seconds, sequential_results = _timed(

@@ -272,16 +272,9 @@ def annotation_engine(trainer: DoduoTrainer, batch_size: int = 8,
 # Output formatting
 # ---------------------------------------------------------------------------
 
-RESULTS_FILE = Path(__file__).parent / "results.txt"
-
-
 def print_table(title: str, headers: Sequence[str],
                 rows: Iterable[Sequence[object]]) -> None:
-    """Print an experiment table in a paper-like fixed-width format.
-
-    The table is also appended to ``benchmarks/results.txt`` so regenerated
-    experiment tables survive pytest's output capture.
-    """
+    """Print an experiment table in a paper-like fixed-width format."""
     rows = [tuple(str(c) for c in row) for row in rows]
     widths = [len(h) for h in headers]
     for row in rows:
@@ -291,17 +284,12 @@ def print_table(title: str, headers: Sequence[str],
     lines = [f"\n=== {title} ===", line, "-" * len(line)]
     lines += ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
               for row in rows]
-    text = "\n".join(lines)
-    print(text)
-    with open(RESULTS_FILE, "a") as f:
-        f.write(text + "\n")
+    print("\n".join(lines))
 
 
 def print_block(text: str) -> None:
-    """Print a pre-rendered block (chart, heatmap) and keep it in results.txt."""
+    """Print a pre-rendered block (chart, heatmap)."""
     print(text)
-    with open(RESULTS_FILE, "a") as f:
-        f.write("\n" + text + "\n")
 
 
 def pct(value: float) -> str:

@@ -1,4 +1,4 @@
-"""Analyses: attention dependency, LM probing, embedding-space quality.
+"""Analyses: attention dependency, attention heads, LM probing.
 
 :mod:`repro.analysis.contracts` (not imported here — it has no numpy
 dependency and stays importable in stripped environments) is the static
@@ -10,7 +10,6 @@ from .attention import (
     compute_attention_dependency,
     render_heatmap_ascii,
 )
-from .embedding_quality import nearest_neighbor_purity, silhouette_score
 from .heads import (
     HeadSummary,
     head_agreement_matrix,
@@ -36,10 +35,8 @@ __all__ = [
     "compute_attention_dependency",
     "kb_relation_examples",
     "kb_type_examples",
-    "nearest_neighbor_purity",
     "probe_column_relations",
     "probe_column_types",
     "render_heatmap_ascii",
-    "silhouette_score",
     "summarize_heads",
 ]

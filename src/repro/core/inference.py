@@ -2,12 +2,14 @@
 
 :class:`InferenceSession` captures a :class:`~repro.core.model.DoduoModel`'s
 weights once and replays the encoder forward with the kernels from
-:mod:`repro.nn.kernels`: a fused QKV GEMM, matmuls landing in preallocated
-workspace buffers, and in-place softmax/layernorm/GELU.  Every operation
-mirrors the reference Tensor path's exact sequence (the reference defines
-the bytes), and the shape-dependent fusions are proof-gated, so a session's
-outputs are bitwise identical to the autograd forward at the same weight
-dtype — ``tests/test_kernel_identity.py`` pins this differentially.
+:mod:`repro.nn.kernels`: a fused QKV GEMM, projections landing in
+preallocated workspace buffers, and in-place softmax/layernorm/GELU.  Every
+operation mirrors the reference Tensor path's exact sequence (the reference
+defines the bytes), and the GEMMs whose shape differs from the reference's
+are proof-gated per band of sequence widths, never per shape, so a
+session's outputs are bitwise identical to the autograd forward at the
+same weight dtype — ``tests/test_kernel_identity.py`` pins this
+differentially.
 
 Token-major batching
 --------------------
@@ -85,16 +87,15 @@ import numpy as np
 from ..nn import functional as F
 from ..nn.kernels import (
     Workspace,
+    _reference_matmul,
     attend,
     gelu_,
     layer_norm_,
-    matmul_into,
     proof_rows,
     prove_query_stable,
     prove_row_stable,
     query_stable_key,
     row_stable_key,
-    softmax_,
     split_heads,
     width_band,
 )
@@ -593,19 +594,19 @@ class InferenceSession:
         :func:`~repro.nn.kernels.width_band`) the first time a pass holds
         more than one width (or once :meth:`_may_prune` has banked the
         proof's worth of rows) — never per row count, or every never-seen
-        total would pay a reference recompute.  Until then, for
-        a disproven shape, and always for width-1 sequences (a one-row
-        product is a matrix-vector call), each width group runs as the
-        ``(count, width, K)`` batch the reference path would run, under
-        :func:`~repro.nn.kernels.matmul_into`'s per-shape gate.
+        total would pay a reference recompute.  Until then, for a
+        disproven band, and always for width-1 sequences (a one-row
+        product is a matrix-vector call), each width group runs the
+        reference form itself: the ``(count, width, K)`` batch the
+        reference path would run, one GEMM per part — bytes by
+        construction, so nothing is proven per shape.
 
         ``x`` may hold fewer rows than the groups span — the last block's
         kept rows, which only come here with a ``True`` verdict and no
         width-1 group, so they are one flat GEMM.
         """
-        ws = self.workspace
         rows, inner = x.shape
-        out = ws.take(name, (rows, w.shape[1]), x.dtype)
+        out = self.workspace.take(name, (rows, w.shape[1]), x.dtype)
         band = width_band(groups[-1].width if groups else 0, self.max_position)
         stable = self._row_stable(w, band, parts, prove=len(groups) > 1)
         flat_from = rows
@@ -615,32 +616,17 @@ class InferenceSession:
             if group.start >= flat_from:
                 break
             shape = (len(group.members), group.width)
-            matmul_into(
-                x[group.start : group.stop].reshape(shape + (inner,)),
-                w,
-                ws,
-                name,
-                out=out[group.start : group.stop].reshape(shape + (w.shape[1],)),
-                parts=parts,
+            np.copyto(
+                out[group.start : group.stop].reshape(shape + (w.shape[1],)),
+                _reference_matmul(
+                    x[group.start : group.stop].reshape(shape + (inner,)), w, parts
+                ),
             )
         if flat_from == 0:
             np.matmul(x, w, out=out)
         elif flat_from < rows:
             np.matmul(x[flat_from:], w, out=out[flat_from:])
         return out
-
-    def _attend(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        bias: Optional[np.ndarray],
-        scale: np.ndarray,
-    ) -> np.ndarray:
-        """``softmax(q kᵀ · scale + bias) v`` over one width group's
-        ``(count, heads, width, head_dim)`` keys and values, from all of
-        its rows or from a few query rows per sequence."""
-        return attend(q, k, v, bias, scale, self.workspace)
 
     def _block(
         self,
@@ -680,7 +666,7 @@ class InferenceSession:
                     at = queries % group.width
                     bias = bias[np.arange(count)[:, None], 0, at][:, None]
             q, k, v = split_heads(qkv[group.start : group.stop], count, heads, queries)
-            attended = self._attend(q, k, v, bias, bw.scale32)
+            attended = attend(q, k, v, bias, bw.scale32)
             rows = count * attended.shape[2]
             np.copyto(
                 context[done : done + rows].reshape(count, -1, heads, head_dim),
@@ -747,10 +733,10 @@ class QuantizedInferenceSession(InferenceSession):
     deliberately off the table, this session only swaps out the steps that
     exist to defend it:
 
-    * :meth:`_project` and :meth:`_attend` issue workspace GEMMs directly —
-      no row-stability or per-shape proofs and, crucially, no dark-launch
-      double-compute per novel shape; the attention scale is pre-folded
-      into the Q weights.
+    * :meth:`_project` issues one flat workspace GEMM, with no
+      row-stability proof, and :meth:`_may_prune` always licenses the
+      pruned last block; the attention scale is pre-folded into the Q
+      weights.
     * GELU is the 4-op sigmoid form, layer norm reduces by einsum.
     * ``merge_head_groups`` tells callers to collapse per-table head
       chains into one pass-wide GEMM.
@@ -795,18 +781,20 @@ class QuantizedInferenceSession(InferenceSession):
                 self.rh_w1 = quantize_dequantize(self.rh_w1)
                 self.rh_w2 = quantize_dequantize(self.rh_w2)
         # Fold the attention scale into the Q columns of the packed QKV:
-        # (s·q) @ kᵀ == s·(q @ kᵀ) exactly in real arithmetic, so the
-        # full (seq × seq) scores multiply disappears from every block.
+        # (s·q) @ kᵀ == s·(q @ kᵀ) in real arithmetic; rounding differs
+        # from the reference order — accuracy gate territory.  The scale
+        # left behind is one, and multiplying by one is exact, so the
+        # inherited attention serves this session unchanged.
         # ``packed_qkv`` hands back fresh concat copies (and the
         # quantize branch above replaced them again), so the in-place
-        # scale never touches arena views or live parameters.  Rounding
-        # differs from the reference order — accuracy gate territory.
+        # scale never touches arena views or live parameters.
         for bw in self.blocks:
             dim = bw.w_qkv.shape[0]
             qcols = bw.w_qkv[:, :dim]
             np.multiply(qcols, bw.scale32, out=qcols)
             qbias = bw.b_qkv[:dim]
             np.multiply(qbias, bw.scale32, out=qbias)
+            bw.scale32 = np.ones((), np.float32)
 
     @property
     def merge_head_groups(self) -> bool:
@@ -900,29 +888,6 @@ class QuantizedInferenceSession(InferenceSession):
         """One flat GEMM over all the rows, ungated."""
         out = self.workspace.take(name, (x.shape[0], w.shape[1]), x.dtype)
         return np.matmul(x, w, out=out)
-
-    def _attend(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        bias: Optional[np.ndarray],
-        scale: np.ndarray,
-    ) -> np.ndarray:
-        """Ungated, and ``scale`` is already folded into ``q``'s weights."""
-        ws = self.workspace
-        few = "" if q.shape[-2] == k.shape[-2] else "_few"  # as in ``attend``
-        scores = np.matmul(
-            q,
-            k.swapaxes(-1, -2),
-            out=ws.take("scores" + few, q.shape[:-1] + (k.shape[-2],), q.dtype),
-        )
-        if bias is not None:
-            np.add(scores, bias, out=scores)
-        softmax_(scores)
-        return np.matmul(
-            scores, v, out=ws.take("context" + few, q.shape, q.dtype)
-        )
 
     # -- heads -------------------------------------------------------------------
     def type_head(self, states: np.ndarray) -> np.ndarray:

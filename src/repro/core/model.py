@@ -131,10 +131,11 @@ class DoduoModel(Module):
         # dtype.  The leading underscore keeps ``named_parameters`` and the
         # mode walker from descending into them.
         self._sessions: Dict[str, InferenceSession] = {}
-        # Bitwise proof verdicts of the float sessions, per compute dtype.
-        # They are a property of the shapes and of the kernels this process
-        # dispatches to, not of the weights (see repro.nn.kernels), so they
-        # outlive a session rebuild (never the process):
+        # Bitwise proof verdicts of the float sessions, per compute dtype:
+        # a handful per band of sequence widths, never one per shape.
+        # They are a property of the weight shapes and of the kernels this
+        # process dispatches to, not of the weights (see repro.nn.kernels),
+        # so they outlive a session rebuild (never the process):
         # per-epoch validation would otherwise re-prove the same keys every
         # epoch.  The int8 gate's records *are* weight-dependent and stay
         # in, and die with, their session's own cache.

@@ -1,4 +1,4 @@
-"""Optimized inference kernels: in-place ops, workspaces, proof-gated fusion.
+"""Optimized inference kernels: in-place ops, workspaces, proof gates.
 
 The autograd path in :mod:`repro.nn.functional` is the *reference*
 implementation: its operation sequences define the bytes every other path
@@ -10,19 +10,11 @@ must reproduce.  This module provides the serving-speed twins:
   allocating form, so these are byte-safe by construction; the differential
   harness (``tests/test_kernel_identity.py``) pins that.
 * :class:`Workspace` — preallocated scratch buffers reused across batches.
-  One workspace lives per inference session (per engine), so steady-state
-  serving allocates no large temporaries.
-* :func:`matmul_into` — a GEMM that lands in a workspace buffer, optionally
-  fused over column blocks the reference multiplies separately (the
-  one-GEMM-instead-of-three QKV projection).  BLAS kernel selection is
-  shape-dependent and implementation-defined, so it is not *assumed*
-  byte-identical: it ships **dark until proven**.  The first call per
-  (operation, shape, dtype) computes the reference form too, compares
-  bitwise, and records a verdict in the workspace's :class:`ProofCache`;
-  only a proven shape uses the optimized form on later calls, and a failed
-  proof permanently falls back to the reference form for that shape: the
-  optimization is free to be unsound on some platform, the gate keeps the
-  bytes contract regardless.
+  One workspace lives per inference session (per engine), so the
+  token-wise steps of steady-state serving allocate no large temporaries.
+* :func:`attend` — attention over one width group with the reference's
+  calls: it allocates its two products as the reference does, and runs
+  the row-wise steps between them in place.
 * :func:`prove_row_stable` — the gate of token-major (ragged) batching: one
   verdict per weight shape, dtype and band of sequence widths, never per
   row count, on whether a GEMM over many concatenated sequences gives each
@@ -30,6 +22,13 @@ must reproduce.  This module provides the serving-speed twins:
 * :func:`prove_query_stable` — the second gate of the pruned last encoder
   block: one verdict per head size, dtype and band, on whether attention
   over a few selected query rows gives them the rows of the full product.
+
+BLAS kernel selection is shape-dependent and implementation-defined, so
+what changes a GEMM's shape against the reference — many sequences in one
+call, a few query rows instead of all — is not *assumed* byte-identical.
+It is gated per band of sequence widths, never per shape: a verdict in a
+:class:`ProofCache` covers every row count, and an unproven or disproven
+band runs the reference form itself, never both forms.
 """
 
 from __future__ import annotations
@@ -47,12 +46,12 @@ class ProofCache:
     ``verdict(key)`` returns ``True`` (proven identical), ``False``
     (disproven — use the reference form), or ``None`` (not yet tried).
 
-    Two kinds of entries share the cache: bitwise proofs (the per-shape
-    matmul gate, the row-stability gate) and the int8 **accuracy gate**'s
-    calibration records
-    (:mod:`repro.nn.quant`), which additionally carry the measured max
-    drift in ``drifts`` — a disproof there means "drifted past
-    tolerance", not "not bitwise".
+    Two kinds of entries share the cache: bitwise proofs (row stability
+    and query stability, one verdict per weight shape or head size, dtype
+    and band of sequence widths) and the int8 **accuracy gate**'s
+    calibration records (:mod:`repro.nn.quant`), which additionally carry
+    the measured max drift in ``drifts`` — a disproof there means "drifted
+    past tolerance", not "not bitwise".
 
     Verdicts live in process memory only: they describe the BLAS kernels
     this process dispatches to (one OpenBLAS build picks a family per CPU,
@@ -129,50 +128,6 @@ def _reference_matmul(
     if parts is None:
         return np.matmul(a, b)
     return np.concatenate([np.matmul(a, part) for part in parts], axis=-1)
-
-
-def matmul_into(
-    a: np.ndarray,
-    b: np.ndarray,
-    ws: Workspace,
-    name: str,
-    out: Optional[np.ndarray] = None,
-    parts: Optional[Sequence[np.ndarray]] = None,
-) -> np.ndarray:
-    """``a @ b`` into a workspace buffer (or ``out``), proof-gated per shape.
-
-    The first call for a given (name, shapes, dtype) computes both the
-    reference form and ``np.matmul(a, b, out=...)``, compares bitwise, and
-    records the verdict; thereafter proven shapes skip the allocating form
-    entirely.  The caller always gets reference bytes: an unproven or
-    disproven shape returns (or copies into ``out``) the reference result.
-
-    ``parts`` are the column blocks of ``b`` the reference path multiplies
-    one GEMM each (query/key/value): the gate then also proves that fusing
-    them into one GEMM — which changes which BLAS call produces each output
-    column block — is bitwise neutral for this shape.
-    """
-    key = ("matmul", name, a.shape, b.shape, a.dtype.str)
-    verdict = ws.proofs.verdict(key)
-    target = out
-    if target is None and verdict is not False:
-        if b.ndim == 2 or a.shape[:-2] == b.shape[:-2]:
-            batch = a.shape[:-2]  # the common cases, without the helper's cost
-        else:
-            batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-        target = ws.take(name, batch + (a.shape[-2], b.shape[-1]), a.dtype)
-    if verdict is True:
-        return np.matmul(a, b, out=target)
-    reference = _reference_matmul(a, b, parts)
-    if verdict is None:
-        proven = bool((np.matmul(a, b, out=target) == reference).all())
-        ws.proofs.record(key, proven)
-        if proven:
-            return target
-    if out is None:
-        return reference
-    np.copyto(out, reference)
-    return out
 
 
 #: Longest run of rows one proof GEMM covers (scratch: a megabyte or two).
@@ -308,21 +263,17 @@ def attend(
     v: np.ndarray,
     bias: Optional[np.ndarray],
     scale: np.ndarray,
-    ws: Workspace,
 ) -> np.ndarray:
     """``softmax(q kᵀ · scale + bias) v`` over one width group's
-    ``(count, heads, rows, head_dim)`` operands, both products landing in
-    workspace buffers behind :func:`matmul_into`'s per-shape gate."""
-    # A selection of query rows lands in buffers of its own: under one
-    # name the whole blocks' geometry and the last block's would evict
-    # each other on every pass.
-    few = "" if q.shape[-2] == k.shape[-2] else "_few"
-    scores = matmul_into(q, k.swapaxes(-1, -2), ws, "scores" + few)
+    ``(count, heads, rows, head_dim)`` operands, by the calls the Tensor
+    path makes: both products allocate, as the reference's do, and scale,
+    bias and softmax run in place on the scores between them."""
+    scores = np.matmul(q, k.swapaxes(-1, -2))
     np.multiply(scores, scale, out=scores)
     if bias is not None:
         np.add(scores, bias, out=scores)
     softmax_(scores)
-    return matmul_into(scores, v, ws, "context" + few)
+    return np.matmul(scores, v)
 
 
 def prove_query_stable(
@@ -347,19 +298,15 @@ def prove_query_stable(
     rng = np.random.default_rng(0)
     longest = max(2, max_width)
     packed = rng.standard_normal((longest, 3 * heads * head_dim)).astype(dtype)
-    ws = Workspace()
     for width in range(2, longest + 1):
         qkv = packed[:width]  # one sequence: BLAS sees one at a time anyway
-        # Copied: a selection as long as the sequence lands in its buffer.
-        full = np.array(attend(*split_heads(qkv, 1, heads), None, scale, ws))
+        full = attend(*split_heads(qkv, 1, heads), None, scale)
         for c in _QUERY_COUNTS:
             # Row 0 ([CLS] opens a sequence), the last row, evenly between;
             # a sequence shorter than the selection repeats rows, as the
             # block does to bring a width group to one count.
             picks = np.arange(c) * (width - 1) // (c - 1)
-            few = attend(
-                *split_heads(qkv, 1, heads, picks[None]), None, scale, ws
-            )
+            few = attend(*split_heads(qkv, 1, heads, picks[None]), None, scale)
             if not (few == full[:, :, picks]).all():
                 return False
     return True

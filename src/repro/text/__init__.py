@@ -1,6 +1,5 @@
-"""Text substrate: WordPiece / BPE tokenization and vocabulary management."""
+"""Text substrate: WordPiece tokenization and vocabulary management."""
 
-from .bpe import BpeTokenizer, train_bpe
 from .tokenizer import (
     CLS_TOKEN,
     MASK_TOKEN,
@@ -16,7 +15,6 @@ from .tokenizer import (
 )
 
 __all__ = [
-    "BpeTokenizer",
     "CLS_TOKEN",
     "MASK_TOKEN",
     "PAD_TOKEN",
@@ -27,6 +25,5 @@ __all__ = [
     "WordPieceTokenizer",
     "basic_tokenize",
     "build_tokenizer_from_words",
-    "train_bpe",
     "train_wordpiece",
 ]

@@ -8,10 +8,6 @@ reproduce them exactly.  This module is the proof:
 * in-place softmax/layernorm/gelu vs their allocating references on
   randomized shapes and seeds — ``==`` on output bytes, in float64 AND
   float32 (same ufunc sequence, same dtype → same bits);
-* the proof-gated GEMM (``matmul_into``, plain and fused over ``parts=``)
-  — the gate runs both forms on first call and must return reference
-  bytes regardless of the verdict; a disproven shape must permanently
-  fall back;
 * the full fast forward (``kernels="fast"``) vs the reference Tensor path
   (``kernels="reference"``) through ``DoduoTrainer.annotate_batch`` —
   type scores, relations, and embeddings all ``==`` in the default
@@ -30,6 +26,7 @@ import logging
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -52,7 +49,6 @@ from repro.nn.kernels import (
     Workspace,
     gelu_,
     layer_norm_,
-    matmul_into,
     proof_rows,
     softmax_,
     width_band,
@@ -124,72 +120,11 @@ class TestInPlaceKernels:
 
 
 # ---------------------------------------------------------------------------
-# Proof-gated GEMMs: reference bytes no matter the verdict
+# The proof cache and the workspace
 # ---------------------------------------------------------------------------
 
 
 class TestProofGatedMatmul:
-    @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize(
-        "a_shape,b_shape",
-        [((5, 7), (7, 3)), ((2, 5, 7), (7, 3)), ((2, 3, 5, 7), (2, 3, 7, 4))],
-    )
-    def test_matmul_into_bitwise(self, a_shape, b_shape, dtype):
-        rng = np.random.default_rng(7)
-        a = _rand(rng, a_shape, dtype)
-        b = _rand(rng, b_shape, dtype)
-        ws = Workspace()
-        reference = a @ b
-        first = matmul_into(a, b, ws, "t")  # proof pass
-        second = matmul_into(a, b, ws, "t")  # verdict pass
-        assert (first == reference).all()
-        assert (second == reference).all()
-        assert ws.proofs.proofs_run == 1
-
-    def test_matmul_disproven_falls_back(self):
-        rng = np.random.default_rng(8)
-        a = _rand(rng, (4, 6), np.float32)
-        b = _rand(rng, (6, 5), np.float32)
-        ws = Workspace()
-        key = ("matmul", "t", a.shape, b.shape, a.dtype.str)
-        ws.proofs.record(key, False)  # simulate a platform where out= differs
-        out = matmul_into(a, b, ws, "t")
-        assert (out == a @ b).all()
-        assert "t" not in ws._buffers  # reference form, no workspace write
-
-    @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("rows", [1, 3, 8])
-    def test_fused_qkv_bitwise(self, rows, dtype):
-        """``parts=``: one GEMM over the packed weight vs the reference's
-        three, landing in a caller-supplied ``out``."""
-        rng = np.random.default_rng(rows)
-        d = 16
-        x = _rand(rng, (2, rows, d), dtype)
-        w = [_rand(rng, (d, d), dtype) for _ in range(3)]
-        w_qkv = np.concatenate(w, axis=1)
-        expected = np.concatenate([x @ part for part in w], axis=-1)
-        ws = Workspace()
-        out = np.empty((2, rows, 3 * d), dtype=dtype)
-        for _ in range(2):  # proof pass, then verdict pass
-            got = matmul_into(x, w_qkv, ws, "qkv", out=out, parts=w)
-            assert got is out
-            assert (got == expected).all()
-        assert ws.proofs.proofs_run == 1
-
-    def test_fused_qkv_disproven_falls_back(self):
-        rng = np.random.default_rng(3)
-        d = 8
-        x = _rand(rng, (1, 4, d), np.float32)
-        w = [_rand(rng, (d, d), np.float32) for _ in range(3)]
-        w_qkv = np.concatenate(w, axis=1)
-        ws = Workspace()
-        ws.proofs.record(("matmul", "qkv", x.shape, w_qkv.shape, x.dtype.str), False)
-        out = np.zeros((1, 4, 3 * d), dtype=np.float32)
-        got = matmul_into(x, w_qkv, ws, "qkv", out=out, parts=w)
-        assert got is out  # reference bytes, copied where the caller reads
-        assert (got == np.concatenate([x @ part for part in w], axis=-1)).all()
-        assert ws.proofs.proofs_failed == 1  # the injected verdict, no retry
-
     def test_proof_cache_counters(self):
         proofs = ProofCache()
         assert proofs.verdict("k") is None
@@ -684,14 +619,13 @@ class TestRaggedBatching:
                 )
 
     def test_never_seen_total_pays_no_reference_recompute(self, monkeypatch):
-        """Verdicts are per (K, N, dtype), never per row count: once they
-        exist — and the attention shapes of the width groups have been
-        seen — a drain of a new total width computes nothing twice."""
+        """Verdicts are per (K, N, dtype) and band, never per row count or
+        attention shape: once they exist, a drain of a new total width —
+        with a width group no pass has had — computes nothing twice."""
         model = _model(visibility=False, numeric=False)
         rng = np.random.default_rng(3)
         a, b, c = ([_sequence(rng, [n])] for n in (3, 7, 10))
         _ragged(model, [a, b])  # proves; sees the groups of widths 5 and 9
-        _ragged(model, [a, c])  # sees the group of width 12
         proofs = model.inference_session("float32").workspace.proofs
         assert proofs.proofs_failed == 0
         run_before = proofs.proofs_run
@@ -701,13 +635,44 @@ class TestRaggedBatching:
             lambda *args, **kwargs: recomputed.append("proof") or True,
         )
         reference_form = kernels._reference_matmul
-        monkeypatch.setattr(
-            kernels, "_reference_matmul",
-            lambda *args: recomputed.append("matmul") or reference_form(*args),
-        )
-        _ragged(model, [b, c])  # 9 + 12: a total no pass has had
+
+        def spy(*args):
+            recomputed.append("matmul")
+            return reference_form(*args)
+
+        monkeypatch.setattr(kernels, "_reference_matmul", spy)
+        monkeypatch.setattr("repro.core.inference._reference_matmul", spy)
+        _ragged(model, [b, c])  # 9 + 12: a total and a group no pass has had
         assert recomputed == []
         assert proofs.proofs_run == run_before
+
+    def test_verdicts_are_per_band_never_per_shape(self):
+        """Drains of many distinct ``(count, width)`` shapes leave a
+        handful of verdicts per band — four row-stability, one
+        query-stability — and not one keyed by a shape: a shape no pass
+        has had is never proven, and never computed twice."""
+        model = _model(visibility=False, numeric=False, max_position=200)
+        session = model.inference_session("float32")
+        rng = np.random.default_rng(6)
+        shapes = set()
+        for count in (1, 2, 3, 5, 8):
+            for _ in range(3):
+                tables = [
+                    [_sequence(rng, rng.integers(1, 30, rng.integers(1, 4)).tolist())]
+                    for _ in range(count)
+                ]
+                widths = [table[0].length for table in tables]
+                shapes |= {(widths.count(w), w) for w in widths}
+                decide_pruning_now(session)
+                _assert_ragged_equals_alone(
+                    _ragged(model, tables), _alone(model, tables, "reference")
+                )
+        assert len(shapes) > 40
+        verdicts = model._proofs["float32"].verdicts
+        assert {key[0] for key in verdicts} == {ROW_STABLE, QUERY_STABLE}
+        per_band = Counter(key[-1] for key in verdicts)
+        assert set(per_band) == {64, 128}
+        assert max(per_band.values()) <= 5
 
     def test_a_proof_covers_a_band_of_widths(self, monkeypatch):
         """Proving every width up to ``max_position`` costs rows quadratic
