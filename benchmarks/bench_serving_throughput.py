@@ -1,4 +1,4 @@
-"""Serving throughput: legacy loop vs. engine strategies vs. the int8 tier.
+"""Serving throughput: legacy loop vs. engine strategies.
 
 Not a paper table — this benchmarks the serving stack on a 50-table
 WikiTable workload:
@@ -12,23 +12,17 @@ WikiTable workload:
   *float32 fast-kernel baseline* every later row is scored against;
 * **batched engine** — drains of 8 and 16 tables, one padding-free
   token-major pass each whatever their widths (still float32, every
-  sequence at the width it would have alone — the byte-identity contract);
-* **int8 serving tier** — ``precision="int8"`` on the same token-major
-  pass, with the optimizations the accuracy gate licenses as a package:
-  quantized weights with fused elementwise kernels, no bitwise proof
-  machinery, merged head groups.
+  sequence at the width it would have alone — the byte-identity contract).
 
 Every engine cell is measured **cold** (``cache_size=0``, sessions
 invalidated first): the timed region includes session build, and with it
-the float path's per-band proofs (when a pass calls for one) and the int8
-path's calibration pass — the costs a fresh serving process actually pays.
+the per-band proofs (when a pass calls for one) — the costs a fresh
+serving process actually pays.
 
-The int8 rows come with an accuracy check: type/relation micro-F1 over
-the workload, int8 vs the float32 baseline, must agree within half a
-point, and the calibration gate must have passed (no silent float32
-fallbacks).  Speedup and drift both land in the JSON summary, which is
-also written to ``BENCH_serving.json`` (override with ``--json PATH``)
-so CI can track the perf trajectory as an artifact.
+The summary also carries the sequential engine's type/relation micro-F1
+over the workload.  It lands in the JSON summary, which is also written
+to ``BENCH_serving.json`` (override with ``--json PATH``) so CI can track
+the perf trajectory as an artifact.
 """
 
 import json
@@ -49,9 +43,6 @@ from repro.core.trainer import default_relation_pairs
 from repro.evaluation.metrics import multilabel_micro_prf
 
 WORKLOAD_SIZE = 50
-
-#: The int8 tier's drain size (the wider of the two float rows).
-INT8_BATCH_SIZE = 16
 
 RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_serving.json"
 
@@ -93,7 +84,7 @@ def _micro_f1(results, tables, dataset):
     it cannot score what a differently-configured *engine* actually
     served; this recomputes the same micro-PRF from the annotation
     results themselves.  Gold pairs the engine did not probe count as
-    misses — identically for every engine, so drift stays comparable.
+    misses.
     """
     type_true, type_pred = [], []
     rel_true, rel_pred = [], []
@@ -157,25 +148,7 @@ def run_experiment(json_path=None):
             "passes": engine.stats.encoder_passes,
         }
 
-    # Cold int8 tier: the timed region includes weight quantization and
-    # the calibration forward that proves (or disproves) the accuracy
-    # gate for this model.
-    trainer.model.invalidate_sessions()
-    int8_engine = annotation_engine(
-        trainer,
-        batch_size=INT8_BATCH_SIZE,
-        cache_size=0,
-        precision="int8",
-    )
-    int8_seconds, int8_results = _timed(
-        lambda: int8_engine.annotate_batch(tables)
-    )
-    int8_passes = int8_engine.stats.encoder_passes
-    quant_fallbacks = int8_engine.stats.quant_fallbacks
-
-    dataset = trainer.dataset
-    type_f1_f32, rel_f1_f32 = _micro_f1(sequential_results, tables, dataset)
-    type_f1_int8, rel_f1_int8 = _micro_f1(int8_results, tables, dataset)
+    type_f1_f32, rel_f1_f32 = _micro_f1(sequential_results, tables, trainer.dataset)
 
     def tps(seconds):
         return WORKLOAD_SIZE / seconds
@@ -193,23 +166,10 @@ def run_experiment(json_path=None):
             f"{stats['seconds']:.3f}", f"{tps(stats['seconds']):.1f}",
             f"{legacy_seconds / stats['seconds']:.2f}",
         ))
-    rows.append((
-        f"int8 tier (bs={INT8_BATCH_SIZE})", int8_passes,
-        f"{int8_seconds:.3f}", f"{tps(int8_seconds):.1f}",
-        f"{legacy_seconds / int8_seconds:.2f}",
-    ))
     print_table(
         f"Serving throughput ({WORKLOAD_SIZE} WikiTable tables, cold)",
         ["Path", "Passes", "Seconds", "Tables/s", "Speedup"],
         rows,
-    )
-    print_block(
-        "int8 accuracy vs float32 baseline: "
-        f"type F1 {type_f1_int8:.4f} vs {type_f1_f32:.4f} "
-        f"(drift {abs(type_f1_int8 - type_f1_f32):.4f}), "
-        f"relation F1 {rel_f1_int8:.4f} vs {rel_f1_f32:.4f} "
-        f"(drift {abs(rel_f1_int8 - rel_f1_f32):.4f}), "
-        f"quant_fallbacks {quant_fallbacks}"
     )
 
     best_batch = min(batched.values(), key=lambda s: s["seconds"])
@@ -218,7 +178,6 @@ def run_experiment(json_path=None):
         "legacy_tables_per_sec": round(tps(legacy_seconds), 2),
         "sequential_tables_per_sec": round(tps(sequential_seconds), 2),
         "batched_tables_per_sec": round(tps(best_batch["seconds"]), 2),
-        "int8_tables_per_sec": round(tps(int8_seconds), 2),
         # The before/after ratio for PR-1: the seed's annotate_many was a
         # sequential multi-pass Python loop; the engine batches and
         # single-passes it.
@@ -226,25 +185,11 @@ def run_experiment(json_path=None):
         "batched_vs_sequential_engine": round(
             sequential_seconds / best_batch["seconds"], 2
         ),
-        # The before/after ratio for the quantized tier: everything the
-        # accuracy gate buys (int8 fused kernels, no proof machinery,
-        # merged heads) against the proof-gated float32 fast-kernel
-        # baseline, both starting cold.
-        "int8_vs_float32_baseline": round(sequential_seconds / int8_seconds, 2),
-        "int8_vs_batched_engine": round(
-            best_batch["seconds"] / int8_seconds, 2
-        ),
         "legacy_passes": legacy_passes,
         "sequential_passes": sequential_passes,
         "batched_passes": best_batch["passes"],
-        "int8_passes": int8_passes,
         "type_f1_float32": round(type_f1_f32, 4),
-        "type_f1_int8": round(type_f1_int8, 4),
-        "type_f1_drift": round(abs(type_f1_int8 - type_f1_f32), 4),
         "relation_f1_float32": round(rel_f1_f32, 4),
-        "relation_f1_int8": round(rel_f1_int8, 4),
-        "relation_f1_drift": round(abs(rel_f1_int8 - rel_f1_f32), 4),
-        "quant_fallbacks": quant_fallbacks,
     }
     print_block("serving-throughput-json: " + json.dumps(summary))
     target = Path(json_path) if json_path is not None else RESULTS_PATH
@@ -260,16 +205,6 @@ def test_serving_throughput(benchmark):
     assert summary["legacy_passes"] >= 2 * summary["sequential_passes"]
     assert summary["batched_passes"] < summary["sequential_passes"]
     assert summary["batched_vs_legacy_loop"] >= 1.5
-    # The quantized tier must beat the cold float32 fast-kernel baseline
-    # while staying within half a point of its micro-F1 — and the
-    # accuracy gate must actually have passed (a failed gate silently
-    # serves float32, which would make the speedup a lie).
-    assert summary["quant_fallbacks"] == 0
-    # Same layout, same passes per drain — plus calibration's two.
-    assert summary["int8_passes"] <= summary["batched_passes"] + 2
-    assert summary["int8_vs_float32_baseline"] >= 1.4
-    assert summary["type_f1_drift"] <= 0.005
-    assert summary["relation_f1_drift"] <= 0.005
 
 
 if __name__ == "__main__":

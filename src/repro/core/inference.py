@@ -51,14 +51,6 @@ A session is built for one compute dtype:
 * ``float64`` — the high-precision path used by the differential harness
   and available through ``EngineConfig.precision``.  Weights are cast once
   at session build.
-* ``int8`` — :class:`QuantizedInferenceSession`: Linear/QKV weights
-  round-trip through per-channel symmetric int8 (float32 accumulate),
-  which is *deliberately not byte-identical*.  It runs the same
-  token-major layout but swaps the bitwise proof gates for the accuracy
-  gate in :mod:`repro.nn.quant`: one calibration pass records max drift
-  per (layer, shape) vs the float32 reference, and drift past tolerance
-  disproves the session — it permanently falls back to float32 and every
-  fallback bumps the model's ``quant_fallbacks`` odometer.
 
 Staleness
 ---------
@@ -109,58 +101,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Supported compute dtypes for inference sessions.
 INFERENCE_DTYPES = ("float32", "float64")
 
-#: Accuracy-gated session dtypes: not byte-identical to the reference,
-#: dispatched by :meth:`DoduoModel.inference_session` to
-#: :class:`QuantizedInferenceSession` and fenced off from the float
-#: cache partitions by the ``precision`` fingerprint fold.
-QUANTIZED_DTYPES = ("int8",)
-
-#: Items from the first batch used for the one-shot calibration pass.
-CALIBRATION_ITEMS = 8
-
-
-def _sigmoid_gelu_(x: np.ndarray, ws, scratch: str = "gelu") -> np.ndarray:
-    """In-place sigmoid GELU ``x * sigmoid(1.702 x)`` (quantized path only).
-
-    Four ufunc dispatches against the reference tanh chain's nine; the
-    approximation differs from exact GELU by at most ~0.021 per element,
-    which the accuracy gate measures rather than assumes.  Never call
-    this from the proof-gated float path — it is not bitwise anything.
-    """
-    t = ws.take(scratch, x.shape, x.dtype)
-    np.multiply(x, -1.702, out=t)
-    np.exp(t, out=t)
-    t += 1.0
-    np.divide(x, t, out=x)
-    return x
-
-
-def _lean_layer_norm_(
-    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float, ws=None
-) -> np.ndarray:
-    """Layer norm with the variance reduced by one einsum (quantized path).
-
-    Same math as :func:`repro.nn.kernels.layer_norm_` (and its signature;
-    the workspace goes unused) but the squared deviations never
-    materialize as a full-size scratch array — the einsum contracts them
-    directly to per-row sums — and the three follow-up ops run on the
-    tiny per-row reduction.  Summation order differs from the reference,
-    so bytes differ: accuracy-gated sessions only.
-    """
-    inv_dim = 1.0 / x.shape[-1]
-    mu = np.einsum("...i->...", x)
-    mu *= inv_dim
-    np.subtract(x, mu[..., None], out=x)
-    var = np.einsum("...i,...i->...", x, x)
-    var *= inv_dim
-    var += eps
-    np.sqrt(var, out=var)
-    np.divide(x, var[..., None], out=x)
-    np.multiply(x, gamma, out=x)
-    np.add(x, beta, out=x)
-    return x
-
-
 class _BlockWeights:
     """Flat per-block weight bundle (plain ndarrays, session dtype)."""
 
@@ -200,11 +140,6 @@ def gather_states(hidden: np.ndarray, locations: np.ndarray) -> np.ndarray:
 class InferenceSession:
     """One model × one compute dtype, ready for repeated no-tape forwards."""
 
-    # The row-wise kernels of a block, with the reference's op sequence;
-    # an accuracy-gated subclass swaps in cheaper ones.
-    _layer_norm = staticmethod(layer_norm_)
-    _gelu = staticmethod(gelu_)
-
     def __init__(self, model: "DoduoModel", dtype: str = "float32") -> None:
         if dtype not in INFERENCE_DTYPES:
             raise ValueError(
@@ -217,11 +152,6 @@ class InferenceSession:
         # verdicts in for this workspace's fresh proof cache.
         self.workspace = Workspace()
         self._sources: List[Tuple[object, np.ndarray]] = []
-        # When set to a list, _forward appends a copy of every block's
-        # output (the int8 calibration pass taps both the quantized and
-        # the reference session this way).  None in steady state: the
-        # check is a no-op branch, so serving bytes are untouched.
-        self._capture: Optional[List[np.ndarray]] = None
         # Rows the last block computed for lack of a verdict that would
         # have let it skip them: what a deferred proof is weighed against
         # (see _may_prune).
@@ -476,15 +406,9 @@ class InferenceSession:
         """
         x = self._embed(token_ids, positions, segment_ids, numeric_ids)
         rows = kept = x.shape[0]
-        # Not under calibration (it compares whole block outputs), and not
-        # beside a width-1 sequence: its projections are matrix-vector
+        # Not beside a width-1 sequence: its projections are matrix-vector
         # calls that run alone (groups ascend by width).
-        if (
-            self._capture is None
-            and self.blocks
-            and groups
-            and groups[0].width > 1
-        ):
+        if self.blocks and groups and groups[0].width > 1:
             kept = sum(group.queries.size for group in groups)
             band = width_band(groups[-1].width, self.max_position)
             if not (kept < rows and self._may_prune(band, rows - kept)):
@@ -493,9 +417,6 @@ class InferenceSession:
         last = self.blocks[-1] if kept < rows else None
         for bw in self.blocks:
             x = self._block(x, groups, bw, prune=bw is last)
-            if self._capture is not None:
-                # Block outputs alias reused workspace buffers; copy.
-                self._capture.append(np.array(x, copy=True))
         return x
 
     def _row_stable(
@@ -676,16 +597,16 @@ class InferenceSession:
         attended = self._project(context, bw.w_o, "attn_out", groups)
         attended += bw.b_o
         np.add(residual, attended, out=attended)
-        mid = self._layer_norm(attended, bw.attn_gamma, bw.attn_beta, bw.attn_eps, ws)
+        mid = layer_norm_(attended, bw.attn_gamma, bw.attn_beta, bw.attn_eps, ws)
         hidden = self._project(mid, bw.w_in, "ffn_h", groups)
         hidden += bw.b_in
-        self._gelu(hidden, ws)
+        gelu_(hidden, ws)
         # The kept rows get a buffer of their own: "ffn_o" holds ``x``,
         # the block before's output, which they are written back into.
         out = self._project(hidden, bw.w_out, "kept_o" if prune else "ffn_o", groups)
         out += bw.b_out
         np.add(mid, out, out=out)
-        out = self._layer_norm(out, bw.ffn_gamma, bw.ffn_beta, bw.ffn_eps, ws)
+        out = layer_norm_(out, bw.ffn_gamma, bw.ffn_beta, bw.ffn_eps, ws)
         if not prune:
             return out
         x[kept] = out
@@ -713,207 +634,3 @@ class InferenceSession:
         inner = F._SQRT_2_OVER_PI * (hidden + 0.044715 * (squared * hidden))
         activated = 0.5 * hidden * (1.0 + np.tanh(inner))
         return np.matmul(activated, w2) + b2
-
-
-class QuantizedInferenceSession(InferenceSession):
-    """Int8 weights, float32 accumulate, accuracy-gated — not byte-gated.
-
-    Every GEMM weight (packed QKV, attention output, FFN, both heads)
-    round-trips through per-channel symmetric int8
-    (:func:`repro.nn.quant.quantize_dequantize`) at session build, then
-    compute proceeds in float32 on the dequantized arrays: numpy has no
-    int8 GEMM, so the weight *representation* is int8 (what an arena
-    persists, what the fingerprint sees) while the *arithmetic* is the
-    float32 BLAS path.  When the model is attached to an int8 arena the
-    round-trip already happened at arena build — the captured arrays are
-    the arena's shared dequantized views and no private copy is made.
-
-    The forward is the inherited token-major one — same layout, same
-    per-item widths, one pass per drain.  Because byte-identity is
-    deliberately off the table, this session only swaps out the steps that
-    exist to defend it:
-
-    * :meth:`_project` issues one flat workspace GEMM, with no
-      row-stability proof, and :meth:`_may_prune` always licenses the
-      pruned last block; the attention scale is pre-folded into the Q
-      weights.
-    * GELU is the 4-op sigmoid form, layer norm reduces by einsum.
-    * ``merge_head_groups`` tells callers to collapse per-table head
-      chains into one pass-wide GEMM.
-
-    The license is the **accuracy gate**: the first ``encode_batch``
-    runs a bounded calibration pass (quantized vs float32 reference),
-    records the max drift per (layer, shape) in the proof cache under
-    :data:`repro.nn.quant.DRIFT_KEY_PREFIX` keys, and a summary verdict
-    under :data:`~repro.nn.quant.GATE_KEY`.  Drift past tolerance
-    disproves the gate: the session permanently delegates to the
-    memoized float32 session and bumps ``model.quant_fallbacks`` once
-    per delegated call.  The gate is a weight property measured on this
-    process's kernels, so every session calibrates once for itself;
-    nothing stores or reloads it.
-    """
-
-    _layer_norm = staticmethod(_lean_layer_norm_)
-    _gelu = staticmethod(_sigmoid_gelu_)
-
-    def __init__(self, model: "DoduoModel") -> None:
-        super().__init__(model, "float32")
-        self.dtype = "int8"
-        self.fallback = False
-        self._calibrated = False
-        arena = getattr(model, "_weight_arena", None)
-        if arena is not None and arena.precision == "int8":
-            # Parameters already hold the arena's dequantized views, and
-            # per-channel quantization commutes with column concat, so
-            # the packed QKV built from them equals quantizing the pack.
-            pass
-        else:
-            from ..nn.quant import quantize_dequantize
-
-            for bw in self.blocks:
-                bw.w_qkv = quantize_dequantize(bw.w_qkv)
-                bw.w_o = quantize_dequantize(bw.w_o)
-                bw.w_in = quantize_dequantize(bw.w_in)
-                bw.w_out = quantize_dequantize(bw.w_out)
-            self.th_w1 = quantize_dequantize(self.th_w1)
-            self.th_w2 = quantize_dequantize(self.th_w2)
-            if self.rh_w1 is not None:
-                self.rh_w1 = quantize_dequantize(self.rh_w1)
-                self.rh_w2 = quantize_dequantize(self.rh_w2)
-        # Fold the attention scale into the Q columns of the packed QKV:
-        # (s·q) @ kᵀ == s·(q @ kᵀ) in real arithmetic; rounding differs
-        # from the reference order — accuracy gate territory.  The scale
-        # left behind is one, and multiplying by one is exact, so the
-        # inherited attention serves this session unchanged.
-        # ``packed_qkv`` hands back fresh concat copies (and the
-        # quantize branch above replaced them again), so the in-place
-        # scale never touches arena views or live parameters.
-        for bw in self.blocks:
-            dim = bw.w_qkv.shape[0]
-            qcols = bw.w_qkv[:, :dim]
-            np.multiply(qcols, bw.scale32, out=qcols)
-            qbias = bw.b_qkv[:dim]
-            np.multiply(qbias, bw.scale32, out=qbias)
-            bw.scale32 = np.ones((), np.float32)
-
-    @property
-    def merge_head_groups(self) -> bool:
-        """Collapse per-table head groups into one GEMM — unless the gate
-        failed, in which case the float32 fallback keeps reference
-        (per-group) behavior."""
-        return not self.fallback
-
-    # -- gate --------------------------------------------------------------------
-    def _float_session(self) -> InferenceSession:
-        return self.model.inference_session("float32")
-
-    def _calibrate(self, encoded: Sequence[EncodedTable]) -> None:
-        from ..nn import quant
-
-        proofs = self.workspace.proofs
-        # The batch's narrowest items (what its first width bucket used to
-        # be), both passes padded to the longest of them: little padding,
-        # and one width, so the reference pass never pays a row-stability
-        # proof on our cold start.
-        sample = sorted(encoded, key=lambda item: item.length)[:CALIBRATION_ITEMS]
-        if not sample:
-            return  # nothing to measure yet; retry on the next batch
-        self._calibrated = True
-        reference = self._float_session()
-        self._capture = []
-        hidden_q, loc_q = InferenceSession.encode_batch(self, sample)
-        captured_q, self._capture = self._capture, None
-        cls_q = gather_states(hidden_q, loc_q)
-        reference._capture = []
-        hidden_f, loc_f = reference.encode_batch(sample)
-        captured_f, reference._capture = reference._capture, None
-        cls_f = gather_states(hidden_f, loc_f)
-        ok = True
-        for i, (xq, xf) in enumerate(zip(captured_q, captured_f)):
-            drift = quant.max_drift(xq, xf)
-            layer_ok = drift <= quant.HIDDEN_DRIFT_TOLERANCE
-            ok = ok and layer_ok
-            proofs.record(
-                quant.drift_key(f"block{i}", xq.shape), layer_ok, drift=drift
-            )
-        logits_q = InferenceSession.type_head(self, cls_q)
-        logits_f = reference.type_head(cls_f)
-        drift = quant.max_drift(logits_q, logits_f)
-        head_ok = drift <= quant.LOGIT_DRIFT_TOLERANCE
-        ok = ok and head_ok
-        proofs.record(
-            quant.drift_key("type_head", logits_q.shape), head_ok, drift=drift
-        )
-        if self.rh_w1 is not None and cls_q.shape[0] >= 2:
-            pairs_q = np.concatenate([cls_q[:-1], cls_q[1:]], axis=-1)
-            pairs_f = np.concatenate([cls_f[:-1], cls_f[1:]], axis=-1)
-            rel_q = InferenceSession.relation_head(self, pairs_q)
-            rel_f = reference.relation_head(pairs_f)
-            drift = quant.max_drift(rel_q, rel_f)
-            rel_ok = drift <= quant.LOGIT_DRIFT_TOLERANCE
-            ok = ok and rel_ok
-            proofs.record(
-                quant.drift_key("relation_head", rel_q.shape), rel_ok, drift=drift
-            )
-        proofs.record(quant.GATE_KEY, ok)
-        self.fallback = not ok
-
-    # -- forward -----------------------------------------------------------------
-    def encode_batch(
-        self,
-        encoded: Sequence[EncodedTable],
-        width: Union[None, int, Sequence[int]] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The inherited token-major pass behind the accuracy gate (a
-        disproven gate hands the same widths to the float32 session)."""
-        if not self._calibrated:
-            self._calibrate(encoded)
-        if self.fallback:
-            self.model.quant_fallbacks += 1
-            return self._float_session().encode_batch(encoded, width=width)
-        return super().encode_batch(encoded, width=width)
-
-    def _may_prune(self, band: int, skipped: int) -> bool:
-        """Always: the licence is the accuracy gate, not a bitwise proof."""
-        return True
-
-    def _project(
-        self,
-        x: np.ndarray,
-        w: np.ndarray,
-        name: str,
-        groups: Sequence[_Group],
-        parts: Optional[Sequence[np.ndarray]] = None,
-    ) -> np.ndarray:
-        """One flat GEMM over all the rows, ungated."""
-        out = self.workspace.take(name, (x.shape[0], w.shape[1]), x.dtype)
-        return np.matmul(x, w, out=out)
-
-    # -- heads -------------------------------------------------------------------
-    def type_head(self, states: np.ndarray) -> np.ndarray:
-        if self.fallback:
-            self.model.quant_fallbacks += 1
-            return self._float_session().type_head(states)
-        return super().type_head(states)
-
-    def relation_head(self, pair_states: np.ndarray) -> np.ndarray:
-        if self.fallback:
-            self.model.quant_fallbacks += 1
-            return self._float_session().relation_head(pair_states)
-        return super().relation_head(pair_states)
-
-    @staticmethod
-    def _head(states, w1, b1, w2, b2) -> np.ndarray:
-        # Lean head chain: sigmoid GELU on fresh arrays (head inputs are
-        # a handful of rows — no workspace needed).  Calibration runs
-        # the drift check through this same code path, so the gate
-        # verdict covers exactly what serving executes.
-        hidden = np.matmul(states, w1)
-        hidden += b1
-        t = np.multiply(hidden, -1.702)
-        np.exp(t, out=t)
-        t += 1.0
-        np.divide(hidden, t, out=hidden)
-        out = np.matmul(hidden, w2)
-        out += b2
-        return out

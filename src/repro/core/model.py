@@ -25,12 +25,7 @@ from ..nn import (
 )
 from ..nn import functional as F
 from ..nn.kernels import ProofCache
-from .inference import (
-    QUANTIZED_DTYPES,
-    InferenceSession,
-    QuantizedInferenceSession,
-    gather_states,
-)
+from .inference import InferenceSession, gather_states
 from .numeric import NUM_MAGNITUDE_BINS
 from .serialization import EncodedTable, column_visibility, pad_batch
 
@@ -122,23 +117,17 @@ class DoduoModel(Module):
         self.real_tokens = 0
         self.padded_tokens = 0
         self.last_block_rows = 0
-        # Serving calls answered by the float32 fallback after the int8
-        # accuracy gate disproved quantization (see
-        # QuantizedInferenceSession); the engine diffs this into
-        # ``EngineStats.quant_fallbacks`` alongside the token odometers.
-        self.quant_fallbacks = 0
         # Inference sessions (no-tape optimized forward), one per compute
         # dtype.  The leading underscore keeps ``named_parameters`` and the
         # mode walker from descending into them.
         self._sessions: Dict[str, InferenceSession] = {}
-        # Bitwise proof verdicts of the float sessions, per compute dtype:
+        # Bitwise proof verdicts of the sessions, per compute dtype:
         # a handful per band of sequence widths, never one per shape.
         # They are a property of the weight shapes and of the kernels this
         # process dispatches to, not of the weights (see repro.nn.kernels),
         # so they outlive a session rebuild (never the process):
         # per-epoch validation would otherwise re-prove the same keys every
-        # epoch.  The int8 gate's records *are* weight-dependent and stay
-        # in, and die with, their session's own cache.
+        # epoch.
         self._proofs: Dict[str, ProofCache] = {}
 
     # -- identity ----------------------------------------------------------------
@@ -192,19 +181,15 @@ class DoduoModel(Module):
         packed-QKV or float64 weight copy.  In-place mutation outside the
         training loop must call :meth:`invalidate_sessions` — the same
         contract ``Trainer.invalidate_fingerprint`` imposes for the result
-        caches.  A rebuilt float session inherits the model's bitwise proof
-        verdicts (shape properties); an int8 session starts its accuracy
-        gate (a weight property) from scratch.
+        caches.  A rebuilt session inherits the model's bitwise proof
+        verdicts (shape properties).
         """
         session = self._sessions.get(dtype)
         if session is None or session.stale():
-            if dtype in QUANTIZED_DTYPES:
-                session = QuantizedInferenceSession(self)
-            else:
-                session = InferenceSession(self, dtype)
-                session.workspace.proofs = self._proofs.setdefault(
-                    dtype, session.workspace.proofs
-                )
+            session = InferenceSession(self, dtype)
+            session.workspace.proofs = self._proofs.setdefault(
+                dtype, session.workspace.proofs
+            )
             self._sessions[dtype] = session
         return session
 
@@ -355,9 +340,7 @@ class DoduoModel(Module):
 
         ``session`` (``None`` on the Tensor path) is what the heads must be
         applied through (:meth:`apply_type_head` /
-        :meth:`apply_relation_head`); read its ``merge_head_groups`` only
-        *after* this call — the int8 calibration pass runs inside it, and a
-        failed gate flips the flag off.  No sequences, no pass.
+        :meth:`apply_relation_head`).  No sequences, no pass.
         """
         session = self._resolve_session(kernels, compute_dtype)
         if not encoded:

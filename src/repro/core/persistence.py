@@ -13,7 +13,7 @@ to reconstruct a working :class:`~repro.core.annotator.Doduo`:
 workflow possible across processes.
 
 A bundle can additionally carry derived **weight arenas**
-(``arena-<precision>.rpwa``, see :mod:`repro.nn.arena`): flat mmap-able
+(``arena-float32.rpwa``, see :mod:`repro.nn.arena`): flat mmap-able
 files holding the inference weights, built on demand by
 :func:`ensure_model_arena` and consumed via
 ``load_annotator(..., weight_arena=...)`` — the model's parameters then
@@ -75,15 +75,15 @@ def load_annotator(
     replaces the ``weights.npz`` deserialization with zero-copy attachment:
     every parameter becomes a read-only memmap view over the arena file, so
     N processes loading the same bundle share one physical copy of the
-    weights and "loading" is a header parse plus a remap.  A float32 arena
-    is bitwise the npz load; an int8 arena attaches the dequantized
-    round-trip (the quantized serving representation).
+    weights and "loading" is a header parse plus a remap, bitwise the npz
+    load.
 
     Raises
     ------
     ValueError
         If the directory is not a bundle or was written by an incompatible
-        version.
+        version, or if ``weight_arena`` records a precision other than
+        ``float32``.
     """
     directory = Path(directory)
     manifest_path = directory / "bundle.json"
@@ -140,14 +140,12 @@ def _weights_signature(weights_path: Path) -> dict:
 
 
 def ensure_model_arena(
-    bundle_dir: PathLike,
-    precision: str = "float32",
-    arena_dir: Optional[PathLike] = None,
+    bundle_dir: PathLike, arena_dir: Optional[PathLike] = None
 ) -> Path:
-    """The bundle's weight arena for ``precision``, building it if needed.
+    """The bundle's weight arena, building it if needed.
 
     The arena lives next to the bundle by default
-    (``arena-<precision>.rpwa``; ``arena_dir`` overrides the directory).
+    (``arena-float32.rpwa``; ``arena_dir`` overrides the directory).
     An existing file is reused only when its recorded precision and its
     source signature — size and mtime of ``weights.npz`` at build time —
     still match, so retraining or re-saving the bundle invalidates the
@@ -160,7 +158,7 @@ def ensure_model_arena(
     weights_path = bundle_dir / "weights.npz"
     signature = _weights_signature(weights_path)
     directory = Path(arena_dir) if arena_dir is not None else bundle_dir
-    path = directory / f"arena-{precision}{ARENA_SUFFIX}"
+    path = directory / f"arena-float32{ARENA_SUFFIX}"
     if path.exists():
         try:
             existing = Arena(path)
@@ -168,16 +166,11 @@ def ensure_model_arena(
             existing = None  # corrupt or truncated: rebuild below
         if (
             existing is not None
-            and existing.precision == precision
+            and existing.precision == "float32"
             and existing.meta.get("source") == signature
         ):
             return path
     annotator = load_annotator(bundle_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    write_model_arena(
-        annotator.trainer.model,
-        path,
-        precision=precision,
-        meta={"source": signature},
-    )
+    write_model_arena(annotator.trainer.model, path, meta={"source": signature})
     return path

@@ -766,15 +766,8 @@ class DoduoTrainer:
         # Heads run once per table, over its columns / its pairs: BLAS picks
         # differently blocked kernels by row count, so only a row count that
         # depends on that table alone gives it the bytes it gets alone — the
-        # second half of the batched==sequential contract.  An
-        # accuracy-gated session (int8) trades it away behind its drift
-        # gate for one pass-wide chain per head; read only now, after the
-        # encodes, because a failed gate flips it off.
-        merge = getattr(session, "merge_head_groups", False)
-
+        # second half of the batched==sequential contract.
         def probabilities(apply, inputs, groups, out_features) -> np.ndarray:
-            if merge:
-                groups = [[row for group in groups for row in group]]
             logits = np.empty(
                 (sum(map(len, groups)), out_features), dtype=states.dtype
             )

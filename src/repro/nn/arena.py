@@ -31,13 +31,10 @@ persisted tier.  Writes go through :func:`repro.encoding.cache.publish`
 leaves a half-arena that parses, and concurrent builders never share a
 temporary.
 
-Float32 arenas store each parameter's exact live bytes, so an
-arena-backed model is bitwise the in-memory one (pinned by tests).
-Int8 arenas store, per quantizable weight, the authoritative int8
-tensor (``<name>::q``), its per-channel scales (``<name>::scale``),
-**and** the dequantized float32 compute array under the plain name —
-consumers map the compute array directly (zero-copy, shared) instead
-of re-dequantizing into private pages.
+A model arena stores each parameter's exact live float32 bytes, so an
+arena-backed model is bitwise the in-memory one (pinned by tests).  Its
+meta records ``"precision": "float32"``; an arena that records any
+other precision is refused at attach.
 """
 
 from __future__ import annotations
@@ -157,7 +154,7 @@ class Arena:
             entry["name"]: entry for entry in header["tensors"]
         }
         self._data_start = _aligned(_PREAMBLE.size + header_len)
-        self._mm = np.memmap(self.path, mode="r", dtype=np.uint8)
+        self._mm = np.memmap(self.path, mode="r", dtype=np.ubyte)
         self._views: Dict[str, np.ndarray] = {}
 
     @property
@@ -196,53 +193,26 @@ class Arena:
         )
 
 
-def model_arena_tensors(
-    model: Module, precision: str = "float32"
-) -> "Dict[str, np.ndarray]":
-    """The tensor set an arena stores for ``model`` at ``precision``.
-
-    ``float32``: every named parameter's exact live array.  ``int8``:
-    quantizable (Linear) weights become ``<name>::q`` + ``<name>::scale``
-    plus the dequantized float32 compute array under the plain name
-    (see the module docstring); everything else stays float32.
-    """
-    from .quant import dequantize_weight, quantizable_weight_names, quantize_weight
-
-    if precision not in ("float32", "int8"):
-        raise ValueError(
-            f"arena precision must be 'float32' or 'int8': {precision!r}"
-        )
-    tensors: Dict[str, np.ndarray] = {}
-    quantize = quantizable_weight_names(model) if precision == "int8" else set()
-    for name, param in sorted(model.named_parameters()):
-        data = param.data
-        if name in quantize:
-            qw = quantize_weight(data)
-            tensors[f"{name}::q"] = qw.q
-            tensors[f"{name}::scale"] = qw.scale
-            tensors[name] = dequantize_weight(qw)
-        else:
-            tensors[name] = np.ascontiguousarray(data)
-    return tensors
+def model_arena_tensors(model: Module) -> "Dict[str, np.ndarray]":
+    """The tensor set an arena stores for ``model``: every named
+    parameter's exact live array."""
+    return {
+        name: np.ascontiguousarray(param.data)
+        for name, param in sorted(model.named_parameters())
+    }
 
 
 def write_model_arena(
-    model: Module,
-    path: PathLike,
-    precision: str = "float32",
-    meta: Optional[dict] = None,
+    model: Module, path: PathLike, meta: Optional[dict] = None
 ) -> Path:
     """Write ``model``'s inference weights as an arena at ``path``."""
-    merged = {"precision": precision}
+    merged = {"precision": "float32"}
     fingerprint = getattr(model, "fingerprint", None)
     if callable(fingerprint):
-        # Provenance: the fingerprint of the weights the arena was built
-        # FROM.  An int8 arena's attached model fingerprints differently
-        # (its weights are the int8 round-trip), which is exactly the
-        # cache-partitioning contract.
+        # Provenance: the fingerprint of the weights the arena was built FROM.
         merged["source_fingerprint"] = fingerprint()
     merged.update(meta or {})
-    return write_arena(path, model_arena_tensors(model, precision), merged)
+    return write_arena(path, model_arena_tensors(model), merged)
 
 
 def attach_arena(model: Module, arena: Arena) -> None:
@@ -256,7 +226,16 @@ def attach_arena(model: Module, arena: Arena) -> None:
     contracts are honored: memoized sessions and (by the caller)
     annotation fingerprints must be dropped, exactly as after
     ``load_state_dict``.
+
+    An arena whose meta records a precision other than ``float32`` (one
+    written by a quantizing build) is refused: its plain-name tensors are
+    not the model's weights.
     """
+    if arena.precision != "float32":
+        raise ValueError(
+            f"arena {arena.path} records precision {arena.precision!r}; "
+            "only float32 arenas attach"
+        )
     for name, param in model.named_parameters():
         view = arena.get(name)
         if view is None:

@@ -46,12 +46,9 @@ class ProofCache:
     ``verdict(key)`` returns ``True`` (proven identical), ``False``
     (disproven — use the reference form), or ``None`` (not yet tried).
 
-    Two kinds of entries share the cache: bitwise proofs (row stability
-    and query stability, one verdict per weight shape or head size, dtype
-    and band of sequence widths) and the int8 **accuracy gate**'s
-    calibration records (:mod:`repro.nn.quant`), which additionally carry
-    the measured max drift in ``drifts`` — a disproof there means "drifted
-    past tolerance", not "not bitwise".
+    Two kinds of proof share the cache: row stability and query
+    stability, one verdict per weight shape or head size, dtype and band
+    of sequence widths.
 
     Verdicts live in process memory only: they describe the BLAS kernels
     this process dispatches to (one OpenBLAS build picks a family per CPU,
@@ -61,7 +58,6 @@ class ProofCache:
 
     def __init__(self) -> None:
         self.verdicts: Dict[Hashable, bool] = {}
-        self.drifts: Dict[Hashable, float] = {}
         self.proofs_run = 0
         self.proofs_failed = 0
 
@@ -71,15 +67,11 @@ class ProofCache:
     def verdict(self, key: Hashable) -> Optional[bool]:
         return self.verdicts.get(key)
 
-    def record(
-        self, key: Hashable, ok: bool, drift: Optional[float] = None
-    ) -> None:
+    def record(self, key: Hashable, ok: bool) -> None:
         self.proofs_run += 1
         if not ok:
             self.proofs_failed += 1
         self.verdicts[key] = bool(ok)
-        if drift is not None:
-            self.drifts[key] = float(drift)
 
 
 class Workspace:

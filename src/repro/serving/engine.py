@@ -197,19 +197,16 @@ class EngineConfig:
         "planned; None plans without a cap)",
     )
     precision: str = knob(
-        "float32", bytes="changes", choices=("float32", "float64", "int8"),
-        flags=("--precision", "--dtype"),
-        marker={"float64": (0, b"|dtype=float64"), "int8": (2, b"|precision=int8")},
-        why="float64 computes in other arithmetic; int8 serves quantized "
-        "weights behind an accuracy gate, not a byte gate",
-        help="serving precision: float64 computes in double precision, int8 "
-        "serves per-channel quantized weights; both require fast kernels",
+        "float32", bytes="changes", choices=("float32", "float64"),
+        flags=("--precision", "--dtype"), marker={"float64": (0, b"|dtype=float64")},
+        why="float64 computes in other arithmetic",
+        help="serving precision: float64 computes in double precision and "
+        "requires fast kernels",
     )
     weight_arena: bool = knob(
         False, bytes="same", choices=(False, True), flags=("--weight-arena",),
         commands=("serve",),
-        why="a float32 arena stores each parameter's exact bytes; an int8 "
-        "arena changes bytes only through precision, which folds on its own",
+        why="an arena stores each parameter's exact float32 bytes",
         help="map model weights from a shared mmap arena built next to each "
         "bundle (read by the registry and pool; the engine ignores it)",
     )
@@ -253,12 +250,6 @@ class EngineConfig:
             for _, spelling in sorted(markers, key=lambda marker: marker[0])
         )
 
-    @property
-    def arena_precision(self) -> str:
-        """The weight arena this configuration maps: int8 serving maps the
-        int8 arena, every float precision the float32 one."""
-        return "int8" if self.precision == "int8" else "float32"
-
     @classmethod
     def reference(cls) -> str:
         """The knob table (here in the docstring, and in ``docs/serving.md``)."""
@@ -292,8 +283,7 @@ EngineStats = declare(
     pad short columns to their own table's widest) with zero cross-request
     padding on top.  ``column_hits``/``column_misses`` only move on
     single-column engines, ``pairs_planned``/``pairs_pruned`` only under
-    ``probe_mode="planned"``, ``quant_fallbacks`` only under
-    ``precision="int8"``.
+    ``probe_mode="planned"``.
     """,
     {
         "requests": "requests answered, from the store or by an encoder pass",
@@ -321,9 +311,6 @@ EngineStats = declare(
         "pairs_pruned": "candidate relation pairs the probe planner discarded",
         "pairs_probed": "pairs the relation head encoded, in every probe "
         "mode (store hits probe nothing)",
-        "quant_fallbacks": "int8-engine calls answered by the float32 "
-        "fallback after the accuracy gate disproved quantization — nonzero "
-        "means float32 bytes at int8 cache keys, at float32 speed",
     },
     ratios={
         "padding_waste": Ratio(
@@ -715,7 +702,6 @@ class AnnotationEngine:
         real_before = model.real_tokens
         padded_before = model.padded_tokens
         last_block_before = model.last_block_rows
-        fallbacks_before = model.quant_fallbacks
         batch_index = self.stats.batches
         column_cache = self.column_cache
         if column_cache is not None:
@@ -750,7 +736,6 @@ class AnnotationEngine:
         self.stats.real_tokens += model.real_tokens - real_before
         self.stats.padded_tokens += model.padded_tokens - padded_before
         self.stats.last_block_rows += model.last_block_rows - last_block_before
-        self.stats.quant_fallbacks += model.quant_fallbacks - fallbacks_before
         for i, raw_item in zip(chunk, raw):
             results[i] = self._build_result(
                 requests[i], raw_item, cached_flags[i], batch_index

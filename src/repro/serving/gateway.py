@@ -104,7 +104,7 @@ GatewayStats = declare(
     """,
     parts={
         ServiceStats: None,
-        EngineStats: ("encoder_passes", "disk_hits", "disk_misses", "quant_fallbacks"),
+        EngineStats: ("encoder_passes", "disk_hits", "disk_misses"),
     },
     groups={"models": ServiceStats, "engines": EngineStats, "disk_tiers": FabricStats},
 )

@@ -504,11 +504,8 @@ class ServingPool:
             # the PoolConfig picklable for spawn-based start methods.
             from ..core.persistence import ensure_model_arena
 
-            precision = self.config.engine.arena_precision
             for name, path in self.config.specs:
-                self.config.arena_paths[name] = str(
-                    ensure_model_arena(path, precision=precision)
-                )
+                self.config.arena_paths[name] = str(ensure_model_arena(path))
         self._bind()
         if self._ctx.get_start_method() == "fork":
             # Freeze the parent heap before forking: moving every object

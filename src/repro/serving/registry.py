@@ -523,9 +523,7 @@ class ModelRegistry:
             # process registries; the pool pre-builds in the parent):
             # build or reuse the bundle's own arena, then every reload —
             # evict→reload in particular — is a remap of the same file.
-            entry.arena = ensure_model_arena(
-                entry.path, precision=config.arena_precision
-            )
+            entry.arena = ensure_model_arena(entry.path)
         annotator = load_annotator(entry.path, weight_arena=entry.arena)
         engine = AnnotationEngine(annotator.trainer, config)
         self._attach_result_cache(engine)

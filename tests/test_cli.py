@@ -312,7 +312,7 @@ class TestCacheDirAndServe:
         self, bundle_dir, corpus, tmp_path, capsys
     ):
         """One float64 engine, one cache partition, however it is spelled
-        — and never float32's or int8's."""
+        — and never float32's."""
         cache_dir = tmp_path / "cache"
 
         def run(*flags):
@@ -326,9 +326,8 @@ class TestCacheDirAndServe:
         assert "0 disk hits" in run("--dtype", "float64")
         warm = run("--precision", "float64")
         assert "0 encoder passes" in warm and "5 disk hits" in warm
-        assert "0 disk hits" in run("--precision", "int8")
         assert "0 disk hits" in run()
-        # Four runs, three partitions, one flat store: a cache directory
+        # Three runs, two partitions, one flat store: a cache directory
         # holds answers only, never a process's kernel verdicts.
         assert [p.name for p in cache_dir.iterdir() if p.is_dir()] == []
 

@@ -7,8 +7,7 @@ what reads it.
   in ``same`` knobs alone — so hypothesis draws configurations from the
   declared ``values`` and holds each to the everything-off oracle of its
   ``changes`` class: wire bytes ``==``, fingerprints ``==``; fingerprints
-  ``!=`` across classes.  int8 joins the fingerprint assertions only: its
-  bytes are accuracy-gated, not byte-gated.
+  ``!=`` across classes.
 * **Registry and pool legs.**  ``weight_arena`` and the store a registry
   attaches after construction are invisible to an in-memory engine; they
   are served through ``ModelRegistry`` over a saved bundle, and once
@@ -186,8 +185,6 @@ class TestLattice:
         assert (fingerprint(trainer, config) == fingerprint(trainer, other)) == (
             changes_of(config) == changes_of(other)
         )
-        if config.precision == "int8":
-            return
         if config.cache_dir is not None:
             root = tmp_path_factory.mktemp("lattice")
             config = replace(config, cache_dir=str(root / config.cache_dir))
@@ -283,7 +280,6 @@ class TestRegistryLeg:
 _PRECISION_MARKERS = {
     "float32": (b"", b""),
     "float64": (b"|dtype=float64", b""),
-    "int8": (b"", b"|precision=int8"),
 }
 
 
@@ -324,7 +320,7 @@ class TestFoldOracle:
             == trainers["table"].annotation_fingerprint()
         )
 
-    @pytest.mark.parametrize("precision", ["float32", "float64", "int8"])
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
     @pytest.mark.parametrize(
         "probe", [{}, {"probe_mode": "planned"},
                   {"probe_mode": "planned", "probe_budget": 12}],
@@ -402,7 +398,7 @@ class TestDeclarationHygiene:
             )
 
         assert Sub().fold() == b""
-        assert Sub(foo=1, precision="int8").fold() == b"|precision=int8|foo=1"
+        assert Sub(foo=1, precision="float64").fold() == b"|dtype=float64|foo=1"
 
 
 # ----------------------------------------------------------------------

@@ -514,52 +514,6 @@ class TestRaggedBatching:
             tables, visibility, numeric, dtype
         )
 
-    @settings(max_examples=15, deadline=None)
-    @given(
-        picks=st.lists(st.integers(0, 19), min_size=2, max_size=8),
-        single_column=st.booleans(),
-        column_cache=st.booleans(),
-    )
-    def test_int8_drain_matches_one_table_at_a_time(
-        self, trainer, single_column_trainer, picks, single_column, column_cache
-    ):
-        """The accuracy-gated tier rides the same layout.  Its contract is
-        not bytes — flat GEMMs and merged head groups see other row counts
-        — but whatever shares the pass, a table keeps its labels and its
-        scores to float32 rounding, and the gate holds."""
-        from repro.nn import quant
-        from repro.serving import AnnotationEngine, EngineConfig
-
-        t = single_column_trainer if single_column else trainer
-        tables = [t.dataset.tables[i] for i in picks]
-        engine = AnnotationEngine(
-            t,
-            EngineConfig(
-                precision="int8", column_cache_size=64 if column_cache else 0
-            ),
-        )
-        alone = AnnotationEngine(
-            t, EngineConfig(precision="int8", column_cache_size=0)
-        )
-        for table, got in zip(tables, engine.annotate_batch(tables)):
-            want = alone.annotate(table)
-            assert got.coltypes == want.coltypes
-            assert got.colrels == want.colrels
-            for got_scores, want_scores in zip(got.type_scores, want.type_scores):
-                assert got_scores.keys() == want_scores.keys()
-                np.testing.assert_allclose(
-                    list(got_scores.values()),
-                    list(want_scores.values()),
-                    atol=1e-5,
-                )
-            np.testing.assert_allclose(got.colemb, want.colemb, atol=1e-5)
-        # One chunk: one pass (single-column: columns, then pairs), plus
-        # calibration's two the first time this model serves int8.
-        assert engine.stats.encoder_passes <= (2 if single_column else 1) + 2
-        assert engine.stats.quant_fallbacks == 0
-        proofs = t.model.inference_session("int8").workspace.proofs
-        assert proofs.verdict(quant.GATE_KEY) is True
-
     def _mixed_drain(self, seed=5):
         rng = np.random.default_rng(seed)
         return [
@@ -885,52 +839,6 @@ class TestPrunedLastBlock:
         )
         # The query proof runs only behind four True row verdicts.
         assert len(logged) == (1 if rows_proven else 0)
-
-    def test_int8_prunes_ungated_and_calibrates_on_equal_shapes(
-        self, trainer, monkeypatch
-    ):
-        """The accuracy-gated tier inherits the pruned block without the
-        bitwise verdicts; its calibration taps both sessions' whole blocks,
-        so the drift compare never sees (rows, dim) against (kept, dim)."""
-        from repro.nn import quant
-        from repro.serving import AnnotationEngine, EngineConfig
-
-        compared = []
-        real_drift = quant.max_drift
-
-        def same_shapes(a, b):
-            compared.append((a.shape, b.shape))
-            return real_drift(a, b)
-
-        monkeypatch.setattr(quant, "max_drift", same_shapes)
-        tables = trainer.dataset.tables[:8]
-
-        def drain(prunes: bool):
-            from repro.core.inference import QuantizedInferenceSession
-
-            trainer.model.invalidate_sessions()
-            with monkeypatch.context() as patch:
-                patch.setattr(
-                    QuantizedInferenceSession, "_may_prune", lambda *args: prunes
-                )
-                engine = AnnotationEngine(trainer, EngineConfig(precision="int8"))
-                return engine, engine.annotate_batch(tables)
-
-        whole_engine, whole = drain(prunes=False)
-        engine, pruned = drain(prunes=True)
-        assert compared and all(a == b for a, b in compared)
-        assert engine.stats.quant_fallbacks == 0
-        # Calibration's two passes ran whole either way; the drain's one
-        # pruned.
-        stats, whole_stats = engine.stats, whole_engine.stats
-        assert whole_stats.last_block_rows == whole_stats.padded_tokens
-        assert stats.padded_tokens == whole_stats.padded_tokens
-        assert 0 < stats.last_block_rows < stats.padded_tokens
-        # Fewer rows per GEMM is float32 rounding, nothing more.
-        for got, want in zip(pruned, whole):
-            assert got.coltypes == want.coltypes
-            assert got.colrels == want.colrels
-            np.testing.assert_allclose(got.colemb, want.colemb, atol=1e-5)
 
     def test_hydrated_disproof_serves_float_bytes_from_the_whole_block(self, trainer):
         """A ``False`` verdict decided before first use is never re-proven,

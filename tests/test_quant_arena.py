@@ -1,19 +1,14 @@
-"""Int8 quantization and the shared weight arena (PR 10).
+"""The shared weight arena and the precision knob.
 
-Two serving-side weight representations, two contracts:
+The **arena** is byte-neutral: an arena-backed model serves exactly the
+bytes of the npz-loaded one, the ``precision="float32"`` engine serves
+exactly the default engine's bytes, and neither changes the annotation
+fingerprint.  An arena that records any precision but ``float32`` is
+refused at attach.
 
-* the **float32 arena** is byte-neutral: an arena-backed model serves
-  exactly the bytes of the npz-loaded one, the ``precision="float32"``
-  engine serves exactly the default engine's bytes, and neither changes
-  the annotation fingerprint;
-* the **int8 path** is deliberately lossy and must be loudly partitioned:
-  a distinct fingerprint (never sharing a cache partition with float),
-  an accuracy gate that calibrates drift into the proof cache, and a
-  counted float32 fallback when the gate disproves quantization.
-
-Plus the machinery both lean on: arena file round-trip/corruption
+Plus the machinery it leans on: arena file round-trip/corruption
 handling, deferred parameter init for full-overwrite load paths, pool
-stats merging of the new counters, and the bounded column-profile memo.
+stats merging of the arena counters, and the bounded column-profile memo.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ from repro.datasets import generate_wikitable_dataset
 from repro.encoding.cache import LRUCache, publish
 from repro.nn import TransformerConfig, deferred_init
 from repro.nn import layers as nn_layers
-from repro.nn import quant
 from repro.nn.arena import (
     Arena,
     attach_arena,
@@ -83,54 +77,6 @@ def _assert_bitwise(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Quantization recipe
-# ---------------------------------------------------------------------------
-
-
-class TestQuantizeWeight:
-    def test_round_trip_bounds(self):
-        rng = np.random.default_rng(0)
-        w = (rng.standard_normal((16, 8)) * 3.0).astype(np.float32)
-        qw = quant.quantize_weight(w)
-        assert qw.q.dtype == np.int8
-        assert qw.scale.dtype == np.float32
-        assert qw.scale.shape == (8,)
-        assert np.abs(qw.q.astype(np.int32)).max() <= 127
-        # Rounding error is at most half a quantization step per channel.
-        err = np.abs(w - quant.quantize_dequantize(w))
-        assert (err <= qw.scale / 2 + 1e-7).all()
-
-    def test_zero_channel_is_exact(self):
-        w = np.zeros((4, 3), dtype=np.float32)
-        w[:, 0] = [1.0, -2.0, 0.5, 0.0]
-        qw = quant.quantize_weight(w)
-        assert qw.scale[1] == 1.0 and qw.scale[2] == 1.0
-        assert (quant.dequantize_weight(qw)[:, 1:] == 0.0).all()
-
-    def test_commutes_with_column_concat(self):
-        """Per-channel quantization of Q|K|V packed == packing the per-matrix
-        quantizations — the property the fused QKV projection relies on."""
-        rng = np.random.default_rng(1)
-        parts = [
-            (rng.standard_normal((8, 6)) * (i + 1)).astype(np.float32)
-            for i in range(3)
-        ]
-        packed = quant.quantize_weight(np.concatenate(parts, axis=1))
-        separate = [quant.quantize_weight(p) for p in parts]
-        assert (packed.q == np.concatenate([s.q for s in separate], axis=1)).all()
-        assert (packed.scale == np.concatenate([s.scale for s in separate])).all()
-
-    def test_named_linear_weights_matches_state_dict(self, trainer):
-        model = trainer.model
-        state = model.state_dict()
-        names = quant.quantizable_weight_names(model)
-        assert names  # every Linear in the model qualifies
-        for name in names:
-            assert name in state
-            assert state[name].ndim == 2
-
-
-# ---------------------------------------------------------------------------
 # Arena file format
 # ---------------------------------------------------------------------------
 
@@ -140,7 +86,7 @@ class TestArenaFile:
         rng = np.random.default_rng(2)
         return {
             "a": rng.standard_normal((5, 3)).astype(np.float32),
-            "b::q": rng.integers(-127, 128, size=(4, 4), dtype=np.int8),
+            "b": rng.integers(-127, 128, size=(4, 4), dtype=np.int8),
             "c": rng.standard_normal(7).astype(np.float64),
         }
 
@@ -210,7 +156,7 @@ class TestArenaFile:
 
 
 # ---------------------------------------------------------------------------
-# Model arenas: float32 byte-neutral, int8 partitioned
+# Model arenas: byte-neutral, float32 only
 # ---------------------------------------------------------------------------
 
 
@@ -223,21 +169,19 @@ class TestModelArena:
         for name, param in model.named_parameters():
             assert (arena[name] == param.data).all()
 
-    def test_int8_arena_stores_quantized_and_compute(self, trainer):
+    def test_attach_rejects_a_quantized_arena(self, trainer, tmp_path):
+        """An arena a quantizing build wrote carries the model's names and
+        shapes, but its weights are not the model's: refused, never served
+        under a new fingerprint."""
         model = trainer.model
-        tensors = model_arena_tensors(model, precision="int8")
-        quantized = quant.quantizable_weight_names(model)
-        state = model.state_dict()
-        for name in quantized:
-            qw = quant.quantize_weight(state[name])
-            assert (tensors[f"{name}::q"] == qw.q).all()
-            assert (tensors[f"{name}::scale"] == qw.scale).all()
-            # The compute array is the dequantized round-trip, not the
-            # original floats.
-            assert (tensors[name] == quant.dequantize_weight(qw)).all()
-        for name, param in model.named_parameters():
-            if name not in quantized:
-                assert (tensors[name] == param.data).all()
+        path = write_arena(
+            tmp_path / "arena-int8.rpwa",
+            model_arena_tensors(model),
+            meta={"precision": "int8"},
+        )
+        with pytest.raises(ValueError, match="precision 'int8'"):
+            attach_arena(model, Arena(path))
+        assert model_arena(model) is None
 
     def test_attach_rejects_incomplete_arena(self, trainer, tmp_path):
         model = trainer.model
@@ -332,101 +276,23 @@ class TestPrecisionFingerprint:
         base = trainer.annotation_fingerprint()
         assert self._fingerprint(trainer, "float32") == base
 
-    def test_int8_never_shares_a_partition(self, trainer):
-        int8 = self._fingerprint(trainer, "int8")
-        assert int8 != trainer.annotation_fingerprint()
-        assert int8 != self._fingerprint(trainer, "float64")
-
     def test_engine_folds_precision(self, trainer):
         default = AnnotationEngine(trainer).model_fingerprint
         f32 = AnnotationEngine(
             trainer, EngineConfig(precision="float32")
         ).model_fingerprint
-        int8 = AnnotationEngine(
-            trainer, EngineConfig(precision="int8")
+        f64 = AnnotationEngine(
+            trainer, EngineConfig(precision="float64")
         ).model_fingerprint
         assert f32 == default
-        assert int8 != default
+        assert f64 != default
 
     def test_precision_validation(self):
-        with pytest.raises(ValueError, match="precision"):
-            EngineConfig(precision="int4")
+        for precision in ("int4", "int8"):
+            with pytest.raises(ValueError, match="precision"):
+                EngineConfig(precision=precision)
         with pytest.raises(ValueError, match="kernels"):
-            EngineConfig(precision="int8", kernels="reference")
-
-
-# ---------------------------------------------------------------------------
-# The accuracy gate
-# ---------------------------------------------------------------------------
-
-
-class TestAccuracyGate:
-    def test_calibration_passes_and_records_drift(self, trainer):
-        trainer.model.invalidate_sessions()
-        engine = AnnotationEngine(trainer, EngineConfig(precision="int8"))
-        tables = trainer.dataset.tables[:4]
-        results = engine.annotate_batch(tables)
-        assert len(results) == len(tables)
-        assert engine.stats.quant_fallbacks == 0
-        proofs = trainer.model.inference_session("int8").workspace.proofs
-        assert proofs.verdict(quant.GATE_KEY) is True
-        drift_keys = [
-            key for key in proofs.drifts if key[0] == quant.DRIFT_KEY_PREFIX
-        ]
-        assert drift_keys
-        tolerance = max(
-            quant.HIDDEN_DRIFT_TOLERANCE, quant.LOGIT_DRIFT_TOLERANCE
-        )
-        for key in drift_keys:
-            assert proofs.drifts[key] <= tolerance
-
-    def test_first_mixed_width_drain_proves_nothing(self, trainer, monkeypatch):
-        """Calibration pads its sample to one width on both sessions, and
-        the quantized pass is ungated: an int8 cold start never pays the
-        float session's row-stability proof."""
-        tables = trainer.dataset.tables[:6]
-        assert len({trainer.encoding.encode_table(t).length for t in tables}) > 1
-
-        def no_proof(*args, **kwargs):
-            raise AssertionError("an int8 drain ran a row-stability proof")
-
-        monkeypatch.setattr("repro.core.inference.prove_row_stable", no_proof)
-        trainer.model.invalidate_sessions()
-        engine = AnnotationEngine(trainer, EngineConfig(precision="int8"))
-        engine.annotate_batch(tables)
-        assert engine.stats.encoder_passes == 3  # calibration's two + the drain
-        assert engine.stats.quant_fallbacks == 0
-
-    def test_disproven_gate_falls_back_to_float_bytes(self, trainer, monkeypatch):
-        tables = trainer.dataset.tables[:7]
-        assert len({trainer.encoding.encode_table(t).length for t in tables}) > 1
-        reference = [
-            r.annotated for r in AnnotationEngine(trainer).annotate_batch(tables)
-        ]
-        # No drift is tolerated, so the session's own calibration disproves
-        # the gate: it must permanently delegate to the float32 path,
-        # counting each call.
-        monkeypatch.setattr(quant, "HIDDEN_DRIFT_TOLERANCE", 0.0)
-        monkeypatch.setattr(quant, "LOGIT_DRIFT_TOLERANCE", 0.0)
-        trainer.model.invalidate_sessions()
-        before = trainer.model.quant_fallbacks
-        engine = AnnotationEngine(
-            trainer, EngineConfig(precision="int8", batch_size=3)
-        )
-        results = engine.annotate_batch(tables)
-        proofs = trainer.model.inference_session("int8").workspace.proofs
-        assert proofs.verdict(quant.GATE_KEY) is False
-        assert max(proofs.drifts.values()) > 0.0
-        assert trainer.model.quant_fallbacks > before
-        assert engine.stats.quant_fallbacks == trainer.model.quant_fallbacks - before
-        # Calibration's two passes, then the float session's ragged pass:
-        # one per chunk, not one per width bucket.
-        assert engine.stats.encoder_passes == 2 + 3
-        for got, want in zip(results, reference):
-            assert got.annotated.type_scores == want.type_scores
-            assert got.annotated.colrels == want.colrels
-            assert np.array_equal(got.annotated.colemb, want.colemb)
-        trainer.model.invalidate_sessions()  # drop the disproven session
+            EngineConfig(precision="float64", kernels="reference")
 
     def test_explicit_float32_precision_is_byte_identical(self, trainer):
         tables = trainer.dataset.tables[:4]
@@ -440,16 +306,14 @@ class TestAccuracyGate:
 
 
 # ---------------------------------------------------------------------------
-# Pool stats plumbing for the new counters
+# Pool stats plumbing for the engine and arena counters
 # ---------------------------------------------------------------------------
 
 
 class TestMergedCounters:
-    def test_quant_and_arena_counters_sum(self):
-        def worker(fallbacks, remaps, padded, real):
-            engine = EngineStats(
-                quant_fallbacks=fallbacks, padded_tokens=padded, real_tokens=real
-            )
+    def test_engine_and_arena_counters_sum(self):
+        def worker(remaps, padded, real):
+            engine = EngineStats(padded_tokens=padded, real_tokens=real)
             # What a live worker reports: its totals fold its engine's.
             gateway = GatewayStats().merge(engine)
             gateway.engines["m"] = engine
@@ -460,10 +324,9 @@ class TestMergedCounters:
                 "registry": RegistryStats(arena_remaps=remaps),
             }
 
-        merged = merge_sections([worker(2, 1, 100, 80), worker(3, 1, 300, 120)])
+        merged = merge_sections([worker(1, 100, 80), worker(1, 300, 120)])
         gateway = merged["gateway"].to_dict()
-        assert gateway["quant_fallbacks"] == 5
-        assert gateway["engines"]["m"]["quant_fallbacks"] == 5
+        assert gateway["engines"]["m"]["padded_tokens"] == 400
         assert merged["registry"].arena_remaps == 2
         # Ratios derive from merged raw counters, not from the workers'
         # ratios (0.2 and 0.6: their sum is 0.8, their mean 0.4).

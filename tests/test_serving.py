@@ -248,17 +248,15 @@ class TestBatchedEquivalence:
             assert result.type_scores == sequential.type_scores  # exact floats
             assert np.array_equal(result.colemb, sequential.colemb)
 
-    @pytest.mark.parametrize("path", ["fast", "reference", "int8"])
+    @pytest.mark.parametrize("path", ["fast", "reference"])
     def test_passes_per_drain(self, wikitable_trainer, path):
         """A session runs one padding-free pass per chunk of ``batch_size``
-        whatever the widths — int8 too, after its two calibration passes;
-        the reference path, which pads a batch to one width, runs one per
+        whatever the widths; the reference path, which pads a batch to one width, runs one per
         exact width bucket of each chunk.  Either way results come back in
         request order and no slot is cross-request padding."""
         config = {
             "fast": EngineConfig(batch_size=3),
             "reference": EngineConfig(batch_size=3, kernels="reference"),
-            "int8": EngineConfig(batch_size=3, precision="int8"),
         }[path]
         engine = AnnotationEngine(wikitable_trainer, config)
         tables = wikitable_trainer.dataset.tables[:8]
@@ -268,26 +266,15 @@ class TestBatchedEquivalence:
         chunks = [lengths[k:k + 3] for k in range(0, len(lengths), 3)]
         assert any(len(set(chunk)) > 1 for chunk in chunks)  # or this pins nothing
         expected = len(chunks)
-        calibration_padding = 0
         if path == "reference":
             expected = sum(len(set(chunk)) for chunk in chunks)
-        elif path == "int8":
-            # Quantized, then float32, over the first chunk padded to its
-            # longest table: the only padded slots this engine ever counts.
-            wikitable_trainer.model.invalidate_sessions()
-            expected += 2
-            calibration_padding = 2 * sum(max(chunks[0]) - n for n in chunks[0])
         before = wikitable_trainer.model.encode_calls
         results = engine.annotate_batch(tables)
         assert [r.table.table_id for r in results] == [t.table_id for t in tables]
         assert wikitable_trainer.model.encode_calls - before == expected
         assert engine.stats.encoder_passes == expected
         assert engine.stats.batches == len(chunks)
-        assert engine.stats.quant_fallbacks == 0
-        assert (
-            engine.stats.padded_tokens - engine.stats.real_tokens
-            == calibration_padding
-        )
+        assert engine.stats.padded_tokens == engine.stats.real_tokens
 
     def test_empty_batch(self, wikitable_trainer):
         assert AnnotationEngine(wikitable_trainer).annotate_batch([]) == []

@@ -225,7 +225,6 @@ STATS_SHAPE = {
     "gateway": {
         **SERVICE_SHAPE,
         "encoder_passes": "int", "disk_hits": "int", "disk_misses": "int",
-        "quant_fallbacks": "int",
         "models": {"default": SERVICE_SHAPE},
         "engines": {
             "default": {
@@ -237,7 +236,7 @@ STATS_SHAPE = {
                 "real_tokens": "int", "padded_tokens": "int",
                 "last_block_rows": "int",
                 "pairs_planned": "int", "pairs_pruned": "int",
-                "pairs_probed": "int", "quant_fallbacks": "int",
+                "pairs_probed": "int",
                 "padding_waste": "float", "last_block_share": "float",
                 "column_hit_rate": "float", "probe_prune_rate": "float",
             }
