@@ -30,9 +30,9 @@ full system on a pure-numpy substrate:
 * :mod:`repro.serving` — the serving stack: the batched ``AnnotationEngine``
   (single-pass inference, one padding-free pass per drain whatever the
   widths, streaming), the
-  multi-model ``ModelRegistry`` + ``AnnotationGateway`` front door
-  (fingerprint-keyed routing, per-model dedup queues, hot
-  register/repoint/unregister, thread and asyncio-native client APIs),
+  one-model ``ModelRegistry`` + ``AnnotationGateway`` front door
+  (name or fingerprint routes, a dedup queue, thread and asyncio-native
+  client APIs),
   the transport-agnostic wire ``protocol`` and the asyncio TCP
   ``AnnotationServer`` (per-connection FIFO answers, admin plane,
   graceful drain), the supervised multi-process ``ServingPool``
@@ -40,7 +40,7 @@ full system on a pure-numpy substrate:
   stats, pool-wide drain), the single-model ``AnnotationService``
   compatibility wrapper, and the one persistent result store,
   ``FabricCache`` (concurrently writable across processes, compactable,
-  partitioned per model fingerprint; ``DiskCache`` is an alias)
+  rooted per model fingerprint; ``DiskCache`` is an alias)
 * :mod:`repro.cli` — the ``repro`` command-line toolbox
 
 Quickstart::

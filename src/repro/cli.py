@@ -8,8 +8,7 @@ lines of Python code"; this module is the zero-lines-of-Python counterpart::
     repro annotate model/ table.csv
     repro annotate model/ corpus.jsonl --batch-size 16 --out results.jsonl
     repro serve model/ corpus.jsonl --cache-dir anno-cache/
-    repro serve --model stable=model/ --model canary=model-v2/ corpus.jsonl
-    repro serve --model stable=model/ --listen 127.0.0.1:9000
+    repro serve model/ --listen 127.0.0.1:9000
     repro stats 127.0.0.1:9000
     repro cache compact anno-cache/ --max-bytes 100000000
     repro evaluate model/ corpus.jsonl
@@ -21,22 +20,21 @@ and emitted as one JSON record per table — the serving entry point.
 ``--cache-dir`` adds the persistent result-cache tier, so re-annotating the
 same corpus later performs zero encoder passes.
 
-``serve`` is the gateway front-end: tables flow through an
-:class:`~repro.serving.AnnotationGateway` (per-model bounded queues,
-batching workers, cross-request dedup), from a ``.jsonl`` corpus, from a
+``serve`` is the gateway front-end over one model bundle: tables flow
+through an :class:`~repro.serving.AnnotationGateway` (a bounded queue, a
+batching worker, cross-request dedup), from a ``.jsonl`` corpus, from a
 stdin loop (``-``), or — with ``--listen HOST:PORT`` — over TCP via the
 asyncio :class:`~repro.serving.AnnotationServer`.  All three faces speak
 the one wire protocol of :mod:`repro.serving.protocol` (same records,
 same ``{"error": ...}`` answers, same optional ``"id"`` correlation
 echo), and the live faces (loop, socket) also carry the admin plane:
-``{"op": "stats"}``, ``{"op": "health"}``, hot ``register`` / ``repoint``
-/ ``unregister``, and ``{"op": "shutdown"}``.  ``repro stats HOST:PORT``
-is the one-shot admin client.  ``--model NAME=PATH`` (repeatable)
-registers several models behind the one front door; records route
-per-record via a ``{"model": NAME}`` field, and ``--cache-dir`` is
-partitioned into one subdirectory per model fingerprint (a pre-existing
-flat single-model cache keeps its layout).  SIGINT/SIGTERM drain
-in-flight requests and flush the disk cache before exiting.
+``{"op": "stats"}``, ``{"op": "health"}`` and ``{"op": "shutdown"}``.
+``repro stats HOST:PORT`` is the one-shot admin client.  A record's
+optional ``"model"`` field must name the served model (``default``) or its
+fingerprint; any other route is an error answer.  ``--cache-dir`` keeps
+the store in the model fingerprint's subdirectory (a pre-existing flat
+cache keeps its layout).  SIGINT/SIGTERM drain in-flight requests and
+flush the disk cache before exiting.
 
 All subcommands are pure functions of their arguments (deterministic under
 ``--seed``), and :func:`main` takes an ``argv`` list so the tests can drive
@@ -306,7 +304,7 @@ def _annotate_jsonl_batch(
     """
     if args.cache_dir is not None:
         # Answers `repro serve` stored here are found where it put them
-        # (its registry's per-fingerprint sub-directory); a new directory
+        # (its registry's fingerprint sub-directory); a new directory
         # gets this command's flat layout, which `serve` honours in turn.
         fingerprint = AnnotationEngine(annotator.trainer, config).model_fingerprint
         directory = store_directory(args.cache_dir, fingerprint) or args.cache_dir
@@ -389,67 +387,27 @@ def _iter_corpus_records(path, options):
                 yield record
 
 
-def _parse_serve_routes(args: argparse.Namespace):
-    """Resolve `repro serve`'s model routes and corpus from its arguments.
+def _parse_serve_args(args: argparse.Namespace) -> Optional[str]:
+    """`repro serve BUNDLE [CORPUS]`: check the bundle, return the corpus.
 
-    Three accepted shapes::
-
-        repro serve BUNDLE CORPUS                  # classic single model
-        repro serve --model a=B1 --model b=B2 CORPUS
-        repro serve BUNDLE --model canary=B2 CORPUS
-
-    A positional bundle registers as ``default`` and is the default route;
-    ``--model NAME=PATH`` adds named routes.  With only ``--model`` routes
-    the first one is the default and the remaining positional is the
-    corpus.  Returns ``(specs, corpus)`` where ``specs`` is a list of
-    ``(name, path)``.
-
-    With ``--listen`` there is no corpus: the one positional (if any) is
-    the default bundle, and ``corpus`` comes back ``None``.
+    With ``--listen`` there is no corpus, and ``None`` comes back.
     """
-    specs = []
-    for raw in args.models or []:
-        name, sep, path = raw.partition("=")
-        name, path = name.strip(), path.strip()
-        if not sep or not name or not path:
-            raise ValueError(f"--model expects NAME=PATH, got {raw!r}")
-        specs.append((name, path))
-    listen = getattr(args, "listen", None) is not None
-    if listen:
-        if args.corpus is not None:
-            raise ValueError(
-                "--listen runs a socket server: drop the corpus argument "
-                f"({args.corpus!r})"
-            )
-        if args.out is not None:
-            raise ValueError(
-                "--out does not apply to --listen (answers go to clients)"
-            )
-        if args.model is not None:
-            specs.insert(0, ("default", args.model))
-        corpus = None
-    elif args.model is not None and args.corpus is not None:
-        specs.insert(0, ("default", args.model))
-        corpus = args.corpus
-    elif args.model is not None:
-        # Only one positional was given: it is the corpus — unless it is
-        # actually a bundle directory, in which case the user forgot the
-        # corpus, not the model.
-        if os.path.exists(os.path.join(args.model, "bundle.json")):
-            raise ValueError("no corpus: pass a .jsonl path, or '-' for stdin")
-        corpus = args.model
-    else:
-        corpus = args.corpus
-    if not specs:
+    if not os.path.exists(os.path.join(args.model, "bundle.json")):
         raise ValueError(
-            "no model: pass a bundle directory or --model NAME=PATH"
+            f"{args.model} is not a model bundle directory (no bundle.json)"
         )
-    if corpus is None and not listen:
-        raise ValueError("no corpus: pass a .jsonl path, or '-' for stdin")
-    names = [name for name, _ in specs]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate model names: {', '.join(names)}")
-    return specs, corpus
+    if args.listen is None:
+        if args.corpus is None:
+            raise ValueError("no corpus: pass a .jsonl path, or '-' for stdin")
+        return args.corpus
+    if args.corpus is not None:
+        raise ValueError(
+            "--listen runs a socket server: drop the corpus argument "
+            f"({args.corpus!r})"
+        )
+    if args.out is not None:
+        raise ValueError("--out does not apply to --listen (answers go to clients)")
+    return None
 
 
 def _parse_listen(spec: str):
@@ -492,17 +450,13 @@ def _graceful_signals():
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Gateway serving: per-model queues + batching workers + dedup.
-
-    One registered model keeps the historical single-model behaviour;
-    several (``--model NAME=PATH``, repeatable) serve behind one front
-    door, with stdin records routed per-line by their ``"model"`` field.
-    ``--listen HOST:PORT`` swaps the stdin/stdout transport for the
-    asyncio TCP server — same protocol, same answers.
+    """Gateway serving: one model behind a bounded queue, a batching
+    worker and dedup.  ``--listen HOST:PORT`` swaps the stdin/stdout
+    transport for the asyncio TCP server — same protocol, same answers.
     """
     engine_config = _engine_config(args)
     options = _options(args)
-    specs, corpus = _parse_serve_routes(args)
+    corpus = _parse_serve_args(args)
     if args.workers is not None:
         # Multi-process pool: the parent owns the address and each worker
         # builds its own stack — nothing below applies to the parent.
@@ -511,12 +465,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                              "TCP; corpus/stdin serving is single-process)")
         if args.workers < 1:
             raise ValueError(f"--workers must be >= 1: {args.workers}")
-        return _serve_pool(args, specs, engine_config, options)
-    gateway = AnnotationGateway.for_bundles(
-        specs, engine_config, cache_dir=args.cache_dir, max_live=args.max_live
+        return _serve_pool(args, engine_config, options)
+    gateway = AnnotationGateway.for_bundle(
+        "default", args.model, engine_config, cache_dir=args.cache_dir
     )
     if args.listen is not None:
-        return _serve_listen(args, gateway, options, specs)
+        return _serve_listen(args, gateway, options)
     loop_mode = corpus == "-"
     records = (
         _iter_stdin_records(options, admin=not args.no_admin)
@@ -538,12 +492,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 # Loop mode answers each record as it arrives (stdin is
                 # serial anyway) and must survive bad records: malformed
                 # lines (already turned into error answers by the record
-                # iterator), an unregistered model route, or a per-request
+                # iterator), a route naming other weights, or a per-request
                 # annotation failure each get an error record on stdout —
                 # never a dead server.  Admin records ({"op": ...}) are
                 # the same plane the socket server exposes: stats/health
-                # introspection and hot registry mutation without a
-                # restart; {"op": "shutdown"} ends the loop gracefully.
+                # introspection; {"op": "shutdown"} ends the loop
+                # gracefully.
                 for record in records:
                     if isinstance(record, dict):  # un-parseable line
                         emit(record)
@@ -615,7 +569,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("error: no tables were served", file=sys.stderr)
         return 1
     note = "interrupted: drained in-flight requests; " if interrupted else ""
-    _print_serve_summary(gateway.stats.to_dict(), count, specs, args, note=note)
+    _print_serve_summary(gateway.stats.to_dict(), count, args, note=note)
     if interrupted and not loop_mode:
         # Corpus (batch) mode: partial output must not look like success
         # to a pipeline gating on the exit status.  (The interactive
@@ -624,29 +578,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_serve_summary(stats, count, specs, args, note="", workers=None) -> None:
+def _print_serve_summary(stats, count, args, note="", workers=None) -> None:
     """The `repro serve` stats epilogue, shared by every transport and
     topology; ``stats`` is the rendered ``"gateway"`` section of the
     stats answer (one process's, or a pool's merged one)."""
     out = getattr(args, "out", None)
     disk = f", {stats['disk_hits']} disk hits" if args.cache_dir is not None else ""
-    models = f" across {len(specs)} models" if len(specs) > 1 else ""
     over = f" over {workers} workers" if workers is not None else ""
     print(
         f"{note}served {count} tables in {stats['batches']} queue batches{over} "
         f"({stats['dedup_hits']} dedup hits, "
-        f"{stats['encoder_passes']} encoder passes{disk}){models}"
+        f"{stats['encoder_passes']} encoder passes{disk})"
         + (f" -> {out}" if out else ""),
         file=sys.stderr if not out else sys.stdout,
     )
 
 
-def _serve_listen(args, gateway, options, specs) -> int:
+def _serve_listen(args, gateway, options) -> int:
     """`repro serve --listen HOST:PORT`: the asyncio TCP front door.
 
     Runs until SIGINT/SIGTERM or a client's ``{"op": "shutdown"}``; both
     paths drain accepted requests to their clients, then close the
-    gateway — which drains the per-model workers and flushes/closes the
+    gateway — which drains the worker and flushes/closes the
     persistent disk cache — before exiting.
     """
     import asyncio
@@ -703,11 +656,11 @@ def _serve_listen(args, gateway, options, specs) -> int:
     finally:
         gateway.close()  # drain workers, flush/close disk caches
     stats = gateway.stats.to_dict()
-    _print_serve_summary(stats, stats["completed"], specs, args)
+    _print_serve_summary(stats, stats["completed"], args)
     return 0
 
 
-def _serve_pool(args: argparse.Namespace, specs, engine_config, options) -> int:
+def _serve_pool(args: argparse.Namespace, engine_config, options) -> int:
     """`repro serve --listen HOST:PORT --workers N`: the process pool.
 
     The parent binds (or reserves) the address, spawns the workers, and
@@ -716,13 +669,12 @@ def _serve_pool(args: argparse.Namespace, specs, engine_config, options) -> int:
     """
     host, port = _parse_listen(args.listen)
     config = PoolConfig(
-        specs=specs,
+        specs=[("default", args.model)],
         host=host,
         port=port,
         workers=args.workers,
         cache_dir=args.cache_dir,
         engine=engine_config,
-        max_live=args.max_live,
         options=options,
         admin=not args.no_admin,
     )
@@ -748,7 +700,7 @@ def _serve_pool(args: argparse.Namespace, specs, engine_config, options) -> int:
     # final_stats is None only when the post-drain collection itself failed.
     stats = (pool.final_stats or {}).get("gateway") or GatewayStats().to_dict()
     _print_serve_summary(
-        stats, stats["completed"], specs, args, workers=args.workers
+        stats, stats["completed"], args, workers=args.workers
     )
     return 0
 
@@ -787,7 +739,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cache_directories(root):
     """The cache directories under ``root``: itself (flat layout — `repro
-    annotate --cache-dir`) plus any per-model-fingerprint subdirectory the
+    annotate --cache-dir`) plus any model-fingerprint subdirectory the
     serving registry created (`repro serve --cache-dir`)."""
     from pathlib import Path
 
@@ -964,28 +916,19 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="serve a corpus, stdin ('-'), or a TCP socket (--listen) "
-             "through the routed gateway",
+             "through the gateway",
     )
-    serve.add_argument("model", nargs="?", default=None,
-                       help="model bundle directory (registered as "
-                            "'default'; optional when --model is used)")
+    serve.add_argument("model",
+                       help="model bundle directory (served as 'default')")
     serve.add_argument("corpus", nargs="?", default=None,
                        help=".jsonl corpus, or '-' to loop over stdin "
-                            "records (which may carry a per-line "
-                            '{"model": NAME} route)')
-    serve.add_argument("--model", action="append", dest="models",
-                       metavar="NAME=PATH", default=None,
-                       help="register a named model from a bundle PATH "
-                            "(repeatable); requests route to it by NAME "
-                            "or model fingerprint")
-    serve.add_argument("--max-live", type=int, default=None,
-                       help="cap concurrently loaded models; idle ones are "
-                            "LRU-evicted and transparently reloaded")
+                            "records")
     _add_engine_flags(serve, "serve")
     _add_option_flags(serve)
     serve.add_argument("--cache-dir", default=None,
-                       help="persistent result-cache root (one subdirectory "
-                            "per model fingerprint)")
+                       help="persistent result-cache root (the store "
+                            "lives in the model fingerprint's subdirectory "
+                            "unless the root already holds a flat store)")
     serve.add_argument("--out", default=None,
                        help="write .jsonl results here instead of stdout")
     serve.add_argument("--listen", default=None, metavar="HOST:PORT",
@@ -1001,8 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-admin", action="store_true",
                        help="refuse admin records ({\"op\": ...}) on the "
                             "live transports (socket and stdin loop): no "
-                            "stats/health introspection, no hot "
-                            "register/repoint/unregister, no remote "
+                            "stats/health introspection, no remote "
                             "shutdown")
     serve.set_defaults(func=_cmd_serve)
 
@@ -1027,8 +969,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-bytes", type=int, default=None,
         help="drop the oldest records until the compacted generation "
              "fits this size; applies to EACH cache directory found (a "
-             "multi-model root with N fingerprint subdirectories is "
-             "bounded at N x this)",
+             "root with N fingerprint subdirectories is bounded at "
+             "N x this)",
     )
     compact.add_argument(
         "--dry-run", action="store_true",

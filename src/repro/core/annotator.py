@@ -8,13 +8,13 @@ The paper ships a toolbox usable "with just a few lines of Python code":
     >>> annotated.coltypes, annotated.colrels, annotated.colemb  # doctest: +SKIP
 
 This module provides that interface as a thin compatibility layer over a
-single-entry :class:`~repro.serving.AnnotationGateway`: the annotator's
-model is registered as the gateway's only entry, and every ``annotate*``
+:class:`~repro.serving.AnnotationGateway`: the annotator's model is the
+gateway's model, and every ``annotate*``
 call runs through its :class:`~repro.serving.AnnotationEngine` — **one**
 encoder forward pass per table (the legacy implementation ran up to four:
 types, scores, a relation probe, embeddings) with bitwise-identical
 outputs.  For cross-table batching, streaming, and per-request options use
-the engine directly; for queued, deduped, multi-model, or asyncio serving
+the engine directly; for queued, deduped, or asyncio serving
 use the ``gateway`` property (or build your own registry + gateway).
 """
 
@@ -121,15 +121,14 @@ class Doduo:
 
     @property
     def gateway(self):
-        """The single-entry :class:`~repro.serving.AnnotationGateway` backing
-        this annotator.
+        """The :class:`~repro.serving.AnnotationGateway` backing this
+        annotator.
 
         Created lazily with default configuration, holding this trainer
-        registered (pinned) as its only model.  Gives toolbox users the
-        queued/asyncio serving APIs (``gateway.submit`` /
-        ``await gateway.asubmit``) without further setup; callers who need
-        custom batch sizes, cache tiers, or several models should build
-        their own registry + gateway.
+        as its model.  Gives toolbox users the queued/asyncio serving APIs
+        (``gateway.submit`` / ``await gateway.asubmit``) without further
+        setup; callers who need custom batch sizes or cache tiers should
+        build their own registry + gateway.
         """
         if self._gateway is None:
             # Deferred import: serving imports core.
@@ -147,9 +146,8 @@ class Doduo:
 
         The synchronous ``annotate*`` wrappers below call it directly —
         same engine, same bytes, no worker thread in the way.  Memoized:
-        the gateway's single entry is registered in-memory (pinned, never
-        evicted), so one registry resolution suffices for the annotator's
-        lifetime.
+        the gateway's model is registered in-memory and never replaced, so
+        one registry resolution suffices for the annotator's lifetime.
         """
         if self._engine is None:
             self._engine = self.gateway.registry.get()

@@ -206,7 +206,8 @@ class TrainingHistory:
     (training batches plus per-epoch validation): how many sequence slots
     were allocated versus how many carried real tokens.  ``padding_waste``
     is the fraction of allocated slots that were padding — the quantity
-    :mod:`benchmarks.bench_padding_waste` tracks across encoding policies.
+    the benchmark harness reports per workload as
+    ``encoding.padding_waste_ratio``.
     """
 
     task_losses: Dict[str, List[float]] = field(default_factory=dict)
@@ -559,8 +560,8 @@ class DoduoTrainer:
         ``single_column``), and the label vocabularies.  Two trainers with
         equal fingerprints produce bitwise-identical annotations for the same
         request, so this is the model component of the persistent result
-        cache key (:mod:`repro.serving.diskcache`) **and** the routing key
-        of the multi-model registry (:mod:`repro.serving.registry`):
+        cache key (:mod:`repro.serving.diskcache`) **and** a route the
+        serving registry admits (:mod:`repro.serving.registry`):
         changing any weight, serializer knob, or vocabulary invalidates
         every cached entry and re-keys the route.
 

@@ -5,7 +5,7 @@ worker deserializes ``weights.npz`` (decompress + copy) into its own
 heap, and a crash-restarted worker pays the whole parse again.  An
 *arena* is the shared-representation fix: the parent serializes a
 model's inference weights **once** into a flat file with a content-hash
-header, and every consumer — workers, restarts, evict→reload cycles —
+header, and every consumer — workers and their restarts —
 constructs its tensors as read-only :func:`numpy.memmap` views over the
 same pages.  The kernel's page cache then backs all of them: per-extra-
 worker RSS drops by roughly the weight size, and "loading" a model is a
@@ -127,7 +127,7 @@ class Arena:
     not writable, and N processes opening the same file share the pages.
     Construction parses only the header — no tensor bytes are touched
     until a view is actually read, so opening is O(header), which is
-    what makes evict→reload a remap instead of a deserialize.
+    what makes a worker restart a remap instead of a deserialize.
     """
 
     def __init__(self, path: PathLike) -> None:

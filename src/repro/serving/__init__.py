@@ -1,9 +1,10 @@
-"""Serving front-end: batched single-pass annotation behind a routed gateway.
+"""Serving front-end: batched single-pass annotation of one model behind a gateway.
 
 The stack, bottom-up:
 
 * :class:`AnnotationRequest` / :class:`AnnotationOptions` — one table plus
-  per-request knobs and an optional ``model`` route;
+  per-request knobs and an optional ``model`` route (the served model's
+  name or fingerprint);
   :class:`AnnotationResult` wraps the toolbox-compatible payload plus
   serving metadata.
 * :class:`AnnotationEngine` — batching over the shared
@@ -18,23 +19,23 @@ The stack, bottom-up:
   dedups content-identical requests single-flight (from submit until the
   answer exists) onto one forward pass, and the worker thread drains
   whatever is queued, up to ``max_batch``, without ever waiting for more.
-* :class:`ModelRegistry` — named models (lazy checkpoint loading, routing
-  by name *or* model fingerprint, LRU eviction of idle engines above
-  ``max_live`` with a pinned floor, per-fingerprint disk-cache
-  partitioning).
-* :class:`AnnotationGateway` — the single front door: routes every request
-  to its model's worker and exposes both the thread-based ``submit()`` and
-  the asyncio-native ``asubmit()``/``astream()`` client APIs.
-* :class:`AnnotationService` — the historical single-model front-end, now
-  a thin compatibility wrapper over a one-entry gateway.
+* :class:`ModelRegistry` — the process's one model (lazy bundle
+  loading, routes by name *or* model fingerprint with every other route
+  refused, the result store rooted at ``cache_dir/<fingerprint>``).
+* :class:`AnnotationGateway` — the single front door: hands every
+  admitted request to the one worker and exposes both the thread-based
+  ``submit()`` and the asyncio-native ``asubmit()``/``astream()`` client
+  APIs.
+* :class:`AnnotationService` — the historical front-end, now a thin
+  compatibility wrapper over a gateway.
 * :mod:`repro.serving.protocol` — the transport-agnostic wire protocol
   (newline-delimited JSON records, ``{"error": ...}`` answers, ``"id"``
   correlation echo, admin operations) shared by corpus serving, the stdin
   loop, and the socket server.
 * :class:`AnnotationServer` — the asyncio TCP front door speaking that
   protocol over the gateway's native ``asubmit()``, with per-connection
-  ordering, backpressure, an admin plane (``stats``/``health``/hot
-  ``register``/``repoint``/``unregister``/``shutdown``), and graceful
+  ordering, backpressure, an admin plane (``stats``/``health``/
+  ``shutdown``), and graceful
   drain; a request the result store already answers is rendered from the
   stored payload where its frame is decoded and never reaches a worker.
   :class:`ServerThread` embeds it in synchronous code.
@@ -76,21 +77,19 @@ Quickstart::
         futures = [service.submit(t) for t in tables]  # any thread, any time
         answers = [f.result() for f in futures]
 
-    registry = ModelRegistry(max_live=2, cache_dir="anno-cache/")
-    registry.register("stable", "models/stable/")
-    registry.register("canary", "models/canary/")
+    registry = ModelRegistry(cache_dir="anno-cache/")
+    registry.register("default", "models/run/")
     with AnnotationGateway(registry) as gateway:
-        future = gateway.submit(table, model="canary")  # thread API
+        future = gateway.submit(table)  # thread API
         # ...or, inside a coroutine:
-        #     result = await gateway.asubmit(table, model="canary")
+        #     result = await gateway.asubmit(table)
 
     from repro.serving.server import ServerThread
     with ServerThread(gateway, port=9000) as (host, port):
         ...  # newline-delimited JSON clients connect to (host, port)
 
-Every tier preserves the engine's equivalence contract: routing, dedup,
-and caching change what a request *costs* and *which model answers*, never
-what that model returns (see :mod:`repro.serving.gateway`,
+Every tier preserves the engine's equivalence contract: dedup and caching
+change what a request *costs*, never what the model returns (see :mod:`repro.serving.gateway`,
 :mod:`repro.serving.queue`, and :mod:`repro.serving.diskcache` for the
 exact byte-identity guarantees; :mod:`repro.serving.fabric` for the store's
 on-disk layout).
@@ -111,7 +110,7 @@ from .fabric import FabricCache, FabricStats, is_cache_directory, store_director
 from .gateway import AnnotationGateway, GatewayStats
 from .pool import PoolConfig, ServingPool
 from .queue import AnnotationService, EngineWorker, QueueConfig, ServiceStats
-from .registry import ModelRegistry, RegisteredModel, RegistryStats
+from .registry import ModelRegistry, RegistryStats
 from .request import AnnotationOptions, AnnotationRequest, AnnotationResult
 from .server import AnnotationServer, ServerStats, ServerThread
 
@@ -138,7 +137,6 @@ __all__ = [
     "ModelRegistry",
     "PoolConfig",
     "QueueConfig",
-    "RegisteredModel",
     "RegistryStats",
     "ServerStats",
     "ServerThread",

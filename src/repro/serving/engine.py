@@ -480,7 +480,7 @@ class AnnotationEngine:
             for request, known in zip(requests, identities or [None] * len(requests))
         ]
         # Captured once: the registry may detach the tier concurrently
-        # (eviction while a worker drains) — this call then finishes its
+        # (its close while a worker drains) — this call then finishes its
         # lookups against the handle it started with, and the put block
         # below re-reads the attribute so detached engines stop persisting.
         result_cache = self.result_cache

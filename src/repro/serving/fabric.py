@@ -135,8 +135,8 @@ def store_directory(
     into a new directory, and what a pre-gateway ``serve`` wrote.  It wins,
     so a warm flat cache stays warm under both commands.  Else
     ``cache_dir/<fingerprint>`` when that holds state: the registry's
-    layout, one sub-directory per model so that models never share segment
-    files.  Else ``None``: nothing is stored yet and the caller's own
+    layout, a sub-directory named by the model, so weights that change
+    never share segment files with the old ones.  Else ``None``: nothing is stored yet and the caller's own
     layout applies.  Without a ``fingerprint`` only the flat layout is
     looked for (``serve`` decides before it loads a model).
     """

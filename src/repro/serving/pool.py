@@ -16,8 +16,8 @@ share exactly two things:
   binds + listens once and passes the listening socket to each worker
   (``multiprocessing``'s fd-passing reduction), whose asyncio servers
   accept-race on the inherited descriptor.
-* **The result cache.**  Each worker opens the per-fingerprint cache
-  directories through :class:`~repro.serving.fabric.FabricCache` with a
+* **The result cache.**  Each worker opens the model's cache directory
+  through :class:`~repro.serving.fabric.FabricCache` with a
   process-unique writer id (``w<slot>-pid<PID>``): appends go to the
   worker's own segment files, reads see every sibling's entries, so a
   table annotated once by any worker is a warm disk hit pool-wide.
@@ -103,25 +103,26 @@ class PoolConfig:
     ``engine`` config) so it crosses the ``multiprocessing`` boundary under
     any start method.  The fields mirror the ``repro serve`` flags they
     come from — the engine's knobs in ``engine``, the per-request ones in
-    ``options`` — and :meth:`AnnotationGateway.for_bundles` builds each
+    ``options`` — and :meth:`AnnotationGateway.for_bundle` builds each
     worker's stack from them.
     """
 
-    specs: List[Tuple[str, str]]          # (name, bundle dir) routes
+    # The one (name, bundle dir) pair, as a one-item list (the shape
+    # `repro serve` has always passed): a pool serves one model.
+    specs: List[Tuple[str, str]]
     host: str = "127.0.0.1"
     port: int = 0
     workers: int = 2
     cache_dir: Optional[str] = None
     engine: EngineConfig = field(default_factory=EngineConfig)
-    max_live: Optional[int] = None
     # What every answer is rendered with (the CLI's --top-k / --threshold /
     # --embeddings), embeddings on the wire included.
     options: AnnotationOptions = AnnotationOptions(with_embeddings=False)
     admin: bool = True
-    # name → arena file, filled by the parent before spawning (see
+    # The arena file, filled by the parent before spawning (see
     # ServingPool.start): workers then map the SAME pre-built file, which
     # is the whole point — one physical weight copy pool-wide.
-    arena_paths: Dict[str, str] = field(default_factory=dict)
+    arena: Optional[str] = None
     shutdown_grace: float = 10.0
     sharding: str = "auto"                # auto | reuseport | inherit
     start_method: Optional[str] = None    # default: fork where available
@@ -131,6 +132,10 @@ class PoolConfig:
     ready_timeout: float = 60.0
 
     def __post_init__(self) -> None:
+        if len(self.specs) != 1:
+            raise ValueError(
+                f"a pool serves one model: specs holds {len(self.specs)}"
+            )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1: {self.workers}")
         if self.max_restarts < 0:
@@ -197,18 +202,19 @@ def _worker_main(
     except (ValueError, OSError):
         pass
 
-    # The parent pre-built the arenas (ServingPool.start), so every worker
-    # — crash-restarted ones included — maps the same files instead of
-    # re-parsing the bundles.
-    gateway = AnnotationGateway.for_bundles(
-        config.specs,
+    # The parent pre-built the arena (ServingPool.start), so every worker
+    # — crash-restarted ones included — maps the same file instead of
+    # re-parsing the bundle.
+    (name, bundle), = config.specs
+    gateway = AnnotationGateway.for_bundle(
+        name,
+        bundle,
         config.engine,
         cache_dir=config.cache_dir,
-        max_live=config.max_live,
         fabric_writer=f"w{slot}-pid{os.getpid()}"
         if config.cache_dir is not None
         else None,
-        arena_paths=config.arena_paths,
+        arena=config.arena,
     )
 
     # The event pipe is shared by the admin handler (any executor
@@ -218,8 +224,7 @@ def _worker_main(
 
     def admin_handler(record, _gateway):
         """Pool-level admin ops; ``None`` falls through to the local
-        protocol handler (register/unregister/health mutate THIS worker
-        only — documented, and surfaced in docs/scaling.md)."""
+        protocol handler (``health`` answers for THIS worker)."""
         if record.op == "stats":
             try:
                 with evt_lock:
@@ -486,26 +491,25 @@ class ServingPool:
             if self._started:
                 raise RuntimeError("pool already started")
             self._started = True
-        # Fail fast in the parent on a bad route: workers would each
+        # Fail fast in the parent on a bad bundle: workers would each
         # crash on register() and burn the whole restart budget.
         from pathlib import Path
 
-        for name, path in self.config.specs:
-            if not (Path(path) / "bundle.json").exists():
-                raise ValueError(
-                    f"model {name!r}: {path} is not a bundle directory "
-                    "(no bundle.json)"
-                )
+        (name, path), = self.config.specs
+        if not (Path(path) / "bundle.json").exists():
+            raise ValueError(
+                f"model {name!r}: {path} is not a bundle directory "
+                "(no bundle.json)"
+            )
         if self.config.engine.weight_arena:
-            # Serialize each model's weights ONCE, in the parent, before
-            # any worker exists: workers (and crash restarts) then map
-            # the same file, so the page cache backs one physical copy
-            # of the weights pool-wide.  Paths travel as strings to keep
-            # the PoolConfig picklable for spawn-based start methods.
+            # Serialize the weights ONCE, in the parent, before any worker
+            # exists: workers (and crash restarts) then map the same file,
+            # so the page cache backs one physical copy of the weights
+            # pool-wide.  The path travels as a string to keep the
+            # PoolConfig picklable for spawn-based start methods.
             from ..core.persistence import ensure_model_arena
 
-            for name, path in self.config.specs:
-                self.config.arena_paths[name] = str(ensure_model_arena(path))
+            self.config.arena = str(ensure_model_arena(path))
         self._bind()
         if self._ctx.get_start_method() == "fork":
             # Freeze the parent heap before forking: moving every object

@@ -14,14 +14,14 @@ Record shapes (one JSON object per line):
 
 * **Table record** — the :func:`repro.io.table_to_dict` shape
   (``{"kind": "table", "table_id": ..., "columns": [...]}``), optionally
-  extended with a ``"model"`` route (registered name or model
-  fingerprint) and an ``"id"`` correlation token.  Answered with the
+  extended with a ``"model"`` route (the served model's name or
+  fingerprint; any other route is an error answer) and an ``"id"``
+  correlation token.  Answered with the
   :meth:`~repro.serving.request.AnnotationResult.to_dict` record.
 * **Dataset header** — ``{"kind": "dataset", ...}`` records are skipped,
   so a whole corpus file can be piped through unchanged.
 * **Admin record** — ``{"op": ...}`` with one of :data:`ADMIN_OPS`
-  (``health``, ``stats``, ``register``, ``repoint``, ``unregister``,
-  ``shutdown``), answered with ``{"ok": true, "op": ...}`` payloads (see
+  (``health``, ``stats``, ``shutdown``), answered with ``{"ok": true, "op": ...}`` payloads (see
   :func:`handle_admin`).  Admin records are live-traffic only
   (``decode_record(admin=True)``); a static corpus row carrying ``"op"``
   is an input error.
@@ -52,7 +52,7 @@ from .request import (
 )
 
 #: Admin operations the protocol understands, in wire-name order.
-ADMIN_OPS = ("health", "register", "repoint", "shutdown", "stats", "unregister")
+ADMIN_OPS = ("health", "shutdown", "stats")
 
 
 def format_error(error: object) -> str:
@@ -266,28 +266,23 @@ def encode_line(record: Dict) -> str:
 def handle_admin(record: AdminRecord, gateway) -> Dict:
     """Execute one admin operation against a gateway; return the answer.
 
-    Never raises: a failed operation (missing argument, unknown name, a
-    path that is not a bundle) answers ``{"op": ..., "error": ...}`` —
-    the admin plane must outlive its worst client line exactly like the
+    Never raises: a failed operation answers ``{"op": ..., "error": ...}``
+    — the admin plane must outlive its worst client line exactly like the
     data plane.  ``shutdown`` is acknowledged here but *performed* by the
     transport (the stdin loop breaks, the socket server drains and
     stops): the protocol layer has no connections to close.
-
-    Mutations (``register``/``repoint``/``unregister``) act on the
-    gateway, not just the registry, so stale workers are retired (drained
-    first) in the same step — see :meth:`AnnotationGateway.repoint
-    <repro.serving.gateway.AnnotationGateway.repoint>`.
     """
-    op, payload, record_id = record.op, record.payload, record.record_id
+    op, record_id = record.op, record.record_id
     registry = gateway.registry
     try:
         if op == "health":
+            name = registry.default_name
             answer = {
                 "ok": True,
                 "op": op,
-                "models": registry.names(),
-                "live": registry.live_names(),
-                "default": registry.default_name,
+                "models": [name] if name is not None else [],
+                "live": [name] if registry.live else [],
+                "default": name,
             }
         elif op == "stats":
             answer = {
@@ -296,30 +291,10 @@ def handle_admin(record: AdminRecord, gateway) -> Dict:
                 "gateway": gateway.stats.to_dict(),
                 "registry": registry.stats.to_dict(),
             }
-        elif op == "shutdown":
+        else:  # op == "shutdown" (decode_record admitted only ADMIN_OPS)
             answer = {"ok": True, "op": op}
-        elif op in ("register", "repoint"):
-            name = _required(payload, "name", op)
-            path = _required(payload, "path", op)
-            pinned = bool(payload.get("pinned", False))
-            if op == "register":
-                gateway.register(name, path, pinned=pinned)
-            else:
-                gateway.repoint(name, path, pinned=pinned)
-            answer = {"ok": True, "op": op, "name": name}
-        else:  # op == "unregister" (decode_record admitted only ADMIN_OPS)
-            name = _required(payload, "name", op)
-            gateway.unregister(name)
-            answer = {"ok": True, "op": op, "name": name}
     except Exception as error:  # noqa: BLE001 - answered, never fatal
         return error_answer(format_error(error), record_id=record_id, op=op)
     if record_id is not None:
         answer["id"] = record_id
     return answer
-
-
-def _required(payload: Dict, key: str, op: str) -> str:
-    value = payload.get(key)
-    if not isinstance(value, str) or not value:
-        raise ValueError(f"admin op {op!r} requires a non-empty {key!r} field")
-    return value

@@ -4,10 +4,9 @@
 are built from: callers :meth:`~EngineWorker.submit` tables from any thread
 and get back a :class:`concurrent.futures.Future`; a single worker thread
 drains whatever is queued into one engine call and answers every waiter.
-The multi-model :class:`~repro.serving.gateway.AnnotationGateway` runs one
-worker per routed model; :class:`AnnotationService` — the historical
-single-model front-end — is now a thin compatibility wrapper over a
-single-entry gateway.
+The :class:`~repro.serving.gateway.AnnotationGateway` runs one worker
+over its one model; :class:`AnnotationService` — the historical front-end
+— is a thin compatibility wrapper over a gateway.
 
 Request lifecycle
 -----------------
@@ -169,11 +168,9 @@ class EngineWorker:
     engine it is given, and every equivalence guarantee of the engine's
     cache tiers applies unchanged (see the module docstring for the exact
     contract).  One worker thread annotates; any number of threads may
-    submit.  Most code reaches workers through a front-end — the
-    single-model :class:`AnnotationService` or the multi-model
-    :class:`~repro.serving.gateway.AnnotationGateway`, which runs one
-    worker per registered model so dedup windows and drain batches never
-    mix fingerprints.
+    submit.  Most code reaches a worker through a front-end — the
+    :class:`AnnotationService` or the
+    :class:`~repro.serving.gateway.AnnotationGateway`.
     """
 
     def __init__(
@@ -490,17 +487,16 @@ class EngineWorker:
 
 
 class AnnotationService:
-    """Single-model compatibility wrapper over an
+    """Compatibility wrapper over an
     :class:`~repro.serving.gateway.AnnotationGateway`.
 
-    The historical PR-2 front-end: one engine, one queue, one worker.  It
-    now *delegates* to a gateway holding exactly that engine (registered
-    pinned, under the name ``"default"``), so the single-model and
-    multi-model serving paths are one code path; the thread-based API —
-    ``submit`` returning a :class:`concurrent.futures.Future`,
-    ``annotate``, ``annotate_stream``, context-manager lifecycle — is
-    unchanged.  For several models behind one front door, or for the
-    asyncio-native ``asubmit``/``astream`` API, use the gateway directly::
+    The historical front-end: one engine, one queue, one worker.  It
+    *delegates* to a gateway holding exactly that engine (registered
+    under the name ``"default"``), so both are one code path; the
+    thread-based API — ``submit`` returning a
+    :class:`concurrent.futures.Future`, ``annotate``, ``annotate_stream``,
+    context-manager lifecycle — is unchanged.  For the asyncio-native
+    ``asubmit``/``astream`` API, use the gateway directly::
 
         engine = AnnotationEngine(trainer, EngineConfig(cache_dir="cache/"))
         with AnnotationService(engine) as service:
@@ -523,8 +519,8 @@ class AnnotationService:
         self.gateway = AnnotationGateway.for_engine(
             engine, name=self.MODEL_NAME, queue_config=self.config
         )
-        # One pinned in-memory engine is never evicted, so the worker is
-        # stable for the service's lifetime; grab it once for stats/start.
+        # The gateway's one worker lives as long as the service; grab it
+        # once for stats/start.
         self._worker = self.gateway.worker(self.MODEL_NAME)
 
     @property
@@ -552,7 +548,7 @@ class AnnotationService:
         self.close()
 
     # ------------------------------------------------------------------
-    # Submission (delegated through the gateway's single route)
+    # Submission (delegated through the gateway)
     # ------------------------------------------------------------------
     def submit(
         self,

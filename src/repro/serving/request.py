@@ -54,14 +54,13 @@ class AnnotationRequest:
     falls back to the default policy (gold pairs when the table carries
     relation labels, else subject-column pairs ``(0, j)``).
 
-    ``model`` is a *routing* hint for the multi-model
-    :class:`~repro.serving.gateway.AnnotationGateway`: the registered model
-    name (or fingerprint) that should answer this request.  ``None`` means
-    "whatever the caller/gateway defaults to".  The
-    :class:`~repro.serving.AnnotationEngine` ignores it (an engine IS one
-    model); routed front-ends — the gateway, and therefore also the
-    single-entry :class:`~repro.serving.AnnotationService` wrapper — raise
-    ``KeyError`` when it names a route they don't hold.
+    ``model`` pins the weights that must answer: the registered model
+    name (or fingerprint) of the
+    :class:`~repro.serving.gateway.AnnotationGateway`'s model.  ``None``
+    means "the served model".  The :class:`~repro.serving.AnnotationEngine`
+    ignores it (an engine IS one model); the gateway, and therefore also
+    the :class:`~repro.serving.AnnotationService` wrapper, raise
+    ``KeyError`` when it names other weights.
 
     Identity for caching and dedup is the table's *content* fingerprint
     (headers + cell values — :func:`repro.encoding.cache.table_fingerprint`)

@@ -11,9 +11,9 @@ byte-identical to the loop-mode answer (and therefore to a direct
 Concurrency model
 -----------------
 One event loop serves every connection; annotation work happens on the
-gateway's per-model worker threads, bridged with the asyncio-native
-``asubmit()`` — a thousand concurrent in-flight requests cost one thread
-per *model*, not per request or per connection.
+gateway's worker thread, bridged with the asyncio-native ``asubmit()`` —
+a thousand concurrent in-flight requests cost one worker thread, not one
+per request or per connection.
 
 * **Per-connection ordering** — answers on one connection come back in
   the order its records arrived.  Each connection keeps a FIFO of pending
@@ -21,8 +21,8 @@ per *model*, not per request or per connection.
   resolved at the head of the FIFO in one write — so results stream out
   as each completes, with at most one window of head-of-line wait — never
   buffered behind the slowest batch of another connection.
-* **Stored results are answered where the frame is decoded** — a table
-  record whose route has a live engine with a result store is hashed once
+* **Stored results are answered where the frame is decoded** — once the
+  worker exists, a table record on an admitted route is hashed once
   and looked up by the connection's reader; a hit is rendered straight
   from the stored payload and queued as an already-resolved answer.  No
   task, no future, no hop to the worker thread, no
@@ -35,25 +35,21 @@ per *model*, not per request or per connection.
   window (default ``4 * max_batch``); a full window suspends that
   connection's reader (TCP pushes back to the client), and a full gateway
   queue is retried with ``asyncio.sleep`` backoff inside ``asubmit`` —
-  the event loop never blocks, so hot connections keep streaming while a
-  slow model's queue fills.
-* **Errors are answers** — broken JSON, zero-column tables, unknown
-  routes, and per-request annotation failures produce ``{"error": ...}``
+  the event loop never blocks, so hot connections keep streaming while the
+  queue fills.
+* **Errors are answers** — broken JSON, zero-column tables, routes naming
+  other weights, unknown admin ops, and per-request annotation failures produce ``{"error": ...}``
   records on the offending connection; the server and every other
   connection keep serving.
 
 Admin plane
 -----------
 With ``admin=True`` (default) the same wire protocol carries operations:
-``{"op": "health"}``, ``{"op": "stats"}``, hot registry mutation
-(``register`` / ``repoint`` / ``unregister`` — drained worker retirement
-included, see the gateway), and ``{"op": "shutdown"}``, which answers
-``{"ok": true}`` and then gracefully drains the whole server.  Admin
-operations run in the default executor: a registry mutation may drain a
-worker (annotation passes), which must not stall the event loop.  Note
-that ``register``/``repoint`` name *server-side* bundle paths — expose an
-admin-enabled server only to clients you would let touch the model
-directory.
+``{"op": "health"}``, ``{"op": "stats"}``, and ``{"op": "shutdown"}``,
+which answers ``{"ok": true}`` and then gracefully drains the whole
+server.  No admin operation loads, swaps or names a model: the served
+weights are fixed at start.  Admin operations run in the default
+executor, off the event loop.
 
 Shutdown
 --------
@@ -61,7 +57,7 @@ Shutdown
 SIGINT/SIGTERM in the CLI, or programmatically) closes the listener,
 stops reading new records, drains every accepted answer to its client,
 and closes the connections.  Closing the *gateway* afterwards (the CLI
-does) drains the per-model workers and flushes/closes the persistent
+does) drains the worker and flushes/closes the persistent
 :class:`~repro.serving.fabric.FabricCache` stores — no answer accepted
 before the shutdown is lost, and no cache write is torn.
 
@@ -172,7 +168,7 @@ class AnnotationServer:
     Typical embedding::
 
         registry = ModelRegistry(cache_dir="anno-cache/")
-        registry.register("stable", "models/stable/")
+        registry.register("default", "models/run/")
         gateway = AnnotationGateway(registry)
         server = AnnotationServer(gateway, host="127.0.0.1", port=9000)
 
@@ -476,7 +472,8 @@ class AnnotationServer:
         load, a drain or a directory scan.  The line is rendered from the
         stored payload (:func:`protocol.encode_stored`) and is byte for
         byte what :meth:`_annotate` would produce.  Anything else — no
-        store, a cold route, a payload with embeddings, any exception —
+        store, no worker yet, a refused route, a payload with embeddings,
+        any exception —
         returns no answer and :meth:`_annotate` serves (and reports) the
         record as before, reusing ``identity`` so the table is hashed once.
         """
@@ -521,11 +518,10 @@ class AnnotationServer:
             )
 
     async def _admin(self, record: protocol.AdminRecord) -> Dict:
-        """One admin record's answer; mutations run in the executor (a
-        retire drains a worker — blocking work the loop must not hold).
-        A configured ``admin_handler`` gets first refusal (also in the
-        executor — a pool handler blocks on control pipes); an op it
-        answers skips the default side effects."""
+        """One admin record's answer, computed in the executor.  A
+        configured ``admin_handler`` gets first refusal (a pool handler
+        blocks on control pipes); an op it answers skips the default side
+        effects."""
         loop = asyncio.get_running_loop()
         handled = False
 

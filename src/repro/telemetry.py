@@ -141,7 +141,7 @@ def declare(
     them, meanings included) this one also holds and can ``merge`` from —
     how a total is declared as "those counters, summed".  ``groups`` are
     attributes holding a ``{name: counters}`` map of one declaration
-    (per-model, per-engine), merged name by name.
+    (per model name, per engine), merged name by name.
     """
     declared = dict(counters or {})
     taken: Dict[Type[Counters], Tuple[str, ...]] = {}

@@ -342,11 +342,14 @@ class TestCacheDirAndServe:
 
 @pytest.mark.smoke
 class TestServeMultiModel:
-    """The gateway CLI: `repro serve --model NAME=PATH` and stdin routing."""
+    """The gateway CLI over one bundle: `repro serve BUNDLE [CORPUS]`,
+    per-record routes (the model's name or fingerprint; anything else is
+    an error answer) and cache layouts."""
 
     @pytest.fixture(scope="class")
     def second_bundle(self, tmp_path_factory):
-        """A second, differently-weighted model over the same label space."""
+        """A second, differently-weighted model over the same label space:
+        its fingerprint is a route to other weights."""
         from repro.core import Doduo, DoduoConfig, DoduoTrainer
         from repro.datasets import generate_wikitable_dataset
         from repro.nn import TransformerConfig
@@ -387,94 +390,106 @@ class TestServeMultiModel:
         save_dataset_jsonl(subset, path)
         return path
 
-    def test_named_models_default_route_matches_single_model(
-        self, bundle_dir, second_bundle, corpus, tmp_path, capsys
-    ):
-        single = tmp_path / "single.jsonl"
-        multi = tmp_path / "multi.jsonl"
-        assert main([
-            "serve", str(bundle_dir), str(corpus), "--out", str(single),
-        ]) == 0
-        # First --model route is the default; the second is along for the
-        # ride and must not perturb the default route's bytes.
-        assert main([
-            "serve",
-            "--model", f"primary={bundle_dir}",
-            "--model", f"canary={second_bundle}",
-            str(corpus), "--out", str(multi),
-        ]) == 0
-        assert multi.read_text() == single.read_text()
-        assert "across 2 models" in capsys.readouterr().out
-
-    def test_stdin_records_route_by_model_field(
-        self, bundle_dir, second_bundle, corpus, capsys, monkeypatch
-    ):
-        import io
-        import sys as _sys
-
-        # Two copies of each table record: one defaulted, one routed to the
-        # canary via a per-line {"model": ...} field.
-        lines = []
-        for line in corpus.read_text().splitlines():
-            payload = json.loads(line)
-            if payload.get("kind") == "dataset":
-                lines.append(line)
-                continue
-            lines.append(line)
-            routed = dict(payload)
-            routed["model"] = "canary"
-            lines.append(json.dumps(routed))
-        monkeypatch.setattr(_sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
-        assert main([
-            "serve",
-            "--model", f"primary={bundle_dir}",
-            "--model", f"canary={second_bundle}",
-            "-",
-        ]) == 0
-        captured = capsys.readouterr()
-        records = [json.loads(line) for line in captured.out.splitlines()]
-        assert len(records) == 8
-        # Interleaved pairs answer the same table with different weights:
-        # at least one table must get different scores from the two models.
-        differs = [
-            records[i]["columns"] != records[i + 1]["columns"]
-            for i in range(0, len(records), 2)
-        ]
-        assert any(differs)
-        assert "served 8 tables" in captured.err
-
-    def test_corpus_records_route_by_model_field(
-        self, bundle_dir, second_bundle, corpus, tmp_path
-    ):
-        """Corpus mode honors per-record {"model": NAME} routes exactly
-        like stdin loop mode — same file, same models, same bytes."""
-        routed_corpus = tmp_path / "routed.jsonl"
+    @staticmethod
+    def _routed(corpus, route):
+        """The corpus's lines with every table record routed to ``route``."""
         lines = []
         for line in corpus.read_text().splitlines():
             payload = json.loads(line)
             if payload.get("kind") != "dataset":
-                payload["model"] = "canary"
+                payload["model"] = route
             lines.append(json.dumps(payload))
-        routed_corpus.write_text("\n".join(lines) + "\n")
-        routed_out = tmp_path / "routed-out.jsonl"
-        canary_out = tmp_path / "canary-out.jsonl"
-        assert main([
-            "serve",
-            "--model", f"primary={bundle_dir}",
-            "--model", f"canary={second_bundle}",
-            str(routed_corpus), "--out", str(routed_out),
-        ]) == 0
-        # Every record asked for the canary: output must equal a dedicated
-        # canary-only serve of the unrouted corpus.
-        assert main([
-            "serve", str(second_bundle), str(corpus),
-            "--out", str(canary_out),
-        ]) == 0
-        assert routed_out.read_text() == canary_out.read_text()
+        return lines
 
-    def test_bad_model_spec_errors(self, corpus, capsys):
-        assert main(["serve", "--model", "broken", str(corpus)]) == 1
-        assert "NAME=PATH" in capsys.readouterr().err
+    def test_named_models_default_route_matches_single_model(
+        self, bundle_dir, corpus, tmp_path, shared_tiny_annotator
+    ):
+        """Records naming the served model — by its name or its
+        fingerprint — get the unrouted bytes."""
+        single = tmp_path / "single.jsonl"
+        assert main([
+            "serve", str(bundle_dir), str(corpus), "--out", str(single),
+        ]) == 0
+        fingerprint = shared_tiny_annotator.trainer.annotation_fingerprint()
+        for route in ("default", fingerprint):
+            routed_corpus = tmp_path / "routed.jsonl"
+            routed_corpus.write_text("\n".join(self._routed(corpus, route)) + "\n")
+            routed = tmp_path / "routed-out.jsonl"
+            assert main([
+                "serve", str(bundle_dir), str(routed_corpus),
+                "--out", str(routed),
+            ]) == 0
+            assert routed.read_text() == single.read_text()
+
+    def test_stdin_records_route_by_model_field(
+        self, bundle_dir, second_bundle, corpus, capsys, monkeypatch
+    ):
+        """Over stdin, a record routed to other weights (another bundle's
+        fingerprint) or an unknown name gets an error answer and costs no
+        encoder pass; the records around it are served."""
+        import io
+        import sys as _sys
+
+        from repro.core import load_annotator as load
+
+        other = load(second_bundle).trainer.annotation_fingerprint()
+        lines = [
+            line for line in corpus.read_text().splitlines()
+            if json.loads(line).get("kind") != "dataset"
+        ]
+        refused = [
+            self._routed(corpus, route)[1] for route in (other, "canary")
+        ]
+
+        def session(stdin_lines):
+            monkeypatch.setattr(
+                _sys, "stdin", io.StringIO("\n".join(stdin_lines) + "\n")
+            )
+            assert main(["serve", str(bundle_dir), "-"]) == 0
+            captured = capsys.readouterr()
+            return (
+                [json.loads(line) for line in captured.out.splitlines()],
+                captured.err,
+            )
+
+        plain, plain_err = session(lines)
+        mixed, mixed_err = session(lines[:2] + refused + lines[2:])
+        assert len(mixed) == len(plain) + 2
+        for answer in mixed[2:4]:
+            assert "no model registered" in answer["error"]
+        assert mixed[:2] + mixed[4:] == plain
+        assert "served 4 tables" in mixed_err
+        # Same encoder passes with and without the refused records.
+        passes = [
+            err.split("dedup hits, ", 1)[1].split(" encoder passes", 1)[0]
+            for err in (plain_err, mixed_err)
+        ]
+        assert passes[0] == passes[1]
+
+    def test_corpus_records_route_by_model_field(
+        self, bundle_dir, corpus, tmp_path, shared_tiny_annotator
+    ):
+        """Corpus mode honors per-record {"model": ...} routes exactly like
+        stdin loop mode — same file, same model, same bytes."""
+        fingerprint = shared_tiny_annotator.trainer.annotation_fingerprint()
+        routed_corpus = tmp_path / "routed.jsonl"
+        routed_corpus.write_text(
+            "\n".join(self._routed(corpus, fingerprint)) + "\n"
+        )
+        routed_out = tmp_path / "routed-out.jsonl"
+        plain_out = tmp_path / "plain-out.jsonl"
+        assert main([
+            "serve", str(bundle_dir), str(routed_corpus),
+            "--out", str(routed_out),
+        ]) == 0
+        assert main([
+            "serve", str(bundle_dir), str(corpus), "--out", str(plain_out),
+        ]) == 0
+        assert routed_out.read_text() == plain_out.read_text()
+
+    def test_bad_model_spec_errors(self, corpus, tmp_path, capsys):
+        assert main(["serve", str(tmp_path), str(corpus)]) == 1
+        assert "not a model bundle directory" in capsys.readouterr().err
 
     def test_missing_model_errors(self, corpus, capsys):
         assert main(["serve", str(corpus)]) == 1
@@ -485,16 +500,6 @@ class TestServeMultiModel:
         # `repro serve model/` — the user passed a bundle, not a corpus;
         # the error must say what is actually missing.
         assert main(["serve", str(bundle_dir)]) == 1
-        assert "no corpus" in capsys.readouterr().err
-
-    def test_missing_corpus_with_model_flag_errors_accurately(
-        self, bundle_dir, second_bundle, capsys
-    ):
-        # `repro serve --model x=P bundle/` — the positional is a bundle,
-        # not a corpus: clean error, not an IsADirectoryError traceback.
-        assert main([
-            "serve", "--model", f"canary={second_bundle}", str(bundle_dir),
-        ]) == 1
         assert "no corpus" in capsys.readouterr().err
 
     def test_flat_cache_layout_stays_warm_under_serve(
@@ -764,31 +769,28 @@ class TestServeProtocolFeatures:
     def test_loop_mode_hot_register_and_unregister(
         self, bundle_dir, corpus, capsys, monkeypatch
     ):
-        """Hot registry mutation from the CLI loop (the ROADMAP ask):
-        register a second name, route to it, unregister, all without
-        restarting `repro serve -`."""
+        """The served weights are fixed at start: register / repoint /
+        unregister records get error answers, and the loop keeps serving
+        the one model."""
         import io
         import sys as _sys
 
-        good = json.loads(corpus.read_text().splitlines()[1])
-        routed = dict(good)
-        routed["model"] = "hot"
-        lines = [
-            json.dumps({"op": "register", "name": "hot",
-                        "path": str(bundle_dir)}),
-            json.dumps(routed),
-            json.dumps({"op": "unregister", "name": "hot"}),
-            json.dumps(routed),  # now an unknown route: error answer
-        ]
+        good = corpus.read_text().splitlines()[1]
+        lines = []
+        for op in ("register", "repoint", "unregister"):
+            lines.append(json.dumps({"op": op, "name": "default",
+                                     "path": str(bundle_dir), "id": op}))
+            lines.append(good)
         monkeypatch.setattr(_sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
         assert main(["serve", str(bundle_dir), "-"]) == 0
-        records = [
-            json.loads(line) for line in capsys.readouterr().out.splitlines()
-        ]
-        assert records[0] == {"ok": True, "op": "register", "name": "hot"}
-        assert records[1]["columns"]  # served by the hot-registered route
-        assert records[2] == {"ok": True, "op": "unregister", "name": "hot"}
-        assert "no model registered" in records[3]["error"]
+        captured = capsys.readouterr()
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        assert len(records) == 6
+        for refused, op in zip(records[0::2], ("register", "repoint", "unregister")):
+            assert "unknown admin op" in refused["error"]
+            assert refused["id"] == op
+        assert all(answer["columns"] for answer in records[1::2])
+        assert "served 3 tables" in captured.err
 
     def test_all_failed_admin_session_exits_1(
         self, bundle_dir, capsys, monkeypatch
@@ -804,7 +806,7 @@ class TestServeProtocolFeatures:
         )
         assert main(["serve", str(bundle_dir), "-"]) == 1
         captured = capsys.readouterr()
-        assert "requires a non-empty 'name'" in captured.out
+        assert "unknown admin op" in captured.out
         assert "no tables" in captured.err
 
     def test_admin_only_loop_session_exits_cleanly(
@@ -853,45 +855,6 @@ class TestServeProtocolFeatures:
         assert "not allowed" in records[1]["error"]
         assert records[2]["columns"]
         assert "served 1 tables" in captured.err
-
-    def test_flat_cache_hot_register_writes_a_subdirectory(
-        self, bundle_dir, corpus, tmp_path, capsys, monkeypatch
-    ):
-        """Hot-registering a model while serving over a FLAT legacy cache
-        layout must not open a second writer on the flat directory: the
-        hot model's disk tier roots in its own fingerprint subdirectory,
-        and the flat tier stays warm for the original route."""
-        import io
-        import sys as _sys
-
-        cache_dir = tmp_path / "flat"
-        assert main([
-            "annotate", str(bundle_dir), str(corpus),
-            "--cache-dir", str(cache_dir), "--out", str(tmp_path / "a.jsonl"),
-        ]) == 0
-        assert list(cache_dir.glob("segment-*.jsonl"))  # flat layout
-        capsys.readouterr()
-        good = corpus.read_text().splitlines()[1]
-        routed = json.loads(good)
-        routed["model"] = "hot"
-        lines = [
-            json.dumps({"op": "register", "name": "hot",
-                        "path": str(bundle_dir)}),
-            good,                  # default route: a flat-cache disk hit
-            json.dumps(routed),    # hot route: computed, cached in subdir
-        ]
-        monkeypatch.setattr(_sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
-        assert main([
-            "serve", str(bundle_dir), "-", "--cache-dir", str(cache_dir),
-        ]) == 0
-        captured = capsys.readouterr()
-        records = [json.loads(line) for line in captured.out.splitlines()]
-        assert records[0]["ok"] and records[1]["columns"] and records[2]["columns"]
-        assert "1 disk hits" in captured.err  # the flat tier stayed warm
-        # The only subdirectory is the hot model's fingerprint root.
-        hot = load_annotator(bundle_dir).trainer.annotation_fingerprint()
-        assert [p.name for p in cache_dir.iterdir() if p.is_dir()] == [hot]
-        assert list((cache_dir / hot).glob("segment-*.jsonl"))
 
     def test_interrupt_drains_and_flushes_cache(
         self, bundle_dir, corpus, tmp_path, capsys, monkeypatch

@@ -5,8 +5,8 @@ two whose code still exists get a behavioral pin here, independent of the
 static rule that caught them (the third was ``EngineConfig.waste_budget``
 not folding into the model fingerprint — the knob is gone):
 
-* ``ModelRegistry.default_name`` read ``_default_name`` without the
-  registry lock (torn read against register/set_default/unregister).
+* ``ModelRegistry.default_name`` read the registered name without the
+  registry lock (a torn read against ``register``).
 * ``ServingPool.stop`` read ``_started`` outside the pool lock while
   ``start`` writes it under the lock.
 """

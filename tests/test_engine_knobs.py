@@ -245,7 +245,7 @@ class TestRegistryLeg:
         engine = registry.get()
         engine.annotate_batch(corpus[:2])
         assert engine.column_cache.disk is engine.result_cache is not None
-        registry.evict("default")
+        registry.close()
         engine.annotate_batch(corpus[2:4])  # a worker still draining it
         assert engine.column_cache.disk is None
 

@@ -1,19 +1,17 @@
-"""The multi-model serving gateway: registry, routing, isolation, asyncio.
+"""The serving gateway over its one model: registry, routes, asyncio.
 
-The load-bearing guarantees (the ISSUE-4 acceptance criteria):
+The load-bearing guarantees:
 
-* a gateway with two registered models serves a mixed corpus where every
-  result is **byte-identical** to the corresponding single-engine
+* every gateway answer is **byte-identical** to the single-engine
   ``engine.annotate`` output — from the thread ``submit()`` path *and*
   the asyncio ``asubmit()``/``astream()`` path;
-* dedup and disk-cache state never leak across models: keys embed each
-  model's fingerprint, and the registry roots one disk-cache directory
-  per fingerprint;
-* LRU eviction of idle engines is invisible to correctness — an evicted
-  model transparently reloads from its checkpoint and answers
-  byte-identically;
-* routes resolve by registered name or model fingerprint, and a request's
-  own ``model`` field wins over call-site defaults.
+* a route is ``None``, the registered name or the model fingerprint, a
+  request's own ``model`` field wins over call-site defaults, and any
+  other route — another model's fingerprint included — is refused before
+  it costs an encoder pass;
+* a registry holds one model: a second ``register`` raises;
+* the registry roots the result store at ``cache_dir/<fingerprint>``, so
+  a fresh process answers from disk.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import threading
 
 import numpy as np
 import pytest
-from helpers import EngineGate
 
 from repro.core import Doduo, DoduoConfig, DoduoTrainer, save_annotator
 from repro.datasets import generate_wikitable_dataset
@@ -70,11 +67,10 @@ def trainer_b():
 
 
 @pytest.fixture(scope="module")
-def bundles(trainer_a, trainer_b, tmp_path_factory):
-    root = tmp_path_factory.mktemp("gateway-bundles")
+def bundle(trainer_a, tmp_path_factory):
+    root = tmp_path_factory.mktemp("gateway-bundle")
     save_annotator(Doduo(trainer_a), root / "a")
-    save_annotator(Doduo(trainer_b), root / "b")
-    return {"a": root / "a", "b": root / "b"}
+    return root / "a"
 
 
 def _direct(trainer, tables):
@@ -91,66 +87,66 @@ def _assert_same_annotation(got, want):
 
 @pytest.mark.smoke
 class TestRouting:
-    def test_mixed_corpus_byte_identical_per_model(self, trainer_a, trainer_b):
-        """The acceptance regression: two models behind one gateway, an
-        interleaved corpus, every answer byte-identical to the dedicated
-        single-engine output of the model that served it."""
+    def test_mixed_corpus_byte_identical_per_model(self, trainer_a):
+        """A corpus mixing the three admitted routes — none, the name,
+        the fingerprint — interleaved: every answer is byte-identical to
+        the dedicated single-engine output."""
         tables = trainer_a.dataset.tables[:5]
-        want_a = _direct(trainer_a, tables)
-        want_b = _direct(trainer_b, tables)
+        want = _direct(trainer_a, tables)
         registry = ModelRegistry()
         registry.register("a", trainer_a)
-        registry.register("b", trainer_b)
+        routes = (None, "a", trainer_a.annotation_fingerprint())
         with AnnotationGateway(registry) as gateway:
-            futures = []
-            for table in tables:  # interleaved submission order
-                futures.append(("a", gateway.submit(table, model="a")))
-                futures.append(("b", gateway.submit(table, model="b")))
-            results = {"a": [], "b": []}
-            for route, future in futures:
-                results[route].append(future.result())
-        for i in range(len(tables)):
-            _assert_same_annotation(results["a"][i], want_a[i])
-            _assert_same_annotation(results["b"][i], want_b[i])
-        # Different weights genuinely answered: the scores differ.
-        assert results["a"][0].type_scores != results["b"][0].type_scores
+            futures = [
+                [gateway.submit(table, model=route) for route in routes]
+                for table in tables
+            ]
+            for i, per_route in enumerate(futures):
+                for future in per_route:
+                    _assert_same_annotation(future.result(), want[i])
 
-    def test_default_route_and_request_field_priority(
-        self, trainer_a, trainer_b
-    ):
+    def test_default_route_and_request_field_priority(self, trainer_a):
         table = trainer_a.dataset.tables[0]
-        want_a = _direct(trainer_a, [table])[0]
-        want_b = _direct(trainer_b, [table])[0]
-        registry = ModelRegistry()
-        registry.register("a", trainer_a)  # first registered = default
-        registry.register("b", trainer_b)
-        with AnnotationGateway(registry) as gateway:
-            _assert_same_annotation(gateway.annotate(table), want_a)
-            # The request's own model field wins over the call-site route.
-            request = AnnotationRequest(table=table, model="b")
-            _assert_same_annotation(
-                gateway.annotate(request, model="a"), want_b
-            )
-
-    def test_fingerprint_route(self, trainer_a, trainer_b):
-        table = trainer_a.dataset.tables[0]
-        want_b = _direct(trainer_b, [table])[0]
-        registry = ModelRegistry()
-        registry.register("a", trainer_a)
-        registry.register("b", trainer_b)
-        fingerprint = registry.fingerprint_of("b", load=True)
-        assert fingerprint is not None
-        with AnnotationGateway(registry) as gateway:
-            _assert_same_annotation(
-                gateway.annotate(table, model=fingerprint), want_b
-            )
-
-    def test_unknown_route_raises(self, trainer_a):
+        want = _direct(trainer_a, [table])[0]
         registry = ModelRegistry()
         registry.register("a", trainer_a)
         with AnnotationGateway(registry) as gateway:
+            _assert_same_annotation(gateway.annotate(table), want)
+            # The request's own model field wins over the call-site route,
+            # whether it admits the request or refuses it.
+            routed = AnnotationRequest(table=table, model="a")
+            _assert_same_annotation(gateway.annotate(routed, model="nope"), want)
+            elsewhere = AnnotationRequest(table=table, model="nope")
             with pytest.raises(KeyError, match="no model registered"):
-                gateway.submit(trainer_a.dataset.tables[0], model="nope")
+                gateway.submit(elsewhere, model="a")
+
+    def test_fingerprint_route(self, trainer_a):
+        table = trainer_a.dataset.tables[0]
+        want = _direct(trainer_a, [table])[0]
+        registry = ModelRegistry()
+        registry.register("a", trainer_a)
+        fingerprint = registry.get().model_fingerprint
+        assert fingerprint == trainer_a.annotation_fingerprint()
+        with AnnotationGateway(registry) as gateway:
+            _assert_same_annotation(
+                gateway.annotate(table, model=fingerprint), want
+            )
+
+    def test_unknown_route_raises(self, trainer_a, trainer_b):
+        """A route naming neither the model nor its fingerprint — another
+        model's fingerprint included — is refused before it costs an
+        encoder pass, and the gateway keeps serving."""
+        registry = ModelRegistry()
+        registry.register("a", trainer_a)
+        table = trainer_a.dataset.tables[0]
+        with AnnotationGateway(registry) as gateway:
+            assert gateway.annotate(table).coltypes
+            passes = gateway.stats.encoder_passes
+            for route in ("nope", trainer_b.annotation_fingerprint()):
+                with pytest.raises(KeyError, match="no model registered"):
+                    gateway.submit(table, model=route)
+            assert gateway.stats.encoder_passes == passes
+            assert gateway.annotate(table).coltypes
 
     def test_closed_gateway_rejects(self, trainer_a):
         gateway = AnnotationGateway.for_engine(AnnotationEngine(trainer_a))
@@ -160,373 +156,6 @@ class TestRouting:
         with pytest.raises(RuntimeError, match="closed"):
             gateway.submit(table)
         gateway.close()  # idempotent
-
-
-@pytest.mark.smoke
-class TestIsolation:
-    def test_dedup_never_crosses_models(self, trainer_a, trainer_b):
-        """One popular table asked of both models: each model's worker
-        dedups its own duplicates, but the two models never share an
-        annotation (their fingerprints differ, so their keys differ)."""
-        table = trainer_a.dataset.tables[0]
-        registry = ModelRegistry()
-        registry.register("a", trainer_a)
-        registry.register("b", trainer_b)
-        with AnnotationGateway(registry) as gateway:
-            # No answer can exist before its gate opens, so every twin
-            # lands inside its route's single-flight window.
-            gates = [EngineGate(registry.get(route)) for route in ("a", "b")]
-            futures = [
-                gateway.submit(table, model=route)
-                for _ in range(4)
-                for route in ("a", "b")
-            ]
-            for gate in gates:
-                gate.open()
-            results = [f.result(timeout=30) for f in futures]
-        stats = gateway.stats
-        # 8 submissions collapse to exactly TWO annotations — one per model,
-        # never one shared across them.
-        assert stats.submitted == 8
-        assert stats.unique_annotated == 2
-        assert stats.dedup_hits == 6
-        assert stats.models["a"].unique_annotated == 1
-        assert stats.models["b"].unique_annotated == 1
-        a_scores = [r.type_scores for r in results[0::2]]
-        b_scores = [r.type_scores for r in results[1::2]]
-        assert all(s == a_scores[0] for s in a_scores)
-        assert all(s == b_scores[0] for s in b_scores)
-        assert a_scores[0] != b_scores[0]  # different models really answered
-
-    def test_disk_cache_partitioned_per_fingerprint(
-        self, trainer_a, trainer_b, tmp_path
-    ):
-        cache_root = tmp_path / "cache"
-        tables = trainer_a.dataset.tables[:3]
-
-        def build():
-            registry = ModelRegistry(cache_dir=cache_root)
-            registry.register("a", trainer_a)
-            registry.register("b", trainer_b)
-            return AnnotationGateway(registry)
-
-        with build() as gateway:
-            for table in tables:
-                gateway.annotate(table, model="a")
-                gateway.annotate(table, model="b")
-            cold = gateway.stats
-        assert cold.disk_hits == 0
-        # One segment directory per model fingerprint, and they differ.
-        fp_a = trainer_a.annotation_fingerprint()
-        fp_b = trainer_b.annotation_fingerprint()
-        assert fp_a != fp_b
-        assert list((cache_root / fp_a).glob("segment-*.jsonl"))
-        assert list((cache_root / fp_b).glob("segment-*.jsonl"))
-        # A fresh gateway over the same root answers everything from disk,
-        # each model from its own partition, byte-identically.
-        want_a = _direct(trainer_a, tables)
-        want_b = _direct(trainer_b, tables)
-        with build() as warm:
-            passes_before = (
-                trainer_a.model.encode_calls + trainer_b.model.encode_calls
-            )
-            for i, table in enumerate(tables):
-                _assert_same_annotation(warm.annotate(table, model="a"), want_a[i])
-                _assert_same_annotation(warm.annotate(table, model="b"), want_b[i])
-            assert (
-                trainer_a.model.encode_calls + trainer_b.model.encode_calls
-                == passes_before
-            )
-            warm_stats = warm.stats
-        assert warm_stats.disk_hits == 2 * len(tables)
-        assert warm_stats.engines["a"].disk_hits == len(tables)
-        assert warm_stats.engines["b"].disk_hits == len(tables)
-
-
-    def test_same_weights_two_names_share_one_cache_handle(
-        self, bundles, trainer_a, tmp_path
-    ):
-        """Two registrations of the same bundle share ONE DiskCache handle
-        (the one-writer-per-directory contract) — and therefore share
-        cached work: what one name computes, the other serves from disk."""
-        registry = ModelRegistry(cache_dir=tmp_path / "cache")
-        registry.register("x", bundles["a"])
-        registry.register("y", bundles["a"])
-        engine_x, engine_y = registry.get("x"), registry.get("y")
-        assert engine_x is not engine_y
-        assert engine_x.result_cache is engine_y.result_cache
-        table = trainer_a.dataset.tables[0]
-        with AnnotationGateway(registry) as gateway:
-            via_x = gateway.annotate(table, model="x")
-            via_y = gateway.annotate(table, model="y")
-        _assert_same_annotation(via_y, via_x)
-        assert via_y.from_disk  # y answered from x's cached annotation
-        assert engine_y.stats.encoder_passes == 0
-
-
-@pytest.mark.smoke
-class TestEviction:
-    def test_lru_eviction_reloads_byte_identically(self, bundles, trainer_a):
-        registry = ModelRegistry(max_live=1)
-        registry.register("a", bundles["a"])
-        registry.register("b", bundles["b"])
-        with AnnotationGateway(registry) as gateway:
-            # Load A lazily and capture its answer.
-            table_a = trainer_a.dataset.tables[0]
-            first = gateway.annotate(table_a, model="a")
-            # Routing to B exceeds max_live=1 and evicts idle A.
-            gateway.annotate(table_a, model="b")
-            assert registry.live_names() == ["b"]
-            assert registry.stats.evictions >= 1
-            # A still resolves (fingerprints survive eviction), reloads,
-            # and answers byte-identically to its pre-eviction self.
-            again = gateway.annotate(table_a, model="a")
-            _assert_same_annotation(again, first)
-        assert registry.stats.reloads >= 1
-
-    def test_pinned_floor_never_evicted(self, bundles):
-        registry = ModelRegistry(max_live=1)
-        registry.register("a", bundles["a"], pinned=True)
-        registry.register("b", bundles["b"])
-        engine_a = registry.get("a")
-        registry.get("b")  # overshoots max_live, but A is the pinned floor
-        assert sorted(registry.live_names()) == ["a", "b"]
-        assert registry.get("a") is engine_a  # same object: never dropped
-        # B (unpinned) is the one evicted once something else needs room.
-        registry.evict("b")
-        assert registry.live_names() == ["a"]
-
-    def test_in_memory_registrations_cannot_evict(self, trainer_a):
-        registry = ModelRegistry()
-        registry.register("a", trainer_a)
-        with pytest.raises(ValueError, match="in-memory"):
-            registry.evict("a")
-        with pytest.raises(ValueError, match="in-memory"):
-            registry.unpin("a")
-
-    def test_same_live_object_under_two_names_rejected(self, trainer_a):
-        """One engine/trainer object = one serving thread; aliasing the
-        same live object under two names would race two workers over one
-        un-locked pipeline.  Aliases must go through bundle paths."""
-        registry = ModelRegistry()
-        registry.register("a", trainer_a)
-        with pytest.raises(ValueError, match="already serves"):
-            registry.register("alias", trainer_a)
-        with pytest.raises(ValueError, match="already serves"):
-            registry.register("alias", AnnotationEngine(trainer_a))
-
-    def test_explicit_evict_closes_stale_worker_on_reap(self, bundles, trainer_a):
-        registry = ModelRegistry()
-        registry.register("a", bundles["a"])
-        with AnnotationGateway(registry) as gateway:
-            table = trainer_a.dataset.tables[0]
-            before = gateway.annotate(table, model="a")
-            registry.evict("a")
-            assert gateway.reap() == 1
-            # The route transparently reloads and keeps answering.
-            _assert_same_annotation(gateway.annotate(table, model="a"), before)
-            # Retired worker stats still count toward gateway totals: one
-            # completion before eviction (on the reaped worker) plus one
-            # after the reload — and the retired ENGINE's passes stay in
-            # the totals too (totals never regress across evict/reload).
-            stats = gateway.stats
-            assert stats.completed == 2
-            assert stats.encoder_passes >= 2
-            assert stats.encoder_passes > stats.engines["a"].encoder_passes
-
-
-@pytest.mark.smoke
-class TestAnswerStored:
-    """``answer_stored``: the non-blocking store probe a front-end that
-    renders payloads itself (the socket server) asks before ``asubmit``."""
-
-    @staticmethod
-    def _render(payload):
-        return payload["coltypes"]
-
-    def test_hit_miss_and_what_each_counts(self, bundles, trainer_a, tmp_path):
-        registry = ModelRegistry(cache_dir=tmp_path / "cache")
-        registry.register("a", bundles["a"])
-        table, other = trainer_a.dataset.tables[:2]
-        with AnnotationGateway(registry) as gateway:
-            request = AnnotationRequest(table=table, model="a")
-            # Cold route: nothing is loaded, hashed or counted.
-            assert gateway.answer_stored(request, self._render) == (None, None)
-            assert registry.stats.loads == 0
-            want = gateway.annotate(request)  # loads, computes, stores
-            routed = registry.stats.routed
-            answer, identity = gateway.answer_stored(request, self._render)
-            assert answer == want.coltypes
-            assert identity.cache_key == gateway.worker("a").engine.identify(
-                request
-            ).cache_key
-            stats = gateway.stats
-            assert (stats.submitted, stats.completed, stats.batches) == (2, 2, 1)
-            assert (stats.disk_hits, stats.disk_misses) == (1, 1)
-            assert stats.engines["a"].requests == 2
-            assert registry.stats.routed == routed + 1 + 1  # the hit; .worker()
-            # A miss hands back the identity and counts nothing...
-            miss = AnnotationRequest(table=other, model="a")
-            answer, identity = gateway.answer_stored(miss, self._render)
-            assert answer is None and identity is not None
-            # ...and so does a payload the renderer declines, or chokes on.
-            assert gateway.answer_stored(request, lambda payload: None)[0] is None
-            with pytest.raises(ZeroDivisionError):
-                gateway.answer_stored(request, lambda payload: 1 // 0)
-            after = gateway.stats
-            assert (after.submitted, after.completed) == (2, 2)
-            assert (after.disk_hits, after.disk_misses) == (1, 1)
-            # Unknown routes are asubmit's to report.
-            ghost = AnnotationRequest(table=table, model="ghost")
-            assert gateway.answer_stored(ghost, self._render) == (None, None)
-        assert gateway.answer_stored(request, self._render) == (None, None)
-
-    def test_no_store_means_no_hashing(self, trainer_a, walks):
-        with AnnotationGateway.for_engine(AnnotationEngine(trainer_a)) as gateway:
-            table = trainer_a.dataset.tables[0]
-            gateway.annotate(table)
-            del walks[:]
-            request = AnnotationRequest(table=table)
-            assert gateway.answer_stored(request, self._render) == (None, None)
-            assert walks == []
-
-    def test_hits_keep_a_route_recent(self, bundles, trainer_a, tmp_path):
-        """A route that only ever hits must not look idle to the LRU."""
-        registry = ModelRegistry(max_live=2, cache_dir=tmp_path / "cache")
-        for name in ("a", "b"):
-            registry.register(name, bundles[name])
-        registry.register("c", bundles["a"])
-        table = trainer_a.dataset.tables[0]
-        with AnnotationGateway(registry) as gateway:
-            gateway.annotate(table, model="a")
-            gateway.annotate(table, model="b")
-            request = AnnotationRequest(table=table, model="a")
-            assert gateway.answer_stored(request, self._render)[0] is not None
-            gateway.annotate(table, model="c")  # one of a, b has to go
-            assert sorted(registry.live_names()) == ["a", "c"]
-
-    def test_acquire_without_load_leaves_a_cold_route_cold(self, bundles):
-        registry = ModelRegistry()
-        registry.register("a", bundles["a"])
-        assert registry.acquire("a", load=False) == ("a", None)
-        assert (registry.stats.loads, registry.stats.routed) == (0, 0)
-        engine = registry.get("a")
-        assert registry.acquire("a", load=False) == ("a", engine)
-
-
-class TestHotMutation:
-    """PR-5 registry mutation: repoint/unregister on a live gateway."""
-
-    def test_repoint_swaps_weights_without_restart(
-        self, bundles, trainer_a, trainer_b
-    ):
-        registry = ModelRegistry()
-        registry.register("live", bundles["a"])
-        table = trainer_a.dataset.tables[0]
-        want_a = _direct(trainer_a, [table])[0]
-        want_b = _direct(trainer_b, [table])[0]
-        with AnnotationGateway(registry) as gateway:
-            _assert_same_annotation(gateway.annotate(table, model="live"), want_a)
-            gateway.repoint("live", bundles["b"])
-            _assert_same_annotation(gateway.annotate(table, model="live"), want_b)
-        assert registry.stats.repoints == 1
-        # The retired worker's completions still count toward totals.
-        assert gateway.stats.completed == 2
-
-    def test_repoint_preserves_default_and_order(self, bundles):
-        registry = ModelRegistry()
-        registry.register("first", bundles["a"])
-        registry.register("second", bundles["b"])
-        registry.repoint("first", bundles["b"])
-        assert registry.default_name == "first"
-        assert registry.names() == ["first", "second"]
-
-    def test_repoint_drops_old_fingerprint_route(self, bundles, trainer_a):
-        registry = ModelRegistry()
-        registry.register("only", bundles["a"])
-        fingerprint = registry.fingerprint_of("only", load=True)
-        assert registry.resolve(fingerprint) == "only"
-        registry.repoint("only", bundles["b"])
-        # Content-addressed clients pinned to the OLD weights must miss
-        # cleanly now — nothing serves them anymore.
-        with pytest.raises(KeyError):
-            registry.resolve(fingerprint)
-        # The new weights' fingerprint resolves once loaded.
-        new_fingerprint = registry.fingerprint_of("only", load=True)
-        assert new_fingerprint != fingerprint
-        assert registry.resolve(new_fingerprint) == "only"
-
-    def test_repoint_validation_leaves_old_binding_untouched(
-        self, bundles, trainer_a, tmp_path
-    ):
-        registry = ModelRegistry()
-        registry.register("live", bundles["a"])
-        with pytest.raises(KeyError, match="no model registered"):
-            registry.repoint("ghost", bundles["b"])
-        with pytest.raises(ValueError, match="not a bundle directory"):
-            registry.repoint("live", tmp_path)
-        # Still serving the original weights.
-        engine = registry.get("live")
-        assert engine.annotate(trainer_a.dataset.tables[0]).coltypes
-        assert registry.stats.repoints == 0
-
-    def test_churn_releases_unreferenced_cache_handles(
-        self, bundles, trainer_a, trainer_b, tmp_path
-    ):
-        """Repoint/unregister over unique models must not accumulate
-        dead per-fingerprint DiskCache handles (their in-memory indexes
-        live as long as the dict entry does)."""
-        registry = ModelRegistry(cache_dir=tmp_path / "cache")
-        fp_a = trainer_a.annotation_fingerprint()
-        fp_b = trainer_b.annotation_fingerprint()
-        registry.register("live", bundles["a"])
-        registry.get("live")  # load: opens fp_a's handle
-        assert fp_a in registry._disk_caches
-        registry.repoint("live", bundles["b"])
-        assert fp_a not in registry._disk_caches  # old handle released
-        registry.get("live")
-        assert fp_b in registry._disk_caches
-        registry.unregister("live")
-        assert registry._disk_caches == {}
-        # Shared fingerprints survive: two names over one bundle keep
-        # the handle until the LAST reference goes.
-        registry.register("x", bundles["a"])
-        registry.register("y", bundles["a"])
-        registry.get("x"), registry.get("y")
-        registry.unregister("x")
-        assert fp_a in registry._disk_caches
-        registry.unregister("y")
-        assert fp_a not in registry._disk_caches
-
-    def test_repoint_to_in_memory_source_is_pinned(self, bundles, trainer_a):
-        registry = ModelRegistry()
-        registry.register("live", bundles["b"])
-        registry.repoint("live", trainer_a)
-        entry = registry._entries["live"]
-        assert entry.pinned and entry.path is None
-        assert registry.get("live").trainer is trainer_a
-
-    def test_gateway_unregister_rejects_then_keyerrors(self, trainer_a, trainer_b):
-        registry = ModelRegistry()
-        registry.register("a", trainer_a)
-        registry.register("b", trainer_b)
-        table = trainer_a.dataset.tables[0]
-        with AnnotationGateway(registry) as gateway:
-            assert gateway.annotate(table, model="b").coltypes
-            gateway.unregister("b")
-            with pytest.raises(KeyError, match="no model registered"):
-                gateway.submit(table, model="b")
-            # The other route is untouched.
-            assert gateway.annotate(table, model="a").coltypes
-        assert registry.names() == ["a"]
-        # The unregistered route leaves the per-name stats maps (bounded
-        # under register/unregister churn) but its history stays in the
-        # scalar totals (they never deflate).
-        stats = gateway.stats
-        assert "b" not in stats.models
-        assert "b" not in stats.engines
-        assert stats.completed == 2
-        assert stats.encoder_passes >= 2
 
     def test_stats_to_dict_round_trips_json(self, trainer_a):
         import json as _json
@@ -542,39 +171,151 @@ class TestHotMutation:
 
 
 @pytest.mark.smoke
+class TestRegistration:
+    @pytest.mark.parametrize("second", ["same-object", "engine", "bundle"])
+    def test_a_second_register_raises(self, trainer_a, bundle, second):
+        """A registry holds one model: registering anything under a second
+        name — the same live object, an engine over it, or a bundle —
+        raises, and the first registration keeps serving."""
+        registry = ModelRegistry()
+        registry.register("a", trainer_a)
+        source = {
+            "same-object": trainer_a,
+            "engine": AnnotationEngine(trainer_a),
+            "bundle": bundle,
+        }[second]
+        with pytest.raises(ValueError, match="already registered"):
+            registry.register("alias", source)
+        assert registry.default_name == "a"
+        assert registry.stats.registered == 1
+        assert registry.get().trainer is trainer_a
+
+
+@pytest.mark.smoke
+class TestIsolation:
+    def test_disk_cache_partitioned_per_fingerprint(self, trainer_a, tmp_path):
+        cache_root = tmp_path / "cache"
+        tables = trainer_a.dataset.tables[:3]
+
+        def build():
+            registry = ModelRegistry(cache_dir=cache_root)
+            registry.register("a", trainer_a)
+            return AnnotationGateway(registry)
+
+        with build() as gateway:
+            for table in tables:
+                gateway.annotate(table)
+            cold = gateway.stats
+        assert cold.disk_hits == 0
+        # The store lives in the fingerprint's segment directory.
+        fingerprint = trainer_a.annotation_fingerprint()
+        assert list((cache_root / fingerprint).glob("segment-*.jsonl"))
+        # A fresh gateway over the same root answers everything from disk,
+        # byte-identically.
+        want = _direct(trainer_a, tables)
+        with build() as warm:
+            passes_before = trainer_a.model.encode_calls
+            for i, table in enumerate(tables):
+                _assert_same_annotation(warm.annotate(table), want[i])
+            assert trainer_a.model.encode_calls == passes_before
+            warm_stats = warm.stats
+        assert warm_stats.disk_hits == len(tables)
+        assert warm_stats.engines["a"].disk_hits == len(tables)
+
+
+@pytest.mark.smoke
+class TestAnswerStored:
+    """``answer_stored``: the non-blocking store probe a front-end that
+    renders payloads itself (the socket server) asks before ``asubmit``."""
+
+    @staticmethod
+    def _render(payload):
+        return payload["coltypes"]
+
+    def test_hit_miss_and_what_each_counts(
+        self, bundle, trainer_a, trainer_b, tmp_path
+    ):
+        registry = ModelRegistry(cache_dir=tmp_path / "cache")
+        registry.register("a", bundle)
+        table, other = trainer_a.dataset.tables[:2]
+        with AnnotationGateway(registry) as gateway:
+            request = AnnotationRequest(table=table, model="a")
+            # No worker yet: nothing is loaded, hashed or counted.
+            assert gateway.answer_stored(request, self._render) == (None, None)
+            assert registry.stats.loads == 0
+            want = gateway.annotate(request)  # loads, computes, stores
+            routed = registry.stats.routed
+            answer, identity = gateway.answer_stored(request, self._render)
+            assert answer == want.coltypes
+            assert identity.cache_key == gateway.worker("a").engine.identify(
+                request
+            ).cache_key
+            stats = gateway.stats
+            assert (stats.submitted, stats.completed, stats.batches) == (2, 2, 1)
+            assert (stats.disk_hits, stats.disk_misses) == (1, 1)
+            assert stats.engines["a"].requests == 2
+            # The hit never asked the registry; .worker() did, once.
+            assert registry.stats.routed == routed + 1
+            # A miss hands back the identity and counts nothing...
+            miss = AnnotationRequest(table=other, model="a")
+            answer, identity = gateway.answer_stored(miss, self._render)
+            assert answer is None and identity is not None
+            # ...and so does a payload the renderer declines, or chokes on.
+            assert gateway.answer_stored(request, lambda payload: None)[0] is None
+            with pytest.raises(ZeroDivisionError):
+                gateway.answer_stored(request, lambda payload: 1 // 0)
+            after = gateway.stats
+            assert (after.submitted, after.completed) == (2, 2)
+            assert (after.disk_hits, after.disk_misses) == (1, 1)
+            # Refused routes are asubmit's to report: a stored answer of
+            # these weights never answers a request pinned to others.
+            for route in ("ghost", trainer_b.annotation_fingerprint()):
+                pinned = AnnotationRequest(table=table, model=route)
+                assert gateway.answer_stored(pinned, self._render) == (None, None)
+        assert gateway.answer_stored(request, self._render) == (None, None)
+
+    def test_no_store_means_no_hashing(self, trainer_a, walks):
+        with AnnotationGateway.for_engine(AnnotationEngine(trainer_a)) as gateway:
+            table = trainer_a.dataset.tables[0]
+            gateway.annotate(table)
+            del walks[:]
+            request = AnnotationRequest(table=table)
+            assert gateway.answer_stored(request, self._render) == (None, None)
+            assert walks == []
+
+    def test_acquire_without_load_leaves_a_cold_route_cold(self, bundle):
+        registry = ModelRegistry()
+        registry.register("a", bundle)
+        assert registry.acquire("a", load=False) == ("a", None)
+        assert (registry.stats.loads, registry.stats.routed) == (0, 0)
+        engine = registry.get("a")
+        assert registry.acquire("a", load=False) == ("a", engine)
+
+
+@pytest.mark.smoke
 class TestAsyncio:
-    def test_asubmit_byte_identical_to_submit(self, trainer_a, trainer_b):
+    def test_asubmit_byte_identical_to_submit(self, trainer_a):
         tables = trainer_a.dataset.tables[:4]
         registry = ModelRegistry()
         registry.register("a", trainer_a)
-        registry.register("b", trainer_b)
         with AnnotationGateway(registry) as gateway:
-            threaded = {
-                route: [gateway.annotate(t, model=route) for t in tables]
-                for route in ("a", "b")
-            }
+            threaded = [gateway.annotate(t) for t in tables]
 
             async def run():
-                out = {}
-                for route in ("a", "b"):
-                    out[route] = [
-                        await gateway.asubmit(t, model=route) for t in tables
-                    ]
-                return out
+                return [await gateway.asubmit(t) for t in tables]
 
             awaited = asyncio.run(run())
-        for route in ("a", "b"):
-            for got, want in zip(awaited[route], threaded[route]):
-                _assert_same_annotation(got, want)
+        for got, want in zip(awaited, threaded):
+            _assert_same_annotation(got, want)
 
-    def test_astream_preserves_order_across_models(self, trainer_a, trainer_b):
+    def test_astream_preserves_order_across_routes(self, trainer_a):
         tables = trainer_a.dataset.tables[:6]
         registry = ModelRegistry()
         registry.register("a", trainer_a)
-        registry.register("b", trainer_b)
-        # Alternate routes via the request's own model field.
+        # Alternate admitted routes via the request's own model field.
+        fingerprint = trainer_a.annotation_fingerprint()
         requests = [
-            AnnotationRequest(table=t, model=("a" if i % 2 == 0 else "b"))
+            AnnotationRequest(table=t, model=("a" if i % 2 == 0 else fingerprint))
             for i, t in enumerate(tables)
         ]
         with AnnotationGateway(registry) as gateway:
@@ -589,11 +330,7 @@ class TestAsyncio:
         assert [r.table.table_id for r in streamed] == [
             t.table_id for t in tables
         ]
-        want_a = _direct(trainer_a, tables[0::2])
-        want_b = _direct(trainer_b, tables[1::2])
-        for got, want in zip(streamed[0::2], want_a):
-            _assert_same_annotation(got, want)
-        for got, want in zip(streamed[1::2], want_b):
+        for got, want in zip(streamed, _direct(trainer_a, tables)):
             _assert_same_annotation(got, want)
 
     def test_asubmit_backpressure_yields_not_blocks(self, trainer_a):
@@ -630,7 +367,7 @@ class TestCompatibilityWrappers:
     def test_service_is_a_single_entry_gateway(self, trainer_a):
         service = AnnotationService(AnnotationEngine(trainer_a))
         assert isinstance(service.gateway, AnnotationGateway)
-        assert service.gateway.registry.names() == [AnnotationService.MODEL_NAME]
+        assert service.gateway.registry.default_name == AnnotationService.MODEL_NAME
         with service:
             result = service.annotate(trainer_a.dataset.tables[0])
         want = _direct(trainer_a, [trainer_a.dataset.tables[0]])[0]
@@ -643,22 +380,19 @@ class TestCompatibilityWrappers:
         # The sync wrapper and the gateway route to the same engine object.
         assert annotator.engine is annotator.gateway.registry.get()
 
-    def test_submit_from_many_threads_across_models(
-        self, trainer_a, trainer_b
-    ):
+    def test_submit_from_many_threads_across_routes(self, trainer_a):
         tables = trainer_a.dataset.tables[:8]
         registry = ModelRegistry()
         registry.register("a", trainer_a)
-        registry.register("b", trainer_b)
+        fingerprint = trainer_a.annotation_fingerprint()
         results = {}
         with AnnotationGateway(registry, QueueConfig(max_batch=4)) as gateway:
 
             def client(index):
-                route = "a" if index % 2 == 0 else "b"
-                results[index] = (
-                    route,
-                    gateway.submit(tables[index], model=route).result(timeout=30),
-                )
+                route = "a" if index % 2 == 0 else fingerprint
+                results[index] = gateway.submit(
+                    tables[index], model=route
+                ).result(timeout=30)
 
             threads = [
                 threading.Thread(target=client, args=(i,))
@@ -668,10 +402,7 @@ class TestCompatibilityWrappers:
                 thread.start()
             for thread in threads:
                 thread.join()
-        reference = {
-            "a": AnnotationEngine(trainer_a),
-            "b": AnnotationEngine(trainer_b),
-        }
-        for index, (route, result) in results.items():
-            want = reference[route].annotate(tables[index])
-            _assert_same_annotation(result, want)
+        reference = AnnotationEngine(trainer_a)
+        assert sorted(results) == list(range(len(tables)))
+        for index, result in results.items():
+            _assert_same_annotation(result, reference.annotate(tables[index]))

@@ -338,6 +338,8 @@ class TestPoolSupervision:
             PoolConfig(specs=[("default", str(bundle))], workers=0)
         with pytest.raises(ValueError, match="sharding"):
             PoolConfig(specs=[("default", str(bundle))], sharding="magic")
+        with pytest.raises(ValueError, match="one model"):
+            PoolConfig(specs=[("a", str(bundle)), ("b", str(bundle))])
 
     def test_workers_exit_when_parent_is_killed(self, bundle):
         """Orphan protection: SIGKILL the supervising parent (no drain,

@@ -111,10 +111,10 @@ class TestDecode:
 
     def test_admin_payload_and_id_survive_decode(self):
         record = protocol.decode_record(
-            _line({"op": "register", "name": "m", "path": "/p", "id": 5}),
+            _line({"op": "health", "verbose": True, "id": 5}),
             admin=True,
         )
-        assert record.payload == {"name": "m", "path": "/p"}
+        assert record.payload == {"verbose": True}
         assert record.record_id == 5
 
 
@@ -283,34 +283,17 @@ class TestAdminPlane:
         assert "padding_waste" in rendered["gateway"]["engines"]["primary"]
         assert rendered["registry"]["registered"] == 1
 
-    def test_register_annotate_unregister(
-        self, gateway, shared_tiny_annotator, tmp_path
-    ):
-        from repro.core import save_annotator
-
-        bundle = tmp_path / "bundle"
-        save_annotator(shared_tiny_annotator, bundle)
-        assert self._admin(gateway, "register", name="extra", path=str(bundle)) == {
-            "ok": True, "op": "register", "name": "extra",
-        }
-        table = shared_tiny_annotator.trainer.dataset.tables[0]
-        routed = gateway.annotate(table, model="extra")
-        assert routed.coltypes  # the hot-registered model really serves
-        assert self._admin(gateway, "unregister", name="extra")["ok"] is True
-        answer = self._admin(gateway, "unregister", name="extra")
-        assert "no model registered" in answer["error"]
-        assert answer["op"] == "unregister"
-
-    def test_register_requires_name_and_path(self, gateway):
-        answer = self._admin(gateway, "register", name="x")
-        assert "requires a non-empty 'path'" in answer["error"]
-        answer = self._admin(gateway, "register", path="/p", id=9)
-        assert "requires a non-empty 'name'" in answer["error"]
-        assert answer["id"] == 9  # errors correlate too
-
-    def test_register_bad_path_is_an_answer_not_a_raise(self, gateway, tmp_path):
-        answer = self._admin(gateway, "register", name="x", path=str(tmp_path))
-        assert "not a bundle directory" in answer["error"]
+    @pytest.mark.parametrize("op", ["register", "repoint", "unregister"])
+    def test_model_mutation_ops_are_refused(self, op):
+        """The served weights are fixed at start: the ops that once loaded
+        a server-side path or dropped a model are unknown records, whose
+        error answer still correlates."""
+        line = _line({"op": op, "name": "m", "path": "/p", "id": 4})
+        with pytest.raises(protocol.ProtocolError, match="unknown admin op") as caught:
+            protocol.decode_record(line, admin=True)
+        answer = caught.value.answer()
+        assert "expected one of: health, shutdown, stats" in answer["error"]
+        assert answer["id"] == 4
 
     def test_shutdown_is_acknowledged_only(self, gateway, shared_tiny_annotator):
         assert self._admin(gateway, "shutdown") == {"ok": True, "op": "shutdown"}
