@@ -1,7 +1,7 @@
 """Multi-process pool saturation: `repro serve --workers N` vs N=1.
 
 Not a paper table — this measures the ISSUE-6 serving pool: the
-multi-process front door (shared listener, per-worker gateway stacks,
+multi-process front door (shared listener, per-worker serving stacks,
 cross-process cache fabric) against the single-worker baseline, over a
 connections x workers grid.
 

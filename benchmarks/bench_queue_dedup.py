@@ -6,7 +6,7 @@ table asked for five times, interleaved).
 
 * **direct engine** — every request pays serialization + its share of a
   forward pass (the PR-1 baseline; the LRU only saves re-serialization);
-* **queue dedup** — :class:`~repro.serving.AnnotationService` collapses
+* **queue dedup** — :class:`~repro.serving.EngineWorker` collapses
   content-identical requests that are in flight together onto one
   annotation, so encoder passes track *unique* tables;
 * **warm disk cache** — a fresh engine pointed at a directory populated by
@@ -25,7 +25,7 @@ import time
 
 from common import annotation_engine, doduo_wikitable, print_block, print_table, wikitable_splits
 
-from repro.serving import AnnotationEngine, AnnotationService, EngineConfig, QueueConfig
+from repro.serving import AnnotationEngine, EngineConfig, EngineWorker, QueueConfig
 
 UNIQUE_TABLES = 12
 REPEATS = 5
@@ -55,7 +55,7 @@ def run_experiment():
 
     # Queue dedup: concurrent duplicates share one annotation.
     dedup_engine = annotation_engine(trainer, cache_size=0)
-    service = AnnotationService(dedup_engine, QueueConfig(max_batch=len(tables)))
+    worker = EngineWorker(dedup_engine, QueueConfig(max_batch=len(tables)))
     # Dedup is single-flight from submit until the answer exists, and the
     # worker starts the first request the moment it arrives: hold the
     # engine until the whole workload is in flight, so the hit count below
@@ -68,12 +68,12 @@ def run_experiment():
         return annotate_batch(*args, **kwargs)
 
     dedup_engine.annotate_batch = held
-    with service:
-        futures = [service.submit(t) for t in tables]
+    with worker:
+        futures = [worker.submit(t) for t in tables]
         in_flight.set()
         dedup_seconds = _timed(lambda: [f.result() for f in futures])
     dedup_passes = dedup_engine.stats.encoder_passes
-    dedup_hits = service.stats.dedup_hits
+    dedup_hits = worker.stats.dedup_hits
 
     # Disk tier: populate a cache directory, then serve the same workload
     # from a *fresh* engine (simulating a process restart).

@@ -3,7 +3,8 @@
 Not a paper table — this measures the ISSUE-5 serving refactor: the
 asyncio :class:`~repro.serving.AnnotationServer` speaking the
 newline-delimited JSON protocol over a real socket, against the same
-gateway driven in-process through ``submit()`` futures.
+:class:`~repro.serving.EngineWorker` driven in-process through
+``submit()`` futures.
 
 The socket path pays for JSON encode/decode on both ends, TCP framing,
 the event loop, and the per-connection answer FIFO; the in-process
@@ -24,13 +25,7 @@ import time
 from common import SMOKE, doduo_wikitable, print_block, print_table, wikitable_splits
 
 from repro.io import table_to_dict
-from repro.serving import (
-    AnnotationEngine,
-    AnnotationGateway,
-    EngineConfig,
-    ModelRegistry,
-    QueueConfig,
-)
+from repro.serving import AnnotationEngine, EngineConfig, EngineWorker, QueueConfig
 from repro.serving.server import ServerThread
 
 WORKLOAD = 40
@@ -42,15 +37,12 @@ WORKLOAD = 40
 RELATIVE_THROUGHPUT_FLOOR = 0.70 if SMOKE else 0.85
 
 
-def _gateway(trainer):
+def _worker(trainer):
     # cache_size=0: a private, disabled serialization cache per path so
     # neither inherits the other's warm serializations; max_batch=8 is
     # the serving default.
-    registry = ModelRegistry()
-    registry.register("doduo", AnnotationEngine(
-        trainer, EngineConfig(batch_size=8, cache_size=0)
-    ))
-    return AnnotationGateway(registry, QueueConfig(max_batch=8))
+    engine = AnnotationEngine(trainer, EngineConfig(batch_size=8, cache_size=0))
+    return EngineWorker(engine, QueueConfig(max_batch=8))
 
 
 def _timed(fn):
@@ -69,22 +61,22 @@ def run_experiment():
         :WORKLOAD
     ]
 
-    # In-process baseline: futures through gateway.submit, all in flight.
+    # In-process baseline: futures through worker.submit, all in flight.
     inproc_results = []
 
     def run_inproc():
-        futures = [inproc_gateway.submit(table) for table in tables]
+        futures = [inproc_worker.submit(table) for table in tables]
         inproc_results.extend(f.result() for f in futures)
 
-    with _gateway(trainer) as inproc_gateway:
+    with _worker(trainer) as inproc_worker:
         inproc_seconds = _timed(run_inproc)
     inproc_records = [r.to_dict(with_embeddings=False) for r in inproc_results]
 
-    # Socket path: a twin gateway behind the TCP server, one pipelined
+    # Socket path: a twin worker behind the TCP server, one pipelined
     # client connection writing every record before reading the answers
     # (the answer FIFO preserves order; TCP buffers absorb the burst).
     socket_answers = []
-    socket_gateway = _gateway(trainer)
+    socket_worker = _worker(trainer)
 
     def run_socket():
         with socket.create_connection(address, timeout=120) as sock:
@@ -97,7 +89,7 @@ def run_experiment():
                 for _ in tables:
                     socket_answers.append(json.loads(stream.readline()))
 
-    with socket_gateway, ServerThread(socket_gateway) as address:
+    with socket_worker, ServerThread(socket_worker) as address:
         socket_seconds = _timed(run_socket)
 
     # Correctness ride-along: the wire changed nothing about the record.

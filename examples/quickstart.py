@@ -8,18 +8,18 @@ a few lines of Python code"):
     3. annotate an unseen table: column types, column relations, embeddings,
     4. serve a whole workload through the batched AnnotationEngine — one
        padded encoder pass per batch instead of four passes per table,
-    5. push duplicate-heavy traffic through the async AnnotationService,
-       whose queue worker dedups content-identical requests.
+    5. push duplicate-heavy traffic through an EngineWorker, the serving
+       front door, whose queue dedups content-identical requests.
 
 Run:  python examples/quickstart.py
 """
 
 from repro import (
     AnnotationEngine,
-    AnnotationService,
     Doduo,
     DoduoConfig,
     EngineConfig,
+    EngineWorker,
 )
 from repro.core import PipelineConfig, build_knowledge_base, build_pretrained_lm
 from repro.datasets import Column, Table, generate_wikitable_dataset, split_dataset
@@ -81,16 +81,16 @@ def main() -> None:
     print(f"  first table {first.table.table_id!r}: "
           f"top types {first.top_types(0, k=2)}")
 
-    # 5. Heavy concurrent traffic: the async queue front-end dedups
+    # 5. Heavy concurrent traffic: the worker's queue dedups
     #    content-identical requests onto one forward pass and fans the same
     #    result out to every waiter (see docs/serving.md for the tiers).
-    with AnnotationService(engine) as service:
+    with EngineWorker(engine) as worker:
         popular = splits.test.tables[0]
-        futures = [service.submit(popular) for _ in range(10)]
+        futures = [worker.submit(popular) for _ in range(10)]
         answers = [future.result() for future in futures]
-    print(f"\nservice: {len(answers)} waiters, "
-          f"{service.stats.dedup_hits} dedup hits, "
-          f"{service.stats.unique_annotated} annotation(s) computed")
+    print(f"\nworker: {len(answers)} waiters, "
+          f"{worker.stats.dedup_hits} dedup hits, "
+          f"{worker.stats.unique_annotated} annotation(s) computed")
 
     scores = model.trainer.evaluate(splits.test)
     print("\nheld-out micro-F1:",

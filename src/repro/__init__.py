@@ -29,16 +29,14 @@ full system on a pure-numpy substrate:
 * :mod:`repro.io` — CSV tables and JSONL dataset round-trips
 * :mod:`repro.serving` — the serving stack: the batched ``AnnotationEngine``
   (single-pass inference, one padding-free pass per drain whatever the
-  widths, streaming), the
-  one-model ``ModelRegistry`` + ``AnnotationGateway`` front door
-  (name or fingerprint routes, a dedup queue, thread and asyncio-native
-  client APIs),
-  the transport-agnostic wire ``protocol`` and the asyncio TCP
+  widths, streaming) and its one loader, ``load_engine``; the
+  ``EngineWorker`` front door over one model (``default`` or fingerprint
+  routes, a dedup queue, thread and asyncio-native client APIs); the
+  transport-agnostic wire ``protocol`` and the asyncio TCP
   ``AnnotationServer`` (per-connection FIFO answers, admin plane,
   graceful drain), the supervised multi-process ``ServingPool``
   (``repro serve --workers N``: socket sharding, crash restart, merged
-  stats, pool-wide drain), the single-model ``AnnotationService``
-  compatibility wrapper, and the one persistent result store,
+  stats, pool-wide drain), and the one persistent result store,
   ``FabricCache`` (concurrently writable across processes, compactable,
   rooted per model fingerprint; ``DiskCache`` is an alias)
 * :mod:`repro.cli` — the ``repro`` command-line toolbox
@@ -90,19 +88,18 @@ from .datasets import (
 )
 from .serving import (
     AnnotationEngine,
-    AnnotationGateway,
     AnnotationOptions,
     AnnotationRequest,
     AnnotationResult,
     AnnotationServer,
-    AnnotationService,
     DiskCache,
     EngineConfig,
+    EngineWorker,
     FabricCache,
-    ModelRegistry,
     PoolConfig,
     QueueConfig,
     ServingPool,
+    load_engine,
 )
 
 __version__ = "1.8.0"
@@ -110,17 +107,15 @@ __version__ = "1.8.0"
 __all__ = [
     "AnnotatedTable",
     "AnnotationEngine",
-    "AnnotationGateway",
     "AnnotationOptions",
     "AnnotationRequest",
     "AnnotationResult",
     "AnnotationServer",
-    "AnnotationService",
     "Column",
     "DiskCache",
     "EngineConfig",
+    "EngineWorker",
     "FabricCache",
-    "ModelRegistry",
     "PoolConfig",
     "QueueConfig",
     "ServingPool",
@@ -139,6 +134,7 @@ __all__ = [
     "generate_viznet_dataset",
     "generate_wikitable_dataset",
     "load_annotator",
+    "load_engine",
     "save_annotator",
     "split_dataset",
 ]

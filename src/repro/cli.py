@@ -20,15 +20,16 @@ and emitted as one JSON record per table — the serving entry point.
 ``--cache-dir`` adds the persistent result-cache tier, so re-annotating the
 same corpus later performs zero encoder passes.
 
-``serve`` is the gateway front-end over one model bundle: tables flow
-through an :class:`~repro.serving.AnnotationGateway` (a bounded queue, a
-batching worker, cross-request dedup), from a ``.jsonl`` corpus, from a
-stdin loop (``-``), or — with ``--listen HOST:PORT`` — over TCP via the
-asyncio :class:`~repro.serving.AnnotationServer`.  All three faces speak
-the one wire protocol of :mod:`repro.serving.protocol` (same records,
-same ``{"error": ...}`` answers, same optional ``"id"`` correlation
-echo), and the live faces (loop, socket) also carry the admin plane:
-``{"op": "stats"}``, ``{"op": "health"}`` and ``{"op": "shutdown"}``.
+``serve`` is the front end over one model bundle, loaded at startup:
+tables flow through an :class:`~repro.serving.EngineWorker` (a bounded
+queue, a batching worker, cross-request dedup), from a ``.jsonl``
+corpus, from a stdin loop (``-``), or — with ``--listen HOST:PORT`` —
+over TCP via the asyncio :class:`~repro.serving.AnnotationServer`.  All
+three faces speak the one wire protocol of :mod:`repro.serving.protocol`
+(same records, same ``{"error": ...}`` answers, same optional ``"id"``
+correlation echo), and the live faces (loop, socket) also carry the
+admin plane: ``{"op": "stats"}``, ``{"op": "health"}`` and
+``{"op": "shutdown"}``.
 ``repro stats HOST:PORT`` is the one-shot admin client.  A record's
 optional ``"model"`` field must name the served model (``default``) or its
 fingerprint; any other route is an error answer.  ``--cache-dir`` keeps
@@ -71,12 +72,14 @@ from .io import (
 from .nn import TransformerConfig
 from .serving import (
     AnnotationEngine,
-    AnnotationGateway,
     AnnotationOptions,
     EngineConfig,
+    EngineWorker,
     GatewayStats,
     PoolConfig,
+    QueueConfig,
     ServingPool,
+    load_engine,
     protocol,
     store_directory,
 )
@@ -304,7 +307,7 @@ def _annotate_jsonl_batch(
     """
     if args.cache_dir is not None:
         # Answers `repro serve` stored here are found where it put them
-        # (its registry's fingerprint sub-directory); a new directory
+        # (the model fingerprint's sub-directory); a new directory
         # gets this command's flat layout, which `serve` honours in turn.
         fingerprint = AnnotationEngine(annotator.trainer, config).model_fingerprint
         directory = store_directory(args.cache_dir, fingerprint) or args.cache_dir
@@ -426,7 +429,7 @@ def _graceful_signals():
     """Translate SIGINT/SIGTERM into ``KeyboardInterrupt`` for the scope.
 
     `repro serve` uses it so a Ctrl-C or a supervisor's TERM lands as an
-    exception at a record boundary: the gateway context then drains
+    exception at a record boundary: the worker context then drains
     in-flight requests and flushes/closes the persistent disk cache
     instead of the process dying mid-batch.  Off the main thread (where
     signals cannot be installed) this is a no-op.
@@ -450,7 +453,7 @@ def _graceful_signals():
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Gateway serving: one model behind a bounded queue, a batching
+    """Serving: one model, loaded here, behind a bounded queue, a batching
     worker and dedup.  ``--listen HOST:PORT`` swaps the stdin/stdout
     transport for the asyncio TCP server — same protocol, same answers.
     """
@@ -466,11 +469,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.workers < 1:
             raise ValueError(f"--workers must be >= 1: {args.workers}")
         return _serve_pool(args, engine_config, options)
-    gateway = AnnotationGateway.for_bundle(
-        "default", args.model, engine_config, cache_dir=args.cache_dir
+    worker = EngineWorker(
+        load_engine(args.model, engine_config, cache_dir=args.cache_dir),
+        QueueConfig(max_batch=engine_config.batch_size),
     )
     if args.listen is not None:
-        return _serve_listen(args, gateway, options)
+        return _serve_listen(args, worker, options)
     loop_mode = corpus == "-"
     records = (
         _iter_stdin_records(options, admin=not args.no_admin)
@@ -487,7 +491,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         out_handle.flush()
 
     try:
-        with gateway, _graceful_signals():
+        with worker, _graceful_signals():
             if loop_mode:
                 # Loop mode answers each record as it arrives (stdin is
                 # serial anyway) and must survive bad records: malformed
@@ -503,7 +507,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         emit(record)
                         continue
                     if isinstance(record, protocol.AdminRecord):
-                        answer = protocol.handle_admin(record, gateway)
+                        answer = protocol.handle_admin(record, worker)
                         emit(answer)
                         if answer.get("ok"):
                             # Only successful ops count as session work —
@@ -514,7 +518,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         continue
                     request = record.request
                     try:
-                        result = gateway.annotate(request, options)
+                        result = worker.annotate(request, options)
                     except Exception as error:  # noqa: BLE001 - server survives
                         # Whatever one request's annotation raised — bad
                         # route, invalid pairs, a pathological table deep
@@ -544,7 +548,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         record_ids.append(record.record_id)
                         yield record.request
 
-                for result in gateway.annotate_stream(requests(), options):
+                for result in worker.annotate_stream(requests(), options):
                     emit(protocol.encode_result(
                         result,
                         with_embeddings=args.embeddings,
@@ -552,7 +556,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     ))
                     count += 1
     except KeyboardInterrupt:
-        # SIGINT/SIGTERM: the gateway context already drained in-flight
+        # SIGINT/SIGTERM: the worker context already drained in-flight
         # requests and flushed/closed the disk cache on the way out.
         interrupted = True
     except BrokenPipeError:
@@ -569,7 +573,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("error: no tables were served", file=sys.stderr)
         return 1
     note = "interrupted: drained in-flight requests; " if interrupted else ""
-    _print_serve_summary(gateway.stats.to_dict(), count, args, note=note)
+    stats = worker.stats_sections()["gateway"].to_dict()
+    _print_serve_summary(stats, count, args, note=note)
     if interrupted and not loop_mode:
         # Corpus (batch) mode: partial output must not look like success
         # to a pipeline gating on the exit status.  (The interactive
@@ -594,12 +599,12 @@ def _print_serve_summary(stats, count, args, note="", workers=None) -> None:
     )
 
 
-def _serve_listen(args, gateway, options) -> int:
+def _serve_listen(args, worker, options) -> int:
     """`repro serve --listen HOST:PORT`: the asyncio TCP front door.
 
     Runs until SIGINT/SIGTERM or a client's ``{"op": "shutdown"}``; both
     paths drain accepted requests to their clients, then close the
-    gateway — which drains the worker and flushes/closes the
+    worker — which drains its queue and flushes/closes the
     persistent disk cache — before exiting.
     """
     import asyncio
@@ -611,7 +616,7 @@ def _serve_listen(args, gateway, options) -> int:
 
     async def _run() -> None:
         server = AnnotationServer(
-            gateway,
+            worker,
             options,
             host=host,
             port=port,
@@ -654,8 +659,8 @@ def _serve_listen(args, gateway, options) -> int:
         # server); fall through to the drained-and-flushed exit.
         pass
     finally:
-        gateway.close()  # drain workers, flush/close disk caches
-    stats = gateway.stats.to_dict()
+        worker.close()  # drain the queue, flush/close the disk cache
+    stats = worker.stats_sections()["gateway"].to_dict()
     _print_serve_summary(stats, stats["completed"], args)
     return 0
 
@@ -739,8 +744,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cache_directories(root):
     """The cache directories under ``root``: itself (flat layout — `repro
-    annotate --cache-dir`) plus any model-fingerprint subdirectory the
-    serving registry created (`repro serve --cache-dir`)."""
+    annotate --cache-dir`) plus any model-fingerprint subdirectory
+    `repro serve --cache-dir` created."""
     from pathlib import Path
 
     from .serving import is_cache_directory
@@ -916,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="serve a corpus, stdin ('-'), or a TCP socket (--listen) "
-             "through the gateway",
+             "through one batching worker",
     )
     serve.add_argument("model",
                        help="model bundle directory (served as 'default')")

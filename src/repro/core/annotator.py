@@ -7,15 +7,14 @@ The paper ships a toolbox usable "with just a few lines of Python code":
     >>> annotated = model.annotate(table)    # doctest: +SKIP
     >>> annotated.coltypes, annotated.colrels, annotated.colemb  # doctest: +SKIP
 
-This module provides that interface as a thin compatibility layer over a
-:class:`~repro.serving.AnnotationGateway`: the annotator's model is the
-gateway's model, and every ``annotate*``
-call runs through its :class:`~repro.serving.AnnotationEngine` — **one**
-encoder forward pass per table (the legacy implementation ran up to four:
-types, scores, a relation probe, embeddings) with bitwise-identical
-outputs.  For cross-table batching, streaming, and per-request options use
-the engine directly; for queued, deduped, or asyncio serving
-use the ``gateway`` property (or build your own registry + gateway).
+This module provides that interface as a thin compatibility layer over
+an :class:`~repro.serving.AnnotationEngine`: every ``annotate*`` call runs
+through it — **one** encoder forward pass per table (the legacy
+implementation ran up to four: types, scores, a relation probe,
+embeddings) with bitwise-identical outputs.  For cross-table batching,
+streaming, and per-request options use the engine directly; for queued,
+deduped, or asyncio serving use the ``gateway`` property, an
+:class:`~repro.serving.EngineWorker` over that engine.
 """
 
 from __future__ import annotations
@@ -121,36 +120,33 @@ class Doduo:
 
     @property
     def gateway(self):
-        """The :class:`~repro.serving.AnnotationGateway` backing this
-        annotator.
+        """The :class:`~repro.serving.EngineWorker` over :attr:`engine`.
 
-        Created lazily with default configuration, holding this trainer
-        as its model.  Gives toolbox users the queued/asyncio serving APIs
-        (``gateway.submit`` / ``await gateway.asubmit``) without further
-        setup; callers who need custom batch sizes or cache tiers should
-        build their own registry + gateway.
+        Created on first use with default configuration; its thread starts
+        on the first submit.  Gives toolbox users the queued/asyncio
+        serving APIs (``gateway.submit`` / ``await gateway.asubmit``)
+        without further setup; callers who need custom batch sizes or cache
+        tiers should build their own engine and worker.
         """
         if self._gateway is None:
-            # Deferred import: serving imports core.
-            from ..serving import AnnotationEngine, AnnotationGateway
+            from ..serving import EngineWorker  # deferred: serving imports core
 
-            self._gateway = AnnotationGateway.for_engine(
-                AnnotationEngine(self._trainer)
-            )
+            self._gateway = EngineWorker(self.engine)
         return self._gateway
 
     @property
     def engine(self):
-        """The :class:`~repro.serving.AnnotationEngine` the gateway routes
-        this annotator's requests to.
+        """The :class:`~repro.serving.AnnotationEngine` over this
+        annotator's trainer (memoized).
 
         The synchronous ``annotate*`` wrappers below call it directly —
-        same engine, same bytes, no worker thread in the way.  Memoized:
-        the gateway's model is registered in-memory and never replaced, so
-        one registry resolution suffices for the annotator's lifetime.
+        same engine as :attr:`gateway`, same bytes, no worker thread in
+        the way.
         """
         if self._engine is None:
-            self._engine = self.gateway.registry.get()
+            from ..serving import AnnotationEngine  # deferred: serving imports core
+
+            self._engine = AnnotationEngine(self._trainer)
         return self._engine
 
     def annotate(self, table: Table, with_embeddings: bool = True) -> AnnotatedTable:

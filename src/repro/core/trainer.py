@@ -273,10 +273,10 @@ class DoduoTrainer:
         )
         # Memoized annotation fingerprints, keyed by (precision, probe
         # descriptor): hashing walks every weight, and the serving
-        # registry/gateway key routing and cache partitions on it, so it
-        # must not cost a weight walk per lookup.  Invalidated by train() —
+        # worker keys routing and cache partitions on it, so it must not
+        # cost a weight walk per lookup.  Invalidated by train() —
         # external weight mutation must call invalidate_fingerprint() (or
-        # hand the registry a fresh trainer).
+        # serve a fresh trainer).
         self._annotation_fingerprints: Dict[bytes, str] = {}
 
     @property
@@ -561,7 +561,7 @@ class DoduoTrainer:
         equal fingerprints produce bitwise-identical annotations for the same
         request, so this is the model component of the persistent result
         cache key (:mod:`repro.serving.diskcache`) **and** a route the
-        serving registry admits (:mod:`repro.serving.registry`):
+        serving worker admits (:meth:`repro.serving.EngineWorker.admits`):
         changing any weight, serializer knob, or vocabulary invalidates
         every cached entry and re-keys the route.
 

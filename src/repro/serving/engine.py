@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import Field, dataclass, field, fields, replace
+from pathlib import Path
 from typing import (
     Dict,
     Iterable,
@@ -46,6 +47,7 @@ from typing import (
 import numpy as np
 
 from ..core.annotator import AnnotatedTable
+from ..core.persistence import ensure_model_arena, load_annotator
 from ..core.probe import ProbeBudget, ProbePlanner
 from ..core.trainer import DoduoTrainer, RawTableAnnotation, decide_labels
 from ..datasets.tables import Table
@@ -58,7 +60,7 @@ from .diskcache import (
     encode_annotation,
     request_identity,
 )
-from .fabric import FabricCache
+from .fabric import FabricCache, store_directory
 from .request import AnnotationOptions, AnnotationRequest, AnnotationResult
 
 RequestLike = Union[Table, AnnotationRequest]
@@ -208,7 +210,7 @@ class EngineConfig:
         commands=("serve",),
         why="an arena stores each parameter's exact float32 bytes",
         help="map model weights from a shared mmap arena built next to each "
-        "bundle (read by the registry and pool; the engine ignores it)",
+        "bundle (read by load_engine and the pool; the engine ignores it)",
     )
 
     def __init_subclass__(cls) -> None:
@@ -340,6 +342,10 @@ EngineStats = declare(
 class AnnotationEngine:
     """Single-pass batched inference over a fine-tuned DODUO model."""
 
+    #: The bundle directory :func:`load_engine` loaded the weights from;
+    #: ``None`` for an engine built over an in-memory model.
+    bundle: Optional[Path] = None
+
     def __init__(
         self,
         trainer: DoduoTrainer,
@@ -374,8 +380,8 @@ class AnnotationEngine:
         # neighbours, so those states are never cached).
         self.column_cache: Optional[ColumnCache] = None
         if trainer.config.single_column and self.config.column_cache_size > 0:
-            # Its persistent tier is ``result_cache``, read per chunk: a
-            # registry attaches (and detaches) the store after construction.
+            # Its persistent tier is ``result_cache``, read per chunk:
+            # load_engine attaches the store after construction.
             self.column_cache = ColumnCache(
                 self.config.column_cache_size,
                 persist=self.config.column_cache_persist,
@@ -807,3 +813,41 @@ class AnnotationEngine:
             key=lambda item: (-item[1], item[0]),
         )
         return dict(ranked[:top_k])
+
+
+def load_engine(
+    bundle: Union[str, Path],
+    engine_config: EngineConfig,
+    *,
+    cache_dir: Optional[Union[str, Path]] = None,
+    fabric_writer: Optional[str] = None,
+    arena: Optional[Union[str, Path]] = None,
+) -> AnnotationEngine:
+    """Load the bundle ``bundle`` into an engine: the one loader ``repro
+    serve`` and every pool worker run at startup.
+
+    ``arena`` is a pre-built weight-arena file to map (the pool's parent
+    builds one for all its workers); without it, ``weight_arena=True``
+    builds or reuses the bundle's own.  A ``cache_dir`` that already holds
+    a *flat* store (``repro annotate --cache-dir`` wrote it; segments, or
+    after ``repro cache compact`` only a generation) stays the engine's
+    own store, so a warm cache stays warm; otherwise the store lives in
+    ``cache_dir``'s sub-directory named by the model fingerprint, appended
+    to under ``fabric_writer`` (``None``: the store's ``pid<PID>``
+    default).  Keys embed the fingerprint either way.
+    """
+    if arena is None and engine_config.weight_arena:
+        arena = ensure_model_arena(bundle)
+    trainer = load_annotator(bundle, weight_arena=arena).trainer
+    if cache_dir is not None and store_directory(cache_dir):
+        engine = AnnotationEngine(
+            trainer, replace(engine_config, cache_dir=str(cache_dir))
+        )
+    else:
+        engine = AnnotationEngine(trainer, engine_config)
+        if cache_dir is not None and engine.result_cache is None:
+            engine.result_cache = FabricCache(
+                Path(cache_dir) / engine.model_fingerprint, writer=fabric_writer
+            )
+    engine.bundle = Path(bundle)
+    return engine

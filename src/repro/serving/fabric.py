@@ -132,7 +132,7 @@ def store_directory(
 
     ``cache_dir`` itself when it holds store state: the *flat* layout —
     what ``annotate``, which serves one model without a registry, writes
-    into a new directory, and what a pre-gateway ``serve`` wrote.  It wins,
+    into a new directory, and what an older ``serve`` wrote.  It wins,
     so a warm flat cache stays warm under both commands.  Else
     ``cache_dir/<fingerprint>`` when that holds state: the registry's
     layout, a sub-directory named by the model, so weights that change

@@ -2,9 +2,11 @@
 
 ``repro serve --listen HOST:PORT --workers N`` runs this module: a
 parent process that owns the listening address and N worker processes
-that each run a full, independent serving stack — ``ModelRegistry`` →
-``AnnotationGateway`` → :class:`~repro.serving.server.AnnotationServer`
-— over the shared listener.  Workers never share Python state; they
+that each run a full, independent serving stack —
+:func:`~repro.serving.engine.load_engine` →
+:class:`~repro.serving.queue.EngineWorker` →
+:class:`~repro.serving.server.AnnotationServer` — over the shared
+listener.  Workers never share Python state; they
 share exactly two things:
 
 * **The socket.**  On platforms with ``SO_REUSEPORT`` (Linux, modern
@@ -65,9 +67,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..telemetry import Counters
-from .engine import EngineConfig
-from .gateway import AnnotationGateway, GatewayStats
-from .registry import RegistryStats
+from .engine import EngineConfig, load_engine
+from .queue import EngineWorker, GatewayStats, QueueConfig, RegistryStats
 from .request import AnnotationOptions
 from .server import AnnotationServer, ServerStats
 
@@ -103,12 +104,13 @@ class PoolConfig:
     ``engine`` config) so it crosses the ``multiprocessing`` boundary under
     any start method.  The fields mirror the ``repro serve`` flags they
     come from — the engine's knobs in ``engine``, the per-request ones in
-    ``options`` — and :meth:`AnnotationGateway.for_bundle` builds each
-    worker's stack from them.
+    ``options`` — and each worker builds its stack from them with
+    :func:`~repro.serving.engine.load_engine`.
     """
 
     # The one (name, bundle dir) pair, as a one-item list (the shape
-    # `repro serve` has always passed): a pool serves one model.
+    # `repro serve` has always passed): a pool serves one model, which
+    # answers to MODEL_NAME whatever the name says.
     specs: List[Tuple[str, str]]
     host: str = "127.0.0.1"
     port: int = 0
@@ -147,11 +149,12 @@ def merge_sections(snapshots: Iterable[Dict]) -> Dict[str, Counters]:
     """Sum the counter sections of the workers' snapshots.
 
     Each snapshot carries its worker's *raw* counters (the objects, not
-    their rendering), so this is the same ``merge`` the gateway folds its
-    history with: per-name maps merge name by name, and a ratio — which
-    exists only in ``to_dict()`` output — is derived once, from the summed
-    counters, by whoever renders the result.  Whatever else a snapshot
-    names (``worker``, ``pid``) identifies it and is never added.
+    their rendering), so this is the same ``merge`` a worker composes its
+    ``"gateway"`` section with: per-name maps merge name by name, and a
+    ratio — which exists only in ``to_dict()`` output — is derived once,
+    from the summed counters, by whoever renders the result.  Whatever
+    else a snapshot names (``worker``, ``pid``) identifies it and is never
+    added.
     """
     merged = {
         "server": ServerStats(),
@@ -178,8 +181,9 @@ def _worker_main(
     stale_fds=(),
 ) -> None:
     """Entry point of one worker process (module-level: picklable under
-    every start method).  Builds registry → gateway → server, announces
-    readiness on the event pipe, then serves until told to stop."""
+    every start method).  Loads the model, builds worker → server,
+    announces readiness on the event pipe, then serves until told to
+    stop."""
     import asyncio
     import signal
 
@@ -205,9 +209,8 @@ def _worker_main(
     # The parent pre-built the arena (ServingPool.start), so every worker
     # — crash-restarted ones included — maps the same file instead of
     # re-parsing the bundle.
-    (name, bundle), = config.specs
-    gateway = AnnotationGateway.for_bundle(
-        name,
+    (_, bundle), = config.specs
+    engine = load_engine(
         bundle,
         config.engine,
         cache_dir=config.cache_dir,
@@ -216,13 +219,14 @@ def _worker_main(
         else None,
         arena=config.arena,
     )
+    worker = EngineWorker(engine, QueueConfig(max_batch=config.engine.batch_size))
 
     # The event pipe is shared by the admin handler (any executor
     # thread) and the ready announcement; one lock keeps each
     # send→recv exchange atomic.
     evt_lock = threading.Lock()
 
-    def admin_handler(record, _gateway):
+    def admin_handler(record, _worker):
         """Pool-level admin ops; ``None`` falls through to the local
         protocol handler (``health`` answers for THIS worker)."""
         if record.op == "stats":
@@ -257,12 +261,11 @@ def _worker_main(
             "worker": slot,
             "pid": os.getpid(),
             "server": server.stats,
-            "gateway": gateway.stats,
-            "registry": gateway.registry.stats,
+            **worker.stats_sections(),
         }
 
     server = AnnotationServer(
-        gateway,
+        worker,
         config.options,
         host=config.host,
         port=config.port,
@@ -330,7 +333,7 @@ def _worker_main(
     try:
         asyncio.run(_serve())
     finally:
-        gateway.close()  # drain engine workers, flush + close fabric tiers
+        worker.close()  # drain the queue, flush + close the fabric tier
 
 
 # ----------------------------------------------------------------------
@@ -492,7 +495,7 @@ class ServingPool:
                 raise RuntimeError("pool already started")
             self._started = True
         # Fail fast in the parent on a bad bundle: workers would each
-        # crash on register() and burn the whole restart budget.
+        # crash on load_engine() and burn the whole restart budget.
         from pathlib import Path
 
         (name, path), = self.config.specs

@@ -39,11 +39,12 @@ answers to the pre-``id`` protocol.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Union
 
 from ..datasets.tables import Table
 from ..io import table_from_dict
+from .queue import MODEL_NAME
 from .request import (
     AnnotationOptions,
     AnnotationRequest,
@@ -125,10 +126,10 @@ class RequestRecord:
 
 @dataclass
 class AdminRecord:
-    """One decoded admin record: the op, its arguments, its correlation id."""
+    """One decoded admin record: the op and its correlation id (any other
+    key of the record is accepted and ignored)."""
 
     op: str
-    payload: Dict = field(default_factory=dict)
     record_id: Optional[Any] = None
 
 
@@ -217,7 +218,7 @@ def _decode_admin(
             f"unknown admin op {op!r} (expected one of: {', '.join(ADMIN_OPS)})",
             record_id=record_id,
         )
-    return AdminRecord(op=op, payload=payload, record_id=record_id)
+    return AdminRecord(op=op, record_id=record_id)
 
 
 def encode_result(
@@ -263,8 +264,9 @@ def encode_line(record: Dict) -> str:
     return json.dumps(record) + "\n"
 
 
-def handle_admin(record: AdminRecord, gateway) -> Dict:
-    """Execute one admin operation against a gateway; return the answer.
+def handle_admin(record: AdminRecord, worker) -> Dict:
+    """Execute one admin operation against an
+    :class:`~repro.serving.queue.EngineWorker`; return the answer.
 
     Never raises: a failed operation answers ``{"op": ..., "error": ...}``
     — the admin plane must outlive its worst client line exactly like the
@@ -273,23 +275,23 @@ def handle_admin(record: AdminRecord, gateway) -> Dict:
     stops): the protocol layer has no connections to close.
     """
     op, record_id = record.op, record.record_id
-    registry = gateway.registry
     try:
         if op == "health":
-            name = registry.default_name
+            # The model is loaded before the transport accepts anything.
             answer = {
                 "ok": True,
                 "op": op,
-                "models": [name] if name is not None else [],
-                "live": [name] if registry.live else [],
-                "default": name,
+                "models": [MODEL_NAME],
+                "live": [MODEL_NAME],
+                "default": MODEL_NAME,
             }
         elif op == "stats":
+            sections = worker.stats_sections()
             answer = {
                 "ok": True,
                 "op": op,
-                "gateway": gateway.stats.to_dict(),
-                "registry": registry.stats.to_dict(),
+                "gateway": sections["gateway"].to_dict(),
+                "registry": sections["registry"].to_dict(),
             }
         else:  # op == "shutdown" (decode_record admitted only ADMIN_OPS)
             answer = {"ok": True, "op": op}

@@ -1,19 +1,27 @@
-"""Asynchronous, single-flight request queue over one annotation engine.
+"""The serving front door: a single-flight request queue over one engine.
 
-:class:`EngineWorker` is the per-engine drain loop the serving front-ends
-are built from: callers :meth:`~EngineWorker.submit` tables from any thread
-and get back a :class:`concurrent.futures.Future`; a single worker thread
+:class:`EngineWorker` is the one client API of a serving process: callers
+:meth:`~EngineWorker.submit` tables from any thread and get back a
+:class:`concurrent.futures.Future` (or ``await``
+:meth:`~EngineWorker.asubmit` from a coroutine); a single worker thread
 drains whatever is queued into one engine call and answers every waiter.
-The :class:`~repro.serving.gateway.AnnotationGateway` runs one worker
-over its one model; :class:`AnnotationService` — the historical front-end
-— is a thin compatibility wrapper over a gateway.
+``repro serve``, each pool worker, the socket server and
+:attr:`Doduo.gateway <repro.core.annotator.Doduo.gateway>` all hold one,
+built over an engine :func:`~repro.serving.engine.load_engine` loaded at
+startup.
+
+Routes: a request's ``model`` field is ``None``, :data:`MODEL_NAME` or the
+engine's fingerprint (:meth:`EngineWorker.admits`); any other route is
+refused with ``KeyError`` before it is hashed or counted — a request
+pinned to other weights is never answered by these.
 
 Request lifecycle
 -----------------
-1. ``submit`` wraps the table in an :class:`~repro.serving.request.AnnotationRequest`
-   and hashes it **once** (table content + options + pairs + model
-   fingerprint — the disk tier's key).  Under the worker lock it looks the
-   key up among the groups that are queued or running:
+1. ``submit`` checks the route, wraps the table in an
+   :class:`~repro.serving.request.AnnotationRequest` and hashes it
+   **once** (table content + options + pairs + model fingerprint — the
+   disk tier's key).  Under the worker lock it looks the key up among the
+   groups that are queued or running:
 
    * a match **attaches** the future to that group — no queue slot, one
      ``dedup_hit``, and the answer arrives when the group's does;
@@ -62,6 +70,7 @@ time, so an invalid request poisons only its own group.
 
 from __future__ import annotations
 
+import asyncio
 import queue as _queue
 import threading
 from collections import deque
@@ -81,17 +90,20 @@ from typing import (
 )
 
 from ..core.annotator import AnnotatedTable
-from ..telemetry import declare
+from ..nn.arena import model_arena
+from ..telemetry import Counters, declare
 from .diskcache import RequestIdentity
-from .engine import AnnotationEngine, RequestLike
+from .engine import AnnotationEngine, EngineStats, RequestLike
+from .fabric import FabricStats
 from .request import AnnotationOptions, AnnotationRequest, AnnotationResult
+
+#: The name a serving process's one model answers to, besides its fingerprint.
+MODEL_NAME = "default"
 
 
 @dataclass(frozen=True)
 class QueueConfig:
-    """Scheduling policy of one :class:`EngineWorker` (and, by extension, of
-    every worker an :class:`~repro.serving.gateway.AnnotationGateway` or
-    :class:`AnnotationService` spawns).
+    """Scheduling policy of one :class:`EngineWorker`.
 
     ``max_batch`` caps how many distinct requests one drain hands the
     engine; ``max_queue_size`` bounds the unanswered futures (``submit``
@@ -121,7 +133,7 @@ class QueueConfig:
 
 ServiceStats = declare(
     "ServiceStats",
-    """Counters for one worker's (or single-model service's) lifetime.
+    """Counters for one worker's lifetime.
 
     ``completed + failed <= submitted`` in every
     :meth:`EngineWorker.stats_snapshot`.  Requests answered by
@@ -142,6 +154,46 @@ ServiceStats = declare(
 )
 
 
+GatewayStats = declare(
+    "GatewayStats",
+    """The ``"gateway"`` section of the ``{"op": "stats"}`` answer and of
+    ``repro stats``, as :meth:`EngineWorker.stats_sections` composes it.
+
+    The scalar counters are the totals over ``models`` and ``engines``.
+    Each map holds the one served name: ``models`` maps it to the worker's
+    counters, ``engines`` to the engine's, ``disk_tiers`` to those of the
+    persistent-store handle attached to that engine — notably
+    ``remote_hits``, which is how an operator sees cross-worker cache reuse
+    in ``repro stats`` against a pool.
+    """,
+    parts={
+        ServiceStats: None,
+        EngineStats: ("encoder_passes", "disk_hits", "disk_misses"),
+    },
+    groups={"models": ServiceStats, "engines": EngineStats, "disk_tiers": FabricStats},
+)
+
+
+RegistryStats = declare(
+    "RegistryStats",
+    """The ``"registry"`` section of the ``{"op": "stats"}`` answer: how
+    the one model got here and how much traffic named it.""",
+    {
+        "registered": "models served (always 1)",
+        "loads": "checkpoint loads: 1 for an engine "
+        ":func:`~repro.serving.engine.load_engine` loaded from a bundle "
+        "at startup, 0 for one built over an in-memory model",
+        "reloads": "always 0: the model is loaded once",
+        "evictions": "always 0: the model is never evicted",
+        "routed": "admitted submissions (the worker's queued traffic; stored "
+        "answers the server renders itself skip it)",
+        "repoints": "always 0: the served weights are fixed at startup",
+        "arena_remaps": "loads served by mapping a weight arena instead of "
+        "deserializing ``weights.npz``",
+    },
+)
+
+
 class _Group:
     """One single-flight group: what the request hashes to, plus every
     (request, future) waiting on that one annotation.  The first waiter's
@@ -155,22 +207,23 @@ class _Group:
 
 
 class EngineWorker:
-    """Per-engine drain loop: single-flight table, worker thread, backpressure.
+    """The front door over one engine: routes, single-flight queue, worker
+    thread, backpressure, and the stats sections of the admin plane.
 
-    Typical direct use::
+    Typical use::
 
-        engine = AnnotationEngine(trainer, EngineConfig(cache_dir="cache/"))
+        engine = load_engine("models/run/", EngineConfig(), cache_dir="cache/")
         with EngineWorker(engine) as worker:
-            futures = [worker.submit(t) for t in tables]
+            futures = [worker.submit(t) for t in tables]   # any thread
             results = [f.result() for f in futures]
+            # ...or, inside a coroutine:
+            #     result = await worker.asubmit(table)
 
     The worker owns no model state — it is a scheduling layer over the
     engine it is given, and every equivalence guarantee of the engine's
     cache tiers applies unchanged (see the module docstring for the exact
-    contract).  One worker thread annotates; any number of threads may
-    submit.  Most code reaches a worker through a front-end — the
-    :class:`AnnotationService` or the
-    :class:`~repro.serving.gateway.AnnotationGateway`.
+    contract).  One worker thread annotates, started by the first submit;
+    any number of threads may submit.
     """
 
     def __init__(
@@ -181,6 +234,7 @@ class EngineWorker:
         self.engine = engine
         self.config = config or QueueConfig()
         self.stats = ServiceStats()
+        self._routing = RegistryStats(registered=1)
         # One lock guards everything below it; the two conditions share it.
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)  # the worker waits for groups
@@ -210,7 +264,8 @@ class EngineWorker:
             self._worker.start()
 
     def close(self) -> None:
-        """Stop accepting submissions, serve everything pending, then join.
+        """Stop accepting submissions, serve everything pending, join, then
+        flush and close the engine's result store (idempotent).
 
         Every future obtained before ``close`` resolves; submitting after
         ``close`` raises ``RuntimeError`` (also in submitters that were
@@ -227,6 +282,8 @@ class EngineWorker:
             # The loop only exits on an empty queue, and nothing can be
             # queued behind _closed: nothing is left over after the join.
             worker.join()
+        if self.engine.result_cache is not None:
+            self.engine.result_cache.close()
 
     def __enter__(self) -> "EngineWorker":
         return self.start()
@@ -237,6 +294,17 @@ class EngineWorker:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
+    def admits(self, route: Optional[str]) -> bool:
+        """Whether ``route`` — a request's ``model`` field — names this
+        worker's model: ``None``, :data:`MODEL_NAME` or the engine's
+        fingerprint.  Takes no lock and never hashes a table, so an event
+        loop may ask."""
+        return (
+            route is None
+            or route == MODEL_NAME
+            or route == self.engine.model_fingerprint
+        )
+
     def submit(
         self,
         item: RequestLike,
@@ -246,19 +314,25 @@ class EngineWorker:
     ) -> "Future[AnnotationResult]":
         """Hand in one table; returns the future holding its result.
 
-        Blocks (up to ``config.submit_timeout``) while ``max_queue_size``
-        futures are unanswered — backpressure — and raises ``queue.Full``
-        on timeout.  With ``block=False`` a full queue raises
-        ``queue.Full`` immediately instead of blocking (the gateway's
-        asyncio path polls this way so backpressure never stalls an event
-        loop).  The returned future resolves to the same
-        :class:`AnnotationResult` object for every submitter of a
+        Raises ``KeyError`` for a request whose ``model`` route names other
+        weights (nothing is hashed or counted).  Blocks (up to
+        ``config.submit_timeout``) while ``max_queue_size`` futures are
+        unanswered — backpressure — and raises ``queue.Full`` on timeout.
+        With ``block=False`` a full queue raises ``queue.Full`` immediately
+        instead of blocking (:meth:`asubmit` polls this way so backpressure
+        never stalls an event loop).  The returned future resolves to the
+        same :class:`AnnotationResult` object for every submitter of a
         content-identical request between now and the moment the answer
         exists.  ``identity`` is the request's hash when the caller holds
         it already (:meth:`answer_stored` returns it with a miss), so the
         cells are still walked once.
         """
         request = self.engine._as_request(item, options)
+        if not self.admits(request.model):
+            raise KeyError(
+                f"no model registered under name or fingerprint "
+                f"{request.model!r} (serving {MODEL_NAME!r})"
+            )
         future: "Future[AnnotationResult]" = Future()
         try:
             identity = self.engine.identify(request, identity)
@@ -268,6 +342,7 @@ class EngineWorker:
             with self._lock:
                 self.stats.submitted += 1
                 self.stats.failed += 1
+                self._routing.routed += 1
             future.set_exception(error)
             return future
         with self._lock:
@@ -281,6 +356,7 @@ class EngineWorker:
             # Counted in the same critical section that makes the request
             # visible to the worker: no snapshot sees completed > submitted.
             self.stats.submitted += 1
+            self._routing.routed += 1
             self._unanswered += 1
             group = self._groups.get(identity.cache_key)
             if group is not None:
@@ -294,6 +370,39 @@ class EngineWorker:
                 self._work.notify()
             group.waiters.append((request, future))
         return future
+
+    async def asubmit(
+        self,
+        item: RequestLike,
+        options: Optional[AnnotationOptions] = None,
+        identity: Optional[RequestIdentity] = None,
+    ) -> AnnotationResult:
+        """Asyncio-native :meth:`annotate`: awaits the annotation without
+        ever blocking the event loop.
+
+        The annotation runs on the worker thread and its future is bridged
+        with :func:`asyncio.wrap_future`, so thousands of concurrent
+        ``asubmit`` calls cost one worker thread, not one per request.  A
+        full queue is retried with exponential ``asyncio.sleep`` backoff
+        (other coroutines keep running) until ``submit_timeout`` — the
+        asyncio translation of :meth:`submit`'s blocking backpressure.
+        Byte-identical to :meth:`submit`; raises ``KeyError`` for a route
+        :meth:`admits` refuses.
+        """
+        loop = asyncio.get_running_loop()
+        timeout = self.config.submit_timeout
+        deadline = None if timeout is None else loop.time() + timeout
+        delay = 0.001
+        while True:
+            try:
+                future = self.submit(item, options, block=False, identity=identity)
+                break
+            except _queue.Full:
+                if deadline is not None and loop.time() >= deadline:
+                    raise
+                await asyncio.sleep(delay)
+                delay = min(delay * 2, 0.05)
+        return await asyncio.wrap_future(future, loop=loop)
 
     def answer_stored(
         self,
@@ -313,14 +422,15 @@ class EngineWorker:
         and as the engine's ``requests``/``disk_hits``.
 
         ``answer`` is ``None`` when the caller must :meth:`submit` instead
-        — the engine has no store (``identity`` is ``None`` too: nothing
-        was hashed), the store cannot answer from its index, ``render``
-        declined the payload, or the worker is closed.  Nothing is counted
-        then; ``identity`` goes to ``submit(identity=...)``.  Whatever
-        ``identify`` or ``render`` raises propagates with nothing counted.
+        — a route :meth:`admits` refuses or an engine without a store
+        (``identity`` is ``None`` too: nothing was hashed), the store
+        cannot answer from its index, ``render`` declined the payload, or
+        the worker is closed.  Nothing is counted then; ``identity`` goes
+        to ``submit(identity=...)``.  Whatever ``identify`` or ``render``
+        raises propagates with nothing counted.
         """
         store = self.engine.result_cache
-        if store is None:
+        if store is None or not self.admits(request.model):
             return None, None
         identity = self.engine.identify(request)
         payload = store.peek(identity.cache_key)
@@ -343,13 +453,28 @@ class EngineWorker:
         item: RequestLike,
         options: Optional[AnnotationOptions] = None,
     ) -> AnnotationResult:
-        """Synchronous convenience: submit and wait for the result.
-
-        (Windowed streaming lives on the front-ends —
-        ``AnnotationGateway.annotate_stream``/``astream`` and the
-        ``AnnotationService`` wrapper — so the policy exists in one place.)
-        """
+        """Synchronous convenience: submit and wait for the result."""
         return self.submit(item, options).result()
+
+    def annotate_stream(
+        self,
+        items: Iterable[RequestLike],
+        options: Optional[AnnotationOptions] = None,
+        window: Optional[int] = None,
+    ) -> Iterator[AnnotationResult]:
+        """Pump an iterable through the queue, yielding results in input
+        order, with at most ``window`` submissions in flight (default
+        ``4 * max_batch``)."""
+        limit = window if window is not None else 4 * self.config.max_batch
+        if limit < 1:
+            raise ValueError(f"window must be >= 1: {limit}")
+        pending: Deque["Future[AnnotationResult]"] = deque()
+        for item in items:
+            pending.append(self.submit(item, options))
+            while len(pending) >= limit:
+                yield pending.popleft().result()
+        for future in pending:
+            yield future.result()
 
     def stats_snapshot(self) -> ServiceStats:
         """A copy of the counters taken under the lock every submit and
@@ -357,6 +482,26 @@ class EngineWorker:
         submitted`` holds in every snapshot."""
         with self._lock:
             return self.stats.copy()
+
+    def stats_sections(self) -> Dict[str, Counters]:
+        """The ``"gateway"`` and ``"registry"`` sections of the ``{"op":
+        "stats"}`` answer, as raw counters (a pool merges them before it
+        renders).  Every counter set is a copy, safe to hold and diff."""
+        with self._lock:
+            service = self.stats.copy()
+            routing = self._routing.copy()
+        engine = self.engine
+        gateway = GatewayStats()
+        gateway.models[MODEL_NAME] = service
+        gateway.engines[MODEL_NAME] = engine.stats.copy()
+        if engine.result_cache is not None:
+            gateway.disk_tiers[MODEL_NAME] = engine.result_cache.stats.copy()
+        gateway.merge(service)
+        gateway.merge(gateway.engines[MODEL_NAME])
+        if engine.bundle is not None:
+            routing.loads = 1
+            routing.arena_remaps = int(model_arena(engine.trainer.model) is not None)
+        return {"gateway": gateway, "registry": routing}
 
     # ------------------------------------------------------------------
     # Worker
@@ -446,7 +591,7 @@ class EngineWorker:
             ]
             # Count BEFORE resolving: the future is the waiter's wake-up
             # call, and a waiter that has its answer may immediately read
-            # the stats (the gateway's admin plane serves them over the
+            # the stats (the admin plane serves them over the
             # wire) — the completion must already be visible then.
             if result is None:
                 self.stats.failed += len(live)
@@ -484,93 +629,3 @@ class EngineWorker:
             batch_index=result.batch_index,
             from_disk=result.from_disk,
         )
-
-
-class AnnotationService:
-    """Compatibility wrapper over an
-    :class:`~repro.serving.gateway.AnnotationGateway`.
-
-    The historical front-end: one engine, one queue, one worker.  It
-    *delegates* to a gateway holding exactly that engine (registered
-    under the name ``"default"``), so both are one code path; the
-    thread-based API — ``submit`` returning a
-    :class:`concurrent.futures.Future`, ``annotate``, ``annotate_stream``,
-    context-manager lifecycle — is unchanged.  For the asyncio-native
-    ``asubmit``/``astream`` API, use the gateway directly::
-
-        engine = AnnotationEngine(trainer, EngineConfig(cache_dir="cache/"))
-        with AnnotationService(engine) as service:
-            futures = [service.submit(t) for t in tables]
-            results = [f.result() for f in futures]
-    """
-
-    #: Name the wrapped engine is registered under in the backing gateway.
-    MODEL_NAME = "default"
-
-    def __init__(
-        self,
-        engine: AnnotationEngine,
-        config: Optional[QueueConfig] = None,
-    ) -> None:
-        from .gateway import AnnotationGateway  # deferred: gateway imports queue
-
-        self.engine = engine
-        self.config = config or QueueConfig()
-        self.gateway = AnnotationGateway.for_engine(
-            engine, name=self.MODEL_NAME, queue_config=self.config
-        )
-        # The gateway's one worker lives as long as the service; grab it
-        # once for stats/start.
-        self._worker = self.gateway.worker(self.MODEL_NAME)
-
-    @property
-    def stats(self) -> ServiceStats:
-        """The underlying worker's counters (the historical attribute)."""
-        return self._worker.stats
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "AnnotationService":
-        """Spawn the worker thread (idempotent)."""
-        self._worker.start()
-        return self
-
-    def close(self) -> None:
-        """Stop accepting submissions, serve everything pending, then join."""
-        self.gateway.close()
-
-    def __enter__(self) -> "AnnotationService":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Submission (delegated through the gateway)
-    # ------------------------------------------------------------------
-    def submit(
-        self,
-        item: RequestLike,
-        options: Optional[AnnotationOptions] = None,
-    ) -> "Future[AnnotationResult]":
-        """Enqueue one table; see :meth:`EngineWorker.submit`."""
-        return self.gateway.submit(item, options)
-
-    def annotate(
-        self,
-        item: RequestLike,
-        options: Optional[AnnotationOptions] = None,
-    ) -> AnnotationResult:
-        """Synchronous convenience: submit and wait for the result."""
-        return self.gateway.annotate(item, options)
-
-    def annotate_stream(
-        self,
-        items: Iterable[RequestLike],
-        options: Optional[AnnotationOptions] = None,
-        window: Optional[int] = None,
-    ) -> Iterator[AnnotationResult]:
-        """Pump an iterable through the queue, yielding results in order."""
-        return self.gateway.annotate_stream(items, options, window=window)

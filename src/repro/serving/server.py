@@ -1,7 +1,7 @@
-"""Asyncio TCP front door for the annotation gateway.
+"""Asyncio TCP front door for the annotation worker.
 
-:class:`AnnotationServer` puts a real network face on the
-:class:`~repro.serving.gateway.AnnotationGateway`: clients connect over
+:class:`AnnotationServer` puts a real network face on an
+:class:`~repro.serving.queue.EngineWorker`: clients connect over
 TCP and speak the newline-delimited JSON protocol of
 :mod:`repro.serving.protocol` — the *same* protocol as ``repro serve``'s
 stdin loop, implemented by the same module, so a socket answer is
@@ -11,7 +11,7 @@ byte-identical to the loop-mode answer (and therefore to a direct
 Concurrency model
 -----------------
 One event loop serves every connection; annotation work happens on the
-gateway's worker thread, bridged with the asyncio-native ``asubmit()`` —
+worker's thread, bridged with the asyncio-native ``asubmit()`` —
 a thousand concurrent in-flight requests cost one worker thread, not one
 per request or per connection.
 
@@ -21,8 +21,8 @@ per request or per connection.
   resolved at the head of the FIFO in one write — so results stream out
   as each completes, with at most one window of head-of-line wait — never
   buffered behind the slowest batch of another connection.
-* **Stored results are answered where the frame is decoded** — once the
-  worker exists, a table record on an admitted route is hashed once
+* **Stored results are answered where the frame is decoded** — from the
+  first record on, a table record on an admitted route is hashed once
   and looked up by the connection's reader; a hit is rendered straight
   from the stored payload and queued as an already-resolved answer.  No
   task, no future, no hop to the worker thread, no
@@ -30,10 +30,10 @@ per request or per connection.
   path below with its hash in hand.  For this the loop may wait on the
   store handle's lock (an index lookup, an append, at worst the worker's
   throttled directory scan) and on one read of a cached page — never on a
-  model load, a drain, or a scan of its own.
+  drain or a scan of its own.
 * **Backpressure, never blocking** — each connection bounds its in-flight
   window (default ``4 * max_batch``); a full window suspends that
-  connection's reader (TCP pushes back to the client), and a full gateway
+  connection's reader (TCP pushes back to the client), and a full worker
   queue is retried with ``asyncio.sleep`` backoff inside ``asubmit`` —
   the event loop never blocks, so hot connections keep streaming while the
   queue fills.
@@ -56,8 +56,8 @@ Shutdown
 :meth:`AnnotationServer.stop` (triggered by ``{"op": "shutdown"}``, by
 SIGINT/SIGTERM in the CLI, or programmatically) closes the listener,
 stops reading new records, drains every accepted answer to its client,
-and closes the connections.  Closing the *gateway* afterwards (the CLI
-does) drains the worker and flushes/closes the persistent
+and closes the connections.  Closing the *worker* afterwards (the CLI
+does) drains its queue and flushes/closes the persistent
 :class:`~repro.serving.fabric.FabricCache` stores — no answer accepted
 before the shutdown is lost, and no cache write is torn.
 
@@ -75,7 +75,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..telemetry import declare
 from . import protocol
 from .diskcache import RequestIdentity
-from .gateway import AnnotationGateway
+from .queue import EngineWorker
 from .request import AnnotationOptions
 
 #: Default asyncio stream limit is 64 KiB — too small for wide tables.
@@ -163,14 +163,13 @@ class _Connection:
 
 
 class AnnotationServer:
-    """Serve a gateway over TCP, speaking the loop-mode JSON protocol.
+    """Serve a worker over TCP, speaking the loop-mode JSON protocol.
 
     Typical embedding::
 
-        registry = ModelRegistry(cache_dir="anno-cache/")
-        registry.register("default", "models/run/")
-        gateway = AnnotationGateway(registry)
-        server = AnnotationServer(gateway, host="127.0.0.1", port=9000)
+        engine = load_engine("models/run/", EngineConfig(), cache_dir="anno-cache/")
+        worker = EngineWorker(engine)
+        server = AnnotationServer(worker, host="127.0.0.1", port=9000)
 
         async def main():
             await server.start()
@@ -188,7 +187,7 @@ class AnnotationServer:
     socket instead of binding ``host``/``port`` (the inherited-FD sharding
     of :mod:`repro.serving.pool`); ``reuse_port`` sets ``SO_REUSEPORT`` on
     the bind so several worker processes can share one port (kernel
-    load-balanced); ``admin_handler(record, gateway)`` — called in the
+    load-balanced); ``admin_handler(record, worker)`` — called in the
     executor before the default admin plane — lets an embedding answer
     (or augment) admin operations itself; returning ``None`` falls
     through to :func:`protocol.handle_admin`.  An op answered by the
@@ -199,7 +198,7 @@ class AnnotationServer:
 
     def __init__(
         self,
-        gateway: AnnotationGateway,
+        worker: EngineWorker,
         options: Optional[AnnotationOptions] = None,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -218,13 +217,13 @@ class AnnotationServer:
             raise ValueError(f"shutdown_grace must be >= 0: {shutdown_grace}")
         if sock is not None and reuse_port:
             raise ValueError("sock= and reuse_port are mutually exclusive")
-        self.gateway = gateway
+        self.worker = worker
         self.options = options or AnnotationOptions()
         self.host = host
         self.port = port
         self.with_embeddings = with_embeddings
         self.admin = admin
-        self.window = window or 4 * gateway.queue_config.max_batch
+        self.window = window or 4 * worker.config.max_batch
         self.max_line_bytes = max_line_bytes
         self.shutdown_grace = shutdown_grace
         self.sock = sock
@@ -293,8 +292,8 @@ class AnnotationServer:
         connections stalled (a client that stopped reading blocks our
         ``drain()`` through its full TCP buffer forever); their
         transports are then aborted: shutdown must not hang on the worst
-        client.  The gateway is *not* closed here — the owner closes it
-        to drain workers and flush disk caches.
+        client.  The worker is *not* closed here — the owner closes it
+        to drain its queue and flush the disk cache.
         """
         self._stopped = True
         if self._server is not None:
@@ -466,14 +465,13 @@ class AnnotationServer:
         can answer right now, else ``(None, identity or None)``.
 
         Runs on the event loop, so it may wait only for what
-        :meth:`AnnotationGateway.answer_stored
-        <repro.serving.gateway.AnnotationGateway.answer_stored>` waits
-        for: short locks and one read of a cached page — never a model
-        load, a drain or a directory scan.  The line is rendered from the
+        :meth:`EngineWorker.answer_stored
+        <repro.serving.queue.EngineWorker.answer_stored>` waits
+        for: short locks and one read of a cached page — never a drain
+        or a directory scan.  The line is rendered from the
         stored payload (:func:`protocol.encode_stored`) and is byte for
         byte what :meth:`_annotate` would produce.  Anything else — no
-        store, no worker yet, a refused route, a payload with embeddings,
-        any exception —
+        store, a refused route, a payload with embeddings, any exception —
         returns no answer and :meth:`_annotate` serves (and reports) the
         record as before, reusing ``identity`` so the table is hashed once.
         """
@@ -490,7 +488,7 @@ class AnnotationServer:
             return protocol.encode_line(answer).encode("utf-8")
 
         try:
-            return self.gateway.answer_stored(request, render)
+            return self.worker.answer_stored(request, render)
         except Exception:  # noqa: BLE001 - _annotate reports it
             return None, None
 
@@ -501,7 +499,7 @@ class AnnotationServer:
     ) -> Dict:
         """One table record's answer (result or error, never a raise)."""
         try:
-            result = await self.gateway.asubmit(
+            result = await self.worker.asubmit(
                 record.request, self.options, identity=identity
             )
             return protocol.encode_result(
@@ -528,11 +526,11 @@ class AnnotationServer:
         def run() -> Dict:
             nonlocal handled
             if self.admin_handler is not None:
-                custom = self.admin_handler(record, self.gateway)
+                custom = self.admin_handler(record, self.worker)
                 if custom is not None:
                     handled = True
                     return custom
-            return protocol.handle_admin(record, self.gateway)
+            return protocol.handle_admin(record, self.worker)
 
         try:
             answer = await loop.run_in_executor(None, run)
@@ -611,7 +609,7 @@ class ServerThread:
 
     The synchronous embedding (and test/benchmark) harness::
 
-        with ServerThread(gateway, options) as address:
+        with ServerThread(worker, options) as address:
             sock = socket.create_connection(address)
             ...
 
@@ -619,12 +617,12 @@ class ServerThread:
     up (re-raising any bind error in the caller's thread); :meth:`stop`
     drains and joins.  A client-initiated ``{"op": "shutdown"}`` also
     stops the server — :meth:`stop` (or the context exit) then just joins
-    the already-finished thread.  The gateway's lifetime stays with the
-    caller: close it after the server stops to flush disk caches.
+    the already-finished thread.  The worker's lifetime stays with the
+    caller: close it after the server stops to flush the disk cache.
     """
 
-    def __init__(self, gateway: AnnotationGateway, *args, **kwargs) -> None:
-        self._factory = lambda: AnnotationServer(gateway, *args, **kwargs)
+    def __init__(self, worker: EngineWorker, *args, **kwargs) -> None:
+        self._factory = lambda: AnnotationServer(worker, *args, **kwargs)
         self.server: Optional[AnnotationServer] = None
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None

@@ -20,7 +20,7 @@ class whose instances hold exactly those counters and nothing else::
 A ratio is never stored: it exists only as a read of the counters it is
 declared over.  Code that adds two snapshots therefore can never see one,
 so "ratio of sums, not sum of ratios" holds by construction wherever
-snapshots are merged — gateway history, pool workers — and the formula is
+snapshots are merged — a worker's sections, pool workers — and the formula is
 written once, at the declaration.  Across snapshots, diff raw counters,
 not ratios.
 

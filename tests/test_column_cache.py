@@ -14,8 +14,8 @@ The contract under test:
   fresh process (a second ColumnCache over the same directory);
 * table-wise engines never construct the cache (cross-column attention
   makes per-column states context-dependent);
-* cold vs warm equivalence holds through the gateway path, and the
-  gateway's stats snapshot reports ``column_hit_rate``.
+* cold vs warm equivalence holds through the worker path, and the
+  worker's stats section reports ``column_hit_rate``.
 """
 
 from __future__ import annotations
@@ -352,32 +352,31 @@ class TestEngineColumnCache:
 
 
 # ---------------------------------------------------------------------------
-# Gateway path: cold vs warm equivalence + stats surface
+# Worker path: cold vs warm equivalence + stats surface
 # ---------------------------------------------------------------------------
 
 
 class TestGatewayColumnCache:
     def test_cold_vs_warm_through_gateway(self, sc_trainer):
-        from repro.serving import AnnotationGateway, ModelRegistry
+        from repro.serving import EngineWorker
 
         t1, t2 = _tables()
-        registry = ModelRegistry(
-            engine_config=EngineConfig(cache_size=0, column_cache_size=64)
+        engine = AnnotationEngine(
+            sc_trainer, EngineConfig(cache_size=0, column_cache_size=64)
         )
-        registry.register("sc", sc_trainer)
-        with AnnotationGateway(registry) as gw:
+        with EngineWorker(engine) as worker:
             cold = [
-                gw.submit(t, options=OPTIONS).result(timeout=60)
+                worker.submit(t, options=OPTIONS).result(timeout=60)
                 for t in (t1, t2)
             ]
             warm = [
-                gw.submit(t, options=OPTIONS).result(timeout=60)
+                worker.submit(t, options=OPTIONS).result(timeout=60)
                 for t in (t1, t2)
             ]
             for c, w in zip(cold, warm):
                 _assert_same(_payload(c), _payload(w))
-            stats = gw.stats.to_dict()
-        engine_stats = stats["engines"]["sc"]
+            stats = worker.stats_sections()["gateway"].to_dict()
+        engine_stats = stats["engines"]["default"]
         assert "column_hit_rate" in engine_stats
         assert engine_stats["column_hits"] >= 1
         assert 0.0 <= engine_stats["column_hit_rate"] <= 1.0

@@ -1,12 +1,12 @@
 """Regression tests for the true positives ``repro check`` surfaced.
 
 The checker's first run over the real tree found three latent bugs; the
-two whose code still exists get a behavioral pin here, independent of the
-static rule that caught them (the third was ``EngineConfig.waste_budget``
-not folding into the model fingerprint — the knob is gone):
+one whose code still exists gets a behavioral pin here, independent of the
+static rule that caught it (the others were ``EngineConfig.waste_budget``
+not folding into the model fingerprint — the knob is gone — and
+``ModelRegistry.default_name`` reading the registered name outside the
+registry lock — the property is gone):
 
-* ``ModelRegistry.default_name`` read the registered name without the
-  registry lock (a torn read against ``register``).
 * ``ServingPool.stop`` read ``_started`` outside the pool lock while
   ``start`` writes it under the lock.
 """
@@ -15,14 +15,7 @@ from __future__ import annotations
 
 import threading
 
-import pytest
-
 from repro.serving.pool import PoolConfig, ServingPool
-
-
-@pytest.fixture(scope="module")
-def trainer(shared_tiny_annotator):
-    return shared_tiny_annotator.trainer
 
 
 class _RecordingLock:
@@ -45,26 +38,6 @@ class _RecordingLock:
 
     def release(self):
         return self._inner.release()
-
-
-class TestRegistryDefaultNameLock:
-    def test_default_name_reads_under_lock(self):
-        from repro.serving.registry import ModelRegistry
-
-        registry = ModelRegistry()
-        probe = _RecordingLock()
-        registry._lock = probe
-        before = probe.acquisitions
-        assert registry.default_name is None
-        assert probe.acquisitions > before
-
-    def test_default_name_tracks_registration(self, trainer):
-        from repro.serving.registry import ModelRegistry
-
-        registry = ModelRegistry()
-        assert registry.default_name is None
-        registry.register("tiny", trainer)
-        assert registry.default_name == "tiny"
 
 
 class TestPoolStopStartedLock:

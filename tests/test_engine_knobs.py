@@ -8,10 +8,10 @@ what reads it.
   declared ``values`` and holds each to the everything-off oracle of its
   ``changes`` class: wire bytes ``==``, fingerprints ``==``; fingerprints
   ``!=`` across classes.
-* **Registry and pool legs.**  ``weight_arena`` and the store a registry
-  attaches after construction are invisible to an in-memory engine; they
-  are served through ``ModelRegistry`` over a saved bundle, and once
-  through a two-worker pool.
+* **Registry and pool legs.**  ``weight_arena`` and the store
+  ``load_engine`` attaches after construction are invisible to an
+  in-memory engine; they are served through ``load_engine`` over a saved
+  bundle, and once through a two-worker pool.
 * **Fold oracle.**  The fingerprint of every precision × probe policy
   equals the formula of the release before the declarations existed, kept
   here verbatim: stored keys stay valid.
@@ -44,7 +44,7 @@ from repro.serving import (
     AnnotationOptions,
     AnnotationRequest,
     EngineConfig,
-    ModelRegistry,
+    load_engine,
     protocol,
 )
 from repro.serving.engine import knob
@@ -199,7 +199,7 @@ class TestLattice:
 
 
 # ----------------------------------------------------------------------
-# (b) the registry and pool legs
+# (b) the loader and pool legs
 # ----------------------------------------------------------------------
 
 
@@ -219,19 +219,20 @@ class TestRegistryLeg:
         config = EngineConfig(weight_arena=weight_arena, column_cache_persist=persist)
         expected = serve(trainers["scol"], oracle_of(config), corpus)
 
-        def through_registry(requests):
-            with ModelRegistry(engine_config=config, cache_dir=tmp_path) as registry:
-                registry.register("default", bundle)
-                engine = registry.get()
+        def through_loader(requests):
+            engine = load_engine(bundle, config, cache_dir=tmp_path)
+            try:
                 return wire(engine.annotate_batch(requests)), engine
+            finally:
+                engine.result_cache.close()
 
-        first, engine = through_registry(corpus[:7])
+        first, engine = through_loader(corpus[:7])
         assert first == expected[:7]
         assert engine.model_fingerprint == fingerprint(trainers["scol"], config)
         # A second process over the same root: the first seven (and the two
         # later repeats of them) are stored answers, and the rest share
         # columns with them.
-        second, engine = through_registry(corpus)
+        second, engine = through_loader(corpus)
         assert second == expected
         assert engine.stats.disk_hits == 9
         assert (engine.column_cache.persisted_hits >= 1) == persist
@@ -240,13 +241,16 @@ class TestRegistryLeg:
         self, corpus, bundle, tmp_path
     ):
         config = EngineConfig(column_cache_persist=True)
-        registry = ModelRegistry(engine_config=config, cache_dir=tmp_path)
-        registry.register("default", bundle)
-        engine = registry.get()
+        """The column cache reads the engine's store per chunk, so a store
+        attached after construction — or detached — applies to column
+        states at the next chunk."""
+        config = EngineConfig(column_cache_persist=True)
+        engine = load_engine(bundle, config, cache_dir=tmp_path)
         engine.annotate_batch(corpus[:2])
         assert engine.column_cache.disk is engine.result_cache is not None
-        registry.close()
-        engine.annotate_batch(corpus[2:4])  # a worker still draining it
+        store, engine.result_cache = engine.result_cache, None
+        store.close()
+        engine.annotate_batch(corpus[2:4])
         assert engine.column_cache.disk is None
 
     @pytest.mark.smoke

@@ -1,17 +1,17 @@
-"""The serving gateway over its one model: registry, routes, asyncio.
+"""The serving front door over its one model: routes, the loader, asyncio.
 
 The load-bearing guarantees:
 
-* every gateway answer is **byte-identical** to the single-engine
-  ``engine.annotate`` output — from the thread ``submit()`` path *and*
-  the asyncio ``asubmit()``/``astream()`` path;
-* a route is ``None``, the registered name or the model fingerprint, a
-  request's own ``model`` field wins over call-site defaults, and any
-  other route — another model's fingerprint included — is refused before
-  it costs an encoder pass;
-* a registry holds one model: a second ``register`` raises;
-* the registry roots the result store at ``cache_dir/<fingerprint>``, so
-  a fresh process answers from disk.
+* every :class:`~repro.serving.EngineWorker` answer is **byte-identical**
+  to the single-engine ``engine.annotate`` output — from the thread
+  ``submit()`` path *and* the asyncio ``asubmit()`` path;
+* a route — a request's ``model`` field — is ``None``, ``"default"`` or
+  the model fingerprint, and any other route (another model's
+  fingerprint included) is refused by ``submit``, ``asubmit`` and
+  ``answer_stored`` before it costs an encoder pass;
+* ``load_engine`` roots the result store at ``cache_dir/<fingerprint>``,
+  so a fresh process answers from disk;
+* the ``ModelRegistry`` shim holds one model: a second ``register`` raises.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from repro.datasets import generate_wikitable_dataset
 from repro.nn import TransformerConfig
 from repro.serving import (
     AnnotationEngine,
-    AnnotationGateway,
     AnnotationRequest,
-    AnnotationService,
     EngineConfig,
+    EngineWorker,
     ModelRegistry,
     QueueConfig,
+    load_engine,
 )
 from repro.text import train_wordpiece
 
@@ -85,6 +85,10 @@ def _assert_same_annotation(got, want):
     assert np.array_equal(got.colemb, want.colemb)
 
 
+def _routed(table, route):
+    return AnnotationRequest(table=table, model=route)
+
+
 @pytest.mark.smoke
 class TestRouting:
     def test_mixed_corpus_byte_identical_per_model(self, trainer_a):
@@ -93,12 +97,10 @@ class TestRouting:
         the dedicated single-engine output."""
         tables = trainer_a.dataset.tables[:5]
         want = _direct(trainer_a, tables)
-        registry = ModelRegistry()
-        registry.register("a", trainer_a)
-        routes = (None, "a", trainer_a.annotation_fingerprint())
-        with AnnotationGateway(registry) as gateway:
+        routes = (None, "default", trainer_a.annotation_fingerprint())
+        with EngineWorker(AnnotationEngine(trainer_a)) as worker:
             futures = [
-                [gateway.submit(table, model=route) for route in routes]
+                [worker.submit(_routed(table, route)) for route in routes]
                 for table in tables
             ]
             for i, per_route in enumerate(futures):
@@ -106,79 +108,96 @@ class TestRouting:
                     _assert_same_annotation(future.result(), want[i])
 
     def test_default_route_and_request_field_priority(self, trainer_a):
+        """The request's own ``model`` field is the route: a bare table and
+        ``"default"`` are served, anything else is refused."""
         table = trainer_a.dataset.tables[0]
         want = _direct(trainer_a, [table])[0]
-        registry = ModelRegistry()
-        registry.register("a", trainer_a)
-        with AnnotationGateway(registry) as gateway:
-            _assert_same_annotation(gateway.annotate(table), want)
-            # The request's own model field wins over the call-site route,
-            # whether it admits the request or refuses it.
-            routed = AnnotationRequest(table=table, model="a")
-            _assert_same_annotation(gateway.annotate(routed, model="nope"), want)
-            elsewhere = AnnotationRequest(table=table, model="nope")
+        with EngineWorker(AnnotationEngine(trainer_a)) as worker:
+            _assert_same_annotation(worker.annotate(table), want)
+            _assert_same_annotation(worker.annotate(_routed(table, "default")), want)
             with pytest.raises(KeyError, match="no model registered"):
-                gateway.submit(elsewhere, model="a")
+                worker.submit(_routed(table, "nope"))
 
     def test_fingerprint_route(self, trainer_a):
         table = trainer_a.dataset.tables[0]
         want = _direct(trainer_a, [table])[0]
-        registry = ModelRegistry()
-        registry.register("a", trainer_a)
-        fingerprint = registry.get().model_fingerprint
+        engine = AnnotationEngine(trainer_a)
+        fingerprint = engine.model_fingerprint
         assert fingerprint == trainer_a.annotation_fingerprint()
-        with AnnotationGateway(registry) as gateway:
+        with EngineWorker(engine) as worker:
+            assert worker.admits(fingerprint)
             _assert_same_annotation(
-                gateway.annotate(table, model=fingerprint), want
+                worker.annotate(_routed(table, fingerprint)), want
             )
 
-    def test_unknown_route_raises(self, trainer_a, trainer_b):
+    def test_unknown_route_raises(self, trainer_a, trainer_b, tmp_path):
         """A route naming neither the model nor its fingerprint — another
-        model's fingerprint included — is refused before it costs an
-        encoder pass, and the gateway keeps serving."""
-        registry = ModelRegistry()
-        registry.register("a", trainer_a)
+        model's fingerprint included — is refused by ``submit``,
+        ``asubmit`` and ``answer_stored`` before it costs an encoder pass
+        (or a count), even with the table stored, and the worker keeps
+        serving."""
+        engine = AnnotationEngine(
+            trainer_a, EngineConfig(cache_dir=str(tmp_path / "cache"))
+        )
         table = trainer_a.dataset.tables[0]
-        with AnnotationGateway(registry) as gateway:
-            assert gateway.annotate(table).coltypes
-            passes = gateway.stats.encoder_passes
+        with EngineWorker(engine) as worker:
+            assert worker.annotate(table).coltypes
+            passes = engine.stats.encoder_passes
+            before = worker.stats_sections()
             for route in ("nope", trainer_b.annotation_fingerprint()):
+                assert not worker.admits(route)
                 with pytest.raises(KeyError, match="no model registered"):
-                    gateway.submit(table, model=route)
-            assert gateway.stats.encoder_passes == passes
-            assert gateway.annotate(table).coltypes
+                    worker.submit(_routed(table, route))
+                with pytest.raises(KeyError, match="no model registered"):
+                    asyncio.run(worker.asubmit(_routed(table, route)))
+                assert worker.answer_stored(
+                    _routed(table, route), lambda payload: payload
+                ) == (None, None)
+            assert engine.stats.encoder_passes == passes
+            after = worker.stats_sections()
+            for section in ("gateway", "registry"):
+                assert after[section].to_dict() == before[section].to_dict()
+            assert worker.annotate(table).coltypes
 
     def test_closed_gateway_rejects(self, trainer_a):
-        gateway = AnnotationGateway.for_engine(AnnotationEngine(trainer_a))
+        worker = EngineWorker(AnnotationEngine(trainer_a))
         table = trainer_a.dataset.tables[0]
-        assert gateway.annotate(table).coltypes
-        gateway.close()
+        assert worker.annotate(table).coltypes
+        worker.close()
         with pytest.raises(RuntimeError, match="closed"):
-            gateway.submit(table)
-        gateway.close()  # idempotent
+            worker.submit(table)
+        worker.close()  # idempotent
 
     def test_stats_to_dict_round_trips_json(self, trainer_a):
         import json as _json
 
-        gateway = AnnotationGateway.for_engine(AnnotationEngine(trainer_a))
-        with gateway:
-            gateway.annotate(trainer_a.dataset.tables[0])
-            payload = _json.loads(_json.dumps(gateway.stats.to_dict()))
-        assert payload["completed"] == 1
-        assert payload["models"]["default"]["completed"] == 1
-        assert payload["engines"]["default"]["encoder_passes"] >= 1
-        assert "padding_waste" in payload["engines"]["default"]
+        with EngineWorker(AnnotationEngine(trainer_a)) as worker:
+            worker.annotate(trainer_a.dataset.tables[0])
+            sections = {
+                name: counters.to_dict()
+                for name, counters in worker.stats_sections().items()
+            }
+            payload = _json.loads(_json.dumps(sections))
+        gateway = payload["gateway"]
+        assert gateway["completed"] == 1
+        assert gateway["models"]["default"]["completed"] == 1
+        assert gateway["engines"]["default"]["encoder_passes"] >= 1
+        assert "padding_waste" in gateway["engines"]["default"]
+        # An in-memory model was never loaded from a checkpoint.
+        assert payload["registry"]["registered"] == 1
+        assert payload["registry"]["loads"] == 0
+        assert payload["registry"]["routed"] == 1
 
 
 @pytest.mark.smoke
 class TestRegistration:
     @pytest.mark.parametrize("second", ["same-object", "engine", "bundle"])
     def test_a_second_register_raises(self, trainer_a, bundle, second):
-        """A registry holds one model: registering anything under a second
-        name — the same live object, an engine over it, or a bundle —
-        raises, and the first registration keeps serving."""
+        """The registry shim holds one model: registering anything under a
+        second name — the live trainer, an engine over it, or the bundle
+        again — raises, and the first registration keeps serving."""
         registry = ModelRegistry()
-        registry.register("a", trainer_a)
+        registry.register("a", bundle)
         source = {
             "same-object": trainer_a,
             "engine": AnnotationEngine(trainer_a),
@@ -186,41 +205,38 @@ class TestRegistration:
         }[second]
         with pytest.raises(ValueError, match="already registered"):
             registry.register("alias", source)
-        assert registry.default_name == "a"
-        assert registry.stats.registered == 1
-        assert registry.get().trainer is trainer_a
+        name, engine = registry.acquire()
+        assert name == "a"
+        assert engine.model_fingerprint == trainer_a.annotation_fingerprint()
 
 
 @pytest.mark.smoke
 class TestIsolation:
-    def test_disk_cache_partitioned_per_fingerprint(self, trainer_a, tmp_path):
+    def test_disk_cache_partitioned_per_fingerprint(self, trainer_a, bundle, tmp_path):
         cache_root = tmp_path / "cache"
         tables = trainer_a.dataset.tables[:3]
 
         def build():
-            registry = ModelRegistry(cache_dir=cache_root)
-            registry.register("a", trainer_a)
-            return AnnotationGateway(registry)
+            engine = load_engine(bundle, EngineConfig(), cache_dir=cache_root)
+            return EngineWorker(engine)
 
-        with build() as gateway:
+        with build() as cold:
             for table in tables:
-                gateway.annotate(table)
-            cold = gateway.stats
-        assert cold.disk_hits == 0
+                cold.annotate(table)
+        assert cold.stats_sections()["gateway"].disk_hits == 0
         # The store lives in the fingerprint's segment directory.
         fingerprint = trainer_a.annotation_fingerprint()
         assert list((cache_root / fingerprint).glob("segment-*.jsonl"))
-        # A fresh gateway over the same root answers everything from disk,
+        # A fresh worker over the same root answers everything from disk,
         # byte-identically.
         want = _direct(trainer_a, tables)
         with build() as warm:
-            passes_before = trainer_a.model.encode_calls
             for i, table in enumerate(tables):
                 _assert_same_annotation(warm.annotate(table), want[i])
-            assert trainer_a.model.encode_calls == passes_before
-            warm_stats = warm.stats
+            assert warm.engine.stats.encoder_passes == 0
+            warm_stats = warm.stats_sections()["gateway"]
         assert warm_stats.disk_hits == len(tables)
-        assert warm_stats.engines["a"].disk_hits == len(tables)
+        assert warm_stats.engines["default"].disk_hits == len(tables)
 
 
 @pytest.mark.smoke
@@ -235,111 +251,80 @@ class TestAnswerStored:
     def test_hit_miss_and_what_each_counts(
         self, bundle, trainer_a, trainer_b, tmp_path
     ):
-        registry = ModelRegistry(cache_dir=tmp_path / "cache")
-        registry.register("a", bundle)
+        engine = load_engine(bundle, EngineConfig(), cache_dir=tmp_path / "cache")
         table, other = trainer_a.dataset.tables[:2]
-        with AnnotationGateway(registry) as gateway:
-            request = AnnotationRequest(table=table, model="a")
-            # No worker yet: nothing is loaded, hashed or counted.
-            assert gateway.answer_stored(request, self._render) == (None, None)
-            assert registry.stats.loads == 0
-            want = gateway.annotate(request)  # loads, computes, stores
-            routed = registry.stats.routed
-            answer, identity = gateway.answer_stored(request, self._render)
+        with EngineWorker(engine) as worker:
+            request = AnnotationRequest(table=table, model="default")
+            # The model is loaded before the first request: a cold store
+            # is a miss, hashed and handed back, counting nothing.
+            answer, identity = worker.answer_stored(request, self._render)
+            assert answer is None
+            assert identity.cache_key == engine.identify(request).cache_key
+            assert worker.stats_snapshot().submitted == 0
+            # The miss's hash rides into submit; the drain computes and stores.
+            want = worker.submit(request, identity=identity).result()
+            routed = worker.stats_sections()["registry"].routed
+            answer, identity = worker.answer_stored(request, self._render)
             assert answer == want.coltypes
-            assert identity.cache_key == gateway.worker("a").engine.identify(
-                request
-            ).cache_key
-            stats = gateway.stats
+            assert identity.cache_key == engine.identify(request).cache_key
+            sections = worker.stats_sections()
+            stats = sections["gateway"]
             assert (stats.submitted, stats.completed, stats.batches) == (2, 2, 1)
             assert (stats.disk_hits, stats.disk_misses) == (1, 1)
-            assert stats.engines["a"].requests == 2
-            # The hit never asked the registry; .worker() did, once.
-            assert registry.stats.routed == routed + 1
+            assert stats.engines["default"].requests == 2
+            # The hit skipped the queue, and with it the route count.
+            assert sections["registry"].routed == routed == 1
+            assert (sections["registry"].loads, sections["registry"].arena_remaps) == (1, 0)
             # A miss hands back the identity and counts nothing...
-            miss = AnnotationRequest(table=other, model="a")
-            answer, identity = gateway.answer_stored(miss, self._render)
+            miss = AnnotationRequest(table=other, model="default")
+            answer, identity = worker.answer_stored(miss, self._render)
             assert answer is None and identity is not None
             # ...and so does a payload the renderer declines, or chokes on.
-            assert gateway.answer_stored(request, lambda payload: None)[0] is None
+            assert worker.answer_stored(request, lambda payload: None)[0] is None
             with pytest.raises(ZeroDivisionError):
-                gateway.answer_stored(request, lambda payload: 1 // 0)
-            after = gateway.stats
+                worker.answer_stored(request, lambda payload: 1 // 0)
+            after = worker.stats_sections()["gateway"]
             assert (after.submitted, after.completed) == (2, 2)
             assert (after.disk_hits, after.disk_misses) == (1, 1)
             # Refused routes are asubmit's to report: a stored answer of
             # these weights never answers a request pinned to others.
             for route in ("ghost", trainer_b.annotation_fingerprint()):
                 pinned = AnnotationRequest(table=table, model=route)
-                assert gateway.answer_stored(pinned, self._render) == (None, None)
-        assert gateway.answer_stored(request, self._render) == (None, None)
+                assert worker.answer_stored(pinned, self._render) == (None, None)
+        # Closed: hashed, but never answered.
+        assert worker.answer_stored(request, self._render)[0] is None
 
     def test_no_store_means_no_hashing(self, trainer_a, walks):
-        with AnnotationGateway.for_engine(AnnotationEngine(trainer_a)) as gateway:
+        with EngineWorker(AnnotationEngine(trainer_a)) as worker:
             table = trainer_a.dataset.tables[0]
-            gateway.annotate(table)
+            worker.annotate(table)
             del walks[:]
             request = AnnotationRequest(table=table)
-            assert gateway.answer_stored(request, self._render) == (None, None)
+            assert worker.answer_stored(request, self._render) == (None, None)
             assert walks == []
-
-    def test_acquire_without_load_leaves_a_cold_route_cold(self, bundle):
-        registry = ModelRegistry()
-        registry.register("a", bundle)
-        assert registry.acquire("a", load=False) == ("a", None)
-        assert (registry.stats.loads, registry.stats.routed) == (0, 0)
-        engine = registry.get("a")
-        assert registry.acquire("a", load=False) == ("a", engine)
 
 
 @pytest.mark.smoke
 class TestAsyncio:
     def test_asubmit_byte_identical_to_submit(self, trainer_a):
         tables = trainer_a.dataset.tables[:4]
-        registry = ModelRegistry()
-        registry.register("a", trainer_a)
-        with AnnotationGateway(registry) as gateway:
-            threaded = [gateway.annotate(t) for t in tables]
+        with EngineWorker(AnnotationEngine(trainer_a)) as worker:
+            threaded = [worker.annotate(t) for t in tables]
 
             async def run():
-                return [await gateway.asubmit(t) for t in tables]
+                return [await worker.asubmit(t) for t in tables]
 
             awaited = asyncio.run(run())
         for got, want in zip(awaited, threaded):
-            _assert_same_annotation(got, want)
-
-    def test_astream_preserves_order_across_routes(self, trainer_a):
-        tables = trainer_a.dataset.tables[:6]
-        registry = ModelRegistry()
-        registry.register("a", trainer_a)
-        # Alternate admitted routes via the request's own model field.
-        fingerprint = trainer_a.annotation_fingerprint()
-        requests = [
-            AnnotationRequest(table=t, model=("a" if i % 2 == 0 else fingerprint))
-            for i, t in enumerate(tables)
-        ]
-        with AnnotationGateway(registry) as gateway:
-
-            async def run():
-                results = []
-                async for result in gateway.astream(requests, window=3):
-                    results.append(result)
-                return results
-
-            streamed = asyncio.run(run())
-        assert [r.table.table_id for r in streamed] == [
-            t.table_id for t in tables
-        ]
-        for got, want in zip(streamed, _direct(trainer_a, tables)):
             _assert_same_annotation(got, want)
 
     def test_asubmit_backpressure_yields_not_blocks(self, trainer_a):
         """With a tiny queue and no worker yet started, asubmit must retry
         via the event loop (other coroutines keep running) instead of
         blocking the loop thread."""
-        gateway = AnnotationGateway.for_engine(
+        worker = EngineWorker(
             AnnotationEngine(trainer_a),
-            queue_config=QueueConfig(max_queue_size=1, submit_timeout=5.0),
+            QueueConfig(max_queue_size=1, submit_timeout=5.0),
         )
         table = trainer_a.dataset.tables[0]
         ticks = []
@@ -350,13 +335,13 @@ class TestAsyncio:
                 await asyncio.sleep(0.002)
 
         async def run():
-            submits = [gateway.asubmit(table) for _ in range(6)]
+            submits = [worker.asubmit(table) for _ in range(6)]
             results, _ = await asyncio.gather(
                 asyncio.gather(*submits), ticker()
             )
             return results
 
-        with gateway:
+        with worker:
             results = asyncio.run(run())
         assert len(results) == 6
         assert len(ticks) == 5  # the loop stayed responsive throughout
@@ -364,34 +349,25 @@ class TestAsyncio:
 
 @pytest.mark.smoke
 class TestCompatibilityWrappers:
-    def test_service_is_a_single_entry_gateway(self, trainer_a):
-        service = AnnotationService(AnnotationEngine(trainer_a))
-        assert isinstance(service.gateway, AnnotationGateway)
-        assert service.gateway.registry.default_name == AnnotationService.MODEL_NAME
-        with service:
-            result = service.annotate(trainer_a.dataset.tables[0])
-        want = _direct(trainer_a, [trainer_a.dataset.tables[0]])[0]
-        _assert_same_annotation(result, want)
-        assert service.stats.completed == 1
-
     def test_doduo_gateway_property(self, trainer_a):
         annotator = Doduo(trainer_a)
-        assert isinstance(annotator.gateway, AnnotationGateway)
-        # The sync wrapper and the gateway route to the same engine object.
-        assert annotator.engine is annotator.gateway.registry.get()
+        assert isinstance(annotator.gateway, EngineWorker)
+        # The sync wrapper and the worker share one engine object.
+        assert annotator.engine is annotator.gateway.engine
+        assert annotator.gateway is annotator.gateway  # memoized
 
     def test_submit_from_many_threads_across_routes(self, trainer_a):
         tables = trainer_a.dataset.tables[:8]
-        registry = ModelRegistry()
-        registry.register("a", trainer_a)
         fingerprint = trainer_a.annotation_fingerprint()
         results = {}
-        with AnnotationGateway(registry, QueueConfig(max_batch=4)) as gateway:
+        with EngineWorker(
+            AnnotationEngine(trainer_a), QueueConfig(max_batch=4)
+        ) as worker:
 
             def client(index):
-                route = "a" if index % 2 == 0 else fingerprint
-                results[index] = gateway.submit(
-                    tables[index], model=route
+                route = "default" if index % 2 == 0 else fingerprint
+                results[index] = worker.submit(
+                    _routed(tables[index], route)
                 ).result(timeout=30)
 
             threads = [

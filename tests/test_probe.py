@@ -498,7 +498,7 @@ class TestEngineIntegration:
 
 class TestStatsPlumbing:
     def test_gateway_reports_probe_prune_rate(self):
-        from repro.serving.gateway import GatewayStats
+        from repro.serving import GatewayStats
 
         stats = GatewayStats()
         stats.engines["m"] = EngineStats(pairs_planned=1, pairs_pruned=3)

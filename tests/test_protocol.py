@@ -4,7 +4,7 @@ One decode/encode codepath is shared by corpus serving, the stdin loop,
 and the socket server; these tests pin its contract transport-free:
 record shapes, error answers (with the historical loop-mode byte shapes),
 the ``"id"`` correlation echo, and the admin plane against a live
-gateway.
+worker.
 """
 
 import json
@@ -19,10 +19,10 @@ from repro.datasets.tables import Column, Table
 from repro.io import table_to_dict
 from repro.serving import (
     AnnotationEngine,
-    AnnotationGateway,
     AnnotationOptions,
     AnnotationRequest,
     AnnotationResult,
+    EngineWorker,
     protocol,
 )
 from repro.serving.diskcache import decode_annotation, encode_annotation
@@ -110,12 +110,13 @@ class TestDecode:
             protocol.decode_record(_line({"op": "reboot", "id": 1}), admin=True)
 
     def test_admin_payload_and_id_survive_decode(self):
+        """Extra keys of an admin record are accepted and ignored; the id
+        is kept."""
         record = protocol.decode_record(
             _line({"op": "health", "verbose": True, "id": 5}),
             admin=True,
         )
-        assert record.payload == {"verbose": True}
-        assert record.record_id == 5
+        assert record == protocol.AdminRecord(op="health", record_id=5)
 
 
 @pytest.mark.smoke
@@ -254,34 +255,32 @@ class TestEncodeStored:
 @pytest.mark.smoke
 class TestAdminPlane:
     @pytest.fixture()
-    def gateway(self, shared_tiny_annotator):
-        gateway = AnnotationGateway.for_engine(
-            AnnotationEngine(shared_tiny_annotator.trainer), name="primary"
-        )
-        with gateway:
-            yield gateway
+    def worker(self, shared_tiny_annotator):
+        worker = EngineWorker(AnnotationEngine(shared_tiny_annotator.trainer))
+        with worker:
+            yield worker
 
-    def _admin(self, gateway, op, **payload):
-        record_id = payload.pop("id", None)
-        record = protocol.AdminRecord(op=op, payload=payload, record_id=record_id)
-        return protocol.handle_admin(record, gateway)
+    def _admin(self, worker, op, record_id=None):
+        record = protocol.AdminRecord(op=op, record_id=record_id)
+        return protocol.handle_admin(record, worker)
 
-    def test_health(self, gateway):
-        answer = self._admin(gateway, "health", id=7)
-        assert answer["ok"] is True
-        assert answer["models"] == ["primary"]
-        assert answer["live"] == ["primary"]
-        assert answer["default"] == "primary"
-        assert answer["id"] == 7
+    def test_health(self, worker):
+        # Before any table: the model is live from the start.
+        answer = self._admin(worker, "health", record_id=7)
+        assert answer == {
+            "ok": True, "op": "health", "models": ["default"],
+            "live": ["default"], "default": "default", "id": 7,
+        }
 
-    def test_stats_is_json_serializable(self, gateway, shared_tiny_annotator):
-        gateway.annotate(shared_tiny_annotator.trainer.dataset.tables[0])
-        answer = self._admin(gateway, "stats")
+    def test_stats_is_json_serializable(self, worker, shared_tiny_annotator):
+        worker.annotate(shared_tiny_annotator.trainer.dataset.tables[0])
+        answer = self._admin(worker, "stats")
         rendered = json.loads(json.dumps(answer))
         assert rendered["gateway"]["completed"] == 1
-        assert rendered["gateway"]["models"]["primary"]["completed"] == 1
-        assert "padding_waste" in rendered["gateway"]["engines"]["primary"]
+        assert rendered["gateway"]["models"]["default"]["completed"] == 1
+        assert "padding_waste" in rendered["gateway"]["engines"]["default"]
         assert rendered["registry"]["registered"] == 1
+        assert rendered["registry"]["routed"] == 1
 
     @pytest.mark.parametrize("op", ["register", "repoint", "unregister"])
     def test_model_mutation_ops_are_refused(self, op):
@@ -295,11 +294,11 @@ class TestAdminPlane:
         assert "expected one of: health, shutdown, stats" in answer["error"]
         assert answer["id"] == 4
 
-    def test_shutdown_is_acknowledged_only(self, gateway, shared_tiny_annotator):
-        assert self._admin(gateway, "shutdown") == {"ok": True, "op": "shutdown"}
+    def test_shutdown_is_acknowledged_only(self, worker, shared_tiny_annotator):
+        assert self._admin(worker, "shutdown") == {"ok": True, "op": "shutdown"}
         # The protocol layer acknowledges; the transport performs.  The
-        # gateway must still be serving.
-        assert gateway.annotate(
+        # worker must still be serving.
+        assert worker.annotate(
             shared_tiny_annotator.trainer.dataset.tables[0]
         ).coltypes
 

@@ -37,13 +37,12 @@ from repro.encoding.cache import table_fingerprint
 from repro.io import table_to_dict
 from repro.nn import TransformerConfig
 from repro.serving import (
+    MODEL_NAME,
     AnnotationEngine,
-    AnnotationGateway,
     AnnotationOptions,
     AnnotationRequest,
-    AnnotationService,
+    EngineWorker,
     FabricCache,
-    ModelRegistry,
     QueueConfig,
     protocol,
 )
@@ -153,21 +152,19 @@ def _routed_record(table, model=None, record_id=None):
     return record
 
 
-def _gateway(trainer_a):
-    registry = ModelRegistry()
-    registry.register("a", trainer_a)
-    return AnnotationGateway(registry)
+def _worker(trainer_a):
+    return EngineWorker(AnnotationEngine(trainer_a))
 
 
 @pytest.mark.smoke
 class TestSocketServing:
     def test_single_client_routes_byte_identical(self, trainer_a):
         tables = trainer_a.dataset.tables[:4]
-        gateway = _gateway(trainer_a)
+        worker = _worker(trainer_a)
         fingerprint = trainer_a.annotation_fingerprint()
-        with gateway, ServerThread(gateway) as address, Client(address) as client:
+        with worker, ServerThread(worker) as address, Client(address) as client:
             for i, table in enumerate(tables):
-                client.send(_routed_record(table, model="a", record_id=2 * i))
+                client.send(_routed_record(table, model="default", record_id=2 * i))
                 client.send(_routed_record(table, model=fingerprint,
                                            record_id=2 * i + 1))
             answers = [client.recv() for _ in range(2 * len(tables))]
@@ -186,12 +183,12 @@ class TestSocketServing:
         admitted routes, every answer byte-identical and in FIFO order per
         connection."""
         tables = trainer_a.dataset.tables[:4]
-        gateway = _gateway(trainer_a)
+        worker = _worker(trainer_a)
         fingerprint = trainer_a.annotation_fingerprint()
         outcomes = {}
 
         def run_client(client_index, address):
-            routes = [None, "a", fingerprint][client_index:] + [None, "a"]
+            routes = [None, "default", fingerprint][client_index:] + [None, "default"]
             with Client(address) as client:
                 sent = []
                 for i, table in enumerate(tables):
@@ -202,7 +199,7 @@ class TestSocketServing:
                 answers = [client.recv() for _ in sent]
             outcomes[client_index] = (sent, answers)
 
-        with gateway, ServerThread(gateway) as address:
+        with worker, ServerThread(worker) as address:
             threads = [
                 threading.Thread(target=run_client, args=(i, address))
                 for i in range(3)
@@ -222,16 +219,16 @@ class TestSocketServing:
                 )
 
     def test_errors_are_answers_and_connection_survives(self, trainer_a, trainer_b):
-        gateway = AnnotationGateway.for_engine(AnnotationEngine(trainer_a))
+        worker = EngineWorker(AnnotationEngine(trainer_a))
         table = trainer_a.dataset.tables[0]
-        with gateway, ServerThread(gateway) as address, Client(address) as client:
+        with worker, ServerThread(worker) as address, Client(address) as client:
             assert "error" in client.ask("this is not json")
             bad_table = client.ask({"kind": "table", "table_id": "e",
                                     "columns": [], "id": 1})
             assert "no columns" in bad_table["error"]
             assert bad_table["id"] == 1
             assert client.ask(_routed_record(table))["columns"]
-            passes = gateway.stats.encoder_passes
+            passes = worker.engine.stats.encoder_passes
             # A route naming neither the model nor its fingerprint — another
             # model's fingerprint included — is refused, at no encoder cost,
             # even though these weights have the table stored.
@@ -243,24 +240,24 @@ class TestSocketServing:
                 assert "no model registered" in unknown["error"]
                 assert unknown["table_id"] == table.table_id
                 assert unknown["id"] == record_id
-            assert gateway.stats.encoder_passes == passes
+            assert worker.engine.stats.encoder_passes == passes
             good = client.ask(_routed_record(table))
             assert good["columns"]  # still serving after four bad records
 
     def test_embeddings_toggle(self, trainer_a):
-        gateway = AnnotationGateway.for_engine(AnnotationEngine(trainer_a))
+        worker = EngineWorker(AnnotationEngine(trainer_a))
         table = trainer_a.dataset.tables[0]
-        with gateway, ServerThread(gateway, with_embeddings=True) as address:
+        with worker, ServerThread(worker, with_embeddings=True) as address:
             with Client(address) as client:
                 answer = client.ask(table_to_dict(table))
         assert answer == _expected(trainer_a, table, with_embeddings=True)
         assert "embedding" in answer["columns"][0]
 
     def test_options_apply_server_side(self, trainer_a):
-        gateway = AnnotationGateway.for_engine(AnnotationEngine(trainer_a))
+        worker = EngineWorker(AnnotationEngine(trainer_a))
         options = AnnotationOptions(top_k=1)
         table = trainer_a.dataset.tables[0]
-        with gateway, ServerThread(gateway, options) as address:
+        with worker, ServerThread(worker, options) as address:
             with Client(address) as client:
                 answer = client.ask(table_to_dict(table))
         assert answer == _expected(trainer_a, table, options=options)
@@ -270,11 +267,11 @@ class TestSocketServing:
 @pytest.mark.smoke
 class TestServerThreadPort:
     def test_port_property_reports_ephemeral_bind(self, trainer_a):
-        gateway = _gateway(trainer_a)
-        server = ServerThread(gateway)  # port=0: ephemeral
+        worker = _worker(trainer_a)
+        server = ServerThread(worker)  # port=0: ephemeral
         with pytest.raises(RuntimeError):
             server.port  # not started yet
-        with gateway:
+        with worker:
             host, port = server.start()
             try:
                 assert server.port == port > 0
@@ -291,23 +288,24 @@ class TestAdminPlaneLive:
         """Introspection answers; the ops that once loaded, swapped or
         dropped weights are error answers, and the connection keeps
         serving the one model."""
-        gateway = _gateway(trainer_a)
+        worker = _worker(trainer_a)
         table = trainer_a.dataset.tables[0]
-        with gateway, ServerThread(gateway) as address, Client(address) as client:
+        with worker, ServerThread(worker) as address, Client(address) as client:
             health = client.ask({"op": "health", "id": "h1"})
-            assert health["ok"] and health["models"] == ["a"]
-            assert health["live"] == ["a"] and health["default"] == "a"
+            # Live before any table arrived: the model loads at startup.
+            assert health["ok"] and health["models"] == ["default"]
+            assert health["live"] == ["default"] and health["default"] == "default"
             assert health["id"] == "h1"
             assert dict(client.ask(_routed_record(table))) == _expected(
                 trainer_a, table
             )
 
             for op in ("register", "repoint", "unregister"):
-                refused = client.ask({"op": op, "name": "a",
+                refused = client.ask({"op": op, "name": "default",
                                       "path": str(bundles["b"]), "id": op})
                 assert "unknown admin op" in refused["error"]
                 assert refused["id"] == op
-                assert dict(client.ask(_routed_record(table, model="a"))) == (
+                assert dict(client.ask(_routed_record(table, model="default"))) == (
                     _expected(trainer_a, table)
                 )
 
@@ -316,13 +314,13 @@ class TestAdminPlaneLive:
             assert stats["registry"]["loads"] == 0  # in-memory: never loaded
             for zeroed in ("reloads", "evictions", "repoints"):
                 assert stats["registry"][zeroed] == 0
-            assert list(stats["gateway"]["models"]) == ["a"]
+            assert list(stats["gateway"]["models"]) == ["default"]
             assert stats["gateway"]["completed"] == 4
 
     def test_admin_disabled_server_refuses_ops(self, trainer_a):
-        gateway = AnnotationGateway.for_engine(AnnotationEngine(trainer_a))
+        worker = EngineWorker(AnnotationEngine(trainer_a))
         table = trainer_a.dataset.tables[0]
-        with gateway, ServerThread(gateway, admin=False) as address:
+        with worker, ServerThread(worker, admin=False) as address:
             with Client(address) as client:
                 refused = client.ask({"op": "stats"})
                 assert "not allowed" in refused["error"]
@@ -331,9 +329,9 @@ class TestAdminPlaneLive:
     def test_stats_answer_carries_the_server_section(self, trainer_a):
         """Same key and fields as the pool's merged answer, so one reader
         serves both: ``ServerStats.to_dict()`` under ``"server"``."""
-        gateway = AnnotationGateway.for_engine(AnnotationEngine(trainer_a))
+        worker = EngineWorker(AnnotationEngine(trainer_a))
         table = trainer_a.dataset.tables[0]
-        with gateway, ServerThread(gateway) as address, Client(address) as client:
+        with worker, ServerThread(worker) as address, Client(address) as client:
             assert client.ask(table_to_dict(table))["columns"]
             assert "error" in client.ask({"columns": "not a table"})
             stats = client.ask({"op": "stats", "id": "s"})
@@ -349,10 +347,10 @@ class TestAdminPlaneLive:
         assert server["answered"] == 2  # written before the stats answer is
 
     def test_shutdown_op_drains_and_stops(self, trainer_a):
-        gateway = AnnotationGateway.for_engine(AnnotationEngine(trainer_a))
+        worker = EngineWorker(AnnotationEngine(trainer_a))
         table = trainer_a.dataset.tables[0]
-        server = ServerThread(gateway)
-        with gateway:
+        server = ServerThread(worker)
+        with worker:
             address = server.start()
             with Client(address) as client:
                 assert client.ask(table_to_dict(table))["columns"]
@@ -411,9 +409,10 @@ class TestCliListen:
         return thread, outcome, address, stderr
 
     def test_listen_end_to_end(self, bundles, trainer_a, monkeypatch):
-        """`repro serve BUNDLE --listen` — concurrent clients over the
-        admitted routes, a refused model mutation, graceful
-        client-initiated shutdown."""
+        """`repro serve BUNDLE --listen` — a fingerprint route answered as
+        the very first request, concurrent clients over the admitted
+        routes, a refused model mutation, graceful client-initiated
+        shutdown."""
         thread, outcome, address, stderr = self._start_cli(
             ["serve", str(bundles["a"]), "--listen", "127.0.0.1:0"],
             monkeypatch,
@@ -424,6 +423,13 @@ class TestCliListen:
         try:
             tables = trainer_a.dataset.tables[:3]
             routes = ["default", trainer_a.annotation_fingerprint()]
+            # The bundle loaded before `listening on`: the first request
+            # the server ever sees may name the weights by fingerprint.
+            with Client(address) as first:
+                answer = dict(first.ask(_routed_record(
+                    tables[0], model=routes[1], record_id="first")))
+            assert answer.pop("id") == "first"
+            assert answer == _expected(trainer_a, tables[0], options=cli_options)
             outcomes = {}
 
             def run_client(index):
@@ -472,6 +478,9 @@ class TestCliListen:
         )
         try:
             with Client(address) as client:
+                # Loaded at startup: live before any table arrives.
+                health = client.ask({"op": "health"})
+                assert health["live"] == health["models"] == ["default"]
                 assert client.ask(table_to_dict(trainer_a.dataset.tables[0]))[
                     "columns"
                 ]
@@ -480,6 +489,7 @@ class TestCliListen:
             assert printed["ok"] is True
             assert printed["gateway"]["completed"] == 1
             assert printed["registry"]["registered"] == 1
+            assert printed["registry"]["loads"] == 1
             with Client(address) as client:
                 assert client.ask({"op": "shutdown"})["ok"] is True
         finally:
@@ -545,13 +555,11 @@ class TestGracefulStop:
 
         engine = AnnotationEngine(trainer_a)
         gate = EngineGate(engine)  # nothing is answered before stop() begins
-        gateway = AnnotationGateway.for_engine(
-            engine, queue_config=QueueConfig(max_batch=4)
-        )
+        worker = EngineWorker(engine, QueueConfig(max_batch=4))
         tables = trainer_a.dataset.tables[:4]
 
         async def run():
-            server = AnnotationServer(gateway)
+            server = AnnotationServer(worker)
             await server.start()
             host, port = server.address
             reader, writer = await asyncio.open_connection(host, port)
@@ -578,7 +586,7 @@ class TestGracefulStop:
             writer.close()
             return lines
 
-        with gateway:
+        with worker:
             answers = asyncio.run(run())
         assert [a["id"] for a in answers] == list(range(len(tables)))
         for table, answer in zip(tables, answers):
@@ -593,10 +601,10 @@ class TestGracefulStop:
         readers deadlocks on any open connection.)"""
         import asyncio
 
-        gateway = AnnotationGateway.for_engine(AnnotationEngine(trainer_a))
+        worker = EngineWorker(AnnotationEngine(trainer_a))
 
         async def run():
-            server = AnnotationServer(gateway, shutdown_grace=2.0)
+            server = AnnotationServer(worker, shutdown_grace=2.0)
             await server.start()
             host, port = server.address
             reader, writer = await asyncio.open_connection(host, port)
@@ -607,17 +615,17 @@ class TestGracefulStop:
             with pytest.raises(RuntimeError, match="stopped"):
                 await server.start()
 
-        with gateway:
+        with worker:
             asyncio.run(run())
 
     def test_stop_does_not_hang_on_a_stalled_client(self, trainer_a):
         """A client that pipelines requests and never reads its socket
         fills its TCP buffer; stop() must abort it after shutdown_grace
         instead of hanging on the blocked drain() forever."""
-        gateway = AnnotationGateway.for_engine(AnnotationEngine(trainer_a))
+        worker = EngineWorker(AnnotationEngine(trainer_a))
         tables = trainer_a.dataset.tables[:2]
-        server = ServerThread(gateway, with_embeddings=True, shutdown_grace=0.5)
-        with gateway:
+        server = ServerThread(worker, with_embeddings=True, shutdown_grace=0.5)
+        with worker:
             host, port = server.start()
             # A tiny receive buffer + a flood of duplicate records (cheap
             # to answer: dedup + ~4 KB embedding payloads, ~6 MB total)
@@ -648,9 +656,9 @@ class TestGracefulStop:
     def test_result_embeddings_identical_over_wire(self, trainer_a):
         """Embedding floats survive the socket JSON round trip with the
         same 6-digit rendering the corpus serving mode writes."""
-        gateway = AnnotationGateway.for_engine(AnnotationEngine(trainer_a))
+        worker = EngineWorker(AnnotationEngine(trainer_a))
         table = trainer_a.dataset.tables[1]
-        with gateway, ServerThread(gateway, with_embeddings=True) as address:
+        with worker, ServerThread(worker, with_embeddings=True) as address:
             with Client(address) as client:
                 answer = client.ask(table_to_dict(table))
         direct = AnnotationEngine(trainer_a).annotate(table)
@@ -666,8 +674,8 @@ class TestGracefulStop:
 # Stored results answered where the frame is decoded
 # ---------------------------------------------------------------------------
 #
-# A table record whose route has a live worker and a result store is hashed,
-# probed and — on a hit — rendered and queued by the connection's reader:
+# A table record on an admitted route, over an engine with a result store,
+# is hashed, probed and — on a hit — rendered and queued by the connection's reader:
 # no task, no future, no worker wake.  Everything below drives that through
 # the real socket.
 
@@ -720,21 +728,15 @@ def stored(trainer_a, tmp_path):
     engine = AnnotationEngine(trainer_a, result_cache=store)
     gate = EngineGate(engine)
     gate.open()
-    gateway = AnnotationGateway.for_engine(
-        engine, queue_config=QueueConfig(max_batch=4)
-    )
-    thread = ServerThread(gateway, STORE_OPTIONS)
-    with gateway:
+    worker = EngineWorker(engine, QueueConfig(max_batch=4))
+    thread = ServerThread(worker, STORE_OPTIONS)
+    with worker:
         address = thread.start()
         try:
             with Client(address) as client:
-                # The loop only answers for a route that already has a live
-                # worker: the first request ever creates it.
-                client.ask_line(_variant(trainer_a.dataset.tables[0], "prime"))
-                del gate.drains[:]
                 yield SimpleNamespace(
                     client=client, engine=engine, gate=gate, store=store,
-                    gateway=gateway, address=address, directory=store.directory,
+                    worker=worker, address=address, directory=store.directory,
                 )
         finally:
             thread.stop()
@@ -797,9 +799,9 @@ class TestStoredHits:
         engine = AnnotationEngine(trainer_a, result_cache=store)
         gate = EngineGate(engine)
         gate.open()
-        gateway = AnnotationGateway.for_engine(engine)
+        worker = EngineWorker(engine)
         table = trainer_a.dataset.tables[1]
-        with gateway, ServerThread(gateway, options) as address:
+        with worker, ServerThread(worker, options) as address:
             with Client(address) as client:
                 first = client.ask_line(table)
                 second = client.ask_line(table)
@@ -874,7 +876,7 @@ class TestStoredHitCounts:
         assert (stored.gate.drains, decodes) == ([[table.table_id]], [table.table_id])
         assert stored.client.ask_line(table, 2) == _reference_line(trainer_a, table, 2)
         assert (stored.gate.drains, decodes) == ([[table.table_id]], [table.table_id])
-        assert stored.engine.stats.encoder_passes == 1  # the priming request's
+        assert stored.engine.stats.encoder_passes == 0
 
     def test_the_loop_never_scans_the_directory(self, stored, trainer_a, monkeypatch):
         scans = []
@@ -910,7 +912,7 @@ class TestStoredHitCounts:
                 a, b = a[key], b[key]
             return a - b
 
-        name = AnnotationService.MODEL_NAME
+        name = MODEL_NAME
         assert moved("server", "requests") == 16
         assert moved("server", "ready") == 16 + 1  # + the first stats answer
         assert moved("server", "answered") == 16 + 1
@@ -922,7 +924,7 @@ class TestStoredHitCounts:
         assert moved("gateway", "disk_misses") == 4
         assert moved("gateway", "disk_tiers", name, "hits") == 12
         assert moved("gateway", "disk_tiers", name, "misses") == 4
-        # The misses; a stored hit is answered without asking the registry.
+        # The misses; a stored hit never reaches the queue.
         assert moved("registry", "routed") == 4
         assert after["gateway"]["failed"] == after["server"]["errors"] == 0
 
@@ -952,7 +954,7 @@ class TestStoredHitCounts:
             [_reference_line(trainer_a, table, n) for n, table in enumerate(plan)]
             for plan in plans
         ]
-        worker = stored.gateway.worker()
+        worker = stored.worker
         base = worker.stats_snapshot()
         engine_base = stored.engine.stats.copy()
         store_base = stored.store.stats.copy()
@@ -1027,7 +1029,7 @@ class TestCoalescedWrites:
 
         from repro.serving.server import _DONE, _Connection
 
-        gateway = AnnotationGateway.for_engine(AnnotationEngine(trainer_a))
+        worker = EngineWorker(AnnotationEngine(trainer_a))
         hit = b'{"table_id": "hit"}\n'
         error = protocol.error_answer("broken", record_id=3)
         computed = {"table_id": "computed", "id": 4}
@@ -1035,7 +1037,7 @@ class TestCoalescedWrites:
 
         async def run():
             loop = asyncio.get_running_loop()
-            server = AnnotationServer(gateway)
+            server = AnnotationServer(worker)
             writer = _RecordingWriter()
             connection = _Connection(writer, window=8)
             done, pending = loop.create_future(), loop.create_future()
@@ -1052,7 +1054,7 @@ class TestCoalescedWrites:
             await task
             return first, writer.writes, connection, server
 
-        with gateway:
+        with worker:
             first, writes, connection, server = asyncio.run(run())
         encode = lambda record: protocol.encode_line(record).encode("utf-8")
         assert first == [hit + encode(error) + encode(computed)]
@@ -1154,8 +1156,8 @@ class TestInterleavings:
             for c in range(connections)
         ]
 
-        async def run(engine, gateway, gate):
-            server = AnnotationServer(gateway, STORE_OPTIONS, shutdown_grace=5.0)
+        async def run(engine, worker, gate):
+            server = AnnotationServer(worker, STORE_OPTIONS, shutdown_grace=5.0)
             await server.start()
             streams = [
                 await asyncio.open_connection(*server.address)
@@ -1211,12 +1213,9 @@ class TestInterleavings:
                 store.put(key, payload)
             engine = AnnotationEngine(trainer_a, result_cache=store)
             gate = EngineGate(engine)
-            gateway = AnnotationGateway.for_engine(
-                engine, queue_config=QueueConfig(max_batch=4)
-            )
-            with gateway:
-                worker = gateway.worker()  # a live route, before any traffic
-                received, stats = asyncio.run(run(engine, gateway, gate))
+            worker = EngineWorker(engine, QueueConfig(max_batch=4))
+            with worker:
+                received, stats = asyncio.run(run(engine, worker, gate))
                 snapshot = worker.stats_snapshot()
             store.close()
 

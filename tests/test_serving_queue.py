@@ -1,4 +1,4 @@
-"""The async request-queue front-end: batching, dedup, equivalence.
+"""The request queue of the front door: batching, dedup, equivalence.
 
 The load-bearing guarantees:
 
@@ -33,7 +33,6 @@ from repro.serving import (
     AnnotationEngine,
     AnnotationOptions,
     AnnotationRequest,
-    AnnotationService,
     EngineConfig,
     EngineWorker,
     QueueConfig,
@@ -61,11 +60,11 @@ def trainer():
     return t
 
 
-def _service(trainer, queue_config=None, engine_config=None, result_cache=None):
+def _worker(trainer, queue_config=None, engine_config=None, result_cache=None):
     engine = AnnotationEngine(
         trainer, engine_config or EngineConfig(), result_cache=result_cache
     )
-    return AnnotationService(engine, queue_config)
+    return EngineWorker(engine, queue_config)
 
 
 def _distinct(n, prefix="t"):
@@ -90,13 +89,13 @@ class TestQueueEquivalence:
 
         cache_dir = str(tmp_path / "cache")
         workload = tables * 3  # duplicates exercise dedup fan-out
-        with _service(
+        with _worker(
             trainer, engine_config=EngineConfig(cache_dir=cache_dir)
-        ) as service:
-            futures = [service.submit(t) for t in workload]
+        ) as worker:
+            futures = [worker.submit(t) for t in workload]
             queued = [f.result() for f in futures]
-        # Second service over the same directory: every answer from disk.
-        with _service(
+        # Second worker over the same directory: every answer from disk.
+        with _worker(
             trainer, engine_config=EngineConfig(cache_dir=cache_dir)
         ) as restarted:
             passes_before = trainer.model.encode_calls
@@ -124,21 +123,21 @@ class TestDedup:
         blocker, table = trainer.dataset.tables[:2]
         engine = AnnotationEngine(trainer, EngineConfig(cache_size=0))
         gate = EngineGate(engine)
-        with AnnotationService(engine) as service:
+        with EngineWorker(engine) as worker:
             # The gate holds the first drain: the 8 twins either all queue
             # behind another table's drain, or 7 attach to their own.
-            head = [service.submit(blocker if arrive_while == "queued" else table)]
+            head = [worker.submit(blocker if arrive_while == "queued" else table)]
             gate.wait_entered()
-            futures = [service.submit(table) for _ in range(7)]
-            futures += head if arrive_while == "running" else [service.submit(table)]
+            futures = [worker.submit(table) for _ in range(7)]
+            futures += head if arrive_while == "running" else [worker.submit(table)]
             gate.open()
             results = [f.result(timeout=30) for f in futures]
             head[0].result(timeout=30)
         blockers = 1 if arrive_while == "queued" else 0
         assert all(r is results[0] for r in results)
-        assert service.stats.dedup_hits == 7
-        assert service.stats.unique_annotated == 1 + blockers
-        assert service.stats.completed == 8 + blockers
+        assert worker.stats.dedup_hits == 7
+        assert worker.stats.unique_annotated == 1 + blockers
+        assert worker.stats.completed == 8 + blockers
         assert engine.stats.encoder_passes == 1 + blockers
         assert gate.drains.count([table.table_id]) == 1
 
@@ -147,14 +146,14 @@ class TestDedup:
         twin = Table(columns=source.columns, table_id="different-id")
         engine = AnnotationEngine(trainer)
         gate = EngineGate(engine)
-        with AnnotationService(engine) as service:
-            first = service.submit(source)
+        with EngineWorker(engine) as worker:
+            first = worker.submit(source)
             gate.wait_entered()
-            second = service.submit(twin)
+            second = worker.submit(twin)
             gate.open()
             a, b = first.result(timeout=30), second.result(timeout=30)
         # Content-identical tables share the annotation work...
-        assert service.stats.unique_annotated == 1
+        assert worker.stats.unique_annotated == 1
         assert a.type_scores == b.type_scores
         # ...but every waiter keeps its *own* table identity: the twin's
         # answer must carry the twin's table_id, not the representative's.
@@ -164,13 +163,13 @@ class TestDedup:
 
     def test_different_options_not_deduped(self, trainer):
         table = trainer.dataset.tables[0]
-        with _service(trainer) as service:
-            full = service.submit(table)
-            trimmed = service.submit(table, AnnotationOptions(top_k=1))
+        with _worker(trainer) as worker:
+            full = worker.submit(table)
+            trimmed = worker.submit(table, AnnotationOptions(top_k=1))
             assert len(full.result().type_scores[0]) > 1
             assert len(trimmed.result().type_scores[0]) == 1
-        assert service.stats.dedup_hits == 0
-        assert service.stats.unique_annotated == 2
+        assert worker.stats.dedup_hits == 0
+        assert worker.stats.unique_annotated == 2
 
     def test_window_closes_when_the_answer_exists(self):
         """A request submitted after its twin was answered is new work."""
@@ -338,27 +337,29 @@ class TestScheduler:
         counted after (and outside) the enqueue, so a stats snapshot could
         show more answers than requests."""
         tables = trainer.dataset.tables[:10]
-        service = _service(trainer, QueueConfig(max_batch=4))
-        worker = service.gateway.worker()
+        worker = _worker(trainer, QueueConfig(max_batch=4))
         violations = []
         done = threading.Event()
 
         def watch():
             while not done.is_set():
-                for stats in (worker.stats_snapshot(), service.gateway.stats):
+                for stats in (
+                    worker.stats_snapshot(),
+                    worker.stats_sections()["gateway"],
+                ):
                     if stats.completed + stats.failed > stats.submitted:
                         violations.append(stats)
 
         def client(offset):
             for i in range(30):
-                service.submit(tables[(offset + i) % len(tables)]).result(timeout=30)
+                worker.submit(tables[(offset + i) % len(tables)]).result(timeout=30)
 
         watcher = threading.Thread(target=watch)
         clients = [threading.Thread(target=client, args=(k,)) for k in range(6)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with service:
+            with worker:
                 watcher.start()
                 for thread in clients:
                     thread.start()
@@ -372,27 +373,27 @@ class TestScheduler:
             done.set()
             sys.setswitchinterval(interval)
         assert violations == []
-        assert service.stats.submitted == service.stats.completed == 6 * 30
+        assert worker.stats.submitted == worker.stats.completed == 6 * 30
 
 
 @pytest.mark.smoke
 class TestQueuePolicy:
     def test_close_serves_pending_then_rejects(self, trainer):
-        service = _service(trainer)
-        future = service.submit(trainer.dataset.tables[0])
-        service.close()
+        worker = _worker(trainer)
+        future = worker.submit(trainer.dataset.tables[0])
+        worker.close()
         assert future.result(timeout=5).coltypes  # resolved before shutdown
         with pytest.raises(RuntimeError, match="closed"):
-            service.submit(trainer.dataset.tables[0])
-        service.close()  # idempotent
+            worker.submit(trainer.dataset.tables[0])
+        worker.close()  # idempotent
 
     def test_submit_from_many_threads(self, trainer):
         tables = trainer.dataset.tables[:10]
         results = {}
-        with _service(trainer, QueueConfig(max_batch=4)) as service:
+        with _worker(trainer, QueueConfig(max_batch=4)) as worker:
 
             def client(index):
-                results[index] = service.submit(tables[index]).result(timeout=30)
+                results[index] = worker.submit(tables[index]).result(timeout=30)
 
             threads = [
                 threading.Thread(target=client, args=(i,))
@@ -408,8 +409,8 @@ class TestQueuePolicy:
 
     def test_annotate_stream_preserves_order(self, trainer):
         tables = trainer.dataset.tables[:9]
-        with _service(trainer, QueueConfig(max_batch=4)) as service:
-            streamed = list(service.annotate_stream(iter(tables), window=3))
+        with _worker(trainer, QueueConfig(max_batch=4)) as worker:
+            streamed = list(worker.annotate_stream(iter(tables), window=3))
         assert [r.table.table_id for r in streamed] == [
             t.table_id for t in tables
         ]
@@ -418,17 +419,17 @@ class TestQueuePolicy:
         bad = Table(
             columns=[Column(values=["x"], header="h")] * 2, table_id="bad-pair"
         )
-        with _service(trainer, QueueConfig(max_batch=4)) as service:
-            futures = [service.submit(bad) for _ in range(2)]
+        with _worker(trainer, QueueConfig(max_batch=4)) as worker:
+            futures = [worker.submit(bad) for _ in range(2)]
             # Out-of-range explicit pairs make the engine raise.
             broken = AnnotationRequest(table=bad, pairs=((0, 5),))
-            failing = [service.submit(broken) for _ in range(2)]
+            failing = [worker.submit(broken) for _ in range(2)]
             for future in futures:
                 assert future.result(timeout=10)
             for future in failing:
                 with pytest.raises(ValueError, match="out of range"):
                     future.result(timeout=10)
-        assert service.stats.failed == 2
+        assert worker.stats.failed == 2
 
     def test_malformed_request_fails_alone_and_worker_survives(self, trainer):
         """A request that breaks the content hash (non-string cells) must
@@ -442,16 +443,16 @@ class TestQueuePolicy:
         # sneaking in post-construction (the hash hits it first).
         poison.columns[0].values[0] = 3.14
         good = trainer.dataset.tables[0]
-        with _service(trainer, QueueConfig(max_batch=4)) as service:
-            bad_future = service.submit(poison)
-            good_future = service.submit(good)
+        with _worker(trainer, QueueConfig(max_batch=4)) as worker:
+            bad_future = worker.submit(poison)
+            good_future = worker.submit(good)
             assert good_future.result(timeout=10).coltypes
             with pytest.raises(AttributeError):
                 bad_future.result(timeout=10)
             # The worker is still alive and serving.
-            assert service.annotate(good).coltypes
-        assert service.stats.failed == 1
-        assert service.stats.submitted == 3
+            assert worker.annotate(good).coltypes
+        assert worker.stats.failed == 1
+        assert worker.stats.submitted == 3
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError, match="max_batch"):
