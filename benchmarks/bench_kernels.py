@@ -167,7 +167,7 @@ def _bench_last_block():
         )
         built.eval()
         if not prunes:  # a hydrated disproof: every block runs whole
-            proofs = built.inference_session("float32").workspace.proofs
+            proofs = built.inference_session().workspace.proofs
             for band in (64, 128, 256):
                 key = query_stable_key(
                     config.hidden_dim // config.num_heads, np.float32, band
@@ -222,7 +222,7 @@ def _bench_last_block():
             results[f"{name}_{label}_us"] = 1e6 * _timed(
                 lambda: built.encode_states(batch, widths), max(2, REPEATS // 20)
             )
-    proofs = pruning.inference_session("float32").workspace.proofs
+    proofs = pruning.inference_session().workspace.proofs
     results["proven"] = proofs.proofs_failed == 0
     return results
 

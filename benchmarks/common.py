@@ -258,7 +258,7 @@ def annotation_engine(trainer: DoduoTrainer, batch_size: int = 8,
     Engines are intentionally *not* cached: each caller gets fresh stats and
     an empty serialization cache, so throughput measurements stay honest.
     Extra keyword arguments land on :class:`EngineConfig` verbatim
-    (``precision=``, ``kernels=``, ...).
+    (``kernels=``, ``probe_mode=``, ...).
     """
     return AnnotationEngine(
         trainer,

@@ -5,7 +5,7 @@ introduces DODUO, a multi-task, table-wise column annotation framework on
 top of pre-trained Transformer language models.  This package reproduces the
 full system on a pure-numpy substrate:
 
-* :mod:`repro.nn` — autograd engine, Transformer encoder, Adam/AdamW + LR
+* :mod:`repro.nn` — autograd engine, Transformer encoder, Adam + LR
   schedules, checkpointing
 * :mod:`repro.text` — trainable WordPiece tokenizer (with save/load)
 * :mod:`repro.pretrain` — masked-LM pre-training (the BERT substitute)
@@ -25,7 +25,7 @@ full system on a pure-numpy substrate:
   k-means (case-study substrate)
 * :mod:`repro.analysis` — attention dependency and LM probing analyses
 * :mod:`repro.evaluation` — micro/macro F1, multi-label PRF, V-measure,
-  classification reports, k-fold cross-validation, ASCII figure rendering
+  text tables, ASCII figure rendering
 * :mod:`repro.io` — CSV tables and JSONL dataset round-trips
 * :mod:`repro.serving` — the serving stack: the batched ``AnnotationEngine``
   (single-pass inference, one padding-free pass per drain whatever the

@@ -86,24 +86,3 @@ class LinearChainCRF(Module):
             path.append(int(backpointers[t, path[-1]]))
         path.reverse()
         return path
-
-    def marginal_probabilities(self, unary: np.ndarray) -> np.ndarray:
-        """Per-position label marginals via forward-backward (for analysis)."""
-        unary = np.asarray(unary, dtype=np.float64)
-        T, L = unary.shape
-        transitions = self.transitions.data.astype(np.float64)
-
-        def lse(x: np.ndarray, axis: int) -> np.ndarray:
-            shift = x.max(axis=axis, keepdims=True)
-            return (shift + np.log(np.exp(x - shift).sum(axis=axis, keepdims=True))).squeeze(axis)
-
-        alpha = np.zeros((T, L))
-        alpha[0] = unary[0]
-        for t in range(1, T):
-            alpha[t] = unary[t] + lse(alpha[t - 1][:, None] + transitions, axis=0)
-        beta = np.zeros((T, L))
-        for t in range(T - 2, -1, -1):
-            beta[t] = lse(transitions + unary[t + 1][None, :] + beta[t + 1][None, :], axis=1)
-        log_marginals = alpha + beta
-        log_marginals -= lse(log_marginals, axis=1)[:, None]
-        return np.exp(log_marginals)

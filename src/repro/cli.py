@@ -268,14 +268,11 @@ def _add_engine_flags(parser: argparse.ArgumentParser, command: str) -> None:
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
     """The :class:`EngineConfig` the given engine flags spell; omitted ones
     keep their defaults, and a refused combination raises ``ValueError``."""
-    config = EngineConfig(**{
+    return EngineConfig(**{
         knob.name: getattr(args, knob.name)
         for knob in fields(EngineConfig)
         if knob.metadata["flags"] and getattr(args, knob.name, None) is not None
     })
-    if config.column_cache_persist and args.cache_dir is None:
-        raise ValueError("--column-cache-persist requires --cache-dir")
-    return config
 
 
 def _add_option_flags(parser: argparse.ArgumentParser) -> None:

@@ -8,7 +8,7 @@ operation mirrors the reference Tensor path's exact sequence (the reference
 defines the bytes), and the GEMMs whose shape differs from the reference's
 are proof-gated per band of sequence widths, never per shape, so a
 session's outputs are bitwise identical to the autograd forward at the
-same weight dtype — ``tests/test_kernel_identity.py`` pins this
+same weights — ``tests/test_kernel_identity.py`` pins this
 differentially.
 
 Token-major batching
@@ -42,23 +42,19 @@ the query count (:meth:`InferenceSession._may_prune`) — which are proven
 only once enough skippable rows have gone by to pay for the proof, never
 inside a first request.  Unlicensed, the block runs whole.
 
-Dtype policy
-------------
-A session is built for one compute dtype:
-
-* ``float32`` — the serving default.  Captured arrays *are* the live
-  parameter arrays (no copy), plus a packed QKV copy per block.
-* ``float64`` — the high-precision path used by the differential harness
-  and available through ``EngineConfig.precision``.  Weights are cast once
-  at session build.
+Dtype
+-----
+A session computes in float32, the reference path's dtype.  Captured
+arrays *are* the live parameter arrays (no copy), plus a packed QKV copy
+per block.
 
 Staleness
 ---------
 ``stale()`` detects any parameter whose ``.data`` array was **replaced**
 (``load_state_dict``, checkpoint restore, manual surgery) by object
 identity, and :meth:`DoduoModel.train` drops sessions so optimizer steps —
-which update weights in place — can never serve through a stale packed QKV
-or float64 cast.  Code that mutates weights in place *outside* the training
+which update weights in place — can never serve through a stale packed
+QKV.  Code that mutates weights in place *outside* the training
 loop must call ``DoduoModel.invalidate_sessions()``, the same contract the
 trainer's ``invalidate_fingerprint()`` already imposes for the result
 caches (which would otherwise serve stale hits anyway).
@@ -98,9 +94,6 @@ logger = logging.getLogger(__name__)
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .model import DoduoModel
 
-#: Supported compute dtypes for inference sessions.
-INFERENCE_DTYPES = ("float32", "float64")
-
 class _BlockWeights:
     """Flat per-block weight bundle (plain ndarrays, session dtype)."""
 
@@ -138,16 +131,12 @@ def gather_states(hidden: np.ndarray, locations: np.ndarray) -> np.ndarray:
 
 
 class InferenceSession:
-    """One model × one compute dtype, ready for repeated no-tape forwards."""
+    """One model, ready for repeated no-tape float32 forwards."""
 
-    def __init__(self, model: "DoduoModel", dtype: str = "float32") -> None:
-        if dtype not in INFERENCE_DTYPES:
-            raise ValueError(
-                f"unsupported inference dtype {dtype!r}; expected one of {INFERENCE_DTYPES}"
-            )
+    def __init__(self, model: "DoduoModel") -> None:
         self.model = model
-        self.dtype = dtype
-        self._np_dtype = np.dtype(dtype)
+        self.dtype = "float32"
+        self._np_dtype = np.dtype(self.dtype)
         # DoduoModel.inference_session swaps the model's kept bitwise
         # verdicts in for this workspace's fresh proof cache.
         self.workspace = Workspace()

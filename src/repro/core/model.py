@@ -117,18 +117,18 @@ class DoduoModel(Module):
         self.real_tokens = 0
         self.padded_tokens = 0
         self.last_block_rows = 0
-        # Inference sessions (no-tape optimized forward), one per compute
-        # dtype.  The leading underscore keeps ``named_parameters`` and the
-        # mode walker from descending into them.
-        self._sessions: Dict[str, InferenceSession] = {}
-        # Bitwise proof verdicts of the sessions, per compute dtype:
-        # a handful per band of sequence widths, never one per shape.
+        # The inference session (no-tape optimized forward).  The leading
+        # underscore keeps ``named_parameters`` and the mode walker from
+        # descending into it.
+        self._session: Optional[InferenceSession] = None
+        # Bitwise proof verdicts of the session: a handful per band of
+        # sequence widths, never one per shape.
         # They are a property of the weight shapes and of the kernels this
         # process dispatches to, not of the weights (see repro.nn.kernels),
         # so they outlive a session rebuild (never the process):
         # per-epoch validation would otherwise re-prove the same keys every
         # epoch.
-        self._proofs: Dict[str, ProofCache] = {}
+        self._proofs = ProofCache()
 
     # -- identity ----------------------------------------------------------------
     def fingerprint(self) -> str:
@@ -171,40 +171,38 @@ class DoduoModel(Module):
         return digest.hexdigest()
 
     # -- inference sessions ------------------------------------------------------
-    def inference_session(self, dtype: str = "float32") -> InferenceSession:
-        """The memoized no-tape session for ``dtype``, rebuilt when stale.
+    def inference_session(self) -> InferenceSession:
+        """The memoized no-tape session, rebuilt when stale.
 
         Staleness is detected by parameter-array identity, which catches
         ``load_state_dict`` / checkpoint restores / weight surgery that
-        replaces ``.data``; :meth:`train` additionally drops all sessions
+        replaces ``.data``; :meth:`train` additionally drops the session
         so in-place optimizer updates can never serve through a stale
-        packed-QKV or float64 weight copy.  In-place mutation outside the
+        packed-QKV copy.  In-place mutation outside the
         training loop must call :meth:`invalidate_sessions` — the same
         contract ``Trainer.invalidate_fingerprint`` imposes for the result
         caches.  A rebuilt session inherits the model's bitwise proof
         verdicts (shape properties).
         """
-        session = self._sessions.get(dtype)
+        session = self._session
         if session is None or session.stale():
-            session = InferenceSession(self, dtype)
-            session.workspace.proofs = self._proofs.setdefault(
-                dtype, session.workspace.proofs
-            )
-            self._sessions[dtype] = session
+            session = InferenceSession(self)
+            session.workspace.proofs = self._proofs
+            self._session = session
         return session
 
     def invalidate_sessions(self) -> None:
         """Drop memoized inference sessions (call after in-place weight edits)."""
-        self._sessions.clear()
+        self._session = None
 
     def train(self) -> "DoduoModel":
-        self._sessions.clear()
+        self._session = None
         super().train()
         return self
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         super().load_state_dict(state)
-        self._sessions.clear()
+        self._session = None
 
     # -- encoding ----------------------------------------------------------------
     def encode_batch(
@@ -310,7 +308,6 @@ class DoduoModel(Module):
         encoded: Sequence[EncodedTable],
         widths: Sequence[int],
         kernels: Optional[str] = None,
-        compute_dtype: str = "float32",
     ) -> Tuple[np.ndarray, Optional[InferenceSession]]:
         """Encode ``encoded`` — sequence ``k`` at exactly ``widths[k]`` — and
         return ``(cls_states, session)``.
@@ -323,8 +320,8 @@ class DoduoModel(Module):
         :meth:`DoduoTrainer.annotate_batch
         <repro.core.trainer.DoduoTrainer.annotate_batch>`).
 
-        This is the one place a (``kernels``, ``compute_dtype``) request
-        becomes a forward implementation.  ``"fast"`` (the default, model in
+        This is the one place a ``kernels`` request becomes a forward
+        implementation.  ``"fast"`` (the default, model in
         eval mode) is an :class:`InferenceSession`, which mixes the widths
         inside **one** padding-free pass; ``"reference"`` is the autograd
         Tensor path, which can only pad a batch to one width, so it runs one
@@ -334,18 +331,14 @@ class DoduoModel(Module):
         session replays the reference operation sequence and proof-gates
         every shape-dependent fusion — so the choice is purely a speed knob;
         ``tests/test_kernel_identity`` enforces the equality.
-        ``compute_dtype`` is the precision of the fast path; anything other
-        than ``"float32"`` requires it (the Tensor path has no dtype
-        policy).
 
         ``session`` (``None`` on the Tensor path) is what the heads must be
         applied through (:meth:`apply_type_head` /
         :meth:`apply_relation_head`).  No sequences, no pass.
         """
-        session = self._resolve_session(kernels, compute_dtype)
+        session = self._resolve_session(kernels, "float32")
         if not encoded:
-            dtype = np.float64 if compute_dtype == "float64" else np.float32
-            return np.empty((0, self.config.hidden_dim), dtype=dtype), session
+            return np.empty((0, self.config.hidden_dim), dtype=np.float32), session
         if session is not None:
             hidden, locations = session.encode_batch(encoded, width=widths)
             return gather_states(hidden, locations), session
@@ -365,17 +358,15 @@ class DoduoModel(Module):
     def _resolve_session(
         self, kernels: Optional[str], compute_dtype: str
     ) -> Optional[InferenceSession]:
-        """Map a (kernels, dtype) request onto a session or the Tensor path."""
+        """Map a (kernels, dtype) request onto a session or the Tensor path;
+        ``float32`` is the one dtype either serves."""
         mode = "fast" if kernels is None else kernels
         if mode not in ("fast", "reference"):
             raise ValueError(f"unknown kernel mode {mode!r}; expected 'fast' or 'reference'")
-        if mode == "fast" and not self.training:
-            return self.inference_session(compute_dtype)
         if compute_dtype != "float32":
-            raise ValueError(
-                f"compute_dtype {compute_dtype!r} requires the fast kernel path "
-                "with the model in eval mode"
-            )
+            raise ValueError(f"unsupported compute dtype {compute_dtype!r}; expected 'float32'")
+        if mode == "fast" and not self.training:
+            return self.inference_session()
         return None
 
     def apply_type_head(

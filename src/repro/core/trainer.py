@@ -271,10 +271,10 @@ class DoduoTrainer:
         self.history = TrainingHistory(
             task_losses={task: [] for task in config.tasks}
         )
-        # Memoized annotation fingerprints, keyed by (precision, probe
-        # descriptor): hashing walks every weight, and the serving
-        # worker keys routing and cache partitions on it, so it must not
-        # cost a weight walk per lookup.  Invalidated by train() —
+        # Memoized annotation fingerprints, keyed by the configuration's
+        # fold (its probe descriptor): hashing walks every weight, and the
+        # serving worker keys routing and cache partitions on it, so it
+        # must not cost a weight walk per lookup.  Invalidated by train() —
         # external weight mutation must call invalidate_fingerprint() (or
         # serve a fresh trainer).
         self._annotation_fingerprints: Dict[bytes, str] = {}
@@ -611,7 +611,6 @@ class DoduoTrainer:
         with_embeddings: bool = True,
         with_relations: bool = True,
         kernels: Optional[str] = None,
-        compute_dtype: str = "float32",
         column_cache: Optional["ColumnStateStore"] = None,
         fingerprints: Optional[Sequence[str]] = None,
         column_fingerprints: Optional[Sequence[Optional[Sequence[str]]]] = None,
@@ -634,8 +633,8 @@ class DoduoTrainer:
         <repro.encoding.pipeline.EncodingPipeline.annotation_signature>`),
         and every head GEMM chain runs over one table's rows, so every
         result is **byte-identical** to annotating its table alone —
-        batching changes cost, never bytes.  On a session (the fast path,
-        any precision) that costs nothing: it mixes widths inside one
+        batching changes cost, never bytes.  On a session (the fast path)
+        that costs nothing: it mixes widths inside one
         padding-free pass (:mod:`repro.core.inference`).  The Tensor path
         (``kernels="reference"``, the oracle) can only pad a batch to one
         width, so there ``encode_states`` runs one pass per distinct width.
@@ -647,8 +646,8 @@ class DoduoTrainer:
         ``pair_requests=[planner.plan_pairs(table)]`` — planning changes
         *which* pairs are paid for, never the bytes of a probed pair.
 
-        ``kernels``/``compute_dtype`` select the forward implementation and
-        precision (see :meth:`DoduoModel.encode_states`).  ``column_cache``
+        ``kernels`` selects the forward implementation (see
+        :meth:`DoduoModel.encode_states`).  ``column_cache``
         enables column-level content addressing in single-column mode: an
         object with ``lookup(fingerprint, width)`` / ``store(fingerprint,
         width, state)`` (the serving :class:`~repro.serving.ColumnCache`)
@@ -717,12 +716,10 @@ class DoduoTrainer:
         if single_column and column_cache is not None and sequences:
             states, session = self._column_states(
                 tables, sequences, widths, column_cache, column_fingerprints,
-                kernels, compute_dtype,
+                kernels,
             )
         else:
-            states, session = model.encode_states(
-                sequences, widths, kernels, compute_dtype
-            )
+            states, session = model.encode_states(sequences, widths, kernels)
         column_rows = _row_groups(table.num_columns for table in tables)
 
         # Relation inputs: per probed pair, the two state rows the head
@@ -750,7 +747,7 @@ class DoduoTrainer:
                 pair_widths.extend([signatures[index][1]] * len(pairs))
             if pair_sequences:
                 pair_states, session = model.encode_states(
-                    pair_sequences, pair_widths, kernels, compute_dtype
+                    pair_sequences, pair_widths, kernels
                 )
             left = np.arange(0, 2 * len(pair_sequences), 2)
             right = left + 1
@@ -815,7 +812,6 @@ class DoduoTrainer:
         column_cache: "ColumnStateStore",
         column_fingerprints: Optional[Sequence[Optional[Sequence[str]]]],
         kernels: Optional[str],
-        compute_dtype: str,
     ) -> Tuple[np.ndarray, Optional["InferenceSession"]]:
         """:meth:`DoduoModel.encode_states` read through the column store.
 
@@ -846,7 +842,6 @@ class DoduoTrainer:
             [sequences[i] for i in firsts],
             [widths[i] for i in firsts],
             kernels,
-            compute_dtype,
         )
         for (key, positions), state in zip(missing.items(), fresh):
             state = state.copy()

@@ -17,7 +17,7 @@ layer re-implements it:
   annotation **byte-identical** to sequential annotation — the
   jointly-padded ~1e-7 float drift is gone because no sequence is ever
   padded beyond the width it would use alone.  (Serving and evaluation
-  keep that rule without bucketing, at every precision:
+  keep that rule without bucketing:
   :mod:`repro.core.inference` mixes widths inside one pass.)
 * :class:`PaddingReport` — token-level accounting (real vs allocated
   slots) surfaced in ``EngineStats`` and ``TrainingHistory``.
@@ -32,7 +32,7 @@ Consumers: :class:`repro.core.trainer.DoduoTrainer` (example preparation,
 """
 
 from .cache import LRUCache, column_fingerprint, table_fingerprint
-from .planner import BatchPlanner, PaddingReport, width_signature
+from .planner import BatchPlanner, PaddingReport
 from .pipeline import EncodingPipeline, EncodingStats
 
 # Serialization primitives re-exported for consumers of the unified layer.
@@ -62,5 +62,4 @@ __all__ = [
     "pad_batch",
     "pad_token_lists",
     "table_fingerprint",
-    "width_signature",
 ]

@@ -20,7 +20,7 @@ width — the autograd Tensor path, i.e. ``kernels="reference"``, the oracle
 the fast path is tested against (:meth:`DoduoModel.encode_states
 <repro.core.model.DoduoModel.encode_states>` is its one caller).  Serving
 and evaluation keep the same every-sequence-at-its-own-width rule without
-bucketing, at every precision: an inference session concatenates a whole
+bucketing: an inference session concatenates a whole
 drain into one token-major matrix and mixes widths inside one pass
 (:mod:`repro.core.inference`).  The widths this planner keys on
 (:meth:`EncodingPipeline.annotation_signature
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, List, Sequence, Tuple
+from typing import Hashable, List, Sequence
 
 
 @dataclass(frozen=True)
@@ -44,24 +44,12 @@ class PaddingReport:
 
     ``real_tokens`` counts sequence tokens; ``padded_tokens`` counts the
     slots actually allocated (rows × padded width, summed over passes).
-    ``waste_ratio`` is the fraction of allocated slots that carry padding —
-    0.0 means every forward pass was exactly full.
     """
 
     sequences: int = 0
     batches: int = 0
     real_tokens: int = 0
     padded_tokens: int = 0
-
-    @property
-    def wasted_tokens(self) -> int:
-        return self.padded_tokens - self.real_tokens
-
-    @property
-    def waste_ratio(self) -> float:
-        if self.padded_tokens == 0:
-            return 0.0
-        return self.wasted_tokens / self.padded_tokens
 
     def __add__(self, other: "PaddingReport") -> "PaddingReport":
         return PaddingReport(
@@ -104,41 +92,3 @@ class BatchPlanner:
             for start in range(0, len(members), self.batch_size):
                 batches.append(members[start:start + self.batch_size])
         return batches
-
-    # -- accounting ---------------------------------------------------------
-    @staticmethod
-    def report(
-        lengths: Sequence[int], batches: Sequence[Sequence[int]]
-    ) -> PaddingReport:
-        """Padding accounting for ``batches`` over sequences of ``lengths``."""
-        real = 0
-        padded = 0
-        sequences = 0
-        for batch in batches:
-            if not batch:
-                continue
-            width = max(lengths[i] for i in batch)
-            for i in batch:
-                real += lengths[i]
-                padded += width
-            sequences += len(batch)
-        return PaddingReport(
-            sequences=sequences,
-            batches=sum(1 for b in batches if b),
-            real_tokens=real,
-            padded_tokens=padded,
-        )
-
-
-def width_signature(lengths: Sequence[int]) -> Tuple[int, ...]:
-    """Signature of one multi-sequence item: the padded width it dictates.
-
-    A table-wise item is one sequence — its signature is its length.  A
-    single-column item contributes several sequences padded jointly to the
-    item's own maximum, so the signature is that maximum: two items with
-    equal maxima compose into one pass whose width matches what each would
-    have used alone, preserving byte-identity.
-    """
-    if not lengths:
-        return (0,)
-    return (max(int(length) for length in lengths),)

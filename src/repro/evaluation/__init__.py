@@ -1,10 +1,8 @@
-"""Evaluation metrics, reports, and cross-validation."""
+"""Evaluation metrics, significance tests, text tables and charts."""
 
 from .ascii_plots import bar_chart, heatmap, line_chart
-from .crossval import CrossValResult, Fold, cross_validate, kfold, prf_to_dict
 from .metrics import (
     PRF,
-    confusion_matrix,
     homogeneity_completeness_v,
     multiclass_macro_f1,
     multiclass_micro_f1,
@@ -18,42 +16,22 @@ from .significance import (
     bootstrap_metric,
     paired_bootstrap,
 )
-from .reports import (
-    ClassificationReport,
-    ClassReport,
-    classification_report,
-    f1_by_numeric_fraction,
-    most_confused_pairs,
-    render_classification_report,
-    render_table,
-)
+from .reports import render_table
 
 __all__ = [
     "BootstrapInterval",
     "PRF",
     "PairedComparison",
-    "ClassReport",
-    "ClassificationReport",
     "bootstrap_metric",
     "paired_bootstrap",
-    "CrossValResult",
-    "Fold",
     "bar_chart",
-    "classification_report",
     "heatmap",
     "line_chart",
-    "confusion_matrix",
-    "cross_validate",
-    "f1_by_numeric_fraction",
     "homogeneity_completeness_v",
-    "kfold",
-    "most_confused_pairs",
     "multiclass_macro_f1",
     "multiclass_micro_f1",
     "multilabel_micro_prf",
     "multilabel_per_label_f1",
     "per_class_f1",
-    "prf_to_dict",
-    "render_classification_report",
     "render_table",
 ]

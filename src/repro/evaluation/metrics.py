@@ -164,13 +164,3 @@ def homogeneity_completeness_v(
     else:
         v_measure = 2 * homogeneity * completeness / (homogeneity + completeness)
     return (homogeneity, completeness, v_measure)
-
-
-def confusion_matrix(
-    y_true: Sequence[int], y_pred: Sequence[int], num_classes: int
-) -> np.ndarray:
-    """Dense confusion matrix ``(true, pred)``."""
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        matrix[t, p] += 1
-    return matrix

@@ -1,110 +1,13 @@
 """Human-readable evaluation reports.
 
-The paper presents its results as fixed-width tables (Tables 3–13) and
-per-class bar charts (Figure 5).  This module renders the same artifacts from
-raw predictions: a classification report (per-class precision/recall/F1 with
-support), a confusion summary (most-confused class pairs), and a plain-text
-table formatter shared with the benchmark harness.
+The paper presents its results as fixed-width tables (Tables 3–13); this
+module holds the plain-text table formatter the benchmark suite and the
+CLI share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
-
-from .metrics import (
-    PRF,
-    confusion_matrix,
-    multiclass_macro_f1,
-    multiclass_micro_f1,
-    per_class_f1,
-)
-
-
-@dataclass(frozen=True)
-class ClassReport:
-    """Per-class evaluation row."""
-
-    name: str
-    prf: PRF
-    support: int
-
-
-@dataclass
-class ClassificationReport:
-    """Full multi-class evaluation: per-class rows plus micro/macro summary."""
-
-    classes: List[ClassReport]
-    micro: PRF
-    macro_f1: float
-
-    def row(self, name: str) -> ClassReport:
-        for entry in self.classes:
-            if entry.name == name:
-                return entry
-        raise KeyError(f"no class named {name!r} in report")
-
-    def hardest(self, k: int = 5, min_support: int = 1) -> List[ClassReport]:
-        """The ``k`` classes with the lowest F1 among those with support."""
-        eligible = [c for c in self.classes if c.support >= min_support]
-        return sorted(eligible, key=lambda c: (c.prf.f1, c.name))[:k]
-
-    def easiest(self, k: int = 5, min_support: int = 1) -> List[ClassReport]:
-        """The ``k`` classes with the highest F1 among those with support."""
-        eligible = [c for c in self.classes if c.support >= min_support]
-        return sorted(eligible, key=lambda c: (-c.prf.f1, c.name))[:k]
-
-
-def classification_report(
-    y_true: Sequence[int],
-    y_pred: Sequence[int],
-    class_names: Sequence[str],
-) -> ClassificationReport:
-    """Build a :class:`ClassificationReport` from integer predictions."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if y_true.shape != y_pred.shape:
-        raise ValueError("y_true and y_pred must have the same shape")
-    num_classes = len(class_names)
-    if y_true.size and (y_true.max() >= num_classes or y_pred.max() >= num_classes):
-        raise ValueError("label id exceeds the provided class_names")
-    scores = per_class_f1(y_true, y_pred, num_classes)
-    support = np.bincount(y_true, minlength=num_classes)
-    classes = [
-        ClassReport(name=class_names[c], prf=scores[c], support=int(support[c]))
-        for c in range(num_classes)
-    ]
-    return ClassificationReport(
-        classes=classes,
-        micro=multiclass_micro_f1(y_true, y_pred),
-        macro_f1=multiclass_macro_f1(y_true, y_pred, num_classes),
-    )
-
-
-def most_confused_pairs(
-    y_true: Sequence[int],
-    y_pred: Sequence[int],
-    class_names: Sequence[str],
-    k: int = 10,
-) -> List[Tuple[str, str, int]]:
-    """The ``k`` most frequent (true, predicted) error pairs.
-
-    This is the error-analysis view behind the paper's Table 10 discussion
-    ("Doduo tends to perform better for column types that are less clearly
-    distinguishable, e.g. artist vs. writer").
-    """
-    matrix = confusion_matrix(y_true, y_pred, len(class_names))
-    np.fill_diagonal(matrix, 0)
-    flat = [
-        (class_names[t], class_names[p], int(matrix[t, p]))
-        for t in range(matrix.shape[0])
-        for p in range(matrix.shape[1])
-        if matrix[t, p] > 0
-    ]
-    flat.sort(key=lambda item: (-item[2], item[0], item[1]))
-    return flat[:k]
+from typing import Iterable, Optional, Sequence
 
 
 def render_table(
@@ -133,55 +36,3 @@ def render_table(
         for row in str_rows
     )
     return "\n".join(lines)
-
-
-def render_classification_report(
-    report: ClassificationReport,
-    min_support: int = 0,
-    sort_by: str = "name",
-) -> str:
-    """Plain-text classification report (sklearn-style, fixed width).
-
-    ``sort_by`` is one of ``"name"``, ``"f1"``, or ``"support"``.
-    """
-    keys = {
-        "name": lambda c: c.name,
-        "f1": lambda c: (-c.prf.f1, c.name),
-        "support": lambda c: (-c.support, c.name),
-    }
-    if sort_by not in keys:
-        raise ValueError(f"sort_by must be one of {sorted(keys)}: {sort_by!r}")
-    rows = [
-        (
-            entry.name,
-            f"{entry.prf.precision:.3f}",
-            f"{entry.prf.recall:.3f}",
-            f"{entry.prf.f1:.3f}",
-            entry.support,
-        )
-        for entry in sorted(report.classes, key=keys[sort_by])
-        if entry.support >= min_support
-    ]
-    rows.append(("micro avg", f"{report.micro.precision:.3f}",
-                 f"{report.micro.recall:.3f}", f"{report.micro.f1:.3f}",
-                 sum(c.support for c in report.classes)))
-    rows.append(("macro F1", "", "", f"{report.macro_f1:.3f}", ""))
-    return render_table(("class", "precision", "recall", "f1", "support"), rows)
-
-
-def f1_by_numeric_fraction(
-    class_f1: Dict[str, float],
-    numeric_fractions: Dict[str, float],
-    top_k: int = 15,
-) -> List[Tuple[str, float, float]]:
-    """Rank classes by how numeric their values are (Table 5's view).
-
-    Returns ``(type, %num, F1)`` rows for the ``top_k`` most numeric types,
-    mirroring the paper's analysis of DODUO on numeric columns.
-    """
-    ranked = sorted(
-        numeric_fractions.items(), key=lambda item: (-item[1], item[0])
-    )[:top_k]
-    return [
-        (name, fraction, class_f1.get(name, 0.0)) for name, fraction in ranked
-    ]

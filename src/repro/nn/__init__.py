@@ -5,18 +5,14 @@ DODUO implementation (see DESIGN.md, substitution table).
 """
 
 from . import functional
-from .layers import MLP, Dropout, Embedding, LayerNorm, Linear, Module, deferred_init
+from .layers import Dropout, Embedding, LayerNorm, Linear, Module, deferred_init
 from .optim import (
     Adam,
-    AdamW,
-    CosineDecayScheduler,
     LinearDecayScheduler,
     Optimizer,
-    SGD,
-    WarmupLinearScheduler,
 )
 from .serialization import copy_parameters, load_checkpoint, save_checkpoint
-from .tensor import Tensor, concatenate, stack, where
+from .tensor import Tensor, concatenate
 from .transformer import (
     MultiHeadSelfAttention,
     TransformerBlock,
@@ -26,29 +22,22 @@ from .transformer import (
 
 __all__ = [
     "Adam",
-    "AdamW",
-    "CosineDecayScheduler",
     "Dropout",
     "Embedding",
     "LayerNorm",
     "Linear",
     "LinearDecayScheduler",
-    "MLP",
     "Module",
     "MultiHeadSelfAttention",
     "Optimizer",
-    "SGD",
     "Tensor",
     "TransformerBlock",
     "TransformerConfig",
     "TransformerEncoder",
-    "WarmupLinearScheduler",
     "concatenate",
     "copy_parameters",
     "deferred_init",
     "functional",
     "load_checkpoint",
     "save_checkpoint",
-    "stack",
-    "where",
 ]

@@ -237,32 +237,3 @@ class Dropout(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.rate, self._rng, training=self.training)
-
-
-class MLP(Module):
-    """Two-layer feed-forward block with a configurable activation."""
-
-    def __init__(
-        self,
-        in_features: int,
-        hidden_features: int,
-        out_features: int,
-        rng: np.random.Generator,
-        activation: str = "gelu",
-    ) -> None:
-        super().__init__()
-        self.fc1 = Linear(in_features, hidden_features, rng)
-        self.fc2 = Linear(hidden_features, out_features, rng)
-        if activation not in ("gelu", "relu", "tanh"):
-            raise ValueError(f"unsupported activation: {activation}")
-        self.activation = activation
-
-    def forward(self, x: Tensor) -> Tensor:
-        hidden = self.fc1(x)
-        if self.activation == "gelu":
-            hidden = F.gelu(hidden)
-        elif self.activation == "relu":
-            hidden = hidden.relu()
-        else:
-            hidden = hidden.tanh()
-        return self.fc2(hidden)

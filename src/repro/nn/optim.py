@@ -6,7 +6,7 @@ linear decay schedule with no warm-up; both pieces are reproduced here.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,28 +28,6 @@ class Optimizer:
 
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Plain stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: Sequence[Tensor], lr: float, momentum: float = 0.0) -> None:
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self._velocity: Optional[List[np.ndarray]] = None
-        if momentum > 0:
-            self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for i, param in enumerate(self.params):
-            if param.grad is None:
-                continue
-            if self._velocity is not None:
-                self._velocity[i] = self.momentum * self._velocity[i] + param.grad
-                update = self._velocity[i]
-            else:
-                update = param.grad
-            param.data -= self.lr * update
 
 
 class Adam(Optimizer):
@@ -106,39 +84,6 @@ class Adam(Optimizer):
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-class AdamW(Adam):
-    """Adam with *decoupled* weight decay (Loshchilov & Hutter).
-
-    Unlike :class:`Adam`'s L2-style ``weight_decay`` (added to the gradient
-    before the moment updates), AdamW shrinks the weights directly by
-    ``lr * weight_decay`` each step, which is what the Transformers library
-    the paper builds on uses for BERT fine-tuning.
-    """
-
-    def __init__(
-        self,
-        params: Sequence[Tensor],
-        lr: float = 5e-5,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-        max_grad_norm: Optional[float] = 1.0,
-    ) -> None:
-        super().__init__(
-            params, lr=lr, betas=betas, eps=eps,
-            weight_decay=0.0, max_grad_norm=max_grad_norm,
-        )
-        self.decoupled_weight_decay = weight_decay
-
-    def step(self) -> None:
-        if self.decoupled_weight_decay > 0:
-            decay = self.lr * self.decoupled_weight_decay
-            for param in self.params:
-                if param.grad is not None:
-                    param.data -= decay * param.data
-        super().step()
-
-
 class LinearDecayScheduler:
     """Linearly decays the optimizer learning rate to zero (no warm-up).
 
@@ -157,74 +102,3 @@ class LinearDecayScheduler:
         self._step_count += 1
         fraction = max(0.0, 1.0 - self._step_count / self.total_steps)
         self.optimizer.lr = self.base_lr * fraction
-
-    @property
-    def current_lr(self) -> float:
-        return self.optimizer.lr
-
-
-class WarmupLinearScheduler:
-    """Linear warm-up followed by linear decay to zero.
-
-    The paper fine-tunes without warm-up; this scheduler exists for the
-    pre-training phase and for users fine-tuning on larger corpora, where a
-    short warm-up stabilises the first Adam steps.
-    """
-
-    def __init__(
-        self, optimizer: Optimizer, total_steps: int, warmup_steps: int
-    ) -> None:
-        if total_steps <= 0:
-            raise ValueError(f"total_steps must be positive: {total_steps}")
-        if not 0 <= warmup_steps < total_steps:
-            raise ValueError(
-                f"warmup_steps must be in [0, total_steps): {warmup_steps}"
-            )
-        self.optimizer = optimizer
-        self.total_steps = total_steps
-        self.warmup_steps = warmup_steps
-        self.base_lr = optimizer.lr
-        self._step_count = 0
-        if warmup_steps > 0:
-            self.optimizer.lr = 0.0
-
-    def step(self) -> None:
-        self._step_count += 1
-        if self._step_count <= self.warmup_steps:
-            fraction = self._step_count / max(1, self.warmup_steps)
-        else:
-            remaining = self.total_steps - self.warmup_steps
-            done = self._step_count - self.warmup_steps
-            fraction = max(0.0, 1.0 - done / remaining)
-        self.optimizer.lr = self.base_lr * fraction
-
-    @property
-    def current_lr(self) -> float:
-        return self.optimizer.lr
-
-
-class CosineDecayScheduler:
-    """Cosine annealing from the base learning rate to ``min_lr``."""
-
-    def __init__(
-        self, optimizer: Optimizer, total_steps: int, min_lr: float = 0.0
-    ) -> None:
-        if total_steps <= 0:
-            raise ValueError(f"total_steps must be positive: {total_steps}")
-        if min_lr < 0:
-            raise ValueError(f"min_lr must be non-negative: {min_lr}")
-        self.optimizer = optimizer
-        self.total_steps = total_steps
-        self.min_lr = min_lr
-        self.base_lr = optimizer.lr
-        self._step_count = 0
-
-    def step(self) -> None:
-        self._step_count += 1
-        progress = min(1.0, self._step_count / self.total_steps)
-        cosine = 0.5 * (1.0 + np.cos(np.pi * progress))
-        self.optimizer.lr = self.min_lr + (self.base_lr - self.min_lr) * cosine
-
-    @property
-    def current_lr(self) -> float:
-        return self.optimizer.lr

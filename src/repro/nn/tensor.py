@@ -13,20 +13,13 @@ and so on) can be written naturally.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, "Tensor"]
 
 _DEFAULT_DTYPE = np.float32
-
-
-def _as_array(value: ArrayLike, dtype=_DEFAULT_DTYPE) -> np.ndarray:
-    if isinstance(value, Tensor):
-        return value.data
-    arr = np.asarray(value, dtype=dtype)
-    return arr
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -98,15 +91,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
@@ -216,9 +202,6 @@ class Tensor:
 
         return self._make_child(out_data, (self, other_t), backward)
 
-    def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other) - self
-
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         out_data = self.data * other_t.data
@@ -232,31 +215,6 @@ class Tensor:
         return self._make_child(out_data, (self, other_t), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data / other_t.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self.accumulate_grad(_unbroadcast(grad / other_t.data, self.shape))
-            if other_t.requires_grad:
-                g = -grad * self.data / (other_t.data ** 2)
-                other_t.accumulate_grad(_unbroadcast(g, other_t.shape))
-
-        return self._make_child(out_data, (self, other_t), backward)
-
-    def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other) / self
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        out_data = self.data ** exponent
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self.accumulate_grad(grad * exponent * self.data ** (exponent - 1))
-
-        return self._make_child(out_data, (self,), backward)
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
@@ -275,33 +233,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # Elementwise functions
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self.accumulate_grad(grad * out_data)
-
-        return self._make_child(out_data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self.accumulate_grad(grad / self.data)
-
-        return self._make_child(out_data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self.accumulate_grad(grad * (1.0 - out_data ** 2))
-
-        return self._make_child(out_data, (self,), backward)
-
     def relu(self) -> "Tensor":
         out_data = np.maximum(self.data, 0.0)
 
@@ -310,18 +241,6 @@ class Tensor:
                 self.accumulate_grad(grad * (self.data > 0))
 
         return self._make_child(out_data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self.accumulate_grad(grad * out_data * (1.0 - out_data))
-
-        return self._make_child(out_data, (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
 
     # ------------------------------------------------------------------
     # Reductions
@@ -342,21 +261,6 @@ class Tensor:
             self.accumulate_grad(g.astype(self.data.dtype))
 
         return self._make_child(np.asarray(out_data, dtype=self.data.dtype), (self,), backward)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.size
-        elif isinstance(axis, tuple):
-            count = int(np.prod([self.shape[a] for a in axis]))
-        else:
-            count = self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
-        mu = self.mean(axis=axis, keepdims=True)
-        centered = self - mu
-        out = (centered * centered).mean(axis=axis, keepdims=keepdims)
-        return out
 
     # ------------------------------------------------------------------
     # Shape manipulation
@@ -407,28 +311,6 @@ class Tensor:
 
         return self._make_child(out_data, (self,), backward)
 
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @staticmethod
-    def zeros(shape: Sequence[int], requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(shape: Sequence[int], requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(
-        shape: Sequence[int],
-        rng: np.random.Generator,
-        scale: float = 1.0,
-        requires_grad: bool = False,
-    ) -> "Tensor":
-        data = rng.standard_normal(shape).astype(_DEFAULT_DTYPE) * scale
-        return Tensor(data, requires_grad=requires_grad)
-
-
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
@@ -447,45 +329,3 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not requires:
         return Tensor(out_data)
     return Tensor(out_data, requires_grad=True, _parents=tuple(tensors), _backward=backward)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new ``axis`` with gradient support."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        slices = np.split(grad, len(tensors), axis=axis)
-        for tensor, piece in zip(tensors, slices):
-            if tensor.requires_grad:
-                tensor.accumulate_grad(np.squeeze(piece, axis=axis))
-
-    requires = any(t.requires_grad for t in tensors)
-    if not requires:
-        return Tensor(out_data)
-    return Tensor(out_data, requires_grad=True, _parents=tuple(tensors), _backward=backward)
-
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select with gradient flow into both branches."""
-    a_t = a if isinstance(a, Tensor) else Tensor(a)
-    b_t = b if isinstance(b, Tensor) else Tensor(b)
-    cond = np.asarray(condition)
-    out_data = np.where(cond, a_t.data, b_t.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if a_t.requires_grad:
-            a_t.accumulate_grad(_unbroadcast(grad * cond, a_t.shape))
-        if b_t.requires_grad:
-            b_t.accumulate_grad(_unbroadcast(grad * (~cond.astype(bool)), b_t.shape))
-
-    requires = a_t.requires_grad or b_t.requires_grad
-    if not requires:
-        return Tensor(out_data)
-    return Tensor(out_data, requires_grad=True, _parents=(a_t, b_t), _backward=backward)
-
-
-def no_grad_params(params: Iterable[Tensor]) -> None:
-    """Clear gradients on an iterable of parameters."""
-    for param in params:
-        param.zero_grad()

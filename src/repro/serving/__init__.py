@@ -11,7 +11,7 @@ The stack, bottom-up:
   :class:`~repro.encoding.EncodingPipeline` with every sequence at the
   width it would have alone (zero cross-request padding, batched results
   byte-identical to sequential ones): one padding-free encoder pass per
-  drain chunk at every precision (``kernels="reference"``, the oracle,
+  drain chunk (``kernels="reference"``, the oracle,
   runs one per exact width bucket), and an optional persistent result store
   (:class:`FabricCache`) so repeated corpora never re-encode across
   process restarts.  :func:`load_engine` is the one loader: a bundle, its

@@ -14,7 +14,7 @@ ones and no token slot is spent on cross-request padding (``EngineStats``
 reports the waste ratio).  A drain is simply cut into chunks of
 ``batch_size`` in request order — the inference session mixes widths
 inside one padding-free pass (:mod:`repro.core.inference`), so eight
-tables of eight widths cost one pass, not eight, at every precision.
+tables of eight widths cost one pass, not eight.
 (``kernels="reference"``, the Tensor-path oracle, can only pad a batch to
 one width: ``DoduoModel.encode_states`` runs one pass per distinct width
 of a chunk for it.)
@@ -178,11 +178,6 @@ class EngineConfig:
         help="column-state cache capacity in entries (0 disables; "
         "single-column models only)",
     )
-    column_cache_persist: bool = knob(
-        False, bytes="same", choices=(False, True), flags=("--column-cache-persist",),
-        why="spill policy of the column cache; entries are content-addressed",
-        help="also persist column states to the result store (requires one)",
-    )
     probe_mode: str = knob(
         "exhaustive", bytes="changes", choices=("exhaustive", "planned"),
         flags=("--probe-mode",), marker={"planned": (1, _probe_marker)},
@@ -197,13 +192,6 @@ class EngineConfig:
         why="the cap decides which planned pairs are probed",
         help="max planned relation pairs per table (requires probe_mode "
         "planned; None plans without a cap)",
-    )
-    precision: str = knob(
-        "float32", bytes="changes", choices=("float32", "float64"),
-        flags=("--precision", "--dtype"), marker={"float64": (0, b"|dtype=float64")},
-        why="float64 computes in other arithmetic",
-        help="serving precision: float64 computes in double precision and "
-        "requires fast kernels",
     )
     weight_arena: bool = knob(
         False, bytes="same", choices=(False, True), flags=("--weight-arena",),
@@ -227,11 +215,6 @@ class EngineConfig:
                 raise ValueError(
                     f"{spec.name} must be >= {meta['minimum']}: {value}"
                 )
-        if self.precision != "float32" and self.kernels != "fast":
-            raise ValueError(
-                f"precision={self.precision!r} requires kernels='fast' (the "
-                "reference Tensor path is float32-only)"
-            )
         if self.probe_budget is not None and self.probe_mode != "planned":
             raise ValueError(
                 "probe_budget requires probe_mode='planned' (exhaustive "
@@ -380,12 +363,7 @@ class AnnotationEngine:
         # neighbours, so those states are never cached).
         self.column_cache: Optional[ColumnCache] = None
         if trainer.config.single_column and self.config.column_cache_size > 0:
-            # Its persistent tier is ``result_cache``, read per chunk:
-            # load_engine attaches the store after construction.
-            self.column_cache = ColumnCache(
-                self.config.column_cache_size,
-                persist=self.config.column_cache_persist,
-            )
+            self.column_cache = ColumnCache(self.config.column_cache_size)
         # Probe planning: only built in planned mode, so exhaustive engines
         # carry zero planner state and behave byte-identically to before
         # the policy existed.
@@ -640,7 +618,7 @@ class AnnotationEngine:
 
         The configuration's ``changes`` knobs are folded in
         (:meth:`EngineConfig.fold`): engines whose bytes may differ over the
-        same weights — another precision, another probe policy — never
+        same weights — another probe policy — never
         share cached bytes or a route.
         """
         return self.trainer.annotation_fingerprint(self._fold)
@@ -715,7 +693,6 @@ class AnnotationEngine:
             # trainer, and re-reading it here means weight surgery between
             # chunks orphans stale states instead of serving them.
             column_cache.model_key = self.model_fingerprint
-            column_cache.disk = self.result_cache
             col_hits_before = column_cache.hits
             col_misses_before = column_cache.misses
         raw = self.trainer.annotate_batch(
@@ -724,7 +701,6 @@ class AnnotationEngine:
             pair_requests=pair_requests,
             with_embeddings=any_embeddings,
             kernels=self.config.kernels,
-            compute_dtype=self.config.precision,
             column_cache=column_cache,
             fingerprints=[identities[i].table_digest for i in chunk],
             column_fingerprints=(

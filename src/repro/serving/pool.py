@@ -409,7 +409,10 @@ class ServingPool:
         return self._bound
 
     def _bind(self) -> None:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        # IPPROTO_TCP, not 0: asyncio sets TCP_NODELAY on an accepted
+        # socket only when its proto says TCP, and without it pipelined
+        # answers wait out Nagle's delay.
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM, socket.IPPROTO_TCP)
         try:
             if self.sharding == "reuseport":
                 # Reservation socket: binds (learning the ephemeral port

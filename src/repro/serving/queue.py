@@ -57,7 +57,7 @@ Exactness and drain planning
 ----------------------------
 Every drain is handed to ``engine.annotate_batch`` whole.  A drain of up
 to ``batch_size`` requests is **one** encoder pass whatever their widths
-and whatever the precision — the session lays the sequences end to end and
+— the session lays the sequences end to end and
 never pads one to another's width (:mod:`repro.core.inference`); only the
 ``kernels="reference"`` oracle, which pads a batch to one width, splits it
 into **exact width buckets** instead (:mod:`repro.encoding`).  Either way no

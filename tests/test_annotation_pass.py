@@ -323,7 +323,7 @@ def _pruning_decided(trainer, tables) -> bool:
     until enough skippable rows have gone by) with one throwaway pass, and
     say whether this BLAS build passed every proof."""
     trainer.model.eval()
-    session = trainer.model.inference_session("float32")
+    session = trainer.model.inference_session()
     decide_pruning_now(session)
     trainer.annotate_batch(tables)
     return pruning_proven(session.workspace.proofs)
@@ -378,8 +378,8 @@ def test_row_stability_is_proven_once_per_model_not_once_per_epoch(
     assert len(proven) == len(set(proven)) == 4  # QKV, output, FFN in, FFN out
     # A rebuilt session keeps the model's verdicts: they are shape
     # properties, not weight properties.
-    before = trainer.model.inference_session("float32")
+    before = trainer.model.inference_session()
     trainer.model.invalidate_sessions()
-    rebuilt = trainer.model.inference_session("float32")
+    rebuilt = trainer.model.inference_session()
     assert rebuilt is not before
-    assert rebuilt.workspace.proofs is trainer.model._proofs["float32"]
+    assert rebuilt.workspace.proofs is trainer.model._proofs

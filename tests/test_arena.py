@@ -1,8 +1,7 @@
-"""The shared weight arena and the precision knob.
+"""The shared weight arena.
 
 The **arena** is byte-neutral: an arena-backed model serves exactly the
-bytes of the npz-loaded one, the ``precision="float32"`` engine serves
-exactly the default engine's bytes, and neither changes the annotation
+bytes of the npz-loaded one and does not change the annotation
 fingerprint.  An arena that records any precision but ``float32`` is
 refused at attach.
 
@@ -258,51 +257,6 @@ class TestDeferredInit:
                 assert nn_layers._DEFER_INIT
             assert nn_layers._DEFER_INIT
         assert not nn_layers._DEFER_INIT
-
-
-# ---------------------------------------------------------------------------
-# Fingerprint partitioning and the precision knob
-# ---------------------------------------------------------------------------
-
-
-class TestPrecisionFingerprint:
-    @staticmethod
-    def _fingerprint(trainer, precision):
-        return AnnotationEngine(
-            trainer, EngineConfig(precision=precision)
-        ).model_fingerprint
-
-    def test_float_defaults_share_a_digest(self, trainer):
-        base = trainer.annotation_fingerprint()
-        assert self._fingerprint(trainer, "float32") == base
-
-    def test_engine_folds_precision(self, trainer):
-        default = AnnotationEngine(trainer).model_fingerprint
-        f32 = AnnotationEngine(
-            trainer, EngineConfig(precision="float32")
-        ).model_fingerprint
-        f64 = AnnotationEngine(
-            trainer, EngineConfig(precision="float64")
-        ).model_fingerprint
-        assert f32 == default
-        assert f64 != default
-
-    def test_precision_validation(self):
-        for precision in ("int4", "int8"):
-            with pytest.raises(ValueError, match="precision"):
-                EngineConfig(precision=precision)
-        with pytest.raises(ValueError, match="kernels"):
-            EngineConfig(precision="float64", kernels="reference")
-
-    def test_explicit_float32_precision_is_byte_identical(self, trainer):
-        tables = trainer.dataset.tables[:4]
-        default = AnnotationEngine(trainer).annotate_batch(tables)
-        explicit = AnnotationEngine(
-            trainer, EngineConfig(precision="float32")
-        ).annotate_batch(tables)
-        for d, e in zip(default, explicit):
-            assert d.annotated.type_scores == e.annotated.type_scores
-            assert d.annotated.colrels == e.annotated.colrels
 
 
 # ---------------------------------------------------------------------------

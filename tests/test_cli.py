@@ -308,29 +308,6 @@ class TestCacheDirAndServe:
         assert all(r["columns"] for r in records)
         assert "served 5 tables" in captured.err
 
-    def test_dtype_is_a_second_spelling_of_precision(
-        self, bundle_dir, corpus, tmp_path, capsys
-    ):
-        """One float64 engine, one cache partition, however it is spelled
-        — and never float32's."""
-        cache_dir = tmp_path / "cache"
-
-        def run(*flags):
-            assert main([
-                "annotate", str(bundle_dir), str(corpus),
-                "--cache-dir", str(cache_dir),
-                "--out", str(tmp_path / "out.jsonl"), *flags,
-            ]) == 0
-            return capsys.readouterr().out
-
-        assert "0 disk hits" in run("--dtype", "float64")
-        warm = run("--precision", "float64")
-        assert "0 encoder passes" in warm and "5 disk hits" in warm
-        assert "0 disk hits" in run()
-        # Three runs, two partitions, one flat store: a cache directory
-        # holds answers only, never a process's kernel verdicts.
-        assert [p.name for p in cache_dir.iterdir() if p.is_dir()] == []
-
     def test_serve_empty_input_errors(self, bundle_dir, capsys, monkeypatch):
         import io
         import sys as _sys

@@ -8,10 +8,8 @@ The contract under test:
 * duplicate columns inside one batch encode once (in-batch dedup by
   content fingerprint);
 * entries are keyed by model fingerprint × content hash × padded width —
-  weight updates and dtype switches orphan stale states instead of
-  serving them;
-* the optional disk tier round-trips states byte-exactly and warms a
-  fresh process (a second ColumnCache over the same directory);
+  weight updates orphan stale states instead of serving them;
+* the store's array codec round-trips states byte-exactly;
 * table-wise engines never construct the cache (cross-column attention
   makes per-column states context-dependent);
 * cold vs warm equivalence holds through the worker path, and the
@@ -32,7 +30,6 @@ from repro.serving import (
     AnnotationEngine,
     AnnotationOptions,
     ColumnCache,
-    DiskCache,
     EngineConfig,
 )
 from repro.serving.diskcache import decode_array, encode_array
@@ -164,34 +161,13 @@ class TestColumnCacheUnit:
             '"data": [0.1, 1e-300, -0.0, 0.6666666666666666]}'
         )
 
-    def test_disk_tier_round_trip_and_promotion(self, tmp_path):
-        disk = DiskCache(str(tmp_path / "cache"))
-        state = np.linspace(0, 1, 16, dtype=np.float32)
-        writer = ColumnCache(8, model_key="m", disk=disk, persist=True)
-        writer.store("fp", 10, state)
-        # a fresh process: empty memory tier, same directory
-        reader = ColumnCache(8, model_key="m", disk=disk, persist=True)
-        got = reader.lookup("fp", 10)
-        assert (got == state).all()
-        assert reader.persisted_hits == 1
-        # promoted into memory: second lookup skips the disk
-        assert reader.lookup("fp", 10) is not None
-        assert reader.persisted_hits == 1
-
-    def test_disk_tier_respects_model_key(self, tmp_path):
-        disk = DiskCache(str(tmp_path / "cache"))
-        writer = ColumnCache(8, model_key="m1", disk=disk, persist=True)
-        writer.store("fp", 10, np.zeros(4, dtype=np.float32))
-        reader = ColumnCache(8, model_key="m2", disk=disk, persist=True)
-        assert reader.lookup("fp", 10) is None
-
-    def test_clear_resets_memory_not_disk(self, tmp_path):
-        disk = DiskCache(str(tmp_path / "cache"))
-        cache = ColumnCache(8, model_key="m", disk=disk, persist=True)
+    def test_clear_drops_entries_and_counters(self):
+        cache = ColumnCache(8, model_key="m")
         cache.store("fp", 10, np.ones(4, dtype=np.float32))
+        assert cache.lookup("fp", 10) is not None
         cache.clear()
         assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
-        assert cache.lookup("fp", 10) is not None  # back from disk
+        assert cache.lookup("fp", 10) is None
 
 
 # ---------------------------------------------------------------------------
@@ -289,47 +265,6 @@ class TestEngineColumnCache:
             sc_trainer.model.load_state_dict(state)
             sc_trainer.invalidate_fingerprint()
 
-    def test_dtype_engines_never_share_entries(self, sc_trainer):
-        t1, _ = _tables()
-        e32 = AnnotationEngine(
-            sc_trainer, EngineConfig(cache_size=0, column_cache_size=64)
-        )
-        e64 = AnnotationEngine(
-            sc_trainer,
-            EngineConfig(cache_size=0, column_cache_size=64, precision="float64"),
-        )
-        assert e32.model_fingerprint != e64.model_fingerprint
-        r32 = e32.annotate_batch([t1], OPTIONS)[0]
-        r64 = e64.annotate_batch([t1], OPTIONS)[0]
-        assert r64.annotated.colemb.dtype == np.float64
-        drift = np.abs(
-            r32.annotated.colemb - r64.annotated.colemb.astype(np.float32)
-        ).max()
-        assert drift < 1e-3  # same model, different precision policy
-
-    def test_column_states_persist_across_engines(self, sc_trainer, tmp_path):
-        """column_cache_persist: a second engine over the same cache
-        directory warms from disk without re-encoding the shared column."""
-        t1, t2 = _tables()
-        config = EngineConfig(
-            cache_size=0,
-            column_cache_size=64,
-            column_cache_persist=True,
-            cache_dir=str(tmp_path / "cache"),
-        )
-        first = AnnotationEngine(sc_trainer, config)
-        first.annotate_batch([t1], OPTIONS)
-        second = AnnotationEngine(sc_trainer, config)
-        # different table_id so the whole-result disk tier cannot answer
-        t2_renamed = Table(columns=t2.columns, table_id="t2-renamed")
-        reference = AnnotationEngine(
-            sc_trainer, EngineConfig(cache_size=0, column_cache_size=0)
-        )
-        expected = _payload(reference.annotate_batch([t2_renamed], OPTIONS)[0])
-        got = _payload(second.annotate_batch([t2_renamed], OPTIONS)[0])
-        _assert_same(got, expected)
-        assert second.column_cache.persisted_hits >= 1
-
     def test_table_wise_engines_do_not_build_the_cache(self, tw_trainer):
         engine = AnnotationEngine(
             tw_trainer, EngineConfig(cache_size=0, column_cache_size=64)
@@ -342,11 +277,7 @@ class TestEngineColumnCache:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            EngineConfig(precision="float16")
-        with pytest.raises(ValueError):
             EngineConfig(kernels="blas")
-        with pytest.raises(ValueError):
-            EngineConfig(precision="float64", kernels="reference")
         with pytest.raises(ValueError):
             EngineConfig(column_cache_size=-1)
 

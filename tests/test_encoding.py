@@ -27,7 +27,6 @@ from repro.encoding import (
     PaddingReport,
     pad_batch,
     pad_token_lists,
-    width_signature,
 )
 from repro.nn import TransformerConfig
 from repro.serving import AnnotationEngine, EngineConfig
@@ -105,34 +104,13 @@ class TestBatchPlanner:
         with pytest.raises(ValueError, match="batch_size"):
             BatchPlanner(batch_size=0)
 
-    def test_exact_plan_has_zero_waste(self):
-        lengths = [10, 12, 10, 7, 12, 10]
-        planner = BatchPlanner(batch_size=4)
-        exact = planner.plan([(length,) for length in lengths])
-        report = BatchPlanner.report(lengths, exact)
-        assert report.wasted_tokens == 0
-        assert report.waste_ratio == 0.0
-        assert report.real_tokens == sum(lengths)
-        assert report.sequences == len(lengths)
-
-    def test_padded_plan_reports_waste(self):
-        lengths = [4, 16]
-        report = BatchPlanner.report(lengths, [[0, 1]])  # padded jointly
-        assert report.padded_tokens == 32  # both rows padded to 16
-        assert report.wasted_tokens == 12
-        assert report.waste_ratio == pytest.approx(12 / 32)
-
     def test_report_addition(self):
         a = PaddingReport(sequences=1, batches=1, real_tokens=5, padded_tokens=8)
         b = PaddingReport(sequences=2, batches=1, real_tokens=6, padded_tokens=6)
         total = a + b
         assert total.sequences == 3
         assert total.padded_tokens == 14
-        assert total.wasted_tokens == 3
-
-    def test_width_signature(self):
-        assert width_signature([3, 9, 5]) == (9,)
-        assert width_signature([]) == (0,)
+        assert total.real_tokens == 11
 
 
 # ---------------------------------------------------------------------------

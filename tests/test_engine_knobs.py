@@ -12,9 +12,9 @@ what reads it.
   ``load_engine`` attaches after construction are invisible to an
   in-memory engine; they are served through ``load_engine`` over a saved
   bundle, and once through a two-worker pool.
-* **Fold oracle.**  The fingerprint of every precision × probe policy
-  equals the formula of the release before the declarations existed, kept
-  here verbatim: stored keys stay valid.
+* **Fold oracle.**  The fingerprint of every probe policy equals the
+  formula of the release before the declarations existed, kept here
+  verbatim: stored keys stay valid.
 * **Hygiene.**  A field that is not declared, or declares an untestable
   or unfolded claim, fails at class creation — at import, for the real
   class.
@@ -211,12 +211,11 @@ def bundle(trainers, tmp_path_factory):
 
 
 class TestRegistryLeg:
-    @pytest.mark.parametrize("persist", [False, True])
     @pytest.mark.parametrize("weight_arena", [False, True])
     def test_arena_and_store_serve_the_oracle_bytes(
-        self, trainers, corpus, bundle, tmp_path, weight_arena, persist
+        self, trainers, corpus, bundle, tmp_path, weight_arena
     ):
-        config = EngineConfig(weight_arena=weight_arena, column_cache_persist=persist)
+        config = EngineConfig(weight_arena=weight_arena)
         expected = serve(trainers["scol"], oracle_of(config), corpus)
 
         def through_loader(requests):
@@ -235,30 +234,13 @@ class TestRegistryLeg:
         second, engine = through_loader(corpus)
         assert second == expected
         assert engine.stats.disk_hits == 9
-        assert (engine.column_cache.persisted_hits >= 1) == persist
-
-    def test_a_detached_store_detaches_for_column_states_too(
-        self, corpus, bundle, tmp_path
-    ):
-        config = EngineConfig(column_cache_persist=True)
-        """The column cache reads the engine's store per chunk, so a store
-        attached after construction — or detached — applies to column
-        states at the next chunk."""
-        config = EngineConfig(column_cache_persist=True)
-        engine = load_engine(bundle, config, cache_dir=tmp_path)
-        engine.annotate_batch(corpus[:2])
-        assert engine.column_cache.disk is engine.result_cache is not None
-        store, engine.result_cache = engine.result_cache, None
-        store.close()
-        engine.annotate_batch(corpus[2:4])
-        assert engine.column_cache.disk is None
 
     @pytest.mark.smoke
     def test_a_pool_serves_the_in_process_bytes(
         self, trainers, corpus, bundle, tmp_path
     ):
         config = EngineConfig(
-            batch_size=3, column_cache_persist=True, weight_arena=True,
+            batch_size=3, weight_arena=True,
             probe_mode="planned", probe_budget=2,
         )
         expected = serve(trainers["scol"], oracle_of(config), corpus)
@@ -280,14 +262,11 @@ class TestRegistryLeg:
 
 # The formula of the release before the declarations, verbatim (it was
 # ``DoduoTrainer.annotation_fingerprint(precision, probe)``, fed by
-# ``AnnotationEngine.model_fingerprint``).
-_PRECISION_MARKERS = {
-    "float32": (b"", b""),
-    "float64": (b"|dtype=float64", b""),
-}
+# ``AnnotationEngine.model_fingerprint``) at its one precision left,
+# float32, which folded no marker.
 
 
-def parent_fingerprint(self, precision, probe):
+def parent_fingerprint(self, probe):
     digest = hashlib.blake2b(digest_size=16)
     digest.update(self.model.fingerprint().encode("utf-8"))
     digest.update(repr(self.serializer.config).encode("utf-8"))
@@ -308,11 +287,8 @@ def parent_fingerprint(self, precision, probe):
         for label in vocab:
             digest.update(b"\x1f")
             digest.update(label.encode("utf-8"))
-    before_probe, after_probe = _PRECISION_MARKERS[precision]
-    digest.update(before_probe)
     if probe is not None:
         digest.update(f"|probe={probe}".encode("utf-8"))
-    digest.update(after_probe)
     return digest.hexdigest()
 
 
@@ -324,21 +300,20 @@ class TestFoldOracle:
             == trainers["table"].annotation_fingerprint()
         )
 
-    @pytest.mark.parametrize("precision", ["float32", "float64"])
     @pytest.mark.parametrize(
         "probe", [{}, {"probe_mode": "planned"},
                   {"probe_mode": "planned", "probe_budget": 12}],
         ids=["exhaustive", "planned", "planned-12"],
     )
-    def test_digests_equal_the_parents(self, trainers, precision, probe):
+    def test_digests_equal_the_parents(self, trainers, probe):
         tag = None
         if probe:
             tag = ProbePlanner(
                 ProbeBudget(max_pairs=probe.get("probe_budget"))
             ).fingerprint_tag()
         for trainer in trainers.values():
-            engine = AnnotationEngine(trainer, EngineConfig(precision=precision, **probe))
-            assert engine.model_fingerprint == parent_fingerprint(trainer, precision, tag)
+            engine = AnnotationEngine(trainer, EngineConfig(**probe))
+            assert engine.model_fingerprint == parent_fingerprint(trainer, tag)
 
 
 # ----------------------------------------------------------------------
@@ -402,7 +377,8 @@ class TestDeclarationHygiene:
             )
 
         assert Sub().fold() == b""
-        assert Sub(foo=1, precision="float64").fold() == b"|dtype=float64|foo=1"
+        planned = EngineConfig(probe_mode="planned").fold()
+        assert Sub(foo=1, probe_mode="planned").fold() == planned + b"|foo=1"
 
 
 # ----------------------------------------------------------------------
@@ -437,8 +413,11 @@ class TestFlags:
     def test_omitted_flags_leave_the_defaults(self):
         assert parse("annotate") == parse("serve") == EngineConfig()
 
-    def test_dtype_still_spells_precision(self):
-        assert parse("serve", "--dtype", "float64").precision == "float64"
+    def test_removed_engine_flags_are_argparse_errors(self):
+        for flags in (["--dtype", "float64"], ["--precision", "float64"],
+                      ["--column-cache-persist"]):
+            with pytest.raises(SystemExit):
+                parse("serve", *flags)
 
     def test_the_loading_tiers_flag_is_serves_alone(self):
         assert parse("serve", "--weight-arena").weight_arena
@@ -450,7 +429,3 @@ class TestFlags:
             parse("serve", "--kernels", "blas")
         with pytest.raises(ValueError, match="probe_budget requires"):
             parse("serve", "--probe-budget", "4")
-        with pytest.raises(ValueError, match="requires --cache-dir"):
-            _engine_config(build_parser().parse_args(
-                ["serve", "bundle", "-", "--column-cache-persist"]
-            ))

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.evaluation import (
-    confusion_matrix,
     homogeneity_completeness_v,
     multiclass_macro_f1,
     multiclass_micro_f1,
@@ -111,12 +110,3 @@ class TestVMeasure:
         assert -1e-9 <= v <= 1 + 1e-9
         # clustering identical to the truth is always perfect
         assert homogeneity_completeness_v(labels, labels)[2] == pytest.approx(1.0)
-
-
-class TestConfusionMatrix:
-    def test_counts(self):
-        matrix = confusion_matrix([0, 0, 1], [0, 1, 1], num_classes=2)
-        assert matrix[0, 0] == 1
-        assert matrix[0, 1] == 1
-        assert matrix[1, 1] == 1
-        assert matrix.sum() == 3

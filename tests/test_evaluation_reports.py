@@ -1,88 +1,8 @@
-"""Tests for repro.evaluation.reports and crossval."""
+"""Tests for repro.evaluation.reports."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.datasets import generate_viznet_dataset
-from repro.evaluation import (
-    PRF,
-    classification_report,
-    cross_validate,
-    f1_by_numeric_fraction,
-    kfold,
-    most_confused_pairs,
-    prf_to_dict,
-    render_classification_report,
-    render_table,
-)
-from repro.evaluation.crossval import CrossValResult
-
-
-NAMES = ["city", "country", "year"]
-
-
-class TestClassificationReport:
-    def test_perfect_predictions(self):
-        y = [0, 1, 2, 0, 1, 2]
-        report = classification_report(y, y, NAMES)
-        assert report.micro.f1 == 1.0
-        assert report.macro_f1 == 1.0
-        assert all(entry.prf.f1 == 1.0 for entry in report.classes)
-
-    def test_support_counts_true_labels(self):
-        report = classification_report([0, 0, 1], [1, 1, 1], NAMES)
-        assert report.row("city").support == 2
-        assert report.row("country").support == 1
-        assert report.row("year").support == 0
-
-    def test_row_unknown_class_raises(self):
-        report = classification_report([0], [0], NAMES)
-        with pytest.raises(KeyError):
-            report.row("nope")
-
-    def test_label_out_of_range_raises(self):
-        with pytest.raises(ValueError, match="class_names"):
-            classification_report([0, 5], [0, 1], NAMES)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="shape"):
-            classification_report([0, 1], [0], NAMES)
-
-    def test_hardest_and_easiest(self):
-        # city always right, country always wrong
-        y_true = [0, 0, 1, 1]
-        y_pred = [0, 0, 0, 0]
-        report = classification_report(y_true, y_pred, NAMES)
-        hardest = report.hardest(k=1)
-        easiest = report.easiest(k=1)
-        assert hardest[0].name == "country"
-        assert easiest[0].name == "city"
-
-    def test_hardest_respects_min_support(self):
-        report = classification_report([0, 1], [0, 0], NAMES)
-        names = [c.name for c in report.hardest(k=3, min_support=1)]
-        assert "year" not in names  # zero support
-
-
-class TestMostConfused:
-    def test_orders_by_count(self):
-        y_true = [0, 0, 0, 1]
-        y_pred = [1, 1, 2, 0]
-        pairs = most_confused_pairs(y_true, y_pred, NAMES)
-        assert pairs[0] == ("city", "country", 2)
-        assert ("city", "year", 1) in pairs
-        assert ("country", "city", 1) in pairs
-
-    def test_diagonal_excluded(self):
-        pairs = most_confused_pairs([0, 1], [0, 1], NAMES)
-        assert pairs == []
-
-    def test_k_truncates(self):
-        y_true = [0, 0, 1, 1, 2, 2]
-        y_pred = [1, 2, 0, 2, 0, 1]
-        assert len(most_confused_pairs(y_true, y_pred, NAMES, k=2)) == 2
+from repro.evaluation import render_table
 
 
 class TestRenderers:
@@ -96,115 +16,3 @@ class TestRenderers:
     def test_render_table_ragged_row_raises(self):
         with pytest.raises(ValueError, match="headers"):
             render_table(("a", "b"), [("only-one",)])
-
-    def test_render_classification_report_contains_summary(self):
-        report = classification_report([0, 1, 2], [0, 1, 1], NAMES)
-        text = render_classification_report(report)
-        assert "micro avg" in text
-        assert "macro F1" in text
-        assert "city" in text
-
-    def test_render_sort_by_f1(self):
-        report = classification_report([0, 1], [0, 0], NAMES)
-        text = render_classification_report(report, sort_by="f1", min_support=1)
-        city_pos = text.index("city")
-        country_pos = text.index("country")
-        assert city_pos < country_pos  # f1 descending
-
-    def test_render_invalid_sort_raises(self):
-        report = classification_report([0], [0], NAMES)
-        with pytest.raises(ValueError, match="sort_by"):
-            render_classification_report(report, sort_by="support!")
-
-    def test_f1_by_numeric_fraction_orders_by_percentage(self):
-        rows = f1_by_numeric_fraction(
-            {"year": 0.9, "city": 0.8},
-            {"year": 0.95, "city": 0.01, "rank": 0.99},
-            top_k=2,
-        )
-        assert [r[0] for r in rows] == ["rank", "year"]
-        assert rows[0][2] == 0.0  # rank has no measured F1
-
-
-class TestKFold:
-    def test_folds_partition_tables(self):
-        dataset = generate_viznet_dataset(num_tables=25, seed=0)
-        folds = kfold(dataset, k=5, seed=3)
-        test_ids = [t.table_id for f in folds for t in f.splits.test.tables]
-        assert sorted(test_ids) == sorted(t.table_id for t in dataset.tables)
-
-    def test_no_overlap_between_train_and_test(self):
-        dataset = generate_viznet_dataset(num_tables=20, seed=1)
-        for fold in kfold(dataset, k=4, seed=0):
-            train_ids = {t.table_id for t in fold.splits.train.tables}
-            valid_ids = {t.table_id for t in fold.splits.valid.tables}
-            test_ids = {t.table_id for t in fold.splits.test.tables}
-            assert not train_ids & test_ids
-            assert not valid_ids & test_ids
-            assert not train_ids & valid_ids
-
-    def test_deterministic(self):
-        dataset = generate_viznet_dataset(num_tables=15, seed=2)
-        a = kfold(dataset, k=3, seed=7)
-        b = kfold(dataset, k=3, seed=7)
-        for fa, fb in zip(a, b):
-            assert [t.table_id for t in fa.splits.test.tables] == [
-                t.table_id for t in fb.splits.test.tables
-            ]
-
-    def test_k_too_small_raises(self):
-        dataset = generate_viznet_dataset(num_tables=10, seed=0)
-        with pytest.raises(ValueError, match="k must be"):
-            kfold(dataset, k=1)
-
-    def test_too_few_tables_raises(self):
-        dataset = generate_viznet_dataset(num_tables=3, seed=0)
-        with pytest.raises(ValueError, match="fewer than"):
-            kfold(dataset, k=5)
-
-    @given(n=st.integers(6, 40), k=st.integers(2, 6))
-    @settings(max_examples=20, deadline=None)
-    def test_fold_sizes_balanced(self, n, k):
-        if n < k:
-            return
-        dataset = generate_viznet_dataset(num_tables=n, seed=0)
-        folds = kfold(dataset, k=k, seed=0)
-        sizes = [len(f.splits.test.tables) for f in folds]
-        assert max(sizes) - min(sizes) <= 1
-
-
-class TestCrossValidate:
-    def test_aggregates_means_and_stds(self):
-        dataset = generate_viznet_dataset(num_tables=12, seed=4)
-        result = cross_validate(
-            dataset,
-            lambda fold: {"metric": float(fold.index)},
-            k=3,
-            seed=0,
-        )
-        assert result.mean("metric") == pytest.approx(1.0)
-        assert result.std("metric") == pytest.approx(np.std([0.0, 1.0, 2.0]))
-        assert result.metrics() == ["metric"]
-
-    def test_summary_format(self):
-        result = CrossValResult(fold_scores=[{"f1": 0.5}, {"f1": 0.7}])
-        summary = result.summary()
-        assert summary["f1"].startswith("0.6000")
-        assert "±" in summary["f1"]
-
-    def test_inconsistent_metrics_raise(self):
-        dataset = generate_viznet_dataset(num_tables=12, seed=4)
-
-        def flaky(fold):
-            return {"a": 1.0} if fold.index == 0 else {"b": 1.0}
-
-        with pytest.raises(ValueError, match="returned metrics"):
-            cross_validate(dataset, flaky, k=3)
-
-    def test_prf_to_dict(self):
-        flat = prf_to_dict("type", PRF(0.1, 0.2, 0.3))
-        assert flat == {
-            "type_precision": 0.1,
-            "type_recall": 0.2,
-            "type_f1": 0.3,
-        }

@@ -10,10 +10,8 @@ reproduce them exactly.  This module is the proof:
   float32 (same ufunc sequence, same dtype → same bits);
 * the full fast forward (``kernels="fast"``) vs the reference Tensor path
   (``kernels="reference"``) through ``DoduoTrainer.annotate_batch`` —
-  type scores, relations, and embeddings all ``==`` in the default
-  float32 policy (this is the CI gate for the whole optimization layer);
-* the float64 policy — bounded drift vs float32, never byte-mixed
-  (distinct fingerprints);
+  type scores, relations, and embeddings all ``==`` (this is the CI gate
+  for the whole optimization layer);
 * the pruned last block — the rows the heads read ``==`` those rows of the
   whole block ``==`` the reference, whatever its two verdicts say here
   (run this file under ``OPENBLAS_CORETYPE=Nehalem`` for the other side).
@@ -227,57 +225,27 @@ class TestFullForwardIdentity:
         for platforms where it might not — a failure is a fallback, not a
         wrong byte — but locally we expect 100% proven)."""
         trainer.annotate_batch(trainer.dataset.tables[:4], kernels="fast")
-        session = trainer.model.inference_session("float32")
+        session = trainer.model.inference_session()
         assert session.workspace.proofs.proofs_run > 0
         assert session.workspace.proofs.proofs_failed == 0
 
-    def test_float64_policy_bounded_drift(self, trainer):
-        tables = trainer.dataset.tables[:4]
-        f32 = _annotation_bytes(trainer, tables, kernels="fast")
-        f64 = _annotation_bytes(
-            trainer, tables, kernels="fast", compute_dtype="float64"
-        )
-        for (t32, _, e32), (t64, _, e64) in zip(f32, f64):
-            assert t64.dtype == np.float64
-            # float32 arithmetic carries ~1e-7 relative error; the float64
-            # path is the higher-precision answer, so the gap is bounded by
-            # the float32 error scale, not equality.
-            assert np.abs(t32 - t64).max() < 1e-4
-            assert np.abs(e32 - e64).max() < 1e-3
-            assert np.abs(t32 - t64).max() > 0.0  # genuinely different path
-
-    def test_dtype_folds_into_fingerprint(self, trainer):
-        from repro.serving import AnnotationEngine, EngineConfig
-
-        def fingerprint(precision):
-            return AnnotationEngine(
-                trainer, EngineConfig(precision=precision)
-            ).model_fingerprint
-
-        f32 = trainer.annotation_fingerprint()
-        assert fingerprint("float64") != f32
-        assert fingerprint("float32") == f32
-
-    def test_reference_path_rejects_float64(self, trainer):
-        with pytest.raises(ValueError):
-            trainer.annotate_batch(
-                trainer.dataset.tables[:1],
-                kernels="reference",
-                compute_dtype="float64",
-            )
+    def test_sessions_serve_float32_only(self, trainer):
+        with pytest.raises(ValueError, match="float64"):
+            trainer.model._resolve_session("fast", "float64")
+        assert trainer.model._resolve_session("fast", "float32") is not None
 
     def test_training_mode_invalidates_sessions(self, trainer):
         trainer.annotate_batch(trainer.dataset.tables[:1], kernels="fast")
-        assert trainer.model._sessions
+        assert trainer.model._session is not None
         trainer.model.train()
-        assert not trainer.model._sessions  # stale fused weights dropped
+        assert trainer.model._session is None  # stale fused weights dropped
         trainer.model.eval()
 
     def test_session_stale_after_load_state_dict(self, trainer):
         trainer.annotate_batch(trainer.dataset.tables[:1], kernels="fast")
         state = trainer.model.state_dict()
         trainer.model.load_state_dict(state)
-        assert not trainer.model._sessions
+        assert trainer.model._session is None
         # and a fresh session rebuilds against the new arrays
         reference = _annotation_bytes(
             trainer, trainer.dataset.tables[:2], kernels="reference"
@@ -331,31 +299,29 @@ def _shared_model(visibility: bool, numeric: bool, whole: bool = False) -> Doduo
     key = (visibility, numeric, whole)
     if key not in _MODELS:
         model = _MODELS[key] = _model(visibility, numeric)
-        for dtype in ("float32", "float64"):
-            session = model.inference_session(dtype)
-            if whole:
-                _disprove_pruning(model, dtype)
-            else:
-                decide_pruning_now(session)
+        if whole:
+            _disprove_pruning(model)
+        else:
+            decide_pruning_now(model.inference_session())
     return _MODELS[key]
 
 
-def _disprove_pruning(model: DoduoModel, dtype: str) -> None:
+def _disprove_pruning(model: DoduoModel) -> None:
     """Record a ``False`` query-stability verdict for every band before
     first use — what this process would have decided on a BLAS kernel
     family that disproves it."""
-    session = model.inference_session(dtype)
+    session = model.inference_session()
     head_dim = session.blocks[-1].head_dim
     band = 0
     while band < session.max_position:
         band = width_band(band + 1, session.max_position)
         session.workspace.proofs.record(
-            (QUERY_STABLE, head_dim, np.dtype(dtype).str, band), False
+            (QUERY_STABLE, head_dim, "<f4", band), False
         )
 
 
-def _pruning_proven(model: DoduoModel, dtype: str = "float32") -> bool:
-    return pruning_proven(model._proofs[dtype])
+def _pruning_proven(model: DoduoModel) -> bool:
+    return pruning_proven(model._proofs)
 
 
 def _sequence(rng: np.random.Generator, column_lengths) -> EncodedTable:
@@ -377,11 +343,11 @@ def _sequence(rng: np.random.Generator, column_lengths) -> EncodedTable:
     )
 
 
-def _forward(model, flat, widths, groups, kernels, dtype):
+def _forward(model, flat, widths, groups, kernels):
     """``flat`` encoded at ``widths``; both heads once per group of items
     (a table), probing columns (0, 1) of every sequence that has two — the
     products in flat order."""
-    states, session = model.encode_states(flat, widths, kernels, dtype)
+    states, session = model.encode_states(flat, widths, kernels)
     starts = np.cumsum([0] + [s.num_columns for s in flat]).tolist()
     type_logits, relation_logits = [], []
     for group in groups:
@@ -400,7 +366,7 @@ def _forward(model, flat, widths, groups, kernels, dtype):
     )
 
 
-def _ragged(model, tables, dtype="float32", width=None):
+def _ragged(model, tables, width=None):
     """Every table of the drain in ONE pass, each at its own width (or all
     at ``width``); the pass's odometer deltas ride along."""
     flat, groups, widths = [], [], []
@@ -409,7 +375,7 @@ def _ragged(model, tables, dtype="float32", width=None):
         widths += [width or max(s.length for s in table)] * len(table)
         flat += table
     before = model.encode_calls, model.padded_tokens, model.last_block_rows
-    out = _forward(model, flat, widths, groups, "fast", dtype)
+    out = _forward(model, flat, widths, groups, "fast")
     assert model.encode_calls - before[0] == 1
     out.padded_tokens = model.padded_tokens - before[1]
     out.last_block_rows = model.last_block_rows - before[2]
@@ -429,19 +395,19 @@ def _kept_rows(flat, widths) -> int:
     return kept if min(widths) > 1 and kept < sum(widths) else sum(widths)
 
 
-def _alone(model, tables, kernels, dtype="float32", width=None):
+def _alone(model, tables, kernels, width=None):
     """Per table, what the pad-to-one-width path gives it alone."""
     return [
         _forward(
             model, table, [width or max(s.length for s in table)] * len(table),
-            [range(len(table))], kernels, dtype,
+            [range(len(table))], kernels,
         )
         for table in tables
     ]
 
 
 def _assert_pruned_equals_whole_equals_reference(
-    tables, visibility=False, numeric=False, dtype="float32", width=None
+    tables, visibility=False, numeric=False, width=None
 ):
     """One drain three ways: through the model whose last block prunes if
     this host's BLAS lets it, through its twin that never does, and table
@@ -449,18 +415,14 @@ def _assert_pruned_equals_whole_equals_reference(
     block ran."""
     model = _shared_model(visibility, numeric)
     whole = _shared_model(visibility, numeric, whole=True)
-    # The Tensor path is float32 only; float64's oracle is the float64
-    # session one table at a time, every block whole — one width per pass,
-    # so every GEMM is the (count, width, K) batch the reference would run.
-    kernels = "reference" if dtype == "float32" else "fast"
-    oracle = _alone(whole, tables, kernels, dtype, width)
-    pruned = _ragged(model, tables, dtype, width)
-    unpruned = _ragged(whole, tables, dtype, width)
+    oracle = _alone(whole, tables, "reference", width)
+    pruned = _ragged(model, tables, width)
+    unpruned = _ragged(whole, tables, width)
     _assert_ragged_equals_alone(pruned, oracle)
     _assert_ragged_equals_alone(unpruned, oracle)
     assert unpruned.last_block_rows == unpruned.padded_tokens
     assert pruned.padded_tokens == unpruned.padded_tokens
-    if _pruning_proven(model, dtype):
+    if _pruning_proven(model):
         assert pruned.last_block_rows == pruned.kept_rows
     else:
         assert pruned.last_block_rows == pruned.padded_tokens
@@ -500,19 +462,16 @@ class TestRaggedBatching:
         single_column=st.booleans(),
         visibility=st.booleans(),
         numeric=st.booleans(),
-        dtype=st.sampled_from(["float32", "float64"]),
         seed=st.integers(0, 2**16),
     )
     def test_flat_pass_equals_reference_per_table(
-        self, shape, single_column, visibility, numeric, dtype, seed
+        self, shape, single_column, visibility, numeric, seed
     ):
         rng = np.random.default_rng(seed)
         if not single_column:
             shape = [table[:1] for table in shape]  # one sequence per table
         tables = [[_sequence(rng, columns) for columns in table] for table in shape]
-        _assert_pruned_equals_whole_equals_reference(
-            tables, visibility, numeric, dtype
-        )
+        _assert_pruned_equals_whole_equals_reference(tables, visibility, numeric)
 
     def _mixed_drain(self, seed=5):
         rng = np.random.default_rng(seed)
@@ -526,7 +485,7 @@ class TestRaggedBatching:
     def test_forced_disproof_serves_the_same_bytes_per_sequence(self, monkeypatch):
         model = _model(visibility=False, numeric=True)
         tables = self._mixed_drain()
-        session = model.inference_session("float32")
+        session = model.inference_session()
         shapes = {
             w.shape
             for bw in session.blocks
@@ -565,12 +524,10 @@ class TestRaggedBatching:
                 tables[1] = [_sequence(rng, [2]), _sequence(rng, [4])]
                 tables.append([_sequence(rng, [0]), _sequence(rng, [0])])
             assert min(s.length for t in tables for s in t) == 1
-            for dtype, kernels in (("float32", "reference"), ("float64", "fast")):
-                model = _shared_model(False, False)
-                _assert_ragged_equals_alone(
-                    _ragged(model, tables, dtype),
-                    _alone(model, tables, kernels, dtype),
-                )
+            model = _shared_model(False, False)
+            _assert_ragged_equals_alone(
+                _ragged(model, tables), _alone(model, tables, "reference")
+            )
 
     def test_never_seen_total_pays_no_reference_recompute(self, monkeypatch):
         """Verdicts are per (K, N, dtype) and band, never per row count or
@@ -580,7 +537,7 @@ class TestRaggedBatching:
         rng = np.random.default_rng(3)
         a, b, c = ([_sequence(rng, [n])] for n in (3, 7, 10))
         _ragged(model, [a, b])  # proves; sees the groups of widths 5 and 9
-        proofs = model.inference_session("float32").workspace.proofs
+        proofs = model.inference_session().workspace.proofs
         assert proofs.proofs_failed == 0
         run_before = proofs.proofs_run
         recomputed = []
@@ -606,7 +563,7 @@ class TestRaggedBatching:
         query-stability — and not one keyed by a shape: a shape no pass
         has had is never proven, and never computed twice."""
         model = _model(visibility=False, numeric=False, max_position=200)
-        session = model.inference_session("float32")
+        session = model.inference_session()
         rng = np.random.default_rng(6)
         shapes = set()
         for count in (1, 2, 3, 5, 8):
@@ -622,7 +579,7 @@ class TestRaggedBatching:
                     _ragged(model, tables), _alone(model, tables, "reference")
                 )
         assert len(shapes) > 40
-        verdicts = model._proofs["float32"].verdicts
+        verdicts = model._proofs.verdicts
         assert {key[0] for key in verdicts} == {ROW_STABLE, QUERY_STABLE}
         per_band = Counter(key[-1] for key in verdicts)
         assert set(per_band) == {64, 128}
@@ -674,19 +631,18 @@ class TestRaggedBatching:
             assert sum(f"K={k} N={n} dtype=float32" in m for m in messages) == 1
 
     def test_unstable_shape_is_found_and_bytes_hold(self, caplog):
-        """float64 x (96, 25) — the FFN-out shape of this model — is the
-        one weight shape measured row-count *dependent* on the reference
-        host's BLAS.  Wherever the proof lands, bytes hold; where it fails,
-        the fallback and its warning are what kept them."""
+        """(96, 25) — an FFN-out shape off every SIMD multiple — is proven
+        like any other.  Wherever the proof lands, bytes hold; where it
+        fails, the fallback and its warning are what kept them."""
         model = _model(visibility=False, numeric=False, hidden=25, ffn=96, heads=5)
         tables = self._mixed_drain()
         with caplog.at_level(logging.WARNING, logger="repro.core.inference"):
-            ragged = _ragged(model, tables, "float64")
-        _assert_ragged_equals_alone(ragged, _alone(model, tables, "fast", "float64"))
-        proofs = model.inference_session("float64").workspace.proofs
-        verdict = proofs.verdict((ROW_STABLE, 96, 25, "<f8", MAX_POSITION))
+            ragged = _ragged(model, tables)
+        _assert_ragged_equals_alone(ragged, _alone(model, tables, "reference"))
+        proofs = model.inference_session().workspace.proofs
+        verdict = proofs.verdict((ROW_STABLE, 96, 25, "<f4", MAX_POSITION))
         assert verdict is not None  # decided at the first mixed-width pass
-        logged = any("K=96 N=25 dtype=float64" in r.getMessage() for r in caplog.records)
+        logged = any("K=96 N=25 dtype=float32" in r.getMessage() for r in caplog.records)
         assert logged == (verdict is False)
 
     @staticmethod
@@ -694,7 +650,7 @@ class TestRaggedBatching:
         """What only a new process does: a rebuilt session alone keeps the
         model's verdicts (they are about shapes, not weights)."""
         model.invalidate_sessions()
-        model._proofs.clear()
+        model._proofs = kernels.ProofCache()
 
     def test_restart_reproves_row_stability_for_itself(
         self, trainer, tmp_path, monkeypatch
@@ -712,7 +668,7 @@ class TestRaggedBatching:
         want = [alone.annotate(table).type_scores for table in tables[4:10]]
         self._forget_proofs(trainer.model)
         AnnotationEngine(trainer, config).annotate_batch(tables[:4])
-        proven = trainer.model._proofs["float32"].verdicts
+        proven = trainer.model._proofs.verdicts
         assert sum(ROW_STABLE in key for key in proven) == 4
         # "Restart": a new process over the same directory; tables it has
         # not answered, so the passes really run.
@@ -761,10 +717,6 @@ def _pinned_drains():
         "beside a width-1 sequence": (mixed + [[_sequence(rng, [0])]], {}),
         "forced width: pad rows and mask bias": (columns, {"width": 12}),
         "visibility matrix": (mixed + uneven, {"visibility": True}),
-        "float64": (mixed + columns, {"dtype": "float64"}),
-        "float64, visibility, numeric": (
-            uneven + mixed, {"dtype": "float64", "visibility": True, "numeric": True},
-        ),
     }
 
 
@@ -824,7 +776,7 @@ class TestPrunedLastBlock:
             "repro.core.inference.prove_query_stable", lambda *args: False
         )
         model = _model(visibility=False, numeric=False)
-        decide_pruning_now(model.inference_session("float32"))
+        decide_pruning_now(model.inference_session())
         tables = TestRaggedBatching()._mixed_drain()
         with caplog.at_level(logging.WARNING, logger="repro.core.inference"):
             for _ in range(2):
@@ -834,7 +786,7 @@ class TestPrunedLastBlock:
         logged = [r.getMessage() for r in caplog.records if "query count" in r.getMessage()]
         rows_proven = all(
             ok for key, ok in
-            model._proofs["float32"].verdicts.items()
+            model._proofs.verdicts.items()
             if ROW_STABLE in key
         )
         # The query proof runs only behind four True row verdicts.
@@ -849,8 +801,8 @@ class TestPrunedLastBlock:
         reference = AnnotationEngine(trainer, EngineConfig(kernels="reference"))
         want = [r.annotated for r in reference.annotate_batch(tables)]
         TestRaggedBatching._forget_proofs(trainer.model)
-        _disprove_pruning(trainer.model, "float32")
-        decide_pruning_now(trainer.model.inference_session("float32"))
+        _disprove_pruning(trainer.model)
+        decide_pruning_now(trainer.model.inference_session())
         engine = AnnotationEngine(trainer, EngineConfig(batch_size=3))
         for got, expected in zip(engine.annotate_batch(tables), want):
             assert got.annotated.type_scores == expected.type_scores
@@ -875,9 +827,9 @@ class TestPrunedLastBlock:
         want = [r.annotated for r in reference.annotate_batch(tables[4:10])]
         forget = TestRaggedBatching._forget_proofs
         forget(trainer.model)
-        decide_pruning_now(trainer.model.inference_session("float32"))
+        decide_pruning_now(trainer.model.inference_session())
         AnnotationEngine(trainer, config).annotate_batch(tables[:4])
-        decided = trainer.model._proofs["float32"].verdicts
+        decided = trainer.model._proofs.verdicts
         rows_proven = all(ok for key, ok in decided.items() if ROW_STABLE in key)
         assert any(QUERY_STABLE in key for key in decided) or not rows_proven
         forget(trainer.model)  # "restart": a new process, same directory
@@ -886,7 +838,7 @@ class TestPrunedLastBlock:
             "repro.core.inference.prove_query_stable",
             lambda *args: ran.append(args) or False,
         )
-        decide_pruning_now(trainer.model.inference_session("float32"))
+        decide_pruning_now(trainer.model.inference_session())
         engine = AnnotationEngine(trainer, config)
         results = engine.annotate_batch(tables[4:10])  # not stored: passes run
         # The query proof runs only behind True row verdicts.
@@ -920,7 +872,7 @@ tables = generate_wikitable_dataset(num_tables=60, seed=7, max_rows=4).tables
 tables = tables[:30] if part == "writer" else tables[30:]
 oracle = AnnotationEngine(trainer, EngineConfig(kernels="reference"))
 want = [result.type_scores for result in oracle.annotate_batch(tables)]
-session = trainer.model.inference_session("float32")
+session = trainer.model.inference_session()
 session._banked_rows = proof_rows(session.max_position)  # prove at once
 engine = AnnotationEngine(trainer, EngineConfig(cache_dir=cache_dir))
 got = [result.type_scores for result in engine.annotate_batch(tables)]

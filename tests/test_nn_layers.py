@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import MLP, Dropout, Embedding, LayerNorm, Linear, Module, Tensor
+from repro.nn import Dropout, Embedding, LayerNorm, Linear, Module, Tensor
 
 from helpers import rng
 
@@ -138,20 +138,3 @@ class TestDropout:
         drop.eval()
         x = Tensor(np.ones(10, dtype=np.float32))
         np.testing.assert_allclose(drop(x).data, 1.0)
-
-
-class TestMLP:
-    def test_forward(self):
-        mlp = MLP(4, 8, 2, rng(0))
-        out = mlp(Tensor(np.zeros((3, 4), dtype=np.float32)))
-        assert out.shape == (3, 2)
-
-    def test_invalid_activation(self):
-        with pytest.raises(ValueError):
-            MLP(4, 8, 2, rng(0), activation="softplus")
-
-    @pytest.mark.parametrize("activation", ["gelu", "relu", "tanh"])
-    def test_activations_run(self, activation):
-        mlp = MLP(4, 8, 2, rng(0), activation=activation)
-        out = mlp(Tensor(rng(1).standard_normal((2, 4)).astype(np.float32)))
-        assert np.isfinite(out.data).all()

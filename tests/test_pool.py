@@ -31,6 +31,7 @@ import time
 from pathlib import Path
 
 import pytest
+from helpers import StubEngine
 
 from repro.core import save_annotator
 from repro.io import table_to_dict
@@ -40,9 +41,11 @@ from repro.serving import (
     AnnotationRequest,
     EngineConfig,
     EngineStats,
+    EngineWorker,
     GatewayStats,
     RegistryStats,
     ServerStats,
+    ServerThread,
     ServiceStats,
 )
 from repro.serving.pool import PoolConfig, ServingPool, merge_sections
@@ -285,6 +288,30 @@ class TestPoolServing:
         assert sum(tier["remote_hits"] for tier in tiers.values()) >= 1
 
 
+class TestInheritedListener:
+    def test_accepted_connections_get_nodelay(self, bundle):
+        """The ``inherit`` listener's accepted sockets carry TCP_NODELAY, as
+        a listener bound by asyncio itself does: asyncio sets it only when
+        the socket says ``IPPROTO_TCP``, and without it a pipelined
+        connection's small answers wait out Nagle's delay."""
+        pool = ServingPool(_config(bundle, sharding="inherit"))
+        pool._bind()
+        worker = EngineWorker(StubEngine())
+        server = ServerThread(worker, sock=pool._parent_sock)
+        try:
+            with worker, server as address:
+                with socket.create_connection(address, timeout=10) as client:
+                    client.sendall(b'{"op": "health"}\n')
+                    assert client.makefile("rb").readline().endswith(b"\n")
+                    (connection,) = server.server._connections
+                    accepted = connection.writer.get_extra_info("socket")
+                    assert accepted.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    )
+        finally:
+            pool._parent_sock.close()
+
+
 class TestPoolSupervision:
     def test_crashed_worker_is_restarted_and_pool_keeps_serving(
         self, bundle, tables
@@ -512,14 +539,13 @@ class TestMergeCounters:
         with pytest.raises(ValueError):
             _config(bundle, engine=EngineConfig(probe_mode="greedy"))
 
-    def test_pool_config_carries_engine_precision_knobs(self, bundle):
+    def test_pool_config_carries_engine_knobs(self, bundle):
         """The worker gets its EngineConfig inside PoolConfig, so every
         engine knob must survive the pickle."""
         engine = EngineConfig(
             batch_size=4,
-            precision="float64",
             column_cache_size=32,
-            column_cache_persist=True,
+            kernels="reference",
             weight_arena=True,
         )
         config = pickle.loads(pickle.dumps(_config(bundle, engine=engine)))

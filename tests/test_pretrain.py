@@ -133,15 +133,14 @@ class TestPretraining:
             CORPUS, tokenizer, config, epochs=4, batch_size=8, lr=2e-3,
             seed=0, exact_batching=True,
         )
-        assert result.padding.wasted_tokens == 0
-        assert result.padding.waste_ratio == 0.0
+        assert result.padding.padded_tokens == result.padding.real_tokens
         assert result.losses[-1] < result.losses[0]
         # The default policy on the same corpus does waste slots, so the
         # exact planner is measurably tighter.
         default = pretrain_mlm(
             CORPUS, tokenizer, config, epochs=1, batch_size=8, seed=0
         )
-        assert default.padding.wasted_tokens > 0
+        assert default.padding.padded_tokens > default.padding.real_tokens
 
 
 class TestPseudoPerplexity:
