@@ -32,9 +32,15 @@ artifact next to ``multiproc_saturation.json``).
 
 Acceptance gate: some budget reaches >= 5x fewer encoded pairs while
 keeping >= 0.95 recall of the exhaustive predictions.
+
+Footprint gate: once the corpus is planned, the module-level profile memo
+(``repro.core.wide.PROFILE_CACHE``) holds under 1 KB per entry — its key,
+its slot, and the tuple of pointers into the shared gram table.  The gram
+table itself is paid once per process and is recorded beside it.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +51,7 @@ from repro.core.probe import (
     relation_type_compatibility,
     subject_type_priors,
 )
+from repro.core.wide import GRAM_TABLE, PROFILE_CACHE
 from repro.datasets import Column, Table
 from repro.datasets.wikitable import SCHEMAS, generate_table
 from repro.serving import AnnotationEngine, EngineConfig
@@ -139,6 +146,28 @@ def evaluate_budget(trainer, tables, gold, reference, budget, type_inputs):
         "recall": hits / gold_total,
         "precision": gold_planned / planned_total if planned_total else 0.0,
         "pairs_pruned": planner.pairs_pruned,
+    }
+
+
+def profile_memo_footprint():
+    """Deep bytes of the profile memo: per entry (the ordered dict, keys,
+    profile tuples and any gram the gram table does not hold, over the
+    entry count) and, separately, the shared gram table (its dict and its
+    strings) — each object counted once."""
+    entries = PROFILE_CACHE._entries
+    shared = {id(gram) for gram in GRAM_TABLE}
+    own = sys.getsizeof(entries) + sum(
+        sys.getsizeof(key)
+        + sys.getsizeof(profile)
+        + sum(sys.getsizeof(gram) for gram in profile if id(gram) not in shared)
+        for key, profile in entries.items()
+    )
+    return {
+        "entries": len(entries),
+        "bytes_per_entry": own / max(1, len(entries)),
+        "grams": len(GRAM_TABLE),
+        "gram_table_bytes": sys.getsizeof(GRAM_TABLE)
+        + sum(sys.getsizeof(gram) for gram in GRAM_TABLE),
     }
 
 
@@ -237,6 +266,7 @@ def run_experiment():
         "exhaustive_pairs": len(universe),
         "gold_pairs_per_table": len(gold[0]),
         "byte_identical_spot_check": bool(byte_identical),
+        "profile_memo": profile_memo_footprint(),
         "curves": curves,
     }
     CURVES_FILE.write_text(json.dumps(payload, indent=2) + "\n")
@@ -264,3 +294,8 @@ def test_probe_planning(benchmark):
     prefilter = results["curves"]["model_free"][-1]
     assert prefilter["budget"] is None
     assert prefilter["coverage"] >= 0.95
+    # Profiles are tuples of pointers into one gram table: a memo entry
+    # costing a kilobyte or more means they hold their own strings again.
+    memo = results["profile_memo"]
+    assert memo["entries"] > 0
+    assert memo["bytes_per_entry"] < 1024

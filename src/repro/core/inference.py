@@ -368,7 +368,7 @@ class InferenceSession:
         if numeric_ids is not None:
             np.add(x, self.num_w[numeric_ids], out=x)
         return layer_norm_(
-            x, self.emb_gamma, self.emb_beta, self.emb_eps, self.workspace
+            x, self.emb_gamma, self.emb_beta, self.emb_eps, self.workspace, "block"
         )
 
     def _forward(
@@ -393,8 +393,11 @@ class InferenceSession:
         ``queries``) when :meth:`_may_prune` licenses it; its other rows
         then keep the block before's output.
         """
+        rows = kept = token_ids.size
+        if self.blocks:  # _block's widest layout up front: one growth at most
+            dim, ffn = self.blocks[0].w_in.shape
+            self.workspace.take("block", (rows, max(4 * dim, 2 * ffn)), self._np_dtype)
         x = self._embed(token_ids, positions, segment_ids, numeric_ids)
-        rows = kept = x.shape[0]
         # Not beside a width-1 sequence: its projections are matrix-vector
         # calls that run alone (groups ascend by width).
         if self.blocks and groups and groups[0].width > 1:
@@ -493,8 +496,10 @@ class InferenceSession:
         name: str,
         groups: Sequence[_Group],
         parts: Optional[Sequence[np.ndarray]] = None,
+        offset: int = 0,
     ) -> np.ndarray:
-        """``x @ w`` for the flat ``(rows, K)`` matrix, into buffer ``name``.
+        """``x @ w`` for the flat ``(rows, K)`` matrix, into workspace region
+        ``name``, ``offset`` bytes in.
 
         The reference path multiplies each sequence on its own, so one GEMM
         over all the rows is right only if a GEMM's output rows do not
@@ -516,7 +521,7 @@ class InferenceSession:
         width-1 group, so they are one flat GEMM.
         """
         rows, inner = x.shape
-        out = self.workspace.take(name, (rows, w.shape[1]), x.dtype)
+        out = self.workspace.take(name, (rows, w.shape[1]), x.dtype, offset)
         band = width_band(groups[-1].width if groups else 0, self.max_position)
         stable = self._row_stable(w, band, parts, prove=len(groups) > 1)
         flat_from = rows
@@ -556,15 +561,21 @@ class InferenceSession:
         """
         ws = self.workspace
         heads, head_dim = bw.heads, bw.head_dim
-        qkv = self._project(
-            x, bw.w_qkv, "qkv", groups, parts=(bw.w_q, bw.w_k, bw.w_v)
-        )
-        qkv += bw.b_qkv
         kept, residual = None, x
         if prune:
             kept = np.concatenate([group.queries.ravel() for group in groups])
             residual = x[kept]
-        context = ws.take("context_rows", residual.shape, x.dtype)
+        # Three regions, each holding in turn arrays whose lifetimes do not
+        # overlap.  "block": Q/K/V beside the context rows, the first layer
+        # norm's scratch, the FFN state beside its GELU scratch (the kept
+        # rows' output goes there once it is dead: "ffn_o" holds ``x``).
+        # "attn_out": the attention output, then the second layer norm's
+        # scratch.  "ffn_o": the output, the next block's ``x``.
+        qkv = self._project(
+            x, bw.w_qkv, "block", groups, parts=(bw.w_q, bw.w_k, bw.w_v)
+        )
+        qkv += bw.b_qkv
+        context = ws.take("block", residual.shape, x.dtype, qkv.nbytes)
         done = 0  # the groups tile the rows, whole or kept, in order
         for group in groups:
             count = len(group.members)
@@ -586,16 +597,15 @@ class InferenceSession:
         attended = self._project(context, bw.w_o, "attn_out", groups)
         attended += bw.b_o
         np.add(residual, attended, out=attended)
-        mid = layer_norm_(attended, bw.attn_gamma, bw.attn_beta, bw.attn_eps, ws)
-        hidden = self._project(mid, bw.w_in, "ffn_h", groups)
+        mid = layer_norm_(attended, bw.attn_gamma, bw.attn_beta, bw.attn_eps, ws, "block")
+        hidden = self._project(mid, bw.w_in, "block", groups)
         hidden += bw.b_in
-        gelu_(hidden, ws)
-        # The kept rows get a buffer of their own: "ffn_o" holds ``x``,
-        # the block before's output, which they are written back into.
-        out = self._project(hidden, bw.w_out, "kept_o" if prune else "ffn_o", groups)
+        gelu_(hidden, ws, "block", hidden.nbytes)
+        name, offset = ("block", hidden.nbytes) if prune else ("ffn_o", 0)
+        out = self._project(hidden, bw.w_out, name, groups, offset=offset)
         out += bw.b_out
         np.add(mid, out, out=out)
-        out = layer_norm_(out, bw.ffn_gamma, bw.ffn_beta, bw.ffn_eps, ws)
+        out = layer_norm_(out, bw.ffn_gamma, bw.ffn_beta, bw.ffn_eps, ws, "attn_out")
         if not prune:
             return out
         x[kept] = out

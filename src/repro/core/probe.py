@@ -53,7 +53,7 @@ from typing import (
 import numpy as np
 
 from ..datasets.tables import Column, Table, TableDataset
-from ..encoding.cache import LRUCache, table_fingerprint
+from ..encoding.cache import BoundedMemo, LRUCache, table_fingerprint
 from .trainer import default_relation_pairs, validate_relation_pairs
 from .wide import cached_column_profile, profile_similarity
 
@@ -88,10 +88,10 @@ DUPLICATE_SIMILARITY = 0.9
 PROFILE_VALUES = 20
 
 _HASH_DIM = 64  # hashed character-3-gram embedding dimensionality
-#: Distinct 3-grams whose hash bucket a planner remembers before it starts
-#: over (about a megabyte; the 6 912 columns of the wide benchmark corpus
-#: hold 1 034).
-_GRAM_MEMO_SIZE = 1 << 14
+#: gram → hashed-embedding bucket, once per process for every planner (the
+#: 6 912 columns of the wide benchmark corpus hold 1 034 grams); starts
+#: over past about a megabyte, counting what it drops.
+GRAM_BUCKETS = BoundedMemo(1 << 14)
 
 
 @dataclass(frozen=True)
@@ -181,24 +181,22 @@ def _column_stats(column: Column) -> Tuple[float, float]:
     return numeric / len(values), distinct / len(values)
 
 
-def _profile_vector(grams: Set[str], buckets: Dict[str, int]) -> np.ndarray:
+def _profile_vector(grams: Sequence[str], buckets: BoundedMemo) -> np.ndarray:
     """Unit-norm hashed count embedding of a char-3-gram profile.
 
     crc32, not ``hash()``: the builtin is salted per process, and planner
     decisions must be stable across processes (they fold into cache keys
     via the annotation fingerprint).  ``buckets`` memoises gram → bucket
-    (the same thousand or so grams fill every column of a corpus), bounded
-    by starting over.
+    (the same thousand or so grams fill every column of a corpus).
     """
     try:
         index = [buckets[gram] for gram in grams]
     except KeyError:
-        if len(buckets) > _GRAM_MEMO_SIZE:
-            buckets.clear()
-        for gram in grams:
-            if gram not in buckets:
-                buckets[gram] = zlib.crc32(gram.encode("utf-8")) % _HASH_DIM
-        index = [buckets[gram] for gram in grams]
+        buckets.make_room()
+        index = [
+            buckets.setdefault(gram, zlib.crc32(gram.encode("utf-8")) % _HASH_DIM)
+            for gram in grams
+        ]
     vector = np.bincount(index, minlength=_HASH_DIM).astype(np.float64)
     # What np.linalg.norm computes for a real vector, without its dispatch.
     norm = math.sqrt(vector.dot(vector))
@@ -287,7 +285,6 @@ class ProbePlanner:
         self.pairs_planned = 0
         self.pairs_pruned = 0
         self._plan_cache: LRUCache[ProbePlan] = LRUCache(plan_cache_size)
-        self._gram_buckets: Dict[str, int] = {}
 
     def fingerprint_tag(self) -> str:
         """The probe descriptor folded into
@@ -398,7 +395,7 @@ class ProbePlanner:
             )
         ]
         vectors = [
-            _profile_vector(profile, self._gram_buckets) for profile in profiles
+            _profile_vector(profile, GRAM_BUCKETS) for profile in profiles
         ]
         sizes = [len(profile) for profile in profiles]
         stats = [_column_stats(column) for column in table.columns]

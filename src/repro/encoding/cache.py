@@ -161,3 +161,19 @@ class LRUCache(Generic[V]):
         self._entries.clear()
         self.hits = 0
         self.misses = 0
+
+
+class BoundedMemo(dict):
+    """A memo that starts over once it holds ``capacity`` entries (no
+    recency bookkeeping); ``evictions`` counts the entries it dropped.
+    Threads may share one: a lookup racing a restart only recomputes."""
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__()
+        self.capacity = capacity
+        self.evictions = 0
+
+    def make_room(self) -> None:
+        if len(self) >= self.capacity:
+            self.evictions += len(self)
+            self.clear()

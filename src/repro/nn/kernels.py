@@ -9,7 +9,7 @@ must reproduce.  This module provides the serving-speed twins:
   buffers.  A ufunc with ``out=`` produces bitwise-identical values to its
   allocating form, so these are byte-safe by construction; the differential
   harness (``tests/test_kernel_identity.py``) pins that.
-* :class:`Workspace` — preallocated scratch buffers reused across batches.
+* :class:`Workspace` — preallocated scratch regions reused across batches.
   One workspace lives per inference session (per engine), so the
   token-wise steps of steady-state serving allocate no large temporaries.
 * :func:`attend` — attention over one width group with the reference's
@@ -33,6 +33,7 @@ band runs the reference form itself, never both forms.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,36 +76,31 @@ class ProofCache:
 
 
 class Workspace:
-    """Named scratch buffers reused across forward passes.
+    """Scratch regions reused across forward passes, one flat buffer each.
 
-    One live buffer per name.  A request that differs from the held
-    buffer only by a *smaller or equal leading dimension* gets a leading
-    slice of it — token-major passes ask for ``(rows, dim)`` with a new
-    row count on every drain, and reallocating half a megabyte each time
-    costs page faults and heap churn for nothing.  Any other change of
-    geometry (or dtype) allocates fresh and drops the old buffer, so a
-    name's footprint is its largest request so far: bounded by
-    ``batch_size`` times the widest sequences served.
+    :meth:`take` hands out a view of any shape and dtype that fits a
+    region's capacity, ``offset`` bytes in, so one region can hold in turn
+    arrays whose lifetimes do not overlap (the encoder block's layout is
+    in :meth:`~repro.core.inference.InferenceSession._block`).  A request
+    past the capacity allocates a larger buffer and drops the old one (views
+    already handed out keep it alive), so a region's footprint is its
+    largest request so far: bounded by ``batch_size`` times the widest
+    sequences served.
     """
 
     def __init__(self) -> None:
         self._buffers: Dict[str, np.ndarray] = {}
         self.proofs = ProofCache()
 
-    def take(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    def take(
+        self, name: str, shape: Tuple[int, ...], dtype, offset: int = 0
+    ) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        stop = offset + dtype.itemsize * math.prod(shape)
         buf = self._buffers.get(name)
-        if buf is not None and buf.dtype == dtype:
-            if buf.shape == tuple(shape):
-                return buf
-            if (
-                shape
-                and buf.shape[1:] == tuple(shape[1:])
-                and buf.shape[0] > shape[0]
-            ):
-                return buf[: shape[0]]
-        buf = np.empty(shape, dtype=dtype)
-        self._buffers[name] = buf
-        return buf
+        if buf is None or buf.nbytes < stop:
+            buf = self._buffers[name] = np.empty(stop, dtype=np.uint8)
+        return buf[offset:stop].view(dtype).reshape(shape)
 
     @property
     def allocated_bytes(self) -> int:
@@ -319,18 +315,19 @@ def layer_norm_(
     eps: float,
     ws: Workspace,
     scratch: str = "ln",
+    offset: int = 0,
 ) -> np.ndarray:
     """In-place twin of :func:`repro.nn.functional.layer_norm`.
 
-    Mutates and returns ``x``; uses one workspace buffer for the squared
-    deviations.  Every operation mirrors the reference kernel: mean,
-    subtract, square (as ``x * x`` — bitwise equal to the reference's
-    ``centered ** 2``, which numpy lowers to a multiply), mean, ``1/sqrt``,
-    scale, affine.
+    Mutates and returns ``x``; region ``scratch``, ``offset`` bytes in,
+    holds the squared deviations.  Every operation mirrors the reference
+    kernel: mean, subtract, square (as ``x * x`` — bitwise equal to the
+    reference's ``centered ** 2``, which numpy lowers to a multiply), mean,
+    ``1/sqrt``, scale, affine.
     """
     mu = x.mean(axis=-1, keepdims=True)
     np.subtract(x, mu, out=x)  # x = centered
-    sq = ws.take(scratch, x.shape, x.dtype)
+    sq = ws.take(scratch, x.shape, x.dtype, offset)
     np.multiply(x, x, out=sq)
     var = sq.mean(axis=-1, keepdims=True)
     var += eps
@@ -342,13 +339,15 @@ def layer_norm_(
     return x
 
 
-def gelu_(x: np.ndarray, ws: Workspace, scratch: str = "gelu") -> np.ndarray:
+def gelu_(
+    x: np.ndarray, ws: Workspace, scratch: str = "gelu", offset: int = 0
+) -> np.ndarray:
     """In-place twin of :func:`repro.nn.functional.gelu` (same op order).
 
-    Mutates and returns ``x``; one workspace buffer carries the cube/tanh
-    chain, so the steady state allocates nothing.
+    Mutates and returns ``x``; region ``scratch``, ``offset`` bytes in,
+    carries the cube/tanh chain, so the steady state allocates nothing.
     """
-    t = ws.take(scratch, x.shape, x.dtype)
+    t = ws.take(scratch, x.shape, x.dtype, offset)
     np.multiply(x, x, out=t)  # x^2
     np.multiply(t, x, out=t)  # x^2 * x  (the reference's cube)
     np.multiply(t, 0.044715, out=t)

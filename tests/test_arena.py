@@ -304,5 +304,8 @@ class TestProfileCacheBound:
 
     def test_profile_cache_stats_shape(self):
         stats = profile_cache_stats()
-        assert set(stats) == {"size", "capacity", "hits", "misses", "evictions"}
+        assert set(stats) == {
+            "size", "capacity", "hits", "misses", "evictions",
+            "grams", "gram_evictions", "gram_buckets", "gram_bucket_evictions",
+        }
         assert stats["capacity"] == 4096

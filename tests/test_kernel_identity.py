@@ -113,8 +113,11 @@ class TestInPlaceKernels:
         x = np.ones((4, 8), dtype=np.float32)
         gelu_(x.copy(), ws)
         scratch = ws.take("gelu", (4, 8), np.float32)
+        held = ws.allocated_bytes
         gelu_(x.copy(), ws)
-        assert ws.take("gelu", (4, 8), np.float32) is scratch
+        again = ws.take("gelu", (4, 8), np.float32)
+        assert _address(again) == _address(scratch)  # the same memory
+        assert ws.allocated_bytes == held
 
 
 # ---------------------------------------------------------------------------
@@ -134,21 +137,77 @@ class TestProofGatedMatmul:
         assert proofs.proofs_failed == 1
 
 
+def _address(array: np.ndarray) -> int:
+    return array.__array_interface__["data"][0]
+
+
 class TestWorkspace:
-    def test_buffer_identity_and_resize(self):
+    """A region is one flat buffer: any shape and dtype that fits is a view
+    of it, at any offset; only a request past its capacity reallocates."""
+
+    def test_views_of_any_shape_share_one_buffer(self):
         ws = Workspace()
         a = ws.take("x", (4, 8), np.float32)
-        assert ws.take("x", (4, 8), np.float32) is a  # steady state: reuse
-        b = ws.take("x", (2, 8), np.float32)  # fewer rows: a leading slice
-        assert b.base is a and b.shape == (2, 8) and b.flags.c_contiguous
-        assert ws.take("x", (4, 8), np.float32) is a  # and back, no realloc
-        grown = ws.take("x", (6, 8), np.float32)  # more rows: realloc
-        assert grown.base is None and grown.shape == (6, 8)
-        other = ws.take("x", (6, 4), np.float32)  # trailing geometry: realloc
-        assert other.base is None and other is not grown
-        c = ws.take("x", (2, 4), np.float64)  # dtype change: realloc
-        assert c.base is None
-        assert ws.allocated_bytes == c.nbytes  # one live buffer per name
+        base = _address(a)
+        assert ws.allocated_bytes == a.nbytes
+        for shape, dtype in (((2, 8), np.float32), ((8, 4), np.float32),
+                             ((32,), np.float32), ((2, 4), np.float64)):
+            view = ws.take("x", shape, dtype)
+            assert view.shape == shape and view.dtype == dtype
+            assert view.flags.c_contiguous and view.flags.writeable
+            assert _address(view) == base
+        assert ws.allocated_bytes == a.nbytes  # nothing reallocated
+
+    def test_offset_views_are_disjoint(self):
+        ws = Workspace()
+        ws.take("x", (96,), np.float32)  # the capacity: 384 bytes
+        first = ws.take("x", (4, 8), np.float32)
+        second = ws.take("x", (4, 16), np.float32, offset=first.nbytes)
+        assert _address(second) == _address(first) + first.nbytes
+        first[:] = 1.0
+        second[:] = 2.0
+        assert (first == 1.0).all() and (second == 2.0).all()
+        assert ws.allocated_bytes == 384
+
+    def test_buffer_identity_and_resize(self):
+        ws = Workspace()
+        small = ws.take("x", (2, 8), np.float32)
+        assert _address(ws.take("x", (2, 8), np.float32)) == _address(small)
+        small[:] = 7.0
+        grown = ws.take("x", (6, 8), np.float32)  # past capacity: realloc
+        assert _address(grown) != _address(small)
+        assert (small == 7.0).all()  # the old buffer lives while viewed
+        assert ws.allocated_bytes == grown.nbytes  # one buffer per region
+        # An offset past the capacity grows the region too.
+        tail = ws.take("x", (2, 8), np.float32, offset=grown.nbytes)
+        assert ws.allocated_bytes == grown.nbytes + tail.nbytes
+
+    def test_regions_are_independent(self):
+        ws = Workspace()
+        a = ws.take("a", (4, 4), np.float32)
+        b = ws.take("b", (4, 4), np.float32)
+        assert not np.shares_memory(a, b)
+        assert ws.allocated_bytes == a.nbytes + b.nbytes
+
+
+class TestBlockFootprint:
+    def test_a_3072_row_pass_holds_three_regions_and_the_reference_bytes(self):
+        """The block lays its scratch out by lifetime: a d=96 / ffn=192
+        pass over 3,072 rows keeps 6.75 MiB of workspace (Q/K/V beside
+        the context, later the FFN state beside its GELU scratch; the
+        attention output; the block output), not the 12.4 MiB of seven
+        buffers — and serves the reference bytes."""
+        model = _model(visibility=False, numeric=False, hidden=96, ffn=192,
+                       heads=4, max_position=64)
+        rng = np.random.default_rng(21)
+        tables = [[_sequence(rng, [20, 20, 20])] for _ in range(48)]
+        assert {s.length for t in tables for s in t} == {64}
+        ragged = _ragged(model, tables)
+        assert ragged.padded_tokens == 3072
+        _assert_ragged_equals_alone(ragged, _alone(model, tables, "reference"))
+        workspace = model.inference_session().workspace
+        assert workspace.allocated_bytes == 3072 * (4 * 96 + 2 * 96) * 4
+        assert workspace.allocated_bytes <= 7 * 2**20
 
 
 # ---------------------------------------------------------------------------

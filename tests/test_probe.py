@@ -22,6 +22,7 @@ from repro.core.probe import relation_type_compatibility, subject_type_priors
 from repro.core.trainer import default_relation_pairs, validate_relation_pairs
 from repro.datasets import Column, Table
 from repro.datasets.tables import TableDataset
+from repro.encoding.cache import BoundedMemo
 from repro.serving import AnnotationEngine, AnnotationRequest, EngineConfig
 from repro.serving.engine import EngineStats
 
@@ -190,7 +191,7 @@ class TestPlannerArithmetic:
 
         rng = np.random.default_rng(12)
         alphabet = list("abcdefghij 0123é")
-        buckets: dict = {}
+        buckets = BoundedMemo(1 << 14)
         for _ in range(2000):
             grams = {
                 "".join(rng.choice(alphabet, size=3))
@@ -206,16 +207,16 @@ class TestPlannerArithmetic:
             assert vector.tobytes() == loop.tobytes()
         assert 0 < len(buckets) <= len(alphabet) ** 3
 
-    def test_gram_memo_is_bounded(self, monkeypatch):
+    def test_gram_memo_is_bounded(self):
         from repro.core import probe
 
-        monkeypatch.setattr(probe, "_GRAM_MEMO_SIZE", 8)
-        buckets: dict = {}
+        buckets = BoundedMemo(8)
         for start in range(0, 60, 6):
             grams = {f"g{n:02d}" for n in range(start, start + 6)}
-            before = probe._profile_vector(grams, {})
+            before = probe._profile_vector(grams, BoundedMemo(8))
             assert (probe._profile_vector(grams, buckets) == before).all()
             assert len(buckets) <= 8 + 6
+        assert buckets.evictions == 60 - len(buckets)
 
     def test_size_bound_is_necessary_for_the_duplicate_threshold(self):
         from repro.core.probe import DUPLICATE_SIMILARITY, _sizes_allow_duplicates

@@ -1066,6 +1066,13 @@ class TestCoalescedWrites:
 # -- the property ----------------------------------------------------------
 
 _HITS, _MISSES = 3, 3
+#: Most records one drawn run sends.  The server under test gets a window
+#: this wide: with the default (4 * max_batch = 16), a connection that sends
+#: 17 records behind a held miss is suspended at its 17th by design — the
+#: window's backpressure, which
+#: ``test_a_full_window_suspends_the_reader_until_the_head_resolves`` covers —
+#: and could never reach the "every record accepted" point this test waits on.
+_MAX_OPS = 18
 _KINDS = ("hit", "hit", "hit", "miss", "bad", "stats", "health")
 _BAD_LINES = (
     b"this is not json\n",
@@ -1088,7 +1095,7 @@ def _traffic(draw):
                 st.integers(0, 2),
             ),
             min_size=1,
-            max_size=18,
+            max_size=_MAX_OPS,
         )
     )
     cut = draw(st.one_of(st.none(), st.integers(0, len(ops))))
@@ -1157,7 +1164,9 @@ class TestInterleavings:
         ]
 
         async def run(engine, worker, gate):
-            server = AnnotationServer(worker, STORE_OPTIONS, shutdown_grace=5.0)
+            server = AnnotationServer(
+                worker, STORE_OPTIONS, shutdown_grace=5.0, window=_MAX_OPS
+            )
             await server.start()
             streams = [
                 await asyncio.open_connection(*server.address)
@@ -1170,12 +1179,18 @@ class TestInterleavings:
                     streams[conn][1].write(scripts[conn][cursor[conn]][1])
                     cursor[conn] += 1
 
-            async def until(condition):
-                for _ in range(20000):
-                    if condition():
-                        return
+            async def until(condition, seconds=5.0):
+                # Wall clock, not a count of polls: a wait the server never
+                # satisfies fails in seconds, with what it had seen.
+                deadline = time.monotonic() + seconds
+                while not condition():
+                    if time.monotonic() > deadline:
+                        raise AssertionError(
+                            f"the server never got there: counters "
+                            f"{stats.to_dict()}, flushable {flushable}, "
+                            f"traffic {traffic!r}"
+                        )
                     await asyncio.sleep(0.001)
-                raise AssertionError("the server never got there")
 
             stats = server.stats
             send(first)
@@ -1215,7 +1230,10 @@ class TestInterleavings:
             gate = EngineGate(engine)
             worker = EngineWorker(engine, QueueConfig(max_batch=4))
             with worker:
-                received, stats = asyncio.run(run(engine, worker, gate))
+                try:
+                    received, stats = asyncio.run(run(engine, worker, gate))
+                finally:
+                    gate.open()  # a failed run must not park the worker
                 snapshot = worker.stats_snapshot()
             store.close()
 
@@ -1242,3 +1260,58 @@ class TestInterleavings:
         assert snapshot.submitted == stats.requests
         assert snapshot.completed + snapshot.failed == snapshot.submitted
         assert snapshot.failed == 0
+
+    def test_a_full_window_suspends_the_reader_until_the_head_resolves(
+        self, trainer_a, hot_entries
+    ):
+        """One connection sends more records than its window behind a held
+        miss: the server accepts a window's worth and reads on only once
+        the head's answer has gone out; then every record is answered, in
+        order, with its own bytes."""
+        import asyncio
+        import tempfile
+
+        window = 4
+        tables = [_variant(trainer_a.dataset.tables[5], "window")] + [
+            hot_entries[k % _HITS][0] for k in range(window + 2)
+        ]
+        lines = [
+            json.dumps(_routed_record(table, record_id=k)) + "\n"
+            for k, table in enumerate(tables)
+        ]
+        wants = [
+            _reference_line(trainer_a, table, k).encode("utf-8")
+            for k, table in enumerate(tables)
+        ]
+
+        async def run(worker, gate):
+            server = AnnotationServer(worker, STORE_OPTIONS, window=window)
+            await server.start()
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write("".join(lines).encode("utf-8"))
+            deadline = time.monotonic() + 5.0
+            while server.stats.requests < window and time.monotonic() < deadline:
+                await asyncio.sleep(0.001)
+            for _ in range(50):  # time to read past the window, if it could
+                await asyncio.sleep(0.001)
+            accepted = server.stats.requests
+            gate.open()
+            received = [await reader.readline() for _ in lines]
+            await server.stop()
+            writer.close()
+            return accepted, received
+
+        with tempfile.TemporaryDirectory() as directory:
+            store = FabricCache(directory, refresh_interval=0.0)
+            for _, key, payload in hot_entries:
+                store.put(key, payload)
+            engine = AnnotationEngine(trainer_a, result_cache=store)
+            gate = EngineGate(engine)
+            with EngineWorker(engine, QueueConfig(max_batch=4)) as worker:
+                try:
+                    accepted, received = asyncio.run(run(worker, gate))
+                finally:
+                    gate.open()
+            store.close()
+        assert accepted == window
+        assert received == wants

@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import probe, wide
 from repro.core.probe import ProbeBudget, ProbePlanner
 from repro.core.wide import (
+    GRAM_TABLE,
     PROFILE_CACHE,
     annotate_wide,
     cached_column_profile,
+    column_profile,
     column_similarity,
+    profile_cache_stats,
+    profile_similarity,
     split_columns_by_similarity,
     split_columns_contiguous,
     split_wide_table,
@@ -18,6 +23,7 @@ from repro.core.wide import (
     validate_partition,
 )
 from repro.datasets import Column, Table
+from repro.encoding.cache import BoundedMemo
 
 
 def make_wide_table(num_cols=8, num_rows=4) -> Table:
@@ -124,8 +130,8 @@ class TestProfileMemoization:
         b = Column(values=["san diego", "new orleans"])
         direct = column_similarity(a, b)
         grams_a, grams_b = cached_column_profile(a), cached_column_profile(b)
-        union = grams_a | grams_b
-        jaccard = len(grams_a & grams_b) / len(union) if union else 1.0
+        union = set(grams_a) | set(grams_b)
+        jaccard = len(set(grams_a) & set(grams_b)) / len(union) if union else 1.0
         assert direct == jaccard
 
     def test_nondefault_max_values_bypasses_cache(self):
@@ -133,7 +139,129 @@ class TestProfileMemoization:
         col = Column(values=[f"value {r}" for r in range(30)])
         cached_column_profile(col, max_values=5)
         assert PROFILE_CACHE.misses == 0
-        assert cached_column_profile(col, max_values=5) < cached_column_profile(col)
+        assert set(cached_column_profile(col, max_values=5)) < set(
+            cached_column_profile(col)
+        )
+
+
+def _oracle_profile(column: Column, max_values: int = 20) -> set:
+    """The set-of-strings profile the compact form replaces."""
+    grams = set()
+    for value in column.values[:max_values]:
+        padded = f" {value.lower()} "
+        if len(padded) < 3:
+            grams |= {padded}
+        else:
+            grams |= {padded[i:i + 3] for i in range(len(padded) - 2)}
+    return grams
+
+
+def _oracle_jaccard(a: set, b: set) -> float:
+    if not a and not b:
+        return 1.0
+    return len(a & b) / len(a | b)
+
+
+def _oracle_vector(grams: set) -> np.ndarray:
+    import zlib
+
+    loop = np.zeros(probe._HASH_DIM, dtype=np.float64)
+    for gram in grams:
+        loop[zlib.crc32(gram.encode("utf-8")) % probe._HASH_DIM] += 1.0
+    norm = float(np.linalg.norm(loop))
+    return loop / norm if norm else loop
+
+
+def _own_bytes(profile) -> int:
+    """Deep size of one profile, less the grams it shares with
+    ``GRAM_TABLE`` (paid once per process, not per profile)."""
+    import sys
+
+    shared = {id(gram) for gram in GRAM_TABLE}
+    return sys.getsizeof(profile) + sum(
+        sys.getsizeof(gram) for gram in profile if id(gram) not in shared
+    )
+
+
+#: Cells as the corpus has them and worse: unicode, blanks, repeats, one-
+#: and two-character cells, and long columns past the 20-value head.
+_CELLS = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["", " ", "a", "Ab", "NY", "é", "İ", "1", "12", "x y"]),
+)
+_COLUMNS = st.lists(_CELLS, min_size=0, max_size=30).map(
+    lambda values: Column(values=values)
+)
+
+
+class TestCompactProfiles:
+    """A profile is a sorted tuple of shared gram strings; every number the
+    planner and the grouping read off it equals the set-based oracle's, bit
+    for bit."""
+
+    @given(a=_COLUMNS, b=_COLUMNS)
+    @settings(max_examples=200, deadline=None)
+    def test_similarity_and_vectors_equal_the_set_oracle(self, a, b):
+        oracle_a, oracle_b = _oracle_profile(a), _oracle_profile(b)
+        compact_a, compact_b = cached_column_profile(a), cached_column_profile(b)
+        for compact, oracle in ((compact_a, oracle_a), (compact_b, oracle_b)):
+            assert compact == tuple(sorted(oracle))
+            assert len(compact) == len(oracle)
+            vector = probe._profile_vector(compact, probe.GRAM_BUCKETS)
+            assert vector.tobytes() == _oracle_vector(oracle).tobytes()
+        expected = _oracle_jaccard(oracle_a, oracle_b)
+        assert profile_similarity(compact_a, compact_b) == expected
+        assert profile_similarity(compact_b, compact_a) == expected
+        assert column_similarity(a, b) == expected
+
+    def test_grams_are_shared_between_profiles(self):
+        a = column_profile(Column(values=["new york", "new jersey"]))
+        b = column_profile(Column(values=["new orleans"]))
+        common = set(a) & set(b)
+        assert common
+        by_text = {gram: gram for gram in b}
+        assert all(gram is by_text[gram] for gram in a if gram in common)
+
+    def test_a_cached_profile_is_under_a_kilobyte(self):
+        PROFILE_CACHE.clear()
+        column = Column(values=[f"{city} {n}" for n, city in enumerate(
+            ["san francisco", "new york", "los angeles", "chicago", "boston"] * 4
+        )])
+        profile = cached_column_profile(column)
+        assert len(profile) > 40
+        assert _own_bytes(profile) < 1024
+        # The set of its own strings it replaced was several times that.
+        oracle = _oracle_profile(column)
+        assert _own_bytes(oracle) > 4 * _own_bytes(profile)
+
+
+class TestGramMemoBounds:
+    """Both gram memos start over at their cap, count what they drop, and
+    report it through ``profile_cache_stats()``."""
+
+    def test_gram_table_counts_its_evictions(self, monkeypatch):
+        monkeypatch.setattr(wide, "GRAM_TABLE", BoundedMemo(16))
+        stats = profile_cache_stats()
+        assert stats["grams"] == 0 and stats["gram_evictions"] == 0
+        for n in range(20):
+            profile = column_profile(Column(values=[f"v{n:03d}w"]))
+            assert len(wide.GRAM_TABLE) <= 16 + len(profile)
+        stats = profile_cache_stats()
+        assert stats["gram_evictions"] > 0
+        assert stats["grams"] <= 16 + 5
+
+    def test_gram_buckets_count_their_evictions(self, monkeypatch):
+        monkeypatch.setattr(probe, "GRAM_BUCKETS", BoundedMemo(16))
+        planner = ProbePlanner()
+        for n in range(12):
+            planner.plan(Table(columns=[
+                Column(values=[f"a{n:02d}x", "qq"]),
+                Column(values=[f"b{n:02d}y", "rr"]),
+            ]))
+            assert len(probe.GRAM_BUCKETS) <= 16 + 12
+        stats = profile_cache_stats()
+        assert stats["gram_bucket_evictions"] > 0
+        assert stats["gram_buckets"] == len(probe.GRAM_BUCKETS) <= 16 + 12
 
 
 class TestSplitWideTable:
