@@ -1,17 +1,21 @@
 """Multi-process pool saturation: `repro serve --workers N` vs N=1.
 
-Not a paper table — this measures the ISSUE-6 serving pool: the
-multi-process front door (shared listener, per-worker serving stacks,
-cross-process cache fabric) against the single-worker baseline, over a
-connections x workers grid.
+Not a paper table — this measures the serving pool: the multi-process
+front door (parent-placed connections, per-worker serving stacks, one
+shared weight arena, cross-process cache fabric) against the
+single-worker baseline, over a connections x workers grid.
 
 Each cell serves the same corpus of *distinct* tables through a fresh
 cold cache directory, so every request costs a real encoder pass — the
-work the extra processes are supposed to parallelize.  Clients are
-work-stealing threads over pre-serialized request bytes (write a
-pipelined batch, read the answers back), so the measuring process adds
-no JSON encode cost inside the timed region and the bottleneck stays on
-the serving side.
+work the extra processes are supposed to parallelize.  The client runs
+in its own process: work-stealing threads over pre-serialized request
+bytes (write a pipelined batch, read the answers back), so it adds no
+JSON encode cost inside the timed region, and it reports the CPU it
+spent there (``client_cpu_seconds``) — on a small host the client
+shares the cores the workers need.  Every cell also records how the
+parent placed its connections: the per-worker ``connections`` and
+``completed`` deltas of the pool's ``per_worker`` stats, read on one
+admin connection held open across the cell.
 
 The pool is launched through the real CLI (`repro serve --listen
 127.0.0.1:0 --workers N`) in a subprocess with BLAS threading pinned to
@@ -28,25 +32,31 @@ possible ratio is ~1.0x, so there the bench instead asserts the pool
 does not *collapse* throughput (>= 0.75x — supervision and fabric
 overhead stay in the noise) and tags the published summary
 ``cpu_limited`` so the artifact is not misread as a scaling failure.
+In every cell the parent's round-robin placement must split the
+connections across the workers within one of even.
 
-A second experiment measures the shared weight arena (``--weight-arena``)
-on a large random-init model where weights dominate worker memory:
+A second experiment measures the shared weight arena, which every pool
+maps, on a large random-init model where weights dominate worker memory:
 
 * **per-extra-worker RSS** — private (non-COW, non-file-backed) RSS per
-  worker from ``/proc/<pid>/smaps_rollup``, with and without the arena.
-  Without it every worker deserializes its own private copy of
-  ``weights.npz``; with it all workers map the same parent-built arena
-  file, so the marginal cost of a worker drops by the weight payload.
-  Acceptance bar: >= 50% reduction.
+  worker from ``/proc/<pid>/smaps_rollup``.  All workers map the same
+  parent-built arena file, so the weights are not in any worker's
+  private memory.  Acceptance bar: a worker's private RSS is below half
+  the weight payload (without the arena it would exceed all of it).
 * **crash-restart** — SIGKILL the only worker of a 1-worker pool and
   time until a request is answered again.  The restarted worker's
   ``arena_remaps`` counter proves structurally that it re-attached the
-  pre-built arena instead of re-parsing the bundle; the latencies for
-  both modes are reported (not asserted — wall-clock is host noise).
+  pre-built arena instead of re-parsing the bundle; the latency is
+  reported (not asserted — wall-clock is host noise).
+
+The committed ``multiproc_saturation.json`` is a smoke-mode run:
+``REPRO_BENCH_SMOKE=1 PYTHONPATH=src python -m pytest -q -s
+benchmarks/bench_multiproc.py``.
 """
 
 import collections
 import json
+import multiprocessing
 import os
 import re
 import signal
@@ -100,12 +110,12 @@ def _serving_env():
     return env
 
 
-def _start_pool(bundle, cache_dir, workers, env, extra=()):
+def _start_pool(bundle, cache_dir, workers, env):
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve", str(bundle),
             "--listen", "127.0.0.1:0", "--workers", str(workers),
-            "--cache-dir", str(cache_dir), *extra,
+            "--cache-dir", str(cache_dir),
         ],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
@@ -113,6 +123,12 @@ def _start_pool(bundle, cache_dir, workers, env, extra=()):
     match = re.search(r"listening on ([\d.]+):(\d+)", banner)
     assert match, f"pool did not start: {banner!r}"
     return process, (match.group(1), int(match.group(2)))
+
+
+def _stats(stream):
+    stream.write(json.dumps({"op": "stats"}) + "\n")
+    stream.flush()
+    return json.loads(stream.readline())
 
 
 def _ask(address, record):
@@ -124,16 +140,23 @@ def _ask(address, record):
 
 
 def _warm_workers(address, workers, warmup_record):
-    """Annotate a sacrificial table until every worker has loaded the
-    model, so the timed region measures serving, not checkpoint loads."""
-    deadline = time.monotonic() + 120
-    while time.monotonic() < deadline:
-        _ask(address, warmup_record)
-        stats = _ask(address, {"op": "stats"})
-        busy = [w for w in stats["pool"]["per_worker"] if w["completed"] > 0]
-        if len(busy) >= workers:
-            return
-    raise AssertionError("not every worker came up warm")
+    """Annotate a sacrificial table on every worker — one connection each,
+    opened back to back, which the parent places round-robin — so the
+    timed region measures serving, not first-request costs."""
+    line = (json.dumps(warmup_record) + "\n").encode("utf-8")
+    socks = [socket.create_connection(address, timeout=300) for _ in range(workers)]
+    try:
+        for sock in socks:
+            sock.sendall(line)
+        for sock in socks:
+            with sock.makefile("rb") as stream:
+                assert stream.readline(), "connection died during warm-up"
+    finally:
+        for sock in socks:
+            sock.close()
+    stats = _ask(address, {"op": "stats"})
+    busy = [w for w in stats["pool"]["per_worker"] if w["completed"] > 0]
+    assert len(busy) == workers, stats["pool"]["per_worker"]
 
 
 def _client(address, work, errors):
@@ -158,22 +181,60 @@ def _client(address, work, errors):
         errors.append(error)
 
 
-def _run_cell(address, request_bytes, connections):
+def _client_main(address, request_bytes, connections, results):
+    """The load generator's process: ``connections`` client threads drain
+    the corpus, then the timed window's wall and CPU seconds go back."""
     work = collections.deque(request_bytes)
     errors = []
     threads = [
         threading.Thread(target=_client, args=(address, work, errors))
         for _ in range(connections)
     ]
+    cpu = time.process_time()
     start = time.perf_counter()
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
     seconds = time.perf_counter() - start
-    assert not errors, errors[0]
-    assert not work
-    return seconds
+    cpu = time.process_time() - cpu
+    results.send((seconds, cpu, repr(errors[0]) if errors else None, len(work)))
+    results.close()
+
+
+def _run_cell(address, request_bytes, connections):
+    """Run one cell's client in its own process: (wall seconds, client
+    CPU seconds)."""
+    context = multiprocessing.get_context("spawn")
+    receive, send = context.Pipe(duplex=False)
+    client = context.Process(
+        target=_client_main, args=(address, request_bytes, connections, send)
+    )
+    client.start()
+    send.close()
+    try:
+        seconds, cpu, error, left = receive.recv()
+    finally:
+        receive.close()
+        client.join(timeout=60)
+    assert error is None, error
+    assert not left
+    return seconds, cpu
+
+
+def _per_worker(stats):
+    return {w["worker"]: w for w in stats["pool"]["per_worker"]}
+
+
+def _placement(before, after):
+    """Per-worker ``connections`` and ``completed`` between two stats
+    answers read on the same connection: exactly the cell's traffic."""
+    before, after = _per_worker(before), _per_worker(after)
+    assert set(before) == set(after), (before, after)
+    return {
+        key: [after[w][key] - before[w][key] for w in sorted(after)]
+        for key in ("connections", "completed")
+    }
 
 
 def _private_rss_kb(pid):
@@ -217,12 +278,10 @@ def _arena_bundle(tmp, corpus, tokenizer):
     return bundle, trainer.model.num_parameters()
 
 
-def _measure_worker_rss(bundle, tmp, env, arena, warmup_record):
+def _measure_worker_rss(bundle, tmp, env, warmup_record):
     """Mean per-worker private RSS (kB) of a warm pool, and the merged
     ``arena_remaps`` counter proving which load path the workers took."""
-    cache_dir = tmp / f"cache-arena-mem-{'on' if arena else 'off'}"
-    extra = ("--weight-arena",) if arena else ()
-    process, address = _start_pool(bundle, cache_dir, ARENA_WORKERS, env, extra)
+    process, address = _start_pool(bundle, tmp / "cache-arena-mem", ARENA_WORKERS, env)
     try:
         _warm_workers(address, ARENA_WORKERS, warmup_record)
         stats = _ask(address, {"op": "stats"})
@@ -235,7 +294,7 @@ def _measure_worker_rss(bundle, tmp, env, arena, warmup_record):
     return sum(private) / len(private), remaps
 
 
-def _measure_crash_restart(bundle, tmp, env, arena, warmup_record):
+def _measure_crash_restart(bundle, tmp, env, warmup_record):
     """SIGKILL the only worker and time until a request is answered.
 
     The timed region covers supervisor detection, respawn backoff, and
@@ -244,9 +303,7 @@ def _measure_crash_restart(bundle, tmp, env, arena, warmup_record):
     (the merged view only aggregates *live* workers, so a non-zero count
     can only come from the restarted worker's own load).
     """
-    cache_dir = tmp / f"cache-arena-restart-{'on' if arena else 'off'}"
-    extra = ("--weight-arena",) if arena else ()
-    process, address = _start_pool(bundle, cache_dir, 1, env, extra)
+    process, address = _start_pool(bundle, tmp / "cache-arena-restart", 1, env)
     try:
         _warm_workers(address, 1, warmup_record)
         pid = _ask(address, {"op": "stats"})["pool"]["per_worker"][0]["pid"]
@@ -254,10 +311,10 @@ def _measure_crash_restart(bundle, tmp, env, arena, warmup_record):
         start = time.perf_counter()
         deadline = start + 120
         while True:
-            # A connection may land in the listener backlog before the
-            # replacement worker accepts (blocking until it does — that
-            # wait IS the restart latency) or get reset mid-flight;
-            # retry resets until the pool answers again.
+            # A connection waits in the listener backlog until the
+            # replacement worker is ready (that wait IS the restart
+            # latency), or is closed if it was handed off in the instant
+            # of the death; retry until the pool answers again.
             try:
                 _ask(address, warmup_record)
                 break
@@ -277,47 +334,30 @@ def _measure_crash_restart(bundle, tmp, env, arena, warmup_record):
 
 def _arena_experiment(tmp, env, corpus, tokenizer, warmup_record):
     bundle, params = _arena_bundle(tmp, corpus, tokenizer)
-    rss = {}
-    warm_remaps = {}
-    restart = {}
-    restart_remaps = {}
-    for arena in (False, True):
-        mode = "arena" if arena else "plain"
-        rss[mode], warm_remaps[mode] = _measure_worker_rss(
-            bundle, tmp, env, arena, warmup_record
-        )
-        restart[mode], restart_remaps[mode] = _measure_crash_restart(
-            bundle, tmp, env, arena, warmup_record
-        )
-    reduction = 1.0 - rss["arena"] / rss["plain"]
+    rss, warm_remaps = _measure_worker_rss(bundle, tmp, env, warmup_record)
+    restart, restart_remaps = _measure_crash_restart(
+        bundle, tmp, env, warmup_record
+    )
+    weights_mb = params * 4 / 1e6
     print_table(
         f"Shared weight arena ({params / 1e6:.1f}M params, "
         f"{ARENA_WORKERS} workers)",
-        ["Mode", "Private RSS/worker", "Crash-restart", "Arena remaps"],
-        [
-            (mode, f"{rss[mode] / 1024:.1f} MB", f"{restart[mode]:.2f} s",
-             str(warm_remaps[mode]))
-            for mode in ("plain", "arena")
-        ],
+        ["Weights", "Private RSS/worker", "Crash-restart", "Arena remaps"],
+        [(f"{weights_mb:.1f} MB", f"{rss / 1024:.1f} MB", f"{restart:.2f} s",
+          str(warm_remaps))],
     )
     print_block(
-        f"arena per-extra-worker private RSS reduction: {reduction:.1%} "
-        f"(restart re-attached the arena: "
-        f"{restart_remaps['arena']} remap(s), 0 bundle re-parses)"
+        f"restart re-attached the arena: {restart_remaps} remap(s), "
+        "0 bundle re-parses"
     )
     return {
         "model_params": params,
-        "weights_mb": round(params * 4 / 1e6, 1),
+        "weights_mb": round(weights_mb, 1),
         "workers": ARENA_WORKERS,
-        "worker_private_rss_mb": {
-            mode: round(rss[mode] / 1024, 1) for mode in rss
-        },
-        "per_extra_worker_rss_reduction": round(reduction, 3),
-        "warm_arena_remaps": warm_remaps["arena"],
-        "restart_latency_seconds": {
-            mode: round(restart[mode], 3) for mode in restart
-        },
-        "restart_arena_remaps": restart_remaps["arena"],
+        "worker_private_rss_mb": round(rss / 1024, 1),
+        "warm_arena_remaps": warm_remaps,
+        "restart_latency_seconds": round(restart, 3),
+        "restart_arena_remaps": restart_remaps,
     }
 
 
@@ -326,7 +366,7 @@ def run_experiment():
     bundle = tmp / "bundle"
 
     # A tiny self-contained model: the bench measures pool mechanics
-    # (socket sharding, process parallelism, fabric), which do not care
+    # (connection placement, process parallelism, fabric), which do not care
     # about model quality — only that every request costs a forward pass.
     # max_rows=8 keeps each encoder pass heavy enough (several ms) that
     # a cell's drain time is dominated by serving work, not by pool
@@ -361,6 +401,7 @@ def run_experiment():
 
     env = _serving_env()
     grid = {}
+    cells = []
     rows = []
     for workers in WORKERS_GRID:
         for connections in CONNECTIONS_GRID:
@@ -368,23 +409,40 @@ def run_experiment():
             process, address = _start_pool(bundle, cache_dir, workers, env)
             try:
                 _warm_workers(address, workers, warmup_record)
-                seconds = _run_cell(address, request_bytes, connections)
-                stats = _ask(address, {"op": "stats"})
+                with socket.create_connection(address, timeout=300) as admin:
+                    with admin.makefile("rw", encoding="utf-8", newline="\n") as stream:
+                        before = _stats(stream)
+                        seconds, client_cpu = _run_cell(
+                            address, request_bytes, connections
+                        )
+                        after = _stats(stream)
             finally:
                 process.terminate()
                 process.wait(timeout=60)
-            served = stats["gateway"]["completed"]
-            assert served >= CORPUS_TABLES, (served, CORPUS_TABLES)
+            placement = _placement(before, after)
+            assert sum(placement["completed"]) == CORPUS_TABLES, placement
             throughput = CORPUS_TABLES / seconds
             grid[(workers, connections)] = throughput
+            cells.append({
+                "workers": workers,
+                "connections": connections,
+                "tables_per_second": round(throughput, 2),
+                "client_cpu_seconds": round(client_cpu, 3),
+                "seconds": round(seconds, 3),
+                "connections_per_worker": placement["connections"],
+                "completed_per_worker": placement["completed"],
+            })
             rows.append((
                 str(workers), str(connections), f"{seconds:.3f}",
                 f"{throughput:.1f}",
                 f"{throughput / grid[(1, connections)]:.2f}",
+                "/".join(map(str, placement["connections"])),
+                f"{client_cpu / seconds:.0%}",
             ))
     print_table(
         f"Pool saturation ({CORPUS_TABLES} distinct tables, cold cache)",
-        ["Workers", "Connections", "Seconds", "Tables/s", "vs 1 worker"],
+        ["Workers", "Connections", "Seconds", "Tables/s", "vs 1 worker",
+         "Conns/worker", "Client CPU"],
         rows,
     )
 
@@ -398,14 +456,7 @@ def run_experiment():
         "cpu_limited": not MULTI_CORE,
         "corpus_tables": CORPUS_TABLES,
         "pipeline_depth": PIPELINE_DEPTH,
-        "grid": [
-            {
-                "workers": workers,
-                "connections": connections,
-                "tables_per_second": round(throughput, 2),
-            }
-            for (workers, connections), throughput in sorted(grid.items())
-        ],
+        "grid": cells,
         "speedup_2_workers_at_max_connections": round(speedup_2w, 3),
         "speedup_floor": SPEEDUP_FLOOR,
         "arena": arena,
@@ -426,13 +477,18 @@ def test_multiproc_saturation(benchmark):
         summary["speedup_2_workers_at_max_connections"]
         >= summary["speedup_floor"]
     )
-    # The arena bars: sharing the parent-built weight arena must cut a
-    # worker's private memory by at least half (the weight payload no
-    # longer has a per-process copy), every warm worker must have loaded
-    # through the arena path, and a crash-restarted worker must have
-    # re-attached the arena (merged stats only aggregate live workers,
-    # so this count can only come from the restarted process).
+    # The parent places connections round-robin, so every cell splits
+    # its connections across the workers within one of even.
+    for cell in summary["grid"]:
+        split = cell["connections_per_worker"]
+        assert sum(split) == cell["connections"], cell
+        assert max(split) - min(split) <= 1, cell
+    # The arena bars: a worker's private memory holds no copy of the
+    # weights (below half the payload), every warm worker loaded through
+    # the arena with no flag asking, and a crash-restarted worker
+    # re-attached it (merged stats only aggregate live workers, so this
+    # count can only come from the restarted process).
     arena = summary["arena"]
-    assert arena["per_extra_worker_rss_reduction"] >= 0.5, arena
+    assert arena["worker_private_rss_mb"] < 0.5 * arena["weights_mb"], arena
     assert arena["warm_arena_remaps"] == arena["workers"], arena
     assert arena["restart_arena_remaps"] >= 1, arena

@@ -35,10 +35,11 @@ full system on a pure-numpy substrate:
   transport-agnostic wire ``protocol`` and the asyncio TCP
   ``AnnotationServer`` (per-connection FIFO answers, admin plane,
   graceful drain), the supervised multi-process ``ServingPool``
-  (``repro serve --workers N``: socket sharding, crash restart, merged
-  stats, pool-wide drain), and the one persistent result store,
-  ``FabricCache`` (concurrently writable across processes, compactable,
-  rooted per model fingerprint; ``DiskCache`` is an alias)
+  (``repro serve --workers N``: parent-placed connections, one shared
+  weight arena, crash restart, merged stats, pool-wide drain), and the
+  one persistent result store, ``FabricCache`` (concurrently writable
+  across processes, compactable, rooted per model fingerprint;
+  ``DiskCache`` is an alias)
 * :mod:`repro.cli` — the ``repro`` command-line toolbox
 
 Quickstart::

@@ -245,12 +245,12 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_engine_flags(parser: argparse.ArgumentParser, command: str) -> None:
-    """The flags :class:`EngineConfig`'s knobs declare for ``command``;
-    :func:`_engine_config` reads them back."""
+def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags :class:`EngineConfig`'s knobs declare; :func:`_engine_config`
+    reads them back."""
     for knob in fields(EngineConfig):
         meta = knob.metadata
-        if not meta["flags"] or command not in meta["commands"]:
+        if not meta["flags"]:
             continue
         if isinstance(knob.default, bool):
             kind = {"action": "store_true"}
@@ -665,13 +665,14 @@ def _serve_listen(args, worker, options) -> int:
 def _serve_pool(args: argparse.Namespace, engine_config, options) -> int:
     """`repro serve --listen HOST:PORT --workers N`: the process pool.
 
-    The parent binds (or reserves) the address, spawns the workers, and
-    supervises until SIGINT/SIGTERM or a client's ``{"op": "shutdown"}``
-    — then every worker drains its accepted requests before exiting.
+    The parent binds the address, spawns the workers, hands each accepted
+    connection to one of them, and supervises until SIGINT/SIGTERM or a
+    client's ``{"op": "shutdown"}`` — then every worker drains its
+    accepted requests before exiting.
     """
     host, port = _parse_listen(args.listen)
     config = PoolConfig(
-        specs=[("default", args.model)],
+        bundle=args.model,
         host=host,
         port=port,
         workers=args.workers,
@@ -688,8 +689,7 @@ def _serve_pool(args: argparse.Namespace, engine_config, options) -> int:
               file=sys.stderr)
         return 1
     print(
-        f"listening on {bound_host}:{bound_port} "
-        f"({args.workers} workers, {pool.sharding} sharding)",
+        f"listening on {bound_host}:{bound_port} ({args.workers} workers)",
         file=sys.stderr, flush=True,
     )
     try:
@@ -910,7 +910,7 @@ def build_parser() -> argparse.ArgumentParser:
     annotate.add_argument("--out", default=None,
                           help="write .jsonl results here instead of stdout")
     _add_option_flags(annotate)  # these and the engine flags: .jsonl mode
-    _add_engine_flags(annotate, "annotate")
+    _add_engine_flags(annotate)
     annotate.add_argument("--cache-dir", default=None,
                           help="persistent result-cache directory (.jsonl mode)")
     annotate.set_defaults(func=_cmd_annotate)
@@ -925,7 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("corpus", nargs="?", default=None,
                        help=".jsonl corpus, or '-' to loop over stdin "
                             "records")
-    _add_engine_flags(serve, "serve")
+    _add_engine_flags(serve)
     _add_option_flags(serve)
     serve.add_argument("--cache-dir", default=None,
                        help="persistent result-cache root (the store "
@@ -939,7 +939,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "port, printed to stderr)")
     serve.add_argument("--workers", type=int, default=None, metavar="N",
                        help="with --listen: serve through N worker "
-                            "processes sharing the listening address and "
+                            "processes that the parent hands connections "
+                            "to, mapping one shared weight arena and "
                             "(with --cache-dir) a cross-process cache "
                             "fabric; {\"op\": \"stats\"} then answers the "
                             "merged pool-wide view")

@@ -41,9 +41,10 @@ The stack, bottom-up:
   processes read each other's cached results through it.
   ``DiskCache`` is an alias of the same class.
 * :class:`ServingPool` — the multi-process front door behind ``repro
-  serve --listen HOST:PORT --workers N``: one parent owning the address,
-  N worker processes each running a full worker + server stack over a
-  shared listener and the shared cache fabric, with supervision,
+  serve --listen HOST:PORT --workers N``: one parent owning the address
+  and handing each accepted connection to one of N worker processes,
+  each running a full worker + server stack over one shared weight
+  arena and the shared cache fabric, with supervision,
   bounded restart, coordinated drain, and a pool-wide merged admin
   plane.
 

@@ -47,7 +47,7 @@ from typing import (
 import numpy as np
 
 from ..core.annotator import AnnotatedTable
-from ..core.persistence import ensure_model_arena, load_annotator
+from ..core.persistence import load_annotator
 from ..core.probe import ProbeBudget, ProbePlanner
 from ..core.trainer import DoduoTrainer, RawTableAnnotation, decide_labels
 from ..datasets.tables import Table
@@ -76,8 +76,7 @@ def _probe_marker(config: "EngineConfig") -> bytes:
 
 def knob(
     default, *, bytes: str, why: str, help: str, values=(), choices=(),
-    minimum: Optional[int] = None, flags: Tuple[str, ...] = (),
-    commands: Tuple[str, ...] = ("annotate", "serve"), marker=None,
+    minimum: Optional[int] = None, flags: Tuple[str, ...] = (), marker=None,
 ):
     """Declare one :class:`EngineConfig` field, beside its default.
 
@@ -89,7 +88,8 @@ def knob(
     turns every ``same`` into an assertion; ``choices`` are values that are
     also the whole enumeration (validated at construction, offered by the
     flag).  ``minimum`` bounds an integer knob; ``flags`` are its CLI
-    spellings on ``commands``, and ``help`` says what it does there.
+    spellings on ``annotate`` and ``serve``, and ``help`` says what it
+    does there.
 
     A ``changes`` knob names the ``marker`` it renders into the
     fingerprint: ``{value: (order, spelling)}`` — ``spelling`` bytes, or a
@@ -109,7 +109,7 @@ def knob(
         raise TypeError(f"the default {default!r} must be marker-free")
     return field(default=default, metadata=dict(
         bytes=bytes, why=why, help=help, values=values, enumerated=bool(choices),
-        minimum=minimum, flags=flags, commands=commands, marker=marker,
+        minimum=minimum, flags=flags, marker=marker,
     ))
 
 
@@ -193,13 +193,6 @@ class EngineConfig:
         help="max planned relation pairs per table (requires probe_mode "
         "planned; None plans without a cap)",
     )
-    weight_arena: bool = knob(
-        False, bytes="same", choices=(False, True), flags=("--weight-arena",),
-        commands=("serve",),
-        why="an arena stores each parameter's exact float32 bytes",
-        help="map model weights from a shared mmap arena built next to each "
-        "bundle (read by load_engine and the pool; the engine ignores it)",
-    )
 
     def __init_subclass__(cls) -> None:
         _declared(cls)
@@ -245,8 +238,6 @@ class EngineConfig:
         for spec in fields(cls):
             meta = spec.metadata
             flags = " / ".join(f"`{flag}`" for flag in meta["flags"]) or "—"
-            if meta["flags"] and len(meta["commands"]) == 1:
-                flags += f" ({meta['commands'][0]} only)"
             values = ", ".join(f"`{value!r}`" for value in meta["values"])
             rows.append(
                 f"| `{spec.name}` | {flags} | `{spec.default!r}` "
@@ -802,18 +793,16 @@ def load_engine(
     """Load the bundle ``bundle`` into an engine: the one loader ``repro
     serve`` and every pool worker run at startup.
 
-    ``arena`` is a pre-built weight-arena file to map (the pool's parent
-    builds one for all its workers); without it, ``weight_arena=True``
-    builds or reuses the bundle's own.  A ``cache_dir`` that already holds
-    a *flat* store (``repro annotate --cache-dir`` wrote it; segments, or
-    after ``repro cache compact`` only a generation) stays the engine's
-    own store, so a warm cache stays warm; otherwise the store lives in
+    ``arena`` is a pre-built arena file to map (the pool's parent builds
+    one for all its workers); without it the weights are parsed from the
+    bundle.  A ``cache_dir`` that already holds a *flat* store (``repro
+    annotate --cache-dir`` wrote it; segments, or after ``repro cache
+    compact`` only a generation) stays the engine's own store, so a warm
+    cache stays warm; otherwise the store lives in
     ``cache_dir``'s sub-directory named by the model fingerprint, appended
     to under ``fabric_writer`` (``None``: the store's ``pid<PID>``
     default).  Keys embed the fingerprint either way.
     """
-    if arena is None and engine_config.weight_arena:
-        arena = ensure_model_arena(bundle)
     trainer = load_annotator(bundle, weight_arena=arena).trainer
     if cache_dir is not None and store_directory(cache_dir):
         engine = AnnotationEngine(

@@ -5,19 +5,15 @@ parent process that owns the listening address and N worker processes
 that each run a full, independent serving stack —
 :func:`~repro.serving.engine.load_engine` →
 :class:`~repro.serving.queue.EngineWorker` →
-:class:`~repro.serving.server.AnnotationServer` — over the shared
-listener.  Workers never share Python state; they
-share exactly two things:
+:class:`~repro.serving.server.AnnotationServer`.  Workers never share
+Python state; they share exactly three things:
 
-* **The socket.**  On platforms with ``SO_REUSEPORT`` (Linux, modern
-  BSDs) the parent binds a non-listening reservation socket (reserving
-  the port and learning it when ``--listen HOST:0`` asked for an
-  ephemeral one) and every worker binds + listens on the same address
-  with ``reuse_port=True`` — the kernel then load-balances incoming
-  connections across the workers' accept queues.  Elsewhere the parent
-  binds + listens once and passes the listening socket to each worker
-  (``multiprocessing``'s fd-passing reduction), whose asyncio servers
-  accept-race on the inherited descriptor.
+* **The listener.**  The parent alone listens.  It accepts each
+  connection and hands it round-robin to a live, ready worker over that
+  worker's own ``AF_UNIX`` socketpair (``socket.send_fds``), which
+  serves it through :meth:`~repro.serving.server.AnnotationServer.adopt`.
+* **The weights.**  Every worker — crash restarts included — maps the
+  one weight arena the parent built before spawning.
 * **The result cache.**  Each worker opens the model's cache directory
   through :class:`~repro.serving.fabric.FabricCache` with a
   process-unique writer id (``w<slot>-pid<PID>``): appends go to the
@@ -26,26 +22,30 @@ share exactly two things:
 
 Control plane
 -------------
-Each worker holds two pipes to the parent.  The *command* pipe carries
-parent→worker requests (``collect`` a local stats snapshot, ``stop``
-and drain); the *event* pipe carries worker→parent messages (``ready``
-with the bound port, ``stats``/``shutdown`` relayed from a client's
-admin record).  A client's ``{"op": "stats"}`` on ANY connection
-therefore answers with the pool-wide merged view: the worker forwards
-the request up the event pipe, the parent fans ``collect`` out to every
-live worker, merges their raw counters (:func:`merge_sections` — the
-declared-counter ``merge`` of :mod:`repro.telemetry`), renders the sums
-once, and the original worker answers the client.  ``{"op": "shutdown"}``
+Besides its connection socketpair, each worker holds two pipes to the
+parent.  The *command* pipe carries parent→worker requests (``collect``
+a local stats snapshot, ``stop`` and drain); the *event* pipe carries
+worker→parent messages (``ready`` once the model is loaded,
+``stats``/``shutdown`` relayed from a client's admin record).  A
+client's ``{"op": "stats"}`` on ANY connection therefore answers with
+the pool-wide merged view: the worker forwards the request up the event
+pipe, the parent fans ``collect`` out to every live worker, merges
+their raw counters (:func:`merge_sections` — the declared-counter
+``merge`` of :mod:`repro.telemetry`), renders the sums once, and the
+original worker answers the client.  ``{"op": "shutdown"}``
 acknowledges the client, then asks the parent to drain the whole pool.
 
 Supervision
 -----------
-The parent watches worker sentinels; a worker that dies while the pool
-is running is restarted with exponential backoff, up to
-``max_restarts`` per slot.  A restarted worker re-opens the fabric
-under a fresh writer id, so a crash mid-append never corrupts what
-other workers can read (their tails stop at the last complete line).
-SIGINT/SIGTERM to the parent drain every worker: each in-flight and
+One supervisor thread in the parent waits on the worker sentinels and,
+while a worker is ready, on the listener.  A worker that dies while the
+pool is running is restarted with exponential backoff, up to
+``max_restarts`` per slot, and is handed no connection until it reports
+ready again; a handoff that fails passes the connection on.  A
+restarted worker re-opens the fabric under a fresh writer id, so a
+crash mid-append never corrupts what other workers can read (their
+tails stop at the last complete line).  SIGINT/SIGTERM to the parent
+close its listener, then drain every worker: each in-flight and
 already-accepted request is answered before its worker exits
 (`AnnotationServer.stop` semantics, per worker).
 
@@ -66,6 +66,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..core.persistence import ensure_model_arena
 from ..telemetry import Counters
 from .engine import EngineConfig, load_engine
 from .queue import EngineWorker, GatewayStats, QueueConfig, RegistryStats
@@ -76,24 +77,7 @@ __all__ = [
     "PoolConfig",
     "ServingPool",
     "merge_sections",
-    "resolve_sharding",
 ]
-
-
-def _reuseport_available() -> bool:
-    return hasattr(socket, "SO_REUSEPORT")
-
-
-def resolve_sharding(mode: str) -> str:
-    """``auto`` → ``reuseport`` where the kernel supports it, else
-    ``inherit`` (parent listens, workers accept-race the inherited fd)."""
-    if mode == "auto":
-        return "reuseport" if _reuseport_available() else "inherit"
-    if mode == "reuseport" and not _reuseport_available():
-        raise ValueError("SO_REUSEPORT is not available on this platform")
-    if mode not in ("reuseport", "inherit"):
-        raise ValueError(f"unknown sharding mode: {mode!r}")
-    return mode
 
 
 @dataclass
@@ -108,10 +92,8 @@ class PoolConfig:
     :func:`~repro.serving.engine.load_engine`.
     """
 
-    # The one (name, bundle dir) pair, as a one-item list (the shape
-    # `repro serve` has always passed): a pool serves one model, which
-    # answers to MODEL_NAME whatever the name says.
-    specs: List[Tuple[str, str]]
+    # The bundle directory of the one model the pool serves.
+    bundle: str
     host: str = "127.0.0.1"
     port: int = 0
     workers: int = 2
@@ -121,12 +103,7 @@ class PoolConfig:
     # --embeddings), embeddings on the wire included.
     options: AnnotationOptions = AnnotationOptions(with_embeddings=False)
     admin: bool = True
-    # The arena file, filled by the parent before spawning (see
-    # ServingPool.start): workers then map the SAME pre-built file, which
-    # is the whole point — one physical weight copy pool-wide.
-    arena: Optional[str] = None
     shutdown_grace: float = 10.0
-    sharding: str = "auto"                # auto | reuseport | inherit
     start_method: Optional[str] = None    # default: fork where available
     max_restarts: int = 3                 # per worker slot
     restart_backoff: float = 0.5          # seconds, doubles per restart
@@ -134,15 +111,10 @@ class PoolConfig:
     ready_timeout: float = 60.0
 
     def __post_init__(self) -> None:
-        if len(self.specs) != 1:
-            raise ValueError(
-                f"a pool serves one model: specs holds {len(self.specs)}"
-            )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1: {self.workers}")
         if self.max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0: {self.max_restarts}")
-        resolve_sharding(self.sharding)  # validate early, in the parent
 
 
 def merge_sections(snapshots: Iterable[Dict]) -> Dict[str, Counters]:
@@ -175,23 +147,28 @@ def merge_sections(snapshots: Iterable[Dict]) -> Dict[str, Counters]:
 def _worker_main(
     slot: int,
     config: PoolConfig,
-    listen_sock,
+    arena: str,
+    channel: socket.socket,
     cmd_conn,
     evt_conn,
     stale_fds=(),
 ) -> None:
     """Entry point of one worker process (module-level: picklable under
-    every start method).  Loads the model, builds worker → server,
-    announces readiness on the event pipe, then serves until told to
-    stop."""
+    every start method).  Loads the model from the parent's ``arena``,
+    builds worker → server, announces readiness on the event pipe, then
+    serves every connection the parent hands over ``channel`` until told
+    to stop."""
     import asyncio
     import signal
 
-    # Under fork, this process inherited the PARENT-side ends of every
-    # control pipe alive at fork time — its own and its siblings'.
-    # Holding those write ends would keep every cmd pipe from ever
-    # reaching EOF, defeating the died-parent drain below: close them.
-    # (Empty under spawn, where fd numbers do not transfer.)
+    # Under fork, this process inherited the parent's listener and the
+    # PARENT-side ends of every control pipe and socketpair alive at fork
+    # time — its own and its siblings'.  Holding a pipe's write end would
+    # keep every cmd pipe from ever reaching EOF, defeating the
+    # died-parent drain below, and holding the listener would keep the
+    # address accepting into a queue nobody serves once the parent closes
+    # it: close them.  (Empty under spawn, where fd numbers do not
+    # transfer.)
     for fd in stale_fds:
         try:
             os.close(fd)
@@ -206,18 +183,14 @@ def _worker_main(
     except (ValueError, OSError):
         pass
 
-    # The parent pre-built the arena (ServingPool.start), so every worker
-    # — crash-restarted ones included — maps the same file instead of
-    # re-parsing the bundle.
-    (_, bundle), = config.specs
     engine = load_engine(
-        bundle,
+        config.bundle,
         config.engine,
         cache_dir=config.cache_dir,
         fabric_writer=f"w{slot}-pid{os.getpid()}"
         if config.cache_dir is not None
         else None,
-        arena=config.arena,
+        arena=arena,
     )
     worker = EngineWorker(engine, QueueConfig(max_batch=config.engine.batch_size))
 
@@ -267,20 +240,29 @@ def _worker_main(
     server = AnnotationServer(
         worker,
         config.options,
-        host=config.host,
-        port=config.port,
         with_embeddings=config.options.with_embeddings,
         admin=config.admin,
         shutdown_grace=config.shutdown_grace,
-        sock=listen_sock,
-        reuse_port=listen_sock is None,
         admin_handler=admin_handler if config.admin else None,
     )
 
     async def _serve() -> None:
-        await server.start()
         loop = asyncio.get_running_loop()
         stop_event = asyncio.Event()
+
+        def take_connection() -> None:
+            # One byte carrying one descriptor per handed-over connection.
+            try:
+                message, fds, _, _ = socket.recv_fds(channel, 1, 1)
+            except BlockingIOError:
+                return
+            if not message:  # the parent is gone; its cmd pipe drains us
+                loop.remove_reader(channel)
+            for fd in fds:
+                server.adopt(socket.socket(fileno=fd))
+
+        channel.setblocking(False)
+        loop.add_reader(channel, take_connection)
 
         def request_stop() -> None:
             try:
@@ -316,7 +298,7 @@ def _worker_main(
         ).start()
         try:
             with evt_lock:
-                evt_conn.send(("ready", os.getpid(), server.address[1]))
+                evt_conn.send(("ready",))
         except (EOFError, OSError):
             pass
         await stop_event.wait()
@@ -349,10 +331,9 @@ class _Slot:
     process: Optional[multiprocessing.process.BaseProcess] = None
     cmd_conn: Optional[multiprocessing.connection.Connection] = None
     evt_conn: Optional[multiprocessing.connection.Connection] = None
+    channel: Optional[socket.socket] = None  # parent end of the handoff pair
     cmd_lock: threading.Lock = field(default_factory=threading.Lock)
     ready: threading.Event = field(default_factory=threading.Event)
-    pid: Optional[int] = None
-    port: Optional[int] = None
     evt_thread: Optional[threading.Thread] = None
     restarts: int = 0
     retired: bool = False          # exhausted restart budget
@@ -360,11 +341,11 @@ class _Slot:
 
 
 class ServingPool:
-    """Parent-side orchestrator: bind, spawn, supervise, drain.
+    """Parent-side orchestrator: bind, spawn, accept, supervise, drain.
 
     Lifecycle::
 
-        pool = ServingPool(PoolConfig(specs=[("default", "models/run")],
+        pool = ServingPool(PoolConfig(bundle="models/run",
                                       host="127.0.0.1", port=9000,
                                       workers=4, cache_dir="anno-cache/"))
         host, port = pool.start()   # all workers accepting
@@ -378,7 +359,6 @@ class ServingPool:
 
     def __init__(self, config: PoolConfig) -> None:
         self.config = config
-        self.sharding = resolve_sharding(config.sharding)
         method = config.start_method
         if method is None:
             method = (
@@ -388,8 +368,10 @@ class ServingPool:
             )
         self._ctx = multiprocessing.get_context(method)
         self._slots: List[_Slot] = [_Slot(index=i) for i in range(config.workers)]
-        self._parent_sock: Optional[socket.socket] = None
+        self._listener: Optional[socket.socket] = None
         self._bound: Optional[Tuple[str, int]] = None
+        self._arena: Optional[str] = None
+        self._next_slot = 0  # round-robin position of the next handoff
         self._lock = threading.Lock()
         self._started = False
         self._stopping = False
@@ -409,79 +391,65 @@ class ServingPool:
         return self._bound
 
     def _bind(self) -> None:
-        # IPPROTO_TCP, not 0: asyncio sets TCP_NODELAY on an accepted
-        # socket only when its proto says TCP, and without it pipelined
-        # answers wait out Nagle's delay.
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM, socket.IPPROTO_TCP)
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
-            if self.sharding == "reuseport":
-                # Reservation socket: binds (learning the ephemeral port
-                # for HOST:0) but never listens — a non-listening TCP
-                # socket takes no connections, while holding the port
-                # against unrelated binds for the pool's lifetime.
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-                sock.bind((self.config.host, self.config.port))
-            else:
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-                sock.bind((self.config.host, self.config.port))
-                sock.listen(128)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind((self.config.host, self.config.port))
+            sock.listen(128)
+            sock.setblocking(False)
         except OSError:
             sock.close()
             raise
-        self._parent_sock = sock
+        self._listener = sock
         self._bound = sock.getsockname()[:2]
 
     # -- spawning ------------------------------------------------------
 
     def _spawn(self, slot: _Slot) -> None:
-        for conn in (slot.cmd_conn, slot.evt_conn):
-            if conn is not None:  # endpoints of a previous incarnation
+        for end in (slot.cmd_conn, slot.evt_conn, slot.channel):
+            if end is not None:  # endpoints of a previous incarnation
                 try:
-                    conn.close()
+                    end.close()
                 except OSError:
                     pass
+        slot.cmd_conn = slot.evt_conn = slot.channel = None
         cmd_parent, cmd_child = self._ctx.Pipe()
         evt_parent, evt_child = self._ctx.Pipe()
-        worker_config = PoolConfig(**{**self.config.__dict__})
-        if self.sharding == "reuseport":
-            # Workers bind themselves on the learned port.
-            worker_config.port = self._bound[1]
-            listen_sock = None
-        else:
-            listen_sock = self._parent_sock
-        # Parent-side pipe fds the forked child must close (see
-        # _worker_main): every live slot's control pipes plus the pair
+        channel, channel_child = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
+        # Non-blocking: a worker that stops reading fails its handoff (and
+        # the connection goes to the next slot) instead of wedging the
+        # supervisor.
+        channel.setblocking(False)
+        # Parent-side fds the forked child must close (see _worker_main):
+        # the listener and every live slot's parent ends, plus the ones
         # just created for this slot.
-        stale_fds = []
+        stale_fds = ()
         if self._ctx.get_start_method() == "fork":
-            parent_conns = [cmd_parent, evt_parent]
+            ends = [self._listener, channel, cmd_parent, evt_parent]
             for other in self._slots:
-                parent_conns.extend((other.cmd_conn, other.evt_conn))
-            for conn in parent_conns:
-                try:
-                    if conn is not None and not conn.closed:
-                        stale_fds.append(conn.fileno())
-                except OSError:
-                    pass
+                ends.extend((other.cmd_conn, other.evt_conn, other.channel))
+            stale_fds = tuple(end.fileno() for end in ends if end is not None)
         process = self._ctx.Process(
             target=_worker_main,
             args=(
                 slot.index,
-                worker_config,
-                listen_sock,
+                self.config,
+                self._arena,
+                channel_child,
                 cmd_child,
                 evt_child,
-                tuple(stale_fds),
+                stale_fds,
             ),
             name=f"repro-serve-w{slot.index}",
-            daemon=True,  # a dying parent must never leak accept loops
+            daemon=True,  # a dying parent must never leak serving processes
         )
         process.start()
-        cmd_child.close()
-        evt_child.close()
+        for end in (cmd_child, evt_child, channel_child):
+            end.close()
         slot.process = process
         slot.cmd_conn = cmd_parent
         slot.evt_conn = evt_parent
+        slot.channel = channel
         slot.ready = threading.Event()
         slot.respawn_at = None
         slot.evt_thread = threading.Thread(
@@ -501,21 +469,13 @@ class ServingPool:
         # crash on load_engine() and burn the whole restart budget.
         from pathlib import Path
 
-        (name, path), = self.config.specs
-        if not (Path(path) / "bundle.json").exists():
-            raise ValueError(
-                f"model {name!r}: {path} is not a bundle directory "
-                "(no bundle.json)"
-            )
-        if self.config.engine.weight_arena:
-            # Serialize the weights ONCE, in the parent, before any worker
-            # exists: workers (and crash restarts) then map the same file,
-            # so the page cache backs one physical copy of the weights
-            # pool-wide.  The path travels as a string to keep the
-            # PoolConfig picklable for spawn-based start methods.
-            from ..core.persistence import ensure_model_arena
-
-            self.config.arena = str(ensure_model_arena(path))
+        bundle = self.config.bundle
+        if not (Path(bundle) / "bundle.json").exists():
+            raise ValueError(f"{bundle} is not a bundle directory (no bundle.json)")
+        # Serialize the weights ONCE, before any worker exists: workers
+        # (and crash restarts) map the same file, so the page cache backs
+        # one physical copy of the weights pool-wide.
+        self._arena = str(ensure_model_arena(bundle))
         self._bind()
         if self._ctx.get_start_method() == "fork":
             # Freeze the parent heap before forking: moving every object
@@ -546,6 +506,36 @@ class ServingPool:
         self._supervisor.start()
         return self.address
 
+    # -- connection placement -------------------------------------------
+
+    def _accept(self) -> None:
+        """Hand each connection waiting on the listener to the next live,
+        ready worker, round-robin.  A slot whose send fails passes it on;
+        if none takes it, closing it is the client's answer."""
+        count = len(self._slots)
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:  # nothing waiting (or the client already left)
+                return
+            with conn:  # a worker holds its own descriptor once sent
+                for step in range(count):
+                    slot = self._slots[(self._next_slot + step) % count]
+                    if slot.channel is None or not slot.ready.is_set():
+                        continue
+                    try:
+                        socket.send_fds(slot.channel, [b"c"], [conn.fileno()])
+                    except OSError:  # died unobserved, or its pair is full
+                        continue
+                    self._next_slot = (slot.index + 1) % count
+                    break
+
+    def _wake(self) -> None:
+        try:
+            os.write(self._wake_w, b"x")
+        except OSError:
+            pass
+
     # -- event plane ---------------------------------------------------
 
     def _evt_listener(self, slot: _Slot, conn) -> None:
@@ -558,8 +548,8 @@ class ServingPool:
             except (EOFError, OSError):
                 return
             if message[0] == "ready":
-                slot.pid, slot.port = message[1], message[2]
                 slot.ready.set()
+                self._wake()  # the supervisor may now accept for this slot
             elif message[0] == "final":
                 # A worker's post-drain counters: folded into every later
                 # merge, so pool totals stay monotone across restarts.
@@ -618,7 +608,6 @@ class ServingPool:
             "live": live,
             "answered": len(snapshots),
             "restarts": restarts,
-            "sharding": self.sharding,
             "per_worker": [
                 {
                     "worker": s["worker"],
@@ -664,11 +653,17 @@ class ServingPool:
                     for slot in self._slots
                     if slot.respawn_at is not None
                 ]
+                # While no worker is ready, connections wait in the
+                # listener's backlog rather than being accepted and closed.
+                accepting = any(slot.ready.is_set() for slot in self._slots)
             timeout: Optional[float] = None
             if pending:
                 timeout = max(0.0, min(pending) - time.monotonic())
-            multiprocessing.connection.wait(
-                sentinels + [self._wake_r], timeout=timeout
+            readable = multiprocessing.connection.wait(
+                sentinels
+                + [self._wake_r]
+                + ([self._listener] if accepting else []),
+                timeout=timeout,
             )
             try:
                 # Drain wake bytes (non-blocking; may be empty).
@@ -690,7 +685,9 @@ class ServingPool:
                     live += 1
                     continue
                 if slot.respawn_at is None:
-                    # Newly observed death: schedule the restart.
+                    # Newly observed death: no more handoffs, and schedule
+                    # the restart.
+                    slot.ready.clear()
                     if process is not None:
                         process.join(timeout=0)
                     if slot.restarts >= self.config.max_restarts:
@@ -720,6 +717,9 @@ class ServingPool:
                     target=self.stop, name="pool-collapse", daemon=True
                 ).start()
                 return
+            # Deaths first: a slot seen dead above is handed nothing here.
+            if self._listener in readable:
+                self._accept()
 
     # -- shutdown ------------------------------------------------------
 
@@ -744,13 +744,17 @@ class ServingPool:
         if already:
             self._done.wait()
             return
-        try:
-            os.write(self._wake_w, b"x")
-        except OSError:
-            pass
+        self._wake()
         supervisor = self._supervisor
         if supervisor is not None and supervisor is not threading.current_thread():
             supervisor.join(timeout=5.0)  # no respawns once we signal stop
+        if self._listener is not None:
+            # Closed before the workers drain: a connection arriving from
+            # now on is refused, never queued where no worker will read it.
+            try:
+                self._listener.close()
+            except OSError:
+                pass
         for slot in self._slots:
             conn = slot.cmd_conn
             if conn is None or slot.process is None or not slot.process.is_alive():
@@ -783,19 +787,13 @@ class ServingPool:
             except Exception:  # noqa: BLE001 - stats must not block drain
                 self.final_stats = None
         for slot in self._slots:
-            for conn in (slot.cmd_conn, slot.evt_conn):
-                if conn is not None:
+            for end in (slot.cmd_conn, slot.evt_conn, slot.channel):
+                if end is not None:
                     try:
-                        conn.close()
+                        end.close()
                     except OSError:
                         pass
-            slot.cmd_conn = slot.evt_conn = None
-        if self._parent_sock is not None:
-            try:
-                self._parent_sock.close()
-            except OSError:
-                pass
-            self._parent_sock = None
+            slot.cmd_conn = slot.evt_conn = slot.channel = None
         self._done.set()
 
     def __enter__(self) -> "ServingPool":

@@ -69,6 +69,7 @@ code (and for the test suite and benchmarks).
 from __future__ import annotations
 
 import asyncio
+import socket
 import threading
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -183,14 +184,12 @@ class AnnotationServer:
     ``4 * max_batch``); ``port=0`` binds an ephemeral port — read
     :attr:`address` after :meth:`start`.
 
-    Pool embedding hooks: ``sock`` serves an already-bound listening
-    socket instead of binding ``host``/``port`` (the inherited-FD sharding
-    of :mod:`repro.serving.pool`); ``reuse_port`` sets ``SO_REUSEPORT`` on
-    the bind so several worker processes can share one port (kernel
-    load-balanced); ``admin_handler(record, worker)`` — called in the
-    executor before the default admin plane — lets an embedding answer
-    (or augment) admin operations itself; returning ``None`` falls
-    through to :func:`protocol.handle_admin`.  An op answered by the
+    Pool embedding hooks: :meth:`adopt` serves a connection accepted
+    elsewhere (a :mod:`repro.serving.pool` worker is handed its share by
+    the parent, and never calls :meth:`start`); ``admin_handler(record,
+    worker)`` — called in the executor before the default admin plane —
+    lets an embedding answer (or augment) admin operations itself;
+    returning ``None`` falls through to :func:`protocol.handle_admin`.  An op answered by the
     handler triggers none of the default side effects (in particular, a
     handled ``shutdown`` does *not* set :attr:`shutdown_requested` — the
     pool drains its workers itself).
@@ -207,16 +206,12 @@ class AnnotationServer:
         window: Optional[int] = None,
         max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
         shutdown_grace: float = 10.0,
-        sock=None,
-        reuse_port: bool = False,
         admin_handler=None,
     ) -> None:
         if window is not None and window < 1:
             raise ValueError(f"window must be >= 1: {window}")
         if shutdown_grace < 0:
             raise ValueError(f"shutdown_grace must be >= 0: {shutdown_grace}")
-        if sock is not None and reuse_port:
-            raise ValueError("sock= and reuse_port are mutually exclusive")
         self.worker = worker
         self.options = options or AnnotationOptions()
         self.host = host
@@ -226,8 +221,6 @@ class AnnotationServer:
         self.window = window or 4 * worker.config.max_batch
         self.max_line_bytes = max_line_bytes
         self.shutdown_grace = shutdown_grace
-        self.sock = sock
-        self.reuse_port = reuse_port
         self.admin_handler = admin_handler
         self.stats = ServerStats()
         self._server: Optional["asyncio.base_events.Server"] = None
@@ -259,22 +252,30 @@ class AnnotationServer:
         if self._server is not None:
             return self
         self.shutdown_requested = asyncio.Event()
-        if self.sock is not None:
-            self._server = await asyncio.start_server(
-                self._serve_connection,
-                sock=self.sock,
-                limit=self.max_line_bytes,
-            )
-        else:
-            kwargs = {"reuse_port": True} if self.reuse_port else {}
-            self._server = await asyncio.start_server(
-                self._serve_connection,
-                self.host,
-                self.port,
-                limit=self.max_line_bytes,
-                **kwargs,
-            )
+        self._server = await asyncio.start_server(
+            self._serve_connection,
+            self.host,
+            self.port,
+            limit=self.max_line_bytes,
+        )
         return self
+
+    def adopt(self, sock: socket.socket) -> None:
+        """Serve ``sock``, a connection accepted elsewhere, exactly like
+        one this server accepted: it counts in :attr:`stats`, and
+        :meth:`stop` drains it.  Call on the server's event loop."""
+        task = asyncio.ensure_future(self._serve_adopted(sock))
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
+
+    async def _serve_adopted(self, sock: socket.socket) -> None:
+        # The transport sets TCP_NODELAY here, as on a connection its own
+        # listener accepted: without it, pipelined answers wait out
+        # Nagle's delay.
+        reader, writer = await asyncio.open_connection(
+            sock=sock, limit=self.max_line_bytes
+        )
+        await self._serve_connection(reader, writer)
 
     async def stop(self) -> None:
         """Graceful shutdown: stop accepting, drain, close (idempotent).

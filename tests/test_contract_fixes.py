@@ -42,18 +42,18 @@ class _RecordingLock:
 
 class TestPoolStopStartedLock:
     def test_stop_before_start_is_safe_and_collects_nothing(self):
-        pool = ServingPool(PoolConfig(specs=[("default", "nowhere")]))
+        pool = ServingPool(PoolConfig(bundle="nowhere"))
         pool.stop()  # never started: must not raise, must not merge stats
         assert pool.final_stats is None
 
     def test_stop_is_idempotent_without_start(self):
-        pool = ServingPool(PoolConfig(specs=[("default", "nowhere")]))
+        pool = ServingPool(PoolConfig(bundle="nowhere"))
         pool.stop()
         pool.stop()
         assert pool.final_stats is None
 
     def test_stop_snapshots_started_under_lock(self):
-        pool = ServingPool(PoolConfig(specs=[("default", "nowhere")]))
+        pool = ServingPool(PoolConfig(bundle="nowhere"))
         probe = _RecordingLock()
         pool._lock = probe
         pool.stop()

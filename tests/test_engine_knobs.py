@@ -8,10 +8,10 @@ what reads it.
   declared ``values`` and holds each to the everything-off oracle of its
   ``changes`` class: wire bytes ``==``, fingerprints ``==``; fingerprints
   ``!=`` across classes.
-* **Registry and pool legs.**  ``weight_arena`` and the store
+* **Registry and pool legs.**  A mapped weight arena and the store
   ``load_engine`` attaches after construction are invisible to an
   in-memory engine; they are served through ``load_engine`` over a saved
-  bundle, and once through a two-worker pool.
+  bundle, and once through a two-worker pool (which always maps one).
 * **Fold oracle.**  The fingerprint of every probe policy equals the
   formula of the release before the declarations existed, kept here
   verbatim: stored keys stay valid.
@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 
 from repro.cli import _engine_config, build_parser
 from repro.core import Doduo, DoduoConfig, DoduoTrainer, ProbeBudget, ProbePlanner
-from repro.core.persistence import save_annotator
+from repro.core.persistence import ensure_model_arena, save_annotator
 from repro.datasets import Table, generate_wikitable_dataset
 from repro.io import table_to_dict
 from repro.nn import TransformerConfig
@@ -211,15 +211,16 @@ def bundle(trainers, tmp_path_factory):
 
 
 class TestRegistryLeg:
-    @pytest.mark.parametrize("weight_arena", [False, True])
+    @pytest.mark.parametrize("mapped", [False, True])
     def test_arena_and_store_serve_the_oracle_bytes(
-        self, trainers, corpus, bundle, tmp_path, weight_arena
+        self, trainers, corpus, bundle, tmp_path, mapped
     ):
-        config = EngineConfig(weight_arena=weight_arena)
+        config = EngineConfig()
         expected = serve(trainers["scol"], oracle_of(config), corpus)
+        arena = ensure_model_arena(bundle) if mapped else None
 
         def through_loader(requests):
-            engine = load_engine(bundle, config, cache_dir=tmp_path)
+            engine = load_engine(bundle, config, cache_dir=tmp_path, arena=arena)
             try:
                 return wire(engine.annotate_batch(requests)), engine
             finally:
@@ -239,13 +240,10 @@ class TestRegistryLeg:
     def test_a_pool_serves_the_in_process_bytes(
         self, trainers, corpus, bundle, tmp_path
     ):
-        config = EngineConfig(
-            batch_size=3, weight_arena=True,
-            probe_mode="planned", probe_budget=2,
-        )
+        config = EngineConfig(batch_size=3, probe_mode="planned", probe_budget=2)
         expected = serve(trainers["scol"], oracle_of(config), corpus)
         pool = ServingPool(PoolConfig(
-            specs=[("default", str(bundle))], workers=2, engine=config,
+            bundle=str(bundle), workers=2, engine=config,
             cache_dir=str(tmp_path / "cache"), options=OPTIONS,
         ))
         with pool, socket.create_connection(pool.address, timeout=60) as sock:
@@ -387,7 +385,7 @@ class TestDeclarationHygiene:
 
 POSITIONALS = {"annotate": ["bundle", "corpus.jsonl"], "serve": ["bundle", "-"]}
 FLAGGED = [
-    (command, k) for k in KNOBS for command in k.metadata["commands"]
+    (command, k) for k in KNOBS for command in ("annotate", "serve")
     if k.metadata["flags"]
 ]
 
@@ -415,14 +413,9 @@ class TestFlags:
 
     def test_removed_engine_flags_are_argparse_errors(self):
         for flags in (["--dtype", "float64"], ["--precision", "float64"],
-                      ["--column-cache-persist"]):
+                      ["--column-cache-persist"], ["--weight-arena"]):
             with pytest.raises(SystemExit):
                 parse("serve", *flags)
-
-    def test_the_loading_tiers_flag_is_serves_alone(self):
-        assert parse("serve", "--weight-arena").weight_arena
-        with pytest.raises(SystemExit):
-            parse("annotate", "--weight-arena")
 
     def test_refused_values_and_combinations(self):
         with pytest.raises(SystemExit):

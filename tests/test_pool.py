@@ -9,6 +9,12 @@ The ISSUE-6 acceptance surface:
 * ``{"op": "shutdown"}`` on any connection drains the whole pool;
 * a warm cache entry written by one worker is a **disk hit in another
   worker without a single encoder pass** (the cross-process fabric);
+* the parent places connections: back-to-back connections split evenly
+  across the workers (under fork and spawn), a handed-over connection is
+  served with TCP_NODELAY, and a killed worker's share goes to the live
+  one;
+* every pool maps one parent-built weight arena, and single-process
+  serving builds none;
 * a crashed worker is detected and restarted (bounded, with backoff)
   and the pool keeps serving;
 * SIGTERM with live multi-worker, multi-connection traffic drains every
@@ -98,7 +104,7 @@ def expected_cli(shared_tiny_annotator, tables):
 
 def _config(bundle, **overrides):
     base = dict(
-        specs=[("default", str(bundle))],
+        bundle=str(bundle),
         host="127.0.0.1",
         port=0,
         workers=2,
@@ -161,8 +167,8 @@ class TestPoolServing:
         config = _config(bundle, cache_dir=str(tmp_path / "cache"))
         with ServingPool(config) as pool:
             address = pool.address
-            # Several connections so the kernel spreads accepts across
-            # both workers; answers must be identical either way.
+            # Several connections, so both workers answer; the answers
+            # must be identical either way.
             clients = [Client(address) for _ in range(6)]
             try:
                 for c, client in enumerate(clients):
@@ -186,6 +192,8 @@ class TestPoolServing:
         assert stats["pool"]["workers"] == 2
         assert stats["pool"]["live"] == 2
         assert stats["pool"]["restarts"] == 0
+        # Every worker mapped the parent's arena, with no flag asking.
+        assert stats["registry"]["arena_remaps"] == 2
         per_worker = stats["pool"]["per_worker"]
         assert sum(w["requests"] for w in per_worker) == 6 * len(tables)
         assert len({w["pid"] for w in per_worker}) == len(per_worker)
@@ -263,53 +271,139 @@ class TestPoolServing:
         """Within ONE pool run: once any worker annotates a table, the
         other serves it from the fabric — pool-wide encoder passes stay
         at one however many connections repeat it."""
-        table = tables[0]
+        record = table_to_dict(tables[0])
         config = _config(bundle, cache_dir=str(tmp_path / "cache"))
         with ServingPool(config) as pool:
-            served_by = set()
-            for attempt in range(64):
-                record = table_to_dict(table)
-                record["id"] = attempt
-                answer = _ask_once(pool.address, record)
-                assert answer["id"] == attempt
-                stats = _ask_once(pool.address, {"op": "stats"})
-                served_by = {
-                    w["pid"]
-                    for w in stats["pool"]["per_worker"]
-                    if w["completed"] > 0
-                }
-                if len(served_by) >= 2:
-                    break
-                time.sleep(0.05)
-            assert len(served_by) >= 2, "kernel never balanced across workers"
-            final = _ask_once(pool.address, {"op": "stats"})
+            # Two connections opened back to back land on the two workers.
+            first, second = Client(pool.address), Client(pool.address)
+            try:
+                assert "columns" in first.ask(record)
+                # A sibling's flushed entry is visible after at most one
+                # refresh interval (0.05 s).
+                time.sleep(0.2)
+                assert "columns" in second.ask(record)
+                final = first.ask({"op": "stats"})
+            finally:
+                first.close()
+                second.close()
+        served_by = {
+            w["pid"] for w in final["pool"]["per_worker"] if w["completed"] > 0
+        }
+        assert len(served_by) == 2
         assert final["gateway"]["encoder_passes"] == 1
         tiers = final["gateway"]["disk_tiers"]
         assert sum(tier["remote_hits"] for tier in tiers.values()) >= 1
 
+    def test_single_process_serving_builds_no_arena(
+        self, shared_tiny_annotator, tables, tmp_path, capsys
+    ):
+        from repro.cli import main
+        from repro.datasets import TableDataset
+        from repro.io import save_dataset_jsonl
 
-class TestInheritedListener:
-    def test_accepted_connections_get_nodelay(self, bundle):
-        """The ``inherit`` listener's accepted sockets carry TCP_NODELAY, as
-        a listener bound by asyncio itself does: asyncio sets it only when
-        the socket says ``IPPROTO_TCP``, and without it a pipelined
-        connection's small answers wait out Nagle's delay."""
-        pool = ServingPool(_config(bundle, sharding="inherit"))
-        pool._bind()
+        bundle, corpus = tmp_path / "model", tmp_path / "corpus.jsonl"
+        save_annotator(shared_tiny_annotator, bundle)
+        dataset = shared_tiny_annotator.trainer.dataset
+        save_dataset_jsonl(
+            TableDataset(
+                tables=list(tables[:2]),
+                type_vocab=list(dataset.type_vocab),
+                relation_vocab=list(dataset.relation_vocab),
+            ),
+            corpus,
+        )
+        assert main(["serve", str(bundle), str(corpus)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        assert not list(bundle.glob("*.rpwa"))
+
+
+class TestPlacement:
+    """The parent accepts every connection and hands it to a worker."""
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_back_to_back_connections_split_evenly(
+        self, bundle, tables, start_method
+    ):
+        """Round-robin over ready workers: four connections opened back to
+        back split 2/2 whatever their source ports hash to.  Under spawn
+        the worker's socketpair end crosses the process boundary by
+        pickling."""
+        config = _config(bundle, start_method=start_method)
+        with ServingPool(config) as pool:
+            clients = [Client(pool.address) for _ in range(4)]
+            try:
+                for i, client in enumerate(clients):
+                    record = table_to_dict(tables[i])
+                    record["id"] = i
+                    assert client.ask(record)["id"] == i
+                stats = clients[0].ask({"op": "stats"})
+            finally:
+                for client in clients:
+                    client.close()
+        per_worker = stats["pool"]["per_worker"]
+        assert [w["connections"] for w in per_worker] == [2, 2]
+        assert [w["completed"] for w in per_worker] == [2, 2]
+
+    def test_a_handed_over_connection_gets_nodelay(self):
+        """A connection that crossed a socketpair, as the parent sends it,
+        is served with TCP_NODELAY like one the server's own listener
+        accepted: without it, a pipelined connection's small answers wait
+        out Nagle's delay."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        parent_end, worker_end = socket.socketpair()
         worker = EngineWorker(StubEngine())
-        server = ServerThread(worker, sock=pool._parent_sock)
-        try:
-            with worker, server as address:
-                with socket.create_connection(address, timeout=10) as client:
-                    client.sendall(b'{"op": "health"}\n')
-                    assert client.makefile("rb").readline().endswith(b"\n")
-                    (connection,) = server.server._connections
-                    accepted = connection.writer.get_extra_info("socket")
-                    assert accepted.getsockopt(
-                        socket.IPPROTO_TCP, socket.TCP_NODELAY
-                    )
-        finally:
-            pool._parent_sock.close()
+        server = ServerThread(worker)
+        with listener, parent_end, worker_end, worker, server:
+            with socket.create_connection(
+                listener.getsockname(), timeout=10
+            ) as client:
+                accepted, _ = listener.accept()
+                with accepted:
+                    socket.send_fds(parent_end, [b"c"], [accepted.fileno()])
+                _, (fd,), _, _ = socket.recv_fds(worker_end, 1, 1)
+                server._loop.call_soon_threadsafe(
+                    server.server.adopt, socket.socket(fileno=fd)
+                )
+                client.sendall(b'{"op": "health"}\n')
+                assert client.makefile("rb").readline().endswith(b"\n")
+                (connection,) = server.server._connections
+                adopted = connection.writer.get_extra_info("socket")
+                assert adopted.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                assert server.server.stats.connections == 1
+
+    def test_a_killed_workers_share_goes_to_the_live_worker(
+        self, bundle, tables
+    ):
+        """After ``kill -9`` of one worker, every new connection is handed
+        to the live one and answered — none sits silent in the dead
+        slot's socketpair, even when the parent has not yet seen the
+        death (the send to a closed socketpair fails and passes on)."""
+        with ServingPool(_config(bundle, max_restarts=0)) as pool:
+            per_worker = _ask_once(pool.address, {"op": "stats"})["pool"][
+                "per_worker"
+            ]
+            victim, survivor = (w["pid"] for w in per_worker)
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while pool.stats()["pool"]["live"] != 1:
+                assert time.monotonic() < deadline, "death never observed"
+                time.sleep(0.05)
+            for unseen in (False, True):
+                if unseen:
+                    # As if the supervisor had not yet seen the death.
+                    pool._slots[0].ready.set()
+                clients = [Client(pool.address, timeout=30) for _ in range(2)]
+                try:
+                    for i, client in enumerate(clients):
+                        record = table_to_dict(tables[i])
+                        record["id"] = i
+                        assert client.ask(record)["id"] == i
+                finally:
+                    for client in clients:
+                        client.close()
+            (only,) = pool.stats()["pool"]["per_worker"]
+        assert only["pid"] == survivor
+        assert only["completed"] == 4
 
 
 class TestPoolSupervision:
@@ -340,33 +434,18 @@ class TestPoolSupervision:
             assert answer["id"] == "post-restart"
             assert "columns" in answer
 
-    def test_inherited_fd_sharding_serves(self, bundle, tables):
-        """The no-SO_REUSEPORT fallback: parent listens, workers
-        accept-race the inherited descriptor."""
-        with ServingPool(_config(bundle, sharding="inherit")) as pool:
-            for i in range(4):
-                record = table_to_dict(tables[i % len(tables)])
-                record["id"] = i
-                answer = _ask_once(pool.address, record)
-                assert answer["id"] == i and "columns" in answer
-            stats = _ask_once(pool.address, {"op": "stats"})
-            assert stats["pool"]["sharding"] == "inherit"
-            assert stats["gateway"]["completed"] == 4
-
     def test_worker_validation_fails_fast_in_parent(self, tmp_path):
         pool = ServingPool(
-            PoolConfig(specs=[("default", str(tmp_path / "nope"))], workers=2)
+            PoolConfig(bundle=str(tmp_path / "nope"), workers=2)
         )
         with pytest.raises(ValueError, match="bundle"):
             pool.start()
 
     def test_config_validation(self, bundle):
         with pytest.raises(ValueError, match="workers"):
-            PoolConfig(specs=[("default", str(bundle))], workers=0)
-        with pytest.raises(ValueError, match="sharding"):
-            PoolConfig(specs=[("default", str(bundle))], sharding="magic")
-        with pytest.raises(ValueError, match="one model"):
-            PoolConfig(specs=[("a", str(bundle)), ("b", str(bundle))])
+            PoolConfig(bundle=str(bundle), workers=0)
+        with pytest.raises(ValueError, match="max_restarts"):
+            PoolConfig(bundle=str(bundle), max_restarts=-1)
 
     def test_workers_exit_when_parent_is_killed(self, bundle):
         """Orphan protection: SIGKILL the supervising parent (no drain,
@@ -546,7 +625,6 @@ class TestMergeCounters:
             batch_size=4,
             column_cache_size=32,
             kernels="reference",
-            weight_arena=True,
         )
         config = pickle.loads(pickle.dumps(_config(bundle, engine=engine)))
         assert config.engine == engine
@@ -581,7 +659,7 @@ class TestPoolCLI:
         try:
             banner = process.stderr.readline()
             match = re.search(
-                r"listening on ([\d.]+):(\d+) \((\d+) workers, (\w+) sharding\)",
+                r"listening on ([\d.]+):(\d+) \((\d+) workers\)",
                 banner,
             )
             assert match, f"unexpected banner: {banner!r}"

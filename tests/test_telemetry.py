@@ -259,7 +259,6 @@ STATS_SHAPE = {
 #: What ``--workers 2`` adds to it (same capture).
 POOL_SHAPE = {
     "workers": "int", "live": "int", "answered": "int", "restarts": "int",
-    "sharding": "str",
     "per_worker": [
         {
             "worker": "int", "pid": "int", "connections": "int",
@@ -340,7 +339,7 @@ class TestWireShape:
     def test_two_worker_pool(self, sc_bundle, tmp_path):
         bundle, tables = sc_bundle
         config = PoolConfig(
-            specs=[("default", str(bundle))], host="127.0.0.1", port=0,
+            bundle=str(bundle), host="127.0.0.1", port=0,
             workers=2, cache_dir=str(tmp_path / "cache"),
             engine=EngineConfig(probe_mode="planned"),
         )
