@@ -26,7 +26,11 @@ not the pool.
 Acceptance bar: >= 1.7x throughput at ``--workers 2`` over
 ``--workers 1`` at the highest connection count (held slightly looser
 at CI smoke scale, where tables are tiny and per-request wire overhead
-weighs more).  The bar only applies where it is physically reachable:
+weighs more).  One cell lasts a fraction of a second at smoke scale, and
+on a shared small host a single 2-vs-1 ratio swings widely, so the
+speed-up is the median ratio over ``SPEEDUP_PAIRS`` adjacent pairs of
+fresh 1-worker and 2-worker cells, alternating which runs first; every
+pair is published (``speedup_pairs``).  The bar only applies where it is physically reachable:
 on a single-core host two processes time-share one CPU and the best
 possible ratio is ~1.0x, so there the bench instead asserts the pool
 does not *collapse* throughput (>= 0.75x — supervision and fabric
@@ -61,6 +65,7 @@ import os
 import re
 import signal
 import socket
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -83,6 +88,9 @@ if MULTI_CORE:
     SPEEDUP_FLOOR = 1.5 if SMOKE else 1.7
 else:
     SPEEDUP_FLOOR = 0.75  # single CPU: processes time-share one core
+#: Adjacent 1-worker / 2-worker cell pairs whose median ratio is the
+#: published speed-up (one pair read 1.19-2.28 on a shared 2-vCPU host).
+SPEEDUP_PAIRS = 7
 RESULTS_PATH = Path(__file__).parent / "multiproc_saturation.json"
 
 #: The arena experiment's model: large enough that the weight payload
@@ -400,44 +408,48 @@ def run_experiment():
         request_bytes.append((json.dumps(record) + "\n").encode("utf-8"))
 
     env = _serving_env()
+
+    def measure(workers, connections, tag):
+        cache_dir = tmp / f"cache-w{workers}-c{connections}-{tag}"  # cold
+        process, address = _start_pool(bundle, cache_dir, workers, env)
+        try:
+            _warm_workers(address, workers, warmup_record)
+            with socket.create_connection(address, timeout=300) as admin:
+                with admin.makefile("rw", encoding="utf-8", newline="\n") as stream:
+                    before = _stats(stream)
+                    seconds, client_cpu = _run_cell(
+                        address, request_bytes, connections
+                    )
+                    after = _stats(stream)
+        finally:
+            process.terminate()
+            process.wait(timeout=60)
+        placement = _placement(before, after)
+        assert sum(placement["completed"]) == CORPUS_TABLES, placement
+        return {
+            "workers": workers,
+            "connections": connections,
+            "tables_per_second": round(CORPUS_TABLES / seconds, 2),
+            "client_cpu_seconds": round(client_cpu, 3),
+            "seconds": round(seconds, 3),
+            "connections_per_worker": placement["connections"],
+            "completed_per_worker": placement["completed"],
+        }
+
     grid = {}
     cells = []
     rows = []
     for workers in WORKERS_GRID:
         for connections in CONNECTIONS_GRID:
-            cache_dir = tmp / f"cache-w{workers}-c{connections}"  # cold
-            process, address = _start_pool(bundle, cache_dir, workers, env)
-            try:
-                _warm_workers(address, workers, warmup_record)
-                with socket.create_connection(address, timeout=300) as admin:
-                    with admin.makefile("rw", encoding="utf-8", newline="\n") as stream:
-                        before = _stats(stream)
-                        seconds, client_cpu = _run_cell(
-                            address, request_bytes, connections
-                        )
-                        after = _stats(stream)
-            finally:
-                process.terminate()
-                process.wait(timeout=60)
-            placement = _placement(before, after)
-            assert sum(placement["completed"]) == CORPUS_TABLES, placement
-            throughput = CORPUS_TABLES / seconds
-            grid[(workers, connections)] = throughput
-            cells.append({
-                "workers": workers,
-                "connections": connections,
-                "tables_per_second": round(throughput, 2),
-                "client_cpu_seconds": round(client_cpu, 3),
-                "seconds": round(seconds, 3),
-                "connections_per_worker": placement["connections"],
-                "completed_per_worker": placement["completed"],
-            })
+            cell = measure(workers, connections, "grid")
+            grid[(workers, connections)] = throughput = cell["tables_per_second"]
+            cells.append(cell)
             rows.append((
-                str(workers), str(connections), f"{seconds:.3f}",
+                str(workers), str(connections), f"{cell['seconds']:.3f}",
                 f"{throughput:.1f}",
                 f"{throughput / grid[(1, connections)]:.2f}",
-                "/".join(map(str, placement["connections"])),
-                f"{client_cpu / seconds:.0%}",
+                "/".join(map(str, cell["connections_per_worker"])),
+                f"{cell['client_cpu_seconds'] / cell['seconds']:.0%}",
             ))
     print_table(
         f"Pool saturation ({CORPUS_TABLES} distinct tables, cold cache)",
@@ -446,10 +458,27 @@ def run_experiment():
         rows,
     )
 
+    # The speed-up is the median over adjacent 1-worker / 2-worker pairs
+    # at the top connection count, alternating which side runs first, so
+    # drift in the shared host's speed between two cells cannot decide it.
+    top = max(CONNECTIONS_GRID)
+    pairs = []
+    for round_ in range(SPEEDUP_PAIRS):
+        order = (1, 2) if round_ % 2 == 0 else (2, 1)
+        pair = {w: measure(w, top, f"pair{round_}") for w in order}
+        pairs.append(pair)
+    ratios = [
+        pair[2]["tables_per_second"] / pair[1]["tables_per_second"]
+        for pair in pairs
+    ]
+    print_block(
+        f"2 vs 1 worker at {top} connections, {SPEEDUP_PAIRS} pairs: "
+        + " ".join(f"{ratio:.2f}" for ratio in ratios)
+    )
+
     arena = _arena_experiment(tmp, env, corpus, tokenizer, warmup_record)
 
-    top = max(CONNECTIONS_GRID)
-    speedup_2w = grid[(2, top)] / grid[(1, top)]
+    speedup_2w = statistics.median(ratios)
     summary = {
         "smoke": SMOKE,
         "cpus": len(os.sched_getaffinity(0)),
@@ -457,6 +486,13 @@ def run_experiment():
         "corpus_tables": CORPUS_TABLES,
         "pipeline_depth": PIPELINE_DEPTH,
         "grid": cells,
+        "speedup_pairs": [
+            {
+                "ratio": round(ratio, 3),
+                "cells": [pair[1], pair[2]],
+            }
+            for ratio, pair in zip(ratios, pairs)
+        ],
         "speedup_2_workers_at_max_connections": round(speedup_2w, 3),
         "speedup_floor": SPEEDUP_FLOOR,
         "arena": arena,
@@ -479,7 +515,8 @@ def test_multiproc_saturation(benchmark):
     )
     # The parent places connections round-robin, so every cell splits
     # its connections across the workers within one of even.
-    for cell in summary["grid"]:
+    paired = [cell for pair in summary["speedup_pairs"] for cell in pair["cells"]]
+    for cell in summary["grid"] + paired:
         split = cell["connections_per_worker"]
         assert sum(split) == cell["connections"], cell
         assert max(split) - min(split) <= 1, cell

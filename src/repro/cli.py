@@ -684,8 +684,8 @@ def _serve_pool(args: argparse.Namespace, engine_config, options) -> int:
     pool = ServingPool(config)
     try:
         bound_host, bound_port = pool.start()
-    except OSError as error:
-        print(f"error: cannot listen on {host}:{port}: {error}",
+    except OSError as error:  # the bind, or the arena build before it
+        print(f"error: cannot start the pool on {host}:{port}: {error}",
               file=sys.stderr)
         return 1
     print(

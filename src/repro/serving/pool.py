@@ -60,7 +60,9 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
+import shutil
 import socket
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -339,6 +341,13 @@ class _Slot:
     retired: bool = False          # exhausted restart budget
     respawn_at: Optional[float] = None
 
+    def close_ends(self) -> None:
+        """Close the parent's ends of the worker's pipes and socketpair."""
+        for end in (self.cmd_conn, self.evt_conn, self.channel):
+            if end is not None:
+                end.close()
+        self.cmd_conn = self.evt_conn = self.channel = None
+
 
 class ServingPool:
     """Parent-side orchestrator: bind, spawn, accept, supervise, drain.
@@ -371,6 +380,7 @@ class ServingPool:
         self._listener: Optional[socket.socket] = None
         self._bound: Optional[Tuple[str, int]] = None
         self._arena: Optional[str] = None
+        self._arena_dir: Optional[str] = None  # pool-owned, if the bundle's is read-only
         self._next_slot = 0  # round-robin position of the next handoff
         self._lock = threading.Lock()
         self._started = False
@@ -391,28 +401,28 @@ class ServingPool:
         return self._bound
 
     def _bind(self) -> None:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind((self.config.host, self.config.port))
-            sock.listen(128)
-            sock.setblocking(False)
-        except OSError:
-            sock.close()
-            raise
+        sock = socket.create_server((self.config.host, self.config.port), backlog=128)
+        sock.setblocking(False)
         self._listener = sock
         self._bound = sock.getsockname()[:2]
+
+    def _build_arena(self, bundle: str) -> str:
+        """Serialize the weights ONCE, before any worker exists: workers
+        (and crash restarts) map the same file, so the page cache backs
+        one physical copy of the weights pool-wide.  The arena goes beside
+        the bundle, where the next pool reuses it; a bundle directory the
+        pool cannot write (a read-only mount, a shared install) gets it in
+        a directory the pool owns and removes at :meth:`stop`."""
+        try:
+            return str(ensure_model_arena(bundle))
+        except OSError:
+            self._arena_dir = tempfile.mkdtemp(prefix="repro-arena-")
+            return str(ensure_model_arena(bundle, self._arena_dir))
 
     # -- spawning ------------------------------------------------------
 
     def _spawn(self, slot: _Slot) -> None:
-        for end in (slot.cmd_conn, slot.evt_conn, slot.channel):
-            if end is not None:  # endpoints of a previous incarnation
-                try:
-                    end.close()
-                except OSError:
-                    pass
-        slot.cmd_conn = slot.evt_conn = slot.channel = None
+        slot.close_ends()  # of a previous incarnation
         cmd_parent, cmd_child = self._ctx.Pipe()
         evt_parent, evt_child = self._ctx.Pipe()
         channel, channel_child = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -472,11 +482,12 @@ class ServingPool:
         bundle = self.config.bundle
         if not (Path(bundle) / "bundle.json").exists():
             raise ValueError(f"{bundle} is not a bundle directory (no bundle.json)")
-        # Serialize the weights ONCE, before any worker exists: workers
-        # (and crash restarts) map the same file, so the page cache backs
-        # one physical copy of the weights pool-wide.
-        self._arena = str(ensure_model_arena(bundle))
-        self._bind()
+        try:
+            self._arena = self._build_arena(bundle)
+            self._bind()
+        except BaseException:
+            self.stop(collect_stats=False)
+            raise
         if self._ctx.get_start_method() == "fork":
             # Freeze the parent heap before forking: moving every object
             # to the permanent generation keeps the children's cyclic GC
@@ -787,13 +798,9 @@ class ServingPool:
             except Exception:  # noqa: BLE001 - stats must not block drain
                 self.final_stats = None
         for slot in self._slots:
-            for end in (slot.cmd_conn, slot.evt_conn, slot.channel):
-                if end is not None:
-                    try:
-                        end.close()
-                    except OSError:
-                        pass
-            slot.cmd_conn = slot.evt_conn = slot.channel = None
+            slot.close_ends()
+        if self._arena_dir is not None:  # every worker that mapped it is gone
+            shutil.rmtree(self._arena_dir, ignore_errors=True)
         self._done.set()
 
     def __enter__(self) -> "ServingPool":

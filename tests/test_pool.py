@@ -13,8 +13,9 @@ The ISSUE-6 acceptance surface:
   across the workers (under fork and spawn), a handed-over connection is
   served with TCP_NODELAY, and a killed worker's share goes to the live
   one;
-* every pool maps one parent-built weight arena, and single-process
-  serving builds none;
+* every pool maps one parent-built weight arena (in a directory of its
+  own when the bundle's is read-only), and single-process serving builds
+  none;
 * a crashed worker is detected and restarted (bounded, with backoff)
   and the pool keeps serving;
 * SIGTERM with live multi-worker, multi-connection traffic drains every
@@ -25,6 +26,7 @@ The ISSUE-6 acceptance surface:
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 import pickle
@@ -314,6 +316,44 @@ class TestPoolServing:
         )
         assert main(["serve", str(bundle), str(corpus)]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
+        assert not list(bundle.glob("*.rpwa"))
+
+    def test_a_read_only_bundle_gets_a_pool_owned_arena(
+        self, shared_tiny_annotator, tables, expected, tmp_path, monkeypatch
+    ):
+        """A bundle directory the pool cannot write (a read-only mount, a
+        shared install) still serves: every worker maps an arena the pool
+        built in a directory of its own, which stop() removes."""
+        import repro.core.persistence as persistence
+
+        bundle = tmp_path / "model"
+        save_annotator(shared_tiny_annotator, bundle)
+        bundle.chmod(0o555)
+        if os.access(bundle, os.W_OK):
+            # Mode bits do not bind a superuser: refuse the write as the
+            # read-only directory would.
+            write = persistence.write_model_arena
+
+            def refuse_in_bundle(model, path, meta=None):
+                if Path(path).parent == bundle:
+                    raise PermissionError(errno.EACCES, "read-only", str(path))
+                return write(model, path, meta)
+
+            monkeypatch.setattr(persistence, "write_model_arena", refuse_in_bundle)
+        try:
+            with ServingPool(_config(bundle)) as pool:
+                arena_dir = Path(pool._arena).parent
+                record = table_to_dict(tables[0])
+                record["id"] = 0
+                answer = _ask_once(pool.address, record)
+                stats = pool.stats()
+        finally:
+            bundle.chmod(0o755)
+        assert answer.pop("id") == 0
+        assert answer == expected[tables[0].table_id]
+        assert stats["registry"]["arena_remaps"] == 2
+        assert arena_dir != bundle
+        assert not arena_dir.exists()
         assert not list(bundle.glob("*.rpwa"))
 
 
