@@ -28,19 +28,16 @@ For each budget the bench reports encoded pairs per table, the reduction
 factor over exhaustive, and recall/precision of the planned run's gold-pair
 relation predictions against the exhaustive run's own predictions.  The
 full curve lands in ``benchmarks/probe_curves.json`` (uploaded as a CI
-artifact next to ``multiproc_saturation.json``).
+artifact next to ``multiproc_saturation.json``); the committed copy comes
+from
+
+    REPRO_BENCH_SMOKE=1 PYTHONPATH=src python -m pytest -q benchmarks/bench_probe_planning.py
 
 Acceptance gate: some budget reaches >= 5x fewer encoded pairs while
 keeping >= 0.95 recall of the exhaustive predictions.
-
-Footprint gate: once the corpus is planned, the module-level profile memo
-(``repro.core.wide.PROFILE_CACHE``) holds under 1 KB per entry — its key,
-its slot, and the tuple of pointers into the shared gram table.  The gram
-table itself is paid once per process and is recorded beside it.
 """
 
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +48,6 @@ from repro.core.probe import (
     relation_type_compatibility,
     subject_type_priors,
 )
-from repro.core.wide import GRAM_TABLE, PROFILE_CACHE
 from repro.datasets import Column, Table
 from repro.datasets.wikitable import SCHEMAS, generate_table
 from repro.serving import AnnotationEngine, EngineConfig
@@ -105,19 +101,20 @@ def evaluate_budget(trainer, tables, gold, reference, budget, type_inputs):
     """Plan + annotate every table under ``budget``; score vs exhaustive."""
     planner = ProbePlanner(ProbeBudget(max_pairs=budget, per_column=2))
     plans = []
+    pairs_pruned = 0
     for index, table in enumerate(tables):
         if type_inputs is None:
-            plans.append(planner.plan_pairs(table))
+            plan = planner.plan(table)
         else:
             type_probs, compatibility, priors = type_inputs
-            plans.append(
-                planner.plan_pairs(
-                    table,
-                    type_probs=type_probs[index],
-                    type_compatibility=compatibility,
-                    subject_priors=priors,
-                )
+            plan = planner.plan(
+                table,
+                type_probs=type_probs[index],
+                type_compatibility=compatibility,
+                subject_priors=priors,
             )
+        plans.append(list(plan.pairs))
+        pairs_pruned += plan.pruned
     raw = trainer.annotate_batch(tables, pair_requests=plans)
 
     hits = covered = gold_total = 0
@@ -145,29 +142,7 @@ def evaluate_budget(trainer, tables, gold, reference, budget, type_inputs):
         "coverage": covered / gold_total,
         "recall": hits / gold_total,
         "precision": gold_planned / planned_total if planned_total else 0.0,
-        "pairs_pruned": planner.pairs_pruned,
-    }
-
-
-def profile_memo_footprint():
-    """Deep bytes of the profile memo: per entry (the ordered dict, keys,
-    profile tuples and any gram the gram table does not hold, over the
-    entry count) and, separately, the shared gram table (its dict and its
-    strings) — each object counted once."""
-    entries = PROFILE_CACHE._entries
-    shared = {id(gram) for gram in GRAM_TABLE}
-    own = sys.getsizeof(entries) + sum(
-        sys.getsizeof(key)
-        + sys.getsizeof(profile)
-        + sum(sys.getsizeof(gram) for gram in profile if id(gram) not in shared)
-        for key, profile in entries.items()
-    )
-    return {
-        "entries": len(entries),
-        "bytes_per_entry": own / max(1, len(entries)),
-        "grams": len(GRAM_TABLE),
-        "gram_table_bytes": sys.getsizeof(GRAM_TABLE)
-        + sum(sys.getsizeof(gram) for gram in GRAM_TABLE),
+        "pairs_pruned": pairs_pruned,
     }
 
 
@@ -266,7 +241,6 @@ def run_experiment():
         "exhaustive_pairs": len(universe),
         "gold_pairs_per_table": len(gold[0]),
         "byte_identical_spot_check": bool(byte_identical),
-        "profile_memo": profile_memo_footprint(),
         "curves": curves,
     }
     CURVES_FILE.write_text(json.dumps(payload, indent=2) + "\n")
@@ -294,8 +268,3 @@ def test_probe_planning(benchmark):
     prefilter = results["curves"]["model_free"][-1]
     assert prefilter["budget"] is None
     assert prefilter["coverage"] >= 0.95
-    # Profiles are tuples of pointers into one gram table: a memo entry
-    # costing a kilobyte or more means they hold their own strings again.
-    memo = results["profile_memo"]
-    assert memo["entries"] > 0
-    assert memo["bytes_per_entry"] < 1024

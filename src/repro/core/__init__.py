@@ -39,7 +39,6 @@ from .trainer import (
 )
 from .wide import (
     annotate_wide,
-    cached_column_profile,
     column_profile,
     column_similarity,
     profile_similarity,
@@ -72,7 +71,6 @@ __all__ = [
     "calibrate_trainer",
     "build_knowledge_base",
     "build_pretrained_lm",
-    "cached_column_profile",
     "clear_pretrain_cache",
     "column_profile",
     "column_similarity",

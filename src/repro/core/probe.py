@@ -12,8 +12,8 @@ stages:
 
 1. **Prefilters** (model-free, O(k²) set arithmetic — no encoder): prune
    numeric↔numeric pairs (a relation endpoint pair always involves an
-   entity-like column), near-duplicate columns (char-3-gram Jaccard from the
-   memoized :func:`~repro.core.wide.cached_column_profile`), and — when the
+   entity-like column), near-duplicate columns (char-3-gram Jaccard of
+   :func:`~repro.core.wide.column_profile`), and — when the
    caller already has type probabilities — pairs whose predicted types never
    co-occurred as gold relation endpoints (:func:`relation_type_compatibility`).
 2. **Ranking**: survivors are scored with a cheap hashed-3-gram embedding
@@ -53,9 +53,9 @@ from typing import (
 import numpy as np
 
 from ..datasets.tables import Column, Table, TableDataset
-from ..encoding.cache import BoundedMemo, LRUCache, table_fingerprint
+from ..encoding.cache import BoundedMemo
 from .trainer import default_relation_pairs, validate_relation_pairs
-from .wide import cached_column_profile, profile_similarity
+from .wide import column_profile, profile_similarity
 
 Pair = Tuple[int, int]
 
@@ -265,26 +265,15 @@ def subject_type_priors(dataset: TableDataset) -> Dict[int, float]:
 class ProbePlanner:
     """Plans relation probes under a :class:`ProbeBudget`.
 
-    Stateful for the same reason :class:`~repro.serving.ColumnCache` is:
-    the owner (an engine, a benchmark loop) reads cumulative counters off
-    it, and repeated tables hit a small content-addressed plan cache
-    instead of re-scoring.  Planning is deterministic — equal content,
-    labels, and budget always yield the identical plan, which is what lets
-    the budget description stand in for the plan inside the annotation
-    fingerprint.
+    Holds nothing but its budget: each table is planned from its own
+    columns, so planning is deterministic — equal content, labels, and
+    budget always yield the identical plan, which is what lets the budget
+    description stand in for the plan inside the annotation fingerprint.
+    The owner counts what each :class:`ProbePlan` reports.
     """
 
-    def __init__(
-        self,
-        budget: Optional[ProbeBudget] = None,
-        plan_cache_size: int = 512,
-    ) -> None:
+    def __init__(self, budget: Optional[ProbeBudget] = None) -> None:
         self.budget = budget or ProbeBudget()
-        self.tables_planned = 0
-        self.pairs_considered = 0
-        self.pairs_planned = 0
-        self.pairs_pruned = 0
-        self._plan_cache: LRUCache[ProbePlan] = LRUCache(plan_cache_size)
 
     def fingerprint_tag(self) -> str:
         """The probe descriptor folded into
@@ -314,8 +303,6 @@ class ProbePlanner:
         type_probs: Optional[np.ndarray] = None,
         type_compatibility: Optional[FrozenSet[Pair]] = None,
         subject_priors: Optional[Dict[int, float]] = None,
-        fingerprint: Optional[str] = None,
-        column_fingerprints: Optional[Sequence[str]] = None,
     ) -> ProbePlan:
         """Select the column pairs the relation head should probe.
 
@@ -325,50 +312,8 @@ class ProbePlanner:
         and ``subject_priors`` (:func:`subject_type_priors`) additionally
         ranks candidate subject columns by how often their predicted type
         plays the subject role in training; without them planning is fully
-        model-free.  ``fingerprint`` is ``table_fingerprint(table)`` when
-        the caller already holds it (the plan cache is keyed by it), and
-        ``column_fingerprints`` its columns' ``column_fingerprint``s (the
-        profile memo is keyed by them).
+        model-free.
         """
-        cacheable = (
-            type_probs is None
-            and type_compatibility is None
-            and subject_priors is None
-        )
-        key = None
-        if cacheable:
-            # Labels matter (gold pairs pin) but are not part of the
-            # content fingerprint, so they join the key explicitly.
-            key = (
-                fingerprint or table_fingerprint(table),
-                tuple(sorted(table.relation_labels)),
-            )
-            cached = self._plan_cache.get(key)
-            if cached is not None:
-                self._count(cached)
-                return cached
-        plan = self._plan_uncached(
-            table, type_probs, type_compatibility, subject_priors, column_fingerprints
-        )
-        if cacheable and key is not None:
-            self._plan_cache.put(key, plan)
-        self._count(plan)
-        return plan
-
-    def _count(self, plan: ProbePlan) -> None:
-        self.tables_planned += 1
-        self.pairs_considered += plan.candidates
-        self.pairs_planned += plan.planned
-        self.pairs_pruned += plan.pruned
-
-    def _plan_uncached(
-        self,
-        table: Table,
-        type_probs: Optional[np.ndarray],
-        type_compatibility: Optional[FrozenSet[Pair]],
-        subject_priors: Optional[Dict[int, float]],
-        column_fingerprints: Optional[Sequence[str]] = None,
-    ) -> ProbePlan:
         k = table.num_columns
         if k < 2:
             return ProbePlan(pairs=(), candidates=0, pruned=0, pinned=0)
@@ -388,12 +333,7 @@ class ProbePlanner:
         ]
         candidates = len(set(universe) | pinned_set)
 
-        profiles = [
-            cached_column_profile(column, fingerprint=fingerprint)
-            for column, fingerprint in zip(
-                table.columns, column_fingerprints or [None] * k
-            )
-        ]
+        profiles = [column_profile(column) for column in table.columns]
         vectors = [
             _profile_vector(profile, GRAM_BUCKETS) for profile in profiles
         ]

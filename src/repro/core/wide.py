@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..datasets.tables import Column, Table
-from ..encoding.cache import BoundedMemo, LRUCache, column_fingerprint
 from .annotator import AnnotatedTable, Doduo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -40,11 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: A column profile: its distinct character 3-grams, sorted.
 Profile = Tuple[str, ...]
-
-#: Every distinct 3-gram once per process (the wide benchmark corpus holds
-#: ~1,000): profiles point here instead of at fresh slices of their own.
-#: A restart when full only costs sharing, never a byte of any answer.
-GRAM_TABLE = BoundedMemo(1 << 14)
 
 
 def _char_ngrams(text: str, n: int = 3) -> Set[str]:
@@ -56,64 +50,11 @@ def _char_ngrams(text: str, n: int = 3) -> Set[str]:
 
 def column_profile(column: Column, max_values: int = 20) -> Profile:
     """Character-3-gram profile of a column's values (cheap, model-free):
-    its distinct grams, sorted, each one :data:`GRAM_TABLE`'s copy."""
+    its distinct grams, sorted."""
     grams: Set[str] = set()
     for value in column.values[:max_values]:
         grams |= _char_ngrams(value)
-    GRAM_TABLE.make_room()
-    return tuple(sorted(GRAM_TABLE.setdefault(gram, gram) for gram in grams))
-
-
-#: Content-addressed memo for :func:`column_profile` (default ``max_values``
-#: only — the key is content, not parameters).  Module-level on purpose:
-#: the same column reappearing across tables, grouping runs, and probe
-#: plans builds its profile once per process.  LRU-bounded so lake-scale
-#: corpora cannot grow it without limit.  An entry is a tuple of pointers
-#: into :data:`GRAM_TABLE` (~0.5 KB for ~52 grams; a ``set`` of its own
-#: strings took ~4.8 KB); :func:`profile_cache_stats` surfaces the counters.
-PROFILE_CACHE: LRUCache[Profile] = LRUCache(4096)
-
-
-def profile_cache_stats() -> Dict[str, int]:
-    """Counters of the module-level profile memo (size, hits, misses,
-    evictions) — ``evictions > 0`` means the corpus's distinct-column
-    working set exceeds the cap and profiles are being rebuilt — and of the
-    gram table and the planner's gram → bucket memo (size, entries dropped)."""
-    from .probe import GRAM_BUCKETS  # probe imports this module
-    return {
-        "size": len(PROFILE_CACHE),
-        "capacity": PROFILE_CACHE.capacity,
-        "hits": PROFILE_CACHE.hits,
-        "misses": PROFILE_CACHE.misses,
-        "evictions": PROFILE_CACHE.evictions,
-        "grams": len(GRAM_TABLE),
-        "gram_evictions": GRAM_TABLE.evictions,
-        "gram_buckets": len(GRAM_BUCKETS),
-        "gram_bucket_evictions": GRAM_BUCKETS.evictions,
-    }
-
-
-def cached_column_profile(
-    column: Column, max_values: int = 20, fingerprint: Optional[str] = None
-) -> Profile:
-    """Memoized :func:`column_profile`, keyed by column content
-    (``fingerprint``: its ``column_fingerprint`` when already known).
-
-    Grouping used to rebuild both profiles on every
-    :func:`column_similarity` call — O(k²) profile builds for a k-column
-    table; with the memo it is k builds, and the probe planner
-    (:mod:`repro.core.probe`) reuses the same entries as its stage-1
-    signal.  A non-default ``max_values`` bypasses the cache.
-    """
-    if max_values != 20:
-        return column_profile(column, max_values)
-    key = fingerprint or column_fingerprint(column)
-    cached = PROFILE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    profile = column_profile(column, max_values)
-    PROFILE_CACHE.put(key, profile)
-    return profile
+    return tuple(sorted(grams))
 
 
 def profile_similarity(grams_a: Profile, grams_b: Profile) -> float:
@@ -127,7 +68,7 @@ def profile_similarity(grams_a: Profile, grams_b: Profile) -> float:
 
 def column_similarity(a: Column, b: Column) -> float:
     """Jaccard similarity between two columns' character-3-gram profiles."""
-    return profile_similarity(cached_column_profile(a), cached_column_profile(b))
+    return profile_similarity(column_profile(a), column_profile(b))
 
 
 def split_columns_contiguous(num_columns: int, max_columns: int) -> List[List[int]]:
@@ -157,10 +98,10 @@ def split_columns_by_similarity(
     if n == 0:
         return []
 
-    # One memoized profile per column, then O(k²) set arithmetic — the
-    # per-cell column_similarity call used to rebuild both profiles every
-    # time (O(k²) profile builds).
-    profiles = [cached_column_profile(column) for column in table.columns]
+    # One profile per column, then O(k²) set arithmetic — the per-cell
+    # column_similarity call would rebuild both profiles every time (O(k²)
+    # profile builds).
+    profiles = [column_profile(column) for column in table.columns]
     similarity = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):

@@ -114,13 +114,7 @@ def column_fingerprint(column) -> str:
 
 
 class LRUCache(Generic[V]):
-    """A small ordered-dict LRU with hit/miss/eviction counters.
-
-    ``evictions`` counts entries dropped by the capacity bound (not by
-    :meth:`clear`), so long-running consumers — the lake-scale profile
-    memo ``repro.core.wide.PROFILE_CACHE`` in particular — can tell a
-    cache that is merely full from one that is thrashing.
-    """
+    """A small ordered-dict LRU with hit/miss counters."""
 
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
@@ -129,7 +123,6 @@ class LRUCache(Generic[V]):
         self._entries: "OrderedDict[Hashable, V]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -155,7 +148,6 @@ class LRUCache(Generic[V]):
         self._entries[key] = value
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.evictions += 1
 
     def clear(self) -> None:
         self._entries.clear()

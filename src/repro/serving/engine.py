@@ -474,9 +474,9 @@ class AnnotationEngine:
             with self._count_lock:
                 self.stats.disk_misses += len(pending)
                 self.stats.disk_hits += len(requests) - len(pending)
-        # Single-column serving keys four tiers on column content (segment
-        # cache, probe profiles, column states, pair encodes): hash every
-        # column once here and hand the digests down, beside the table's.
+        # Single-column serving keys three tiers on column content (segment
+        # cache, column states, pair encodes): hash every column once here
+        # and hand the digests down, beside the table's.
         column_digests: Dict[int, List[str]] = {}
         if self.column_cache is not None:
             for i in pending:
@@ -512,11 +512,7 @@ class AnnotationEngine:
                     and request.options.with_relations
                     and self.trainer.model.relation_head is not None
                 ):
-                    plan = self.probe_planner.plan(
-                        request.table,
-                        fingerprint=identities[i].table_digest,
-                        column_fingerprints=column_digests.get(i),
-                    )
+                    plan = self.probe_planner.plan(request.table)
                     planned_pairs[i] = plan.pairs
                     self.stats.pairs_planned += plan.planned
                     self.stats.pairs_pruned += plan.pruned

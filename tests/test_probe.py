@@ -131,14 +131,12 @@ class TestProbePlanner:
 
     def test_counters_accumulate(self):
         planner = ProbePlanner(ProbeBudget(max_pairs=3))
-        planner.plan(entity_table(5))
-        planner.plan(entity_table(6))
-        assert planner.tables_planned == 2
-        assert planner.pairs_considered == 10 + 15
-        assert planner.pairs_planned == 6
-        assert planner.pairs_pruned == planner.pairs_considered - 6
+        plans = [planner.plan(entity_table(5)), planner.plan(entity_table(6))]
+        assert [plan.candidates for plan in plans] == [10, 15]
+        assert [plan.planned for plan in plans] == [3, 3]
+        assert [plan.pruned for plan in plans] == [10 - 3, 15 - 3]
 
-    def test_plan_cache_hits_on_repeated_content(self):
+    def test_equal_content_under_another_id_plans_equally(self):
         planner = ProbePlanner(ProbeBudget(max_pairs=3))
         table = entity_table(6)
         first = planner.plan(table)
@@ -146,11 +144,8 @@ class TestProbePlanner:
             Table(columns=table.columns, table_id="other-id")
         )
         assert again == first
-        assert planner._plan_cache.hits == 1
-        # Counters still account the cached plan's work.
-        assert planner.tables_planned == 2
 
-    def test_relation_labels_change_plan_cache_key(self):
+    def test_gold_labels_pin_pairs(self):
         planner = ProbePlanner(ProbeBudget(max_pairs=2))
         bare = entity_table(5)
         labeled = Table(
@@ -160,6 +155,21 @@ class TestProbePlanner:
         )
         assert (3, 4) not in planner.plan(bare).pairs
         assert (3, 4) in planner.plan(labeled).pairs
+
+    def test_planning_keeps_no_state_between_tables(self):
+        budget = ProbeBudget(max_pairs=3)
+        planner = ProbePlanner(budget)
+        table = entity_table(6)
+        first = planner.plan(table)
+        # Enough tables to cycle a bounded memo, each reusing the table's
+        # columns beside one of its own.
+        for n in range(600):
+            planner.plan(Table(
+                columns=[*table.columns[n % 6:], year_column(n)],
+                table_id=f"reuse-{n}",
+            ))
+        assert planner.plan(table) == first
+        assert vars(planner) == {"budget": budget}
 
     def test_min_similarity_floor(self):
         table = Table(

@@ -8,13 +8,9 @@ from hypothesis import strategies as st
 from repro.core import probe, wide
 from repro.core.probe import ProbeBudget, ProbePlanner
 from repro.core.wide import (
-    GRAM_TABLE,
-    PROFILE_CACHE,
     annotate_wide,
-    cached_column_profile,
     column_profile,
     column_similarity,
-    profile_cache_stats,
     profile_similarity,
     split_columns_by_similarity,
     split_columns_contiguous,
@@ -101,47 +97,40 @@ class TestSimilarity:
         assert a == b
 
 
+
 class TestProfileMemoization:
-    """Satellite regression: column 3-gram profiles are built once per
-    column, not once per (i, j) pair."""
+    """Column 3-gram profiles are built once per column per table, not once
+    per (i, j) pair — the per-table list is the only memo."""
 
-    def test_similarity_split_builds_each_profile_once(self):
-        PROFILE_CACHE.clear()
-        table = make_wide_table(num_cols=9)
-        split_columns_by_similarity(table, max_columns=3)
-        assert PROFILE_CACHE.misses == 9
+    def test_similarity_split_builds_each_profile_once(self, monkeypatch):
+        built = []
 
-        PROFILE_CACHE.clear()
-        # Before memoization this cost k*(k-1) profile builds.
-        wider = make_wide_table(num_cols=12)
-        split_columns_by_similarity(wider, max_columns=4)
-        assert PROFILE_CACHE.misses == 12
+        def counting_profile(column, max_values=20):
+            built.append(column)
+            return column_profile(column, max_values)
 
-    def test_repeated_split_hits_cache(self):
-        PROFILE_CACHE.clear()
-        table = make_wide_table(num_cols=6)
-        split_columns_by_similarity(table, max_columns=3)
-        misses = PROFILE_CACHE.misses
-        split_columns_by_similarity(table, max_columns=2)
-        assert PROFILE_CACHE.misses == misses
+        monkeypatch.setattr(wide, "column_profile", counting_profile)
+        split_columns_by_similarity(make_wide_table(num_cols=9), max_columns=3)
+        assert len(built) == 9
+        # Before the per-table list this cost k*(k-1) profile builds.
+        built.clear()
+        split_columns_by_similarity(make_wide_table(num_cols=12), max_columns=4)
+        assert len(built) == 12
+        # The planner builds its own list the same way.
+        monkeypatch.setattr(probe, "column_profile", counting_profile)
+        built.clear()
+        ProbePlanner().plan(make_wide_table(num_cols=7))
+        assert len(built) == 7
 
     def test_cached_profile_matches_direct_similarity(self):
         a = Column(values=["san francisco", "new york"])
         b = Column(values=["san diego", "new orleans"])
         direct = column_similarity(a, b)
-        grams_a, grams_b = cached_column_profile(a), cached_column_profile(b)
+        # The profiles the per-table list holds give the same similarity.
+        grams_a, grams_b = column_profile(a), column_profile(b)
         union = set(grams_a) | set(grams_b)
         jaccard = len(set(grams_a) & set(grams_b)) / len(union) if union else 1.0
         assert direct == jaccard
-
-    def test_nondefault_max_values_bypasses_cache(self):
-        PROFILE_CACHE.clear()
-        col = Column(values=[f"value {r}" for r in range(30)])
-        cached_column_profile(col, max_values=5)
-        assert PROFILE_CACHE.misses == 0
-        assert set(cached_column_profile(col, max_values=5)) < set(
-            cached_column_profile(col)
-        )
 
 
 def _oracle_profile(column: Column, max_values: int = 20) -> set:
@@ -172,17 +161,6 @@ def _oracle_vector(grams: set) -> np.ndarray:
     return loop / norm if norm else loop
 
 
-def _own_bytes(profile) -> int:
-    """Deep size of one profile, less the grams it shares with
-    ``GRAM_TABLE`` (paid once per process, not per profile)."""
-    import sys
-
-    shared = {id(gram) for gram in GRAM_TABLE}
-    return sys.getsizeof(profile) + sum(
-        sys.getsizeof(gram) for gram in profile if id(gram) not in shared
-    )
-
-
 #: Cells as the corpus has them and worse: unicode, blanks, repeats, one-
 #: and two-character cells, and long columns past the 20-value head.
 _CELLS = st.one_of(
@@ -195,15 +173,15 @@ _COLUMNS = st.lists(_CELLS, min_size=0, max_size=30).map(
 
 
 class TestCompactProfiles:
-    """A profile is a sorted tuple of shared gram strings; every number the
-    planner and the grouping read off it equals the set-based oracle's, bit
-    for bit."""
+    """A profile is a sorted tuple of gram strings; every number the planner
+    and the grouping read off it equals the set-based oracle's, bit for
+    bit."""
 
     @given(a=_COLUMNS, b=_COLUMNS)
     @settings(max_examples=200, deadline=None)
     def test_similarity_and_vectors_equal_the_set_oracle(self, a, b):
         oracle_a, oracle_b = _oracle_profile(a), _oracle_profile(b)
-        compact_a, compact_b = cached_column_profile(a), cached_column_profile(b)
+        compact_a, compact_b = column_profile(a), column_profile(b)
         for compact, oracle in ((compact_a, oracle_a), (compact_b, oracle_b)):
             assert compact == tuple(sorted(oracle))
             assert len(compact) == len(oracle)
@@ -214,41 +192,10 @@ class TestCompactProfiles:
         assert profile_similarity(compact_b, compact_a) == expected
         assert column_similarity(a, b) == expected
 
-    def test_grams_are_shared_between_profiles(self):
-        a = column_profile(Column(values=["new york", "new jersey"]))
-        b = column_profile(Column(values=["new orleans"]))
-        common = set(a) & set(b)
-        assert common
-        by_text = {gram: gram for gram in b}
-        assert all(gram is by_text[gram] for gram in a if gram in common)
-
-    def test_a_cached_profile_is_under_a_kilobyte(self):
-        PROFILE_CACHE.clear()
-        column = Column(values=[f"{city} {n}" for n, city in enumerate(
-            ["san francisco", "new york", "los angeles", "chicago", "boston"] * 4
-        )])
-        profile = cached_column_profile(column)
-        assert len(profile) > 40
-        assert _own_bytes(profile) < 1024
-        # The set of its own strings it replaced was several times that.
-        oracle = _oracle_profile(column)
-        assert _own_bytes(oracle) > 4 * _own_bytes(profile)
-
 
 class TestGramMemoBounds:
-    """Both gram memos start over at their cap, count what they drop, and
-    report it through ``profile_cache_stats()``."""
-
-    def test_gram_table_counts_its_evictions(self, monkeypatch):
-        monkeypatch.setattr(wide, "GRAM_TABLE", BoundedMemo(16))
-        stats = profile_cache_stats()
-        assert stats["grams"] == 0 and stats["gram_evictions"] == 0
-        for n in range(20):
-            profile = column_profile(Column(values=[f"v{n:03d}w"]))
-            assert len(wide.GRAM_TABLE) <= 16 + len(profile)
-        stats = profile_cache_stats()
-        assert stats["gram_evictions"] > 0
-        assert stats["grams"] <= 16 + 5
+    """The planner's gram → bucket memo starts over at its cap and counts
+    what it drops."""
 
     def test_gram_buckets_count_their_evictions(self, monkeypatch):
         monkeypatch.setattr(probe, "GRAM_BUCKETS", BoundedMemo(16))
@@ -259,9 +206,7 @@ class TestGramMemoBounds:
                 Column(values=[f"b{n:02d}y", "rr"]),
             ]))
             assert len(probe.GRAM_BUCKETS) <= 16 + 12
-        stats = profile_cache_stats()
-        assert stats["gram_bucket_evictions"] > 0
-        assert stats["gram_buckets"] == len(probe.GRAM_BUCKETS) <= 16 + 12
+        assert probe.GRAM_BUCKETS.evictions > 0
 
 
 class TestSplitWideTable:
